@@ -300,16 +300,12 @@ pub fn propagate_modref(
             // update the caller summary.
             let callee_mod = mods[e.callee.index()].clone();
             let callee_ref = refs[e.callee.index()].clone();
-            let mut args_of_edge = None;
-            mcfg.each_call_in(e.caller, |_, site, _, args| {
-                if site == e.site {
-                    args_of_edge = Some(args.to_vec());
-                }
-            });
             // Every call-graph edge is built from a call statement, so the
             // lookup can only miss if the CFG and graph disagree — in which
             // case the edge transmits nothing.
-            let Some(args) = args_of_edge else { continue };
+            let Some((_, _, args)) = mcfg.call_site(e.caller, e.site) else {
+                continue;
+            };
 
             for (i, arg) in args.iter().enumerate() {
                 let affected_mod = callee_mod.formal(i);

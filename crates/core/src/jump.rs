@@ -419,14 +419,10 @@ fn build_site_jump_fns(
     let mut fns: SiteJumpFns = Vec::with_capacity(callee.arity() + n_globals);
 
     // Formal slots, from the actual arguments.
-    let mut syntactic: Vec<Option<i64>> = vec![None; arg_vals.len()];
-    mcfg.each_call_in(edge.caller, |_, s, _, args| {
-        if s == edge.site {
-            for (i, a) in args.iter().enumerate() {
-                syntactic[i] = a.literal();
-            }
-        }
-    });
+    let args = mcfg
+        .call_site(edge.caller, edge.site)
+        .map_or(&[][..], |(_, _, args)| args);
+    let syntactic = |i: usize| args.get(i).and_then(ipcp_ir::program::Arg::literal);
     for (i, arg) in arg_vals.iter().enumerate() {
         if i >= callee.arity() {
             break;
@@ -434,7 +430,7 @@ fn build_site_jump_fns(
         let jf = if callee.var(callee.formals[i]).is_array {
             JumpFn::Bottom
         } else if config.jump_fn == JumpFnKind::Literal {
-            match syntactic[i] {
+            match syntactic(i) {
                 Some(c) => JumpFn::Const(c),
                 None => JumpFn::Bottom,
             }
@@ -491,9 +487,9 @@ fn govern(jf: JumpFn, gov: &mut Governor, caller: &str, site: usize, slot: usize
 }
 
 /// A procedure's SSA form together with its polynomial evaluation —
-/// produced once per procedure by the pipeline and shared by the jump
-/// function generator and the substitution metric.
-#[derive(Clone, Debug)]
+/// produced once per procedure by the pipeline and shared by both
+/// jump-function stages and the substitution metric.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProcSymbolic {
     /// SSA form under the configured call-effect assumptions.
     pub ssa: ipcp_ssa::SsaProc,

@@ -23,8 +23,9 @@
 //! [`pipeline`](crate::pipeline) needs.
 //!
 //! [`PhaseTime`] / [`Timings`] carry the wall-clock, per-worker busy
-//! time, and governor-shard absorb/replay counts of each phase, feeding
-//! the utilization columns of `ipcc tables`, `report_all`, and
+//! time, governor-shard absorb/replay counts of each phase, and the jump
+//! phase's count of symbolic forms reused from the return-jump phase,
+//! feeding the utilization columns of `ipcc tables`, `report_all`, and
 //! `bench_par`.
 
 use std::any::Any;
@@ -55,6 +56,9 @@ pub struct PhaseTime {
     /// Parallel-fold units discarded and replayed sequentially against
     /// the authoritative governor. 0 on the sequential path.
     pub replayed: usize,
+    /// Procedures whose symbolic form the phase reused from the
+    /// return-jump stage instead of evaluating it again (jump phase only).
+    pub reused: usize,
 }
 
 impl PhaseTime {
@@ -67,6 +71,7 @@ impl PhaseTime {
             units,
             absorbed: 0,
             replayed: 0,
+            reused: 0,
         }
     }
 
@@ -91,6 +96,7 @@ impl PhaseTime {
         self.units += other.units;
         self.absorbed += other.absorbed;
         self.replayed += other.replayed;
+        self.reused += other.reused;
     }
 }
 
@@ -218,6 +224,7 @@ where
             units: n,
             absorbed: 0,
             replayed: 0,
+            reused: 0,
         },
     )
 }
@@ -582,6 +589,7 @@ impl<'env> Pool<'env> {
                 units: n,
                 absorbed: 0,
                 replayed: 0,
+                reused: 0,
             },
         )
     }

@@ -1,6 +1,13 @@
 //! The four-stage pipeline of §4.1: generate return jump functions,
 //! generate forward jump functions, propagate interprocedurally, record
 //! the results.
+//!
+//! Both jump-function stages read the same per-procedure SSA form and
+//! symbolic evaluation, as the paper's implementation does: Stage 1
+//! builds and evaluates each procedure once, and Stage 2 reuses that
+//! form. Only recursive SCC members — whose Stage-1 evaluation saw a
+//! partial table — and configurations whose Stage-2 form differs are
+//! evaluated a second time.
 
 use crate::config::{Config, Stage};
 use crate::error::IpcpError;
@@ -9,7 +16,7 @@ use crate::jump::{
     build_forward_jump_fns, build_forward_jump_fns_par, ForwardJumpFns, ProcSymbolic,
 };
 use crate::par::{PhaseTime, Timings};
-use crate::retjump::{build_return_jfs, build_return_jfs_par, RetOracle, ReturnJumpFns};
+use crate::retjump::{build_return_jfs_keeping, build_return_jfs_par, RetOracle, ReturnJumpFns};
 use crate::solver::ValSets;
 use crate::substitute::{self, Substitution};
 use ipcp_analysis::{
@@ -19,8 +26,8 @@ use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
 use ipcp_ssa::sccp::{CallDefLattice, OpaqueCallsLattice};
 use ipcp_ssa::ssa::{build_ssa, build_ssa_pruned, CallKills, ModKills, WorstCaseKills};
-use ipcp_ssa::symbolic::{EvalBudget, OpaqueCalls};
-use ipcp_ssa::Lattice;
+use ipcp_ssa::symbolic::{CallDefEval, EvalBudget, OpaqueCalls};
+use ipcp_ssa::{Lattice, Seeds};
 use std::fmt;
 use std::time::Instant;
 
@@ -240,7 +247,10 @@ impl Analysis {
         };
 
         // Stage 0: per-procedure MOD/REF direct effects (under
-        // quarantine), then call-edge propagation. A contained failure
+        // quarantine), then call-edge propagation. Its timer starts with
+        // the run, so it also covers building the call graph the
+        // propagation walks, and the stage timers together cover the
+        // whole run. A contained failure
         // widens only that procedure's summary to "touches everything
         // visible"; the fixpoint spreads the widening to callers exactly
         // as far as reference bindings demand.
@@ -253,7 +263,7 @@ impl Analysis {
         // where the sequential loop would; a charge that fails discards
         // the unit's result, reproducing the sequential skip bit for bit.
         let n_globals = mcfg.module.globals.len();
-        let t0 = Instant::now();
+        let t0 = t_run;
         let mut mods = Vec::with_capacity(n_procs);
         let mut refs = Vec::with_capacity(n_procs);
         if !pool.parallel() {
@@ -287,7 +297,6 @@ impl Analysis {
                 mods.push(m);
                 refs.push(r);
             }
-            timings.modref = PhaseTime::sequential(t0.elapsed(), n_procs);
         } else {
             let (units, pt) = pool.run(n_procs, |pi| {
                 crate::quarantine::run_unit(config, Stage::ModRef, pi, || {
@@ -324,6 +333,15 @@ impl Analysis {
             timings.modref = pt;
         }
         let modref = propagate_modref(mcfg, &cg, mods, refs);
+        // Direct effects plus their propagation make up the stage; the
+        // sequential tail after a parallel round counts as one busy worker.
+        if pool.parallel() {
+            let tail = t0.elapsed().saturating_sub(timings.modref.wall);
+            timings.modref.wall += tail;
+            timings.modref.busy += tail;
+        } else {
+            timings.modref = PhaseTime::sequential(t0.elapsed(), n_procs);
+        }
 
         let mod_kills = ModKills(&modref);
         let kills: &(dyn CallKills + Sync) = if config.use_mod {
@@ -333,15 +351,19 @@ impl Analysis {
         };
 
         // Stage 1: return jump functions (bottom-up over the call graph;
-        // parallel over the SCC levels of the condensation).
+        // parallel over the SCC levels of the condensation). Each unit
+        // builds its procedure's SSA form and evaluates it symbolically;
+        // when Stage 2 would build the same form, the unit keeps it.
         let t1 = Instant::now();
-        let ret_jfs = if !config.use_return_jfs {
-            ReturnJumpFns {
+        let keep = reuses_forms(config);
+        let (ret_jfs, mut forms) = if !config.use_return_jfs {
+            let table = ReturnJumpFns {
                 fns: vec![None; n_procs],
                 compose: false,
-            }
+            };
+            (table, vec![None; n_procs])
         } else if !pool.parallel() {
-            let t = build_return_jfs(
+            let out = build_return_jfs_keeping(
                 mcfg,
                 &cg,
                 &layout,
@@ -349,11 +371,12 @@ impl Analysis {
                 config,
                 &mut quarantined,
                 &mut gov,
+                keep,
             );
             timings.retjump = PhaseTime::sequential(t1.elapsed(), cg.bottom_up().count());
-            t
+            out
         } else {
-            let (t, pt) = build_return_jfs_par(
+            let (t, forms, pt) = build_return_jfs_par(
                 mcfg,
                 &cg,
                 &layout,
@@ -362,22 +385,29 @@ impl Analysis {
                 &mut quarantined,
                 &mut gov,
                 pool,
+                keep,
             );
             timings.retjump = pt;
-            t
+            (t, forms)
         };
 
-        // Stage 2: per-procedure SSA + symbolic evaluation, then forward
+        // Stage 2: each reachable procedure's symbolic form, then forward
         // jump functions (top-down conceptually; order is irrelevant since
-        // return jump functions are already fixed). The symbolic units
-        // charge nothing — step budgets are enforced inside the evaluator
-        // — so the parallel fold only replays the *recording* of outcomes
-        // in procedure order.
+        // return jump functions are already fixed). A form Stage 1 kept is
+        // committed as is; the rest — recursive SCC members, and every
+        // procedure under a configuration whose form differs — are
+        // evaluated here against the final table. Either way the commit
+        // runs as a `Stage::Jump` quarantine unit, so panic injection and
+        // containment behave the same. The symbolic units charge nothing —
+        // step budgets are enforced inside the evaluator — so the parallel
+        // fold only replays the *recording* of outcomes in procedure
+        // order.
         let t2 = Instant::now();
         let latch = std::sync::Arc::clone(gov.latch());
         let max_steps = gov.limits().max_symbolic_steps;
         let deadline = config.deadline.map(|d| d.instant());
         let mut symbolics: Vec<Option<ProcSymbolic>> = Vec::new();
+        let mut reused = 0;
         if !pool.parallel() {
             for pi in 0..n_procs {
                 // A procedure quarantined by an earlier phase contributes
@@ -388,16 +418,21 @@ impl Analysis {
                     symbolics.push(None);
                     continue;
                 }
-                let budget = EvalBudget {
-                    max_steps,
-                    deadline,
-                    latch: Some(&latch),
+                let unit = match forms[pi].take() {
+                    Some(form) => reuse_unit(config, pi, form, &mut reused),
+                    None => {
+                        let budget = EvalBudget {
+                            max_steps,
+                            deadline,
+                            latch: Some(&latch),
+                        };
+                        crate::quarantine::run_unit(config, Stage::Jump, pi, || {
+                            build_proc_symbolic(
+                                mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
+                            )
+                        })
+                    }
                 };
-                let unit = crate::quarantine::run_unit(config, Stage::Jump, pi, || {
-                    build_proc_symbolic(
-                        mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
-                    )
-                });
                 commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, &mut gov);
             }
             let jump_fns = build_forward_jump_fns(
@@ -410,6 +445,7 @@ impl Analysis {
                 &mut gov,
             );
             timings.jump = PhaseTime::sequential(t2.elapsed(), n_procs);
+            timings.jump.reused = reused;
             return Self::finish_on(
                 mcfg,
                 config,
@@ -426,8 +462,9 @@ impl Analysis {
                 pool,
             );
         }
+        let has_form: Vec<bool> = forms.iter().map(Option::is_some).collect();
         let (units, mut pt) = pool.run(n_procs, |pi| {
-            if !cg.reachable[pi] || quarantined[pi] {
+            if !cg.reachable[pi] || quarantined[pi] || has_form[pi] {
                 return None;
             }
             let budget = EvalBudget {
@@ -442,12 +479,15 @@ impl Analysis {
             }))
         });
         for (pi, unit) in units.into_iter().enumerate() {
-            match unit {
-                None => symbolics.push(None),
-                Some(u) => {
-                    commit_symbolic_unit(mcfg, pi, u, &mut symbolics, &mut quarantined, &mut gov);
+            let unit = match (unit, forms[pi].take()) {
+                (Some(u), _) => u,
+                (None, Some(form)) => reuse_unit(config, pi, form, &mut reused),
+                (None, None) => {
+                    symbolics.push(None);
+                    continue;
                 }
-            }
+            };
+            commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, &mut gov);
         }
         let (jump_fns, pt_fwd) = build_forward_jump_fns_par(
             mcfg,
@@ -460,6 +500,7 @@ impl Analysis {
             pool,
         );
         pt.absorb(pt_fwd);
+        pt.reused = reused;
         timings.jump = pt;
         Self::finish_on(
             mcfg,
@@ -634,8 +675,58 @@ pub(crate) fn commit_modref_unit(
     }
 }
 
-/// One procedure's SSA + gate + symbolic evaluation — the Stage::Jump
-/// unit of work, shared by the sequential loop and the parallel workers.
+/// One evaluation's outcome: the procedure's symbolic form and whether
+/// its budget cut the evaluation short. Stage 1 keeps it for Stage 2 to
+/// commit instead of evaluating the procedure again.
+pub(crate) type KeptForm = (ProcSymbolic, bool);
+
+/// Whether Stage 2 builds the same form as Stage 1 (plain SSA, ungated,
+/// under the return-jump oracle), so a form Stage 1 kept can be reused.
+pub(crate) fn reuses_forms(config: &Config) -> bool {
+    config.use_return_jfs && !config.pruned_ssa && !config.gated_jump_fns
+}
+
+/// Builds procedure `p`'s SSA form and evaluates it symbolically under
+/// `budget` — the one SSA + evaluation both jump-function stages share.
+///
+/// The evaluation's call oracle reads `ret_jfs` (every call-modified
+/// value is ⊥ when `None`). `pruned` selects pruned SSA; `gate` seeds an
+/// SCCP pass whose executability facts gate the evaluation (extension).
+/// Returns the form and whether the budget cut the evaluation short.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_proc(
+    mcfg: &ModuleCfg,
+    layout: &SlotLayout,
+    kills: &(dyn CallKills + Sync),
+    ret_jfs: Option<&ReturnJumpFns>,
+    p: ProcId,
+    pruned: bool,
+    gate: Option<Seeds>,
+    budget: &EvalBudget<'_>,
+) -> KeptForm {
+    let ssa = if pruned {
+        build_ssa_pruned(mcfg, p, kills)
+    } else {
+        build_ssa(mcfg, p, kills)
+    };
+    let ret = ret_jfs.map(|table| RetOracle {
+        table,
+        mcfg,
+        layout,
+    });
+    let (sym_oracle, lat_oracle): (&dyn CallDefEval, &dyn CallDefLattice) = match &ret {
+        Some(oracle) => (oracle, oracle),
+        None => (&OpaqueCalls, &OpaqueCallsLattice),
+    };
+    let gate = gate.map(|seeds| ipcp_ssa::sccp::run(mcfg, &ssa, &seeds, lat_oracle));
+    let (sym, exhausted) =
+        ipcp_ssa::symbolic::evaluate_under(mcfg, &ssa, layout, sym_oracle, gate.as_ref(), budget);
+    (ProcSymbolic { ssa, sym, gate }, exhausted)
+}
+
+/// Procedure `pi`'s Stage-2 symbolic form under `config` — the
+/// Stage::Jump unit of work, shared by the sequential loop, the parallel
+/// workers and serve's incremental path.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_proc_symbolic(
     mcfg: &ModuleCfg,
@@ -646,47 +737,40 @@ pub(crate) fn build_proc_symbolic(
     gate_seeds: Option<&Vec<Vec<Lattice>>>,
     pi: usize,
     budget: &EvalBudget<'_>,
-) -> (ProcSymbolic, bool) {
+) -> KeptForm {
     let p = ProcId::from(pi);
-    let ssa = if config.pruned_ssa {
-        build_ssa_pruned(mcfg, p, kills)
-    } else {
-        build_ssa(mcfg, p, kills)
-    };
-    // Gate (extension): an unseeded SCCP pass whose executability
-    // facts prune phi inputs and dead call sites, approximating
-    // jump-function generation over gated single-assignment form.
-    let gate = if config.gated_jump_fns {
-        let n_vars = mcfg.module.proc(p).vars.len();
-        let seeds = match gate_seeds {
-            Some(vals) => crate::substitute::seeds_from_vals(mcfg, layout, p, &vals[pi]),
-            None => ipcp_ssa::Seeds::none(n_vars),
-        };
-        let res = if config.use_return_jfs {
-            let oracle = RetOracle {
-                table: ret_jfs,
-                mcfg,
-                layout,
-            };
-            ipcp_ssa::sccp::run(mcfg, &ssa, &seeds, &oracle)
-        } else {
-            ipcp_ssa::sccp::run(mcfg, &ssa, &seeds, &OpaqueCallsLattice)
-        };
-        Some(res)
-    } else {
-        None
-    };
-    let (sym, steps_exhausted) = if config.use_return_jfs {
-        let oracle = RetOracle {
-            table: ret_jfs,
-            mcfg,
-            layout,
-        };
-        ipcp_ssa::symbolic::evaluate_under(mcfg, &ssa, layout, &oracle, gate.as_ref(), budget)
-    } else {
-        ipcp_ssa::symbolic::evaluate_under(mcfg, &ssa, layout, &OpaqueCalls, gate.as_ref(), budget)
-    };
-    (ProcSymbolic { ssa, sym, gate }, steps_exhausted)
+    // Gate (extension): an SCCP pass whose executability facts prune phi
+    // inputs and dead call sites, approximating jump-function generation
+    // over gated single-assignment form.
+    let gate = config.gated_jump_fns.then(|| match gate_seeds {
+        Some(vals) => crate::substitute::seeds_from_vals(mcfg, layout, p, &vals[pi]),
+        None => Seeds::none(mcfg.module.proc(p).vars.len()),
+    });
+    let ret_jfs = config.use_return_jfs.then_some(ret_jfs);
+    evaluate_proc(
+        mcfg,
+        layout,
+        kills,
+        ret_jfs,
+        p,
+        config.pruned_ssa,
+        gate,
+        budget,
+    )
+}
+
+/// Runs a form Stage 1 kept as procedure `pi`'s Stage::Jump unit: still
+/// under quarantine, so panic injection fires as it would for an
+/// evaluation. Counts the reuse when the unit succeeds.
+pub(crate) fn reuse_unit(
+    config: &Config,
+    pi: usize,
+    form: KeptForm,
+    reused: &mut usize,
+) -> Result<KeptForm, UnitError> {
+    let unit = crate::quarantine::run_unit(config, Stage::Jump, pi, || form);
+    *reused += usize::from(unit.is_ok());
+    unit
 }
 
 /// Commits one symbolic unit outcome into `symbolics`, recording the
@@ -694,7 +778,7 @@ pub(crate) fn build_proc_symbolic(
 pub(crate) fn commit_symbolic_unit(
     mcfg: &ModuleCfg,
     pi: usize,
-    unit: Result<(ProcSymbolic, bool), UnitError>,
+    unit: Result<KeptForm, UnitError>,
     symbolics: &mut Vec<Option<ProcSymbolic>>,
     quarantined: &mut [bool],
     gov: &mut Governor,

@@ -136,6 +136,9 @@ pub struct PhaseRow {
     pub absorbed: usize,
     /// Parallel-fold units discarded and replayed against the master.
     pub replayed: usize,
+    /// Procedures whose return-jump symbolic form the stage reused
+    /// instead of evaluating again (the jump stage's row only).
+    pub reused: usize,
 }
 
 /// The per-stage timing and absorb/replay census of one analysis run —
@@ -167,6 +170,7 @@ impl PhaseReport {
             units: pt.units,
             absorbed: pt.absorbed,
             replayed: pt.replayed,
+            reused: pt.reused,
         };
         PhaseReport {
             jobs: t.jobs,
@@ -191,10 +195,15 @@ impl PhaseReport {
         self.rows.iter().map(|r| r.replayed).sum()
     }
 
+    /// Total symbolic forms reused from the return-jump stage.
+    pub fn reused(&self) -> usize {
+        self.rows.iter().map(|r| r.reused).sum()
+    }
+
     /// The column header matching [`PhaseReport::render_row`].
     pub fn header() -> String {
         format!(
-            "{:<10} {:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6} {:>6} {:>6}",
+            "{:<10} {:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6} {:>6} {:>6} {:>6}",
             "program",
             "jobs",
             "modref_us",
@@ -204,6 +213,7 @@ impl PhaseReport {
             "total_us",
             "absorb",
             "replay",
+            "reuse",
             "util"
         )
     }
@@ -212,7 +222,7 @@ impl PhaseReport {
     pub fn render_row(&self, program: &str) -> String {
         let us = |i: usize| self.rows[i].wall.as_micros();
         format!(
-            "{:<10} {:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6} {:>6} {:>5.0}%",
+            "{:<10} {:>4} {:>9} {:>9} {:>9} {:>9} {:>8} {:>6} {:>6} {:>6} {:>5.0}%",
             program,
             self.jobs,
             us(0),
@@ -222,6 +232,7 @@ impl PhaseReport {
             self.total.as_micros(),
             self.absorbed(),
             self.replayed(),
+            self.reused(),
             100.0 * self.utilization,
         )
     }
@@ -363,6 +374,12 @@ mod tests {
         // rendered line is never wider than the header's last column).
         assert!(PhaseReport::header().contains("absorb"));
         assert!(PhaseReport::header().contains("replay"));
+        assert!(PhaseReport::header().contains("reuse"));
+        // Every reachable procedure of this non-recursive program reuses
+        // its return-jump form, and the count lands on the jump row.
+        let reachable = seq.cg.reachable.iter().filter(|&&r| r).count();
+        assert_eq!(pr.rows[2].reused, reachable, "{pr:?}");
+        assert_eq!(pr.reused(), reachable);
     }
 
     #[test]

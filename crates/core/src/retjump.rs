@@ -18,9 +18,9 @@
 
 use crate::config::{Config, Stage};
 use crate::health::Governor;
-use crate::jump::JumpFn;
+use crate::jump::{JumpFn, ProcSymbolic};
 use crate::par::Pool;
-use crate::pipeline::{PhaseFold, PhaseUnit};
+use crate::pipeline::{evaluate_proc, KeptForm, PhaseFold, PhaseUnit};
 use crate::quarantine::run_unit;
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
@@ -28,8 +28,9 @@ use ipcp_ir::program::{ProcId, SlotLayout, VarId};
 use ipcp_ssa::lattice::Lattice;
 use ipcp_ssa::poly::Poly;
 use ipcp_ssa::sccp::CallDefLattice;
-use ipcp_ssa::ssa::{build_ssa, CallKills};
-use ipcp_ssa::symbolic::{evaluate_budgeted, CallDefEval, RetTarget, SymVal};
+use ipcp_ssa::ssa::CallKills;
+use ipcp_ssa::symbolic::{CallDefEval, EvalBudget, RetTarget, SymVal};
+use std::sync::Arc;
 
 /// The return jump functions of a whole program: `fns[p][slot]`.
 ///
@@ -216,12 +217,34 @@ pub fn build_return_jfs(
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) -> ReturnJumpFns {
+    build_return_jfs_keeping(mcfg, cg, layout, kills, config, quarantined, gov, false).0
+}
+
+/// [`build_return_jfs`], also handing back each procedure's symbolic
+/// form when `keep` is set: for every non-recursive procedure whose
+/// evaluation was not cut short by the deadline, `forms[p]` is the
+/// `(ProcSymbolic, steps_exhausted)` pair its unit evaluated. Its callees'
+/// table entries were final when it ran, so the form is exactly what the
+/// forward-jump stage would rebuild against the finished table.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_return_jfs_keeping(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    kills: &(dyn CallKills + Sync),
+    config: &Config,
+    quarantined: &mut [bool],
+    gov: &mut Governor,
+    keep: bool,
+) -> (ReturnJumpFns, Vec<Option<KeptForm>>) {
+    let n_procs = mcfg.module.procs.len();
     let mut table = ReturnJumpFns {
-        fns: vec![None; mcfg.module.procs.len()],
+        fns: vec![None; n_procs],
         compose: config.compose_return_jfs,
     };
+    let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
     for p in cg.bottom_up() {
-        let (fns, newly_quarantined) = run_scc_member(
+        let out = run_scc_member(
             mcfg,
             &table,
             layout,
@@ -229,14 +252,16 @@ pub fn build_return_jfs(
             config,
             p,
             quarantined[p.index()],
+            keep && !cg.is_recursive(p),
             gov,
         );
-        if newly_quarantined {
+        if out.newly_quarantined {
             quarantined[p.index()] = true;
         }
-        table.fns[p.index()] = Some(fns);
+        table.fns[p.index()] = Some(out.fns);
+        forms[p.index()] = out.form;
     }
-    table
+    (table, forms)
 }
 
 /// Parallel [`build_return_jfs`].
@@ -270,16 +295,17 @@ pub(crate) fn build_return_jfs_par(
     quarantined: &mut [bool],
     gov: &mut Governor,
     pool: &Pool<'_>,
-) -> (ReturnJumpFns, crate::par::PhaseTime) {
+    keep: bool,
+) -> (ReturnJumpFns, Vec<Option<KeptForm>>, crate::par::PhaseTime) {
     let n_procs = mcfg.module.procs.len();
     let n_sccs = cg.sccs.len();
     let snapshot: Vec<bool> = quarantined.to_vec();
     let proto = gov.shard();
     let compose = config.compose_return_jfs;
 
-    // One SCC unit's optimistic result: per-member `(ret_jfs,
-    // newly_quarantined)` pairs, with the governor shard it charged.
-    type SccOut = Vec<(Vec<JumpFn>, bool)>;
+    // One SCC unit's optimistic result: per-member outcomes, with the
+    // governor shard it charged.
+    type SccOut = Vec<MemberOut>;
 
     // Optimistic phase: run each level's SCC units in parallel, committing
     // their tables before the next level starts.
@@ -300,7 +326,7 @@ pub(crate) fn build_return_jfs_par(
             let mut outs = Vec::with_capacity(members.len());
             for &p in members {
                 let visible = overlay.as_ref().unwrap_or(&opt_table);
-                let (fns, newly) = run_scc_member(
+                let out = run_scc_member(
                     mcfg,
                     visible,
                     layout,
@@ -308,12 +334,13 @@ pub(crate) fn build_return_jfs_par(
                     config,
                     p,
                     snapshot[p.index()],
+                    keep && !cg.is_recursive(p),
                     &mut shard,
                 );
                 if let Some(o) = overlay.as_mut() {
-                    o.fns[p.index()] = Some(fns.clone());
+                    o.fns[p.index()] = Some(out.fns.clone());
                 }
-                outs.push((fns, newly));
+                outs.push(out);
             }
             PhaseUnit::new(si, Ok(outs), shard)
         });
@@ -322,7 +349,7 @@ pub(crate) fn build_return_jfs_par(
             let si = level[k];
             if let Ok(outs) = &unit.outcome {
                 for (m, &p) in cg.sccs[si].iter().enumerate() {
-                    opt_table.fns[p.index()] = Some(outs[m].0.clone());
+                    opt_table.fns[p.index()] = Some(outs[m].fns.clone());
                 }
             }
             units[si] = Some(unit);
@@ -334,6 +361,7 @@ pub(crate) fn build_return_jfs_par(
         fns: vec![None; n_procs],
         compose,
     };
+    let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
     let mut fold = PhaseFold::default();
     let mut changed = vec![false; n_sccs];
     for si in 0..n_sccs {
@@ -349,21 +377,22 @@ pub(crate) fn build_return_jfs_par(
         });
         match fold.try_absorb(gov, pu, !dep_changed) {
             Some(Ok(outs)) => {
-                for ((fns, newly), &p) in outs.into_iter().zip(members) {
-                    quarantined[p.index()] = snapshot[p.index()] || newly;
-                    table.fns[p.index()] = Some(fns);
+                for (out, &p) in outs.into_iter().zip(members) {
+                    quarantined[p.index()] = snapshot[p.index()] || out.newly_quarantined;
+                    table.fns[p.index()] = Some(out.fns);
+                    forms[p.index()] = out.form;
                 }
                 // Committed == optimistic, so `changed[si]` stays false.
             }
             Some(Err(e)) => {
                 // Units catch their own panics inside `run_scc_member`
-                // and report degradation through the result pair.
+                // and report degradation through `MemberOut`.
                 unreachable!("return-JF units never fail the outcome: {e}")
             }
             None => {
                 let mut any_diff = false;
                 for &p in members {
-                    let (fns, newly) = run_scc_member(
+                    let out = run_scc_member(
                         mcfg,
                         &table,
                         layout,
@@ -371,20 +400,22 @@ pub(crate) fn build_return_jfs_par(
                         config,
                         p,
                         snapshot[p.index()],
+                        keep && !cg.is_recursive(p),
                         gov,
                     );
-                    if opt_table.fns[p.index()].as_ref() != Some(&fns) {
+                    if opt_table.fns[p.index()].as_ref() != Some(&out.fns) {
                         any_diff = true;
                     }
-                    quarantined[p.index()] = snapshot[p.index()] || newly;
-                    table.fns[p.index()] = Some(fns);
+                    quarantined[p.index()] = snapshot[p.index()] || out.newly_quarantined;
+                    table.fns[p.index()] = Some(out.fns);
+                    forms[p.index()] = out.form;
                 }
                 changed[si] = any_diff;
             }
         }
     }
     fold.stamp(&mut time);
-    (table, time)
+    (table, forms, time)
 }
 
 /// Groups the call graph's reachable SCCs into dependency levels: level 0
@@ -420,11 +451,26 @@ fn scc_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
     levels
 }
 
+/// One procedure's result in the bottom-up walk: its slot functions,
+/// whether this unit newly quarantined it, and the symbolic form it
+/// evaluated when the caller asked to keep it.
+#[derive(Debug)]
+pub(crate) struct MemberOut {
+    /// Return jump function per entry slot.
+    pub fns: Vec<JumpFn>,
+    /// Whether the unit panicked here (the procedure is quarantined).
+    pub newly_quarantined: bool,
+    /// The `(ProcSymbolic, steps_exhausted)` pair the unit evaluated —
+    /// `None` unless kept (see [`build_return_jfs_keeping`]).
+    pub form: Option<KeptForm>,
+}
+
 /// One procedure's slice of the bottom-up walk: the quarantine
 /// short-circuit, the quarantined unit, and the panic containment —
 /// shared verbatim by the sequential driver, the optimistic parallel
-/// units, and the fold's replay path. Returns the slot functions and
-/// whether the procedure was *newly* quarantined here.
+/// units, the fold's replay path and serve's incremental driver. With
+/// `keep`, the unit hands back its symbolic form unless the deadline cut
+/// the evaluation short.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_scc_member(
     mcfg: &ModuleCfg,
@@ -434,18 +480,34 @@ pub(crate) fn run_scc_member(
     config: &Config,
     p: ProcId,
     already_quarantined: bool,
+    keep: bool,
     gov: &mut Governor,
-) -> (Vec<JumpFn>, bool) {
+) -> MemberOut {
     let proc = mcfg.module.proc(p);
     let n_slots = layout.n_slots(proc.arity());
+    let bottom = || MemberOut {
+        fns: vec![JumpFn::Bottom; n_slots],
+        newly_quarantined: false,
+        form: None,
+    };
     if already_quarantined {
-        return (vec![JumpFn::Bottom; n_slots], false);
+        return bottom();
     }
+    let latch = Arc::clone(gov.latch());
+    let budget = EvalBudget {
+        max_steps: gov.limits().max_symbolic_steps,
+        deadline: config.deadline.map(|d| d.instant()),
+        latch: Some(&latch),
+    };
     let unit = run_unit(config, Stage::RetJump, p.index(), || {
-        build_proc_ret_jfs(mcfg, table, layout, kills, p, n_slots, gov)
+        build_proc_ret_jfs(mcfg, table, layout, kills, p, n_slots, &budget, gov)
     });
     match unit {
-        Ok(fns) => (fns, false),
+        Ok((fns, form, cut_by_deadline)) => MemberOut {
+            fns,
+            newly_quarantined: false,
+            form: (keep && !cut_by_deadline).then_some(form),
+        },
         Err(e) => {
             gov.record_quarantine(
                 Stage::RetJump,
@@ -454,13 +516,19 @@ pub(crate) fn run_scc_member(
                     proc.name, e.message
                 ),
             );
-            (vec![JumpFn::Bottom; n_slots], true)
+            MemberOut {
+                newly_quarantined: true,
+                ..bottom()
+            }
         }
     }
 }
 
 /// One procedure's slice of return-jump-function construction — the unit
-/// of work [`build_return_jfs`] runs under quarantine.
+/// of work [`build_return_jfs`] runs under quarantine. Returns the slot
+/// functions, the symbolic form they were read from, and whether the
+/// deadline cut that evaluation short.
+#[allow(clippy::too_many_arguments)]
 fn build_proc_ret_jfs(
     mcfg: &ModuleCfg,
     table: &ReturnJumpFns,
@@ -468,20 +536,23 @@ fn build_proc_ret_jfs(
     kills: &(dyn CallKills + Sync),
     p: ProcId,
     n_slots: usize,
+    budget: &EvalBudget<'_>,
     gov: &mut Governor,
-) -> Vec<JumpFn> {
-    let ssa = build_ssa(mcfg, p, kills);
-    let max_steps = gov.limits().max_symbolic_steps;
-    let (sym, steps_exhausted) = {
-        let oracle = RetOracle {
-            table,
-            mcfg,
-            layout,
-        };
-        evaluate_budgeted(mcfg, &ssa, layout, &oracle, None, max_steps)
-    };
+) -> (Vec<JumpFn>, KeptForm, bool) {
+    let (ps, exhausted) = evaluate_proc(mcfg, layout, kills, Some(table), p, false, None, budget);
+    let ProcSymbolic { ssa, sym, .. } = &ps;
     let proc = mcfg.module.proc(p);
-    if steps_exhausted {
+    let cut_by_deadline = exhausted && gov.deadline_expired();
+    if cut_by_deadline {
+        gov.record_deadline(
+            Stage::RetJump,
+            format!(
+                "{}: deadline expired during symbolic evaluation; \
+                 pending values forced to ⊥",
+                proc.name
+            ),
+        );
+    } else if exhausted {
         gov.record_quarantine(
             Stage::RetJump,
             format!(
@@ -551,7 +622,7 @@ fn build_proc_ret_jfs(
         };
         fns.push(jf);
     }
-    fns
+    (fns, (ps, exhausted), cut_by_deadline)
 }
 
 #[cfg(test)]

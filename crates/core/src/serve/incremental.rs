@@ -37,7 +37,8 @@ use crate::health::Governor;
 use crate::jump::{build_forward_jump_fns, ProcSymbolic};
 use crate::par::{PhaseTime, Timings};
 use crate::pipeline::{
-    build_proc_symbolic, commit_modref_unit, commit_symbolic_unit, widen_modref,
+    build_proc_symbolic, commit_modref_unit, commit_symbolic_unit, reuse_unit, reuses_forms,
+    widen_modref, KeptForm,
 };
 use crate::retjump::run_scc_member;
 use crate::serve::cache::{CacheKey, CacheTxn, CachedSummary, SummaryCache, SummaryStage};
@@ -223,8 +224,8 @@ pub fn analyze_incremental(
         mods.push(m);
         refs.push(r);
     }
-    timings.modref = PhaseTime::sequential(t0.elapsed(), n_procs);
     let modref = propagate_modref(mcfg, &cg, mods, refs);
+    timings.modref = PhaseTime::sequential(t0.elapsed(), n_procs);
 
     let mod_kills = ModKills(&modref);
     let kills: &(dyn CallKills + Sync) = if config.use_mod {
@@ -238,8 +239,12 @@ pub fn analyze_incremental(
     // runs against a recording shard: a clean shard whose charges fold
     // cleanly is absorbed — and cached with its charges for replay on
     // later hits — while anything else replays against the master,
-    // reproducing the cold trip offsets bit for bit.
+    // reproducing the cold trip offsets bit for bit. A live unit keeps
+    // its symbolic form for the procedure's Stage-2 miss, as the cold
+    // driver does.
     let t1 = Instant::now();
+    let keep = reuses_forms(config);
+    let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
     let ret_jfs = if !config.use_return_jfs {
         ReturnJumpFns {
             fns: vec![None; n_procs],
@@ -254,9 +259,10 @@ pub fn analyze_incremental(
             let pi = p.index();
             if quarantined[pi] {
                 // The short-circuit touches neither cache nor governor.
-                let (fns, _) =
-                    run_scc_member(mcfg, &table, &layout, kills, config, p, true, &mut gov);
-                table.fns[pi] = Some(fns);
+                let out = run_scc_member(
+                    mcfg, &table, &layout, kills, config, p, true, false, &mut gov,
+                );
+                table.fns[pi] = Some(out.fns);
                 continue;
             }
             let key = CacheKey {
@@ -283,34 +289,36 @@ pub fn analyze_incremental(
                 }
             }
             txn.misses += 1;
+            let keep = keep && !cg.is_recursive(p);
             let mut shard = gov.shard();
-            let (fns, newly) =
-                run_scc_member(mcfg, &table, &layout, kills, config, p, false, &mut shard);
+            let mut out = run_scc_member(
+                mcfg, &table, &layout, kills, config, p, false, keep, &mut shard,
+            );
             if gov.can_absorb(&shard) {
                 // A shard that tripped can never satisfy can_absorb (its
                 // counter already exceeds the cap or fault point), so
                 // this branch is charge-for-charge identical to having
                 // run against the master.
-                let clean = !newly && !shard.health.degraded();
+                let clean = !out.newly_quarantined && !shard.health.degraded();
                 let charges = shard.counters();
                 gov.absorb_shard(shard);
                 if clean && !forced {
                     txn.stage(
                         key,
                         CachedSummary::RetJump {
-                            fns: fns.clone(),
+                            fns: out.fns.clone(),
                             charges,
                         },
                     );
                 }
-                quarantined[pi] = newly;
-                table.fns[pi] = Some(fns);
             } else {
-                let (fns, newly) =
-                    run_scc_member(mcfg, &table, &layout, kills, config, p, false, &mut gov);
-                quarantined[pi] = newly;
-                table.fns[pi] = Some(fns);
+                out = run_scc_member(
+                    mcfg, &table, &layout, kills, config, p, false, keep, &mut gov,
+                );
             }
+            quarantined[pi] = out.newly_quarantined;
+            table.fns[pi] = Some(out.fns);
+            forms[pi] = out.form;
         }
         table
     };
@@ -319,14 +327,17 @@ pub fn analyze_incremental(
     // Stage 2: SSA + symbolic evaluation, then forward jump functions.
     // Symbolic units make no governor charges (step budgets live inside
     // the evaluator), so hits need no replay; only clean units — no
-    // panic, no exhausted step slice — are cached. Forward-jump-function
-    // construction always runs live: it is cheap and makes the Jump
-    // charges that fault injection addresses.
+    // panic, no exhausted step slice — are cached. A miss commits the
+    // form its live Stage-1 unit kept, when there is one, instead of
+    // evaluating again. Forward-jump-function construction always runs
+    // live: it is cheap and makes the Jump charges that fault injection
+    // addresses.
     let t2 = Instant::now();
     let latch = std::sync::Arc::clone(gov.latch());
     let max_steps = gov.limits().max_symbolic_steps;
     let deadline = config.deadline.map(|d| d.instant());
     let mut symbolics: Vec<Option<ProcSymbolic>> = Vec::new();
+    let mut reused = 0;
     for pi in 0..n_procs {
         if !cg.reachable[pi] || quarantined[pi] {
             symbolics.push(None);
@@ -337,6 +348,8 @@ pub fn analyze_incremental(
             digest: mix(shape, keys.cone[pi]),
         };
         let forced = forced_miss(config, Stage::Jump, pi);
+        // Taken before the lookup, so a hit frees the kept form at once.
+        let form = forms[pi].take();
         if !forced {
             if let Some((CachedSummary::Jump { sym }, recovered)) = cache.get_with_origin(key) {
                 txn.hits += 1;
@@ -346,14 +359,19 @@ pub fn analyze_incremental(
             }
         }
         txn.misses += 1;
-        let budget = EvalBudget {
-            max_steps,
-            deadline,
-            latch: Some(&latch),
+        let unit = match form {
+            Some(form) => reuse_unit(config, pi, form, &mut reused),
+            None => {
+                let budget = EvalBudget {
+                    max_steps,
+                    deadline,
+                    latch: Some(&latch),
+                };
+                crate::quarantine::run_unit(config, Stage::Jump, pi, || {
+                    build_proc_symbolic(mcfg, config, &layout, kills, &ret_jfs, None, pi, &budget)
+                })
+            }
         };
-        let unit = crate::quarantine::run_unit(config, Stage::Jump, pi, || {
-            build_proc_symbolic(mcfg, config, &layout, kills, &ret_jfs, None, pi, &budget)
-        });
         if let Ok((ps, steps_exhausted)) = &unit {
             if !steps_exhausted && !forced {
                 txn.stage(
@@ -376,6 +394,7 @@ pub fn analyze_incremental(
         &mut gov,
     );
     timings.jump = PhaseTime::sequential(t2.elapsed(), n_procs);
+    timings.jump.reused = reused;
     Analysis::finish(
         mcfg,
         config,

@@ -765,6 +765,7 @@ pub(crate) fn solve_on(
             units: n_units,
             absorbed: fold.absorbed,
             replayed: fold.replayed,
+            reused: 0,
         }
     };
     (

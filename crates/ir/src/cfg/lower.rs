@@ -35,6 +35,7 @@ struct Lowerer<'a> {
     blocks: Vec<BasicBlock>,
     current: BlockId,
     n_call_sites: usize,
+    call_locs: Vec<(BlockId, usize)>,
     n_temps: usize,
 }
 
@@ -45,6 +46,7 @@ impl<'a> Lowerer<'a> {
             blocks: vec![BasicBlock::new()],
             current: BlockId(0),
             n_call_sites: 0,
+            call_locs: Vec::new(),
             n_temps: 0,
         }
     }
@@ -58,6 +60,7 @@ impl<'a> Lowerer<'a> {
             blocks: self.blocks,
             entry: BlockId(0),
             n_call_sites: self.n_call_sites,
+            call_locs: self.call_locs,
         }
     }
 
@@ -113,6 +116,8 @@ impl<'a> Lowerer<'a> {
             Stmt::Call(callee, args, _) => {
                 let site = CallSiteId::from(self.n_call_sites);
                 self.n_call_sites += 1;
+                let at = self.blocks[self.current.index()].stmts.len();
+                self.call_locs.push((self.current, at));
                 self.push(CStmt::Call {
                     callee: *callee,
                     args: args.clone(),
@@ -388,6 +393,31 @@ mod tests {
         m.each_call_in(m.module.entry, |_, site, _, _| seen.push(site.index()));
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn call_site_lookup_matches_a_scan_and_survives_edits() {
+        let mut m = lower(
+            "proc main() { x = 1; call f(x, 2); if (x) { call f(3, x); } call g(); } \
+             proc f(a, b) { } proc g() { }",
+        );
+        let main = m.module.entry;
+        let mut scanned = Vec::new();
+        m.each_call_in(main, |b, site, callee, args| {
+            scanned.push((site, b, callee, args.to_vec()));
+        });
+        let check = |m: &crate::ModuleCfg| {
+            for (site, b, callee, args) in &scanned {
+                let (lb, lc, la) = m.call_site(main, *site).expect("lowered site");
+                assert_eq!((lb, lc, la), (*b, *callee, &args[..]), "{site}");
+            }
+            assert!(m.call_site(main, CallSiteId(99)).is_none());
+        };
+        check(&m);
+        // An edit that shifts statements leaves the index stale; the
+        // lookup still finds every site.
+        m.cfgs[main.index()].blocks[0].stmts.remove(0);
+        check(&m);
     }
 
     #[test]

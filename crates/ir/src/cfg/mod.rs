@@ -176,7 +176,7 @@ impl Default for BasicBlock {
 }
 
 /// The control-flow graph of one procedure.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug)]
 pub struct Cfg {
     /// All blocks; unreachable blocks may exist (e.g. code after `return`).
     pub blocks: Vec<BasicBlock>,
@@ -184,9 +184,49 @@ pub struct Cfg {
     pub entry: BlockId,
     /// Number of call sites lowered into this CFG (dense `CallSiteId`s).
     pub n_call_sites: usize,
+    /// `call_locs[site]`: the block and statement index where call `site`
+    /// was lowered. A lookup cache over `blocks` for [`Cfg::call_site`],
+    /// which verifies the recorded position and rescans if an edit (such
+    /// as inlining) moved the statement.
+    call_locs: Vec<(BlockId, usize)>,
 }
 
+/// Equality is structural: the call-site index is a cache over `blocks`.
+impl PartialEq for Cfg {
+    fn eq(&self, other: &Cfg) -> bool {
+        self.blocks == other.blocks
+            && self.entry == other.entry
+            && self.n_call_sites == other.n_call_sites
+    }
+}
+
+impl Eq for Cfg {}
+
 impl Cfg {
+    /// Call site `site`'s block, callee and actual arguments.
+    ///
+    /// A direct lookup through the index recorded at lowering; a statement
+    /// an edit has moved since is found by a scan instead.
+    pub fn call_site(&self, site: CallSiteId) -> Option<(BlockId, ProcId, &[Arg])> {
+        fn call_at(b: BlockId, s: &CStmt, want: CallSiteId) -> Option<(BlockId, ProcId, &[Arg])> {
+            match s {
+                CStmt::Call { callee, args, site } if *site == want => Some((b, *callee, args)),
+                _ => None,
+            }
+        }
+        if let Some(&(b, i)) = self.call_locs.get(site.index()) {
+            let stmt = self.blocks.get(b.index()).and_then(|blk| blk.stmts.get(i));
+            if let Some(hit) = stmt.and_then(|s| call_at(b, s, site)) {
+                return Some(hit);
+            }
+        }
+        self.blocks.iter().enumerate().find_map(|(bi, blk)| {
+            blk.stmts
+                .iter()
+                .find_map(|s| call_at(BlockId::from(bi), s, site))
+        })
+    }
+
     /// Looks up a block.
     ///
     /// # Panics
@@ -406,6 +446,12 @@ impl ModuleCfg {
             .iter()
             .enumerate()
             .map(|(i, c)| (ProcId::from(i), c))
+    }
+
+    /// Call site `site` of procedure `p`: its block, callee and actual
+    /// arguments (see [`Cfg::call_site`]).
+    pub fn call_site(&self, p: ProcId, site: CallSiteId) -> Option<(BlockId, ProcId, &[Arg])> {
+        self.cfg(p).call_site(site)
     }
 
     /// Visits every call statement in procedure `p`.

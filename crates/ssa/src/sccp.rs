@@ -80,7 +80,7 @@ impl Seeds {
 }
 
 /// The SCCP fixpoint for one procedure.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SccpResult {
     /// Lattice value per SSA value.
     pub values: Vec<Lattice>,

@@ -167,7 +167,7 @@ pub struct SsaBlock {
 }
 
 /// SSA form of one procedure.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SsaProc {
     /// The procedure this SSA form describes.
     pub proc: ProcId,

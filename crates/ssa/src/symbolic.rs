@@ -103,40 +103,25 @@ pub fn ret_target(
     var: VarId,
 ) -> Option<RetTarget> {
     let p = mcfg.module.proc(caller);
+    let args = mcfg
+        .call_site(caller, site)
+        .map_or(&[][..], |(_, _, args)| args);
+    let mut positions = args
+        .iter()
+        .enumerate()
+        .filter(|(_, a)| matches!(a, ipcp_ir::program::Arg::Scalar(v, _) if *v == var))
+        .map(|(i, _)| i);
     if let VarKind::Global(g) = p.var(var).kind {
         // A global may *also* be passed by reference; that aliases the
         // formal and the global, so only accept the global binding if the
         // variable is not simultaneously a by-reference actual.
-        let mut passed = false;
-        mcfg.each_call_in(caller, |_, s, _, args| {
-            if s == site {
-                for a in args {
-                    if let ipcp_ir::program::Arg::Scalar(v, _) = a {
-                        passed |= *v == var;
-                    }
-                }
-            }
-        });
-        return if passed {
-            None
-        } else {
-            Some(RetTarget::Global(g))
+        return match positions.next() {
+            Some(_) => None,
+            None => Some(RetTarget::Global(g)),
         };
     }
-    let mut positions = Vec::new();
-    mcfg.each_call_in(caller, |_, s, _, args| {
-        if s == site {
-            for (i, a) in args.iter().enumerate() {
-                if let ipcp_ir::program::Arg::Scalar(v, _) = a {
-                    if *v == var {
-                        positions.push(i);
-                    }
-                }
-            }
-        }
-    });
-    match positions.as_slice() {
-        [one] => Some(RetTarget::Formal(*one)),
+    match (positions.next(), positions.next()) {
+        (Some(one), None) => Some(RetTarget::Formal(one)),
         _ => None,
     }
 }
@@ -173,7 +158,7 @@ impl CallDefEval for OpaqueCalls {
 }
 
 /// The result of symbolically evaluating one procedure.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Symbolic {
     /// Symbolic value per SSA value.
     pub values: Vec<SymVal>,

@@ -450,7 +450,8 @@ fn disabling_quarantine_lets_the_panic_escape() {
 
 /// An already-expired deadline: the analysis still returns, the results
 /// are sound (everything reachable at ⊥ is always sound), and the
-/// telemetry says why precision was lost.
+/// telemetry says why precision was lost — starting with the return-jump
+/// stage, whose symbolic evaluations run under the same deadline.
 #[test]
 fn expired_deadlines_degrade_soundly() {
     use ipcp::{Deadline, DegradationKind};
@@ -462,6 +463,16 @@ fn expired_deadlines_degrade_soundly() {
         assert!(
             analysis.health.count_kind(DegradationKind::Deadline) >= 1,
             "{}: no deadline event recorded:\n{}",
+            p.name,
+            analysis.health
+        );
+        assert!(
+            analysis
+                .health
+                .events
+                .iter()
+                .any(|e| e.stage == Stage::RetJump && e.kind == DegradationKind::Deadline),
+            "{}: the return-jump stage ignored the deadline:\n{}",
             p.name,
             analysis.health
         );
