@@ -8,10 +8,11 @@
 //! all of them. Each (tier, jobs) cell therefore runs in a child
 //! process (`bench_scale --child <spec> <jobs>`): the child builds the
 //! module through the *streaming* front end (`resolve_streaming` over a
-//! `ScaleSource`), runs the analysis, and prints one JSON row; the
-//! parent collects the rows, checks that every job count reached the
-//! identical fixpoint, enforces the optional ceilings, and writes
-//! `BENCH_scale.json` into the current directory.
+//! `ScaleSource`), runs the analysis, counts the substituted constants
+//! (`substitute_ms`, the metric `ipcc analyze --emit counts` prints),
+//! and prints one JSON row; the parent collects the rows, checks that
+//! every job count reached the identical fixpoint, enforces the optional
+//! ceilings, and writes `BENCH_scale.json` into the current directory.
 //!
 //! Knobs (all environment variables):
 //!
@@ -117,9 +118,16 @@ fn child(spec_str: &str, jobs: usize) -> Result<(), Box<dyn std::error::Error>> 
         last = Some(a);
     }
     let a = last.ok_or("reps must be >= 1")?;
+    let t = Instant::now();
+    let substituted = a.substitution_counts(&mcfg);
+    let substitute = t.elapsed();
 
     let mut hw = HashWriter(ipcp_ir::hash::Fnv128::new());
-    write!(hw, "{:?}{:?}{:?}", a.vals.vals, a.health, a.quarantined)?;
+    write!(
+        hw,
+        "{:?}{:?}{:?}{:?}",
+        a.vals.vals, a.health, a.quarantined, substituted.counts
+    )?;
     let digest = hw.0.finish();
 
     let rss = peak_rss_bytes().unwrap_or(0);
@@ -130,7 +138,7 @@ fn child(spec_str: &str, jobs: usize) -> Result<(), Box<dyn std::error::Error>> 
     println!(
         concat!(
             "{{\"n_procs\": {}, \"resolve_ms\": {}, \"lower_ms\": {}, ",
-            "\"build_ms\": {}, \"analyze_ms\": {}, ",
+            "\"build_ms\": {}, \"analyze_ms\": {}, \"substitute_ms\": {}, ",
             "\"rss_bytes\": {}, \"total_bytes\": {}, \"peak_chunk_bytes\": {}, ",
             "{}\"solver_iterations\": {}, \"digest\": \"{:032x}\"}}"
         ),
@@ -139,6 +147,7 @@ fn child(spec_str: &str, jobs: usize) -> Result<(), Box<dyn std::error::Error>> 
         lower.as_millis(),
         build.as_millis(),
         best.as_millis(),
+        substitute.as_millis(),
         rss,
         streamed.total_bytes,
         streamed.peak_chunk_bytes,
@@ -211,8 +220,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut cells: Vec<Cell> = Vec::new();
     println!(
-        "{:<6} {:>5} {:>10} {:>12} {:>8} {:>10} {:>9}",
-        "tier", "jobs", "build_ms", "analyze_ms", "rss_mb", "solve_us", "iters"
+        "{:<6} {:>5} {:>10} {:>12} {:>13} {:>8} {:>10} {:>9}",
+        "tier", "jobs", "build_ms", "analyze_ms", "substitute_ms", "rss_mb", "solve_us", "iters"
     );
     let mut failures: Vec<String> = Vec::new();
     for &(tier, spec) in &tiers {
@@ -221,11 +230,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let wall_ms = get_i64(&cell.row, "build_ms") + get_i64(&cell.row, "analyze_ms");
             let rss_mb = get_i64(&cell.row, "rss_bytes") / (1024 * 1024);
             println!(
-                "{:<6} {:>5} {:>10} {:>12} {:>8} {:>10} {:>9}",
+                "{:<6} {:>5} {:>10} {:>12} {:>13} {:>8} {:>10} {:>9}",
                 tier,
                 jobs,
                 get_i64(&cell.row, "build_ms"),
                 get_i64(&cell.row, "analyze_ms"),
+                get_i64(&cell.row, "substitute_ms"),
                 rss_mb,
                 get_i64(&cell.row, "solve_us"),
                 get_i64(&cell.row, "solver_iterations"),
@@ -271,6 +281,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 "lower_ms",
                 "build_ms",
                 "analyze_ms",
+                "substitute_ms",
                 "total_bytes",
                 "peak_chunk_bytes",
                 "modref_us",

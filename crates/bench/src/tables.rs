@@ -40,7 +40,9 @@ pub struct Table3Row {
 /// Substituted-constants count for one program under one configuration.
 pub fn count(p: &SuiteProgram, config: &Config) -> usize {
     let mcfg = p.module_cfg();
-    Analysis::run(&mcfg, config).substitute(&mcfg).total
+    Analysis::run(&mcfg, config)
+        .substitution_counts(&mcfg)
+        .total
 }
 
 /// Computes Table 1 for the paper's twelve programs.
@@ -76,8 +78,8 @@ pub fn table3_rows() -> Vec<Table3Row> {
         .map(|p| {
             let mcfg = p.module_cfg();
             let poly_mod_analysis = Analysis::run(&mcfg, &Config::polynomial());
-            let poly_mod = poly_mod_analysis.substitute(&mcfg).total;
-            let intra_only = ipcp::substitute_intraprocedural(&mcfg, &poly_mod_analysis).total;
+            let poly_mod = poly_mod_analysis.substitution_counts(&mcfg).total;
+            let intra_only = ipcp::count_intraprocedural(&mcfg, &poly_mod_analysis).total;
             Table3Row {
                 name: p.name,
                 poly_nomod: count(p, &Config::polynomial().with_mod(false)),

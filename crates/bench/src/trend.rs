@@ -15,8 +15,9 @@
 //!   fail — the summary table makes a persistent trend visible;
 //! * **note** — context that gates nothing: a missing baseline (first
 //!   run, expired artifact), rows whose identity has no counterpart
-//!   (workload renamed or re-tuned), or a metric that *improved* beyond
-//!   the threshold.
+//!   (workload renamed or re-tuned), a metric column the baseline row
+//!   lacks (added since), or a metric that *improved* beyond the
+//!   threshold.
 //!
 //! Rows are matched structurally, not by schema: a row's identity is
 //! every string-valued field plus `jobs` / `n_procs`, and its metrics
@@ -173,8 +174,15 @@ pub fn compare_report(file: &str, old: Option<&str>, new: &str, pct: f64) -> Tre
             if !is_metric(k) {
                 continue;
             }
-            let (Some(new_v), Some(old_v)) = (v.as_i64(), old_row.get(k).and_then(Json::as_i64))
-            else {
+            let Some(new_v) = v.as_i64() else {
+                continue;
+            };
+            // A column added since the baseline was written has nothing
+            // to trend against yet; it starts its history with this run.
+            let Some(old_v) = old_row.get(k).and_then(Json::as_i64) else {
+                report.notes.push(format!(
+                    "{file}: new metric {k} on [{key}] (no baseline value)"
+                ));
                 continue;
             };
             if old_v <= 0 {
@@ -302,6 +310,18 @@ mod tests {
         let r = compare_report("BENCH_scale.json", Some(&old), &new, 15.0);
         assert!(r.ok() && r.warnings.is_empty(), "{r}");
         assert!(r.notes[0].contains("no baseline row"), "{r}");
+    }
+
+    #[test]
+    fn metric_missing_from_the_baseline_is_a_note() {
+        let old = report(&[ROW_OK]);
+        let new = report(&[
+            r#"{"program": "scale-1k", "jobs": 1, "wall_ms": 100, "substitute_ms": 9, "rss_mb": 40, "identical": true}"#,
+        ]);
+        let r = compare_report("BENCH_scale.json", Some(&old), &new, 15.0);
+        assert!(r.ok() && r.warnings.is_empty(), "{r}");
+        assert_eq!(r.notes.len(), 1, "{r}");
+        assert!(r.notes[0].contains("new metric substitute_ms"), "{r}");
     }
 
     #[test]

@@ -139,7 +139,7 @@ fn dispatch(cmd: Command) -> Result<(), Failure> {
         Command::Complete { file, config } => {
             let (_, mcfg) = load(&file)?;
             let plain_analysis = Analysis::run(&mcfg, &config);
-            let plain = plain_analysis.substitute(&mcfg).total;
+            let plain = plain_analysis.substitution_counts(&mcfg).total;
             let result = complete_propagation(&mcfg, &config);
             println!("plain propagation:    {plain} constants substituted");
             println!(
@@ -158,10 +158,12 @@ fn dispatch(cmd: Command) -> Result<(), Failure> {
             budget,
         } => {
             let (_, mcfg) = load(&file)?;
-            let before = Analysis::run(&mcfg, &config).substitute(&mcfg).total;
+            let before = Analysis::run(&mcfg, &config)
+                .substitution_counts(&mcfg)
+                .total;
             let result = clone_by_constants(&mcfg, &config, budget);
             let after = Analysis::run(&result.module, &config)
-                .substitute(&result.module)
+                .substitution_counts(&result.module)
                 .total;
             println!("clones created: {}", result.n_clones);
             for (pi, n) in result.clones_of.iter().enumerate() {
@@ -200,7 +202,7 @@ fn dispatch(cmd: Command) -> Result<(), Failure> {
         Command::Integrate { file, budget } => {
             let (_, mcfg) = load(&file)?;
             let jf = Analysis::run(&mcfg, &Config::polynomial())
-                .substitute(&mcfg)
+                .substitution_counts(&mcfg)
                 .total;
             let (integrated, result) = ipcp::integrate_and_count(&mcfg, &Config::default(), budget);
             println!(
@@ -408,11 +410,11 @@ fn emit_analysis(mcfg: &ModuleCfg, analysis: &Analysis, emit: Emit) {
     match emit {
         Emit::Constants => {
             print!("{}", analysis.vals.display(mcfg, &layout));
-            let substituted = analysis.substitute(mcfg);
+            let substituted = analysis.substitution_counts(mcfg);
             println!("total constants substituted: {}", substituted.total);
         }
         Emit::Counts => {
-            let substituted = analysis.substitute(mcfg);
+            let substituted = analysis.substitution_counts(mcfg);
             for (pi, n) in substituted.counts.iter().enumerate() {
                 println!("{:<24} {n}", mcfg.module.procs[pi].name);
             }
@@ -525,7 +527,7 @@ fn serve_cache_row(src: &str) -> Result<ServeCacheRow, String> {
 }
 
 fn tables() {
-    use ipcp::{complete_propagation as complete, substitute_intraprocedural, JumpFnKind};
+    use ipcp::{complete_propagation as complete, count_intraprocedural, JumpFnKind};
     use ipcp_suite::paper_programs;
 
     println!("Table 2: constants found through use of jump functions");
@@ -535,7 +537,7 @@ fn tables() {
     );
     for p in paper_programs() {
         let mcfg = p.module_cfg();
-        let count = |c: &Config| Analysis::run(&mcfg, c).substitute(&mcfg).total;
+        let count = |c: &Config| Analysis::run(&mcfg, c).substitution_counts(&mcfg).total;
         println!(
             "{:<10} {:>6} {:>6} {:>6} {:>8} {:>8} {:>8}",
             p.name,
@@ -568,11 +570,11 @@ fn tables() {
             "{:<10} {:>8} {:>8} {:>9} {:>7} {:>5} {:>5}",
             p.name,
             Analysis::run(&mcfg, &Config::polynomial().with_mod(false))
-                .substitute(&mcfg)
+                .substitution_counts(&mcfg)
                 .total,
-            a.substitute(&mcfg).total,
+            a.substitution_counts(&mcfg).total,
             complete(&mcfg, &Config::polynomial()).substitution.total,
-            substitute_intraprocedural(&mcfg, &a).total,
+            count_intraprocedural(&mcfg, &a).total,
             a.health.events.len(),
             a.quarantined.iter().filter(|&&q| q).count(),
         );

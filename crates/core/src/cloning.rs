@@ -203,10 +203,10 @@ pub fn cloning_gain(
     config: &Config,
     max_clones_total: usize,
 ) -> (usize, usize, CloneResult) {
-    let before = Analysis::run(mcfg, config).substitute(mcfg).total;
+    let before = Analysis::run(mcfg, config).substitution_counts(mcfg).total;
     let result = clone_by_constants(mcfg, config, max_clones_total);
     let after = Analysis::run(&result.module, config)
-        .substitute(&result.module)
+        .substitution_counts(&result.module)
         .total;
     (before, after, result)
 }

@@ -10,7 +10,7 @@
 
 use crate::config::Config;
 use crate::pipeline::Analysis;
-use crate::substitute::Substitution;
+use crate::substitute::{constant_uses, Substitution};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::ProcId;
 use ipcp_ssa::dce::{live_statements, prune_constant_branches};
@@ -71,11 +71,7 @@ pub fn complete_propagation(mcfg: &ModuleCfg, config: &Config) -> CompleteResult
             for bi in 0..cfg.len() {
                 let b = ipcp_ir::cfg::BlockId::from(bi);
                 if sccp.folded_branch(cfg, b, &ps.ssa).is_some() {
-                    carried += ps.ssa.blocks[bi]
-                        .term_use_vals
-                        .iter()
-                        .filter(|&&v| sccp.value(v).is_const())
-                        .count();
+                    carried += constant_uses(sccp, &ps.ssa.blocks[bi].term_use_vals);
                 }
             }
             Some((pruned, carried))
@@ -142,7 +138,7 @@ mod tests {
         assert_eq!(r.dce_rounds, 1);
         assert!(r.statements_removed >= 1);
         let plain = Analysis::run(&mcfg, &Config::polynomial())
-            .substitute(&mcfg)
+            .substitution_counts(&mcfg)
             .total;
         assert!(
             r.substitution.total > plain,
@@ -162,7 +158,7 @@ mod tests {
         let (mcfg, r) = run(src, &Config::polynomial());
         assert_eq!(r.dce_rounds, 1);
         let plain = Analysis::run(&mcfg, &Config::polynomial())
-            .substitute(&mcfg)
+            .substitution_counts(&mcfg)
             .total;
         assert!(
             r.substitution.total > plain,
@@ -205,7 +201,7 @@ mod tests {
         ] {
             let mcfg = lower_module(&parse_and_resolve(src).unwrap());
             let plain = Analysis::run(&mcfg, &Config::polynomial())
-                .substitute(&mcfg)
+                .substitution_counts(&mcfg)
                 .total;
             let complete = complete_propagation(&mcfg, &Config::polynomial())
                 .substitution

@@ -528,7 +528,7 @@ mod tests {
         let src = "proc main() { call f(1); call f(2); } proc f(a) { print a; print a + 1; }";
         let m = mcfg(src);
         let jf = Analysis::run(&m, &Config::polynomial())
-            .substitute(&m)
+            .substitution_counts(&m)
             .total;
         assert_eq!(jf, 0);
         let (integrated, r) = integrate_and_count(&m, &Config::default(), 10_000);

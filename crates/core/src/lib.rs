@@ -37,7 +37,7 @@
 //! assert!(consts.contains(&("size".to_string(), 128)));
 //!
 //! // The Metzger–Stroud usefulness metric: constants substituted.
-//! let substituted = analysis.substitute(&mcfg);
+//! let substituted = analysis.substitution_counts(&mcfg);
 //! assert!(substituted.total > 0);
 //! # Ok::<(), ipcp::IpcpError>(())
 //! ```
@@ -118,4 +118,7 @@ pub use resource::peak_rss_bytes;
 pub use retjump::{build_return_jfs, ReturnJumpFns};
 pub use serve::{ServeEngine, ServeError, SummaryCache};
 pub use solver::{solve, solve_worklist_reference, ValSets};
-pub use substitute::{substitute, substitute_intraprocedural, Substitution};
+pub use substitute::{
+    count_intraprocedural, count_proc, substitute, substitute_intraprocedural, substitution_counts,
+    Substitution, SubstitutionCounts,
+};

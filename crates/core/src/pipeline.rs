@@ -18,7 +18,7 @@ use crate::jump::{
 use crate::par::{PhaseTime, Timings};
 use crate::retjump::{build_return_jfs_keeping, build_return_jfs_par, RetOracle, ReturnJumpFns};
 use crate::solver::ValSets;
-use crate::substitute::{self, Substitution};
+use crate::substitute::{self, Substitution, SubstitutionCounts};
 use ipcp_analysis::{
     build_call_graph, direct_effects, propagate_modref, CallGraph, ModRef, ModSet,
 };
@@ -631,9 +631,16 @@ impl Analysis {
             .collect()
     }
 
-    /// Stage 4: record the results — run the substitution metric.
+    /// Stage 4: record the results — run the substitution metric and
+    /// build the transformed program.
     pub fn substitute(&self, mcfg: &ModuleCfg) -> Substitution {
         substitute::substitute(mcfg, self)
+    }
+
+    /// Stage 4, metric only: the per-procedure and total counts of
+    /// [`Analysis::substitute`], without building the transformed program.
+    pub fn substitution_counts(&self, mcfg: &ModuleCfg) -> SubstitutionCounts {
+        substitute::substitution_counts(mcfg, self)
     }
 }
 

@@ -29,7 +29,7 @@ use ipcp_ssa::lattice::Lattice;
 use ipcp_ssa::poly::Poly;
 use ipcp_ssa::sccp::CallDefLattice;
 use ipcp_ssa::ssa::CallKills;
-use ipcp_ssa::symbolic::{CallDefEval, EvalBudget, RetTarget, SymVal};
+use ipcp_ssa::symbolic::{CallActuals, CallDefEval, EvalBudget, RetTarget, SymVal};
 use std::sync::Arc;
 
 /// The return jump functions of a whole program: `fns[p][slot]`.
@@ -88,19 +88,9 @@ impl RetOracle<'_> {
     }
 
     /// The value of callee entry slot `v` at the call, over the caller's
-    /// symbolic values.
-    fn slot_sym<'s>(
-        arg_syms: &'s [SymVal],
-        global_syms: &'s [SymVal],
-        arity: usize,
-        v: u32,
-    ) -> &'s SymVal {
-        let v = v as usize;
-        if v < arity {
-            arg_syms.get(v).unwrap_or(&SymVal::Bottom)
-        } else {
-            global_syms.get(v - arity).unwrap_or(&SymVal::Bottom)
-        }
+    /// symbolic values (⊥ for an array actual or a missing slot).
+    fn slot_sym<'s>(actuals: &CallActuals<'s, SymVal>, arity: usize, v: u32) -> &'s SymVal {
+        actuals.slot(arity, v as usize).unwrap_or(&SymVal::Bottom)
     }
 }
 
@@ -109,8 +99,7 @@ impl CallDefEval for RetOracle<'_> {
         &self,
         callee: ProcId,
         target: RetTarget,
-        arg_syms: &[SymVal],
-        global_syms: &[SymVal],
+        actuals: &CallActuals<'_, SymVal>,
     ) -> SymVal {
         let Some(jf) = self.jf_for(callee, target) else {
             return SymVal::Bottom;
@@ -129,7 +118,7 @@ impl CallDefEval for RetOracle<'_> {
                 };
                 let mut any_top = false;
                 for s in poly.support() {
-                    match Self::slot_sym(arg_syms, global_syms, arity, s) {
+                    match Self::slot_sym(actuals, arity, s) {
                         SymVal::Top => any_top = true,
                         SymVal::Bottom => return SymVal::Bottom,
                         SymVal::Poly(_) => {}
@@ -138,26 +127,20 @@ impl CallDefEval for RetOracle<'_> {
                 if any_top {
                     return SymVal::Top;
                 }
-                match poly.substitute(|s| {
-                    Self::slot_sym(arg_syms, global_syms, arity, s)
-                        .as_poly()
-                        .cloned()
-                }) {
+                match poly.substitute(|s| Self::slot_sym(actuals, arity, s).as_poly().cloned()) {
                     Some(p) => SymVal::Poly(p),
                     None => SymVal::Bottom,
                 }
             }
             JumpFn::PassThrough(_) | JumpFn::Poly(_) => {
                 // Paper limitation: evaluate to a constant or give up.
-                let result = jf.eval(|s| {
-                    match Self::slot_sym(arg_syms, global_syms, arity, s) {
-                        SymVal::Top => Lattice::Top,
-                        SymVal::Bottom => Lattice::Bottom,
-                        SymVal::Poly(p) => match p.as_const() {
-                            Some(c) => Lattice::Const(c),
-                            None => Lattice::Bottom, // §3.2 limitation
-                        },
-                    }
+                let result = jf.eval(|s| match Self::slot_sym(actuals, arity, s) {
+                    SymVal::Top => Lattice::Top,
+                    SymVal::Bottom => Lattice::Bottom,
+                    SymVal::Poly(p) => match p.as_const() {
+                        Some(c) => Lattice::Const(c),
+                        None => Lattice::Bottom, // §3.2 limitation
+                    },
                 });
                 match result {
                     Lattice::Top => SymVal::Top,
@@ -174,23 +157,17 @@ impl CallDefLattice for RetOracle<'_> {
         &self,
         callee: ProcId,
         target: RetTarget,
-        arg_lats: &[Lattice],
-        global_lats: &[Lattice],
+        actuals: &CallActuals<'_, Lattice>,
     ) -> Lattice {
         let Some(jf) = self.jf_for(callee, target) else {
             return Lattice::Bottom;
         };
         let arity = self.mcfg.module.proc(callee).arity();
         jf.eval(|s| {
-            let s = s as usize;
-            if s < arity {
-                arg_lats.get(s).copied().unwrap_or(Lattice::Bottom)
-            } else {
-                global_lats
-                    .get(s - arity)
-                    .copied()
-                    .unwrap_or(Lattice::Bottom)
-            }
+            actuals
+                .slot(arity, s as usize)
+                .copied()
+                .unwrap_or(Lattice::Bottom)
         })
     }
 }
@@ -630,7 +607,7 @@ mod tests {
     use super::*;
     use ipcp_analysis::{build_call_graph, compute_modref};
     use ipcp_ir::{lower_module, parse_and_resolve};
-    use ipcp_ssa::ssa::ModKills;
+    use ipcp_ssa::ssa::{ModKills, ValueId};
 
     fn ret_jfs(src: &str) -> (ipcp_ir::ModuleCfg, CallGraph, SlotLayout, ReturnJumpFns) {
         let m = lower_module(&parse_and_resolve(src).unwrap());
@@ -784,8 +761,12 @@ mod tests {
             };
             let add1 = m.module.proc_named("add1").unwrap().id;
             // Argument symbolically = caller's formal-like poly var 0.
-            let arg = SymVal::Poly(Poly::var(0));
-            let got = CallDefEval::eval_call_def(&oracle, add1, RetTarget::Formal(0), &[arg], &[]);
+            let eval = |arg: SymVal| {
+                let values = [arg];
+                let actuals = CallActuals::new(&[Some(ValueId(0))], &[], &values);
+                CallDefEval::eval_call_def(&oracle, add1, RetTarget::Formal(0), &actuals)
+            };
+            let got = eval(SymVal::Poly(Poly::var(0)));
             if expect_poly {
                 let p = got.as_poly().expect("composed polynomial");
                 assert_eq!(p.eval(&[9]), Some(10));
@@ -793,13 +774,7 @@ mod tests {
                 assert_eq!(got, SymVal::Bottom);
             }
             // With a constant argument both modes give the constant.
-            let got = CallDefEval::eval_call_def(
-                &oracle,
-                add1,
-                RetTarget::Formal(0),
-                &[SymVal::constant(9)],
-                &[],
-            );
+            let got = eval(SymVal::constant(9));
             assert_eq!(got.as_const(), Some(10));
         }
     }

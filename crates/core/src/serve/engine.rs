@@ -499,7 +499,7 @@ impl ServeEngine {
             Some(a) => a,
             None => &self.current,
         };
-        let substituted = analysis.substitute(&self.mcfg).total;
+        let substituted = analysis.substitution_counts(&self.mcfg).total;
         match constants_report(&self.mcfg, analysis, proc, substituted) {
             Ok(report) => Ok((report, outcome)),
             Err(e) => {

@@ -103,7 +103,7 @@ impl Snapshot {
     pub fn substituted(&self) -> usize {
         *self
             .substituted
-            .get_or_init(|| self.analysis.substitute(&self.mcfg).total)
+            .get_or_init(|| self.analysis.substitution_counts(&self.mcfg).total)
     }
 
     /// `CONSTANTS(p)` from the warm analysis — the read-path twin of
@@ -544,5 +544,24 @@ mod tests {
         assert_eq!(report.substituted, direct);
         assert!(snap.constants(Some("nope")).is_err());
         assert!(snap.explain("nope", None, 3).is_err());
+
+        // The engine's own `constants` reply, with and without a one-off
+        // configuration, reports the materialized substitution total.
+        let src = "global g; proc main() { g = 2; call f(3); call f(3); } \
+                   proc f(a) { print a + g; if (a > 1) { print a * g; } }";
+        let mut engine = crate::ServeEngine::new(src, &crate::Config::default()).unwrap();
+        let snap = engine.snapshot();
+        let direct = snap.analysis.substitute(&snap.mcfg).total;
+        assert!(direct > 0);
+        assert_eq!(snap.substituted(), direct);
+        assert_eq!(snap.constants(None).unwrap().substituted, direct);
+        let (report, _) = engine.constants(None, None).unwrap();
+        assert_eq!(report.substituted, direct);
+        let poly = crate::Config::polynomial();
+        let (report, _) = engine.constants(Some("f"), Some(poly)).unwrap();
+        let one_off = Analysis::run(&snap.mcfg, &poly)
+            .substitute(&snap.mcfg)
+            .total;
+        assert_eq!(report.substituted, one_off);
     }
 }

@@ -9,12 +9,15 @@
 //! procedure length and modularity.
 //!
 //! The substitution pass seeds each procedure's SCCP with its
-//! interprocedural `VAL` set, then walks the executable blocks rewriting
-//! occurrences. The transformed program is returned alongside the counts
-//! so tests can check behaviour is preserved.
+//! interprocedural `VAL` set, then counts the constant occurrences in the
+//! executable blocks ([`count_proc`], the one counting rule).
+//! [`substitution_counts`] stops there — the metric alone, with each
+//! procedure's SCCP result dropped as soon as it is counted. [`substitute`]
+//! also rewrites the occurrences and returns the transformed program so
+//! tests can check behaviour is preserved.
 
 use crate::pipeline::Analysis;
-use ipcp_ir::cfg::{BlockId, CStmt, ModuleCfg, Terminator};
+use ipcp_ir::cfg::{BlockId, CStmt, Cfg, ModuleCfg, Terminator};
 use ipcp_ir::program::{Expr, Module, ProcId, VarKind};
 use ipcp_ir::span::Span;
 use ipcp_ssa::sccp::{self, CallDefLattice, OpaqueCallsLattice, SccpResult, Seeds};
@@ -36,6 +39,25 @@ pub struct Substitution {
     /// Source locations of the replaced occurrences with their values —
     /// the raw material for [`Substitution::to_source`].
     pub replacements: Vec<(Span, i64)>,
+}
+
+/// The substitution metric without the transformed program: the
+/// `counts` and `total` a [`Substitution`] would report.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SubstitutionCounts {
+    /// Constants substituted per procedure.
+    pub counts: Vec<usize>,
+    /// Total across the program.
+    pub total: usize,
+}
+
+impl From<Vec<usize>> for SubstitutionCounts {
+    fn from(counts: Vec<usize>) -> SubstitutionCounts {
+        SubstitutionCounts {
+            total: counts.iter().sum(),
+            counts,
+        }
+    }
 }
 
 /// Maps a procedure's `VAL` vector (indexed by entry slot) onto SCCP
@@ -75,12 +97,64 @@ pub fn substitute(mcfg: &ModuleCfg, analysis: &Analysis) -> Substitution {
     })
 }
 
+/// The counts [`substitute`] reports, without building the transformed
+/// program.
+pub fn substitution_counts(mcfg: &ModuleCfg, analysis: &Analysis) -> SubstitutionCounts {
+    let oracle = analysis.sccp_oracle(mcfg);
+    run_counts(mcfg, analysis, oracle.as_ref(), |p| {
+        seeds_for(analysis, mcfg, p)
+    })
+}
+
 /// The purely intraprocedural baseline (Table 3, column 4): no seeds, no
 /// return jump functions, but MOD-precise kill sets.
 pub fn substitute_intraprocedural(mcfg: &ModuleCfg, analysis: &Analysis) -> Substitution {
     run_substitution(mcfg, analysis, &OpaqueCallsLattice, |p| {
         Seeds::none(mcfg.module.proc(p).vars.len())
     })
+}
+
+/// The counts [`substitute_intraprocedural`] reports, without building
+/// the transformed program.
+pub fn count_intraprocedural(mcfg: &ModuleCfg, analysis: &Analysis) -> SubstitutionCounts {
+    run_counts(mcfg, analysis, &OpaqueCallsLattice, |p| {
+        Seeds::none(mcfg.module.proc(p).vars.len())
+    })
+}
+
+/// Runs SCCP on every reachable procedure and hands each fixpoint to
+/// `visit` together with the SSA form it ran over.
+fn for_each_sccp(
+    mcfg: &ModuleCfg,
+    analysis: &Analysis,
+    oracle: &dyn CallDefLattice,
+    seeds_of: impl Fn(ProcId) -> Seeds,
+    mut visit: impl FnMut(ProcId, &SsaProc, SccpResult),
+) {
+    for pi in 0..mcfg.module.procs.len() {
+        if !analysis.cg.reachable[pi] {
+            continue;
+        }
+        // The substitution SSA must match the analysis call-effect world.
+        let Some(ps) = analysis.symbolics[pi].as_ref() else {
+            continue;
+        };
+        let p = ProcId::from(pi);
+        visit(p, &ps.ssa, sccp::run(mcfg, &ps.ssa, &seeds_of(p), oracle));
+    }
+}
+
+fn run_counts(
+    mcfg: &ModuleCfg,
+    analysis: &Analysis,
+    oracle: &dyn CallDefLattice,
+    seeds_of: impl Fn(ProcId) -> Seeds,
+) -> SubstitutionCounts {
+    let mut counts = vec![0usize; mcfg.module.procs.len()];
+    for_each_sccp(mcfg, analysis, oracle, seeds_of, |p, ssa, res| {
+        counts[p.index()] = count_proc(mcfg.cfg(p), ssa, &res);
+    });
+    SubstitutionCounts::from(counts)
 }
 
 fn run_substitution(
@@ -94,29 +168,46 @@ fn run_substitution(
     let mut module = mcfg.clone();
     let mut sccps: Vec<Option<SccpResult>> = (0..n).map(|_| None).collect();
     let mut replacements = Vec::new();
-
-    for pi in 0..n {
-        let p = ProcId::from(pi);
-        if !analysis.cg.reachable[pi] {
-            continue;
-        }
-        // The substitution SSA must match the analysis call-effect world.
-        let ssa = match analysis.symbolics[pi].as_ref() {
-            Some(ps) => &ps.ssa,
-            None => continue,
-        };
-        let res = sccp::run(mcfg, ssa, &seeds_of(p), oracle);
-        counts[pi] = rewrite_proc(&mut module, mcfg, p, ssa, &res, &mut replacements);
-        sccps[pi] = Some(res);
-    }
-
+    for_each_sccp(mcfg, analysis, oracle, seeds_of, |p, ssa, res| {
+        counts[p.index()] = count_proc(mcfg.cfg(p), ssa, &res);
+        rewrite_proc(&mut module, mcfg, p, ssa, &res, &mut replacements);
+        sccps[p.index()] = Some(res);
+    });
+    let SubstitutionCounts { counts, total } = SubstitutionCounts::from(counts);
     Substitution {
-        total: counts.iter().sum(),
         counts,
+        total,
         module,
         sccps,
         replacements,
     }
+}
+
+/// The number of constants substitutable into one procedure: the
+/// scalar-variable occurrences whose SSA value `sccp` found constant, in
+/// the expressions of assignments, stores, prints, by-value call actuals
+/// and branch conditions of executable blocks. This is the one counting
+/// rule behind every substitution total.
+pub fn count_proc(cfg: &Cfg, ssa: &SsaProc, sccp: &SccpResult) -> usize {
+    let mut count = 0usize;
+    for (bi, info) in ssa.blocks.iter().enumerate() {
+        if !sccp.block_exec[bi] {
+            continue;
+        }
+        for stmt in &info.stmts {
+            count += match stmt {
+                StmtInfo::Assign { use_vals, .. }
+                | StmtInfo::Store { use_vals, .. }
+                | StmtInfo::Print { use_vals, .. }
+                | StmtInfo::Call { use_vals, .. } => constant_uses(sccp, use_vals),
+                StmtInfo::Read { .. } => 0,
+            };
+        }
+        if matches!(cfg.block(BlockId::from(bi)).term, Terminator::Branch { .. }) {
+            count += constant_uses(sccp, &info.term_use_vals);
+        }
+    }
+    count
 }
 
 impl Substitution {
@@ -199,7 +290,13 @@ fn rewrite_ast_expr(e: &mut Expr, map: &std::collections::HashMap<Span, i64>) {
     }
 }
 
-/// Rewrites procedure `p` in `out`, returning the substitution count.
+/// How many of the occurrences `vals` hold a constant under `sccp`.
+pub(crate) fn constant_uses(sccp: &SccpResult, vals: &[ValueId]) -> usize {
+    vals.iter().filter(|&&v| sccp.value(v).is_const()).count()
+}
+
+/// Rewrites procedure `p` in `out`, recording each replaced occurrence
+/// that carries a source span.
 fn rewrite_proc(
     out: &mut ModuleCfg,
     mcfg: &ModuleCfg,
@@ -207,9 +304,8 @@ fn rewrite_proc(
     ssa: &SsaProc,
     res: &SccpResult,
     replacements: &mut Vec<(Span, i64)>,
-) -> usize {
+) {
     let cfg = mcfg.cfg(p);
-    let mut count = 0usize;
     for bi in 0..cfg.len() {
         if !res.block_exec[bi] {
             continue;
@@ -218,9 +314,7 @@ fn rewrite_proc(
         let info = &ssa.blocks[bi];
         let out_block = &mut out.cfgs[p.index()].blocks[b.index()];
         for (si, stmt) in cfg.block(b).stmts.iter().enumerate() {
-            let (new_stmt, n) = rewrite_stmt(stmt, &info.stmts[si], res, replacements);
-            out_block.stmts[si] = new_stmt;
-            count += n;
+            out_block.stmts[si] = rewrite_stmt(stmt, &info.stmts[si], res, replacements);
         }
         if let Terminator::Branch {
             cond,
@@ -229,25 +323,15 @@ fn rewrite_proc(
         } = &cfg.block(b).term
         {
             let mut idx = 0;
-            let mut n = 0;
-            let new_cond = rewrite_expr(
-                cond,
-                &info.term_use_vals,
-                &mut idx,
-                res,
-                &mut n,
-                replacements,
-            );
+            let new_cond = rewrite_expr(cond, &info.term_use_vals, &mut idx, res, replacements);
             debug_assert_eq!(idx, info.term_use_vals.len());
             out_block.term = Terminator::Branch {
                 cond: new_cond,
                 then_bb: *then_bb,
                 else_bb: *else_bb,
             };
-            count += n;
         }
     }
-    count
 }
 
 fn rewrite_stmt(
@@ -255,60 +339,61 @@ fn rewrite_stmt(
     info: &StmtInfo,
     res: &SccpResult,
     replacements: &mut Vec<(Span, i64)>,
-) -> (CStmt, usize) {
-    let mut n = 0usize;
+) -> CStmt {
     let mut idx = 0usize;
-    let new =
-        match (stmt, info) {
-            (CStmt::Assign { dst, value }, StmtInfo::Assign { use_vals, .. }) => {
-                let value = rewrite_expr(value, use_vals, &mut idx, res, &mut n, replacements);
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Assign { dst: *dst, value }
+    match (stmt, info) {
+        (CStmt::Assign { dst, value }, StmtInfo::Assign { use_vals, .. }) => {
+            let value = rewrite_expr(value, use_vals, &mut idx, res, replacements);
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Assign { dst: *dst, value }
+        }
+        (
+            CStmt::Store {
+                array,
+                index,
+                value,
+            },
+            StmtInfo::Store { use_vals, .. },
+        ) => {
+            let index = rewrite_expr(index, use_vals, &mut idx, res, replacements);
+            let value = rewrite_expr(value, use_vals, &mut idx, res, replacements);
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Store {
+                array: *array,
+                index,
+                value,
             }
-            (
-                CStmt::Store {
-                    array,
-                    index,
-                    value,
-                },
-                StmtInfo::Store { use_vals, .. },
-            ) => {
-                let index = rewrite_expr(index, use_vals, &mut idx, res, &mut n, replacements);
-                let value = rewrite_expr(value, use_vals, &mut idx, res, &mut n, replacements);
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Store {
-                    array: *array,
-                    index,
-                    value,
-                }
+        }
+        (CStmt::Print { value }, StmtInfo::Print { use_vals, .. }) => {
+            let value = rewrite_expr(value, use_vals, &mut idx, res, replacements);
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Print { value }
+        }
+        (CStmt::Call { callee, args, site }, StmtInfo::Call { use_vals, .. }) => {
+            let mut new_args = Vec::with_capacity(args.len());
+            for a in args {
+                new_args.push(match a {
+                    ipcp_ir::program::Arg::Value(e) => ipcp_ir::program::Arg::Value(rewrite_expr(
+                        e,
+                        use_vals,
+                        &mut idx,
+                        res,
+                        replacements,
+                    )),
+                    // By-reference actuals cannot be replaced by values.
+                    other => other.clone(),
+                });
             }
-            (CStmt::Print { value }, StmtInfo::Print { use_vals, .. }) => {
-                let value = rewrite_expr(value, use_vals, &mut idx, res, &mut n, replacements);
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Print { value }
+            debug_assert_eq!(idx, use_vals.len());
+            CStmt::Call {
+                callee: *callee,
+                args: new_args,
+                site: *site,
             }
-            (CStmt::Call { callee, args, site }, StmtInfo::Call { use_vals, .. }) => {
-                let mut new_args = Vec::with_capacity(args.len());
-                for a in args {
-                    new_args.push(match a {
-                        ipcp_ir::program::Arg::Value(e) => ipcp_ir::program::Arg::Value(
-                            rewrite_expr(e, use_vals, &mut idx, res, &mut n, replacements),
-                        ),
-                        // By-reference actuals cannot be replaced by values.
-                        other => other.clone(),
-                    });
-                }
-                debug_assert_eq!(idx, use_vals.len());
-                CStmt::Call {
-                    callee: *callee,
-                    args: new_args,
-                    site: *site,
-                }
-            }
-            (CStmt::Read { dst }, StmtInfo::Read { .. }) => CStmt::Read { dst: *dst },
-            (stmt, info) => unreachable!("statement/annotation mismatch: {stmt:?} vs {info:?}"),
-        };
-    (new, n)
+        }
+        (CStmt::Read { dst }, StmtInfo::Read { .. }) => CStmt::Read { dst: *dst },
+        (stmt, info) => unreachable!("statement/annotation mismatch: {stmt:?} vs {info:?}"),
+    }
 }
 
 /// Rewrites an expression, replacing each scalar-variable occurrence whose
@@ -319,7 +404,6 @@ fn rewrite_expr(
     use_vals: &[ValueId],
     idx: &mut usize,
     res: &SccpResult,
-    count: &mut usize,
     replacements: &mut Vec<(Span, i64)>,
 ) -> Expr {
     match e {
@@ -329,7 +413,6 @@ fn rewrite_expr(
             *idx += 1;
             match res.value(val) {
                 Lattice::Const(c) => {
-                    *count += 1;
                     if !s.is_empty() {
                         replacements.push((*s, c));
                     }
@@ -340,17 +423,17 @@ fn rewrite_expr(
         }
         Expr::Load(arr, index, s) => Expr::Load(
             *arr,
-            Box::new(rewrite_expr(index, use_vals, idx, res, count, replacements)),
+            Box::new(rewrite_expr(index, use_vals, idx, res, replacements)),
             *s,
         ),
         Expr::Unary(op, x, s) => Expr::Unary(
             *op,
-            Box::new(rewrite_expr(x, use_vals, idx, res, count, replacements)),
+            Box::new(rewrite_expr(x, use_vals, idx, res, replacements)),
             *s,
         ),
         Expr::Binary(op, l, r, s) => {
-            let l = rewrite_expr(l, use_vals, idx, res, count, replacements);
-            let r = rewrite_expr(r, use_vals, idx, res, count, replacements);
+            let l = rewrite_expr(l, use_vals, idx, res, replacements);
+            let r = rewrite_expr(r, use_vals, idx, res, replacements);
             Expr::Binary(*op, Box::new(l), Box::new(r), *s)
         }
     }
@@ -375,9 +458,7 @@ pub fn intraprocedural_count(mcfg: &ModuleCfg) -> usize {
             &Seeds::none(mcfg.module.proc(p).vars.len()),
             &OpaqueCallsLattice,
         );
-        let mut dummy = mcfg.clone();
-        let mut replacements = Vec::new();
-        total += rewrite_proc(&mut dummy, mcfg, p, &ssa, &res, &mut replacements);
+        total += count_proc(mcfg.cfg(p), &ssa, &res);
     }
     total
 }

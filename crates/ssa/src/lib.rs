@@ -38,7 +38,9 @@ pub use lattice::Lattice;
 pub use poly::{Poly, PolyVar};
 pub use sccp::{CallDefLattice, OpaqueCallsLattice, SccpResult, Seeds};
 pub use ssa::{
-    build_ssa, build_ssa_pruned, CallKills, ModKills, SsaProc, StmtInfo, ValueId, ValueKind,
+    build_ssa, build_ssa_pruned, CallKills, ModKills, SsaProc, StmtInfo, Users, ValueId, ValueKind,
     WorstCaseKills,
 };
-pub use symbolic::{CallDefEval, DeadlineLatch, OpaqueCalls, RetTarget, SymVal, Symbolic};
+pub use symbolic::{
+    CallActuals, CallDefEval, DeadlineLatch, OpaqueCalls, RetTarget, SymVal, Symbolic,
+};

@@ -12,8 +12,8 @@
 //! * the purely intraprocedural baseline (empty seeds — Table 3 col. 4).
 
 use crate::lattice::Lattice;
-use crate::ssa::{SsaProc, StmtInfo, ValueId, ValueKind};
-use crate::symbolic::{ret_target, RetTarget};
+use crate::ssa::{SsaProc, ValueId, ValueKind};
+use crate::symbolic::{ret_target, CallActuals, RetTarget};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::cfg::{BlockId, Cfg, Terminator};
 use ipcp_ir::interp::eval_binop;
@@ -27,13 +27,13 @@ use std::collections::HashSet;
 /// no-information default. Implementations must be monotone.
 pub trait CallDefLattice {
     /// Lattice value of `target` after `callee` returns, given the lattice
-    /// values of the actuals and of the scalar globals at the call.
+    /// values of the actuals and of the scalar globals at the call (a
+    /// missing actual — an array — is ⊥).
     fn eval_call_def(
         &self,
         callee: ProcId,
         target: RetTarget,
-        arg_lats: &[Lattice],
-        global_lats: &[Lattice],
+        actuals: &CallActuals<'_, Lattice>,
     ) -> Lattice;
 }
 
@@ -42,7 +42,7 @@ pub trait CallDefLattice {
 pub struct OpaqueCallsLattice;
 
 impl CallDefLattice for OpaqueCallsLattice {
-    fn eval_call_def(&self, _: ProcId, _: RetTarget, _: &[Lattice], _: &[Lattice]) -> Lattice {
+    fn eval_call_def(&self, _: ProcId, _: RetTarget, _: &CallActuals<'_, Lattice>) -> Lattice {
         Lattice::Bottom
     }
 }
@@ -178,21 +178,10 @@ pub fn run(
                     let Some(target) = ret_target(mcfg, ssa.proc, *site, *var) else {
                         return Lattice::Bottom;
                     };
-                    let Some(StmtInfo::Call {
-                        arg_vals,
-                        global_pre,
-                        ..
-                    }) = ssa.call_info(*site)
-                    else {
-                        return Lattice::Bottom;
-                    };
-                    let arg_lats: Vec<Lattice> = arg_vals
-                        .iter()
-                        .map(|a| a.map_or(Lattice::Bottom, |x| values[x.index()]))
-                        .collect();
-                    let global_lats: Vec<Lattice> =
-                        global_pre.iter().map(|&x| values[x.index()]).collect();
-                    oracle.eval_call_def(*callee, target, &arg_lats, &global_lats)
+                    match CallActuals::at(ssa, *site, values) {
+                        Some(actuals) => oracle.eval_call_def(*callee, target, &actuals),
+                        None => Lattice::Bottom,
+                    }
                 }
             }
         };
@@ -284,7 +273,7 @@ fn mark_edge(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ssa::{build_ssa, ModKills};
+    use crate::ssa::{build_ssa, ModKills, StmtInfo};
     use ipcp_analysis::{build_call_graph, compute_modref};
     use ipcp_ir::{lower_module, parse_and_resolve};
 

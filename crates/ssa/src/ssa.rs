@@ -209,29 +209,43 @@ impl SsaProc {
         self.values.is_empty()
     }
 
-    /// The operand values of `v` (phi arguments included).
+    /// The operand values of `v` (phi arguments included), in
+    /// [`SsaProc::for_each_operand`] order.
     pub fn operands(&self, v: ValueId) -> Vec<ValueId> {
+        let mut ops = Vec::new();
+        self.for_each_operand(v, |op| ops.push(op));
+        ops
+    }
+
+    /// Calls `f` on each operand of `v` without allocating: unary and
+    /// binary operands left to right, a load's index, phi arguments in
+    /// predecessor order, and a call def's scalar actuals followed by the
+    /// globals just before the call. A repeated operand is visited once
+    /// per occurrence.
+    pub fn for_each_operand(&self, v: ValueId, mut f: impl FnMut(ValueId)) {
         match self.value(v) {
-            ValueKind::Entry { .. } | ValueKind::Const(_) | ValueKind::ReadInput { .. } => {
-                Vec::new()
+            ValueKind::Entry { .. } | ValueKind::Const(_) | ValueKind::ReadInput { .. } => {}
+            ValueKind::Unary(_, a) | ValueKind::Load { index: a, .. } => f(*a),
+            ValueKind::Binary(_, a, b) => {
+                f(*a);
+                f(*b);
             }
-            ValueKind::Unary(_, a) => vec![*a],
-            ValueKind::Binary(_, a, b) => vec![*a, *b],
-            ValueKind::Load { index, .. } => vec![*index],
-            ValueKind::Phi { .. } => self.phi_args[v.index()].iter().map(|&(_, a)| a).collect(),
-            ValueKind::CallDef { site, .. } => match self.call_info(*site) {
-                Some(StmtInfo::Call {
+            ValueKind::Phi { .. } => {
+                for &(_, a) in &self.phi_args[v.index()] {
+                    f(a);
+                }
+            }
+            ValueKind::CallDef { site, .. } => {
+                if let Some(StmtInfo::Call {
                     arg_vals,
                     global_pre,
                     ..
-                }) => arg_vals
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .chain(global_pre.iter().copied())
-                    .collect(),
-                _ => Vec::new(),
-            },
+                }) = self.call_info(*site)
+                {
+                    arg_vals.iter().flatten().copied().for_each(&mut f);
+                    global_pre.iter().copied().for_each(f);
+                }
+            }
         }
     }
 
@@ -242,16 +256,31 @@ impl SsaProc {
         self.blocks.get(b.index()).and_then(|blk| blk.stmts.get(i))
     }
 
-    /// `users[v]` — the values that take `v` as an operand.
-    pub fn users(&self) -> Vec<Vec<ValueId>> {
-        let mut users = vec![Vec::new(); self.values.len()];
-        for i in 0..self.values.len() {
-            let vid = ValueId::from(i);
-            for op in self.operands(vid) {
-                users[op.index()].push(vid);
-            }
+    /// `users[v]` — the values that take `v` as an operand, in ascending
+    /// order, once per operand occurrence (`x + x` lists its user twice).
+    pub fn users(&self) -> Users {
+        let n = self.values.len();
+        // Pass 1: count each value's uses; pass 2: place each user at
+        // its value's cursor. Visiting users in ascending order in pass 2
+        // keeps every slice sorted.
+        let mut offsets = vec![0usize; n + 1];
+        for i in 0..n {
+            self.for_each_operand(ValueId::from(i), |op| offsets[op.index() + 1] += 1);
         }
-        users
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut flat = vec![ValueId(0); offsets[n]];
+        for i in 0..n {
+            let user = ValueId::from(i);
+            self.for_each_operand(user, |op| {
+                let at = &mut cursor[op.index()];
+                flat[*at] = user;
+                *at += 1;
+            });
+        }
+        Users { offsets, flat }
     }
 
     /// Iterates over `(block, site, callee, arg_vals, defs)` for every
@@ -284,6 +313,37 @@ pub type CallRecord<'a> = (
     &'a [Option<ValueId>],
     &'a [(VarId, ValueId)],
 );
+
+/// The def-use table of one [`SsaProc`], built by [`SsaProc::users`]:
+/// `users[v]` is the slice of values taking `v` as an operand. One flat
+/// vector plus per-value offsets, so building it costs a fixed number of
+/// allocations instead of one per value.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Users {
+    /// `flat[offsets[v]..offsets[v + 1]]` are the users of `v`.
+    offsets: Vec<usize>,
+    flat: Vec<ValueId>,
+}
+
+impl Users {
+    /// Number of values the table covers.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the table covers no values.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl std::ops::Index<usize> for Users {
+    type Output = [ValueId];
+
+    fn index(&self, v: usize) -> &[ValueId] {
+        &self.flat[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
 
 /// Oracle deciding which caller variables a call statement may modify.
 ///
@@ -932,19 +992,30 @@ mod tests {
         assert_eq!(count_kind(&ssa, |k| matches!(k, ValueKind::Load { .. })), 2);
     }
 
+    /// `users()` must equal, slice for slice, the naive table built by
+    /// pushing each value onto its operands' lists in value order.
+    fn assert_users_match_operands(ssa: &SsaProc) {
+        let mut naive: Vec<Vec<ValueId>> = vec![Vec::new(); ssa.len()];
+        for i in 0..ssa.len() {
+            let v = ValueId::from(i);
+            for op in ssa.operands(v) {
+                naive[op.index()].push(v);
+            }
+        }
+        let users = ssa.users();
+        assert_eq!(users.len(), ssa.len());
+        for (i, want) in naive.iter().enumerate() {
+            assert_eq!(&users[i], want.as_slice(), "users of v{i}");
+        }
+    }
+
     #[test]
     fn users_are_inverse_of_operands() {
         let (_, ssa) = ssa_for(
             "proc main() { read a; x = a + 1; if (x > 2) { x = x * 3; } print x; }",
             "main",
         );
-        let users = ssa.users();
-        for i in 0..ssa.len() {
-            let v = ValueId::from(i);
-            for op in ssa.operands(v) {
-                assert!(users[op.index()].contains(&v));
-            }
-        }
+        assert_users_match_operands(&ssa);
     }
 
     #[test]

@@ -126,24 +126,91 @@ pub fn ret_target(
     }
 }
 
+/// A borrowed view of the values flowing into one call: the caller-side
+/// value of each actual and of each scalar global just before the call,
+/// read straight out of an evaluator's value table. Oracles look up only
+/// the slots they need; nothing is copied.
+#[derive(Clone, Copy, Debug)]
+pub struct CallActuals<'a, T> {
+    arg_vals: &'a [Option<ValueId>],
+    global_pre: &'a [ValueId],
+    values: &'a [T],
+}
+
+impl<'a, T> CallActuals<'a, T> {
+    /// A view over `values` (indexed by [`ValueId`]) of a call whose
+    /// actuals are `arg_vals` (`None` for array actuals) and whose scalar
+    /// globals just before the call are `global_pre`.
+    pub fn new(
+        arg_vals: &'a [Option<ValueId>],
+        global_pre: &'a [ValueId],
+        values: &'a [T],
+    ) -> CallActuals<'a, T> {
+        CallActuals {
+            arg_vals,
+            global_pre,
+            values,
+        }
+    }
+
+    /// The view of call site `site` in `ssa`, or `None` when the site is
+    /// unreachable.
+    pub fn at(
+        ssa: &'a SsaProc,
+        site: ipcp_ir::cfg::CallSiteId,
+        values: &'a [T],
+    ) -> Option<CallActuals<'a, T>> {
+        match ssa.call_info(site)? {
+            StmtInfo::Call {
+                arg_vals,
+                global_pre,
+                ..
+            } => Some(CallActuals::new(arg_vals, global_pre, values)),
+            _ => None,
+        }
+    }
+
+    /// The value of actual `i`; `None` for an array actual or when the
+    /// call has fewer actuals.
+    pub fn arg(&self, i: usize) -> Option<&'a T> {
+        let v = (*self.arg_vals.get(i)?)?;
+        Some(&self.values[v.index()])
+    }
+
+    /// The value of the `j`-th scalar global (per
+    /// [`SlotLayout::scalar_globals`]) just before the call.
+    pub fn global(&self, j: usize) -> Option<&'a T> {
+        let v = *self.global_pre.get(j)?;
+        Some(&self.values[v.index()])
+    }
+
+    /// The value of callee entry slot `slot` (formals first, then scalar
+    /// globals) for a callee of `arity` formals.
+    pub fn slot(&self, arity: usize, slot: usize) -> Option<&'a T> {
+        if slot < arity {
+            self.arg(slot)
+        } else {
+            self.global(slot - arity)
+        }
+    }
+}
+
 /// Oracle supplying the symbolic value of a callee-modified variable after
 /// the call returns.
 ///
-/// `arg_syms[i]` is the caller-side symbolic value of actual `i` (`Bottom`
-/// for arrays); `global_syms[j]` is the symbolic value of the `j`-th scalar
-/// global just before the call. Both are polynomials **over the caller's
-/// entry slots**, so a sound implementation substitutes them into the
-/// callee's return jump function. Implementations must be monotone in
-/// their inputs (⊤ inputs may yield ⊤; lowering an input may only lower
-/// the output).
+/// `actuals` exposes the caller-side symbolic value of each actual (a
+/// missing one — an array actual — means ⊥) and of each scalar global just
+/// before the call. Both are polynomials **over the caller's entry
+/// slots**, so a sound implementation substitutes them into the callee's
+/// return jump function. Implementations must be monotone in their inputs
+/// (⊤ inputs may yield ⊤; lowering an input may only lower the output).
 pub trait CallDefEval {
     /// Symbolic value of `target` after `callee` returns.
     fn eval_call_def(
         &self,
         callee: ProcId,
         target: RetTarget,
-        arg_syms: &[SymVal],
-        global_syms: &[SymVal],
+        actuals: &CallActuals<'_, SymVal>,
     ) -> SymVal;
 }
 
@@ -152,7 +219,7 @@ pub trait CallDefEval {
 pub struct OpaqueCalls;
 
 impl CallDefEval for OpaqueCalls {
-    fn eval_call_def(&self, _: ProcId, _: RetTarget, _: &[SymVal], _: &[SymVal]) -> SymVal {
+    fn eval_call_def(&self, _: ProcId, _: RetTarget, _: &CallActuals<'_, SymVal>) -> SymVal {
         SymVal::Bottom
     }
 }
@@ -439,20 +506,10 @@ fn transfer(
             let Some(target) = ret_target(mcfg, ssa.proc, *site, *var) else {
                 return SymVal::Bottom;
             };
-            let Some(StmtInfo::Call {
-                arg_vals,
-                global_pre,
-                ..
-            }) = ssa.call_info(*site)
-            else {
-                return SymVal::Bottom;
-            };
-            let arg_syms: Vec<SymVal> = arg_vals
-                .iter()
-                .map(|a| a.map_or(SymVal::Bottom, |x| val(x).clone()))
-                .collect();
-            let global_syms: Vec<SymVal> = global_pre.iter().map(|&x| val(x).clone()).collect();
-            oracle.eval_call_def(*callee, target, &arg_syms, &global_syms)
+            match CallActuals::at(ssa, *site, values) {
+                Some(actuals) => oracle.eval_call_def(*callee, target, &actuals),
+                None => SymVal::Bottom,
+            }
         }
     }
 }

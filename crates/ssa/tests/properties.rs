@@ -245,3 +245,66 @@ fn pruned_ssa_agrees_with_minimal() {
         }
     }
 }
+
+/// `users()` equals, slice for slice, the naive table built by pushing
+/// each value onto its operands' lists in value order: same users, same
+/// order, one entry per operand occurrence. The SCCP and symbolic
+/// worklists push these slices, so any reordering would change the order
+/// they pop values in.
+fn assert_users_match_naive(mcfg: &ipcp_ir::ModuleCfg, label: &str) {
+    let cg = build_call_graph(mcfg);
+    let mr = compute_modref(mcfg, &cg);
+    for (pid, _) in mcfg.iter() {
+        let ssa = build_ssa(mcfg, pid, &ModKills(&mr));
+        let mut naive: Vec<Vec<ipcp_ssa::ValueId>> = vec![Vec::new(); ssa.len()];
+        for i in 0..ssa.len() {
+            let v = ipcp_ssa::ValueId::from(i);
+            for op in ssa.operands(v) {
+                naive[op.index()].push(v);
+            }
+        }
+        let users = ssa.users();
+        assert_eq!(users.len(), ssa.len(), "{label}: {pid:?}");
+        for (i, want) in naive.iter().enumerate() {
+            assert_eq!(&users[i], want.as_slice(), "{label}: {pid:?} v{i}");
+        }
+    }
+}
+
+#[test]
+fn users_table_matches_naive_operand_inversion() {
+    for seed in 0u64..40 {
+        assert_users_match_naive(&modules(seed), &format!("seed {seed}"));
+    }
+    // Repeated operands: `a + a`, a phi merging one value from both arms
+    // (`x = x`), and a call whose actuals and globals repeat a value.
+    let src = "global g; \
+               proc main() { read a; read c; g = a; x = a + a; if (c) { x = x; } \
+                             call f(x, x + 0); print x + g; } \
+               proc f(p, q) { g = p + q; }";
+    let mcfg = lower_module(&parse_and_resolve(src).unwrap());
+    assert_users_match_naive(&mcfg, "repeated operands");
+
+    // The hand case really has both shapes, and `a + a` lists its user
+    // twice.
+    let cg = build_call_graph(&mcfg);
+    let mr = compute_modref(&mcfg, &cg);
+    let main = mcfg.module.proc_named("main").unwrap().id;
+    let ssa = build_ssa(&mcfg, main, &ModKills(&mr));
+    let doubled = (0..ssa.len())
+        .map(ipcp_ssa::ValueId::from)
+        .find(|&v| matches!(ssa.value(v), ValueKind::Binary(_, l, r) if l == r))
+        .expect("a + a");
+    let ValueKind::Binary(_, a, _) = *ssa.value(doubled) else {
+        unreachable!("matched above")
+    };
+    let users = ssa.users();
+    let listed = users[a.index()].iter().filter(|&&u| u == doubled).count();
+    assert_eq!(listed, 2, "users of {a:?}: {:?}", &users[a.index()]);
+    assert!(
+        ssa.phi_args
+            .iter()
+            .any(|args| args.len() == 2 && args[0].1 == args[1].1),
+        "expected a phi with a repeated argument"
+    );
+}
