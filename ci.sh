@@ -549,6 +549,15 @@ stage_bench_trend() {
     echo "    drill: injected divergence fails, synthetic regression warns"
 }
 
+stage_perfbench() {
+    # perfbench (the repository benchmark) is a package of its own with an
+    # empty [workspace], so no other stage compiles it. It calls the
+    # analyzer's layer functions directly (SSA construction, symbolic
+    # evaluation, MOD/REF, lowering); building and testing it here makes
+    # an API change fail this gate instead of the next benchmark run.
+    CARGO_TARGET_DIR=target/perfbench cargo test --release --manifest-path perfbench/Cargo.toml
+}
+
 stage_lockfree_lint() {
     # The determinism contract (docs/ROBUSTNESS.md, "Concurrency
     # contract") is built on sharded state + an ordered fold, not on
@@ -603,6 +612,7 @@ STAGES=(
     "scale-smoke|whole-program scale gate (1k/10k tiers, wall + RSS ceilings)"
     "serve-bench|parallel-serve gate (batch >= 2x, identity across workers; scaling warn-lined)"
     "bench-trend|cross-run bench trend gate (BENCH_*.json vs previous run + self-drill)"
+    "perfbench|repository benchmark harness builds and passes its tests"
     "lockfree-lint|lock-free lint (hot phases, solver, and drivers stay Mutex/RwLock-free)"
     "clippy-strict|clippy (lib/bins: no unwrap, no expect, no warnings)"
     "clippy-all|clippy (all targets: no warnings)"

@@ -11,25 +11,83 @@
 //! without MOD, every call kills every global and every by-reference
 //! actual — implemented here by [`worst_case_killed`].
 
-use crate::callgraph::CallGraph;
+use crate::callgraph::{CallEdge, CallGraph};
 use ipcp_ir::cfg::{CStmt, ModuleCfg};
 use ipcp_ir::program::{Arg, GlobalId, ProcId, VarId, VarKind};
 use std::fmt;
 
-/// A per-procedure summary set over formals and globals.
+/// A fixed-length bit set.
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
+struct Bits {
+    len: usize,
+    /// Bit `i` is `words[i / 64] >> (i % 64) & 1`; bits past `len` are 0.
+    words: Vec<u64>,
+}
+
+impl Bits {
+    fn new(len: usize, value: bool) -> Bits {
+        let mut words = vec![if value { u64::MAX } else { 0 }; len.div_ceil(64)];
+        if value && !len.is_multiple_of(64) {
+            if let Some(last) = words.last_mut() {
+                *last = (1 << (len % 64)) - 1;
+            }
+        }
+        Bits { len, words }
+    }
+
+    fn get(&self, i: usize) -> bool {
+        i < self.len && self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Sets bit `i`; whether it was newly set. Out-of-range bits are
+    /// never set.
+    fn set(&mut self, i: usize) -> bool {
+        if self.get(i) || i >= self.len {
+            return false;
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+        true
+    }
+
+    /// `self |= other` over the common length; whether anything changed.
+    fn union(&mut self, other: &Bits) -> bool {
+        let mut changed = false;
+        for (a, &b) in self.words.iter_mut().zip(&other.words) {
+            changed |= b & !*a != 0;
+            *a |= b;
+        }
+        changed
+    }
+
+    fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    fn from_bools(bits: &[bool]) -> Bits {
+        let mut out = Bits::new(bits.len(), false);
+        for (i, _) in bits.iter().enumerate().filter(|(_, &b)| b) {
+            out.set(i);
+        }
+        out
+    }
+}
+
+/// A per-procedure summary set over formals and globals, as two bit sets.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct ModSet {
-    /// `formals[i]` — formal `i` may be affected.
-    pub formals: Vec<bool>,
-    /// `globals[g]` — global `g` may be affected (indexed by [`GlobalId`]).
-    pub globals: Vec<bool>,
+    formals: Bits,
+    globals: Bits,
 }
 
 impl ModSet {
     fn new(arity: usize, n_globals: usize) -> Self {
         ModSet {
-            formals: vec![false; arity],
-            globals: vec![false; n_globals],
+            formals: Bits::new(arity, false),
+            globals: Bits::new(n_globals, false),
         }
     }
 
@@ -38,24 +96,43 @@ impl ModSet {
     /// for any behaviour the procedure could have.
     pub fn everything(arity: usize, n_globals: usize) -> Self {
         ModSet {
-            formals: vec![true; arity],
-            globals: vec![true; n_globals],
+            formals: Bits::new(arity, true),
+            globals: Bits::new(n_globals, true),
         }
+    }
+
+    /// A set from one flag per formal and one per global (indexed by
+    /// [`GlobalId`]).
+    pub fn from_bools(formals: &[bool], globals: &[bool]) -> Self {
+        ModSet {
+            formals: Bits::from_bools(formals),
+            globals: Bits::from_bools(globals),
+        }
+    }
+
+    /// One flag per formal, in order.
+    pub fn formal_flags(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.formals.iter()
+    }
+
+    /// One flag per global, in [`GlobalId`] order.
+    pub fn global_flags(&self) -> impl ExactSizeIterator<Item = bool> + '_ {
+        self.globals.iter()
     }
 
     /// Whether formal `i` is in the set.
     pub fn formal(&self, i: usize) -> bool {
-        self.formals.get(i).copied().unwrap_or(false)
+        self.formals.get(i)
     }
 
     /// Whether global `g` is in the set.
     pub fn global(&self, g: GlobalId) -> bool {
-        self.globals.get(g.index()).copied().unwrap_or(false)
+        self.globals.get(g.index())
     }
 
     /// Number of members (for reporting).
     pub fn len(&self) -> usize {
-        self.formals.iter().filter(|&&b| b).count() + self.globals.iter().filter(|&&b| b).count()
+        self.formals.count() + self.globals.count()
     }
 
     /// Whether the set is empty.
@@ -64,39 +141,28 @@ impl ModSet {
     }
 
     fn set_formal(&mut self, i: usize) -> bool {
-        if self.formals.get(i).copied().unwrap_or(true) {
-            return false;
-        }
-        self.formals[i] = true;
-        true
+        self.formals.set(i)
     }
 
     fn set_global(&mut self, g: GlobalId) -> bool {
-        if self.globals[g.index()] {
-            return false;
-        }
-        self.globals[g.index()] = true;
-        true
+        self.globals.set(g.index())
     }
 }
 
 impl fmt::Display for ModSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let formals: Vec<String> = self
-            .formals
-            .iter()
+        let formals = self
+            .formal_flags()
             .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| format!("f{i}"))
-            .collect();
-        let globals: Vec<String> = self
-            .globals
-            .iter()
+            .filter(|&(_, b)| b)
+            .map(|(i, _)| format!("f{i}"));
+        let globals = self
+            .global_flags()
             .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(g, _)| format!("g{g}"))
-            .collect();
-        write!(f, "{{{}}}", [formals, globals].concat().join(", "))
+            .filter(|&(_, b)| b)
+            .map(|(g, _)| format!("g{g}"));
+        let all: Vec<String> = formals.chain(globals).collect();
+        write!(f, "{{{}}}", all.join(", "))
     }
 }
 
@@ -126,19 +192,22 @@ impl ModRef {
     /// caller never mentions by name cannot appear (they have no caller
     /// `VarId`), which is harmless: the caller's code cannot read them
     /// either.
+    ///
+    /// The variables are appended to `out`.
     pub fn killed_by_call(
         &self,
         mcfg: &ModuleCfg,
         caller: ProcId,
         callee: ProcId,
         args: &[Arg],
-    ) -> Vec<VarId> {
+        out: &mut Vec<VarId>,
+    ) {
         let m = self.mod_of(callee);
-        let mut killed = Vec::new();
+        let start = out.len();
         for (i, arg) in args.iter().enumerate() {
             if m.formal(i) {
                 match arg {
-                    Arg::Scalar(v, _) | Arg::Array(v, _) => killed.push(*v),
+                    Arg::Scalar(v, _) | Arg::Array(v, _) => out.push(*v),
                     Arg::Value(_) => {} // copy-in only; caller unaffected
                 }
             }
@@ -148,23 +217,23 @@ impl ModRef {
             if let VarKind::Global(g) = info.kind {
                 if m.global(g) {
                     let v = VarId::from(vi);
-                    if !killed.contains(&v) {
-                        killed.push(v);
+                    if !out[start..].contains(&v) {
+                        out.push(v);
                     }
                 }
             }
         }
-        killed
     }
 }
 
 /// The no-MOD-information kill set: every by-reference actual and every
 /// global alias in the caller (Table 3, column 1 behaviour).
-pub fn worst_case_killed(mcfg: &ModuleCfg, caller: ProcId, args: &[Arg]) -> Vec<VarId> {
-    let mut killed = Vec::new();
+/// The variables are appended to `out`.
+pub fn worst_case_killed(mcfg: &ModuleCfg, caller: ProcId, args: &[Arg], out: &mut Vec<VarId>) {
+    let start = out.len();
     for arg in args {
         match arg {
-            Arg::Scalar(v, _) | Arg::Array(v, _) => killed.push(*v),
+            Arg::Scalar(v, _) | Arg::Array(v, _) => out.push(*v),
             Arg::Value(_) => {}
         }
     }
@@ -172,12 +241,11 @@ pub fn worst_case_killed(mcfg: &ModuleCfg, caller: ProcId, args: &[Arg]) -> Vec<
     for (vi, info) in cp.vars.iter().enumerate() {
         if info.is_global() {
             let v = VarId::from(vi);
-            if !killed.contains(&v) {
-                killed.push(v);
+            if !out[start..].contains(&v) {
+                out.push(v);
             }
         }
     }
-    killed
 }
 
 /// Computes MOD and REF for every procedure by iterating direct effects
@@ -284,68 +352,74 @@ pub fn direct_effects(mcfg: &ModuleCfg, pid: ProcId) -> (ModSet, ModSet) {
 /// fixpoint. `mods`/`refs` are indexed by procedure; a quarantined
 /// procedure's entries arrive pre-widened to [`ModSet::everything`] and
 /// the fixpoint soundly spreads that through reference bindings.
+///
+/// Strongly connected components are visited bottom-up, so every callee
+/// outside a component is final before its callers read it: a
+/// non-recursive procedure takes one pass over its call edges, and only
+/// the members of a recursive component iterate, among themselves, until
+/// nothing changes. The result is the least fixpoint, the same one
+/// iterating every edge of the program until nothing changes reaches.
 pub fn propagate_modref(
     mcfg: &ModuleCfg,
     cg: &CallGraph,
     mut mods: Vec<ModSet>,
     mut refs: Vec<ModSet>,
 ) -> ModRef {
-    let n_globals = mcfg.module.globals.len();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for e in &cg.edges {
-            let caller = mcfg.module.proc(e.caller);
-            // Split-borrow via index cloning: read the callee summary,
-            // update the caller summary.
-            let callee_mod = mods[e.callee.index()].clone();
-            let callee_ref = refs[e.callee.index()].clone();
-            // Every call-graph edge is built from a call statement, so the
-            // lookup can only miss if the CFG and graph disagree — in which
-            // case the edge transmits nothing.
-            let Some((_, _, args)) = mcfg.call_site(e.caller, e.site) else {
-                continue;
-            };
-
-            for (i, arg) in args.iter().enumerate() {
-                let affected_mod = callee_mod.formal(i);
-                let affected_ref = callee_ref.formal(i);
-                match arg {
-                    Arg::Scalar(v, _) | Arg::Array(v, _) => match caller.var(*v).kind {
-                        VarKind::Formal(j) => {
-                            if affected_mod {
-                                changed |= mods[e.caller.index()].set_formal(j);
-                            }
-                            if affected_ref {
-                                changed |= refs[e.caller.index()].set_formal(j);
-                            }
-                        }
-                        VarKind::Global(g) => {
-                            if affected_mod {
-                                changed |= mods[e.caller.index()].set_global(g);
-                            }
-                            if affected_ref {
-                                changed |= refs[e.caller.index()].set_global(g);
-                            }
-                        }
-                        VarKind::Local => {}
-                    },
-                    Arg::Value(_) => {}
+    for scc in &cg.sccs {
+        let recursive = scc.len() > 1 || scc.iter().any(|&p| cg.is_recursive(p));
+        loop {
+            let mut changed = false;
+            for &p in scc {
+                for e in cg.calls_from(p) {
+                    changed |= transmit(mcfg, e, &mut mods);
+                    changed |= transmit(mcfg, e, &mut refs);
                 }
             }
-            for g in 0..n_globals {
-                let gid = GlobalId::from(g);
-                if callee_mod.global(gid) {
-                    changed |= mods[e.caller.index()].set_global(gid);
-                }
-                if callee_ref.global(gid) {
-                    changed |= refs[e.caller.index()].set_global(gid);
-                }
+            if !recursive || !changed {
+                break;
             }
         }
     }
-
     ModRef { mods, refs }
+}
+
+/// Carries the callee's summary in `sets` back over call edge `e` into
+/// the caller's: formals through the reference bindings at the call,
+/// globals directly. Whether the caller's set grew.
+fn transmit(mcfg: &ModuleCfg, e: &CallEdge, sets: &mut [ModSet]) -> bool {
+    // Every call-graph edge is built from a call statement, so the
+    // lookup can only miss if the CFG and graph disagree — in which
+    // case the edge transmits nothing.
+    let Some((_, _, args)) = mcfg.call_site(e.caller, e.site) else {
+        return false;
+    };
+    let caller = mcfg.module.proc(e.caller);
+    let (ci, ki) = (e.caller.index(), e.callee.index());
+    let mut changed = false;
+    for (i, arg) in args.iter().enumerate() {
+        let (Arg::Scalar(v, _) | Arg::Array(v, _)) = arg else {
+            continue; // copy-in only; caller unaffected
+        };
+        if !sets[ki].formal(i) {
+            continue;
+        }
+        changed |= match caller.var(*v).kind {
+            VarKind::Formal(j) => sets[ci].set_formal(j),
+            VarKind::Global(g) => sets[ci].set_global(g),
+            VarKind::Local => false,
+        };
+    }
+    if ci != ki {
+        let (caller_set, callee_set) = if ci < ki {
+            let (lo, hi) = sets.split_at_mut(ki);
+            (&mut lo[ci], &hi[0])
+        } else {
+            let (lo, hi) = sets.split_at_mut(ci);
+            (&mut hi[0], &lo[ki])
+        };
+        changed |= caller_set.globals.union(&callee_set.globals);
+    }
+    changed
 }
 
 fn note_array_refs(e: &ipcp_ir::program::Expr, p: &ipcp_ir::program::Proc, r: &mut ModSet) {
@@ -469,7 +543,9 @@ mod tests {
         let mut killed = None;
         m.each_call_in(main, |_, _, callee, args| {
             assert_eq!(callee, f);
-            killed = Some(mr.killed_by_call(&m, main, callee, args));
+            let mut out = Vec::new();
+            mr.killed_by_call(&m, main, callee, args, &mut out);
+            killed = Some(out);
         });
         let killed = killed.unwrap();
         let name = |v: &VarId| mp.var(*v).name.clone();
@@ -492,7 +568,9 @@ mod tests {
         let mp = m.module.proc(main);
         let mut killed = None;
         m.each_call_in(main, |_, _, _, args| {
-            killed = Some(worst_case_killed(&m, main, args));
+            let mut out = Vec::new();
+            worst_case_killed(&m, main, args, &mut out);
+            killed = Some(out);
         });
         let names: Vec<String> = killed
             .unwrap()

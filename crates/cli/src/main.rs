@@ -74,7 +74,7 @@ fn load(path: &str) -> Result<(String, ModuleCfg), String> {
         let rendered: Vec<String> = diags.iter().map(|d| d.render(&src)).collect();
         rendered.join("\n")
     })?;
-    Ok((src.clone(), ipcp_ir::lower_module(&module)))
+    Ok((src, ipcp_ir::lower_module_owned(module)))
 }
 
 fn dispatch(cmd: Command) -> Result<(), Failure> {

@@ -71,7 +71,7 @@ pub fn complete_propagation(mcfg: &ModuleCfg, config: &Config) -> CompleteResult
             for bi in 0..cfg.len() {
                 let b = ipcp_ir::cfg::BlockId::from(bi);
                 if sccp.folded_branch(cfg, b, &ps.ssa).is_some() {
-                    carried += constant_uses(sccp, &ps.ssa.blocks[bi].term_use_vals);
+                    carried += constant_uses(sccp, ps.ssa.term_use_vals(b));
                 }
             }
             Some((pruned, carried))

@@ -75,6 +75,16 @@ impl PhaseTime {
         }
     }
 
+    /// Extends a phase measured over its parallel rounds to the whole
+    /// stage, which took `elapsed`: the sequential work between and after
+    /// the rounds (commits, folds) counts as one busy worker.
+    pub fn with_tail(mut self, elapsed: Duration) -> PhaseTime {
+        let tail = elapsed.saturating_sub(self.wall);
+        self.wall += tail;
+        self.busy += tail;
+        self
+    }
+
     /// Fraction of worker capacity spent busy: `busy / (wall × workers)`.
     /// `1.0` for a perfectly balanced phase, lower when workers idle at
     /// the tail. `0.0` when the phase did not run.

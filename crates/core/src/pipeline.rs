@@ -336,9 +336,7 @@ impl Analysis {
         // Direct effects plus their propagation make up the stage; the
         // sequential tail after a parallel round counts as one busy worker.
         if pool.parallel() {
-            let tail = t0.elapsed().saturating_sub(timings.modref.wall);
-            timings.modref.wall += tail;
-            timings.modref.busy += tail;
+            timings.modref = timings.modref.with_tail(t0.elapsed());
         } else {
             timings.modref = PhaseTime::sequential(t0.elapsed(), n_procs);
         }
@@ -387,7 +385,7 @@ impl Analysis {
                 pool,
                 keep,
             );
-            timings.retjump = pt;
+            timings.retjump = pt.with_tail(t1.elapsed());
             (t, forms)
         };
 
@@ -501,7 +499,7 @@ impl Analysis {
         );
         pt.absorb(pt_fwd);
         pt.reused = reused;
-        timings.jump = pt;
+        timings.jump = pt.with_tail(t2.elapsed());
         Self::finish_on(
             mcfg,
             config,
@@ -878,8 +876,7 @@ pub fn analyze(mcfg: &ModuleCfg, config: &Config) -> Result<Analysis, IpcpError>
 /// # Ok::<(), ipcp::IpcpError>(())
 /// ```
 pub fn analyze_source(src: &str, config: &Config) -> Result<(ModuleCfg, Analysis), IpcpError> {
-    let module = ipcp_ir::parse_and_resolve(src)?;
-    let mcfg = ipcp_ir::lower_module(&module);
+    let mcfg = ipcp_ir::lower_module_owned(ipcp_ir::parse_and_resolve(src)?);
     let analysis = Analysis::run(&mcfg, config);
     Ok((mcfg, analysis))
 }

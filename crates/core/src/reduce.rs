@@ -70,7 +70,7 @@ pub fn is_interesting(src: &str, config: &Config, check: &ReduceCheck) -> bool {
     let Ok(module) = ipcp_ir::parse_and_resolve(src) else {
         return false;
     };
-    let mcfg = ipcp_ir::lower_module(&module);
+    let mcfg = ipcp_ir::lower_module_owned(module);
     match check {
         ReduceCheck::Panic => {
             let probe = config.with_quarantine(false);

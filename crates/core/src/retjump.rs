@@ -549,7 +549,7 @@ fn build_proc_ret_jfs(
         let jf = match var {
             Some(v) if !proc.var(v).is_array => {
                 let mut acc = SymVal::Top;
-                for (_, snapshot) in &ssa.exits {
+                for (_, snapshot) in ssa.exits() {
                     let at_exit = snapshot[v.index()]
                         .map(|val| sym.value(val).clone())
                         .unwrap_or(SymVal::Bottom);

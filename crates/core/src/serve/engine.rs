@@ -31,7 +31,7 @@ use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::hash_str;
 use ipcp_ir::lang::{ast, parse_program, pretty};
 use ipcp_ir::program::SlotLayout;
-use ipcp_ir::{lower_module, parse_and_resolve};
+use ipcp_ir::{lower_module_owned, parse_and_resolve};
 use std::fmt;
 use std::sync::Arc;
 
@@ -348,7 +348,7 @@ impl ServeEngine {
         let config = config.rebuild().build()?;
         let model = ProgramModel::from_source(src)?;
         let module = parse_and_resolve(&model.source()).map_err(IpcpError::from)?;
-        let mcfg = lower_module(&module);
+        let mcfg = lower_module_owned(module);
         Ok((config, model, mcfg))
     }
 
@@ -569,7 +569,7 @@ impl ServeEngine {
                 return Err(ServeError::Invalid(d.into()));
             }
         };
-        let mcfg = lower_module(&module);
+        let mcfg = lower_module_owned(module);
         let own = candidate.own_hashes();
         match run_request(&self.cache, &self.base_config, &mcfg, &own) {
             Err(msg) => {

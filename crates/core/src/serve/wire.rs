@@ -27,7 +27,7 @@ use ipcp_analysis::ModSet;
 use ipcp_ir::cfg::{BlockId, CallSiteId};
 use ipcp_ir::lang::ast::{BinOp, UnOp};
 use ipcp_ir::program::{ProcId, VarId};
-use ipcp_ssa::ssa::SsaBlock;
+use ipcp_ssa::ssa::SsaAssembler;
 use ipcp_ssa::{
     DomTree, DomTreeParts, Lattice, Poly, PolyVar, SccpResult, SsaProc, StmtInfo, SymVal, Symbolic,
     ValueId, ValueKind,
@@ -239,8 +239,11 @@ fn get_vec<'a, T>(
     Ok(out)
 }
 
-fn put_bools(w: &mut Writer, bits: &[bool]) {
-    put_vec(w, bits, |w, &b| w.put_bool(b));
+fn put_bools(w: &mut Writer, bits: impl ExactSizeIterator<Item = bool>) {
+    w.put_len(bits.len());
+    for b in bits {
+        w.put_bool(b);
+    }
 }
 
 fn get_bools(r: &mut Reader<'_>) -> WireResult<Vec<bool>> {
@@ -332,16 +335,14 @@ fn un_op_from(code: u8) -> WireResult<UnOp> {
 
 /// Encodes a [`ModSet`].
 pub fn put_mod_set(w: &mut Writer, m: &ModSet) {
-    put_bools(w, &m.formals);
-    put_bools(w, &m.globals);
+    put_bools(w, m.formal_flags());
+    put_bools(w, m.global_flags());
 }
 
 /// Decodes a [`ModSet`].
 pub fn get_mod_set(r: &mut Reader<'_>) -> WireResult<ModSet> {
-    Ok(ModSet {
-        formals: get_bools(r)?,
-        globals: get_bools(r)?,
-    })
+    let formals = get_bools(r)?;
+    Ok(ModSet::from_bools(&formals, &get_bools(r)?))
 }
 
 /// Encodes a [`Poly`] as its canonical sorted term list.
@@ -504,11 +505,11 @@ fn get_value_ids(r: &mut Reader<'_>) -> WireResult<Vec<ValueId>> {
     get_vec(r, 4, get_value_id)
 }
 
-fn put_stmt_info(w: &mut Writer, s: &StmtInfo) {
+fn put_stmt_info(w: &mut Writer, s: StmtInfo<'_>) {
     match s {
         StmtInfo::Assign { value, use_vals } => {
             w.put_u8(0);
-            put_value_id(w, *value);
+            put_value_id(w, value);
             put_value_ids(w, use_vals);
         }
         StmtInfo::Store {
@@ -517,17 +518,17 @@ fn put_stmt_info(w: &mut Writer, s: &StmtInfo) {
             use_vals,
         } => {
             w.put_u8(1);
-            put_value_id(w, *index);
-            put_value_id(w, *value);
+            put_value_id(w, index);
+            put_value_id(w, value);
             put_value_ids(w, use_vals);
         }
         StmtInfo::Read { def } => {
             w.put_u8(2);
-            put_value_id(w, *def);
+            put_value_id(w, def);
         }
         StmtInfo::Print { value, use_vals } => {
             w.put_u8(3);
-            put_value_id(w, *value);
+            put_value_id(w, value);
             put_value_ids(w, use_vals);
         }
         StmtInfo::Call {
@@ -552,51 +553,78 @@ fn put_stmt_info(w: &mut Writer, s: &StmtInfo) {
     }
 }
 
-fn get_stmt_info(r: &mut Reader<'_>) -> WireResult<StmtInfo> {
-    Ok(match r.get_u8()? {
-        0 => StmtInfo::Assign {
-            value: get_value_id(r)?,
-            use_vals: get_value_ids(r)?,
-        },
-        1 => StmtInfo::Store {
-            index: get_value_id(r)?,
-            value: get_value_id(r)?,
-            use_vals: get_value_ids(r)?,
-        },
-        2 => StmtInfo::Read {
+/// Decodes one statement annotation straight into `asm`'s open block.
+fn get_stmt_info(r: &mut Reader<'_>, asm: &mut SsaAssembler) -> WireResult<()> {
+    match r.get_u8()? {
+        0 => {
+            let value = get_value_id(r)?;
+            let use_vals = get_value_ids(r)?;
+            asm.push_stmt(StmtInfo::Assign {
+                value,
+                use_vals: &use_vals,
+            });
+        }
+        1 => {
+            let index = get_value_id(r)?;
+            let value = get_value_id(r)?;
+            let use_vals = get_value_ids(r)?;
+            asm.push_stmt(StmtInfo::Store {
+                index,
+                value,
+                use_vals: &use_vals,
+            });
+        }
+        2 => asm.push_stmt(StmtInfo::Read {
             def: get_value_id(r)?,
-        },
-        3 => StmtInfo::Print {
-            value: get_value_id(r)?,
-            use_vals: get_value_ids(r)?,
-        },
-        4 => StmtInfo::Call {
-            site: CallSiteId::from(r.get_u32()? as usize),
-            arg_vals: get_vec(r, 1, |r| get_opt(r, get_value_id))?,
-            defs: get_vec(r, 8, |r| {
+        }),
+        3 => {
+            let value = get_value_id(r)?;
+            let use_vals = get_value_ids(r)?;
+            asm.push_stmt(StmtInfo::Print {
+                value,
+                use_vals: &use_vals,
+            });
+        }
+        4 => {
+            let site = CallSiteId::from(r.get_u32()? as usize);
+            let arg_vals = get_vec(r, 1, |r| get_opt(r, get_value_id))?;
+            let defs = get_vec(r, 8, |r| {
                 Ok((VarId::from(r.get_u32()? as usize), get_value_id(r)?))
-            })?,
-            use_vals: get_value_ids(r)?,
-            global_pre: get_value_ids(r)?,
-        },
+            })?;
+            let use_vals = get_value_ids(r)?;
+            let global_pre = get_value_ids(r)?;
+            asm.push_stmt(StmtInfo::Call {
+                site,
+                arg_vals: &arg_vals,
+                defs: &defs,
+                use_vals: &use_vals,
+                global_pre: &global_pre,
+            });
+        }
         _ => return Err(WireError),
-    })
+    }
+    Ok(())
 }
 
-fn put_ssa_block(w: &mut Writer, b: &SsaBlock) {
-    put_value_ids(w, &b.phis);
-    put_vec(w, &b.stmts, put_stmt_info);
-    put_opt(w, &b.term_cond, |w, &v| put_value_id(w, v));
-    put_value_ids(w, &b.term_use_vals);
+fn put_ssa_block(w: &mut Writer, ssa: &SsaProc, b: BlockId) {
+    put_value_ids(w, ssa.phis(b));
+    let stmts = ssa.stmts(b);
+    w.put_len(stmts.len());
+    for s in stmts {
+        put_stmt_info(w, s);
+    }
+    put_opt(w, &ssa.term_cond(b), |w, &v| put_value_id(w, v));
+    put_value_ids(w, ssa.term_use_vals(b));
 }
 
-fn get_ssa_block(r: &mut Reader<'_>) -> WireResult<SsaBlock> {
-    Ok(SsaBlock {
-        phis: get_value_ids(r)?,
-        stmts: get_vec(r, 1, get_stmt_info)?,
-        term_cond: get_opt(r, get_value_id)?,
-        term_use_vals: get_value_ids(r)?,
-    })
+fn get_ssa_block(r: &mut Reader<'_>, asm: &mut SsaAssembler) -> WireResult<()> {
+    asm.begin_block(&get_value_ids(r)?);
+    for _ in 0..r.get_len(1)? {
+        get_stmt_info(r, asm)?;
+    }
+    let term_cond = get_opt(r, get_value_id)?;
+    asm.end_block(term_cond, &get_value_ids(r)?);
+    Ok(())
 }
 
 fn put_dom_tree(w: &mut Writer, dom: &DomTree) {
@@ -626,21 +654,27 @@ fn get_dom_tree(r: &mut Reader<'_>) -> WireResult<DomTree> {
 fn put_ssa_proc(w: &mut Writer, ssa: &SsaProc) {
     put_u32_id(w, ssa.proc.index());
     put_vec(w, &ssa.values, put_value_kind);
-    put_vec(w, &ssa.phi_args, |w, args| {
-        put_vec(w, args, |w, &(b, v)| {
+    w.put_len(ssa.len());
+    for v in 0..ssa.len() {
+        put_vec(w, ssa.phi_args(ValueId::from(v)), |w, &(b, v)| {
             put_block_id(w, b);
             put_value_id(w, v);
         });
-    });
-    put_vec(w, &ssa.blocks, put_ssa_block);
+    }
+    w.put_len(ssa.n_blocks());
+    for b in 0..ssa.n_blocks() {
+        put_ssa_block(w, ssa, BlockId::from(b));
+    }
     put_dom_tree(w, &ssa.dom);
     put_vec(w, &ssa.entry_vals, |w, v| {
         put_opt(w, v, |w, &x| put_value_id(w, x));
     });
-    put_vec(w, &ssa.exits, |w, (b, vals)| {
-        put_block_id(w, *b);
+    let exits = ssa.exits();
+    w.put_len(exits.len());
+    for (b, vals) in exits {
+        put_block_id(w, b);
         put_vec(w, vals, |w, v| put_opt(w, v, |w, &x| put_value_id(w, x)));
-    });
+    }
     put_vec(w, &ssa.call_sites, |w, site| {
         put_opt(w, site, |w, &(b, i)| {
             put_block_id(w, b);
@@ -650,25 +684,26 @@ fn put_ssa_proc(w: &mut Writer, ssa: &SsaProc) {
 }
 
 fn get_ssa_proc(r: &mut Reader<'_>) -> WireResult<SsaProc> {
-    Ok(SsaProc {
-        proc: ProcId::from(r.get_u32()? as usize),
-        values: get_vec(r, 1, get_value_kind)?,
-        phi_args: get_vec(r, 8, |r| {
-            get_vec(r, 8, |r| Ok((get_block_id(r)?, get_value_id(r)?)))
-        })?,
-        blocks: get_vec(r, 1, get_ssa_block)?,
-        dom: get_dom_tree(r)?,
-        entry_vals: get_vec(r, 1, |r| get_opt(r, get_value_id))?,
-        exits: get_vec(r, 12, |r| {
-            Ok((
-                get_block_id(r)?,
-                get_vec(r, 1, |r| get_opt(r, get_value_id))?,
-            ))
-        })?,
-        call_sites: get_vec(r, 1, |r| {
-            get_opt(r, |r| Ok((get_block_id(r)?, get_usize(r)?)))
-        })?,
-    })
+    let proc = ProcId::from(r.get_u32()? as usize);
+    let mut asm = SsaAssembler::new(proc, get_vec(r, 1, get_value_kind)?);
+    for _ in 0..r.get_len(8)? {
+        asm.push_phi_args(&get_vec(r, 8, |r| {
+            Ok((get_block_id(r)?, get_value_id(r)?))
+        })?);
+    }
+    for _ in 0..r.get_len(1)? {
+        get_ssa_block(r, &mut asm)?;
+    }
+    let dom = get_dom_tree(r)?;
+    let entry_vals = get_vec(r, 1, |r| get_opt(r, get_value_id))?;
+    for _ in 0..r.get_len(12)? {
+        let b = get_block_id(r)?;
+        asm.push_exit(b, &get_vec(r, 1, |r| get_opt(r, get_value_id))?);
+    }
+    let call_sites = get_vec(r, 1, |r| {
+        get_opt(r, |r| Ok((get_block_id(r)?, get_usize(r)?)))
+    })?;
+    asm.finish(dom, entry_vals, call_sites).ok_or(WireError)
 }
 
 fn put_sym_val(w: &mut Writer, v: &SymVal) {
@@ -727,7 +762,7 @@ fn get_lattice(r: &mut Reader<'_>) -> WireResult<Lattice> {
 
 fn put_sccp(w: &mut Writer, s: &SccpResult) {
     put_vec(w, &s.values, |w, &v| put_lattice(w, v));
-    put_bools(w, &s.block_exec);
+    put_bools(w, s.block_exec.iter().copied());
     // Canonical order for the edge set so equal results encode equally.
     let mut edges: Vec<(BlockId, BlockId)> = s.edge_exec.iter().copied().collect();
     edges.sort_unstable_by_key(|&(a, b)| (a.index(), b.index()));
@@ -909,10 +944,7 @@ mod tests {
 
     #[test]
     fn mod_set_round_trip() {
-        let m = ModSet {
-            formals: vec![true, false, true],
-            globals: vec![false],
-        };
+        let m = ModSet::from_bools(&[true, false, true], &[false]);
         assert_eq!(round_trip(&m, put_mod_set, get_mod_set), m);
     }
 

@@ -190,11 +190,12 @@ fn run_substitution(
 /// rule behind every substitution total.
 pub fn count_proc(cfg: &Cfg, ssa: &SsaProc, sccp: &SccpResult) -> usize {
     let mut count = 0usize;
-    for (bi, info) in ssa.blocks.iter().enumerate() {
+    for bi in 0..ssa.n_blocks() {
         if !sccp.block_exec[bi] {
             continue;
         }
-        for stmt in &info.stmts {
+        let b = BlockId::from(bi);
+        for stmt in ssa.stmts(b) {
             count += match stmt {
                 StmtInfo::Assign { use_vals, .. }
                 | StmtInfo::Store { use_vals, .. }
@@ -203,8 +204,8 @@ pub fn count_proc(cfg: &Cfg, ssa: &SsaProc, sccp: &SccpResult) -> usize {
                 StmtInfo::Read { .. } => 0,
             };
         }
-        if matches!(cfg.block(BlockId::from(bi)).term, Terminator::Branch { .. }) {
-            count += constant_uses(sccp, &info.term_use_vals);
+        if matches!(cfg.block(b).term, Terminator::Branch { .. }) {
+            count += constant_uses(sccp, ssa.term_use_vals(b));
         }
     }
     count
@@ -311,10 +312,9 @@ fn rewrite_proc(
             continue;
         }
         let b = BlockId::from(bi);
-        let info = &ssa.blocks[bi];
         let out_block = &mut out.cfgs[p.index()].blocks[b.index()];
-        for (si, stmt) in cfg.block(b).stmts.iter().enumerate() {
-            out_block.stmts[si] = rewrite_stmt(stmt, &info.stmts[si], res, replacements);
+        for (si, (stmt, info)) in cfg.block(b).stmts.iter().zip(ssa.stmts(b)).enumerate() {
+            out_block.stmts[si] = rewrite_stmt(stmt, info, res, replacements);
         }
         if let Terminator::Branch {
             cond,
@@ -323,8 +323,9 @@ fn rewrite_proc(
         } = &cfg.block(b).term
         {
             let mut idx = 0;
-            let new_cond = rewrite_expr(cond, &info.term_use_vals, &mut idx, res, replacements);
-            debug_assert_eq!(idx, info.term_use_vals.len());
+            let uses = ssa.term_use_vals(b);
+            let new_cond = rewrite_expr(cond, uses, &mut idx, res, replacements);
+            debug_assert_eq!(idx, uses.len());
             out_block.term = Terminator::Branch {
                 cond: new_cond,
                 then_bb: *then_bb,
@@ -336,7 +337,7 @@ fn rewrite_proc(
 
 fn rewrite_stmt(
     stmt: &CStmt,
-    info: &StmtInfo,
+    info: StmtInfo<'_>,
     res: &SccpResult,
     replacements: &mut Vec<(Span, i64)>,
 ) -> CStmt {

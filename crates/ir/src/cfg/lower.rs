@@ -21,7 +21,13 @@ use crate::span::Span;
 /// # Ok::<(), ipcp_ir::Diagnostics>(())
 /// ```
 pub fn lower_module(module: &Module) -> ModuleCfg {
-    let mut module = module.clone();
+    lower_module_owned(module.clone())
+}
+
+/// [`lower_module`] for a caller that owns the resolved module and has no
+/// further use for it: the module moves into the result instead of being
+/// copied.
+pub fn lower_module_owned(mut module: Module) -> ModuleCfg {
     let cfgs = module
         .procs
         .iter_mut()

@@ -9,7 +9,7 @@
 
 mod lower;
 
-pub use lower::lower_module;
+pub use lower::{lower_module, lower_module_owned};
 
 use crate::program::{Arg, Expr, Module, ProcId, VarId};
 use std::fmt;
@@ -140,13 +140,19 @@ pub enum Terminator {
 impl Terminator {
     /// The successor blocks, in order.
     pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            Terminator::Jump(b) => vec![*b],
+        self.successor_iter().collect()
+    }
+
+    /// The successor blocks, in order, without allocating.
+    pub fn successor_iter(&self) -> impl Iterator<Item = BlockId> + Clone {
+        let (first, second) = match *self {
+            Terminator::Jump(b) => (Some(b), None),
             Terminator::Branch {
                 then_bb, else_bb, ..
-            } => vec![*then_bb, *else_bb],
-            Terminator::Return => Vec::new(),
-        }
+            } => (Some(then_bb), Some(else_bb)),
+            Terminator::Return => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 
@@ -270,7 +276,7 @@ impl Cfg {
             if std::mem::replace(&mut seen[b.index()], true) {
                 continue;
             }
-            stack.extend(self.successors(b));
+            stack.extend(self.block(b).term.successor_iter());
         }
         seen
     }
@@ -280,28 +286,38 @@ impl Cfg {
     /// Every reachable block appears exactly once; for a reducible CFG all
     /// of a block's forward-edge predecessors appear before it.
     pub fn reverse_postorder(&self) -> Vec<BlockId> {
-        let mut state = vec![0u8; self.blocks.len()]; // 0=unseen 1=open 2=done
-        let mut post = Vec::new();
+        let mut rpo = Vec::new();
+        self.reverse_postorder_into(&mut Vec::new(), &mut Vec::new(), &mut rpo);
+        rpo
+    }
+
+    /// [`Cfg::reverse_postorder`] into `rpo`, with `seen` and `stack` as
+    /// working memory a caller can reuse across CFGs.
+    pub fn reverse_postorder_into(
+        &self,
+        seen: &mut Vec<bool>,
+        stack: &mut Vec<(BlockId, usize)>,
+        rpo: &mut Vec<BlockId>,
+    ) {
+        seen.clear();
+        seen.resize(self.blocks.len(), false);
+        rpo.clear();
         // Iterative DFS with an explicit stack of (block, next-successor).
-        let mut stack: Vec<(BlockId, usize)> = vec![(self.entry, 0)];
-        state[self.entry.index()] = 1;
+        stack.clear();
+        stack.push((self.entry, 0));
+        seen[self.entry.index()] = true;
         while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let succs = self.successors(b);
-            if *next < succs.len() {
-                let s = succs[*next];
+            if let Some(s) = self.block(b).term.successor_iter().nth(*next) {
                 *next += 1;
-                if state[s.index()] == 0 {
-                    state[s.index()] = 1;
+                if !std::mem::replace(&mut seen[s.index()], true) {
                     stack.push((s, 0));
                 }
             } else {
-                state[b.index()] = 2;
-                post.push(b);
+                rpo.push(b);
                 stack.pop();
             }
         }
-        post.reverse();
-        post
+        rpo.reverse();
     }
 
     /// Renders the CFG as indented text (for snapshots and debugging).

@@ -54,7 +54,7 @@ pub mod program;
 pub mod span;
 pub mod stream;
 
-pub use cfg::{lower_module, ModuleCfg};
+pub use cfg::{lower_module, lower_module_owned, ModuleCfg};
 pub use error::{Diagnostic, Diagnostics};
 pub use lang::{parse_program, pretty};
 pub use names::{NameId, Names};

@@ -1,5 +1,6 @@
 //! Dominator computation (Cooper–Harvey–Kennedy iterative algorithm).
 
+use crate::csr;
 use ipcp_ir::cfg::{BlockId, Cfg};
 
 /// The dominator tree of a CFG's reachable blocks.
@@ -11,8 +12,10 @@ use ipcp_ir::cfg::{BlockId, Cfg};
 pub struct DomTree {
     /// Immediate dominator per block; the entry maps to itself.
     idom: Vec<Option<BlockId>>,
-    /// Children in the dominator tree.
-    children: Vec<Vec<BlockId>>,
+    /// Children in the dominator tree, as one flat array:
+    /// `children[child_offsets[b]..child_offsets[b + 1]]` are `b`'s.
+    child_offsets: Vec<u32>,
+    children: Vec<BlockId>,
     /// Reverse postorder of reachable blocks (the iteration order used).
     rpo: Vec<BlockId>,
     /// Position of each block in `rpo` (usize::MAX for unreachable).
@@ -20,18 +23,77 @@ pub struct DomTree {
     entry: BlockId,
 }
 
+/// Reusable working memory for [`DomTree::build_in`] and
+/// [`frontiers_in`], so building many procedures' trees allocates only
+/// the trees themselves.
+#[derive(Debug, Default)]
+pub(crate) struct DomScratch {
+    /// Predecessor lists of the last CFG built, flat: the predecessors of
+    /// `b` are `preds[pred_offsets[b]..pred_offsets[b + 1]]`, in block
+    /// order of the predecessor (with multiplicity).
+    pred_offsets: Vec<u32>,
+    preds: Vec<BlockId>,
+    seen: Vec<bool>,
+    stack: Vec<(BlockId, usize)>,
+    order: Vec<BlockId>,
+    pairs: Vec<(BlockId, BlockId)>,
+    mark: Vec<u32>,
+}
+
+impl DomScratch {
+    /// Records the predecessors of every block of `cfg`, reachable or
+    /// not, in block order (with multiplicity).
+    fn fill_preds(&mut self, cfg: &Cfg) {
+        self.pairs.clear();
+        for (i, blk) in cfg.blocks.iter().enumerate() {
+            for s in blk.term.successor_iter() {
+                self.pairs.push((s, BlockId::from(i)));
+            }
+        }
+        let (offsets, preds) = (&mut self.pred_offsets, &mut self.preds);
+        csr::group(
+            &self.pairs,
+            cfg.len(),
+            |p| p.0.index(),
+            |p| p.1,
+            offsets,
+            preds,
+        );
+    }
+}
+
+fn as_u32(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(n) => n,
+        Err(_) => unreachable!("CFG larger than u32 blocks"),
+    }
+}
+
 impl DomTree {
     /// Computes dominators with the Cooper–Harvey–Kennedy "engineered"
     /// iterative algorithm: intersect predecessors' doms in reverse
     /// postorder until a fixpoint.
     pub fn build(cfg: &Cfg) -> DomTree {
+        DomTree::build_in(cfg, &mut DomScratch::default())
+    }
+
+    /// [`DomTree::build`] with caller-owned working memory; afterwards
+    /// `scratch` holds `cfg`'s predecessor lists.
+    pub(crate) fn build_in(cfg: &Cfg, scratch: &mut DomScratch) -> DomTree {
         let n = cfg.len();
-        let rpo = cfg.reverse_postorder();
+        let DomScratch {
+            seen, stack, order, ..
+        } = scratch;
+        cfg.reverse_postorder_into(seen, stack, order);
+        let rpo = order.clone();
         let mut rpo_pos = vec![usize::MAX; n];
         for (i, &b) in rpo.iter().enumerate() {
             rpo_pos[b.index()] = i;
         }
-        let preds = cfg.predecessors();
+
+        scratch.fill_preds(cfg);
+        let (pred_offsets, preds) = (&scratch.pred_offsets, &scratch.preds);
+
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         idom[cfg.entry.index()] = Some(cfg.entry);
 
@@ -59,7 +121,7 @@ impl DomTree {
             changed = false;
             for &b in rpo.iter().skip(1) {
                 let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
+                for &p in csr::row(pred_offsets, preds, b.index()) {
                     if idom[p.index()].is_none() {
                         continue; // unreachable or not yet processed
                     }
@@ -77,17 +139,27 @@ impl DomTree {
             }
         }
 
-        let mut children = vec![Vec::new(); n];
-        for &b in &rpo {
-            if b != cfg.entry {
-                if let Some(d) = idom[b.index()] {
-                    children[d.index()].push(b);
-                }
+        // Children in reverse-postorder order, grouped by parent.
+        let pairs = &mut scratch.pairs;
+        pairs.clear();
+        for &b in rpo.iter().skip(1) {
+            if let Some(d) = idom[b.index()] {
+                pairs.push((d, b));
             }
         }
+        let (mut child_offsets, mut children) = (Vec::new(), Vec::new());
+        csr::group(
+            pairs,
+            n,
+            |p| p.0.index(),
+            |p| p.1,
+            &mut child_offsets,
+            &mut children,
+        );
 
         DomTree {
             idom,
+            child_offsets,
             children,
             rpo,
             rpo_pos,
@@ -134,7 +206,7 @@ impl DomTree {
 
     /// Children of `b` in the dominator tree.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        &self.children[b.index()]
+        csr::row(&self.child_offsets, &self.children, b.index())
     }
 
     /// Reverse postorder of the reachable blocks.
@@ -145,6 +217,11 @@ impl DomTree {
     /// Position of `b` in reverse postorder (`usize::MAX` if unreachable).
     pub fn rpo_position(&self, b: BlockId) -> usize {
         self.rpo_pos[b.index()]
+    }
+
+    /// Number of blocks the tree covers, reachable or not.
+    pub(crate) fn len(&self) -> usize {
+        self.idom.len()
     }
 
     /// Preorder walk of the dominator tree (parents before children) —
@@ -188,7 +265,9 @@ impl DomTree {
     pub fn to_parts(&self) -> DomTreeParts {
         DomTreeParts {
             idom: self.idom.clone(),
-            children: self.children.clone(),
+            children: (0..self.idom.len())
+                .map(|b| self.children(BlockId::from(b)).to_vec())
+                .collect(),
             rpo: self.rpo.clone(),
             rpo_pos: self.rpo_pos.clone(),
             entry: self.entry,
@@ -211,9 +290,16 @@ impl DomTree {
                 return None;
             }
         }
+        let mut child_offsets = Vec::with_capacity(n + 1);
+        child_offsets.push(0u32);
+        for kids in &parts.children {
+            let end = child_offsets[child_offsets.len() - 1] as usize + kids.len();
+            child_offsets.push(u32::try_from(end).ok()?);
+        }
         Some(DomTree {
             idom: parts.idom,
-            children: parts.children,
+            child_offsets,
+            children: parts.children.concat(),
             rpo: parts.rpo,
             rpo_pos: parts.rpo_pos,
             entry: parts.entry,
@@ -224,25 +310,53 @@ impl DomTree {
 /// Computes dominance frontiers per Cytron et al.: `b ∈ DF(a)` iff `a`
 /// dominates a predecessor of `b` but does not strictly dominate `b`.
 pub fn dominance_frontiers(cfg: &Cfg, dom: &DomTree) -> Vec<Vec<BlockId>> {
-    let n = cfg.len();
-    let mut df = vec![Vec::new(); n];
-    let preds = cfg.predecessors();
-    for (b, b_preds) in preds.iter().enumerate().take(n) {
+    let mut scratch = DomScratch::default();
+    scratch.fill_preds(cfg);
+    let (mut offsets, mut flat) = (Vec::new(), Vec::new());
+    frontiers_in(dom, &mut scratch, &mut offsets, &mut flat);
+    (0..cfg.len())
+        .map(|b| csr::row(&offsets, &flat, b).to_vec())
+        .collect()
+}
+
+/// Dominance frontiers into a flat table: `DF(a)` is
+/// `flat[offsets[a]..offsets[a + 1]]`, in ascending block order. The
+/// predecessor lists come from `scratch`, as [`DomTree::build_in`] left
+/// them for the CFG `dom` was built from.
+pub(crate) fn frontiers_in(
+    dom: &DomTree,
+    scratch: &mut DomScratch,
+    offsets: &mut Vec<u32>,
+    flat: &mut Vec<BlockId>,
+) {
+    let n = dom.len();
+    let DomScratch {
+        pred_offsets,
+        preds,
+        pairs,
+        mark,
+        ..
+    } = scratch;
+    // (runner, b) pairs in ascending `b`, each pair once: `mark[runner]`
+    // remembers the last `b` it was paired with.
+    pairs.clear();
+    mark.clear();
+    mark.resize(n, u32::MAX);
+    for b in 0..n {
         let bid = BlockId::from(b);
         if !dom.is_reachable(bid) {
             continue;
         }
-        let reachable_preds: Vec<BlockId> = b_preds
-            .iter()
-            .copied()
-            .filter(|&p| dom.is_reachable(p))
-            .collect();
         let idom_b = dom.idom(bid);
-        for p in reachable_preds {
+        for &p in csr::row(pred_offsets, preds, b) {
+            if !dom.is_reachable(p) {
+                continue;
+            }
             let mut runner = p;
             while Some(runner) != idom_b {
-                if !df[runner.index()].contains(&bid) {
-                    df[runner.index()].push(bid);
+                if mark[runner.index()] != as_u32(b) {
+                    mark[runner.index()] = as_u32(b);
+                    pairs.push((runner, bid));
                 }
                 match dom.idom(runner) {
                     Some(next) => runner = next,
@@ -251,7 +365,8 @@ pub fn dominance_frontiers(cfg: &Cfg, dom: &DomTree) -> Vec<Vec<BlockId>> {
             }
         }
     }
-    df
+    // A stable grouping by runner keeps each frontier ascending.
+    csr::group(pairs, n, |p| p.0.index(), |p| p.1, offsets, flat);
 }
 
 #[cfg(test)]

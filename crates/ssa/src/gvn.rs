@@ -93,7 +93,8 @@ fn number_with(ssa: &SsaProc, collapse: bool) -> Option<ValueNumbering> {
                     }
                 }
                 ValueKind::Phi { block, .. } => {
-                    let args: Vec<u32> = ssa.phi_args[i]
+                    let args: Vec<u32> = ssa
+                        .phi_args(ValueId::from(i))
                         .iter()
                         .map(|&(_, a)| class[a.index()])
                         .collect();
@@ -120,7 +121,8 @@ fn number_with(ssa: &SsaProc, collapse: bool) -> Option<ValueNumbering> {
         if collapse {
             for i in 0..n {
                 if let ValueKind::Phi { .. } = ssa.value(ValueId::from(i)) {
-                    let args: Vec<u32> = ssa.phi_args[i]
+                    let args: Vec<u32> = ssa
+                        .phi_args(ValueId::from(i))
                         .iter()
                         .map(|&(_, a)| next[a.index()])
                         .collect();
@@ -158,10 +160,10 @@ mod tests {
     /// Values printed by the procedure, in order.
     fn printed(ssa: &SsaProc) -> Vec<ValueId> {
         let mut out = Vec::new();
-        for blk in &ssa.blocks {
-            for s in &blk.stmts {
+        for b in 0..ssa.n_blocks() {
+            for s in ssa.stmts(ipcp_ir::cfg::BlockId::from(b)) {
                 if let StmtInfo::Print { value, .. } = s {
-                    out.push(*value);
+                    out.push(value);
                 }
             }
         }

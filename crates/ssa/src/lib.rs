@@ -9,8 +9,11 @@
 //!   Cytron dominance frontiers;
 //! * [`ssa`] — SSA construction producing a *value graph* with explicit
 //!   opaque sources (entries, reads, array loads, call-modified values);
-//! * [`gvn`] — Alpern–Wegman–Zadeck-style hash-based value numbering;
-//! * [`poly`] — exact multivariate polynomials over entry slots;
+//! * [`gvn`] — Alpern–Wegman–Zadeck-style partition value numbering, a
+//!   standalone analysis: no pipeline stage calls it (SSA construction
+//!   hash-conses pure expressions itself);
+//! * [`poly`] — exact multivariate polynomials over entry slots, with
+//!   constants and `c·x + k` stored inline;
 //! * [`symbolic`] — the polynomial symbolic evaluator behind `gcp(y, s)`
 //!   and the polynomial/pass-through jump-function shapes;
 //! * [`sccp`] — Wegman–Zadeck sparse conditional constant propagation,
@@ -23,6 +26,7 @@
 //! so the interprocedural layer can plug in MOD sets and return jump
 //! functions while this crate stays independent of them.
 
+mod csr;
 pub mod dce;
 pub mod dominators;
 pub mod gvn;
@@ -38,8 +42,8 @@ pub use lattice::Lattice;
 pub use poly::{Poly, PolyVar};
 pub use sccp::{CallDefLattice, OpaqueCallsLattice, SccpResult, Seeds};
 pub use ssa::{
-    build_ssa, build_ssa_pruned, CallKills, ModKills, SsaProc, StmtInfo, Users, ValueId, ValueKind,
-    WorstCaseKills,
+    build_ssa, build_ssa_pruned, CallKills, ModKills, SsaAssembler, SsaProc, StmtInfo, Users,
+    ValueId, ValueKind, WorstCaseKills,
 };
 pub use symbolic::{
     CallActuals, CallDefEval, DeadlineLatch, OpaqueCalls, RetTarget, SymVal, Symbolic,

@@ -13,146 +13,133 @@
 //! * a `return` is assumed to read every formal and global — their exit
 //!   values feed return jump functions.
 
-use ipcp_ir::cfg::{CStmt, Cfg, Terminator};
+use ipcp_ir::cfg::{BlockId, CStmt, Cfg, Terminator};
 use ipcp_ir::program::{Arg, Expr, Proc, VarId};
 
-/// Per-block liveness: `live_in[b]` is a bitmap over `VarId`s.
+/// Per-block liveness: one bitmap over `VarId`s per block, stored flat.
 #[derive(Clone, Debug)]
 pub struct Liveness {
-    /// `live_in[block][var]` — `var` may be read before being written on
-    /// some path from the top of `block`.
-    pub live_in: Vec<Vec<bool>>,
+    /// 64-bit words per block.
+    words: usize,
+    /// `live_in[b * words..][..words]` — the variables that may be read
+    /// before being written on some path from the top of block `b`.
+    live_in: Vec<u64>,
 }
 
 impl Liveness {
     /// Whether `v` is live at the top of `b`.
-    pub fn live_at(&self, b: ipcp_ir::cfg::BlockId, v: VarId) -> bool {
-        self.live_in[b.index()][v.index()]
+    pub fn live_at(&self, b: BlockId, v: VarId) -> bool {
+        let word = self.live_in[b.index() * self.words + v.index() / 64];
+        word >> (v.index() % 64) & 1 == 1
     }
 }
 
-fn note_expr_uses(e: &Expr, set: &mut [bool]) {
-    e.for_each_var(&mut |v| set[v.index()] = true);
+fn set(bits: &mut [u64], v: VarId) {
+    bits[v.index() / 64] |= 1 << (v.index() % 64);
+}
+
+fn note_expr_uses(e: &Expr, set_bits: &mut [u64]) {
+    e.for_each_var(&mut |v| set(set_bits, v));
 }
 
 /// Computes conservative liveness for one procedure.
 pub fn compute(proc: &Proc, cfg: &Cfg) -> Liveness {
     let n_vars = proc.vars.len();
     let n_blocks = cfg.len();
+    let words = n_vars.div_ceil(64);
+    let row = |b: usize| b * words..(b + 1) * words;
 
     // Per-block upward-exposed uses and (strong) defs.
-    let mut gen = vec![vec![false; n_vars]; n_blocks];
-    let mut kill = vec![vec![false; n_vars]; n_blocks];
+    let mut gen = vec![0u64; n_blocks * words];
+    let mut kill = vec![0u64; n_blocks * words];
+    let mut uses = vec![0u64; words];
+    // An occurrence is upward-exposed unless the block already killed it.
+    let expose = |uses: &mut [u64], g: &mut [u64], k: &[u64]| {
+        for ((g, u), k) in g.iter_mut().zip(uses.iter_mut()).zip(k) {
+            *g |= *u & !k;
+            *u = 0;
+        }
+    };
     for (bi, blk) in cfg.blocks.iter().enumerate() {
-        let (g, k) = (&mut gen[bi], &mut kill[bi]);
-        let use_var = |v: VarId, k: &[bool], g: &mut Vec<bool>| {
-            if !k[v.index()] {
-                g[v.index()] = true;
-            }
-        };
+        let (g, k) = (&mut gen[row(bi)], &mut kill[row(bi)]);
         for s in &blk.stmts {
             match s {
                 CStmt::Assign { dst, value } => {
-                    let mut uses = vec![false; n_vars];
                     note_expr_uses(value, &mut uses);
-                    for (vi, u) in uses.iter().enumerate() {
-                        if *u {
-                            use_var(VarId::from(vi), k, g);
-                        }
-                    }
-                    k[dst.index()] = true;
+                    expose(&mut uses, g, k);
+                    set(k, *dst);
                 }
                 CStmt::Store { index, value, .. } => {
-                    let mut uses = vec![false; n_vars];
                     note_expr_uses(index, &mut uses);
                     note_expr_uses(value, &mut uses);
-                    for (vi, u) in uses.iter().enumerate() {
-                        if *u {
-                            use_var(VarId::from(vi), k, g);
-                        }
-                    }
+                    expose(&mut uses, g, k);
                 }
-                CStmt::Read { dst } => {
-                    k[dst.index()] = true;
-                }
+                CStmt::Read { dst } => set(k, *dst),
                 CStmt::Print { value } => {
-                    let mut uses = vec![false; n_vars];
                     note_expr_uses(value, &mut uses);
-                    for (vi, u) in uses.iter().enumerate() {
-                        if *u {
-                            use_var(VarId::from(vi), k, g);
-                        }
-                    }
+                    expose(&mut uses, g, k);
                 }
                 CStmt::Call { args, .. } => {
                     // Conservative: the callee may read every by-ref
                     // actual and every global; it kills nothing.
-                    let mut uses = vec![false; n_vars];
                     for a in args {
                         match a {
-                            Arg::Scalar(v, _) | Arg::Array(v, _) => uses[v.index()] = true,
+                            Arg::Scalar(v, _) | Arg::Array(v, _) => set(&mut uses, *v),
                             Arg::Value(e) => note_expr_uses(e, &mut uses),
                         }
                     }
                     for (vi, info) in proc.vars.iter().enumerate() {
                         if info.is_global() {
-                            uses[vi] = true;
+                            set(&mut uses, VarId::from(vi));
                         }
                     }
-                    for (vi, u) in uses.iter().enumerate() {
-                        if *u {
-                            use_var(VarId::from(vi), k, g);
-                        }
-                    }
+                    expose(&mut uses, g, k);
                 }
             }
         }
         match &blk.term {
             Terminator::Branch { cond, .. } => {
-                let mut uses = vec![false; n_vars];
                 note_expr_uses(cond, &mut uses);
-                for (vi, u) in uses.iter().enumerate() {
-                    if *u {
-                        use_var(VarId::from(vi), k, g);
-                    }
-                }
+                expose(&mut uses, g, k);
             }
             Terminator::Return => {
                 // Exit values of formals and globals feed return jump
                 // functions.
                 for (vi, info) in proc.vars.iter().enumerate() {
                     if info.is_formal() || info.is_global() {
-                        use_var(VarId::from(vi), k, g);
+                        set(&mut uses, VarId::from(vi));
                     }
                 }
+                expose(&mut uses, g, k);
             }
             Terminator::Jump(_) => {}
         }
     }
 
     // Iterate live_in[b] = gen[b] ∪ (∪_succ live_in[succ] − kill[b]).
-    let mut live_in = vec![vec![false; n_vars]; n_blocks];
+    let mut live_in = vec![0u64; n_blocks * words];
+    let mut out = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for bi in (0..n_blocks).rev() {
-            let mut out = vec![false; n_vars];
-            for s in cfg.blocks[bi].term.successors() {
-                for (vi, l) in live_in[s.index()].iter().enumerate() {
-                    out[vi] |= l;
+            out.fill(0);
+            for s in cfg.blocks[bi].term.successor_iter() {
+                for (o, l) in out.iter_mut().zip(&live_in[row(s.index())]) {
+                    *o |= l;
                 }
             }
-            for vi in 0..n_vars {
-                let new = gen[bi][vi] || (out[vi] && !kill[bi][vi]);
-                if new && !live_in[bi][vi] {
-                    live_in[bi][vi] = true;
+            for (w, i) in row(bi).enumerate() {
+                let new = gen[i] | (out[w] & !kill[i]);
+                if new & !live_in[i] != 0 {
+                    live_in[i] |= new;
                     changed = true;
                 }
             }
         }
     }
 
-    Liveness { live_in }
+    Liveness { words, live_in }
 }
 
 #[cfg(test)]

@@ -15,6 +15,11 @@
 //! Sizes are capped ([`Poly::MAX_TERMS`], [`Poly::MAX_DEGREE`]) so that
 //! adversarial programs cannot blow up jump-function construction; capped
 //! results are reported as `None` (not representable).
+//!
+//! Almost every value symbolic evaluation finds is a constant or `c·x + k`
+//! in one variable, so those two shapes are stored inline and cost no
+//! heap allocation; only wider polynomials hold a term map. Each value has
+//! exactly one representation, which keeps `==` and `Hash` exact.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -32,11 +37,37 @@ type Monomial = Vec<(PolyVar, u32)>;
 /// overflow-checked: any operation whose result would overflow `i64`
 /// coefficients, exceed [`Poly::MAX_TERMS`] terms, or exceed
 /// [`Poly::MAX_DEGREE`] total degree returns `None`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct Poly {
-    /// Terms keyed by monomial; invariant: no zero coefficients.
-    terms: BTreeMap<Monomial, i64>,
+    repr: Repr,
 }
+
+/// The canonical representation: a polynomial that fits `Const` or
+/// `Affine` is never stored as `Terms`.
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// A constant, zero included.
+    Const(i64),
+    /// `coeff·x + off` with `coeff != 0`. `mono` is the monomial `(x, 1)`,
+    /// kept whole so [`Poly::terms_raw`] can lend it as a slice.
+    Affine {
+        mono: (PolyVar, u32),
+        coeff: i64,
+        off: i64,
+    },
+    /// Two or more variables, or degree two and up. Invariant: no zero
+    /// coefficients.
+    Terms(BTreeMap<Monomial, i64>),
+}
+
+impl Default for Repr {
+    fn default() -> Repr {
+        Repr::Const(0)
+    }
+}
+
+/// One term as [`Poly::terms_raw`] yields it.
+type Term<'a> = (&'a [(PolyVar, u32)], i64);
 
 impl Poly {
     /// Maximum number of terms a polynomial may hold.
@@ -51,28 +82,88 @@ impl Poly {
 
     /// The constant polynomial `c`.
     pub fn constant(c: i64) -> Poly {
-        let mut terms = BTreeMap::new();
-        if c != 0 {
-            terms.insert(Vec::new(), c);
+        Poly {
+            repr: Repr::Const(c),
         }
-        Poly { terms }
     }
 
     /// The polynomial consisting of the single variable `v`.
     pub fn var(v: PolyVar) -> Poly {
-        let mut terms = BTreeMap::new();
-        terms.insert(vec![(v, 1)], 1);
-        Poly { terms }
+        Poly::affine(v, 1, 0)
+    }
+
+    /// `coeff·v + off`; `coeff` must be nonzero.
+    fn affine(v: PolyVar, coeff: i64, off: i64) -> Poly {
+        debug_assert!(coeff != 0, "affine polynomial with a zero coefficient");
+        Poly {
+            repr: Repr::Affine {
+                mono: (v, 1),
+                coeff,
+                off,
+            },
+        }
+    }
+
+    /// `coeff·v + off`, or the constant `off` when `coeff` is zero.
+    fn linear(v: PolyVar, coeff: i64, off: i64) -> Poly {
+        if coeff == 0 {
+            Poly::constant(off)
+        } else {
+            Poly::affine(v, coeff, off)
+        }
+    }
+
+    /// The canonical polynomial holding `terms`.
+    fn from_map(terms: BTreeMap<Monomial, i64>) -> Poly {
+        let linear = |m: &Monomial| m.len() == 1 && m[0].1 == 1;
+        let small = {
+            let mut it = terms.iter();
+            match (terms.len(), it.next(), it.next()) {
+                (0, ..) => Some(Poly::zero()),
+                (1, Some((m, &c)), _) if m.is_empty() => Some(Poly::constant(c)),
+                (1, Some((m, &c)), _) if linear(m) => Some(Poly::affine(m[0].0, c, 0)),
+                (2, Some((k, &off)), Some((m, &c))) if k.is_empty() && linear(m) => {
+                    Some(Poly::affine(m[0].0, c, off))
+                }
+                _ => None,
+            }
+        };
+        small.unwrap_or(Poly {
+            repr: Repr::Terms(terms),
+        })
+    }
+
+    /// The terms as a map, for the general (multi-variable) algorithms.
+    fn to_map(&self) -> BTreeMap<Monomial, i64> {
+        match &self.repr {
+            Repr::Terms(t) => t.clone(),
+            _ => self.terms_iter().map(|(m, c)| (m.to_vec(), c)).collect(),
+        }
+    }
+
+    /// The terms in canonical order, from either end.
+    fn terms_iter(&self) -> impl DoubleEndedIterator<Item = Term<'_>> {
+        let (small, map): ([Option<Term<'_>>; 2], _) = match &self.repr {
+            Repr::Const(c) => ([(*c != 0).then_some((&[][..], *c)), None], None),
+            Repr::Affine { mono, coeff, off } => (
+                [
+                    (*off != 0).then_some((&[][..], *off)),
+                    Some((std::slice::from_ref(mono), *coeff)),
+                ],
+                None,
+            ),
+            Repr::Terms(t) => ([None, None], Some(t)),
+        };
+        small
+            .into_iter()
+            .flatten()
+            .chain(map.into_iter().flatten().map(|(m, &c)| (m.as_slice(), c)))
     }
 
     /// The constant value, if the polynomial is constant.
     pub fn as_const(&self) -> Option<i64> {
-        match self.terms.len() {
-            0 => Some(0),
-            1 => match self.terms.iter().next() {
-                Some((m, &c)) if m.is_empty() => Some(c),
-                _ => None,
-            },
+        match self.repr {
+            Repr::Const(c) => Some(c),
             _ => None,
         }
     }
@@ -80,11 +171,12 @@ impl Poly {
     /// `Some(v)` iff the polynomial is exactly the single variable `v`
     /// (coefficient 1, no constant term) — the *pass-through* shape.
     pub fn as_var(&self) -> Option<PolyVar> {
-        if self.terms.len() != 1 {
-            return None;
-        }
-        match self.terms.iter().next() {
-            Some((m, &c)) if c == 1 && m.len() == 1 && m[0].1 == 1 => Some(m[0].0),
+        match self.repr {
+            Repr::Affine {
+                mono: (v, _),
+                coeff: 1,
+                off: 0,
+            } => Some(v),
             _ => None,
         }
     }
@@ -92,28 +184,39 @@ impl Poly {
     /// The set of variables occurring in the polynomial — the jump
     /// function's *support*, in ascending order.
     pub fn support(&self) -> Vec<PolyVar> {
-        let mut vars: Vec<PolyVar> = self
-            .terms
-            .keys()
-            .flat_map(|m| m.iter().map(|&(v, _)| v))
-            .collect();
-        vars.sort_unstable();
-        vars.dedup();
-        vars
+        match &self.repr {
+            Repr::Const(_) => Vec::new(),
+            Repr::Affine { mono, .. } => vec![mono.0],
+            Repr::Terms(t) => {
+                let mut vars: Vec<PolyVar> =
+                    t.keys().flat_map(|m| m.iter().map(|&(v, _)| v)).collect();
+                vars.sort_unstable();
+                vars.dedup();
+                vars
+            }
+        }
     }
 
     /// Total degree of the polynomial (0 for constants).
     pub fn degree(&self) -> u32 {
-        self.terms
-            .keys()
-            .map(|m| m.iter().map(|&(_, e)| e).sum())
-            .max()
-            .unwrap_or(0)
+        match &self.repr {
+            Repr::Const(_) => 0,
+            Repr::Affine { .. } => 1,
+            Repr::Terms(t) => t
+                .keys()
+                .map(|m| m.iter().map(|&(_, e)| e).sum())
+                .max()
+                .unwrap_or(0),
+        }
     }
 
     /// Number of terms.
     pub fn n_terms(&self) -> usize {
-        self.terms.len()
+        match &self.repr {
+            Repr::Const(c) => usize::from(*c != 0),
+            Repr::Affine { off, .. } => 1 + usize::from(*off != 0),
+            Repr::Terms(t) => t.len(),
+        }
     }
 
     /// Whether the polynomial's shape is within the given caps — used by
@@ -121,16 +224,19 @@ impl Poly {
     /// [`Poly::MAX_DEGREE`] ceilings. Support is counted as distinct
     /// variables.
     pub fn fits_within(&self, max_terms: usize, max_degree: u32, max_support: usize) -> bool {
-        self.n_terms() <= max_terms
-            && self.degree() <= max_degree
-            && self.support().len() <= max_support
+        let support = match &self.repr {
+            Repr::Const(_) => 0,
+            Repr::Affine { .. } => 1,
+            Repr::Terms(_) => self.support().len(),
+        };
+        self.n_terms() <= max_terms && self.degree() <= max_degree && support <= max_support
     }
 
     /// The raw term list `(monomial, coefficient)` in the canonical
     /// (sorted) order — the stable shape used by the serve summary store.
     /// Monomials are `(variable, exponent)` pairs sorted by variable.
     pub fn terms_raw(&self) -> impl Iterator<Item = (&[(PolyVar, u32)], i64)> {
-        self.terms.iter().map(|(m, &c)| (m.as_slice(), c))
+        self.terms_iter()
     }
 
     /// Rebuilds a polynomial from raw terms, enforcing every invariant
@@ -167,68 +273,95 @@ impl Poly {
                 return None;
             }
         }
-        Some(Poly { terms: out })
-    }
-
-    fn insert_term(&mut self, m: Monomial, c: i64) -> Option<()> {
-        if c == 0 {
-            return Some(());
-        }
-        match self.terms.get_mut(&m) {
-            Some(existing) => {
-                *existing = existing.checked_add(c)?;
-                if *existing == 0 {
-                    self.terms.remove(&m);
-                }
-            }
-            None => {
-                self.terms.insert(m, c);
-            }
-        }
-        if self.terms.len() > Self::MAX_TERMS {
-            return None;
-        }
-        Some(())
+        Some(Poly::from_map(out))
     }
 
     /// Checked addition.
     #[must_use]
     pub fn add(&self, other: &Poly) -> Option<Poly> {
-        let mut out = self.clone();
-        for (m, &c) in &other.terms {
-            out.insert_term(m.clone(), c)?;
+        use Repr::{Affine, Const};
+        match (&self.repr, &other.repr) {
+            (Const(a), Const(b)) => Some(Poly::constant(a.checked_add(*b)?)),
+            (Const(k), &Affine { mono, coeff, off }) | (&Affine { mono, coeff, off }, Const(k)) => {
+                Some(Poly::affine(mono.0, coeff, off.checked_add(*k)?))
+            }
+            (
+                &Affine {
+                    mono: (x, _),
+                    coeff: ca,
+                    off: ka,
+                },
+                &Affine {
+                    mono: (y, _),
+                    coeff: cb,
+                    off: kb,
+                },
+            ) if x == y => Some(Poly::linear(x, ca.checked_add(cb)?, ka.checked_add(kb)?)),
+            _ => {
+                let mut out = self.to_map();
+                for (m, c) in other.terms_iter() {
+                    insert_term(&mut out, m, c)?;
+                }
+                Some(Poly::from_map(out))
+            }
         }
-        Some(out)
     }
 
     /// Checked subtraction.
     #[must_use]
     pub fn sub(&self, other: &Poly) -> Option<Poly> {
-        let mut out = self.clone();
-        for (m, &c) in &other.terms {
-            out.insert_term(m.clone(), c.checked_neg()?)?;
+        match other.repr {
+            Repr::Terms(_) => {
+                let mut out = self.to_map();
+                for (m, c) in other.terms_iter() {
+                    insert_term(&mut out, m, c.checked_neg()?)?;
+                }
+                Some(Poly::from_map(out))
+            }
+            _ => self.add(&other.neg()?),
         }
-        Some(out)
     }
 
     /// Checked negation.
     #[must_use]
     pub fn neg(&self) -> Option<Poly> {
-        Poly::zero().sub(self)
+        match self.repr {
+            Repr::Const(c) => Some(Poly::constant(c.checked_neg()?)),
+            Repr::Affine {
+                mono: (x, _),
+                coeff,
+                off,
+            } => Some(Poly::affine(x, coeff.checked_neg()?, off.checked_neg()?)),
+            Repr::Terms(_) => Poly::zero().sub(self),
+        }
     }
 
     /// Checked multiplication (respecting the degree/term caps).
     #[must_use]
     pub fn mul(&self, other: &Poly) -> Option<Poly> {
-        let mut out = Poly::zero();
-        for (ma, &ca) in &self.terms {
-            for (mb, &cb) in &other.terms {
-                let c = ca.checked_mul(cb)?;
-                let m = mul_monomials(ma, mb)?;
-                out.insert_term(m, c)?;
+        use Repr::{Affine, Const};
+        match (&self.repr, &other.repr) {
+            (Const(0), _) | (_, Const(0)) => Some(Poly::zero()),
+            (Const(a), Const(b)) => Some(Poly::constant(a.checked_mul(*b)?)),
+            (Const(k), &Affine { mono, coeff, off }) | (&Affine { mono, coeff, off }, Const(k)) => {
+                Some(Poly::affine(
+                    mono.0,
+                    coeff.checked_mul(*k)?,
+                    off.checked_mul(*k)?,
+                ))
+            }
+            _ => {
+                let mut out = BTreeMap::new();
+                for (ma, ca) in self.terms_iter() {
+                    for (mb, cb) in other.terms_iter() {
+                        let c = ca.checked_mul(cb)?;
+                        let m = mul_monomials(ma, mb)?;
+                        insert_term(&mut out, &m, c)?;
+                    }
+                }
+                Some(Poly::from_map(out))
             }
         }
-        Some(out)
     }
 
     /// Exact division by a constant: defined only when `d != 0` divides
@@ -239,20 +372,34 @@ impl Poly {
         if d == 0 {
             return None;
         }
-        let mut out = Poly::zero();
-        for (m, &c) in &self.terms {
-            if c % d != 0 {
-                return None;
+        // `i64::MIN / -1` overflows: not representable, like any other
+        // overflow.
+        let div = |c: i64| {
+            if c.wrapping_rem(d) == 0 {
+                c.checked_div(d)
+            } else {
+                None
             }
-            out.insert_term(m.clone(), c / d)?;
+        };
+        match &self.repr {
+            Repr::Const(c) => Some(Poly::constant(div(*c)?)),
+            &Repr::Affine { mono, coeff, off } => {
+                Some(Poly::affine(mono.0, div(coeff)?, div(off)?))
+            }
+            Repr::Terms(t) => {
+                let mut out = BTreeMap::new();
+                for (m, &c) in t {
+                    out.insert(m.clone(), div(c)?);
+                }
+                Some(Poly::from_map(out))
+            }
         }
-        Some(out)
     }
 
     /// Whether every coefficient is divisible by `d` (so `self % d == 0`
     /// identically). Requires `d != 0`.
     pub fn divisible_by(&self, d: i64) -> bool {
-        d != 0 && self.terms.values().all(|&c| c % d == 0)
+        d != 0 && self.terms_iter().all(|(_, c)| c.wrapping_rem(d) == 0)
     }
 
     /// Evaluates the polynomial; `env[v]` supplies variable `v`.
@@ -260,31 +407,51 @@ impl Poly {
     /// Returns `None` on arithmetic overflow or when a variable is out of
     /// range of `env`.
     pub fn eval(&self, env: &[i64]) -> Option<i64> {
-        let mut total: i64 = 0;
-        for (m, &c) in &self.terms {
-            let mut term = c;
-            for &(v, e) in m {
-                let x = *env.get(v as usize)?;
-                for _ in 0..e {
-                    term = term.checked_mul(x)?;
+        match self.repr {
+            Repr::Const(c) => Some(c),
+            Repr::Affine {
+                mono: (x, _),
+                coeff,
+                off,
+            } => off.checked_add(coeff.checked_mul(*env.get(x as usize)?)?),
+            Repr::Terms(_) => {
+                let mut total: i64 = 0;
+                for (m, c) in self.terms_iter() {
+                    let mut term = c;
+                    for &(v, e) in m {
+                        let x = *env.get(v as usize)?;
+                        for _ in 0..e {
+                            term = term.checked_mul(x)?;
+                        }
+                    }
+                    total = total.checked_add(term)?;
                 }
+                Some(total)
             }
-            total = total.checked_add(term)?;
         }
-        Some(total)
     }
 
     /// Evaluates over the constant lattice: `None` if any support variable
     /// lacks a constant in `env` (caller maps that to ⊤/⊥ as appropriate).
     pub fn eval_partial(&self, env: impl Fn(PolyVar) -> Option<i64>) -> Option<i64> {
-        let mut values = Vec::new();
-        let support = self.support();
-        let max = support.iter().copied().max().unwrap_or(0);
-        values.resize(max as usize + 1, 0);
-        for v in support {
-            values[v as usize] = env(v)?;
+        match self.repr {
+            Repr::Const(c) => Some(c),
+            Repr::Affine {
+                mono: (x, _),
+                coeff,
+                off,
+            } => off.checked_add(coeff.checked_mul(env(x)?)?),
+            Repr::Terms(_) => {
+                let mut values = Vec::new();
+                let support = self.support();
+                let max = support.iter().copied().max().unwrap_or(0);
+                values.resize(max as usize + 1, 0);
+                for v in support {
+                    values[v as usize] = env(v)?;
+                }
+                self.eval(&values)
+            }
         }
-        self.eval(&values)
     }
 
     /// Substitutes polynomials for variables: variable `v` becomes
@@ -295,7 +462,7 @@ impl Poly {
     /// is hit.
     pub fn substitute(&self, subst: impl Fn(PolyVar) -> Option<Poly>) -> Option<Poly> {
         let mut out = Poly::zero();
-        for (m, &c) in &self.terms {
+        for (m, c) in self.terms_iter() {
             let mut term = Poly::constant(c);
             for &(v, e) in m {
                 let p = subst(v)?;
@@ -309,7 +476,30 @@ impl Poly {
     }
 }
 
-fn mul_monomials(a: &Monomial, b: &Monomial) -> Option<Monomial> {
+/// Adds `c·m` into `terms`, dropping a coefficient that cancels to zero;
+/// `None` on coefficient overflow or past [`Poly::MAX_TERMS`].
+fn insert_term(terms: &mut BTreeMap<Monomial, i64>, m: &[(PolyVar, u32)], c: i64) -> Option<()> {
+    if c == 0 {
+        return Some(());
+    }
+    match terms.get_mut(m) {
+        Some(existing) => {
+            *existing = existing.checked_add(c)?;
+            if *existing == 0 {
+                terms.remove(m);
+            }
+        }
+        None => {
+            terms.insert(m.to_vec(), c);
+        }
+    }
+    if terms.len() > Poly::MAX_TERMS {
+        return None;
+    }
+    Some(())
+}
+
+fn mul_monomials(a: &[(PolyVar, u32)], b: &[(PolyVar, u32)]) -> Option<Monomial> {
     let mut out: Monomial = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() || j < b.len() {
@@ -347,13 +537,26 @@ fn mul_monomials(a: &Monomial, b: &Monomial) -> Option<Monomial> {
     }
 }
 
+/// Prints the term map, the same for every representation.
+impl fmt::Debug for Poly {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Terms<'a>(&'a Poly);
+        impl fmt::Debug for Terms<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.terms_iter()).finish()
+            }
+        }
+        f.debug_struct("Poly").field("terms", &Terms(self)).finish()
+    }
+}
+
 impl fmt::Display for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.terms.is_empty() {
+        if self.n_terms() == 0 {
             return write!(f, "0");
         }
         let mut first = true;
-        for (m, &c) in self.terms.iter().rev() {
+        for (m, c) in self.terms_iter().rev() {
             if first {
                 if c < 0 {
                     write!(f, "-")?;

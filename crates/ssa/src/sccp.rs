@@ -108,7 +108,7 @@ impl SccpResult {
         else {
             return None;
         };
-        let cond = ssa.blocks[b.index()].term_cond?;
+        let cond = ssa.term_cond(b)?;
         match self.value(cond) {
             Lattice::Const(c) => Some(if c != 0 { *then_bb } else { *else_bb }),
             _ => None,
@@ -138,9 +138,10 @@ pub fn run(
 
     // Map each condition value to the blocks whose branch it controls.
     let mut cond_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-    for (bi, blk) in ssa.blocks.iter().enumerate() {
-        if let Some(c) = blk.term_cond {
-            cond_blocks[c.index()].push(BlockId::from(bi));
+    for bi in 0..ssa.n_blocks() {
+        let b = BlockId::from(bi);
+        if let Some(c) = ssa.term_cond(b) {
+            cond_blocks[c.index()].push(b);
         }
     }
 
@@ -167,7 +168,7 @@ pub fn run(
                 },
                 ValueKind::Phi { block, .. } => {
                     let mut acc = Lattice::Top;
-                    for &(pred, arg) in &ssa.phi_args[v.index()] {
+                    for &(pred, arg) in ssa.phi_args(v) {
                         if edge_exec.contains(&(pred, *block)) {
                             acc = acc.meet(values[arg.index()]);
                         }
@@ -215,8 +216,8 @@ pub fn run(
             } => {
                 // Lowering attaches a condition value to every branch; if
                 // it were ever missing, ⊥ (both arms live) is the safe read.
-                let cond = ssa.blocks[b.index()]
-                    .term_cond
+                let cond = ssa
+                    .term_cond(b)
                     .map_or(Lattice::Bottom, |c| values[c.index()]);
                 match cond {
                     Lattice::Top => {} // wait for the condition to resolve
@@ -265,7 +266,7 @@ fn mark_edge(
     if edge_exec.insert((from, to)) {
         // Phis in the target must re-meet over the widened edge set, and
         // the target's terminator must be (re)examined.
-        ssa_work.extend(ssa.blocks[to.index()].phis.iter().copied());
+        ssa_work.extend(ssa.phis(to).iter().copied());
         flow_work.push(to);
     }
 }
@@ -291,10 +292,10 @@ mod tests {
     fn printed_lattices(src: &str, name: &str) -> Vec<Lattice> {
         let (_, ssa, res) = sccp_for(src, name);
         let mut out = Vec::new();
-        for blk in &ssa.blocks {
-            for s in &blk.stmts {
+        for b in 0..ssa.n_blocks() {
+            for s in ssa.stmts(ipcp_ir::cfg::BlockId::from(b)) {
                 if let StmtInfo::Print { value, .. } = s {
-                    out.push(res.value(*value));
+                    out.push(res.value(value));
                 }
             }
         }
@@ -328,10 +329,10 @@ mod tests {
         );
         // Here the branch is taken: x is 2 at the print.
         let mut printed = Vec::new();
-        for blk in &ssa.blocks {
-            for s in &blk.stmts {
+        for b in 0..ssa.n_blocks() {
+            for s in ssa.stmts(ipcp_ir::cfg::BlockId::from(b)) {
                 if let StmtInfo::Print { value, .. } = s {
-                    printed.push(res.value(*value));
+                    printed.push(res.value(value));
                 }
             }
         }
@@ -425,10 +426,10 @@ mod tests {
         by_var[f.formals[0].index()] = Lattice::Const(41);
         let res = run(&m, &ssa, &Seeds::from_vars(by_var), &OpaqueCallsLattice);
         let mut printed = Vec::new();
-        for blk in &ssa.blocks {
-            for s in &blk.stmts {
+        for b in 0..ssa.n_blocks() {
+            for s in ssa.stmts(ipcp_ir::cfg::BlockId::from(b)) {
                 if let StmtInfo::Print { value, .. } = s {
-                    printed.push(res.value(*value));
+                    printed.push(res.value(value));
                 }
             }
         }

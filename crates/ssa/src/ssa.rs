@@ -13,12 +13,14 @@
 //! serves both the MOD-precise and the no-MOD-information configurations
 //! the paper compares in Table 3.
 
-use crate::dominators::{dominance_frontiers, DomTree};
+use crate::csr;
+use crate::dominators::{frontiers_in, DomScratch, DomTree};
 use crate::liveness::{self, Liveness};
 use ipcp_analysis::modref::{worst_case_killed, ModRef};
-use ipcp_ir::cfg::{BlockId, CStmt, CallSiteId, ModuleCfg, Terminator};
+use ipcp_ir::cfg::{BlockId, CStmt, CallSiteId, Cfg, ModuleCfg, Terminator};
 use ipcp_ir::lang::ast::{BinOp, UnOp};
 use ipcp_ir::program::{Arg, Expr, ProcId, VarId};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -101,16 +103,18 @@ pub enum ValueKind {
     },
 }
 
-/// Analysis annotations for one CFG statement.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StmtInfo {
+/// Analysis annotations for one CFG statement: a view into the flat
+/// operand arrays of its [`SsaProc`], as [`SsaProc::stmts`] and
+/// [`SsaProc::call_info`] return it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StmtInfo<'a> {
     /// `dst = value`
     Assign {
         /// Value stored.
         value: ValueId,
         /// SSA value of each scalar-variable occurrence in the statement's
         /// expressions, in [`Expr::for_each_var`] order.
-        use_vals: Vec<ValueId>,
+        use_vals: &'a [ValueId],
     },
     /// `array[index] = value`
     Store {
@@ -119,7 +123,7 @@ pub enum StmtInfo {
         /// Stored value.
         value: ValueId,
         /// Variable-occurrence values (index first, then value).
-        use_vals: Vec<ValueId>,
+        use_vals: &'a [ValueId],
     },
     /// `read dst`
     Read {
@@ -131,7 +135,7 @@ pub enum StmtInfo {
         /// Printed value.
         value: ValueId,
         /// Variable-occurrence values.
-        use_vals: Vec<ValueId>,
+        use_vals: &'a [ValueId],
     },
     /// `call callee(args…)`
     Call {
@@ -139,59 +143,256 @@ pub enum StmtInfo {
         site: CallSiteId,
         /// Per actual argument: the SSA value flowing in (`None` for array
         /// actuals, which carry no scalar value).
-        arg_vals: Vec<Option<ValueId>>,
+        arg_vals: &'a [Option<ValueId>],
         /// The kill definitions this call creates: `(variable, CallDef)`.
-        defs: Vec<(VarId, ValueId)>,
+        defs: &'a [(VarId, ValueId)],
         /// Variable-occurrence values inside by-value argument
         /// expressions (by-reference actuals are not substitutable uses).
-        use_vals: Vec<ValueId>,
+        use_vals: &'a [ValueId],
         /// The SSA value of each scalar global **just before** the call,
         /// ordered per [`ipcp_ir::program::SlotLayout::scalar_globals`].
         /// Return-jump-function evaluation substitutes these for the
         /// callee's global entry slots.
-        global_pre: Vec<ValueId>,
+        global_pre: &'a [ValueId],
     },
 }
 
-/// Per-block SSA annotations (parallel to the CFG block's statements).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct SsaBlock {
-    /// Phi values defined at the head of the block.
-    pub phis: Vec<ValueId>,
-    /// One entry per CFG statement.
-    pub stmts: Vec<StmtInfo>,
-    /// The branch condition value, if the terminator is a branch.
-    pub term_cond: Option<ValueId>,
-    /// Variable-occurrence values in the branch condition.
-    pub term_use_vals: Vec<ValueId>,
+/// A half-open range of one of the flat operand arrays.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// The range from `start` to the current end of `pool`.
+    fn since<T>(start: usize, pool: &[T]) -> Span {
+        Span {
+            start: as_u32(start),
+            end: as_u32(pool.len()),
+        }
+    }
+
+    fn of<T>(self, pool: &[T]) -> &[T] {
+        &pool[self.start as usize..self.end as usize]
+    }
+}
+
+fn as_u32(n: usize) -> u32 {
+    match u32::try_from(n) {
+        Ok(n) => n,
+        Err(_) => unreachable!("SSA table larger than u32 entries"),
+    }
+}
+
+/// One statement's annotation as stored: operand lists are spans of the
+/// flat arrays in [`Flat`].
+#[derive(Clone, Copy, Debug)]
+enum StmtRec {
+    Assign {
+        value: ValueId,
+        uses: Span,
+    },
+    Store {
+        index: ValueId,
+        value: ValueId,
+        uses: Span,
+    },
+    Read {
+        def: ValueId,
+    },
+    Print {
+        value: ValueId,
+        uses: Span,
+    },
+    Call {
+        site: CallSiteId,
+        args: Span,
+        defs: Span,
+        uses: Span,
+        globals: Span,
+    },
+}
+
+/// One block's annotation as stored.
+#[derive(Clone, Copy, Debug, Default)]
+struct BlockRec {
+    /// Phi values at the head of the block (in `vals`).
+    phis: Span,
+    /// The block's statements (in `stmts`), in order.
+    stmts: Span,
+    term_cond: Option<ValueId>,
+    /// Variable occurrences in the branch condition (in `vals`).
+    term_uses: Span,
+}
+
+/// The flat storage behind every per-block, per-statement and per-phi
+/// list of an [`SsaProc`]: a handful of arrays per procedure instead of
+/// one allocation per list.
+#[derive(Clone, Debug, Default)]
+struct Flat {
+    /// One record per CFG block; unreachable blocks keep empty spans.
+    blocks: Vec<BlockRec>,
+    stmts: Vec<StmtRec>,
+    /// Block phis, use lists and `global_pre` lists.
+    vals: Vec<ValueId>,
+    /// Call `arg_vals` and exit snapshots.
+    opt_vals: Vec<Option<ValueId>>,
+    defs: Vec<(VarId, ValueId)>,
+    /// Each reachable `return`: its block and its snapshot (in
+    /// `opt_vals`).
+    exits: Vec<(BlockId, Span)>,
+    /// Phi arguments per value:
+    /// `phi_args[phi_offsets[v]..phi_offsets[v + 1]]`.
+    phi_offsets: Vec<u32>,
+    phi_args: Vec<(BlockId, ValueId)>,
+}
+
+impl Flat {
+    fn clear(&mut self) {
+        self.blocks.clear();
+        self.stmts.clear();
+        self.vals.clear();
+        self.opt_vals.clear();
+        self.defs.clear();
+        self.exits.clear();
+        self.phi_offsets.clear();
+        self.phi_args.clear();
+    }
+
+    fn view(&self, r: &StmtRec) -> StmtInfo<'_> {
+        match *r {
+            StmtRec::Assign { value, uses } => StmtInfo::Assign {
+                value,
+                use_vals: uses.of(&self.vals),
+            },
+            StmtRec::Store { index, value, uses } => StmtInfo::Store {
+                index,
+                value,
+                use_vals: uses.of(&self.vals),
+            },
+            StmtRec::Read { def } => StmtInfo::Read { def },
+            StmtRec::Print { value, uses } => StmtInfo::Print {
+                value,
+                use_vals: uses.of(&self.vals),
+            },
+            StmtRec::Call {
+                site,
+                args,
+                defs,
+                uses,
+                globals,
+            } => StmtInfo::Call {
+                site,
+                arg_vals: args.of(&self.opt_vals),
+                defs: defs.of(&self.defs),
+                use_vals: uses.of(&self.vals),
+                global_pre: globals.of(&self.vals),
+            },
+        }
+    }
+
+    fn push_vals(&mut self, vs: &[ValueId]) -> Span {
+        let start = self.vals.len();
+        self.vals.extend_from_slice(vs);
+        Span::since(start, &self.vals)
+    }
+
+    /// Copies `s`'s operand lists into the flat arrays.
+    fn push_stmt(&mut self, s: StmtInfo<'_>) {
+        let rec = match s {
+            StmtInfo::Assign { value, use_vals } => StmtRec::Assign {
+                value,
+                uses: self.push_vals(use_vals),
+            },
+            StmtInfo::Store {
+                index,
+                value,
+                use_vals,
+            } => StmtRec::Store {
+                index,
+                value,
+                uses: self.push_vals(use_vals),
+            },
+            StmtInfo::Read { def } => StmtRec::Read { def },
+            StmtInfo::Print { value, use_vals } => StmtRec::Print {
+                value,
+                uses: self.push_vals(use_vals),
+            },
+            StmtInfo::Call {
+                site,
+                arg_vals,
+                defs,
+                use_vals,
+                global_pre,
+            } => {
+                let start = self.opt_vals.len();
+                self.opt_vals.extend_from_slice(arg_vals);
+                let args = Span::since(start, &self.opt_vals);
+                let start = self.defs.len();
+                self.defs.extend_from_slice(defs);
+                StmtRec::Call {
+                    site,
+                    args,
+                    defs: Span::since(start, &self.defs),
+                    uses: self.push_vals(use_vals),
+                    globals: self.push_vals(global_pre),
+                }
+            }
+        };
+        self.stmts.push(rec);
+    }
 }
 
 /// SSA form of one procedure.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// Every list — phi arguments, each block's phis and statements, each
+/// statement's operands, the exit snapshots — lives in one of a few flat
+/// arrays and is read through a slice-returning accessor.
+#[derive(Clone, Debug)]
 pub struct SsaProc {
     /// The procedure this SSA form describes.
     pub proc: ProcId,
     /// All values.
     pub values: Vec<ValueKind>,
-    /// For phi values: `(predecessor block, incoming value)` pairs.
-    /// Empty for non-phis.
-    pub phi_args: Vec<Vec<(BlockId, ValueId)>>,
-    /// Per-CFG-block annotations.
-    pub blocks: Vec<SsaBlock>,
     /// Dominator tree used during construction.
     pub dom: DomTree,
     /// The entry value created for each variable (`None` for arrays and
     /// for locals, which start as the constant 0 rather than an opaque
     /// entry value).
     pub entry_vals: Vec<Option<ValueId>>,
-    /// For every reachable `return`: the SSA value of each scalar formal
-    /// and global at that exit (`None` for arrays and locals), indexed by
-    /// `VarId`.
-    pub exits: Vec<(BlockId, Vec<Option<ValueId>>)>,
     /// Location of each reachable call site: `call_sites[site] = (block,
     /// statement index)`. Unreachable sites map to `None`.
     pub call_sites: Vec<Option<(BlockId, usize)>>,
+    flat: Flat,
 }
+
+/// Equality is structural over what the accessors return, not over how
+/// the flat arrays happen to be laid out.
+impl PartialEq for SsaProc {
+    fn eq(&self, other: &SsaProc) -> bool {
+        self.proc == other.proc
+            && self.values == other.values
+            && self.dom == other.dom
+            && self.entry_vals == other.entry_vals
+            && self.call_sites == other.call_sites
+            && (0..self.len()).all(|v| {
+                let v = ValueId::from(v);
+                self.phi_args(v) == other.phi_args(v)
+            })
+            && self.n_blocks() == other.n_blocks()
+            && (0..self.n_blocks()).all(|b| {
+                let b = BlockId::from(b);
+                self.phis(b) == other.phis(b)
+                    && self.stmts(b).eq(other.stmts(b))
+                    && self.term_cond(b) == other.term_cond(b)
+                    && self.term_use_vals(b) == other.term_use_vals(b)
+            })
+            && self.exits().eq(other.exits())
+    }
+}
+
+impl Eq for SsaProc {}
 
 impl SsaProc {
     /// The kind of value `v`.
@@ -207,6 +408,62 @@ impl SsaProc {
     /// Whether the graph is empty (never true after construction).
     pub fn is_empty(&self) -> bool {
         self.values.is_empty()
+    }
+
+    /// For a phi value: its `(predecessor block, incoming value)` pairs,
+    /// in the order renaming reached the predecessors. Empty for
+    /// non-phis.
+    pub fn phi_args(&self, v: ValueId) -> &[(BlockId, ValueId)] {
+        let (lo, hi) = (
+            self.flat.phi_offsets[v.index()],
+            self.flat.phi_offsets[v.index() + 1],
+        );
+        &self.flat.phi_args[lo as usize..hi as usize]
+    }
+
+    /// Number of CFG blocks, reachable or not.
+    pub fn n_blocks(&self) -> usize {
+        self.flat.blocks.len()
+    }
+
+    /// Phi values defined at the head of block `b`.
+    pub fn phis(&self, b: BlockId) -> &[ValueId] {
+        self.flat.blocks[b.index()].phis.of(&self.flat.vals)
+    }
+
+    /// One annotation per CFG statement of block `b`, in order (none for
+    /// an unreachable block).
+    pub fn stmts(&self, b: BlockId) -> impl ExactSizeIterator<Item = StmtInfo<'_>> + '_ {
+        let span = self.flat.blocks[b.index()].stmts;
+        span.of(&self.flat.stmts)
+            .iter()
+            .map(move |r| self.flat.view(r))
+    }
+
+    /// The annotation of statement `i` of block `b`, if there is one.
+    pub fn stmt(&self, b: BlockId, i: usize) -> Option<StmtInfo<'_>> {
+        let span = self.flat.blocks.get(b.index())?.stmts;
+        span.of(&self.flat.stmts).get(i).map(|r| self.flat.view(r))
+    }
+
+    /// The branch condition value, if block `b` ends in a branch.
+    pub fn term_cond(&self, b: BlockId) -> Option<ValueId> {
+        self.flat.blocks[b.index()].term_cond
+    }
+
+    /// Variable-occurrence values in block `b`'s branch condition.
+    pub fn term_use_vals(&self, b: BlockId) -> &[ValueId] {
+        self.flat.blocks[b.index()].term_uses.of(&self.flat.vals)
+    }
+
+    /// For every reachable `return`: its block, and the SSA value of each
+    /// scalar formal and global at that exit (`None` for arrays and
+    /// locals), indexed by `VarId`.
+    pub fn exits(&self) -> impl ExactSizeIterator<Item = (BlockId, &[Option<ValueId>])> + '_ {
+        self.flat
+            .exits
+            .iter()
+            .map(|&(b, span)| (b, span.of(&self.flat.opt_vals)))
     }
 
     /// The operand values of `v` (phi arguments included), in
@@ -231,7 +488,7 @@ impl SsaProc {
                 f(*b);
             }
             ValueKind::Phi { .. } => {
-                for &(_, a) in &self.phi_args[v.index()] {
+                for &(_, a) in self.phi_args(v) {
                     f(a);
                 }
             }
@@ -251,9 +508,9 @@ impl SsaProc {
 
     /// The [`StmtInfo::Call`] annotation for `site`, if the site is
     /// reachable.
-    pub fn call_info(&self, site: CallSiteId) -> Option<&StmtInfo> {
+    pub fn call_info(&self, site: CallSiteId) -> Option<StmtInfo<'_>> {
         let (b, i) = self.call_sites.get(site.index()).copied().flatten()?;
-        self.blocks.get(b.index()).and_then(|blk| blk.stmts.get(i))
+        self.stmt(b, i)
     }
 
     /// `users[v]` — the values that take `v` as an operand, in ascending
@@ -286,21 +543,100 @@ impl SsaProc {
     /// Iterates over `(block, site, callee, arg_vals, defs)` for every
     /// reachable call.
     pub fn calls(&self) -> impl Iterator<Item = CallRecord<'_>> {
-        self.blocks.iter().enumerate().flat_map(|(bi, blk)| {
-            blk.stmts.iter().filter_map(move |s| match s {
+        (0..self.n_blocks()).flat_map(move |bi| {
+            let b = BlockId::from(bi);
+            self.stmts(b).filter_map(move |s| match s {
                 StmtInfo::Call {
                     site,
                     arg_vals,
                     defs,
                     ..
-                } => Some((
-                    BlockId::from(bi),
-                    *site,
-                    arg_vals.as_slice(),
-                    defs.as_slice(),
-                )),
+                } => Some((b, site, arg_vals, defs)),
                 _ => None,
             })
+        })
+    }
+}
+
+/// Reassembles an [`SsaProc`] from its parts in the order
+/// [`SsaProc`]'s accessors list them: one phi-argument list per value,
+/// then each block (its phis, statements and terminator), then the
+/// exits. The serve summary store decodes SSA forms through it.
+#[derive(Debug)]
+pub struct SsaAssembler {
+    proc: ProcId,
+    values: Vec<ValueKind>,
+    flat: Flat,
+}
+
+impl SsaAssembler {
+    /// Starts a form for `proc` with the given values.
+    pub fn new(proc: ProcId, values: Vec<ValueKind>) -> SsaAssembler {
+        let mut flat = Flat::default();
+        flat.phi_offsets.push(0);
+        SsaAssembler { proc, values, flat }
+    }
+
+    /// The phi arguments of the next value (empty for a non-phi).
+    pub fn push_phi_args(&mut self, args: &[(BlockId, ValueId)]) {
+        self.flat.phi_args.extend_from_slice(args);
+        self.flat.phi_offsets.push(as_u32(self.flat.phi_args.len()));
+    }
+
+    /// Opens the next block with its phis.
+    pub fn begin_block(&mut self, phis: &[ValueId]) {
+        let phis = self.flat.push_vals(phis);
+        let stmts = Span::since(self.flat.stmts.len(), &self.flat.stmts);
+        self.flat.blocks.push(BlockRec {
+            phis,
+            stmts,
+            ..BlockRec::default()
+        });
+    }
+
+    /// Appends a statement to the open block.
+    pub fn push_stmt(&mut self, s: StmtInfo<'_>) {
+        self.flat.push_stmt(s);
+        if let Some(blk) = self.flat.blocks.last_mut() {
+            blk.stmts.end = as_u32(self.flat.stmts.len());
+        }
+    }
+
+    /// Closes the open block with its terminator's condition and uses.
+    pub fn end_block(&mut self, term_cond: Option<ValueId>, term_use_vals: &[ValueId]) {
+        let uses = self.flat.push_vals(term_use_vals);
+        if let Some(blk) = self.flat.blocks.last_mut() {
+            blk.term_cond = term_cond;
+            blk.term_uses = uses;
+        }
+    }
+
+    /// Appends an exit: a `return` block and its snapshot.
+    pub fn push_exit(&mut self, b: BlockId, snapshot: &[Option<ValueId>]) {
+        let start = self.flat.opt_vals.len();
+        self.flat.opt_vals.extend_from_slice(snapshot);
+        let span = Span::since(start, &self.flat.opt_vals);
+        self.flat.exits.push((b, span));
+    }
+
+    /// The finished form, or `None` unless exactly one phi-argument list
+    /// was pushed per value.
+    pub fn finish(
+        self,
+        dom: DomTree,
+        entry_vals: Vec<Option<ValueId>>,
+        call_sites: Vec<Option<(BlockId, usize)>>,
+    ) -> Option<SsaProc> {
+        if self.flat.phi_offsets.len() != self.values.len() + 1 {
+            return None;
+        }
+        Some(SsaProc {
+            proc: self.proc,
+            values: self.values,
+            dom,
+            entry_vals,
+            call_sites,
+            flat: self.flat,
         })
     }
 }
@@ -351,9 +687,16 @@ impl std::ops::Index<usize> for Users {
 /// default) and [`WorstCaseKills`] (no MOD information — Table 3
 /// column 1).
 pub trait CallKills {
-    /// Caller-side variables possibly modified by `call callee(args…)`
-    /// inside `caller`.
-    fn killed(&self, mcfg: &ModuleCfg, caller: ProcId, callee: ProcId, args: &[Arg]) -> Vec<VarId>;
+    /// Appends to `out` the caller-side variables possibly modified by
+    /// `call callee(args…)` inside `caller`.
+    fn killed(
+        &self,
+        mcfg: &ModuleCfg,
+        caller: ProcId,
+        callee: ProcId,
+        args: &[Arg],
+        out: &mut Vec<VarId>,
+    );
 }
 
 /// MOD-precise kills.
@@ -361,8 +704,15 @@ pub trait CallKills {
 pub struct ModKills<'a>(pub &'a ModRef);
 
 impl CallKills for ModKills<'_> {
-    fn killed(&self, mcfg: &ModuleCfg, caller: ProcId, callee: ProcId, args: &[Arg]) -> Vec<VarId> {
-        self.0.killed_by_call(mcfg, caller, callee, args)
+    fn killed(
+        &self,
+        mcfg: &ModuleCfg,
+        caller: ProcId,
+        callee: ProcId,
+        args: &[Arg],
+        out: &mut Vec<VarId>,
+    ) {
+        self.0.killed_by_call(mcfg, caller, callee, args, out);
     }
 }
 
@@ -377,8 +727,9 @@ impl CallKills for WorstCaseKills {
         caller: ProcId,
         _callee: ProcId,
         args: &[Arg],
-    ) -> Vec<VarId> {
-        worst_case_killed(mcfg, caller, args)
+        out: &mut Vec<VarId>,
+    ) {
+        worst_case_killed(mcfg, caller, args, out);
     }
 }
 
@@ -387,7 +738,7 @@ impl CallKills for WorstCaseKills {
 /// Only reachable blocks are processed; annotations for unreachable blocks
 /// stay empty.
 pub fn build_ssa(mcfg: &ModuleCfg, proc: ProcId, kills: &dyn CallKills) -> SsaProc {
-    Builder::new(mcfg, proc, kills, None).run()
+    with_scratch(|s| Builder::new(mcfg, proc, kills, None, s).run())
 }
 
 /// Builds *pruned* SSA: phi nodes are placed only where the variable is
@@ -397,27 +748,81 @@ pub fn build_ssa(mcfg: &ModuleCfg, proc: ProcId, kills: &dyn CallKills) -> SsaPr
 /// never observable.
 pub fn build_ssa_pruned(mcfg: &ModuleCfg, proc: ProcId, kills: &dyn CallKills) -> SsaProc {
     let live = liveness::compute(mcfg.module.proc(proc), mcfg.cfg(proc));
-    Builder::new(mcfg, proc, kills, Some(live)).run()
+    with_scratch(|s| Builder::new(mcfg, proc, kills, Some(&live), s).run())
 }
+
+/// Working memory for building SSA, kept per thread so that building a
+/// whole program's forms allocates little beyond the forms themselves.
+/// Every field is cleared before use.
+#[derive(Default)]
+struct Scratch {
+    /// The form under construction; copied out exact-sized at the end.
+    values: Vec<ValueKind>,
+    flat: Flat,
+    entry_vals: Vec<Option<ValueId>>,
+    call_sites: Vec<Option<(BlockId, usize)>>,
+    interned: HashMap<ValueKind, ValueId>,
+    dom: DomScratch,
+    /// Dominance frontiers, flat by block.
+    df_offsets: Vec<u32>,
+    df: Vec<BlockId>,
+    /// The current definition of every scalar variable during renaming,
+    /// and the `(variable, previous definition)` log that unwinds it.
+    current: Vec<ValueId>,
+    undo: Vec<(VarId, ValueId)>,
+    /// Every reachable call's kill list, flat; `kill_spans[site]` is its
+    /// range.
+    killed: Vec<VarId>,
+    kill_spans: Vec<Span>,
+    /// Definition blocks per variable, flat:
+    /// `def_blocks[def_offsets[v]..def_offsets[v + 1]]`.
+    def_offsets: Vec<u32>,
+    def_blocks: Vec<BlockId>,
+    def_pairs: Vec<(VarId, BlockId)>,
+    /// `phi_mark[b] == v + 1` once variable `v` has a phi at `b`.
+    phi_mark: Vec<u32>,
+    /// Per-block offsets or counts, reused by each step that needs one.
+    offsets: Vec<u32>,
+    work: Vec<BlockId>,
+    /// Phis in creation order, with their blocks.
+    new_phis: Vec<(BlockId, ValueId)>,
+    /// The next free argument slot of each phi.
+    phi_cursor: Vec<u32>,
+    agenda: Vec<Event>,
+    global_vars: Vec<VarId>,
+}
+
+/// A renaming step: enter a block, or unwind the definitions made since
+/// the undo log had the given length.
+enum Event {
+    Enter(BlockId),
+    Exit(usize),
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Runs `f` on this thread's scratch, or on a fresh one if it is in use.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut s) => f(&mut s),
+        Err(_) => f(&mut Scratch::default()),
+    })
+}
+
+/// No definition (array variables are never renamed).
+const UNDEFINED: ValueId = ValueId(u32::MAX);
 
 struct Builder<'a> {
     mcfg: &'a ModuleCfg,
+    cfg: &'a Cfg,
     proc: ProcId,
     kills: &'a dyn CallKills,
-    dom: DomTree,
-    values: Vec<ValueKind>,
-    phi_args: Vec<Vec<(BlockId, ValueId)>>,
-    interned: HashMap<ValueKind, ValueId>,
-    blocks: Vec<SsaBlock>,
-    stacks: Vec<Vec<ValueId>>, // per VarId
-    entry_vals: Vec<Option<ValueId>>,
-    exits: Vec<(BlockId, Vec<Option<ValueId>>)>,
-    call_sites: Vec<Option<(BlockId, usize)>>,
-    /// Caller `VarId` aliasing each tracked scalar global, in slot order.
-    global_vars: Vec<VarId>,
     /// Liveness for pruned phi placement (`None` = minimal SSA).
-    live: Option<Liveness>,
+    live: Option<&'a Liveness>,
     read_seq: u32,
+    s: &'a mut Scratch,
 }
 
 impl<'a> Builder<'a> {
@@ -425,47 +830,23 @@ impl<'a> Builder<'a> {
         mcfg: &'a ModuleCfg,
         proc: ProcId,
         kills: &'a dyn CallKills,
-        live: Option<Liveness>,
+        live: Option<&'a Liveness>,
+        s: &'a mut Scratch,
     ) -> Self {
-        let cfg = mcfg.cfg(proc);
-        let dom = DomTree::build(cfg);
-        let n_vars = mcfg.module.proc(proc).vars.len();
-        // Only the scalar-global id list is needed here — building a full
-        // `SlotLayout` would intern every procedure's slot names, turning
-        // each per-procedure SSA build into O(module) and the whole jump
-        // phase quadratic (caught by the 10k scale tier).
-        let global_vars = mcfg
-            .module
-            .scalar_global_ids()
-            .iter()
-            .map(|&g| match mcfg.module.proc(proc).var_for_global(g) {
-                Some(v) => v,
-                None => unreachable!("every procedure aliases every scalar global"),
-            })
-            .collect();
         Builder {
             mcfg,
+            cfg: mcfg.cfg(proc),
             proc,
             kills,
-            dom,
-            values: Vec::new(),
-            phi_args: Vec::new(),
-            interned: HashMap::new(),
-            blocks: vec![SsaBlock::default(); cfg.len()],
-            stacks: vec![Vec::new(); n_vars],
-            entry_vals: vec![None; n_vars],
-            exits: Vec::new(),
-            call_sites: vec![None; cfg.n_call_sites],
-            global_vars,
             live,
             read_seq: 0,
+            s,
         }
     }
 
     fn fresh(&mut self, kind: ValueKind) -> ValueId {
-        let id = ValueId::from(self.values.len());
-        self.values.push(kind);
-        self.phi_args.push(Vec::new());
+        let id = ValueId::from(self.s.values.len());
+        self.s.values.push(kind);
         id
     }
 
@@ -476,11 +857,11 @@ impl<'a> Builder<'a> {
             | ValueKind::Unary(..)
             | ValueKind::Binary(..)
             | ValueKind::Entry { .. } => {
-                if let Some(&v) = self.interned.get(&kind) {
+                if let Some(&v) = self.s.interned.get(&kind) {
                     return v;
                 }
                 let v = self.fresh(kind.clone());
-                self.interned.insert(kind, v);
+                self.s.interned.insert(kind, v);
                 v
             }
             other => self.fresh(other),
@@ -488,8 +869,40 @@ impl<'a> Builder<'a> {
     }
 
     fn run(mut self) -> SsaProc {
-        let cfg = self.mcfg.cfg(self.proc).clone();
-        let p = self.mcfg.module.proc(self.proc);
+        let (cfg, p) = (self.cfg, self.mcfg.module.proc(self.proc));
+        let (n_blocks, n_vars) = (cfg.len(), p.vars.len());
+        let dom = DomTree::build_in(cfg, &mut self.s.dom);
+        {
+            let s = &mut *self.s;
+            s.values.clear();
+            s.flat.clear();
+            s.flat.blocks.resize(n_blocks, BlockRec::default());
+            s.entry_vals.clear();
+            s.entry_vals.resize(n_vars, None);
+            s.call_sites.clear();
+            s.call_sites.resize(cfg.n_call_sites, None);
+            s.interned.clear();
+            s.current.clear();
+            s.current.resize(n_vars, UNDEFINED);
+            s.undo.clear();
+            s.killed.clear();
+            s.kill_spans.clear();
+            s.kill_spans.resize(cfg.n_call_sites, Span::default());
+            s.def_pairs.clear();
+            s.new_phis.clear();
+            s.agenda.clear();
+            // Only the scalar-global id list is needed here — building a
+            // full `SlotLayout` would intern every procedure's slot names,
+            // turning each per-procedure SSA build into O(module) and the
+            // whole jump phase quadratic (caught by the 10k scale tier).
+            s.global_vars.clear();
+            for g in self.mcfg.module.scalar_global_ids() {
+                match p.var_for_global(g) {
+                    Some(v) => s.global_vars.push(v),
+                    None => unreachable!("every procedure aliases every scalar global"),
+                }
+            }
+        }
 
         // Initial definitions: formals and globals get opaque entry
         // values; scalar locals start at the constant 0.
@@ -500,30 +913,77 @@ impl<'a> Builder<'a> {
             let var = VarId::from(vi);
             let init = if info.is_formal() || info.is_global() {
                 let e = self.intern(ValueKind::Entry { var });
-                self.entry_vals[vi] = Some(e);
+                self.s.entry_vals[vi] = Some(e);
                 e
             } else {
                 self.intern(ValueKind::Const(0))
             };
-            self.stacks[vi].push(init);
+            self.s.current[vi] = init;
         }
 
-        // Collect definition sites per scalar variable.
-        let reach = cfg.reachable();
-        let mut def_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); p.vars.len()];
+        self.collect_defs(&dom, n_vars);
+        self.place_phis(&dom, n_vars);
+
+        // Renaming: preorder walk of the dominator tree with explicit
+        // enter/exit events so definitions unwind correctly.
+        self.s.agenda.push(Event::Enter(cfg.entry));
+        while let Some(ev) = self.s.agenda.pop() {
+            match ev {
+                Event::Exit(mark) => {
+                    let s = &mut *self.s;
+                    for (v, prev) in s.undo.drain(mark..).rev() {
+                        s.current[v.index()] = prev;
+                    }
+                }
+                Event::Enter(b) => {
+                    let mark = self.s.undo.len();
+                    self.rename_block(b);
+                    self.s.agenda.push(Event::Exit(mark));
+                    for &c in dom.children(b).iter().rev() {
+                        self.s.agenda.push(Event::Enter(c));
+                    }
+                }
+            }
+        }
+
+        // Values created during renaming take no phi arguments.
+        let s = &mut *self.s;
+        let total = as_u32(s.flat.phi_args.len());
+        s.flat.phi_offsets.resize(s.values.len() + 1, total);
+        SsaProc {
+            proc: self.proc,
+            values: s.values.clone(),
+            dom,
+            entry_vals: s.entry_vals.clone(),
+            call_sites: s.call_sites.clone(),
+            flat: s.flat.clone(),
+        }
+    }
+
+    /// Asks for every reachable call's kill list once, and records each
+    /// scalar variable's definition blocks (in block, then statement
+    /// order).
+    fn collect_defs(&mut self, dom: &DomTree, n_vars: usize) {
+        let (cfg, p) = (self.cfg, self.mcfg.module.proc(self.proc));
+        let s = &mut *self.s;
         for (bi, blk) in cfg.blocks.iter().enumerate() {
-            if !reach[bi] {
+            let bid = BlockId::from(bi);
+            if !dom.is_reachable(bid) {
                 continue;
             }
-            let bid = BlockId::from(bi);
-            for s in &blk.stmts {
-                match s {
-                    CStmt::Assign { dst, .. } => def_blocks[dst.index()].push(bid),
-                    CStmt::Read { dst } => def_blocks[dst.index()].push(bid),
-                    CStmt::Call { callee, args, .. } => {
-                        for v in self.kills.killed(self.mcfg, self.proc, *callee, args) {
+            for st in &blk.stmts {
+                match st {
+                    CStmt::Assign { dst, .. } | CStmt::Read { dst } => {
+                        s.def_pairs.push((*dst, bid))
+                    }
+                    CStmt::Call { callee, args, site } => {
+                        let start = s.killed.len();
+                        self.kills
+                            .killed(self.mcfg, self.proc, *callee, args, &mut s.killed);
+                        s.kill_spans[site.index()] = Span::since(start, &s.killed);
+                        for &v in &s.killed[start..] {
                             if !p.var(v).is_array {
-                                def_blocks[v.index()].push(bid);
+                                s.def_pairs.push((v, bid));
                             }
                         }
                     }
@@ -531,246 +991,298 @@ impl<'a> Builder<'a> {
                 }
             }
         }
+        let (offsets, blocks) = (&mut s.def_offsets, &mut s.def_blocks);
+        csr::group(
+            &s.def_pairs,
+            n_vars,
+            |p| p.0.index(),
+            |p| p.1,
+            offsets,
+            blocks,
+        );
+    }
 
-        // Phi placement at iterated dominance frontiers (minimal SSA).
-        let df = dominance_frontiers(&cfg, &self.dom);
-        for (vi, defs) in def_blocks.iter().enumerate() {
-            if defs.is_empty() {
-                continue;
-            }
+    /// Phi placement at iterated dominance frontiers (minimal SSA, or
+    /// pruned by liveness), then the phi argument slots: one per
+    /// reachable incoming edge of the phi's block, filled during renaming.
+    fn place_phis(&mut self, dom: &DomTree, n_vars: usize) {
+        let cfg = self.cfg;
+        let n_blocks = cfg.len();
+        {
+            let s = &mut *self.s;
+            frontiers_in(dom, &mut s.dom, &mut s.df_offsets, &mut s.df);
+            s.phi_mark.clear();
+            s.phi_mark.resize(n_blocks, 0);
+        }
+        let first_phi = self.s.values.len();
+        for vi in 0..n_vars {
             let var = VarId::from(vi);
-            let mut has_phi = vec![false; cfg.len()];
-            let mut work: Vec<BlockId> = defs.clone();
-            while let Some(b) = work.pop() {
-                for &d in &df[b.index()] {
-                    if has_phi[d.index()] {
+            let mark = as_u32(vi + 1);
+            let s = &mut *self.s;
+            s.work.clear();
+            s.work
+                .extend_from_slice(csr::row(&s.def_offsets, &s.def_blocks, vi));
+            while let Some(b) = self.s.work.pop() {
+                let (lo, hi) = (
+                    self.s.df_offsets[b.index()],
+                    self.s.df_offsets[b.index() + 1],
+                );
+                for k in lo as usize..hi as usize {
+                    let d = self.s.df[k];
+                    if self.s.phi_mark[d.index()] == mark {
                         continue;
                     }
                     // Pruned SSA: skip phis for variables dead at the join
                     // (a pruned phi is not a def, so don't iterate from it).
-                    if let Some(live) = &self.live {
+                    if let Some(live) = self.live {
                         if !live.live_at(d, var) {
                             continue;
                         }
                     }
-                    has_phi[d.index()] = true;
+                    self.s.phi_mark[d.index()] = mark;
                     let phi = self.fresh(ValueKind::Phi { block: d, var });
-                    self.blocks[d.index()].phis.push(phi);
-                    work.push(d);
+                    self.s.new_phis.push((d, phi));
+                    self.s.work.push(d);
                 }
             }
         }
 
-        // Renaming: preorder walk of the dominator tree with explicit
-        // enter/exit events so variable stacks unwind correctly.
-        enum Event {
-            Enter(BlockId),
-            Exit(Vec<(VarId, usize)>), // (var, number of defs to pop)
+        let s = &mut *self.s;
+        // Each block's phis, in creation order, head the `vals` array.
+        let (offsets, vals) = (&mut s.offsets, &mut s.flat.vals);
+        csr::group(
+            &s.new_phis,
+            n_blocks,
+            |p| p.0.index(),
+            |p| p.1,
+            offsets,
+            vals,
+        );
+        for (bi, blk) in s.flat.blocks.iter_mut().enumerate() {
+            blk.phis = Span {
+                start: s.offsets[bi],
+                end: s.offsets[bi + 1],
+            };
         }
-        let mut agenda = vec![Event::Enter(cfg.entry)];
-        while let Some(ev) = agenda.pop() {
-            match ev {
-                Event::Exit(pops) => {
-                    for (v, n) in pops {
-                        for _ in 0..n {
-                            self.stacks[v.index()].pop();
-                        }
-                    }
-                }
-                Event::Enter(b) => {
-                    let pops = self.rename_block(&cfg, b);
-                    agenda.push(Event::Exit(pops));
-                    for &c in self.dom.children(b).iter().rev() {
-                        agenda.push(Event::Enter(c));
-                    }
+
+        // Argument slots: a phi at `b` takes one argument per edge into
+        // `b` from a reachable block.
+        let in_edges = &mut s.offsets;
+        in_edges.clear();
+        in_edges.resize(n_blocks, 0);
+        for (bi, blk) in cfg.blocks.iter().enumerate() {
+            if dom.is_reachable(BlockId::from(bi)) {
+                for t in blk.term.successor_iter() {
+                    in_edges[t.index()] += 1;
                 }
             }
         }
-
-        SsaProc {
-            proc: self.proc,
-            values: self.values,
-            phi_args: self.phi_args,
-            blocks: self.blocks,
-            dom: self.dom,
-            entry_vals: self.entry_vals,
-            exits: self.exits,
-            call_sites: self.call_sites,
+        let offsets = &mut s.flat.phi_offsets;
+        offsets.clear();
+        offsets.resize(first_phi + 1, 0);
+        for &(d, _) in &s.new_phis {
+            offsets.push(offsets[offsets.len() - 1] + in_edges[d.index()]);
         }
+        s.phi_cursor.clear();
+        s.phi_cursor
+            .extend_from_slice(&offsets[first_phi..offsets.len() - 1]);
+        let total = offsets[offsets.len() - 1] as usize;
+        s.flat.phi_args.resize(total, (cfg.entry, UNDEFINED));
     }
 
-    /// Renames one block; returns the (var, pop-count) list to unwind.
-    fn rename_block(&mut self, cfg: &ipcp_ir::cfg::Cfg, b: BlockId) -> Vec<(VarId, usize)> {
-        let mut pushed: HashMap<VarId, usize> = HashMap::new();
-        let push = |stacks: &mut Vec<Vec<ValueId>>,
-                    pushed: &mut HashMap<VarId, usize>,
-                    v: VarId,
-                    val: ValueId| {
-            stacks[v.index()].push(val);
-            *pushed.entry(v).or_insert(0) += 1;
-        };
+    /// Pushes a definition of `v`, to be unwound on leaving the block.
+    fn define(&mut self, v: VarId, val: ValueId) {
+        let prev = std::mem::replace(&mut self.s.current[v.index()], val);
+        self.s.undo.push((v, prev));
+    }
 
-        // Phi definitions first.
-        let phis = self.blocks[b.index()].phis.clone();
-        for phi in phis {
-            if let ValueKind::Phi { var, .. } = self.values[phi.index()] {
-                push(&mut self.stacks, &mut pushed, var, phi);
+    fn current(&self, v: VarId) -> ValueId {
+        let val = self.s.current[v.index()];
+        if val == UNDEFINED {
+            unreachable!("scalar variable has an initial definition");
+        }
+        val
+    }
+
+    /// Renames one block: its phis, statements and terminator, then the
+    /// arguments it passes to its successors' phis.
+    fn rename_block(&mut self, b: BlockId) {
+        let cfg = self.cfg;
+        let phis = self.s.flat.blocks[b.index()].phis;
+        for i in phis.start as usize..phis.end as usize {
+            let phi = self.s.flat.vals[i];
+            if let ValueKind::Phi { var, .. } = self.s.values[phi.index()] {
+                self.define(var, phi);
             }
         }
 
-        // Statements.
-        let stmts = cfg.block(b).stmts.clone();
-        let mut infos = Vec::with_capacity(stmts.len());
-        for s in &stmts {
-            let info = match s {
+        let stmts_start = self.s.flat.stmts.len();
+        for (si, st) in cfg.block(b).stmts.iter().enumerate() {
+            let rec = match st {
                 CStmt::Assign { dst, value } => {
-                    let mut use_vals = Vec::new();
-                    let v = self.lower_expr(value, &mut use_vals);
-                    push(&mut self.stacks, &mut pushed, *dst, v);
-                    StmtInfo::Assign { value: v, use_vals }
+                    let start = self.s.flat.vals.len();
+                    let v = self.lower_expr(value);
+                    let uses = Span::since(start, &self.s.flat.vals);
+                    self.define(*dst, v);
+                    StmtRec::Assign { value: v, uses }
                 }
                 CStmt::Store { index, value, .. } => {
-                    let mut use_vals = Vec::new();
-                    let i = self.lower_expr(index, &mut use_vals);
-                    let v = self.lower_expr(value, &mut use_vals);
-                    StmtInfo::Store {
+                    let start = self.s.flat.vals.len();
+                    let i = self.lower_expr(index);
+                    let v = self.lower_expr(value);
+                    StmtRec::Store {
                         index: i,
                         value: v,
-                        use_vals,
+                        uses: Span::since(start, &self.s.flat.vals),
                     }
                 }
                 CStmt::Read { dst } => {
                     let seq = self.read_seq;
                     self.read_seq += 1;
                     let v = self.fresh(ValueKind::ReadInput { seq });
-                    push(&mut self.stacks, &mut pushed, *dst, v);
-                    StmtInfo::Read { def: v }
+                    self.define(*dst, v);
+                    StmtRec::Read { def: v }
                 }
                 CStmt::Print { value } => {
-                    let mut use_vals = Vec::new();
-                    let v = self.lower_expr(value, &mut use_vals);
-                    StmtInfo::Print { value: v, use_vals }
-                }
-                CStmt::Call { callee, args, site } => {
-                    let mut use_vals = Vec::new();
-                    let mut arg_vals = Vec::with_capacity(args.len());
-                    for a in args {
-                        match a {
-                            Arg::Scalar(v, _) => {
-                                arg_vals.push(Some(self.current(*v)));
-                            }
-                            Arg::Array(..) => arg_vals.push(None),
-                            Arg::Value(e) => {
-                                arg_vals.push(Some(self.lower_expr(e, &mut use_vals)));
-                            }
-                        }
-                    }
-                    // Values of the scalar globals before the kill defs.
-                    let global_pre: Vec<ValueId> = self
-                        .global_vars
-                        .clone()
-                        .into_iter()
-                        .map(|g| self.current(g))
-                        .collect();
-                    let killed = self.kills.killed(self.mcfg, self.proc, *callee, args);
-                    let mut defs = Vec::new();
-                    for v in killed {
-                        if self.mcfg.module.proc(self.proc).var(v).is_array {
-                            continue; // arrays are not renamed
-                        }
-                        let d = self.fresh(ValueKind::CallDef {
-                            site: *site,
-                            callee: *callee,
-                            var: v,
-                        });
-                        push(&mut self.stacks, &mut pushed, v, d);
-                        defs.push((v, d));
-                    }
-                    self.call_sites[site.index()] = Some((b, infos.len()));
-                    StmtInfo::Call {
-                        site: *site,
-                        arg_vals,
-                        defs,
-                        use_vals,
-                        global_pre,
+                    let start = self.s.flat.vals.len();
+                    let v = self.lower_expr(value);
+                    StmtRec::Print {
+                        value: v,
+                        uses: Span::since(start, &self.s.flat.vals),
                     }
                 }
+                CStmt::Call { callee, args, site } => self.rename_call(b, si, *site, *callee, args),
             };
-            infos.push(info);
+            self.s.flat.stmts.push(rec);
         }
-        self.blocks[b.index()].stmts = infos;
+        let stmts = Span::since(stmts_start, &self.s.flat.stmts);
+        self.s.flat.blocks[b.index()].stmts = stmts;
 
         // Terminator.
         match &cfg.block(b).term {
             Terminator::Branch { cond, .. } => {
-                let mut use_vals = Vec::new();
-                let c = self.lower_expr(cond, &mut use_vals);
-                self.blocks[b.index()].term_cond = Some(c);
-                self.blocks[b.index()].term_use_vals = use_vals;
+                let start = self.s.flat.vals.len();
+                let c = self.lower_expr(cond);
+                let blk = &mut self.s.flat.blocks[b.index()];
+                blk.term_cond = Some(c);
+                blk.term_uses = Span::since(start, &self.s.flat.vals);
             }
             Terminator::Return => {
                 let p = self.mcfg.module.proc(self.proc);
                 // Only formals and globals: they are what return jump
                 // functions consume, and what liveness keeps alive at
                 // exits under pruned SSA.
-                let snapshot: Vec<Option<ValueId>> = (0..p.vars.len())
-                    .map(|vi| {
-                        let info = &p.vars[vi];
-                        if info.is_array || !(info.is_formal() || info.is_global()) {
-                            None
-                        } else {
-                            self.stacks[vi].last().copied()
-                        }
-                    })
-                    .collect();
-                self.exits.push((b, snapshot));
+                let s = &mut *self.s;
+                let start = s.flat.opt_vals.len();
+                for (vi, info) in p.vars.iter().enumerate() {
+                    let keep = !info.is_array && (info.is_formal() || info.is_global());
+                    s.flat.opt_vals.push(keep.then_some(s.current[vi]));
+                }
+                let span = Span::since(start, &s.flat.opt_vals);
+                s.flat.exits.push((b, span));
             }
             Terminator::Jump(_) => {}
         }
 
         // Fill phi arguments in successors.
-        for succ in cfg.successors(b) {
-            let succ_phis = self.blocks[succ.index()].phis.clone();
-            for phi in succ_phis {
-                if let ValueKind::Phi { var, .. } = self.values[phi.index()] {
+        let first_phi = match self.s.new_phis.first() {
+            Some(&(_, phi)) => phi.index(),
+            None => return,
+        };
+        for succ in cfg.block(b).term.successor_iter() {
+            let phis = self.s.flat.blocks[succ.index()].phis;
+            for i in phis.start as usize..phis.end as usize {
+                let phi = self.s.flat.vals[i];
+                if let ValueKind::Phi { var, .. } = self.s.values[phi.index()] {
                     let incoming = self.current(var);
-                    self.phi_args[phi.index()].push((b, incoming));
+                    let s = &mut *self.s;
+                    let at = &mut s.phi_cursor[phi.index() - first_phi];
+                    s.flat.phi_args[*at as usize] = (b, incoming);
+                    *at += 1;
                 }
             }
         }
-
-        pushed.into_iter().collect()
     }
 
-    fn current(&self, v: VarId) -> ValueId {
-        match self.stacks[v.index()].last() {
-            Some(&val) => val,
-            None => unreachable!("scalar variable has an initial definition"),
+    /// Renames call statement `si` of block `b`: its actuals, the globals
+    /// just before it, and a fresh definition per variable it kills.
+    fn rename_call(
+        &mut self,
+        b: BlockId,
+        si: usize,
+        site: CallSiteId,
+        callee: ProcId,
+        args: &[Arg],
+    ) -> StmtRec {
+        let uses_start = self.s.flat.vals.len();
+        let args_start = self.s.flat.opt_vals.len();
+        for a in args {
+            let val = match a {
+                Arg::Scalar(v, _) => Some(self.current(*v)),
+                Arg::Array(..) => None,
+                Arg::Value(e) => Some(self.lower_expr(e)),
+            };
+            self.s.flat.opt_vals.push(val);
+        }
+        let s = &mut *self.s;
+        let uses = Span::since(uses_start, &s.flat.vals);
+        let arg_span = Span::since(args_start, &s.flat.opt_vals);
+        // Values of the scalar globals before the kill defs.
+        let globals_start = s.flat.vals.len();
+        for &g in &s.global_vars {
+            s.flat.vals.push(s.current[g.index()]);
+        }
+        let globals = Span::since(globals_start, &s.flat.vals);
+        let defs_start = s.flat.defs.len();
+        let p = self.mcfg.module.proc(self.proc);
+        let kills = self.s.kill_spans[site.index()];
+        for k in kills.start as usize..kills.end as usize {
+            let v = self.s.killed[k];
+            if p.var(v).is_array {
+                continue; // arrays are not renamed
+            }
+            let d = self.fresh(ValueKind::CallDef {
+                site,
+                callee,
+                var: v,
+            });
+            self.define(v, d);
+            self.s.flat.defs.push((v, d));
+        }
+        self.s.call_sites[site.index()] = Some((b, si));
+        StmtRec::Call {
+            site,
+            args: arg_span,
+            defs: Span::since(defs_start, &self.s.flat.defs),
+            uses,
+            globals,
         }
     }
 
-    fn lower_expr(&mut self, e: &Expr, use_vals: &mut Vec<ValueId>) -> ValueId {
+    /// Lowers `e` to a value, appending the value of each variable
+    /// occurrence to the `vals` array.
+    fn lower_expr(&mut self, e: &Expr) -> ValueId {
         match e {
             Expr::Const(c, _) => self.intern(ValueKind::Const(*c)),
             Expr::Var(v, _) => {
                 let val = self.current(*v);
-                use_vals.push(val);
+                self.s.flat.vals.push(val);
                 val
             }
             Expr::Load(arr, idx, _) => {
-                let i = self.lower_expr(idx, use_vals);
+                let i = self.lower_expr(idx);
                 self.fresh(ValueKind::Load {
                     array: *arr,
                     index: i,
                 })
             }
             Expr::Unary(op, x, _) => {
-                let xv = self.lower_expr(x, use_vals);
+                let xv = self.lower_expr(x);
                 self.intern(ValueKind::Unary(*op, xv))
             }
             Expr::Binary(op, l, r, _) => {
-                let lv = self.lower_expr(l, use_vals);
-                let rv = self.lower_expr(r, use_vals);
+                let lv = self.lower_expr(l);
+                let rv = self.lower_expr(r);
                 self.intern(ValueKind::Binary(*op, lv, rv))
             }
         }
@@ -817,7 +1329,7 @@ mod tests {
             .position(|k| matches!(k, ValueKind::Phi { .. }))
             .map(ValueId::from)
             .unwrap();
-        let args = &ssa.phi_args[phi.index()];
+        let args = ssa.phi_args(phi);
         assert_eq!(args.len(), 2);
         let consts: Vec<i64> = args
             .iter()
@@ -871,10 +1383,9 @@ mod tests {
             0
         );
         // The print's value is the constant 0.
-        let blk = &ssa.blocks[0];
-        match &blk.stmts[0] {
-            StmtInfo::Print { value, .. } => {
-                assert_eq!(ssa.value(*value), &ValueKind::Const(0));
+        match ssa.stmt(BlockId(0), 0) {
+            Some(StmtInfo::Print { value, .. }) => {
+                assert_eq!(ssa.value(value), &ValueKind::Const(0));
             }
             other => panic!("{other:?}"),
         }
@@ -925,9 +1436,8 @@ mod tests {
     fn use_vals_align_with_var_occurrences() {
         let (m, ssa) = ssa_for("proc main() { x = 3; y = x + x * 2; print y; }", "main");
         let p = m.module.proc(ssa.proc);
-        let blk = &ssa.blocks[0];
-        match &blk.stmts[1] {
-            StmtInfo::Assign { use_vals, .. } => {
+        match ssa.stmt(BlockId(0), 1) {
+            Some(StmtInfo::Assign { use_vals, .. }) => {
                 assert_eq!(use_vals.len(), 2); // two occurrences of x
                 for &u in use_vals {
                     assert_eq!(ssa.value(u), &ValueKind::Const(3));
@@ -953,10 +1463,10 @@ mod tests {
             "proc main() { call f(0); } proc f(a) { a = 41; a = a + 1; }",
             "f",
         );
-        assert_eq!(ssa.exits.len(), 1);
+        assert_eq!(ssa.exits().len(), 1);
         let f = m.module.proc_named("f").unwrap();
         let a = f.var_named("a").unwrap();
-        let at_exit = ssa.exits[0].1[a.index()].unwrap();
+        let at_exit = ssa.exits().next().unwrap().1[a.index()].unwrap();
         // a = 41 + 1 — constant folding happens later (SCCP), here it is
         // a Binary over Const.
         assert!(matches!(
@@ -971,7 +1481,7 @@ mod tests {
             "proc main() { call f(1); } proc f(a) { if (a) { a = 1; return; } a = 2; }",
             "f",
         );
-        assert_eq!(ssa.exits.len(), 2);
+        assert_eq!(ssa.exits().len(), 2);
     }
 
     #[test]

@@ -489,7 +489,7 @@ fn transfer(
         ValueKind::Binary(op, a, b) => binary(*op, val(*a), val(*b)),
         ValueKind::Phi { block, .. } => {
             let mut acc = SymVal::Top;
-            for &(pred, arg) in &ssa.phi_args[v.index()] {
+            for &(pred, arg) in ssa.phi_args(v) {
                 if let Some(g) = gate {
                     if !g.edge_exec.contains(&(pred, *block)) {
                         continue; // the gate proved this path dead
@@ -575,10 +575,10 @@ mod tests {
     /// Symbolic value of the `print` argument in `name` (first print).
     fn printed_sym(src: &str, name: &str) -> SymVal {
         let (_, ssa, sym) = sym_for(src, name);
-        for blk in &ssa.blocks {
-            for s in &blk.stmts {
+        for b in 0..ssa.n_blocks() {
+            for s in ssa.stmts(ipcp_ir::cfg::BlockId::from(b)) {
                 if let StmtInfo::Print { value, .. } = s {
-                    return sym.value(*value).clone();
+                    return sym.value(value).clone();
                 }
             }
         }
@@ -692,10 +692,10 @@ mod tests {
             "main",
         );
         let mut printed = Vec::new();
-        for blk in &ssa.blocks {
-            for s in &blk.stmts {
+        for b in 0..ssa.n_blocks() {
+            for s in ssa.stmts(ipcp_ir::cfg::BlockId::from(b)) {
                 if let StmtInfo::Print { value, .. } = s {
-                    printed.push(sym.value(*value).clone());
+                    printed.push(sym.value(value).clone());
                 }
             }
         }

@@ -111,7 +111,7 @@ fn ssa_phis_have_one_arg_per_reachable_pred() {
                         .copied()
                         .filter(|p| reach[p.index()])
                         .collect();
-                    let args = &ssa.phi_args[i];
+                    let args = ssa.phi_args(ipcp_ssa::ValueId::from(i));
                     assert_eq!(
                         args.len(),
                         reachable_preds.len(),
@@ -205,21 +205,22 @@ fn pruned_ssa_agrees_with_minimal() {
             let sp = sccp::run(&mcfg, &pruned, &Seeds::none(n_vars), &OpaqueCallsLattice);
             let ym = evaluate(&mcfg, &minimal, &layout, &OpaqueCalls);
             let yp = evaluate(&mcfg, &pruned, &layout, &OpaqueCalls);
-            for (bi, (bm, bp)) in minimal.blocks.iter().zip(&pruned.blocks).enumerate() {
-                for (im, ip) in bm.stmts.iter().zip(&bp.stmts) {
+            for bi in 0..minimal.n_blocks() {
+                let b = ipcp_ir::cfg::BlockId::from(bi);
+                for (im, ip) in minimal.stmts(b).zip(pruned.stmts(b)) {
                     if let (StmtInfo::Print { value: vm, .. }, StmtInfo::Print { value: vp, .. }) =
                         (im, ip)
                     {
                         assert_eq!(
-                            sm.value(*vm),
-                            sp.value(*vp),
+                            sm.value(vm),
+                            sp.value(vp),
                             "SCCP disagreement in block {} (seed {})",
                             bi,
                             seed
                         );
                         assert_eq!(
-                            ym.value(*vm),
-                            yp.value(*vp),
+                            ym.value(vm),
+                            yp.value(vp),
                             "symbolic disagreement in block {} (seed {})",
                             bi,
                             seed
@@ -228,7 +229,7 @@ fn pruned_ssa_agrees_with_minimal() {
                 }
             }
             // Exit snapshots (formals/globals) agree symbolically.
-            for ((_, em), (_, ep)) in minimal.exits.iter().zip(&pruned.exits) {
+            for ((_, em), (_, ep)) in minimal.exits().zip(pruned.exits()) {
                 for (vm, vp) in em.iter().zip(ep) {
                     match (vm, vp) {
                         (Some(a), Some(b)) => assert_eq!(
@@ -302,8 +303,8 @@ fn users_table_matches_naive_operand_inversion() {
     let listed = users[a.index()].iter().filter(|&&u| u == doubled).count();
     assert_eq!(listed, 2, "users of {a:?}: {:?}", &users[a.index()]);
     assert!(
-        ssa.phi_args
-            .iter()
+        (0..ssa.len())
+            .map(|v| ssa.phi_args(ipcp_ssa::ValueId::from(v)))
             .any(|args| args.len() == 2 && args[0].1 == args[1].1),
         "expected a phi with a repeated argument"
     );
