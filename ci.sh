@@ -561,7 +561,8 @@ stage_perfbench() {
 stage_lockfree_lint() {
     # The determinism contract (docs/ROBUSTNESS.md, "Concurrency
     # contract") is built on sharded state + an ordered fold, not on
-    # locking. A Mutex creeping into a per-procedure phase, the solver
+    # locking. A Mutex creeping into a per-procedure phase, the serve
+    # cache's memo lookups (they run inside pool rounds), the solver
     # wavefront, or a transformation driver would reintroduce schedule-
     # dependent behaviour silently — fail loudly instead. Line comments
     # are stripped first so prose *about* locks (like this) never trips
@@ -576,6 +577,7 @@ stage_lockfree_lint() {
         crates/core/src/inline.rs
         crates/core/src/complete.rs
         crates/core/src/serve/workers.rs
+        crates/core/src/serve/cache.rs
     )
     local f bad=0
     for f in "${hot_files[@]}"; do

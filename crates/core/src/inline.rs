@@ -85,10 +85,11 @@ pub fn inline_leaf_calls(mcfg: &ModuleCfg, config: &Config, max_statements: usiz
         // The per-procedure leaf scan is pure and read-only over the
         // module; run it on the worker pool (results come back in index
         // order, so the splicing below is schedule-independent).
-        let (leaves, _pt) =
-            crate::par::run(config.effective_jobs(), module.module.procs.len(), |p| {
+        let (leaves, _pt) = crate::par::with_pool(config.effective_jobs(), |pool| {
+            pool.run(module.module.procs.len(), |p| {
                 is_inlinable_leaf(&module, ProcId::from(p))
-            });
+            })
+        });
         let mut changed = false;
         for pi in 0..module.module.procs.len() {
             if leaves[pi] {

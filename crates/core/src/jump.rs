@@ -15,7 +15,8 @@
 use crate::config::JumpFnKind;
 use crate::config::{AnalysisLimits, Config, Stage};
 use crate::health::Governor;
-use crate::pipeline::{PhaseFold, PhaseUnit};
+use crate::par::{PhaseTime, Pool};
+use crate::pipeline::fold_units;
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
@@ -209,6 +210,13 @@ impl ForwardJumpFns {
 /// be skipped: an empty site entry would make the solver ignore the edge
 /// entirely (leaving the callee optimistically at ⊤), so quarantine
 /// materializes explicit all-⊥ functions of the correct length instead.
+///
+/// Each caller's edges are one unit of the pipeline's fold
+/// ([`fold_units`]): run ahead against a governor shard on a pool with
+/// workers and absorbed or replayed in ascending caller order, or run on
+/// the master and committed at once on a pool without. Results,
+/// telemetry, and quarantine flags are the same at every pool size.
+#[allow(clippy::too_many_arguments)]
 pub fn build_forward_jump_fns(
     mcfg: &ModuleCfg,
     cg: &CallGraph,
@@ -217,90 +225,33 @@ pub fn build_forward_jump_fns(
     symbolics: &[Option<ProcSymbolic>],
     quarantined: &mut [bool],
     gov: &mut Governor,
-) -> ForwardJumpFns {
+    pool: &Pool<'_>,
+) -> (ForwardJumpFns, PhaseTime) {
+    // A unit reads only its own caller's flag, which only its own commit
+    // writes.
+    let before = quarantined.to_vec();
     let mut out = empty_sites(mcfg);
-    // `cg.edges` is grouped by caller in ascending index order, so the
-    // per-caller decomposition visits exactly the same edges in exactly
-    // the same order as a flat edge loop would.
-    for (caller, q) in quarantined.iter_mut().enumerate() {
-        let (fns, quar) =
-            build_caller_jump_fns(mcfg, cg, layout, config, symbolics, caller, *q, gov);
-        commit_caller(&mut out, caller, fns);
-        *q = quar;
-    }
-    out
-}
-
-/// Parallel [`build_forward_jump_fns`]: each caller's edges are one unit,
-/// run optimistically against a governor shard; the fold walks callers in
-/// ascending index order and either absorbs the shard (when
-/// [`Governor::can_absorb`] proves the charges land exactly where
-/// sequential charging would have put them) or replays the caller
-/// sequentially against the master. Results, telemetry, and quarantine
-/// flags are bit-identical to the sequential driver.
-#[allow(clippy::too_many_arguments)] // mirrors the sequential driver's signature plus the pool
-pub(crate) fn build_forward_jump_fns_par(
-    mcfg: &ModuleCfg,
-    cg: &CallGraph,
-    layout: &SlotLayout,
-    config: &Config,
-    symbolics: &[Option<ProcSymbolic>],
-    quarantined: &mut [bool],
-    gov: &mut Governor,
-    pool: &crate::par::Pool<'_>,
-) -> (ForwardJumpFns, crate::par::PhaseTime) {
-    let n = mcfg.module.procs.len();
-    let snapshot: Vec<bool> = quarantined.to_vec();
-    let proto = gov.shard();
-    let (units, mut time) = pool.run(n, |caller| {
-        let mut shard = proto.shard();
-        let (fns, quar) = build_caller_jump_fns(
-            mcfg,
-            cg,
-            layout,
-            config,
-            symbolics,
-            caller,
-            snapshot[caller],
-            &mut shard,
-        );
-        PhaseUnit::new(caller, Ok((fns, quar)), shard)
-    });
-
-    let mut out = empty_sites(mcfg);
-    let mut fold = PhaseFold::default();
-    for (caller, pu) in units.into_iter().enumerate() {
-        match fold.try_absorb(gov, pu, true) {
-            Some(Ok((fns, quar))) => {
-                commit_caller(&mut out, caller, fns);
-                quarantined[caller] = quar;
-            }
-            Some(Err(e)) => {
-                // Panics are contained per call site inside the unit and
-                // reported through the quarantine flag, never the outcome.
-                unreachable!("jump units never fail the outcome: {e}")
-            }
-            None => {
-                // The optimistic charges would cross a budget cap or fault
-                // trip point somewhere inside this unit; rerun it against
-                // the master so each charge sees the exact sequential
-                // counter.
-                let (fns, quar) = build_caller_jump_fns(
-                    mcfg,
-                    cg,
-                    layout,
-                    config,
-                    symbolics,
-                    caller,
-                    snapshot[caller],
-                    gov,
-                );
-                commit_caller(&mut out, caller, fns);
-                quarantined[caller] = quar;
-            }
-        }
-    }
-    fold.stamp(&mut time);
+    let time = fold_units(
+        pool,
+        gov,
+        mcfg.module.procs.len(),
+        |caller, g| {
+            build_caller_jump_fns(
+                mcfg,
+                cg,
+                layout,
+                config,
+                symbolics,
+                caller,
+                before[caller],
+                g,
+            )
+        },
+        |caller, (fns, quar), _| {
+            commit_caller(&mut out, caller, fns);
+            quarantined[caller] = quar;
+        },
+    );
     (out, time)
 }
 
@@ -323,7 +274,7 @@ fn commit_caller(out: &mut ForwardJumpFns, caller: usize, fns: Vec<(usize, SiteJ
 }
 
 /// Builds the jump functions for every call site of one caller — the unit
-/// of both the sequential and the parallel driver. Returns the per-site
+/// of [`build_forward_jump_fns`]. Returns the per-site
 /// functions plus the caller's (possibly newly set) quarantine flag.
 #[allow(clippy::too_many_arguments)]
 fn build_caller_jump_fns(

@@ -1,26 +1,23 @@
-//! A dependency-free scoped worker pool for the per-procedure phases.
+//! A dependency-free persistent worker pool for the per-procedure phases.
 //!
 //! The repo is offline-vendored, so this is `std::thread::scope` plus an
 //! atomic self-scheduling counter — no external crates, no channels, no
-//! locks. Two drivers share that substrate:
-//!
-//! * [`run`] — the original spawn-per-call pool: workers pull unit
-//!   indices from a shared [`AtomicUsize`] (`fetch_add` work stealing: a
-//!   worker stuck on a heavy procedure simply claims fewer units), stash
-//!   `(index, result)` pairs in a thread-local vector, and the results
-//!   are merged back into input order after the join. Still used by the
-//!   one-shot transformation drivers (`complete`, `cloning`, `inline`).
-//! * [`with_pool`] / [`Pool`] — a **persistent** pool for the analysis
-//!   pipeline: workers are spawned once per `Analysis::run` and parked
-//!   between rounds, so a phase that dispatches one round per SCC level
-//!   (the solver wavefront, return jump functions) pays a park/unpark
-//!   per level instead of a full thread spawn + join. Each participant
-//!   gets its own [`Scratch`] per round ([`Pool::run_with_scratch`]), so
-//!   units reuse buffers instead of round-tripping the global allocator.
+//! locks. [`with_pool`] spawns `jobs - 1` workers once (per
+//! `Analysis::run`, per transformation driver) and parks them between
+//! rounds, so a phase that dispatches one round per SCC level (the solver
+//! wavefront, return jump functions) pays a park/unpark per level instead
+//! of a full thread spawn + join. Workers pull unit indices from a shared
+//! [`AtomicUsize`] (`fetch_add` work stealing: a worker stuck on a heavy
+//! procedure simply claims fewer units), and each participant gets its own
+//! [`Scratch`] per round ([`Pool::run_with_scratch`]), so units reuse
+//! buffers instead of round-tripping the global allocator.
 //!
 //! Order of *execution* is nondeterministic; order of *results* is
 //! not — which is all the deterministic fold in
-//! [`pipeline`](crate::pipeline) needs.
+//! [`pipeline`](crate::pipeline) needs. [`Pool::ahead`] is the fold's one
+//! scheduling decision: units run ahead of the fold only on a pool with
+//! workers; on a pool without, the fold runs each unit on the master
+//! governor and commits it at once, which is the sequential loop.
 //!
 //! [`PhaseTime`] / [`Timings`] carry the wall-clock, per-worker busy
 //! time, governor-shard absorb/replay counts of each phase, and the jump
@@ -166,77 +163,6 @@ impl Timings {
             ("solve", self.solve),
         ]
     }
-}
-
-/// Runs `f(0) .. f(n - 1)` on up to `jobs` scoped workers and returns the
-/// results **in index order**, plus the phase accounting.
-///
-/// * `jobs <= 1` or `n <= 1` short-circuits to a plain sequential loop on
-///   the calling thread (no threads spawned, no atomics touched).
-/// * Workers self-schedule via `fetch_add` on a shared counter, so load
-///   balances at unit granularity without a queue or a lock.
-/// * A panicking closure is **not** caught here: the panic is re-raised
-///   on the calling thread after every worker has drained (the quarantine
-///   layer inside `f` is what catches per-procedure panics; one escaping
-///   it means quarantine was off, and then the contract is to propagate).
-pub fn run<T, F>(jobs: usize, n: usize, f: F) -> (Vec<T>, PhaseTime)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let start = Instant::now();
-    if jobs <= 1 || n <= 1 {
-        let results: Vec<T> = (0..n).map(&f).collect();
-        return (results, PhaseTime::sequential(start.elapsed(), n));
-    }
-
-    let workers = jobs.min(n);
-    let next = AtomicUsize::new(0);
-    let mut per_worker: Vec<(Vec<(usize, T)>, Duration)> = Vec::with_capacity(workers);
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let t0 = Instant::now();
-                let mut mine: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    mine.push((i, f(i)));
-                }
-                (mine, t0.elapsed())
-            }));
-        }
-        for h in handles {
-            match h.join() {
-                Ok(out) => per_worker.push(out),
-                Err(payload) => panic::resume_unwind(payload),
-            }
-        }
-    });
-
-    let busy = per_worker.iter().map(|(_, d)| *d).sum();
-    let mut indexed: Vec<(usize, T)> = per_worker
-        .into_iter()
-        .flat_map(|(results, _)| results)
-        .collect();
-    indexed.sort_unstable_by_key(|&(i, _)| i);
-    let results = indexed.into_iter().map(|(_, r)| r).collect();
-    (
-        results,
-        PhaseTime {
-            wall: start.elapsed(),
-            busy,
-            workers,
-            units: n,
-            absorbed: 0,
-            replayed: 0,
-            reused: 0,
-        },
-    )
 }
 
 /// Per-worker reusable scratch buffers, handed to each unit by
@@ -479,6 +405,16 @@ impl<'env> Pool<'env> {
         self.workers.len() + 1
     }
 
+    /// Runs `ahead` — a phase's optimistic rounds — only on a pool with
+    /// workers, and returns `None` on a pool without. There every unit
+    /// would run on the calling thread anyway, so running it ahead against
+    /// a governor shard and then folding it would only add a shard and a
+    /// copy per unit: the fold runs it on the master and commits it at
+    /// once instead (see [`PhaseFold`](crate::PhaseFold)).
+    pub fn ahead<R>(&self, ahead: impl FnOnce() -> R) -> Option<R> {
+        self.parallel().then(ahead)
+    }
+
     /// Runs `f(0) .. f(n - 1)` across the pool, returning results in
     /// index order plus the phase accounting. See
     /// [`Pool::run_with_scratch`] for the scratch-buffer variant this
@@ -501,7 +437,9 @@ impl<'env> Pool<'env> {
     ///
     /// Panics inside `f` are caught per participant, and the first one
     /// is re-raised on the calling thread **after** the round has fully
-    /// drained (same contract as [`run`]).
+    /// drained (the quarantine layer inside `f` is what catches
+    /// per-procedure panics; one escaping it means quarantine was off, and
+    /// then the contract is to propagate).
     pub fn run_with_scratch<T, S, M, F>(
         &self,
         n: usize,
@@ -609,6 +547,11 @@ impl<'env> Pool<'env> {
 mod tests {
     use super::*;
 
+    /// One round on a pool spawned for just this call.
+    fn run<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> (Vec<T>, PhaseTime) {
+        with_pool(jobs, |pool| pool.run(n, f))
+    }
+
     #[test]
     fn results_come_back_in_index_order() {
         for jobs in [1, 2, 4, 8] {
@@ -676,6 +619,7 @@ mod tests {
         for jobs in [1, 2, 4, 8] {
             with_pool(jobs, |pool| {
                 assert_eq!(pool.parallel(), jobs > 1);
+                assert_eq!(pool.ahead(|| 7), (jobs > 1).then_some(7));
                 // Several rounds through the same pool, like the
                 // wavefront's one-round-per-level dispatch.
                 for round in 0..5usize {

@@ -2,6 +2,15 @@
 //! generate forward jump functions, propagate interprocedurally, record
 //! the results.
 //!
+//! There is one driver. Every per-procedure stage — MOD/REF, return jump
+//! functions, symbolic evaluation, forward jump functions — runs as
+//! [`PhaseUnit`]s folded in sequential unit order ([`fold_units`], and its
+//! SCC-levelled form in [`retjump`](crate::retjump)): on a pool with
+//! workers the units run ahead against governor shards and the fold
+//! absorbs or replays them; on a pool without, each unit runs on the
+//! master and is committed at once. Serve's summary cache is a memo hook
+//! inside the same path ([`Analysis::run_memoized`]), not a second driver.
+//!
 //! Both jump-function stages read the same per-procedure SSA form and
 //! symbolic evaluation, as the paper's implementation does: Stage 1
 //! builds and evaluates each procedure once, and Stage 2 reuses that
@@ -12,11 +21,13 @@
 use crate::config::{Config, Stage};
 use crate::error::IpcpError;
 use crate::health::{AnalysisHealth, Governor};
-use crate::jump::{
-    build_forward_jump_fns, build_forward_jump_fns_par, ForwardJumpFns, ProcSymbolic,
+use crate::jump::{build_forward_jump_fns, ForwardJumpFns, ProcSymbolic};
+use crate::par::{PhaseTime, Pool, Timings};
+use crate::quarantine::run_unit;
+use crate::retjump::{build_return_jfs_on, RetOracle, RetView, ReturnJumpFns};
+use crate::serve::cache::{
+    cacheable, CacheTxn, CachedSummary, Lookup, Memo, MemoKeys, Served, SummaryStage,
 };
-use crate::par::{PhaseTime, Timings};
-use crate::retjump::{build_return_jfs_keeping, build_return_jfs_par, RetOracle, ReturnJumpFns};
 use crate::solver::ValSets;
 use crate::substitute::{self, Substitution, SubstitutionCounts};
 use ipcp_analysis::{
@@ -29,7 +40,7 @@ use ipcp_ssa::ssa::{build_ssa, build_ssa_pruned, CallKills, ModKills, WorstCaseK
 use ipcp_ssa::symbolic::{CallDefEval, EvalBudget, OpaqueCalls};
 use ipcp_ssa::{Lattice, Seeds};
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A typed phase-unit failure: which [`Stage`] faulted, which unit, and
 /// the contained panic (or exhaustion) message.
@@ -38,9 +49,9 @@ use std::time::Instant;
 /// for the per-procedure phases (MOD/REF, symbolic, forward and return
 /// jump functions), an SCC index for solver units. This replaces the
 /// stringly `Result<_, String>` contract the drivers used to share:
-/// quarantine widening, the parallel folds, and serve's incremental path
-/// all see the same structured error, and strict-mode promotion can carry
-/// it through [`IpcpError`](crate::IpcpError) without string matching.
+/// quarantine widening and the folds see the same structured error, and
+/// strict-mode promotion can carry it through
+/// [`IpcpError`](crate::IpcpError) without string matching.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct UnitError {
     /// The stage whose unit faulted.
@@ -74,30 +85,34 @@ impl fmt::Display for UnitError {
     }
 }
 
-/// One parallel phase unit's outcome, as handed to the canonical fold:
-/// its index in the phase's unit space, its result (or typed failure),
-/// and the optimistic [`Governor`] shard it charged while running.
+/// One phase unit's optimistic outcome, as handed to the canonical fold:
+/// its index in the phase's unit space, its result, and the [`Governor`]
+/// shard it charged while running ahead of the fold.
 ///
-/// This is the contract every parallel driver shares: workers produce
-/// `PhaseUnit`s out of order, and the fold walks them **in index order**,
-/// absorbing each unit's shard into the authoritative governor when
-/// [`Governor::can_absorb`] proves the merged counters land exactly where
-/// a sequential run's would — otherwise the unit is discarded and
-/// replayed sequentially ([`PhaseFold::try_absorb`]). Serve's incremental
-/// path replays recorded shards through the same gate.
+/// This is the contract every phase driver shares: on a pool with workers,
+/// units run ahead out of order, and the fold walks them **in index
+/// order**, absorbing each unit's shard into the authoritative governor
+/// when [`Governor::can_absorb`] proves the merged counters land exactly
+/// where a sequential run's would — otherwise the unit is discarded and
+/// replayed against the master ([`PhaseFold::try_absorb`]). A memo hit
+/// (serve's summary cache) is such a unit too: its result and recorded
+/// charges were computed by an earlier request, and it passes the same
+/// gate.
 #[derive(Clone, Debug)]
 pub struct PhaseUnit<T> {
     /// Index in the phase's unit space (procedure or SCC index).
     pub index: usize,
-    /// The unit's computed result, or its typed quarantine failure.
-    pub outcome: Result<T, UnitError>,
+    /// The unit's computed outcome (the solver's units carry a
+    /// `Result<_, UnitError>`; the per-procedure phases contain failures
+    /// inside their outcome).
+    pub outcome: T,
     /// The optimistic governor shard the unit charged.
     pub shard: Governor,
 }
 
 impl<T> PhaseUnit<T> {
     /// Wraps a unit outcome with the shard it charged.
-    pub fn new(index: usize, outcome: Result<T, UnitError>, shard: Governor) -> Self {
+    pub fn new(index: usize, outcome: T, shard: Governor) -> Self {
         PhaseUnit {
             index,
             outcome,
@@ -108,10 +123,11 @@ impl<T> PhaseUnit<T> {
 
 /// Absorb/replay accounting for one phase's canonical fold.
 ///
-/// Every parallel driver folds its [`PhaseUnit`]s through
+/// Every phase folds its [`PhaseUnit`]s through
 /// [`PhaseFold::try_absorb`]; the counters are stamped into the phase's
 /// [`PhaseTime`] so `Timings` reports how often the optimistic path paid
-/// off (absorb is O(stages); replay re-runs the unit sequentially).
+/// off (absorb is O(stages); replay re-runs the unit against the master).
+/// Both stay 0 on a pool without workers, where no unit runs ahead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseFold {
     /// Units whose shard merged cleanly (result kept).
@@ -125,13 +141,13 @@ impl PhaseFold {
     /// merges without crossing a budget or fault boundary
     /// ([`Governor::can_absorb`] — the documented fast path), the shard
     /// is folded into `gov` and the unit's outcome is returned. Otherwise
-    /// returns `None`; the caller must replay the unit sequentially.
+    /// returns `None`; the caller must replay the unit against `gov`.
     pub fn try_absorb<T>(
         &mut self,
         gov: &mut Governor,
         unit: PhaseUnit<T>,
         absorbable: bool,
-    ) -> Option<Result<T, UnitError>> {
+    ) -> Option<T> {
         if absorbable && gov.can_absorb(&unit.shard) {
             gov.absorb_shard(unit.shard);
             self.absorbed += 1;
@@ -147,6 +163,48 @@ impl PhaseFold {
         pt.absorbed += self.absorbed;
         pt.replayed += self.replayed;
     }
+}
+
+/// The one driver of a per-procedure phase: units `0..n`, each run by
+/// `unit` against a governor and committed, in index order, by `commit`.
+///
+/// On a pool with workers every unit first runs ahead against its own
+/// governor shard; the fold then walks the units in index order and keeps
+/// a unit's outcome when its shard absorbs, re-running the unit against
+/// the master otherwise ([`PhaseFold::try_absorb`]). On a pool without
+/// workers nothing runs ahead ([`Pool::ahead`]): each unit runs on the
+/// master and is committed at once, which is the sequential loop at the
+/// sequential loop's cost. Returns the phase accounting without the
+/// stage's sequential tail; callers stamp that with
+/// [`PhaseTime::with_tail`].
+pub(crate) fn fold_units<T: Send>(
+    pool: &Pool<'_>,
+    gov: &mut Governor,
+    n: usize,
+    unit: impl Fn(usize, &mut Governor) -> T + Sync,
+    mut commit: impl FnMut(usize, T, &mut Governor),
+) -> PhaseTime {
+    let master: &Governor = gov;
+    let (ahead, mut time) = pool
+        .ahead(|| {
+            pool.run(n, |i| {
+                let mut shard = master.shard();
+                let outcome = unit(i, &mut shard);
+                PhaseUnit::new(i, outcome, shard)
+            })
+        })
+        .unwrap_or_else(|| (Vec::new(), PhaseTime::sequential(Duration::ZERO, n)));
+    let mut ahead = ahead.into_iter();
+    let mut fold = PhaseFold::default();
+    for i in 0..n {
+        let outcome = match ahead.next().and_then(|u| fold.try_absorb(gov, u, true)) {
+            Some(outcome) => outcome,
+            None => unit(i, gov),
+        };
+        commit(i, outcome, gov);
+    }
+    fold.stamp(&mut time);
+    time
 }
 
 /// Everything the interprocedural constant propagation computed for one
@@ -199,16 +257,39 @@ impl Analysis {
         // and parked between rounds, so every phase (and every gating
         // round) reuses them instead of paying a spawn/join per level.
         crate::par::with_pool(config.effective_jobs(), |pool| {
-            Self::run_on(mcfg, config, pool)
+            Self::run_on(mcfg, config, pool, None)
         })
     }
 
-    fn run_on(mcfg: &ModuleCfg, config: &Config, pool: &crate::par::Pool<'_>) -> Analysis {
-        let mut analysis = Self::run_once_on(mcfg, config, None, pool);
+    /// [`Analysis::run`] with serve's summary cache as a memo hook: every
+    /// per-procedure unit looks its key up before computing, a hit goes
+    /// through the same governor gate as a unit run ahead on the pool, and
+    /// the fold notes hits, misses and fresh clean units into `memo.txn`
+    /// in sequential unit order. The result is bit-identical to
+    /// [`Analysis::run`] (see [`crate::serve::cache`] for the contract),
+    /// and so are the notes at every `--jobs`. Gated configurations bypass
+    /// the memo (their units read the previous round's fixpoint).
+    pub fn run_memoized(mcfg: &ModuleCfg, config: &Config, memo: Memo<'_>) -> Analysis {
+        if !cacheable(config) {
+            memo.txn.bypassed = true;
+            return Analysis::run(mcfg, config);
+        }
+        crate::par::with_pool(config.effective_jobs(), |pool| {
+            Self::run_on(mcfg, config, pool, Some(memo))
+        })
+    }
+
+    fn run_on(
+        mcfg: &ModuleCfg,
+        config: &Config,
+        pool: &Pool<'_>,
+        memo: Option<Memo<'_>>,
+    ) -> Analysis {
+        let mut analysis = Self::run_once_on(mcfg, config, None, pool, memo);
         if config.gated_jump_fns {
             for _ in 0..4 {
                 let vals = analysis.vals.vals.clone();
-                let mut next = Self::run_once_on(mcfg, config, Some(&vals), pool);
+                let mut next = Self::run_once_on(mcfg, config, Some(&vals), pool, None);
                 let stable = next.vals.vals == analysis.vals.vals;
                 // Telemetry accumulates across gating rounds. `absorb` is
                 // order-preserving concatenation (associative, documented
@@ -228,118 +309,61 @@ impl Analysis {
         analysis
     }
 
-    pub(crate) fn run_once_on(
+    /// One pass of the four stages. Every per-procedure stage runs through
+    /// the fold ([`fold_units`], and its SCC-levelled form for return jump
+    /// functions), whatever the pool's size; `memo`, when given, is
+    /// consulted by every unit and takes the fold's notes.
+    fn run_once_on(
         mcfg: &ModuleCfg,
         config: &Config,
         gate_seeds: Option<&Vec<Vec<Lattice>>>,
-        pool: &crate::par::Pool<'_>,
+        pool: &Pool<'_>,
+        memo: Option<Memo<'_>>,
     ) -> Analysis {
         let t_run = Instant::now();
-        let jobs = config.effective_jobs();
         let cg = build_call_graph(mcfg);
         let layout = SlotLayout::new(&mcfg.module);
         let mut gov = Governor::new(config);
         let n_procs = mcfg.module.procs.len();
         let mut quarantined = vec![false; n_procs];
         let mut timings = Timings {
-            jobs,
+            jobs: config.effective_jobs(),
             ..Timings::default()
         };
+        // The memo's read side goes into the units (and so into pool
+        // rounds); its transaction takes the fold's notes.
+        let mut unmemoized = CacheTxn::new();
+        let (memo, txn) = match memo {
+            Some(m) => (Some(MemoKeys::new(&m, mcfg, &cg, config)), m.txn),
+            None => (None, &mut unmemoized),
+        };
+        let memo = memo.as_ref();
 
         // Stage 0: per-procedure MOD/REF direct effects (under
         // quarantine), then call-edge propagation. Its timer starts with
         // the run, so it also covers building the call graph the
         // propagation walks, and the stage timers together cover the
-        // whole run. A contained failure
-        // widens only that procedure's summary to "touches everything
-        // visible"; the fixpoint spreads the widening to callers exactly
-        // as far as reference bindings demand.
-        //
-        // `jobs == 1` takes the original sequential loop verbatim (charge,
-        // then run the unit only if the charge succeeded — the path
-        // `--no-quarantine` debugging relies on). `jobs > 1` runs every
-        // unit optimistically (units are pure and make no charges) and
-        // folds in procedure order, charging the master governor exactly
-        // where the sequential loop would; a charge that fails discards
-        // the unit's result, reproducing the sequential skip bit for bit.
-        let n_globals = mcfg.module.globals.len();
-        let t0 = t_run;
+        // whole run. A contained failure widens only that procedure's
+        // summary to "touches everything visible"; the fixpoint spreads
+        // the widening to callers exactly as far as reference bindings
+        // demand.
         let mut mods = Vec::with_capacity(n_procs);
         let mut refs = Vec::with_capacity(n_procs);
-        if !pool.parallel() {
-            for (pi, p) in mcfg.module.procs.iter().enumerate() {
-                let (m, r) = if !gov.charge(Stage::ModRef) {
-                    quarantined[pi] = true;
-                    gov.record_quarantine(
-                        Stage::ModRef,
-                        format!(
-                            "{}: direct-effects budget exhausted; \
-                             summary widened to everything visible",
-                            p.name
-                        ),
-                    );
-                    widen_modref(p.arity(), n_globals)
-                } else {
-                    let pid = ProcId::from(pi);
-                    let unit = crate::quarantine::run_unit(config, Stage::ModRef, pi, || {
-                        direct_effects(mcfg, pid)
-                    });
-                    commit_modref_unit(
-                        &p.name,
-                        unit,
-                        p.arity(),
-                        n_globals,
-                        pi,
-                        &mut quarantined,
-                        &mut gov,
-                    )
-                };
-                mods.push(m);
-                refs.push(r);
-            }
-        } else {
-            let (units, pt) = pool.run(n_procs, |pi| {
-                crate::quarantine::run_unit(config, Stage::ModRef, pi, || {
-                    direct_effects(mcfg, ProcId::from(pi))
-                })
-            });
-            for (pi, unit) in units.into_iter().enumerate() {
-                let p = &mcfg.module.procs[pi];
-                let (m, r) = if !gov.charge(Stage::ModRef) {
-                    quarantined[pi] = true;
-                    gov.record_quarantine(
-                        Stage::ModRef,
-                        format!(
-                            "{}: direct-effects budget exhausted; \
-                             summary widened to everything visible",
-                            p.name
-                        ),
-                    );
-                    widen_modref(p.arity(), n_globals)
-                } else {
-                    commit_modref_unit(
-                        &p.name,
-                        unit,
-                        p.arity(),
-                        n_globals,
-                        pi,
-                        &mut quarantined,
-                        &mut gov,
-                    )
-                };
-                mods.push(m);
-                refs.push(r);
-            }
-            timings.modref = pt;
-        }
+        let pt = fold_units(
+            pool,
+            &mut gov,
+            n_procs,
+            |pi, g| modref_unit(mcfg, config, memo, pi, g),
+            |pi, (pair, quarantine, served), _| {
+                mods.push(pair.0);
+                refs.push(pair.1);
+                quarantined[pi] |= quarantine;
+                txn.note(served);
+            },
+        );
         let modref = propagate_modref(mcfg, &cg, mods, refs);
-        // Direct effects plus their propagation make up the stage; the
-        // sequential tail after a parallel round counts as one busy worker.
-        if pool.parallel() {
-            timings.modref = timings.modref.with_tail(t0.elapsed());
-        } else {
-            timings.modref = PhaseTime::sequential(t0.elapsed(), n_procs);
-        }
+        // Direct effects plus their propagation make up the stage.
+        timings.modref = pt.with_tail(t_run.elapsed());
 
         let mod_kills = ModKills(&modref);
         let kills: &(dyn CallKills + Sync) = if config.use_mod {
@@ -349,32 +373,13 @@ impl Analysis {
         };
 
         // Stage 1: return jump functions (bottom-up over the call graph;
-        // parallel over the SCC levels of the condensation). Each unit
-        // builds its procedure's SSA form and evaluates it symbolically;
-        // when Stage 2 would build the same form, the unit keeps it.
+        // SCC units, run ahead level by level of the condensation on a
+        // pool with workers). Each unit builds its procedure's SSA form
+        // and evaluates it symbolically; when Stage 2 would build the same
+        // form, the unit keeps it.
         let t1 = Instant::now();
-        let keep = reuses_forms(config);
-        let (ret_jfs, mut forms) = if !config.use_return_jfs {
-            let table = ReturnJumpFns {
-                fns: vec![None; n_procs],
-                compose: false,
-            };
-            (table, vec![None; n_procs])
-        } else if !pool.parallel() {
-            let out = build_return_jfs_keeping(
-                mcfg,
-                &cg,
-                &layout,
-                kills,
-                config,
-                &mut quarantined,
-                &mut gov,
-                keep,
-            );
-            timings.retjump = PhaseTime::sequential(t1.elapsed(), cg.bottom_up().count());
-            out
-        } else {
-            let (t, forms, pt) = build_return_jfs_par(
+        let (ret_jfs, mut forms) = if config.use_return_jfs {
+            let (table, forms, pt) = build_return_jfs_on(
                 mcfg,
                 &cg,
                 &layout,
@@ -383,10 +388,18 @@ impl Analysis {
                 &mut quarantined,
                 &mut gov,
                 pool,
-                keep,
+                reuses_forms(config),
+                memo,
+                txn,
             );
             timings.retjump = pt.with_tail(t1.elapsed());
-            (t, forms)
+            (table, forms)
+        } else {
+            let table = ReturnJumpFns {
+                fns: vec![None; n_procs],
+                compose: false,
+            };
+            (table, vec![None; n_procs])
         };
 
         // Stage 2: each reachable procedure's symbolic form, then forward
@@ -397,97 +410,78 @@ impl Analysis {
         // evaluated here against the final table. Either way the commit
         // runs as a `Stage::Jump` quarantine unit, so panic injection and
         // containment behave the same. The symbolic units charge nothing —
-        // step budgets are enforced inside the evaluator — so the parallel
-        // fold only replays the *recording* of outcomes in procedure
-        // order.
+        // step budgets are enforced inside the evaluator — so their fold
+        // only orders the *recording* of outcomes.
         let t2 = Instant::now();
         let latch = std::sync::Arc::clone(gov.latch());
-        let max_steps = gov.limits().max_symbolic_steps;
-        let deadline = config.deadline.map(|d| d.instant());
-        let mut symbolics: Vec<Option<ProcSymbolic>> = Vec::new();
+        let budget = EvalBudget {
+            max_steps: gov.limits().max_symbolic_steps,
+            deadline: config.deadline.map(|d| d.instant()),
+            latch: Some(&latch),
+        };
+        let before = quarantined.clone();
+        let has_form: Vec<bool> = forms.iter().map(Option::is_some).collect();
+        let mut symbolics: Vec<Option<ProcSymbolic>> = Vec::with_capacity(n_procs);
         let mut reused = 0;
-        if !pool.parallel() {
-            for pi in 0..n_procs {
+        let mut pt = fold_units(
+            pool,
+            &mut gov,
+            n_procs,
+            |pi, _| {
                 // A procedure quarantined by an earlier phase contributes
                 // no symbolic form: its call sites get explicit all-⊥ jump
-                // functions below, and re-running its unit here would fire
-                // the same fault twice.
-                if !cg.reachable[pi] || quarantined[pi] {
-                    symbolics.push(None);
-                    continue;
+                // functions, and re-running its unit here would fire the
+                // same fault twice.
+                if !cg.reachable[pi] || before[pi] {
+                    return Symbolic::Live(None, None);
                 }
-                let unit = match forms[pi].take() {
-                    Some(form) => reuse_unit(config, pi, form, &mut reused),
-                    None => {
-                        let budget = EvalBudget {
-                            max_steps,
-                            deadline,
-                            latch: Some(&latch),
-                        };
-                        crate::quarantine::run_unit(config, Stage::Jump, pi, || {
-                            build_proc_symbolic(
-                                mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
-                            )
-                        })
+                let lookup = memo.map(|m| m.lookup(SummaryStage::Jump, pi));
+                if let Some((CachedSummary::Jump { sym }, recovered)) = lookup.and_then(|l| l.hit) {
+                    return Symbolic::Hit((**sym).clone(), recovered);
+                }
+                if has_form[pi] {
+                    return Symbolic::Live(None, lookup);
+                }
+                let unit = run_unit(config, Stage::Jump, pi, || {
+                    build_proc_symbolic(
+                        mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
+                    )
+                });
+                Symbolic::Live(Some(unit), lookup)
+            },
+            |pi, out, gov| {
+                let (unit, lookup) = match out {
+                    Symbolic::Hit(ps, recovered) => {
+                        // The kept form is not needed: free it at once.
+                        forms[pi] = None;
+                        txn.note(Served::Hit { recovered });
+                        symbolics.push(Some(ps));
+                        return;
                     }
+                    Symbolic::Live(unit, lookup) => (unit, lookup),
                 };
-                commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, &mut gov);
-            }
-            let jump_fns = build_forward_jump_fns(
-                mcfg,
-                &cg,
-                &layout,
-                config,
-                &symbolics,
-                &mut quarantined,
-                &mut gov,
-            );
-            timings.jump = PhaseTime::sequential(t2.elapsed(), n_procs);
-            timings.jump.reused = reused;
-            return Self::finish_on(
-                mcfg,
-                config,
-                cg,
-                modref,
-                layout,
-                ret_jfs,
-                symbolics,
-                jump_fns,
-                gov,
-                quarantined,
-                timings,
-                t_run,
-                pool,
-            );
-        }
-        let has_form: Vec<bool> = forms.iter().map(Option::is_some).collect();
-        let (units, mut pt) = pool.run(n_procs, |pi| {
-            if !cg.reachable[pi] || quarantined[pi] || has_form[pi] {
-                return None;
-            }
-            let budget = EvalBudget {
-                max_steps,
-                deadline,
-                latch: Some(&latch),
-            };
-            Some(crate::quarantine::run_unit(config, Stage::Jump, pi, || {
-                build_proc_symbolic(
-                    mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
-                )
-            }))
-        });
-        for (pi, unit) in units.into_iter().enumerate() {
-            let unit = match (unit, forms[pi].take()) {
-                (Some(u), _) => u,
-                (None, Some(form)) => reuse_unit(config, pi, form, &mut reused),
-                (None, None) => {
+                let kept = || {
+                    forms[pi]
+                        .take()
+                        .map(|f| reuse_unit(config, pi, f, &mut reused))
+                };
+                let Some(unit) = unit.or_else(kept) else {
                     symbolics.push(None);
-                    continue;
+                    return;
+                };
+                if let Some(lookup) = lookup {
+                    let entry = match &unit {
+                        Ok((ps, false)) => Some(CachedSummary::Jump {
+                            sym: Box::new(ps.clone()),
+                        }),
+                        _ => None,
+                    };
+                    txn.note(lookup.served_miss(entry));
                 }
-            };
-            commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, &mut gov);
-        }
-        let (jump_fns, pt_fwd) = build_forward_jump_fns_par(
+                commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, gov);
+            },
+        );
+        let (jump_fns, pt_fwd) = build_forward_jump_fns(
             mcfg,
             &cg,
             &layout,
@@ -500,79 +494,9 @@ impl Analysis {
         pt.absorb(pt_fwd);
         pt.reused = reused;
         timings.jump = pt.with_tail(t2.elapsed());
-        Self::finish_on(
-            mcfg,
-            config,
-            cg,
-            modref,
-            layout,
-            ret_jfs,
-            symbolics,
-            jump_fns,
-            gov,
-            quarantined,
-            timings,
-            t_run,
-            pool,
-        )
-    }
 
-    /// [`Analysis::finish_on`] without a caller-provided pool: used by
-    /// serve's incremental path, whose phases upstream of the solve are
-    /// cache replays (sequential by construction).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish(
-        mcfg: &ModuleCfg,
-        config: &Config,
-        cg: CallGraph,
-        modref: ModRef,
-        layout: SlotLayout,
-        ret_jfs: ReturnJumpFns,
-        symbolics: Vec<Option<ProcSymbolic>>,
-        jump_fns: ForwardJumpFns,
-        gov: Governor,
-        quarantined: Vec<bool>,
-        timings: Timings,
-        t_run: Instant,
-    ) -> Analysis {
-        crate::par::with_pool(timings.jobs, |pool| {
-            Self::finish_on(
-                mcfg,
-                config,
-                cg,
-                modref,
-                layout,
-                ret_jfs,
-                symbolics,
-                jump_fns,
-                gov,
-                quarantined,
-                timings,
-                t_run,
-                pool,
-            )
-        })
-    }
-
-    /// Stage 3 (the interprocedural wavefront solve, parallel over the
-    /// SCC levels when the pool is) and assembly — shared tail of both
-    /// `run_once_on` paths.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_on(
-        mcfg: &ModuleCfg,
-        config: &Config,
-        cg: CallGraph,
-        modref: ModRef,
-        layout: SlotLayout,
-        ret_jfs: ReturnJumpFns,
-        symbolics: Vec<Option<ProcSymbolic>>,
-        jump_fns: ForwardJumpFns,
-        mut gov: Governor,
-        mut quarantined: Vec<bool>,
-        mut timings: Timings,
-        t_run: Instant,
-        pool: &crate::par::Pool<'_>,
-    ) -> Analysis {
+        // Stage 3: the interprocedural wavefront solve (parallel over the
+        // SCC levels when the pool is), then assembly.
         let entry_globals = if config.assume_zero_globals {
             Lattice::Const(0)
         } else {
@@ -642,42 +566,82 @@ impl Analysis {
     }
 }
 
-/// The worst-case MOD/REF pair a quarantined procedure is widened to.
-pub(crate) fn widen_modref(arity: usize, n_globals: usize) -> (ModSet, ModSet) {
-    (
-        ModSet::everything(arity, n_globals),
-        ModSet::everything(arity, n_globals),
-    )
-}
-
-/// Commits one MOD/REF unit outcome: the pair on success, the sound
-/// widening (plus a quarantine event) on a contained panic. Shared by the
-/// sequential loop and the parallel fold so both record byte-identical
-/// telemetry.
-pub(crate) fn commit_modref_unit(
-    name: &str,
-    unit: Result<(ModSet, ModSet), UnitError>,
-    arity: usize,
-    n_globals: usize,
+/// One procedure's MOD/REF unit: charge the direct-effects budget, then
+/// serve the direct effects from the memo or compute them under
+/// quarantine. A failed charge or a contained panic widens the summary to
+/// everything visible. Returns the pair, whether the procedure is now
+/// quarantined, and how the memo served it.
+fn modref_unit(
+    mcfg: &ModuleCfg,
+    config: &Config,
+    memo: Option<&MemoKeys<'_>>,
     pi: usize,
-    quarantined: &mut [bool],
     gov: &mut Governor,
-) -> (ModSet, ModSet) {
-    match unit {
-        Ok(pair) => pair,
+) -> ((ModSet, ModSet), bool, Served) {
+    let p = &mcfg.module.procs[pi];
+    let widened = || {
+        let n_globals = mcfg.module.globals.len();
+        (
+            ModSet::everything(p.arity(), n_globals),
+            ModSet::everything(p.arity(), n_globals),
+        )
+    };
+    // The charge comes first, so a unit whose charge fails never runs
+    // (the path `--no-quarantine` debugging relies on).
+    if !gov.charge(Stage::ModRef) {
+        gov.record_quarantine(
+            Stage::ModRef,
+            format!(
+                "{}: direct-effects budget exhausted; \
+                 summary widened to everything visible",
+                p.name
+            ),
+        );
+        return (widened(), true, Served::Skipped);
+    }
+    let lookup = memo.map(|m| m.lookup(SummaryStage::ModRef, pi));
+    if let Some((CachedSummary::ModRef { mods, refs }, recovered)) = lookup.and_then(|l| l.hit) {
+        return (
+            (mods.clone(), refs.clone()),
+            false,
+            Served::Hit { recovered },
+        );
+    }
+    let unit = run_unit(config, Stage::ModRef, pi, || {
+        direct_effects(mcfg, ProcId::from(pi))
+    });
+    let (pair, quarantine) = match unit {
+        Ok(pair) => (pair, false),
         Err(e) => {
-            quarantined[pi] = true;
             gov.record_quarantine(
                 Stage::ModRef,
                 format!(
-                    "{name}: panic contained ({}); \
+                    "{}: panic contained ({}); \
                      summary widened to everything visible",
-                    e.message
+                    p.name, e.message
                 ),
             );
-            widen_modref(arity, n_globals)
+            (widened(), true)
         }
-    }
+    };
+    let served = lookup.map_or(Served::Skipped, |l| {
+        let entry = (!quarantine).then(|| CachedSummary::ModRef {
+            mods: pair.0.clone(),
+            refs: pair.1.clone(),
+        });
+        l.served_miss(entry)
+    });
+    (pair, quarantine, served)
+}
+
+/// One symbolic unit's outcome, before the fold commits it.
+enum Symbolic<'c> {
+    /// Served from the memo (`true` when the entry was restored from a
+    /// persisted store).
+    Hit(ProcSymbolic, bool),
+    /// Computed live — `None` to commit the form Stage 1 kept, if any —
+    /// with the memo lookup that missed.
+    Live(Option<Result<KeptForm, UnitError>>, Option<Lookup<'c>>),
 }
 
 /// One evaluation's outcome: the procedure's symbolic form and whether
@@ -694,8 +658,9 @@ pub(crate) fn reuses_forms(config: &Config) -> bool {
 /// Builds procedure `p`'s SSA form and evaluates it symbolically under
 /// `budget` — the one SSA + evaluation both jump-function stages share.
 ///
-/// The evaluation's call oracle reads `ret_jfs` (every call-modified
-/// value is ⊥ when `None`). `pruned` selects pruned SSA; `gate` seeds an
+/// The evaluation's call oracle reads `ret_jfs` — the table plus, inside
+/// a multi-member SCC unit, its members' fresh entries (every
+/// call-modified value is ⊥ when `None`). `pruned` selects pruned SSA; `gate` seeds an
 /// SCCP pass whose executability facts gate the evaluation (extension).
 /// Returns the form and whether the budget cut the evaluation short.
 #[allow(clippy::too_many_arguments)]
@@ -703,7 +668,7 @@ pub(crate) fn evaluate_proc(
     mcfg: &ModuleCfg,
     layout: &SlotLayout,
     kills: &(dyn CallKills + Sync),
-    ret_jfs: Option<&ReturnJumpFns>,
+    ret_jfs: Option<RetView<'_>>,
     p: ProcId,
     pruned: bool,
     gate: Option<Seeds>,
@@ -714,7 +679,7 @@ pub(crate) fn evaluate_proc(
     } else {
         build_ssa(mcfg, p, kills)
     };
-    let ret = ret_jfs.map(|table| RetOracle {
+    let ret = ret_jfs.as_ref().map(|table| RetOracle {
         table,
         mcfg,
         layout,
@@ -730,8 +695,7 @@ pub(crate) fn evaluate_proc(
 }
 
 /// Procedure `pi`'s Stage-2 symbolic form under `config` — the
-/// Stage::Jump unit of work, shared by the sequential loop, the parallel
-/// workers and serve's incremental path.
+/// Stage::Jump unit of work.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_proc_symbolic(
     mcfg: &ModuleCfg,
@@ -751,7 +715,7 @@ pub(crate) fn build_proc_symbolic(
         Some(vals) => crate::substitute::seeds_from_vals(mcfg, layout, p, &vals[pi]),
         None => Seeds::none(mcfg.module.proc(p).vars.len()),
     });
-    let ret_jfs = config.use_return_jfs.then_some(ret_jfs);
+    let ret_jfs = config.use_return_jfs.then(|| RetView::of(ret_jfs));
     evaluate_proc(
         mcfg,
         layout,
@@ -773,13 +737,13 @@ pub(crate) fn reuse_unit(
     form: KeptForm,
     reused: &mut usize,
 ) -> Result<KeptForm, UnitError> {
-    let unit = crate::quarantine::run_unit(config, Stage::Jump, pi, || form);
+    let unit = run_unit(config, Stage::Jump, pi, || form);
     *reused += usize::from(unit.is_ok());
     unit
 }
 
-/// Commits one symbolic unit outcome into `symbolics`, recording the
-/// deadline/step-slice/panic events exactly as the sequential loop would.
+/// Commits one symbolic unit outcome into `symbolics`, recording its
+/// deadline/step-slice/panic events in procedure order.
 pub(crate) fn commit_symbolic_unit(
     mcfg: &ModuleCfg,
     pi: usize,

@@ -19,9 +19,10 @@
 use crate::config::{Config, Stage};
 use crate::health::Governor;
 use crate::jump::{JumpFn, ProcSymbolic};
-use crate::par::Pool;
+use crate::par::{PhaseTime, Pool};
 use crate::pipeline::{evaluate_proc, KeptForm, PhaseFold, PhaseUnit};
 use crate::quarantine::run_unit;
+use crate::serve::cache::{CacheTxn, CachedSummary, MemoKeys, Served, SummaryStage};
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout, VarId};
@@ -31,6 +32,7 @@ use ipcp_ssa::sccp::CallDefLattice;
 use ipcp_ssa::ssa::CallKills;
 use ipcp_ssa::symbolic::{CallActuals, CallDefEval, EvalBudget, RetTarget, SymVal};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// The return jump functions of a whole program: `fns[p][slot]`.
 ///
@@ -51,40 +53,78 @@ impl ReturnJumpFns {
     pub fn get(&self, proc: ProcId, slot: usize) -> Option<&JumpFn> {
         self.fns[proc.index()].as_ref().and_then(|v| v.get(slot))
     }
+}
 
-    fn target_slot(
-        &self,
-        mcfg: &ModuleCfg,
-        callee: ProcId,
-        target: RetTarget,
-        layout: &SlotLayout,
-    ) -> Option<usize> {
-        let arity = mcfg.module.proc(callee).arity();
-        match target {
-            RetTarget::Formal(i) => (i < arity).then_some(i),
-            RetTarget::Global(g) => layout.global_slot(arity, g),
-        }
+/// Where a [`RetOracle`] reads callee return jump functions: a whole
+/// [`ReturnJumpFns`] table, or a return-jump unit's view of one.
+pub trait RetTable {
+    /// The return jump function for `slot` of `proc`, if built yet.
+    fn ret_jf(&self, proc: ProcId, slot: usize) -> Option<&JumpFn>;
+    /// Whether evaluation composes polynomials (extension).
+    fn compose(&self) -> bool;
+}
+
+impl RetTable for ReturnJumpFns {
+    fn ret_jf(&self, proc: ProcId, slot: usize) -> Option<&JumpFn> {
+        self.get(proc, slot)
+    }
+
+    fn compose(&self) -> bool {
+        self.compose
+    }
+}
+
+/// The table a return-jump unit reads: the shared table plus, inside a
+/// multi-member SCC unit, the fresh entries of the members it has built so
+/// far. A unit's own members are absent from the shared table until the
+/// unit commits, so the overlay costs a copy of the SCC's own entries, not
+/// of the whole table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RetView<'a> {
+    table: &'a ReturnJumpFns,
+    fresh: &'a [(ProcId, Vec<JumpFn>)],
+}
+
+impl<'a> RetView<'a> {
+    /// The table alone.
+    pub(crate) fn of(table: &'a ReturnJumpFns) -> RetView<'a> {
+        RetView { table, fresh: &[] }
+    }
+}
+
+impl RetTable for RetView<'_> {
+    fn ret_jf(&self, proc: ProcId, slot: usize) -> Option<&JumpFn> {
+        self.table.get(proc, slot).or_else(|| {
+            let (_, fns) = self.fresh.iter().find(|(q, _)| *q == proc)?;
+            fns.get(slot)
+        })
+    }
+
+    fn compose(&self) -> bool {
+        self.table.compose
     }
 }
 
 /// The `ipcp` oracle plugged into symbolic evaluation and SCCP: resolves
 /// call-modified values through return jump functions.
 #[derive(Debug)]
-pub struct RetOracle<'a> {
+pub struct RetOracle<'a, T: ?Sized = ReturnJumpFns> {
     /// The (partially built) table.
-    pub table: &'a ReturnJumpFns,
+    pub table: &'a T,
     /// Module under analysis.
     pub mcfg: &'a ModuleCfg,
     /// Slot layout.
     pub layout: &'a SlotLayout,
 }
 
-impl RetOracle<'_> {
+impl<T: RetTable + ?Sized> RetOracle<'_, T> {
     fn jf_for(&self, callee: ProcId, target: RetTarget) -> Option<&JumpFn> {
-        let slot = self
-            .table
-            .target_slot(self.mcfg, callee, target, self.layout)?;
-        self.table.get(callee, slot)
+        let arity = self.mcfg.module.proc(callee).arity();
+        let slot = match target {
+            RetTarget::Formal(i) => (i < arity).then_some(i),
+            RetTarget::Global(g) => self.layout.global_slot(arity, g),
+        };
+        self.table.ret_jf(callee, slot?)
     }
 
     /// The value of callee entry slot `v` at the call, over the caller's
@@ -94,7 +134,7 @@ impl RetOracle<'_> {
     }
 }
 
-impl CallDefEval for RetOracle<'_> {
+impl<T: RetTable + ?Sized> CallDefEval for RetOracle<'_, T> {
     fn eval_call_def(
         &self,
         callee: ProcId,
@@ -108,7 +148,7 @@ impl CallDefEval for RetOracle<'_> {
         match jf {
             JumpFn::Bottom => SymVal::Bottom,
             JumpFn::Const(c) => SymVal::constant(*c),
-            JumpFn::PassThrough(_) | JumpFn::Poly(_) if self.table.compose => {
+            JumpFn::PassThrough(_) | JumpFn::Poly(_) if self.table.compose() => {
                 // Extension: substitute the caller-side polynomials for the
                 // callee's entry slots.
                 let poly = match jf {
@@ -152,7 +192,7 @@ impl CallDefEval for RetOracle<'_> {
     }
 }
 
-impl CallDefLattice for RetOracle<'_> {
+impl<T: RetTable + ?Sized> CallDefLattice for RetOracle<'_, T> {
     fn eval_call_def(
         &self,
         callee: ProcId,
@@ -173,7 +213,7 @@ impl CallDefLattice for RetOracle<'_> {
 }
 
 /// Builds return jump functions for every reachable procedure, bottom-up
-/// over the call graph SCCs.
+/// over the call graph SCCs, on a pool of `config.effective_jobs()`.
 ///
 /// `kills` supplies the call-effect assumption (MOD-precise or worst-case)
 /// — the same oracle later used for forward jump functions, so both layers
@@ -194,76 +234,51 @@ pub fn build_return_jfs(
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) -> ReturnJumpFns {
-    build_return_jfs_keeping(mcfg, cg, layout, kills, config, quarantined, gov, false).0
-}
-
-/// [`build_return_jfs`], also handing back each procedure's symbolic
-/// form when `keep` is set: for every non-recursive procedure whose
-/// evaluation was not cut short by the deadline, `forms[p]` is the
-/// `(ProcSymbolic, steps_exhausted)` pair its unit evaluated. Its callees'
-/// table entries were final when it ran, so the form is exactly what the
-/// forward-jump stage would rebuild against the finished table.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_return_jfs_keeping(
-    mcfg: &ModuleCfg,
-    cg: &CallGraph,
-    layout: &SlotLayout,
-    kills: &(dyn CallKills + Sync),
-    config: &Config,
-    quarantined: &mut [bool],
-    gov: &mut Governor,
-    keep: bool,
-) -> (ReturnJumpFns, Vec<Option<KeptForm>>) {
-    let n_procs = mcfg.module.procs.len();
-    let mut table = ReturnJumpFns {
-        fns: vec![None; n_procs],
-        compose: config.compose_return_jfs,
-    };
-    let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
-    for p in cg.bottom_up() {
-        let out = run_scc_member(
+    crate::par::with_pool(config.effective_jobs(), |pool| {
+        let (table, _, _) = build_return_jfs_on(
             mcfg,
-            &table,
+            cg,
             layout,
             kills,
             config,
-            p,
-            quarantined[p.index()],
-            keep && !cg.is_recursive(p),
+            quarantined,
             gov,
+            pool,
+            false,
+            None,
+            &mut CacheTxn::new(),
         );
-        if out.newly_quarantined {
-            quarantined[p.index()] = true;
-        }
-        table.fns[p.index()] = Some(out.fns);
-        forms[p.index()] = out.form;
-    }
-    (table, forms)
+        table
+    })
 }
 
-/// Parallel [`build_return_jfs`].
+/// [`build_return_jfs`] on `pool`, with the memo consulted per procedure,
+/// also handing back each procedure's symbolic form when `keep` is set:
+/// for every non-recursive procedure whose evaluation was neither cut
+/// short by the deadline nor served from the memo, `forms[p]` is the
+/// `(ProcSymbolic, steps_exhausted)` pair its unit evaluated. Its callees'
+/// table entries were final when it ran, so the form is exactly what the
+/// forward-jump stage would rebuild against the finished table.
 ///
 /// Return jump functions are the one per-procedure phase with *data*
 /// dependences: a procedure's construction reads the (already built)
-/// tables of its callees. The schedule follows the call-graph
-/// condensation: each SCC is one unit (members may read each other's
-/// fresh entries, so they stay sequential inside the unit), and units run
-/// level by level — level 0 is the leaf SCCs, level `k` depends only on
-/// levels `< k` — with each unit charging a governor shard
-/// optimistically. Between levels the optimistic tables are committed so
-/// the next level can read them.
+/// tables of its callees. Each SCC of the condensation is one unit
+/// (members may read each other's fresh entries, so they stay sequential
+/// inside the unit). On a pool with workers the units run ahead level by
+/// level — level 0 is the leaf SCCs, level `k` depends only on levels
+/// `< k` — each against a governor shard, with each level's optimistic
+/// tables committed before the next level starts.
 ///
-/// The fold then walks SCCs in the exact bottom-up (Tarjan emission)
-/// order the sequential driver uses. A unit is absorbed as-is when (a) no
-/// callee SCC's committed table differs from the optimistic one its run
-/// saw, and (b) [`Governor::can_absorb`] proves its charges land exactly
-/// where sequential charging would have. Otherwise the unit is replayed
-/// sequentially against the final table and master governor, and the
-/// difference (if any) propagates to its dependents through `changed`.
-/// Results, telemetry, and quarantine flags are bit-identical to the
-/// sequential driver.
+/// The fold then walks SCCs in the bottom-up (Tarjan emission) order. A
+/// unit run ahead is absorbed as-is when (a) no callee SCC's committed
+/// table differs from the optimistic one its run saw, and (b)
+/// [`Governor::can_absorb`] proves its charges land exactly where
+/// sequential charging would have. Otherwise — or when nothing ran
+/// ahead, as on a pool without workers — the unit runs against the final
+/// table and the master governor, and the difference from its optimistic
+/// run (if any) propagates to its dependents through `changed`.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn build_return_jfs_par(
+pub(crate) fn build_return_jfs_on(
     mcfg: &ModuleCfg,
     cg: &CallGraph,
     layout: &SlotLayout,
@@ -273,122 +288,92 @@ pub(crate) fn build_return_jfs_par(
     gov: &mut Governor,
     pool: &Pool<'_>,
     keep: bool,
-) -> (ReturnJumpFns, Vec<Option<KeptForm>>, crate::par::PhaseTime) {
+    memo: Option<&MemoKeys<'_>>,
+    txn: &mut CacheTxn,
+) -> (ReturnJumpFns, Vec<Option<KeptForm>>, PhaseTime) {
     let n_procs = mcfg.module.procs.len();
     let n_sccs = cg.sccs.len();
-    let snapshot: Vec<bool> = quarantined.to_vec();
-    let proto = gov.shard();
-    let compose = config.compose_return_jfs;
+    let stage = RetStage {
+        mcfg,
+        cg,
+        layout,
+        kills,
+        config,
+        before: quarantined.to_vec(),
+        keep,
+        memo,
+    };
+    let empty = || ReturnJumpFns {
+        fns: vec![None; n_procs],
+        compose: config.compose_return_jfs,
+    };
 
-    // One SCC unit's optimistic result: per-member outcomes, with the
-    // governor shard it charged.
-    type SccOut = Vec<MemberOut>;
-
-    // Optimistic phase: run each level's SCC units in parallel, committing
+    // Optimistic phase: run each level's SCC units on the pool, committing
     // their tables before the next level starts.
-    let mut opt_table = ReturnJumpFns {
-        fns: vec![None; n_procs],
-        compose,
-    };
-    let mut units: Vec<Option<PhaseUnit<SccOut>>> = (0..n_sccs).map(|_| None).collect();
-    let mut time = crate::par::PhaseTime::default();
-    for level in scc_levels(cg) {
-        let (level_units, pt) = pool.run(level.len(), |k| {
-            let si = level[k];
-            let members = &cg.sccs[si];
-            let mut shard = proto.shard();
-            // Members of a multi-procedure SCC read each other's fresh
-            // entries, so they get a private overlay of the table.
-            let mut overlay: Option<ReturnJumpFns> = (members.len() > 1).then(|| opt_table.clone());
-            let mut outs = Vec::with_capacity(members.len());
-            for &p in members {
-                let visible = overlay.as_ref().unwrap_or(&opt_table);
-                let out = run_scc_member(
-                    mcfg,
-                    visible,
-                    layout,
-                    kills,
-                    config,
-                    p,
-                    snapshot[p.index()],
-                    keep && !cg.is_recursive(p),
-                    &mut shard,
-                );
-                if let Some(o) = overlay.as_mut() {
-                    o.fns[p.index()] = Some(out.fns.clone());
+    let master: &Governor = gov;
+    let ahead = pool.ahead(|| {
+        let mut opt_table = empty();
+        let mut units: Vec<Option<PhaseUnit<Vec<MemberOut>>>> = (0..n_sccs).map(|_| None).collect();
+        let mut time = PhaseTime::default();
+        for level in scc_levels(cg) {
+            let (level_units, pt) = pool.run(level.len(), |k| {
+                let mut shard = master.shard();
+                let outs = stage.scc_unit(level[k], &opt_table, &mut shard);
+                PhaseUnit::new(level[k], outs, shard)
+            });
+            time.absorb(pt);
+            for unit in level_units {
+                let si = unit.index;
+                for (out, &p) in unit.outcome.iter().zip(&cg.sccs[si]) {
+                    opt_table.fns[p.index()] = Some(out.fns.clone());
                 }
-                outs.push(out);
+                units[si] = Some(unit);
             }
-            PhaseUnit::new(si, Ok(outs), shard)
-        });
-        time.absorb(pt);
-        for (k, unit) in level_units.into_iter().enumerate() {
-            let si = level[k];
-            if let Ok(outs) = &unit.outcome {
-                for (m, &p) in cg.sccs[si].iter().enumerate() {
-                    opt_table.fns[p.index()] = Some(outs[m].fns.clone());
-                }
-            }
-            units[si] = Some(unit);
         }
-    }
+        (units, opt_table, time)
+    });
+    let (mut units, opt_table, mut time) = ahead.unwrap_or_else(|| {
+        let reachable = cg.bottom_up().count();
+        let time = PhaseTime::sequential(Duration::ZERO, reachable);
+        (Vec::new(), ReturnJumpFns::default(), time)
+    });
 
-    // Deterministic fold, in the sequential driver's SCC order.
-    let mut table = ReturnJumpFns {
-        fns: vec![None; n_procs],
-        compose,
-    };
+    // Deterministic fold, in bottom-up SCC order.
+    let mut table = empty();
     let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
     let mut fold = PhaseFold::default();
     let mut changed = vec![false; n_sccs];
-    for si in 0..n_sccs {
-        let Some(pu) = units[si].take() else {
-            continue; // unreachable SCC: never built, exactly as sequential
-        };
-        let members = &cg.sccs[si];
-        let dep_changed = members.iter().any(|&p| {
-            cg.calls_from(p).iter().any(|e| {
-                let cs = cg.scc_of[e.callee.index()];
-                cs != si && changed[cs]
-            })
+    for (si, members) in cg.sccs.iter().enumerate() {
+        // Reachability is uniform across an SCC (it is strongly
+        // connected); an unreachable SCC is never built.
+        if !members.first().is_some_and(|p| cg.reachable[p.index()]) {
+            continue;
+        }
+        let ahead = units.get_mut(si).and_then(Option::take);
+        let absorbed = ahead.and_then(|unit| {
+            let dep_changed = members.iter().any(|&p| {
+                cg.calls_from(p).iter().any(|e| {
+                    let cs = cg.scc_of[e.callee.index()];
+                    cs != si && changed[cs]
+                })
+            });
+            fold.try_absorb(gov, unit, !dep_changed)
         });
-        match fold.try_absorb(gov, pu, !dep_changed) {
-            Some(Ok(outs)) => {
-                for (out, &p) in outs.into_iter().zip(members) {
-                    quarantined[p.index()] = snapshot[p.index()] || out.newly_quarantined;
-                    table.fns[p.index()] = Some(out.fns);
-                    forms[p.index()] = out.form;
-                }
-                // Committed == optimistic, so `changed[si]` stays false.
-            }
-            Some(Err(e)) => {
-                // Units catch their own panics inside `run_scc_member`
-                // and report degradation through `MemberOut`.
-                unreachable!("return-JF units never fail the outcome: {e}")
-            }
+        let outs = match absorbed {
+            Some(outs) => outs, // committed == optimistic: `changed[si]` stays false
             None => {
-                let mut any_diff = false;
-                for &p in members {
-                    let out = run_scc_member(
-                        mcfg,
-                        &table,
-                        layout,
-                        kills,
-                        config,
-                        p,
-                        snapshot[p.index()],
-                        keep && !cg.is_recursive(p),
-                        gov,
-                    );
-                    if opt_table.fns[p.index()].as_ref() != Some(&out.fns) {
-                        any_diff = true;
-                    }
-                    quarantined[p.index()] = snapshot[p.index()] || out.newly_quarantined;
-                    table.fns[p.index()] = Some(out.fns);
-                    forms[p.index()] = out.form;
-                }
-                changed[si] = any_diff;
+                let outs = stage.scc_unit(si, &table, gov);
+                changed[si] = members.iter().zip(&outs).any(|(&p, out)| {
+                    opt_table.fns.get(p.index()).and_then(Option::as_ref) != Some(&out.fns)
+                });
+                outs
             }
+        };
+        for (out, &p) in outs.into_iter().zip(members) {
+            quarantined[p.index()] = stage.before[p.index()] || out.newly_quarantined;
+            table.fns[p.index()] = Some(out.fns);
+            forms[p.index()] = out.form;
+            txn.note(out.served);
         }
     }
     fold.stamp(&mut time);
@@ -429,73 +414,162 @@ fn scc_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
 }
 
 /// One procedure's result in the bottom-up walk: its slot functions,
-/// whether this unit newly quarantined it, and the symbolic form it
-/// evaluated when the caller asked to keep it.
+/// whether this unit newly quarantined it, the symbolic form it evaluated
+/// when the caller asked to keep it, and how the memo served it.
 #[derive(Debug)]
-pub(crate) struct MemberOut {
+struct MemberOut {
     /// Return jump function per entry slot.
-    pub fns: Vec<JumpFn>,
+    fns: Vec<JumpFn>,
     /// Whether the unit panicked here (the procedure is quarantined).
-    pub newly_quarantined: bool,
+    newly_quarantined: bool,
     /// The `(ProcSymbolic, steps_exhausted)` pair the unit evaluated —
-    /// `None` unless kept (see [`build_return_jfs_keeping`]).
-    pub form: Option<KeptForm>,
+    /// `None` unless kept (see [`build_return_jfs_on`]).
+    form: Option<KeptForm>,
+    /// The memo's note for this procedure.
+    served: Served,
 }
 
-/// One procedure's slice of the bottom-up walk: the quarantine
-/// short-circuit, the quarantined unit, and the panic containment —
-/// shared verbatim by the sequential driver, the optimistic parallel
-/// units, the fold's replay path and serve's incremental driver. With
-/// `keep`, the unit hands back its symbolic form unless the deadline cut
-/// the evaluation short.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scc_member(
-    mcfg: &ModuleCfg,
-    table: &ReturnJumpFns,
-    layout: &SlotLayout,
-    kills: &(dyn CallKills + Sync),
-    config: &Config,
-    p: ProcId,
-    already_quarantined: bool,
+/// Everything a return-jump unit reads besides the table and the governor
+/// it charges.
+struct RetStage<'a> {
+    mcfg: &'a ModuleCfg,
+    cg: &'a CallGraph,
+    layout: &'a SlotLayout,
+    kills: &'a (dyn CallKills + Sync),
+    config: &'a Config,
+    /// Quarantine flags as the stage found them.
+    before: Vec<bool>,
     keep: bool,
-    gov: &mut Governor,
-) -> MemberOut {
-    let proc = mcfg.module.proc(p);
-    let n_slots = layout.n_slots(proc.arity());
-    let bottom = || MemberOut {
-        fns: vec![JumpFn::Bottom; n_slots],
-        newly_quarantined: false,
-        form: None,
-    };
-    if already_quarantined {
-        return bottom();
+    memo: Option<&'a MemoKeys<'a>>,
+}
+
+impl RetStage<'_> {
+    /// One SCC's unit: its members in order, each reading `table` plus the
+    /// fresh entries of the members before it.
+    fn scc_unit(&self, si: usize, table: &ReturnJumpFns, gov: &mut Governor) -> Vec<MemberOut> {
+        let members = &self.cg.sccs[si];
+        let mut fresh: Vec<(ProcId, Vec<JumpFn>)> = Vec::new();
+        let mut outs = Vec::with_capacity(members.len());
+        for &p in members {
+            let view = RetView {
+                table,
+                fresh: &fresh,
+            };
+            let out = self.member(view, p, gov);
+            if members.len() > 1 {
+                fresh.push((p, out.fns.clone()));
+            }
+            outs.push(out);
+        }
+        outs
     }
-    let latch = Arc::clone(gov.latch());
-    let budget = EvalBudget {
-        max_steps: gov.limits().max_symbolic_steps,
-        deadline: config.deadline.map(|d| d.instant()),
-        latch: Some(&latch),
-    };
-    let unit = run_unit(config, Stage::RetJump, p.index(), || {
-        build_proc_ret_jfs(mcfg, table, layout, kills, p, n_slots, &budget, gov)
-    });
-    match unit {
-        Ok((fns, form, cut_by_deadline)) => MemberOut {
-            fns,
+
+    /// One procedure's unit with the memo consulted first. A hit replays
+    /// its recorded charges through [`Governor::can_absorb`]; a hit that
+    /// would cross a budget or fault trip runs live instead, reproducing
+    /// the cold trip. A live unit runs against a recording shard, so a
+    /// clean one can be cached with its charges.
+    fn member(&self, view: RetView<'_>, p: ProcId, gov: &mut Governor) -> MemberOut {
+        let pi = p.index();
+        let keep = self.keep && !self.cg.is_recursive(p);
+        // The quarantine short-circuit touches neither memo nor governor.
+        let Some(memo) = self.memo.filter(|_| !self.before[pi]) else {
+            return self.run(view, p, self.before[pi], keep, gov);
+        };
+        let lookup = memo.lookup(SummaryStage::RetJump, pi);
+        if let Some((CachedSummary::RetJump { fns, charges }, recovered)) = lookup.hit {
+            let mut replay = gov.shard();
+            replay.add_charges(charges);
+            if gov.can_absorb(&replay) {
+                gov.absorb_shard(replay);
+                return MemberOut {
+                    fns: fns.clone(),
+                    newly_quarantined: false,
+                    form: None,
+                    served: Served::Hit { recovered },
+                };
+            }
+        }
+        let mut shard = gov.shard();
+        let mut out = self.run(view, p, false, keep, &mut shard);
+        if gov.can_absorb(&shard) {
+            // A shard that tripped can never satisfy can_absorb (its
+            // counter already exceeds the cap or fault point), so this
+            // branch is charge-for-charge identical to running against
+            // `gov` itself.
+            let clean = !out.newly_quarantined && !shard.health.degraded();
+            let entry = clean.then(|| CachedSummary::RetJump {
+                fns: out.fns.clone(),
+                charges: shard.counters(),
+            });
+            gov.absorb_shard(shard);
+            out.served = lookup.served_miss(entry);
+        } else {
+            out = self.run(view, p, false, keep, gov);
+            out.served = Served::Miss(None);
+        }
+        out
+    }
+
+    /// One procedure's slice of the bottom-up walk: the quarantine
+    /// short-circuit, the quarantined unit, and the panic containment.
+    /// With `keep`, the unit hands back its symbolic form unless the
+    /// deadline cut the evaluation short.
+    fn run(
+        &self,
+        view: RetView<'_>,
+        p: ProcId,
+        already_quarantined: bool,
+        keep: bool,
+        gov: &mut Governor,
+    ) -> MemberOut {
+        let proc = self.mcfg.module.proc(p);
+        let n_slots = self.layout.n_slots(proc.arity());
+        let bottom = || MemberOut {
+            fns: vec![JumpFn::Bottom; n_slots],
             newly_quarantined: false,
-            form: (keep && !cut_by_deadline).then_some(form),
-        },
-        Err(e) => {
-            gov.record_quarantine(
-                Stage::RetJump,
-                format!(
-                    "{}: panic contained ({}); return jump functions forced to ⊥",
-                    proc.name, e.message
-                ),
-            );
-            MemberOut {
-                newly_quarantined: true,
+            form: None,
+            served: Served::Skipped,
+        };
+        if already_quarantined {
+            return bottom();
+        }
+        let latch = Arc::clone(gov.latch());
+        let budget = EvalBudget {
+            max_steps: gov.limits().max_symbolic_steps,
+            deadline: self.config.deadline.map(|d| d.instant()),
+            latch: Some(&latch),
+        };
+        let unit = run_unit(self.config, Stage::RetJump, p.index(), || {
+            build_proc_ret_jfs(
+                self.mcfg,
+                view,
+                self.layout,
+                self.kills,
+                p,
+                n_slots,
+                &budget,
+                gov,
+            )
+        });
+        match unit {
+            Ok((fns, form, cut_by_deadline)) => MemberOut {
+                fns,
+                form: (keep && !cut_by_deadline).then_some(form),
                 ..bottom()
+            },
+            Err(e) => {
+                gov.record_quarantine(
+                    Stage::RetJump,
+                    format!(
+                        "{}: panic contained ({}); return jump functions forced to ⊥",
+                        proc.name, e.message
+                    ),
+                );
+                MemberOut {
+                    newly_quarantined: true,
+                    ..bottom()
+                }
             }
         }
     }
@@ -508,7 +582,7 @@ pub(crate) fn run_scc_member(
 #[allow(clippy::too_many_arguments)]
 fn build_proc_ret_jfs(
     mcfg: &ModuleCfg,
-    table: &ReturnJumpFns,
+    view: RetView<'_>,
     layout: &SlotLayout,
     kills: &(dyn CallKills + Sync),
     p: ProcId,
@@ -516,7 +590,7 @@ fn build_proc_ret_jfs(
     budget: &EvalBudget<'_>,
     gov: &mut Governor,
 ) -> (Vec<JumpFn>, KeptForm, bool) {
-    let (ps, exhausted) = evaluate_proc(mcfg, layout, kills, Some(table), p, false, None, budget);
+    let (ps, exhausted) = evaluate_proc(mcfg, layout, kills, Some(view), p, false, None, budget);
     let ProcSymbolic { ssa, sym, .. } = &ps;
     let proc = mcfg.module.proc(p);
     let cut_by_deadline = exhausted && gov.deadline_expired();
@@ -726,6 +800,69 @@ mod tests {
              proc f(a) { if (a > 0) { a = a - 1; call f(a); } }",
         );
         assert_eq!(t.get(pid(&m, "f"), 0), Some(&JumpFn::Bottom));
+    }
+
+    /// The second member of a two-member SCC sees the first member's
+    /// fresh entry, at every pool size: whichever of `a` and `b` is built
+    /// second returns both globals as constants, its sibling's only
+    /// through the sibling's entry. The first member, built while the
+    /// second's entry is still empty, returns the second's global as ⊥.
+    #[test]
+    fn scc_members_read_each_others_fresh_entries_at_every_job_count() {
+        let m = lower_module(
+            &parse_and_resolve(
+                "global g; global h; \
+                 proc main() { call a(); call b(); print g + h; } \
+                 proc a() { call b(); g = 5; } \
+                 proc b() { call a(); h = 7; }",
+            )
+            .unwrap(),
+        );
+        let cg = build_call_graph(&m);
+        let mr = compute_modref(&m, &cg);
+        let layout = SlotLayout::new(&m.module);
+        let scc = &cg.sccs[cg.scc_of[pid(&m, "a").index()]];
+        assert_eq!(scc.len(), 2);
+        let (first, second) = (scc[0], scc[1]);
+        let g = layout
+            .global_slot(0, ipcp_ir::program::GlobalId(0))
+            .unwrap();
+        let h = layout
+            .global_slot(0, ipcp_ir::program::GlobalId(1))
+            .unwrap();
+        let tables: Vec<Vec<Option<Vec<JumpFn>>>> = [1, 4]
+            .into_iter()
+            .map(|jobs| {
+                let mut quarantined = vec![false; m.module.procs.len()];
+                build_return_jfs(
+                    &m,
+                    &cg,
+                    &layout,
+                    &ModKills(&mr),
+                    &Config::default().with_jobs(jobs),
+                    &mut quarantined,
+                    &mut Governor::unlimited(),
+                )
+                .fns
+            })
+            .collect();
+        assert_eq!(tables[0], tables[1], "jobs 1 and 4 disagree");
+        let t = ReturnJumpFns {
+            fns: tables[0].clone(),
+            compose: false,
+        };
+        let ((own, sibling), (own_c, sibling_c)) = if second == pid(&m, "a") {
+            ((g, h), (5, 7))
+        } else {
+            ((h, g), (7, 5))
+        };
+        assert_eq!(t.get(second, own), Some(&JumpFn::Const(own_c)));
+        assert_eq!(
+            t.get(second, sibling),
+            Some(&JumpFn::Const(sibling_c)),
+            "the second member must read the first member's fresh entry"
+        );
+        assert_eq!(t.get(first, own), Some(&JumpFn::Bottom));
     }
 
     #[test]

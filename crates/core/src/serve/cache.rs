@@ -1,4 +1,5 @@
-//! The content-hash-keyed summary cache and its transaction overlay.
+//! The content-hash-keyed summary cache, its transaction overlay, and the
+//! memo hook the pipeline consults.
 //!
 //! The daemon caches three kinds of per-procedure summaries across
 //! requests, keyed by the [`summary keys`](ipcp_analysis::keys) derived
@@ -12,6 +13,43 @@
 //!   hit replays them — see [`crate::Governor::add_charges`]);
 //! * the SSA + symbolic form feeding forward jump functions (cone-keyed;
 //!   the unit makes no governor charges).
+//!
+//! The cache is not a second pipeline: it is a [`Memo`] handed to
+//! [`Analysis::run_memoized`](crate::Analysis::run_memoized). Inside the
+//! one pipeline driver each unit looks its key up before computing; a hit
+//! is a unit whose result (and, for return jump functions, recorded
+//! charges) was computed earlier, and it goes through the same
+//! [`Governor::can_absorb`](crate::Governor::can_absorb) gate the parallel
+//! fold uses. The fold notes every unit's [`Served`] outcome into the
+//! request's [`CacheTxn`] in sequential unit order, so counters and staged
+//! entries are the same at every `--jobs`.
+//!
+//! The contract — the one the `serve-identity` oracle and the tier-1
+//! differential tests enforce — is **bit-identity**: for any cache state,
+//! the memoised analysis (values, health events in order, quarantine
+//! flags; see [`same_results`]) equals a cold
+//! [`Analysis::run`](crate::Analysis::run) on the same module and
+//! configuration, except for wall-clock-deadline degradations (those
+//! depend on real time and are documented as ⊥-honest, marked
+//! `degraded`). Three mechanisms carry it through budgets and fault
+//! injection:
+//!
+//! 1. **Keys capture every input.** A unit's key mixes the configuration
+//!    fingerprint, the program shape, and its own-text or callee-cone
+//!    Merkle hash; two units with equal keys compute equal results.
+//! 2. **Charge replay.** A cached return-jump unit recorded the governor
+//!    charges its clean run made. A hit replays them into a shard and
+//!    absorbs only when `can_absorb` proves no budget or injected fault
+//!    would have tripped inside the range — otherwise the unit runs live,
+//!    reproducing the cold trip at the exact same offset.
+//! 3. **Forced misses.** The unit named by a `--inject-panic`
+//!    configuration always runs live, so the injection fires exactly as
+//!    cold; and degraded units are never cached, so a quarantined
+//!    procedure is recomputed (and re-contained, or healed by an edit) on
+//!    every request.
+//!
+//! Gated configurations (`gated_jump_fns`) bypass the cache: their units
+//! read the previous round's fixpoint, which is not part of the key.
 //!
 //! Only *clean* units are cached: a unit that quarantined, tripped a
 //! budget, or exhausted its step slice is recomputed on every request,
@@ -28,10 +66,12 @@
 //! eviction: admission control bounds the request queue, this bounds the
 //! memory a long-lived daemon accretes.
 
-use crate::config::Stage;
+use crate::config::{Config, PanicInjection, Stage};
 use crate::jump::ProcSymbolic;
-use crate::JumpFn;
-use ipcp_analysis::ModSet;
+use crate::{Analysis, JumpFn};
+use ipcp_analysis::{summary_keys, CallGraph, ModSet, SummaryKeys};
+use ipcp_ir::cfg::ModuleCfg;
+use ipcp_ir::hash::Fnv128;
 use std::collections::{HashMap, VecDeque};
 
 /// Recorded per-stage governor charges, in [`Stage::ALL`] order.
@@ -48,6 +88,18 @@ pub enum SummaryStage {
     RetJump,
     /// SSA + symbolic evaluation (the forward-jump-function input).
     Jump,
+}
+
+impl SummaryStage {
+    /// The pipeline stage whose units this family memoises — the stage a
+    /// `--inject-panic` must name to force the family's misses.
+    fn stage(self) -> Stage {
+        match self {
+            SummaryStage::ModRef => Stage::ModRef,
+            SummaryStage::RetJump => Stage::RetJump,
+            SummaryStage::Jump => Stage::Jump,
+        }
+    }
 }
 
 /// A cache key: the summary family plus the content digest.
@@ -288,6 +340,209 @@ impl CacheTxn {
     pub fn staged_len(&self) -> usize {
         self.staged.len()
     }
+
+    /// Notes how one unit was served. The pipeline's fold calls this in
+    /// sequential unit order, so counters and staged entries do not depend
+    /// on `--jobs`.
+    pub(crate) fn note(&mut self, served: Served) {
+        match served {
+            Served::Skipped => {}
+            Served::Hit { recovered } => {
+                self.hits += 1;
+                self.persisted_hits += u64::from(recovered);
+            }
+            Served::Miss(entry) => {
+                self.misses += 1;
+                if let Some((key, summary)) = entry {
+                    self.stage(key, summary);
+                }
+            }
+        }
+    }
+}
+
+/// A request's memo hook, handed to
+/// [`Analysis::run_memoized`](crate::Analysis::run_memoized): the cache
+/// every unit looks up before computing, the per-procedure content hashes
+/// its keys derive from, and the transaction its hits, misses and fresh
+/// clean entries land in.
+#[derive(Debug)]
+pub struct Memo<'a> {
+    /// The cache units read.
+    pub cache: &'a SummaryCache,
+    /// `own[i]`: content hash of procedure `i`'s normalized text.
+    pub own: &'a [u128],
+    /// Where the request's outcome stages, for the engine to commit.
+    pub txn: &'a mut CacheTxn,
+}
+
+/// How one unit was served, noted into the request's [`CacheTxn`] by the
+/// fold ([`CacheTxn::note`]).
+#[derive(Debug)]
+pub(crate) enum Served {
+    /// The memo was not consulted: no memo, or the unit short-circuited
+    /// (a budget charge failed, or an earlier phase quarantined it).
+    Skipped,
+    /// Served from the cache; `recovered` when the entry was restored from
+    /// a persisted store.
+    Hit {
+        /// Whether the entry came from a persisted store.
+        recovered: bool,
+    },
+    /// Computed live, with the entry to cache when the unit came out clean
+    /// and was not a forced miss.
+    Miss(Option<(CacheKey, CachedSummary)>),
+}
+
+/// The read side of a memo: the cache and every unit's key. Units consult
+/// it from inside pool rounds, so it only ever reads.
+#[derive(Debug)]
+pub(crate) struct MemoKeys<'a> {
+    cache: &'a SummaryCache,
+    keys: SummaryKeys,
+    shape: u128,
+    injection: Option<PanicInjection>,
+}
+
+/// One unit's consultation of the memo.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Lookup<'a> {
+    key: CacheKey,
+    forced: bool,
+    /// The entry and whether it was restored from a persisted store —
+    /// `None` when absent or when the unit is a forced miss.
+    pub hit: Option<(&'a CachedSummary, bool)>,
+}
+
+impl<'a> MemoKeys<'a> {
+    /// Derives every unit's key for `mcfg` under `config`.
+    pub(crate) fn new(
+        memo: &Memo<'a>,
+        mcfg: &ModuleCfg,
+        cg: &CallGraph,
+        config: &Config,
+    ) -> MemoKeys<'a> {
+        MemoKeys {
+            cache: memo.cache,
+            keys: summary_keys(cg, memo.own),
+            shape: shape_fingerprint(mcfg, config),
+            injection: config.panic_injection,
+        }
+    }
+
+    /// Looks up procedure `pi`'s `family` entry. MOD/REF is keyed by the
+    /// procedure's own text, the other families by its callee cone.
+    pub(crate) fn lookup(&self, family: SummaryStage, pi: usize) -> Lookup<'a> {
+        let content = match family {
+            SummaryStage::ModRef => self.keys.own[pi],
+            SummaryStage::RetJump | SummaryStage::Jump => self.keys.cone[pi],
+        };
+        let key = CacheKey {
+            stage: family,
+            digest: mix(self.shape, content),
+        };
+        // The unit a panic injection names never comes from the cache, so
+        // the injection fires exactly as cold.
+        let forced = self
+            .injection
+            .is_some_and(|i| i.stage == family.stage() && i.proc == pi);
+        let hit = if forced {
+            None
+        } else {
+            self.cache.get_with_origin(key)
+        };
+        Lookup { key, forced, hit }
+    }
+}
+
+impl Lookup<'_> {
+    /// The note for a unit computed live: a miss that caches `entry` —
+    /// the unit's summary when it came out clean — unless the unit was a
+    /// forced miss.
+    pub(crate) fn served_miss(&self, entry: Option<CachedSummary>) -> Served {
+        Served::Miss(entry.filter(|_| !self.forced).map(|e| (self.key, e)))
+    }
+}
+
+/// Whether this configuration's per-procedure units are cacheable at
+/// all. Gated jump functions iterate: each round's units read the
+/// previous round's `VAL` sets, which the content keys do not capture.
+pub fn cacheable(config: &Config) -> bool {
+    !config.gated_jump_fns
+}
+
+/// Digest of the configuration axes that change what a summary unit
+/// computes. Budgets are included because step and shape limits are
+/// enforced *inside* units (they are not governor charges, so charge
+/// replay cannot reproduce them); the injection hooks are *not* —
+/// fault trips are reproduced by charge replay and panic injections by
+/// forced misses.
+///
+/// Public because the persisted summary store stamps this fingerprint
+/// into its header: a store written under one configuration is discarded
+/// (config drift) rather than consulted under another.
+pub fn config_fingerprint(config: &Config) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_str(config.jump_fn.label());
+    h.write(&[
+        config.use_mod as u8,
+        config.use_return_jfs as u8,
+        config.compose_return_jfs as u8,
+        config.assume_zero_globals as u8,
+        config.gated_jump_fns as u8,
+        config.pruned_ssa as u8,
+    ]);
+    let l = &config.limits;
+    h.write_u64(l.max_solver_iterations);
+    h.write_u64(l.max_symbolic_steps);
+    h.write_u64(l.max_poly_terms as u64);
+    h.write_u64(u64::from(l.max_poly_degree));
+    h.write_u64(l.max_support as u64);
+    h.write_u64(l.max_clones as u64);
+    h.write_u64(l.max_inline_statements as u64);
+    h.finish()
+}
+
+/// Digest of the program *shape*: ordered procedure names and arities,
+/// ordered global declarations, and the configuration fingerprint.
+/// Mixed into every cache key so entries from a differently shaped
+/// program (renumbered `ProcId`s, different entry-slot layouts) can
+/// never alias.
+///
+/// Public because the persisted summary store stamps this fingerprint
+/// into its header (shape drift ⇒ discard at load).
+pub fn shape_fingerprint(mcfg: &ModuleCfg, config: &Config) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_u128(config_fingerprint(config));
+    for g in &mcfg.module.globals {
+        h.write_str(&g.name);
+        h.write_u64(g.array_len.map_or(u64::MAX, |l| l as u64));
+    }
+    h.write(&[0xA5]);
+    for p in &mcfg.module.procs {
+        h.write_str(&p.name);
+        h.write_u64(p.arity() as u64);
+    }
+    h.finish()
+}
+
+fn mix(shape: u128, content: u128) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_u128(shape);
+    h.write_u128(content);
+    h.finish()
+}
+
+/// The identity predicate the differential tests assert: everything an
+/// analysis computes except wall-clock observations (timings) and the
+/// solver's internal work counters.
+pub fn same_results(a: &Analysis, b: &Analysis) -> bool {
+    a.vals.vals == b.vals.vals
+        && a.health == b.health
+        && a.quarantined == b.quarantined
+        && a.ret_jfs.fns == b.ret_jfs.fns
+        && a.jump_fns.sites == b.jump_fns.sites
+        && a.modref == b.modref
 }
 
 #[cfg(test)]

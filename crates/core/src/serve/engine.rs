@@ -23,8 +23,9 @@
 use crate::config::{Config, Stage};
 use crate::health::DegradationEvent;
 use crate::quarantine::quiet_catch;
-use crate::serve::cache::{CacheStats, CacheTxn, SummaryCache};
-use crate::serve::incremental::analyze_incremental;
+use crate::serve::cache::{
+    config_fingerprint, shape_fingerprint, CacheStats, CacheTxn, Memo, SummaryCache,
+};
 use crate::serve::json::{Json, Object};
 use crate::{Analysis, IpcpError};
 use ipcp_ir::cfg::ModuleCfg;
@@ -270,7 +271,14 @@ fn run_request(
     own: &[u128],
 ) -> Result<(Analysis, CacheTxn), String> {
     let mut txn = CacheTxn::new();
-    let analysis = quiet_catch(|| analyze_incremental(mcfg, config, own, cache, &mut txn))?;
+    let analysis = quiet_catch(|| {
+        let memo = Memo {
+            cache,
+            own,
+            txn: &mut txn,
+        };
+        Analysis::run_memoized(mcfg, config, memo)
+    })?;
     Ok((analysis, txn))
 }
 
@@ -334,8 +342,8 @@ impl ServeEngine {
         store: &mut crate::serve::store::SummaryStore,
     ) -> Result<(ServeEngine, crate::serve::store::LoadStatus), ServeError> {
         let (config, model, mcfg) = ServeEngine::boot(src, config)?;
-        let cfp = crate::serve::incremental::config_fingerprint(&config);
-        let sfp = crate::serve::incremental::shape_fingerprint(&mcfg, &config);
+        let cfp = config_fingerprint(&config);
+        let sfp = shape_fingerprint(&mcfg, &config);
         let (entries, status) = store.load(cfp, sfp);
         let cache = SummaryCache::restore(entries, SummaryCache::DEFAULT_CAPACITY);
         let engine = ServeEngine::finish(config, model, mcfg, cache)?;
@@ -423,8 +431,8 @@ impl ServeEngine {
     /// program only restores against that program.
     pub fn fingerprints(&self) -> (u128, u128) {
         (
-            crate::serve::incremental::config_fingerprint(&self.base_config),
-            crate::serve::incremental::shape_fingerprint(&self.mcfg, &self.base_config),
+            config_fingerprint(&self.base_config),
+            shape_fingerprint(&self.mcfg, &self.base_config),
         )
     }
 

@@ -9,8 +9,11 @@
 //! * [`json`] — a minimal, bounded JSON parser/serializer (the protocol
 //!   wire format; no external dependencies);
 //! * [`cache`] — the content-hash-keyed [`SummaryCache`] with its
-//!   snapshot–validate–commit transaction overlay;
-//! * [`incremental`] — the cache-aware analysis driver, differentially
+//!   snapshot–validate–commit transaction overlay, and the [`Memo`] hook
+//!   the pipeline consults before each per-procedure unit. Serve runs no
+//!   stages of its own: a request is
+//!   [`Analysis::run_memoized`](crate::Analysis::run_memoized) — the one
+//!   pipeline driver, on the request's `--jobs` pool — differentially
 //!   bit-identical to a cold [`crate::Analysis::run`];
 //! * [`engine`] — the typed request engine: `analyze`, `constants`,
 //!   `explain`, `update`, `load`, plus telemetry;
@@ -28,19 +31,18 @@
 
 pub mod cache;
 pub mod engine;
-pub mod incremental;
 pub mod json;
 pub mod store;
 pub mod wire;
 pub mod workers;
 
-pub use cache::{CacheKey, CacheStats, CacheTxn, CachedSummary, SummaryCache, SummaryStage};
+pub use cache::{
+    cacheable, config_fingerprint, same_results, shape_fingerprint, CacheKey, CacheStats, CacheTxn,
+    CachedSummary, Memo, SummaryCache, SummaryStage,
+};
 pub use engine::{
     config_from_overrides, ConstantsReport, EngineStats, ProgramModel, RequestOutcome, ServeEngine,
     ServeError,
-};
-pub use incremental::{
-    analyze_incremental, cacheable, config_fingerprint, same_results, shape_fingerprint,
 };
 pub use json::{Json, Object};
 pub use store::{DiscardReason, IoFault, IoInjector, LoadStatus, SummaryStore};

@@ -293,34 +293,17 @@ fn eval_unit(
     out
 }
 
-/// Runs [`eval_unit`] under the quarantine contract: panics are contained
-/// (with the quiet hook) when `config.quarantine` is on, and propagate
-/// when it is off — the same semantics `quarantine::run_unit` gives the
-/// per-procedure phases, minus the unit-entry injection (the solver fires
-/// the hook per member re-evaluation instead).
-#[allow(clippy::too_many_arguments)]
-fn eval_unit_guarded(
-    cg: &CallGraph,
-    jump_fns: &ForwardJumpFns,
-    config: &Config,
-    members: &[ProcId],
-    scc: usize,
-    vals: &[Vec<Lattice>],
-    dirty: &[bool],
-    gov: &mut Governor,
-    scratch: &mut Scratch,
-) -> Result<UnitEval, UnitError> {
+/// Runs one SCC unit's evaluation ([`eval_unit`] or
+/// [`eval_unit_inplace`]) under the quarantine contract: panics are
+/// contained (with the quiet hook) when `config.quarantine` is on, and
+/// propagate when it is off — the same semantics `quarantine::run_unit`
+/// gives the per-procedure phases, minus the unit-entry injection (the
+/// solver fires the hook per member re-evaluation instead).
+fn guarded<T>(config: &Config, scc: usize, eval: impl FnOnce() -> T) -> Result<T, UnitError> {
     if config.quarantine {
-        crate::quarantine::quiet_catch(|| {
-            eval_unit(
-                cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
-            )
-        })
-        .map_err(|msg| UnitError::new(Stage::Solver, scc, msg))
+        crate::quarantine::quiet_catch(eval).map_err(|msg| UnitError::new(Stage::Solver, scc, msg))
     } else {
-        Ok(eval_unit(
-            cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
-        ))
+        Ok(eval())
     }
 }
 
@@ -442,34 +425,6 @@ fn eval_unit_inplace(
         vals[p.index()] = caller_row;
     }
     out
-}
-
-/// [`eval_unit_inplace`] under the same quarantine contract as
-/// [`eval_unit_guarded`].
-#[allow(clippy::too_many_arguments)]
-fn eval_unit_inplace_guarded(
-    cg: &CallGraph,
-    jump_fns: &ForwardJumpFns,
-    config: &Config,
-    members: &[ProcId],
-    scc: usize,
-    vals: &mut [Vec<Lattice>],
-    dirty: &mut [bool],
-    gov: &mut Governor,
-    scratch: &mut Scratch,
-) -> Result<UnitOutcome, UnitError> {
-    if config.quarantine {
-        crate::quarantine::quiet_catch(|| {
-            eval_unit_inplace(
-                cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
-            )
-        })
-        .map_err(|msg| UnitError::new(Stage::Solver, scc, msg))
-    } else {
-        Ok(eval_unit_inplace(
-            cg, jump_fns, config, members, scc, vals, dirty, gov, scratch,
-        ))
-    }
 }
 
 /// Forces every reachable procedure's slots to ⊥ — the response to a
@@ -594,7 +549,7 @@ pub(crate) fn solve_on(
         // their own members' (disjoint) slices of `vals`/`dirty`, so the
         // inputs each unit sees are exactly what the canonical fold below
         // would hand it.
-        let mut optimistic: Vec<Option<PhaseUnit<UnitEval>>> = Vec::new();
+        let mut optimistic: Vec<Option<PhaseUnit<Result<UnitEval, UnitError>>>> = Vec::new();
         let n_active = level
             .iter()
             .filter(|&&si| cg.sccs[si].iter().any(|&m| dirty[m.index()]))
@@ -607,9 +562,11 @@ pub(crate) fn solve_on(
                     return None; // never activated — nothing to evaluate
                 }
                 let mut shard = proto.shard();
-                let res = eval_unit_guarded(
-                    cg, jump_fns, config, members, level[k], &vals, &dirty, &mut shard, scratch,
-                );
+                let res = guarded(config, level[k], || {
+                    eval_unit(
+                        cg, jump_fns, config, members, level[k], &vals, &dirty, &mut shard, scratch,
+                    )
+                });
                 Some(PhaseUnit::new(k, res, shard))
             });
             par_time.absorb(pt);
@@ -627,49 +584,38 @@ pub(crate) fn solve_on(
             if !members.iter().any(|&m| dirty[m.index()]) {
                 continue;
             }
-            let unit: Result<UnitOutcome, UnitError> =
-                match optimistic.get_mut(k).and_then(Option::take) {
-                    Some(pu) => {
-                        let clean = matches!(&pu.outcome, Ok(u) if !u.tripped && !u.deadline);
-                        let absorbable = clean || pu.outcome.is_err();
-                        match fold.try_absorb(gov, pu, absorbable) {
-                            Some(Ok(u)) => {
-                                // Commit the buffered unit: member rows
-                                // move in, external contributions are
-                                // met in recorded order. (Absorbed Ok
-                                // units are always clean — tripped or
-                                // deadlined ones replay below.)
-                                let outcome = UnitOutcome {
-                                    meets: u.meets,
-                                    iterations: u.iterations,
-                                    tripped: u.tripped,
-                                    deadline: u.deadline,
-                                };
-                                for (vm, &m) in u.member_vals.into_iter().zip(members) {
-                                    vals[m.index()] = vm;
-                                }
-                                for (callee, slot, incoming) in u.contribs {
-                                    if vals[callee][slot].meet_in(incoming) {
-                                        dirty[callee] = true;
-                                    }
-                                }
-                                Ok(outcome)
-                            }
-                            Some(Err(e)) => Err(e),
-                            None => eval_unit_inplace_guarded(
-                                cg,
-                                jump_fns,
-                                config,
-                                members,
-                                si,
-                                &mut vals,
-                                &mut dirty,
-                                gov,
-                                &mut fold_scratch,
-                            ),
+            let absorbed = optimistic.get_mut(k).and_then(Option::take).and_then(|pu| {
+                let clean = matches!(&pu.outcome, Ok(u) if !u.tripped && !u.deadline);
+                let absorbable = clean || pu.outcome.is_err();
+                fold.try_absorb(gov, pu, absorbable)
+            });
+            let unit: Result<UnitOutcome, UnitError> = match absorbed {
+                Some(Ok(u)) => {
+                    // Commit the buffered unit: member rows move in,
+                    // external contributions are met in recorded order.
+                    // (Absorbed Ok units are always clean — tripped or
+                    // deadlined ones replay below.)
+                    let outcome = UnitOutcome {
+                        meets: u.meets,
+                        iterations: u.iterations,
+                        tripped: u.tripped,
+                        deadline: u.deadline,
+                    };
+                    for (vm, &m) in u.member_vals.into_iter().zip(members) {
+                        vals[m.index()] = vm;
+                    }
+                    for (callee, slot, incoming) in u.contribs {
+                        if vals[callee][slot].meet_in(incoming) {
+                            dirty[callee] = true;
                         }
                     }
-                    None => eval_unit_inplace_guarded(
+                    Ok(outcome)
+                }
+                Some(Err(e)) => Err(e),
+                // Not run ahead, or not absorbable: the canonical in-place
+                // evaluation against the master.
+                None => guarded(config, si, || {
+                    eval_unit_inplace(
                         cg,
                         jump_fns,
                         config,
@@ -679,8 +625,9 @@ pub(crate) fn solve_on(
                         &mut dirty,
                         gov,
                         &mut fold_scratch,
-                    ),
-                };
+                    )
+                }),
+            };
             match unit {
                 Err(e) => {
                     // Quarantine the whole SCC: a panic mid-fixpoint means

@@ -13,6 +13,11 @@
 //! 3. **Isolation.** A panic-injected request returns a structured error
 //!    with the model and cache provably untouched; invalid overrides are
 //!    structured errors; failed updates roll back completely.
+//!
+//! Serve's analysis is the pipeline's one driver with the cache as a memo
+//! hook, so it runs on the request's `--jobs` pool: the identity and
+//! exact-counter tests run at one and two workers and the counters must
+//! not depend on the worker count.
 
 use ipcp::serve::{config_from_overrides, same_results, Json, Object, ServeEngine, ServeError};
 use ipcp::{Analysis, Config, IpcpError, Stage};
@@ -28,8 +33,15 @@ const MUTUAL: &str = "proc main() { call f(3); } \
     proc f(n) { if (n > 0) { call g(n - 1); } } \
     proc g(m) { call f(m); }";
 
+/// The worker counts the identity and counter tests run at.
+const JOBS: [usize; 2] = [1, 2];
+
 fn engine(src: &str) -> ServeEngine {
     ServeEngine::new(src, &Config::polynomial()).expect("engine builds")
+}
+
+fn engine_at(src: &str, jobs: usize) -> ServeEngine {
+    ServeEngine::new(src, &Config::polynomial().with_jobs(jobs)).expect("engine builds")
 }
 
 fn cold_twin(engine: &ServeEngine) -> Analysis {
@@ -40,8 +52,8 @@ fn cold_twin(engine: &ServeEngine) -> Analysis {
 /// `analyze` recomputes nothing, and both runs equal a cold analysis.
 #[test]
 fn warm_rerun_on_the_suite_is_all_hits_and_bit_identical() {
-    for p in PROGRAMS {
-        let mut e = ServeEngine::new(p.source, &Config::polynomial()).unwrap();
+    for (p, jobs) in PROGRAMS.iter().flat_map(|p| JOBS.map(|j| (p, j))) {
+        let mut e = engine_at(p.source, jobs);
         let cold = cold_twin(&e);
         assert!(
             same_results(e.analysis(), &cold),
@@ -67,23 +79,25 @@ fn warm_rerun_on_the_suite_is_all_hits_and_bit_identical() {
 /// cones of `p` and its transitive callers (return-jump + symbolic).
 #[test]
 fn update_recomputes_exactly_the_dependent_cone() {
-    let mut e = engine(CHAIN);
-    assert_eq!(e.last_outcome().misses, 9);
+    for jobs in JOBS {
+        let mut e = engine_at(CHAIN, jobs);
+        assert_eq!(e.last_outcome().misses, 9);
 
-    // Leaf edit: g's cone change propagates to f and main. 1 + 3 + 3.
-    let out = e.update("g", "proc g(b) { print b + 1; }").unwrap();
-    assert_eq!((out.misses, out.hits), (7, 2), "leaf edit");
-    assert!(same_results(e.analysis(), &cold_twin(&e)));
+        // Leaf edit: g's cone change propagates to f and main. 1 + 3 + 3.
+        let out = e.update("g", "proc g(b) { print b + 1; }").unwrap();
+        assert_eq!((out.misses, out.hits), (7, 2), "leaf edit, jobs={jobs}");
+        assert!(same_results(e.analysis(), &cold_twin(&e)));
 
-    // Root edit: nothing depends on main. 1 + 1 + 1.
-    let out = e.update("main", "proc main() { call f(2); }").unwrap();
-    assert_eq!((out.misses, out.hits), (3, 6), "root edit");
-    assert!(same_results(e.analysis(), &cold_twin(&e)));
+        // Root edit: nothing depends on main. 1 + 1 + 1.
+        let out = e.update("main", "proc main() { call f(2); }").unwrap();
+        assert_eq!((out.misses, out.hits), (3, 6), "root edit, jobs={jobs}");
+        assert!(same_results(e.analysis(), &cold_twin(&e)));
 
-    // Middle edit: f and main re-key, g's summaries survive. 1 + 2 + 2.
-    let out = e.update("f", "proc f(a) { call g(a + 2); }").unwrap();
-    assert_eq!((out.misses, out.hits), (5, 4), "middle edit");
-    assert!(same_results(e.analysis(), &cold_twin(&e)));
+        // Middle edit: f and main re-key, g's summaries survive. 1 + 2 + 2.
+        let out = e.update("f", "proc f(a) { call g(a + 2); }").unwrap();
+        assert_eq!((out.misses, out.hits), (5, 4), "middle edit, jobs={jobs}");
+        assert!(same_results(e.analysis(), &cold_twin(&e)));
+    }
 }
 
 /// A body edit inside a strongly connected component re-keys every
@@ -94,12 +108,16 @@ fn scc_members_share_invalidation_fate() {
         ("f", "proc f(n) { if (n > 1) { call g(n - 1); } }"),
         ("g", "proc g(m) { call f(m - 1); }"),
     ];
-    for (victim, fragment) in edits {
-        let mut e = engine(MUTUAL);
+    for ((victim, fragment), jobs) in edits.iter().flat_map(|e| JOBS.map(|j| (e, j))) {
+        let mut e = engine_at(MUTUAL, jobs);
         assert_eq!(e.last_outcome().misses, 9);
         let out = e.update(victim, fragment).unwrap();
         // 1 MOD/REF + the whole program's cones (f, g, main): 1 + 3 + 3.
-        assert_eq!((out.misses, out.hits), (7, 2), "SCC edit via {victim}");
+        assert_eq!(
+            (out.misses, out.hits),
+            (7, 2),
+            "SCC edit via {victim}, jobs={jobs}"
+        );
         assert!(same_results(e.analysis(), &cold_twin(&e)));
     }
 }
@@ -108,23 +126,32 @@ fn scc_members_share_invalidation_fate() {
 /// through the pretty-printer, so the hashes — and the cache — survive.
 #[test]
 fn formatting_only_updates_are_all_hits() {
-    let mut e = engine(CHAIN);
-    let out = e
-        .update("g", "proc g( b )   {\n\n      print b;   }")
-        .unwrap();
-    assert_eq!((out.misses, out.hits), (0, 9));
+    for jobs in JOBS {
+        let mut e = engine_at(CHAIN, jobs);
+        let out = e
+            .update("g", "proc g( b )   {\n\n      print b;   }")
+            .unwrap();
+        assert_eq!((out.misses, out.hits), (0, 9), "jobs={jobs}");
+    }
 }
 
 /// Arity changes change the program shape, which is mixed into every
 /// cache key: a consistent signature change re-keys the whole program.
 #[test]
 fn arity_changes_rekey_everything() {
+    for jobs in JOBS {
+        arity_changes_rekey_everything_at(jobs);
+    }
+}
+
+fn arity_changes_rekey_everything_at(jobs: usize) {
     // Via update, on a procedure nobody calls (callers would otherwise
     // fail arity resolution):
-    let mut e = engine(
+    let mut e = engine_at(
         "proc main() { call f(1); } \
          proc f(a) { print a; } \
          proc dead(x) { print x; }",
+        jobs,
     );
     let out = e
         .update("dead", "proc dead(x, y) { print x + y; }")
@@ -133,7 +160,7 @@ fn arity_changes_rekey_everything() {
     assert!(same_results(e.analysis(), &cold_twin(&e)));
 
     // Via load, changing a called signature and its call sites together:
-    let mut e = engine(CHAIN);
+    let mut e = engine_at(CHAIN, jobs);
     let out = e
         .load(
             "proc main() { call f(1, 2); } \
@@ -246,19 +273,23 @@ fn panicking_requests_are_contained_with_cache_untouched() {
 /// unit is never cached.
 #[test]
 fn injected_units_are_forced_misses_and_never_cached() {
-    let injected = Config::polynomial().with_panic(Stage::Jump, 1);
-    let mut e = ServeEngine::new(CHAIN, &injected).unwrap();
-    let cold = Analysis::run(e.mcfg(), &injected);
-    assert!(same_results(e.analysis(), &cold));
-    assert!(e.analysis().quarantined[1]);
+    for jobs in JOBS {
+        let injected = Config::polynomial()
+            .with_panic(Stage::Jump, 1)
+            .with_jobs(jobs);
+        let mut e = ServeEngine::new(CHAIN, &injected).unwrap();
+        let cold = Analysis::run(e.mcfg(), &injected);
+        assert!(same_results(e.analysis(), &cold));
+        assert!(e.analysis().quarantined[1]);
 
-    let warm = e.analyze(None).unwrap();
-    assert!(
-        same_results(e.analysis(), &cold),
-        "warm vs cold under injection"
-    );
-    assert_eq!(warm.misses, 1, "exactly the injected unit re-runs");
-    assert_eq!(warm.quarantined, vec!["f".to_string()]);
+        let warm = e.analyze(None).unwrap();
+        assert!(
+            same_results(e.analysis(), &cold),
+            "warm vs cold under injection, jobs={jobs}"
+        );
+        assert_eq!(warm.misses, 1, "exactly the injected unit re-runs");
+        assert_eq!(warm.quarantined, vec!["f".to_string()]);
+    }
 }
 
 /// Invalid per-request override combinations surface the builder's
@@ -353,8 +384,14 @@ fn constants_and_explain_serve_from_the_warm_analysis() {
 /// of the same text is fully warm.
 #[test]
 fn edit_sessions_stay_identical_to_cold_runs() {
+    for jobs in JOBS {
+        edit_session_at(jobs);
+    }
+}
+
+fn edit_session_at(jobs: usize) {
     let p = PROGRAMS[0];
-    let mut e = ServeEngine::new(p.source, &Config::polynomial()).unwrap();
+    let mut e = engine_at(p.source, jobs);
     let names: Vec<String> = e
         .analysis()
         .cg
@@ -401,6 +438,82 @@ fn edit_sessions_stay_identical_to_cold_runs() {
     assert!(edited > 0, "{}: no edit was accepted", p.name);
 }
 
+/// A 30-link call chain threading two globals, under a two-member
+/// recursive component: enough units that a budget or an injected fault
+/// trips mid-stage, with procedures on both sides of the trip.
+fn fault_program() -> String {
+    let mut src = String::from(
+        "global g1; global g2; \
+         proc main() { g1 = 1; call p0(1, 2); call r0(3); } \
+         proc r0(n) { if (n > 0) { call r1(n - 1); } } \
+         proc r1(m) { g2 = m; call r0(m); } ",
+    );
+    for i in 0..29 {
+        src.push_str(&format!(
+            "proc p{i}(a, b) {{ g2 = a + {i}; call p{}(a + 1, b); }} ",
+            i + 1
+        ));
+    }
+    src.push_str("proc p29(a, b) { print a + b + g1 + g2; }");
+    src
+}
+
+/// Partially warm caches under every way a unit can degrade: an injected
+/// governor fault in each charged stage, a return-jump budget that trips
+/// mid-stage, and a panic injected into each per-procedure stage. The
+/// engine boots cold (caching the clean units), an edit re-keys the
+/// upper half of the chain, and a rerun serves everything it can: at
+/// every step the results equal a cold run — hits whose recorded charges
+/// would cross the trip run live — and the counters and the store bytes
+/// are the same at one and two workers.
+#[test]
+fn partially_warm_caches_match_cold_runs_under_faults_at_every_job_count() {
+    let src = fault_program();
+    let base = Config::polynomial();
+    let mcfg = ipcp_ir::lower_module(&ipcp_ir::parse_and_resolve(&src).unwrap());
+    let p = |name: &str| mcfg.module.proc_named(name).unwrap().id.index();
+    // Each procedure classifies 4 return-jump slots (2 formals, 2
+    // globals), so this budget trips about halfway up the chain.
+    let retjump_budget = base.with_limits(ipcp::AnalysisLimits {
+        max_symbolic_steps: 70,
+        ..ipcp::AnalysisLimits::default()
+    });
+    let hostile = [
+        ("fault-modref", base.with_fault(Stage::ModRef, 12)),
+        ("fault-retjump", base.with_fault(Stage::RetJump, 61)),
+        ("fault-jump", base.with_fault(Stage::Jump, 40)),
+        ("retjump-budget", retjump_budget),
+        ("panic-modref", base.with_panic(Stage::ModRef, p("p20"))),
+        ("panic-retjump", base.with_panic(Stage::RetJump, p("p20"))),
+        ("panic-jump", base.with_panic(Stage::Jump, p("p3"))),
+    ];
+    for (label, config) in hostile {
+        let mut per_jobs = Vec::new();
+        for jobs in JOBS {
+            let config = config.with_jobs(jobs);
+            let mut e = ServeEngine::new(&src, &config).unwrap();
+            assert!(e.last_outcome().degraded, "{label}: nothing degraded");
+            let mut outcomes = vec![e.last_outcome().clone()];
+            assert!(same_results(e.analysis(), &cold_twin(&e)), "{label}: boot");
+            let edited = e
+                .update("p15", "proc p15(a, b) { g2 = a + 99; call p16(a + 1, b); }")
+                .unwrap();
+            assert!(edited.hits > 0 && edited.misses > 0, "{label}: not partial");
+            outcomes.push(edited);
+            assert!(same_results(e.analysis(), &cold_twin(&e)), "{label}: edit");
+            outcomes.push(e.analyze(None).unwrap());
+            assert!(same_results(e.analysis(), &cold_twin(&e)), "{label}: rerun");
+            let (cfp, sfp) = e.fingerprints();
+            let store = ipcp::serve::store::encode(e.cache(), cfp, sfp);
+            per_jobs.push((outcomes, e.cache_stats(), store));
+        }
+        assert!(
+            per_jobs.windows(2).all(|w| w[0] == w[1]),
+            "{label}: counters or store bytes depend on the worker count"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------
 // Persistence: the durable summary store (`ipcc serve --store`).
 //
@@ -428,9 +541,9 @@ fn store_dir(name: &str) -> PathBuf {
 #[test]
 fn restart_from_a_store_is_warm_and_bit_identical_across_the_suite() {
     let dir = store_dir("suite");
-    for p in PROGRAMS {
-        let path = dir.join(format!("{}.store", p.name));
-        let config = Config::polynomial();
+    for (p, jobs) in PROGRAMS.iter().flat_map(|p| JOBS.map(|j| (p, j))) {
+        let path = dir.join(format!("{}-{jobs}.store", p.name));
+        let config = Config::polynomial().with_jobs(jobs);
         let before = ServeEngine::new(p.source, &config).unwrap();
         let units = before.last_outcome().misses;
         let (cfp, sfp) = before.fingerprints();
@@ -463,9 +576,15 @@ fn restart_from_a_store_is_warm_and_bit_identical_across_the_suite() {
 /// identity contract through further edits.
 #[test]
 fn restart_after_an_edit_session_replays_identically() {
-    let dir = store_dir("session");
+    for jobs in JOBS {
+        restart_after_an_edit_session_at(jobs);
+    }
+}
+
+fn restart_after_an_edit_session_at(jobs: usize) {
+    let dir = store_dir(&format!("session-{jobs}"));
     let path = dir.join("chain.store");
-    let config = Config::polynomial();
+    let config = Config::polynomial().with_jobs(jobs);
     let mut before = ServeEngine::new(CHAIN, &config).unwrap();
     before.update("g", "proc g(b) { print b + 2; }").unwrap();
     before.update("main", "proc main() { call f(5); }").unwrap();

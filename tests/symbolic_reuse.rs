@@ -13,7 +13,7 @@
 //! stage reports, for the cold pipeline and for serve's miss path.
 
 use ipcp::retjump::RetOracle;
-use ipcp::serve::{analyze_incremental, same_results, CacheTxn, SummaryCache};
+use ipcp::serve::{same_results, CacheTxn, Memo, SummaryCache};
 use ipcp::{Analysis, AnalysisLimits, Config};
 use ipcp_ir::program::ProcId;
 use ipcp_ir::{lower_module, parse_and_resolve, ModuleCfg};
@@ -132,13 +132,18 @@ fn check(mcfg: &ModuleCfg, label: &str) {
                 expected_reuse(&a, &config),
                 "{label}: reuse counter"
             );
-            if reuse_applies(&config) && jobs == 1 {
+            if reuse_applies(&config) {
                 // Serve's miss path hands its live return-jump forms to
                 // the jump stage the same way: a cold cache reuses as
                 // many forms, and the results stay identical.
                 let own: Vec<u128> = (0..mcfg.module.procs.len() as u128).collect();
                 let mut txn = CacheTxn::new();
-                let warm = analyze_incremental(mcfg, &config, &own, &SummaryCache::new(), &mut txn);
+                let memo = Memo {
+                    cache: &SummaryCache::new(),
+                    own: &own,
+                    txn: &mut txn,
+                };
+                let warm = Analysis::run_memoized(mcfg, &config, memo);
                 assert!(same_results(&a, &warm), "{label}: serve results differ");
                 assert!(a.symbolics == warm.symbolics, "{label}: serve forms differ");
                 assert_eq!(
