@@ -433,10 +433,6 @@ stage_bench_par() {
         BENCH_par.json | while read -r line; do
         echo "    warn: $line (cores=$cores)"
     done
-    sed -n 's/.*"program": "\([a-z]*\)",.*"jobs_speedup": \([0-9.]*\),.*/\1 jobs_speedup \2x/p' \
-        BENCH_solver.json | while read -r line; do
-        echo "    warn: solver $line (cores=$cores)"
-    done
 }
 
 stage_bench_identity() {

@@ -1,24 +1,19 @@
 //! Measures the wavefront `VAL` solver against the classic §4.1 FIFO
-//! worklist it replaced, and verifies the determinism contract along the
-//! way: the wavefront at `jobs = 1` and `jobs >= 2` must agree
-//! bit-for-bit on `vals`/`meets`/`iterations`, and both must reach the
-//! same `VAL` fixpoint as the worklist reference.
+//! worklist it replaced, and verifies along the way that both reach the
+//! same `VAL` fixpoint (`"identical": true`; the binary exits with an
+//! error otherwise).
 //!
-//! Three timings per workload (jump functions are built once; only the
+//! Two timings per workload (jump functions are built once; only the
 //! propagation is timed):
 //!
-//! * `seq_us` — wavefront, `jobs = 1`;
-//! * `par_us` — wavefront, `jobs >= 2`;
+//! * `seq_us` — the wavefront [`solve`];
 //! * `worklist_us` — [`solve_worklist_reference`], the retained §4.1
 //!   solver.
 //!
-//! `speedup` is `worklist_us / par_us` — the headline number. It is an
-//! *algorithmic* win as much as a concurrency one: the worklist
-//! re-evaluates a procedure every time a meet lowers one of its slots,
-//! while the dependency-levelled wavefront evaluates each activated SCC
-//! once with all caller meets already applied, so it survives single-core
-//! containers. `jobs_speedup` (`seq_us / par_us`) isolates the threading
-//! contribution for transparency.
+//! `speedup` is `worklist_us / seq_us`, an *algorithmic* win: the
+//! worklist re-evaluates a procedure every time a meet lowers one of its
+//! slots, while the dependency-levelled wavefront evaluates each
+//! activated SCC once with all caller meets already applied.
 //!
 //! Writes `BENCH_solver.json` into the current directory.
 
@@ -159,15 +154,14 @@ fn reps() -> u32 {
         .unwrap_or(5)
 }
 
-/// Best-of-[`reps`] wall time for one wavefront configuration, returning
-/// the last result so the caller can compare across configurations.
+/// Best-of-[`reps`] wall time for the wavefront, returning the last
+/// result so the caller can compare it with the worklist's.
 fn time_wavefront(
     mcfg: &ModuleCfg,
     a: &Analysis,
     layout: &SlotLayout,
     config: &Config,
-    jobs: usize,
-) -> (Duration, ValSets, Vec<bool>) {
+) -> (Duration, ValSets) {
     let n = mcfg.module.procs.len();
     let mut best = Duration::MAX;
     let mut last = None;
@@ -184,22 +178,16 @@ fn time_wavefront(
             config,
             &mut gov,
             &mut quarantined,
-            jobs,
         );
         best = best.min(t0.elapsed());
-        last = Some((v, quarantined));
+        last = Some(v);
     }
-    let (v, q) = last.unwrap_or_else(|| {
-        (
-            ValSets {
-                vals: Vec::new(),
-                meets: 0,
-                iterations: 0,
-            },
-            Vec::new(),
-        )
+    let v = last.unwrap_or(ValSets {
+        vals: Vec::new(),
+        meets: 0,
+        iterations: 0,
     });
-    (best, v, q)
+    (best, v)
 }
 
 /// Best-of-[`reps`] wall time for the worklist reference.
@@ -223,20 +211,11 @@ fn time_worklist(mcfg: &ModuleCfg, a: &Analysis, layout: &SlotLayout) -> (Durati
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let par_jobs = Config::default().effective_jobs().max(2);
     let config = Config::polynomial();
     let mut rows = Vec::new();
     println!(
-        "{:<8} {:>6} {:>10} {:>10} {:>12} {:>8} {:>8} {:>8} {:>8}",
-        "program",
-        "procs",
-        "seq_us",
-        "par_us",
-        "worklist_us",
-        "speedup",
-        "jobs_spd",
-        "wf_iter",
-        "wl_iter"
+        "{:<8} {:>6} {:>10} {:>12} {:>8} {:>8} {:>8}",
+        "program", "procs", "seq_us", "worklist_us", "speedup", "wf_iter", "wl_iter"
     );
     for w in WORKLOADS {
         let src = (w.source)();
@@ -252,20 +231,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let analysis = Analysis::run(&mcfg, &config);
         let layout = SlotLayout::new(&mcfg.module);
 
-        let (seq_t, seq_v, seq_q) = time_wavefront(&mcfg, &analysis, &layout, &config, 1);
-        let (par_t, par_v, par_q) = time_wavefront(&mcfg, &analysis, &layout, &config, par_jobs);
+        let (seq_t, seq_v) = time_wavefront(&mcfg, &analysis, &layout, &config);
         let (wl_t, wl_v) = time_worklist(&mcfg, &analysis, &layout);
 
-        // The determinism contract: the parallel schedule must not be
-        // observable (vals, meets, iterations, quarantine flags), and the
-        // wavefront must reach the worklist's VAL fixpoint.
-        if par_v != seq_v || par_q != seq_q {
-            return Err(format!(
-                "jobs={par_jobs} diverged from jobs=1 on workload `{}`",
-                w.name
-            )
-            .into());
-        }
+        // The wavefront must reach the worklist's VAL fixpoint.
         if seq_v.vals != wl_v.vals {
             return Err(format!(
                 "wavefront fixpoint diverged from the worklist reference on `{}`",
@@ -274,50 +243,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .into());
         }
 
-        let speedup = wl_t.as_secs_f64() / par_t.as_secs_f64().max(1e-9);
-        let jobs_speedup = seq_t.as_secs_f64() / par_t.as_secs_f64().max(1e-9);
+        let speedup = wl_t.as_secs_f64() / seq_t.as_secs_f64().max(1e-9);
         println!(
-            "{:<8} {:>6} {:>10} {:>10} {:>12} {:>7.2}x {:>7.2}x {:>8} {:>8}",
+            "{:<8} {:>6} {:>10} {:>12} {:>7.2}x {:>8} {:>8}",
             w.name,
             n_procs,
             seq_t.as_micros(),
-            par_t.as_micros(),
             wl_t.as_micros(),
             speedup,
-            jobs_speedup,
             seq_v.iterations,
             wl_v.iterations,
         );
         rows.push(format!(
             concat!(
                 "    {{\"program\": \"{}\", \"n_procs\": {}, \"seq_us\": {}, ",
-                "\"par_us\": {}, \"worklist_us\": {}, \"speedup\": {:.3}, ",
-                "\"jobs_speedup\": {:.3}, \"wavefront_iterations\": {}, ",
+                "\"worklist_us\": {}, \"speedup\": {:.3}, ",
+                "\"wavefront_iterations\": {}, ",
                 "\"worklist_iterations\": {}, \"identical\": true}}"
             ),
             w.name,
             n_procs,
             seq_t.as_micros(),
-            par_t.as_micros(),
             wl_t.as_micros(),
             speedup,
-            jobs_speedup,
             seq_v.iterations,
             wl_v.iterations,
         ));
     }
 
     let reps = reps();
-    // Physical parallelism actually available: on a single-core container
-    // `jobs_speedup > 1` is unattainable and only `identical` matters.
+    // The host's core count, recorded like every bench file's.
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     let json = format!(
-        "{{\n  \"jobs\": {par_jobs},\n  \"cores\": {cores},\n  \"reps\": {reps},\n  \"workloads\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"cores\": {cores},\n  \"reps\": {reps},\n  \"workloads\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
     std::fs::write("BENCH_solver.json", &json)?;
-    println!("wrote BENCH_solver.json (jobs={par_jobs}, cores={cores}, best of {reps})");
+    println!("wrote BENCH_solver.json (cores={cores}, best of {reps})");
     Ok(())
 }

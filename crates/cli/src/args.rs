@@ -253,11 +253,11 @@ ANALYSIS OPTIONS (analyze / complete / clone / explain / reduce / fuzz):
     --gated                               extension: gated generation
     --pruned-ssa                          engineering: liveness-pruned SSA
     --jobs <N>, -j <N>                    worker threads for the per-procedure
-                                          phases, the VAL solver wavefront, and
-                                          the transformation drivers (0 = auto-
-                                          detect, the default; env IPCP_JOBS
-                                          overrides auto; results are
-                                          bit-identical for every N)
+                                          phases and the transformation
+                                          drivers (0 = auto-detect, the
+                                          default; env IPCP_JOBS overrides
+                                          auto; results are bit-identical
+                                          for every N)
     --emit <constants|substituted|counts|jumpfns|report|source>  analyze output
 
 BUDGET OPTIONS (analyze / complete / clone / explain / reduce / fuzz):

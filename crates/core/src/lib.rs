@@ -50,9 +50,8 @@
 //! * [`retjump`] — return jump functions (bottom-up generation and the
 //!   §3.2 evaluation limitation);
 //! * [`solver`] — the wavefront propagation of `VAL` sets over the
-//!   levels of the call-graph SCC condensation, parallel within a level
-//!   when `jobs > 1`, plus the classic §4.1 worklist retained as a
-//!   reference oracle (lattice re-exported as [`lattice`], the paper's
+//!   levels of the call-graph SCC condensation, plus the classic §4.1
+//!   worklist retained as a reference oracle (lattice re-exported as [`lattice`], the paper's
 //!   Figure 1);
 //! * [`mod@substitute`] — the constants-substituted metric and program
 //!   transformation;

@@ -1,16 +1,14 @@
 //! A dependency-free persistent worker pool for the per-procedure phases.
 //!
 //! The repo is offline-vendored, so this is `std::thread::scope` plus an
-//! atomic self-scheduling counter — no external crates, no channels, no
-//! locks. [`with_pool`] spawns `jobs - 1` workers once (per
-//! `Analysis::run`, per transformation driver) and parks them between
-//! rounds, so a phase that dispatches one round per SCC level (the solver
-//! wavefront, return jump functions) pays a park/unpark per level instead
-//! of a full thread spawn + join. Workers pull unit indices from a shared
+//! atomic self-scheduling counter — no external crates, no channels, and
+//! no locks on the round path. [`with_pool`] spawns `jobs - 1` workers
+//! once (per `Analysis::run`, per transformation driver) and parks them
+//! between rounds, so a phase that dispatches one round per SCC level
+//! (return jump functions) pays a park/unpark per level instead of a full
+//! thread spawn + join. Workers pull unit indices from a shared
 //! [`AtomicUsize`] (`fetch_add` work stealing: a worker stuck on a heavy
-//! procedure simply claims fewer units), and each participant gets its own
-//! [`Scratch`] per round ([`Pool::run_with_scratch`]), so units reuse
-//! buffers instead of round-tripping the global allocator.
+//! procedure simply claims fewer units).
 //!
 //! Order of *execution* is nondeterministic; order of *results* is
 //! not — which is all the deterministic fold in
@@ -27,11 +25,10 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::collections::VecDeque;
 use std::panic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::ptr;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -121,7 +118,7 @@ pub struct Timings {
     /// (per-procedure / per-caller).
     pub jump: PhaseTime,
     /// The interprocedural VAL solve (wavefront over the SCC levels of
-    /// the call-graph condensation; parallel within each level).
+    /// the call-graph condensation; sequential at every `jobs`).
     pub solve: PhaseTime,
     /// Whole `run_once`, wall clock.
     pub total: Duration,
@@ -165,37 +162,10 @@ impl Timings {
     }
 }
 
-/// Per-worker reusable scratch buffers, handed to each unit by
-/// [`Pool::run_with_scratch`] (and threaded through the sequential folds)
-/// so hot units stop allocating per-unit `Vec`s / `VecDeque`s.
-///
-/// The buffers are deliberately generic — a dense `bool` flag vector and
-/// an index queue — because that is the working set of the wavefront
-/// solver's per-SCC evaluation (`queued` + FIFO worklist). Units must
-/// leave the buffers in a reusable state (cleared or fully popped); the
-/// helpers below reset cheaply without releasing capacity.
-#[derive(Debug, Default)]
-pub struct Scratch {
-    /// Dense per-member flags (e.g. the solver's `queued` bits).
-    pub flags: Vec<bool>,
-    /// Index FIFO (e.g. the solver's intra-SCC worklist).
-    pub queue: VecDeque<usize>,
-}
-
-impl Scratch {
-    /// Clears and resizes `flags` to `n` `false`s, keeping capacity, and
-    /// empties the queue.
-    pub fn reset(&mut self, n: usize) {
-        self.flags.clear();
-        self.flags.resize(n, false);
-        self.queue.clear();
-    }
-}
-
 /// One in-flight round: a type-erased borrow of the caller's participate
 /// closure. Workers only dereference it between the epoch bump that
 /// publishes it and their check-in for the same round, and
-/// [`Pool::run_with_scratch`] does not return (or unpublish) until every
+/// [`Pool::run`] does not return (or unpublish) until every
 /// spawned worker has checked in — that window is what makes the
 /// lifetime erasure sound.
 #[derive(Clone, Copy)]
@@ -219,16 +189,18 @@ struct PoolShared {
     shutdown: AtomicBool,
     /// The round-dispatching thread, unparked on every worker check-in.
     caller: Thread,
-    /// First panic payload caught in the round (`Box<Box<dyn Any>>`
-    /// raw), re-raised on the caller after the round drains.
-    panic: AtomicPtr<Box<dyn Any + Send>>,
+    /// First panic payload caught in the round, re-raised on the caller
+    /// after the round drains. Locked only when a participant panics;
+    /// every update is one `Option` write, so a poisoned lock still
+    /// guards a valid slot.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 // SAFETY: `job` is only written by the caller while no worker is between
 // epoch-observe and check-in (workers are parked before the epoch bump
 // and counted in `finished` after), and the raw `Job` pointer is only
-// dereferenced inside that same window. All other fields are atomics or
-// `Thread` (which is `Sync`).
+// dereferenced inside that same window. All other fields are atomics, a
+// `Mutex`, or `Thread` (which is `Sync`).
 unsafe impl Sync for PoolShared {}
 
 impl PoolShared {
@@ -240,42 +212,24 @@ impl PoolShared {
             busy_ns: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             caller: std::thread::current(),
-            panic: AtomicPtr::new(ptr::null_mut()),
+            panic: Mutex::new(None),
         }
     }
 
     /// Records the round's first panic payload; later ones are dropped
     /// (matching `std::thread::scope`, which re-raises one).
     fn store_panic(&self, payload: Box<dyn Any + Send>) {
-        let raw = Box::into_raw(Box::new(payload));
-        if self
-            .panic
-            .compare_exchange(ptr::null_mut(), raw, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
-            // SAFETY: `raw` came from `Box::into_raw` above and was not
-            // published.
-            drop(unsafe { Box::from_raw(raw) });
-        }
+        self.panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get_or_insert(payload);
     }
 
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        let raw = self.panic.swap(ptr::null_mut(), Ordering::SeqCst);
-        if raw.is_null() {
-            None
-        } else {
-            // SAFETY: a non-null pointer in `panic` is always a
-            // published `Box::into_raw`, taken at most once (swap).
-            Some(*unsafe { Box::from_raw(raw) })
-        }
-    }
-}
-
-impl Drop for PoolShared {
-    fn drop(&mut self) {
-        // Free a stored payload that was never re-raised (cannot happen
-        // through `run_with_scratch`, but keeps the type leak-free).
-        drop(self.take_panic());
+        self.panic
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
     }
 }
 
@@ -331,7 +285,7 @@ impl Drop for ShutdownGuard<'_> {
 
 /// A persistent worker pool: `jobs - 1` scoped workers, parked between
 /// rounds. Created by [`with_pool`]; `jobs <= 1` yields a pool with no
-/// workers whose `run` methods degrade to the plain sequential loop.
+/// workers whose [`Pool::run`] degrades to the plain sequential loop.
 pub struct Pool<'env> {
     shared: Option<&'env PoolShared>,
     workers: Vec<Thread>,
@@ -341,8 +295,7 @@ pub struct Pool<'env> {
 /// calling thread, which participates in every round). The workers are
 /// spawned once and parked between rounds — a multi-round phase (one
 /// round per SCC level) pays a park/unpark per round instead of a thread
-/// spawn + join, which is what flipped the wavefront solver's parallel
-/// path from slower-than-sequential to competitive.
+/// spawn + join.
 ///
 /// Panics raised inside a round propagate to the caller of the `run`
 /// method (after the round has fully drained); a panic in `f` itself
@@ -394,12 +347,6 @@ impl<T> ResultSlots<'_, T> {
 }
 
 impl<'env> Pool<'env> {
-    /// Whether rounds actually fan out to workers (false for the
-    /// sequential `jobs <= 1` pool).
-    pub fn parallel(&self) -> bool {
-        self.shared.is_some()
-    }
-
     /// Total participants per round: the caller plus the workers.
     pub fn participants(&self) -> usize {
         self.workers.len() + 1
@@ -412,51 +359,27 @@ impl<'env> Pool<'env> {
     /// copy per unit: the fold runs it on the master and commits it at
     /// once instead (see [`PhaseFold`](crate::PhaseFold)).
     pub fn ahead<R>(&self, ahead: impl FnOnce() -> R) -> Option<R> {
-        self.parallel().then(ahead)
+        self.shared.is_some().then(ahead)
     }
 
-    /// Runs `f(0) .. f(n - 1)` across the pool, returning results in
-    /// index order plus the phase accounting. See
-    /// [`Pool::run_with_scratch`] for the scratch-buffer variant this
-    /// forwards to.
-    pub fn run<T, F>(&self, n: usize, f: F) -> (Vec<T>, PhaseTime)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_with_scratch(n, Scratch::default, |_, i| f(i))
-    }
-
-    /// Runs `f(&mut scratch, 0) .. f(&mut scratch, n - 1)` across the
-    /// pool, returning results **in index order** plus the accounting.
-    ///
-    /// Every participant builds one scratch value per round
-    /// (`make_scratch`) and reuses it across all the units it claims, so
-    /// per-unit buffers amortize to one allocation per worker per round.
-    /// The sequential pool reuses a single scratch across all `n` units.
+    /// Runs `f(0) .. f(n - 1)` across the pool, returning results **in
+    /// index order** plus the phase accounting.
     ///
     /// Panics inside `f` are caught per participant, and the first one
     /// is re-raised on the calling thread **after** the round has fully
     /// drained (the quarantine layer inside `f` is what catches
     /// per-procedure panics; one escaping it means quarantine was off, and
     /// then the contract is to propagate).
-    pub fn run_with_scratch<T, S, M, F>(
-        &self,
-        n: usize,
-        make_scratch: M,
-        f: F,
-    ) -> (Vec<T>, PhaseTime)
+    pub fn run<T, F>(&self, n: usize, f: F) -> (Vec<T>, PhaseTime)
     where
         T: Send,
-        M: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> T + Sync,
+        F: Fn(usize) -> T + Sync,
     {
         let start = Instant::now();
         let shared = match self.shared {
             Some(shared) if n > 1 => shared,
             _ => {
-                let mut scratch = make_scratch();
-                let results: Vec<T> = (0..n).map(|i| f(&mut scratch, i)).collect();
+                let results: Vec<T> = (0..n).map(&f).collect();
                 return (results, PhaseTime::sequential(start.elapsed(), n));
             }
         };
@@ -464,18 +387,15 @@ impl<'env> Pool<'env> {
         let slots: Vec<UnsafeCell<Option<T>>> = (0..n).map(|_| UnsafeCell::new(None)).collect();
         let slots_ref = &ResultSlots(&slots);
         let next = AtomicUsize::new(0);
-        let participate = || {
-            let mut scratch = make_scratch();
-            loop {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                if i >= n {
-                    break;
-                }
-                let v = f(&mut scratch, i);
-                // SAFETY: index `i` was claimed by exactly this
-                // participant (atomic ticket), so the slot is unaliased.
-                unsafe { slots_ref.fill(i, v) };
+        let participate = || loop {
+            let i = next.fetch_add(1, Ordering::SeqCst);
+            if i >= n {
+                break;
             }
+            let v = f(i);
+            // SAFETY: index `i` was claimed by exactly this participant
+            // (atomic ticket), so the slot is unaliased.
+            unsafe { slots_ref.fill(i, v) };
         };
         let body: &(dyn Fn() + Sync) = &participate;
         // SAFETY (lifetime erasure): workers only dereference the
@@ -618,10 +538,9 @@ mod tests {
     fn pool_results_come_back_in_index_order() {
         for jobs in [1, 2, 4, 8] {
             with_pool(jobs, |pool| {
-                assert_eq!(pool.parallel(), jobs > 1);
                 assert_eq!(pool.ahead(|| 7), (jobs > 1).then_some(7));
                 // Several rounds through the same pool, like the
-                // wavefront's one-round-per-level dispatch.
+                // return-jump stage's one-round-per-level dispatch.
                 for round in 0..5usize {
                     let (out, pt) = pool.run(100, |i| i * i + round);
                     assert_eq!(out, (0..100).map(|i| i * i + round).collect::<Vec<_>>());
@@ -630,19 +549,6 @@ mod tests {
                 }
             });
         }
-    }
-
-    #[test]
-    fn pool_scratch_is_reused_across_units() {
-        with_pool(2, |pool| {
-            let (out, _) = pool.run_with_scratch(64, Scratch::default, |scratch, i| {
-                scratch.reset(8);
-                scratch.queue.push_back(i);
-                scratch.flags[i % 8] = true;
-                scratch.queue.pop_front().map(|v| v * 2)
-            });
-            assert_eq!(out, (0..64).map(|i| Some(i * 2)).collect::<Vec<_>>());
-        });
     }
 
     #[test]

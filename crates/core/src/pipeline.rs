@@ -102,9 +102,7 @@ impl fmt::Display for UnitError {
 pub struct PhaseUnit<T> {
     /// Index in the phase's unit space (procedure or SCC index).
     pub index: usize,
-    /// The unit's computed outcome (the solver's units carry a
-    /// `Result<_, UnitError>`; the per-procedure phases contain failures
-    /// inside their outcome).
+    /// The unit's computed outcome (failures are contained inside it).
     pub outcome: T,
     /// The optimistic governor shard the unit charged.
     pub shard: Governor,
@@ -495,14 +493,13 @@ impl Analysis {
         pt.reused = reused;
         timings.jump = pt.with_tail(t2.elapsed());
 
-        // Stage 3: the interprocedural wavefront solve (parallel over the
-        // SCC levels when the pool is), then assembly.
+        // Stage 3: the interprocedural wavefront solve, then assembly.
         let entry_globals = if config.assume_zero_globals {
             Lattice::Const(0)
         } else {
             Lattice::Bottom
         };
-        let (vals, solve_time) = crate::solver::solve_on(
+        let (vals, solve_time) = crate::solver::solve(
             mcfg,
             &cg,
             &layout,
@@ -511,7 +508,6 @@ impl Analysis {
             config,
             &mut gov,
             &mut quarantined,
-            pool,
         );
         timings.solve = solve_time;
         timings.total = t_run.elapsed();

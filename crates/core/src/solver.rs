@@ -15,33 +15,26 @@
 //!
 //! The solve runs as a wavefront over the top-down levels of the
 //! call-graph SCC condensation. A cross-SCC call edge always targets a
-//! strictly later level, so the SCCs of one level never feed each other:
-//! they can be re-evaluated concurrently, and — since every jump function
-//! is monotone in its lattice inputs — one top-down pass with a local
-//! FIFO fixpoint inside each SCC reaches exactly the fixpoint the classic
-//! sequential worklist reaches. Each SCC unit is *dirty-driven*: it runs
-//! only when some member received a lowering meet (or is the entry), so
-//! the activation set matches the sequential worklist's and unreached
-//! procedures keep ⊤ untouched.
+//! strictly later level, so the SCCs of one level never feed each other,
+//! and — since every jump function is monotone in its lattice inputs —
+//! one top-down pass with a local FIFO fixpoint inside each SCC reaches
+//! exactly the fixpoint the classic sequential worklist reaches. Each SCC
+//! unit is *dirty-driven*: it runs only when some member received a
+//! lowering meet (or is the entry), so the activation set matches the
+//! sequential worklist's and unreached procedures keep ⊤ untouched.
 //!
-//! Under `jobs > 1` the units of one level run on the
-//! [`par`](crate::par) worker pool against optimistic [`Governor`]
-//! shards; the results are folded back in the canonical order (ascending
-//! level, ascending SCC index) with
-//! [`Governor::can_absorb`]/[`Governor::absorb_shard`], replaying a unit
-//! against the master governor whenever its shard charges could not be
-//! proven bit-identical to sequential charging. Meets into callee `VAL`
-//! vectors are recorded per (caller, call site, slot) inside the unit and
-//! applied only during the fold, so the final `vals`, `meets`, and
-//! `iterations` are identical for every jobs count — the same contract
-//! the per-procedure phases follow (`docs/ROBUSTNESS.md`, "Concurrency
-//! contract").
+//! The solve runs on the calling thread at every `--jobs`: levels in
+//! order, the dirty SCCs of a level in ascending SCC index, each unit
+//! meeting into `vals` as it goes. `vals`, `meets` and `iterations` are
+//! therefore the same for every jobs count — the contract the
+//! per-procedure phases keep through their fold (`docs/ROBUSTNESS.md`,
+//! "Concurrency contract").
 
 use crate::config::{Config, Stage};
 use crate::health::Governor;
 use crate::jump::ForwardJumpFns;
-use crate::par::{PhaseTime, Pool, Scratch};
-use crate::pipeline::{PhaseFold, PhaseUnit, UnitError};
+use crate::par::PhaseTime;
+use crate::pipeline::UnitError;
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
@@ -170,14 +163,22 @@ fn topdown_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
     levels
 }
 
-/// What one SCC unit's evaluation produced, before the fold commits it.
-struct UnitEval {
-    /// Final `VAL` vectors for the SCC members, in member order.
-    member_vals: Vec<Vec<Lattice>>,
-    /// Lattice contributions to callees *outside* the SCC, recorded in
-    /// (member, call site, slot) evaluation order and applied by the
-    /// fold. `(callee proc index, slot, incoming value)`.
-    contribs: Vec<(usize, usize, Lattice)>,
+/// Runs one SCC unit's evaluation ([`eval_unit`]) under the quarantine
+/// contract: panics are contained (with the quiet hook) when
+/// `config.quarantine` is on, and propagate when it is off — the same
+/// semantics `quarantine::run_unit` gives the per-procedure phases, minus
+/// the unit-entry injection (the solver fires the hook per member
+/// re-evaluation instead).
+fn guarded<T>(config: &Config, scc: usize, eval: impl FnOnce() -> T) -> Result<T, UnitError> {
+    if config.quarantine {
+        crate::quarantine::quiet_catch(eval).map_err(|msg| UnitError::new(Stage::Solver, scc, msg))
+    } else {
+        Ok(eval())
+    }
+}
+
+/// The counters one unit evaluation reports back to the wavefront.
+struct UnitOutcome {
     meets: usize,
     iterations: usize,
     /// A governor charge failed mid-unit (budget cap or injected fault).
@@ -187,12 +188,16 @@ struct UnitEval {
 }
 
 /// Evaluates one SCC unit: a local FIFO fixpoint over the members, seeded
-/// by their dirty flags. Pure with respect to the global solver state —
-/// member `VAL`s are copied in, and meets into external callees are
-/// recorded as contributions, not applied. The same function serves the
-/// optimistic parallel pass (against a governor shard) and the
-/// deterministic replay (against the master), so both charge and panic at
-/// the same internal step.
+/// by their dirty flags. Each pop checks the deadline, fires the panic
+/// injection hook, charges the governor, then evaluates the member's call
+/// sites in order, meeting straight into `vals` and marking lowered
+/// external callees in `dirty`.
+///
+/// External callees live at strictly later levels (same-level SCCs never
+/// call each other), so nothing reads their rows before this level is
+/// done; on a panic, trip or deadline the partially applied meets are
+/// erased by the quarantine ⊥-fill or `degrade_reachable`. `queued` and
+/// `work` are the caller's buffers, reused across units.
 #[allow(clippy::too_many_arguments)]
 fn eval_unit(
     cg: &CallGraph,
@@ -200,29 +205,21 @@ fn eval_unit(
     config: &Config,
     members: &[ProcId],
     scc: usize,
-    vals: &[Vec<Lattice>],
-    dirty: &[bool],
+    vals: &mut [Vec<Lattice>],
+    dirty: &mut [bool],
     gov: &mut Governor,
-    scratch: &mut Scratch,
-) -> UnitEval {
-    let mut out = UnitEval {
-        member_vals: members.iter().map(|&p| vals[p.index()].clone()).collect(),
-        // Presized for a typical unit's external contributions — spares
-        // the realloc chain on fan-out-heavy procedures.
-        contribs: Vec::with_capacity(64),
+    queued: &mut Vec<bool>,
+    work: &mut VecDeque<usize>,
+) -> UnitOutcome {
+    let mut out = UnitOutcome {
         meets: 0,
         iterations: 0,
         tripped: false,
         deadline: false,
     };
-    // The per-unit `queued` flags and FIFO worklist live in the
-    // participant's reusable scratch — one allocation per worker per
-    // round instead of two per SCC unit.
-    scratch.reset(members.len());
-    let Scratch {
-        flags: queued,
-        queue: work,
-    } = scratch;
+    queued.clear();
+    queued.resize(members.len(), false);
+    work.clear();
     for (li, &p) in members.iter().enumerate() {
         if dirty[p.index()] {
             queued[li] = true;
@@ -245,132 +242,6 @@ fn eval_unit(
         }
         queued[li] = false;
         out.iterations += 1;
-        for edge in cg.calls_from(p) {
-            let site_fns = jump_fns.at(p, edge.site);
-            if site_fns.is_empty() {
-                continue; // unreachable call site
-            }
-            if cg.scc_of[edge.callee.index()] == scc {
-                // Intra-SCC meet mutates a member vector (possibly the
-                // caller's own), so evaluate against a snapshot.
-                let caller_vals = out.member_vals[li].clone();
-                let Some(lj) = members.iter().position(|&m| m == edge.callee) else {
-                    unreachable!("intra-SCC callee missing from member list");
-                };
-                let mut changed = false;
-                for (slot, jf) in site_fns.iter().enumerate() {
-                    let incoming = jf.eval(|v| {
-                        caller_vals
-                            .get(v as usize)
-                            .copied()
-                            .unwrap_or(Lattice::Bottom)
-                    });
-                    out.meets += 1;
-                    changed |= out.member_vals[lj][slot].meet_in(incoming);
-                }
-                if changed && !queued[lj] {
-                    queued[lj] = true;
-                    work.push_back(lj);
-                }
-            } else {
-                // External contributions only read the caller's vector —
-                // no snapshot needed (the in-place worklist cannot make
-                // this split, which is part of the wavefront's edge).
-                let caller_vals = &out.member_vals[li];
-                for (slot, jf) in site_fns.iter().enumerate() {
-                    let incoming = jf.eval(|v| {
-                        caller_vals
-                            .get(v as usize)
-                            .copied()
-                            .unwrap_or(Lattice::Bottom)
-                    });
-                    out.meets += 1;
-                    out.contribs.push((edge.callee.index(), slot, incoming));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Runs one SCC unit's evaluation ([`eval_unit`] or
-/// [`eval_unit_inplace`]) under the quarantine contract: panics are
-/// contained (with the quiet hook) when `config.quarantine` is on, and
-/// propagate when it is off — the same semantics `quarantine::run_unit`
-/// gives the per-procedure phases, minus the unit-entry injection (the
-/// solver fires the hook per member re-evaluation instead).
-fn guarded<T>(config: &Config, scc: usize, eval: impl FnOnce() -> T) -> Result<T, UnitError> {
-    if config.quarantine {
-        crate::quarantine::quiet_catch(eval).map_err(|msg| UnitError::new(Stage::Solver, scc, msg))
-    } else {
-        Ok(eval())
-    }
-}
-
-/// The counters a unit evaluation reports back to the fold, without the
-/// buffered state (which the in-place mode applies as it goes).
-struct UnitOutcome {
-    meets: usize,
-    iterations: usize,
-    tripped: bool,
-    deadline: bool,
-}
-
-/// The in-place twin of [`eval_unit`], used on the canonical path
-/// (`jobs <= 1` and replays): the same per-pop sequence — deadline check,
-/// panic injection, governor charge, edge evaluation in call-site order —
-/// but meets land directly in `vals`/`dirty` instead of being buffered.
-///
-/// This is observation-equivalent to evaluate-then-commit: external
-/// callees live at strictly later levels (same-level SCCs never call each
-/// other), so nothing reads them before this level's fold completes; and
-/// on a panic/trip/deadline the partially applied meets are erased by the
-/// quarantine ⊥-fill or `degrade_reachable` exactly as the buffered
-/// mode's discarded state would have been. What it buys: no member-vector
-/// copies, no contribution buffer, and — via `mem::take` of the caller's
-/// row — no per-edge snapshot for external calls either.
-#[allow(clippy::too_many_arguments)]
-fn eval_unit_inplace(
-    cg: &CallGraph,
-    jump_fns: &ForwardJumpFns,
-    config: &Config,
-    members: &[ProcId],
-    scc: usize,
-    vals: &mut [Vec<Lattice>],
-    dirty: &mut [bool],
-    gov: &mut Governor,
-    scratch: &mut Scratch,
-) -> UnitOutcome {
-    let mut out = UnitOutcome {
-        meets: 0,
-        iterations: 0,
-        tripped: false,
-        deadline: false,
-    };
-    scratch.reset(members.len());
-    let Scratch {
-        flags: queued,
-        queue: work,
-    } = scratch;
-    for (li, &p) in members.iter().enumerate() {
-        if dirty[p.index()] {
-            queued[li] = true;
-            work.push_back(li);
-        }
-    }
-    while let Some(li) = work.pop_front() {
-        let p = members[li];
-        if gov.deadline_expired() {
-            out.deadline = true;
-            return out;
-        }
-        crate::quarantine::maybe_inject(config, Stage::Solver, p.index());
-        if !gov.charge(Stage::Solver) {
-            out.tripped = true;
-            return out;
-        }
-        queued[li] = false;
-        out.iterations += 1;
         // Take the caller's row out so callee rows can be met into
         // without aliasing it (external callees are always other rows).
         let mut caller_row = std::mem::take(&mut vals[p.index()]);
@@ -384,9 +255,8 @@ fn eval_unit_inplace(
                     unreachable!("intra-SCC callee missing from member list");
                 };
                 // Intra-SCC meets may lower the caller's own row
-                // (self-recursion lands in the taken row), so evaluate
-                // against a snapshot — matching the buffered mode's
-                // per-edge snapshot semantics.
+                // (self-recursion lands in the taken row), so every slot
+                // of the site is evaluated against one snapshot.
                 let snapshot = caller_row.clone();
                 let mut changed = false;
                 for (slot, jf) in site_fns.iter().enumerate() {
@@ -443,10 +313,7 @@ fn degrade_reachable(vals: &mut [Vec<Lattice>], cg: &CallGraph) {
 ///
 /// `entry_globals` is the initial assumption for the entry procedure's
 /// global slots (⊥ for FORTRAN-style unknown, `Const(0)` for FT's defined
-/// zero initialization). `jobs` is the worker count for the per-level
-/// parallel pass (`<= 1` evaluates every unit inline against the master
-/// governor — the canonical sequential order the parallel fold
-/// reproduces).
+/// zero initialization).
 ///
 /// Each procedure re-evaluation charges one [`Stage::Solver`] iteration
 /// to the governor. If the budget trips (or the deadline expires)
@@ -466,40 +333,6 @@ pub fn solve(
     config: &Config,
     gov: &mut Governor,
     quarantined: &mut [bool],
-    jobs: usize,
-) -> (ValSets, PhaseTime) {
-    // Standalone entry point: spin up a pool for the whole solve (one
-    // spawn per solve, not one per wavefront level). The pipeline calls
-    // `solve_on` directly with its own pool instead.
-    crate::par::with_pool(jobs, |pool| {
-        solve_on(
-            mcfg,
-            cg,
-            layout,
-            jump_fns,
-            entry_globals,
-            config,
-            gov,
-            quarantined,
-            pool,
-        )
-    })
-}
-
-/// [`solve`] against an existing worker [`Pool`] — the pipeline threads
-/// one pool through every phase so workers are spawned once per analysis
-/// run and parked between rounds.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_on(
-    mcfg: &ModuleCfg,
-    cg: &CallGraph,
-    layout: &SlotLayout,
-    jump_fns: &ForwardJumpFns,
-    entry_globals: Lattice,
-    config: &Config,
-    gov: &mut Governor,
-    quarantined: &mut [bool],
-    pool: &Pool<'_>,
 ) -> (ValSets, PhaseTime) {
     let t0 = Instant::now();
     let n_procs = mcfg.module.procs.len();
@@ -532,102 +365,30 @@ pub(crate) fn solve_on(
     let mut iterations = 0usize;
     let levels = topdown_levels(cg);
     let n_units: usize = levels.iter().map(Vec::len).sum();
-    let mut par_time = PhaseTime::default();
-    let mut fold = PhaseFold::default();
-    // The canonical fold's replay scratch, reused across every level.
-    let mut fold_scratch = Scratch::default();
-
-    // Dispatching a round to the (parked) pool still costs a few
-    // park/unpark round-trips; a level with only a couple of activated
-    // units is cheaper to evaluate inline on the canonical path. Pure
-    // scheduling — the fold below produces identical results either way.
-    const MIN_PAR_UNITS: usize = 16;
+    // One `queued`/FIFO pair, reused by every unit of the solve.
+    let mut queued = Vec::new();
+    let mut work = VecDeque::new();
 
     'levels: for level in &levels {
-        // Optimistic parallel pass: every activated unit of the level runs
-        // on the pool against a fresh governor shard. Units read only
-        // their own members' (disjoint) slices of `vals`/`dirty`, so the
-        // inputs each unit sees are exactly what the canonical fold below
-        // would hand it.
-        let mut optimistic: Vec<Option<PhaseUnit<Result<UnitEval, UnitError>>>> = Vec::new();
-        let n_active = level
-            .iter()
-            .filter(|&&si| cg.sccs[si].iter().any(|&m| dirty[m.index()]))
-            .count();
-        if pool.parallel() && n_active >= MIN_PAR_UNITS {
-            let proto = gov.shard();
-            let (outs, pt) = pool.run_with_scratch(level.len(), Scratch::default, |scratch, k| {
-                let members: &[ProcId] = &cg.sccs[level[k]];
-                if !members.iter().any(|&m| dirty[m.index()]) {
-                    return None; // never activated — nothing to evaluate
-                }
-                let mut shard = proto.shard();
-                let res = guarded(config, level[k], || {
-                    eval_unit(
-                        cg, jump_fns, config, members, level[k], &vals, &dirty, &mut shard, scratch,
-                    )
-                });
-                Some(PhaseUnit::new(k, res, shard))
-            });
-            par_time.absorb(pt);
-            optimistic = outs;
-        }
-
-        // Canonical fold, in ascending SCC index order: absorb an
-        // optimistic unit when its shard charges provably land exactly as
-        // sequential charging would; replay it against the master
-        // otherwise (the replay re-trips, re-panics, and re-observes the
-        // deadline at the same internal step, because the unit's inputs
-        // are identical).
-        for (k, &si) in level.iter().enumerate() {
+        for &si in level {
             let members: &[ProcId] = &cg.sccs[si];
             if !members.iter().any(|&m| dirty[m.index()]) {
                 continue;
             }
-            let absorbed = optimistic.get_mut(k).and_then(Option::take).and_then(|pu| {
-                let clean = matches!(&pu.outcome, Ok(u) if !u.tripped && !u.deadline);
-                let absorbable = clean || pu.outcome.is_err();
-                fold.try_absorb(gov, pu, absorbable)
+            let unit = guarded(config, si, || {
+                eval_unit(
+                    cg,
+                    jump_fns,
+                    config,
+                    members,
+                    si,
+                    &mut vals,
+                    &mut dirty,
+                    gov,
+                    &mut queued,
+                    &mut work,
+                )
             });
-            let unit: Result<UnitOutcome, UnitError> = match absorbed {
-                Some(Ok(u)) => {
-                    // Commit the buffered unit: member rows move in,
-                    // external contributions are met in recorded order.
-                    // (Absorbed Ok units are always clean — tripped or
-                    // deadlined ones replay below.)
-                    let outcome = UnitOutcome {
-                        meets: u.meets,
-                        iterations: u.iterations,
-                        tripped: u.tripped,
-                        deadline: u.deadline,
-                    };
-                    for (vm, &m) in u.member_vals.into_iter().zip(members) {
-                        vals[m.index()] = vm;
-                    }
-                    for (callee, slot, incoming) in u.contribs {
-                        if vals[callee][slot].meet_in(incoming) {
-                            dirty[callee] = true;
-                        }
-                    }
-                    Ok(outcome)
-                }
-                Some(Err(e)) => Err(e),
-                // Not run ahead, or not absorbable: the canonical in-place
-                // evaluation against the master.
-                None => guarded(config, si, || {
-                    eval_unit_inplace(
-                        cg,
-                        jump_fns,
-                        config,
-                        members,
-                        si,
-                        &mut vals,
-                        &mut dirty,
-                        gov,
-                        &mut fold_scratch,
-                    )
-                }),
-            };
             match unit {
                 Err(e) => {
                     // Quarantine the whole SCC: a panic mid-fixpoint means
@@ -702,26 +463,13 @@ pub(crate) fn solve_on(
         }
     }
 
-    let time = if !pool.parallel() {
-        PhaseTime::sequential(t0.elapsed(), n_units)
-    } else {
-        PhaseTime {
-            wall: t0.elapsed(),
-            busy: par_time.busy,
-            workers: par_time.workers.max(1),
-            units: n_units,
-            absorbed: fold.absorbed,
-            replayed: fold.replayed,
-            reused: 0,
-        }
-    };
     (
         ValSets {
             vals,
             meets,
             iterations,
         },
-        time,
+        PhaseTime::sequential(t0.elapsed(), n_units),
     )
 }
 
@@ -732,8 +480,8 @@ pub(crate) fn solve_on(
 /// re-evaluates a procedure every time a meet lowers one of its slots;
 /// the wavefront's dependency-levelled schedule evaluates each activated
 /// SCC once, with the meets from all its callers already applied — that
-/// difference (fewer re-evaluations, not just concurrency) is where the
-/// solver speedup comes from.
+/// difference (fewer re-evaluations) is where the solver speedup comes
+/// from.
 ///
 /// `meets`/`iterations` are schedule-dependent here and generally
 /// *higher* than the wavefront's; only `vals` is comparable.
@@ -1016,31 +764,18 @@ mod tests {
                    proc rec(n) { if (n > 0) { call rec(n - 1); } }";
         let m = lower_module(&parse_and_resolve(src).unwrap());
         let config = Config::polynomial();
-        let a = Analysis::run(&m, &config);
-        let layout = SlotLayout::new(&m.module);
-        let n = m.module.procs.len();
-        let entry_globals = Lattice::Bottom;
-        let run = |jobs: usize| {
-            let mut gov = Governor::new(&config);
-            let mut q = vec![false; n];
-            let (v, _) = solve(
-                &m,
-                &a.cg,
-                &layout,
-                &a.jump_fns,
-                entry_globals,
-                &config,
-                &mut gov,
-                &mut q,
-                jobs,
-            );
-            (v, q)
-        };
-        let (seq, seq_q) = run(1);
+        let seq = Analysis::run(&m, &config.with_jobs(1));
         for jobs in [2, 4, 8] {
-            let (par, par_q) = run(jobs);
-            assert_eq!(par, seq, "jobs={jobs} diverged (vals/meets/iterations)");
-            assert_eq!(par_q, seq_q, "jobs={jobs} quarantine flags diverged");
+            let a = Analysis::run(&m, &config.with_jobs(jobs));
+            assert_eq!(
+                a.vals, seq.vals,
+                "jobs={jobs} diverged (vals/meets/iterations)"
+            );
+            assert_eq!(
+                a.quarantined, seq.quarantined,
+                "jobs={jobs} quarantine flags diverged"
+            );
+            assert_eq!(a.health, seq.health, "jobs={jobs} health diverged");
         }
     }
 

@@ -37,11 +37,11 @@ use std::fmt::Write as _;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ScaleShape {
     /// Long dependence chains: procedure `q` is called by `q-1` or `q-2`,
-    /// so the condensation has O(n) levels — the wavefront solver's
-    /// worst case for level parallelism.
+    /// so the condensation has O(n) levels — the worst case for the
+    /// level-scheduled return-jump stage.
     DeepChains,
     /// A shallow 16-ary call tree: few levels, hundreds of procedures
-    /// per level — the wavefront solver's best case.
+    /// per level — the level-scheduled stage's best case.
     WideFanout,
     /// Heavy-tailed out-degrees: most procedures call one or two others,
     /// a few hubs call dozens (the shape real call graphs approximate).

@@ -188,8 +188,8 @@ fn worker_panics_stay_quarantined_to_their_procedure() {
 
 #[test]
 fn solver_panics_landing_mid_wavefront_are_identical_for_every_job_count() {
-    // A panic injected into the VAL solver fires inside a wavefront
-    // worker while other units of the same level are in flight. The
+    // A panic injected into the VAL solver fires mid-wavefront, after
+    // other units of the same level have already committed. The
     // quarantine unit there is the SCC (a panic anywhere in a cycle
     // poisons the whole cycle), so unlike the per-procedure phases we
     // tolerate more than one quarantined flag — but the set of flags,
@@ -224,10 +224,41 @@ fn solver_panics_landing_mid_wavefront_are_identical_for_every_job_count() {
 }
 
 #[test]
+fn wide_solver_levels_run_in_place_at_every_job_count() {
+    // Level 1 of this call graph holds 32 independent dirty SCCs. The
+    // solver still evaluates them on the calling thread in ascending SCC
+    // order — one worker, nothing run ahead, so nothing absorbed or
+    // replayed — and reaches the sequential ValSets.
+    let width = 32;
+    let mut src = String::from("global g; proc main() { g = 3; ");
+    for j in 0..width {
+        src.push_str(&format!("call l{j}({j}); "));
+    }
+    src.push_str("} proc leaf(y) { print y + g; } ");
+    for j in 0..width {
+        src.push_str(&format!(
+            "proc l{j}(x) {{ call leaf(x * 2); call leaf({j}); }} "
+        ));
+    }
+    let mcfg = lower_module(&parse_and_resolve(&src).expect("wide program parses"));
+    let config = Config::polynomial();
+    let seq = Analysis::run(&mcfg, &config.with_jobs(1));
+    let par = Analysis::run(&mcfg, &config.with_jobs(4));
+    let solve = par.timings.solve;
+    assert_eq!(
+        solve.workers, 1,
+        "the solver ran on {} workers",
+        solve.workers
+    );
+    assert_eq!((solve.absorbed, solve.replayed), (0, 0));
+    assert_eq!(par.vals, seq.vals);
+}
+
+#[test]
 fn deadline_expiring_mid_wavefront_terminates_and_stays_sound() {
     // Unlike the already-expired deadline above, a short-but-nonzero
-    // deadline races the wavefront itself: the latch can trip between
-    // levels, inside a worker, or not at all. Which run it hits is
+    // deadline races the analysis itself: the latch can trip inside a
+    // per-procedure phase's worker, between solver levels, or not at all. Which run it hits is
     // timing-dependent, so no identity claim is possible — the contract
     // is that every worker stops without a panic, the only degradations
     // reported are Deadline-kind, and whatever survives in CONSTANTS(p)
