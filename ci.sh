@@ -169,7 +169,10 @@ EOF
     # alternates `update`s, against --serve-workers 4. Every reply must
     # be correct warm service or an explicit shed — never a torn answer
     # or a dead connection — and a SIGTERM drain must still exit 0 with
-    # the store snapshotted.
+    # the store snapshotted. The writer is the lockstep client that
+    # resends on a shed: its updates race 160 pipelined reader frames
+    # for --max-inflight 64, a shed update never ran, and an update is
+    # idempotent, so resending it is safe.
     local drillprog=target/serve-drill.ft
     cat >"$drillprog" <<'EOF'
 global g0;
@@ -208,7 +211,8 @@ EOF
         for i in $(seq 10); do
             printf '{"id":"w%s","op":"update","proc":"f","body":"proc f(a) { g0 = a + %s; call g(a); }"}\n' "$i" "$((1 + i % 2))"
         done
-    } | timeout 60 ./target/release/ipcc serve --connect "$sock" >>"$out.drill.writer" &
+    } | timeout 60 ./target/release/ipcc serve --connect "$sock" --retries 10 --retry-ms 20 \
+        >>"$out.drill.writer" &
     cpids+=($!)
     for p in "${cpids[@]}"; do wait "$p"; done
     replies=$(wc -l <"$out.drill")
@@ -557,13 +561,14 @@ stage_perfbench() {
 stage_lockfree_lint() {
     # The determinism contract (docs/ROBUSTNESS.md, "Concurrency
     # contract") is built on sharded state + an ordered fold, not on
-    # locking. A Mutex creeping into a per-procedure phase, the serve
-    # cache's memo lookups (they run inside pool rounds), the solver
+    # locking. A Mutex creeping into the pool, a per-procedure phase, the
+    # serve cache's memo lookups (they run inside pool rounds), the solver
     # wavefront, or a transformation driver would reintroduce schedule-
     # dependent behaviour silently — fail loudly instead. Line comments
     # are stripped first so prose *about* locks (like this) never trips
     # the lint.
     local hot_files=(
+        crates/core/src/par.rs
         crates/core/src/pipeline.rs
         crates/core/src/jump.rs
         crates/core/src/retjump.rs

@@ -1072,7 +1072,11 @@ fn dispatch(
             Ok(outcome_payload(&outcome))
         }
         "constants" => {
-            let config = request_config(engine, req, request_deadline_ms)?;
+            // Only a `constants` with `config` overrides reaches the
+            // writer path (`is_read_op` sends the others to the snapshot),
+            // so this is always a one-off analysis.
+            let config =
+                request_config(engine, req, request_deadline_ms)?.unwrap_or(*engine.config());
             let proc = match req.get("proc") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(

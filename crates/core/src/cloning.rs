@@ -12,6 +12,7 @@
 use crate::config::{Config, Stage};
 use crate::health::{AnalysisHealth, Governor};
 use crate::jump::JumpFn;
+use crate::par::Pool;
 use crate::pipeline::Analysis;
 use ipcp_ir::cfg::{CStmt, CallSiteId, ModuleCfg};
 use ipcp_ir::program::ProcId;
@@ -94,41 +95,39 @@ pub fn clone_by_constants(
     // *creation* stays sequential in callee order below: it charges the
     // cloning budget and grows the module, and the budget's trip point
     // must not depend on the schedule.
-    let (plans, _pt) = crate::par::with_pool(config.effective_jobs(), |pool| {
-        pool.run(n_orig, |callee_idx| {
-            let callee = ProcId::from(callee_idx);
-            if callee == mcfg.module.entry
-                || !analysis.cg.reachable[callee_idx]
-                || analysis.cg.is_recursive(callee)
-            {
-                return None;
+    let (plans, _pt) = Pool::new(config.effective_jobs()).run(n_orig, |callee_idx| {
+        let callee = ProcId::from(callee_idx);
+        if callee == mcfg.module.entry
+            || !analysis.cg.reachable[callee_idx]
+            || analysis.cg.is_recursive(callee)
+        {
+            return None;
+        }
+        let mut groups: ConstGroups = Vec::new();
+        for edge in analysis.cg.calls_to(callee) {
+            let Some(vec) = edge_vector(&analysis, edge.caller, edge.site) else {
+                continue;
+            };
+            match groups.iter_mut().find(|(v, _)| *v == vec) {
+                Some((_, sites)) => sites.push((edge.caller, edge.site)),
+                None => groups.push((vec, vec![(edge.caller, edge.site)])),
             }
-            let mut groups: ConstGroups = Vec::new();
-            for edge in analysis.cg.calls_to(callee) {
-                let Some(vec) = edge_vector(&analysis, edge.caller, edge.site) else {
-                    continue;
-                };
-                match groups.iter_mut().find(|(v, _)| *v == vec) {
-                    Some((_, sites)) => sites.push((edge.caller, edge.site)),
-                    None => groups.push((vec, vec![(edge.caller, edge.site)])),
-                }
-            }
-            if groups.len() < 2 {
-                return None;
-            }
-            // Only worth splitting when some group carries a constant the
-            // merged VAL set lost.
-            let merged = analysis.vals.of(callee);
-            let worthwhile = groups.iter().any(|(v, _)| {
-                v.iter()
-                    .enumerate()
-                    .any(|(slot, c)| c.is_some() && merged.get(slot).is_some_and(|l| !l.is_const()))
-            });
-            if !worthwhile {
-                return None;
-            }
-            Some(groups)
-        })
+        }
+        if groups.len() < 2 {
+            return None;
+        }
+        // Only worth splitting when some group carries a constant the
+        // merged VAL set lost.
+        let merged = analysis.vals.of(callee);
+        let worthwhile = groups.iter().any(|(v, _)| {
+            v.iter()
+                .enumerate()
+                .any(|(slot, c)| c.is_some() && merged.get(slot).is_some_and(|l| !l.is_const()))
+        });
+        if !worthwhile {
+            return None;
+        }
+        Some(groups)
     });
 
     for (callee_idx, plan) in plans.into_iter().enumerate() {

@@ -9,6 +9,7 @@
 //! its suite; [`complete_propagation`] reports the rounds it needed.
 
 use crate::config::Config;
+use crate::par::Pool;
 use crate::pipeline::Analysis;
 use crate::substitute::{constant_uses, Substitution};
 use ipcp_ir::cfg::ModuleCfg;
@@ -58,25 +59,23 @@ pub fn complete_propagation(mcfg: &ModuleCfg, config: &Config) -> CompleteResult
         // given the round's analysis, so the scan runs on the worker pool;
         // the fold below applies results in procedure order, keeping the
         // counts and the pruned module identical to a sequential round.
-        let (units, _pt) = crate::par::with_pool(config.effective_jobs(), |pool| {
-            pool.run(module.cfgs.len(), |pi| {
-                let sccp = substitution.sccps[pi].as_ref()?;
-                let ps = analysis.symbolics[pi].as_ref()?;
-                let p = ProcId::from(pi);
-                let cfg = module.cfg(p);
-                let pruned = prune_constant_branches(cfg, &ps.ssa, sccp)?;
-                // The occurrences substituted inside the folded conditions
-                // disappear with the test; remember them so the final count
-                // reflects every substitution the analyzer performed.
-                let mut carried = 0usize;
-                for bi in 0..cfg.len() {
-                    let b = ipcp_ir::cfg::BlockId::from(bi);
-                    if sccp.folded_branch(cfg, b, &ps.ssa).is_some() {
-                        carried += constant_uses(sccp, ps.ssa.term_use_vals(b));
-                    }
+        let (units, _pt) = Pool::new(config.effective_jobs()).run(module.cfgs.len(), |pi| {
+            let sccp = substitution.sccps[pi].as_ref()?;
+            let ps = analysis.symbolics[pi].as_ref()?;
+            let p = ProcId::from(pi);
+            let cfg = module.cfg(p);
+            let pruned = prune_constant_branches(cfg, &ps.ssa, sccp)?;
+            // The occurrences substituted inside the folded conditions
+            // disappear with the test; remember them so the final count
+            // reflects every substitution the analyzer performed.
+            let mut carried = 0usize;
+            for bi in 0..cfg.len() {
+                let b = ipcp_ir::cfg::BlockId::from(bi);
+                if sccp.folded_branch(cfg, b, &ps.ssa).is_some() {
+                    carried += constant_uses(sccp, ps.ssa.term_use_vals(b));
                 }
-                Some((pruned, carried))
-            })
+            }
+            Some((pruned, carried))
         });
         let mut pruned_any = false;
         let mut next = module.clone();

@@ -412,13 +412,6 @@ impl Config {
         self
     }
 
-    /// Builder-style: toggle strict mode (degradation → error).
-    #[must_use]
-    pub fn with_strict(mut self, on: bool) -> Config {
-        self.strict = on;
-        self
-    }
-
     /// The worker-thread count this configuration actually runs with.
     ///
     /// `jobs == 0` resolves to the `IPCP_JOBS` environment variable when

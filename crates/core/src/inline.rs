@@ -22,6 +22,7 @@
 
 use crate::config::{Config, Stage};
 use crate::health::{AnalysisHealth, Governor};
+use crate::par::Pool;
 use ipcp_ir::cfg::{BasicBlock, BlockId, CStmt, CallSiteId, ModuleCfg, Terminator};
 use ipcp_ir::program::{Arg, Expr, ProcId, VarId, VarInfo, VarKind};
 use ipcp_ir::span::Span;
@@ -85,11 +86,10 @@ pub fn inline_leaf_calls(mcfg: &ModuleCfg, config: &Config, max_statements: usiz
         // The per-procedure leaf scan is pure and read-only over the
         // module; run it on the worker pool (results come back in index
         // order, so the splicing below is schedule-independent).
-        let (leaves, _pt) = crate::par::with_pool(config.effective_jobs(), |pool| {
-            pool.run(module.module.procs.len(), |p| {
+        let (leaves, _pt) = Pool::new(config.effective_jobs())
+            .run(module.module.procs.len(), |p| {
                 is_inlinable_leaf(&module, ProcId::from(p))
-            })
-        });
+            });
         let mut changed = false;
         for pi in 0..module.module.procs.len() {
             if leaves[pi] {

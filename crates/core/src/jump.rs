@@ -225,7 +225,7 @@ pub fn build_forward_jump_fns(
     symbolics: &[Option<ProcSymbolic>],
     quarantined: &mut [bool],
     gov: &mut Governor,
-    pool: &Pool<'_>,
+    pool: Pool,
 ) -> (ForwardJumpFns, PhaseTime) {
     // A unit reads only its own caller's flag, which only its own commit
     // writes.

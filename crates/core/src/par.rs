@@ -1,14 +1,17 @@
-//! A dependency-free persistent worker pool for the per-procedure phases.
+//! A dependency-free worker pool for the per-procedure phases.
 //!
 //! The repo is offline-vendored, so this is `std::thread::scope` plus an
 //! atomic self-scheduling counter — no external crates, no channels, and
-//! no locks on the round path. [`with_pool`] spawns `jobs - 1` workers
-//! once (per `Analysis::run`, per transformation driver) and parks them
-//! between rounds, so a phase that dispatches one round per SCC level
-//! (return jump functions) pays a park/unpark per level instead of a full
-//! thread spawn + join. Workers pull unit indices from a shared
-//! [`AtomicUsize`] (`fetch_add` work stealing: a worker stuck on a heavy
-//! procedure simply claims fewer units).
+//! no locks. A [`Pool`] is only a participant count: each [`Pool::run`]
+//! round opens one scope, spawns `min(jobs, n) - 1` workers, lets them
+//! and the caller claim unit indices from a shared [`AtomicUsize`]
+//! (`fetch_add` work stealing: a participant stuck on a heavy procedure
+//! simply claims fewer units), and joins them before it returns. Nothing
+//! outlives a round. A scoped spawn and join costs tens of microseconds,
+//! and an analysis runs a few dozen rounds (one per return-jump SCC level,
+//! plus one each for MOD/REF, symbolic evaluation and forward jump
+//! functions): on a 10k-procedure program that is a few milliseconds of
+//! a second. A small program with many narrow levels pays a larger share.
 //!
 //! Order of *execution* is nondeterministic; order of *results* is
 //! not — which is all the deterministic fold in
@@ -27,9 +30,7 @@ use std::any::Any;
 use std::cell::UnsafeCell;
 use std::panic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::thread::Thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Wall-clock and utilization accounting for one parallel (or sequential)
@@ -162,170 +163,6 @@ impl Timings {
     }
 }
 
-/// One in-flight round: a type-erased borrow of the caller's participate
-/// closure. Workers only dereference it between the epoch bump that
-/// publishes it and their check-in for the same round, and
-/// [`Pool::run`] does not return (or unpublish) until every
-/// spawned worker has checked in — that window is what makes the
-/// lifetime erasure sound.
-#[derive(Clone, Copy)]
-struct Job {
-    body: *const (dyn Fn() + Sync),
-}
-
-/// State shared between the round-dispatching caller and the parked
-/// workers of a [`Pool`].
-struct PoolShared {
-    /// The published round, `None` between rounds. Written only by the
-    /// caller while every worker is parked or checked in.
-    job: UnsafeCell<Option<Job>>,
-    /// Round counter; a bump publishes `job` to the workers.
-    epoch: AtomicUsize,
-    /// Workers that have finished the current round.
-    finished: AtomicUsize,
-    /// Summed worker busy time for the current round, nanoseconds.
-    busy_ns: AtomicU64,
-    /// Tells parked workers to exit (set once, by the shutdown guard).
-    shutdown: AtomicBool,
-    /// The round-dispatching thread, unparked on every worker check-in.
-    caller: Thread,
-    /// First panic payload caught in the round, re-raised on the caller
-    /// after the round drains. Locked only when a participant panics;
-    /// every update is one `Option` write, so a poisoned lock still
-    /// guards a valid slot.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-// SAFETY: `job` is only written by the caller while no worker is between
-// epoch-observe and check-in (workers are parked before the epoch bump
-// and counted in `finished` after), and the raw `Job` pointer is only
-// dereferenced inside that same window. All other fields are atomics, a
-// `Mutex`, or `Thread` (which is `Sync`).
-unsafe impl Sync for PoolShared {}
-
-impl PoolShared {
-    fn new() -> PoolShared {
-        PoolShared {
-            job: UnsafeCell::new(None),
-            epoch: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
-            busy_ns: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
-            caller: std::thread::current(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    /// Records the round's first panic payload; later ones are dropped
-    /// (matching `std::thread::scope`, which re-raises one).
-    fn store_panic(&self, payload: Box<dyn Any + Send>) {
-        self.panic
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_or_insert(payload);
-    }
-
-    fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
-        self.panic
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-    }
-}
-
-/// The parked-worker loop: wait for an epoch bump, run the published
-/// round once, check in, park again. Exits when `shutdown` is set.
-fn worker_loop(shared: &PoolShared) {
-    let mut seen = 0usize;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let epoch = shared.epoch.load(Ordering::SeqCst);
-        if epoch == seen {
-            std::thread::park();
-            continue;
-        }
-        seen = epoch;
-        // SAFETY: the caller published `job` before bumping the epoch
-        // and will not unpublish it until this worker checks in below.
-        let job = unsafe { *shared.job.get() };
-        if let Some(job) = job {
-            let t0 = Instant::now();
-            // SAFETY: see `Job` — the pointee outlives the round.
-            let body = unsafe { &*job.body };
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(body)) {
-                shared.store_panic(payload);
-            }
-            shared
-                .busy_ns
-                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::SeqCst);
-        }
-        shared.finished.fetch_add(1, Ordering::SeqCst);
-        shared.caller.unpark();
-    }
-}
-
-/// Sets `shutdown` and wakes every worker — runs on scope exit even when
-/// the `with_pool` closure panics, so the scope join cannot hang on
-/// parked workers.
-struct ShutdownGuard<'a> {
-    shared: &'a PoolShared,
-    workers: Vec<Thread>,
-}
-
-impl Drop for ShutdownGuard<'_> {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for w in &self.workers {
-            w.unpark();
-        }
-    }
-}
-
-/// A persistent worker pool: `jobs - 1` scoped workers, parked between
-/// rounds. Created by [`with_pool`]; `jobs <= 1` yields a pool with no
-/// workers whose [`Pool::run`] degrades to the plain sequential loop.
-pub struct Pool<'env> {
-    shared: Option<&'env PoolShared>,
-    workers: Vec<Thread>,
-}
-
-/// Runs `f` with a [`Pool`] of `jobs - 1` persistent workers (plus the
-/// calling thread, which participates in every round). The workers are
-/// spawned once and parked between rounds — a multi-round phase (one
-/// round per SCC level) pays a park/unpark per round instead of a thread
-/// spawn + join.
-///
-/// Panics raised inside a round propagate to the caller of the `run`
-/// method (after the round has fully drained); a panic in `f` itself
-/// shuts the workers down cleanly before the scope joins.
-pub fn with_pool<R>(jobs: usize, f: impl FnOnce(&Pool<'_>) -> R) -> R {
-    if jobs <= 1 {
-        return f(&Pool {
-            shared: None,
-            workers: Vec::new(),
-        });
-    }
-    let shared = PoolShared::new();
-    std::thread::scope(|scope| {
-        let n_workers = jobs - 1;
-        let mut workers = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let sh = &shared;
-            workers.push(scope.spawn(move || worker_loop(sh)).thread().clone());
-        }
-        let _guard = ShutdownGuard {
-            shared: &shared,
-            workers: workers.clone(),
-        };
-        f(&Pool {
-            shared: Some(&shared),
-            workers,
-        })
-    })
-}
-
 /// Marker wrapper making the per-unit result slots shareable across the
 /// round's participants. Each slot index is claimed by exactly one
 /// participant (the `fetch_add` ticket), so no slot is written twice.
@@ -346,10 +183,23 @@ impl<T> ResultSlots<'_, T> {
     }
 }
 
-impl<'env> Pool<'env> {
-    /// Total participants per round: the caller plus the workers.
-    pub fn participants(&self) -> usize {
-        self.workers.len() + 1
+/// What one participant hands back from a round: its busy time, and the
+/// payload of the panic that stopped it, if one did.
+type Participation = (Duration, Option<Box<dyn Any + Send>>);
+
+/// A worker pool of `jobs` participants: the calling thread plus up to
+/// `jobs - 1` scoped workers, spawned for each [`Pool::run`] round and
+/// joined before it returns. `jobs <= 1` yields a pool whose rounds are
+/// the plain sequential loop.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Pool {
+    jobs: usize,
+}
+
+impl Pool {
+    /// A pool of `jobs` participants.
+    pub fn new(jobs: usize) -> Pool {
+        Pool { jobs }
     }
 
     /// Runs `ahead` — a phase's optimistic rounds — only on a pool with
@@ -359,82 +209,68 @@ impl<'env> Pool<'env> {
     /// copy per unit: the fold runs it on the master and commits it at
     /// once instead (see [`PhaseFold`](crate::PhaseFold)).
     pub fn ahead<R>(&self, ahead: impl FnOnce() -> R) -> Option<R> {
-        self.shared.is_some().then(ahead)
+        (self.jobs > 1).then(ahead)
     }
 
     /// Runs `f(0) .. f(n - 1)` across the pool, returning results **in
     /// index order** plus the phase accounting.
     ///
-    /// Panics inside `f` are caught per participant, and the first one
-    /// is re-raised on the calling thread **after** the round has fully
-    /// drained (the quarantine layer inside `f` is what catches
-    /// per-procedure panics; one escaping it means quarantine was off, and
-    /// then the contract is to propagate).
+    /// The round is one `std::thread::scope`: `min(jobs, n) - 1` workers
+    /// are spawned (none when `n <= 1`), and they and the caller claim
+    /// unit indices from one atomic ticket until none are left. Each
+    /// participant catches its own panic; after every worker has been
+    /// joined, the first payload — the caller's, then the workers' in
+    /// spawn order — is re-raised on the calling thread as it was thrown
+    /// (the quarantine layer inside `f` is what catches per-procedure
+    /// panics; one escaping it means quarantine was off, and then the
+    /// contract is to propagate).
     pub fn run<T, F>(&self, n: usize, f: F) -> (Vec<T>, PhaseTime)
     where
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
         let start = Instant::now();
-        let shared = match self.shared {
-            Some(shared) if n > 1 => shared,
-            _ => {
-                let results: Vec<T> = (0..n).map(&f).collect();
-                return (results, PhaseTime::sequential(start.elapsed(), n));
-            }
-        };
+        let participants = self.jobs.min(n);
+        if participants <= 1 {
+            let results: Vec<T> = (0..n).map(&f).collect();
+            return (results, PhaseTime::sequential(start.elapsed(), n));
+        }
 
         let slots: Vec<UnsafeCell<Option<T>>> = (0..n).map(|_| UnsafeCell::new(None)).collect();
         let slots_ref = &ResultSlots(&slots);
         let next = AtomicUsize::new(0);
-        let participate = || loop {
-            let i = next.fetch_add(1, Ordering::SeqCst);
-            if i >= n {
-                break;
-            }
-            let v = f(i);
-            // SAFETY: index `i` was claimed by exactly this participant
-            // (atomic ticket), so the slot is unaliased.
-            unsafe { slots_ref.fill(i, v) };
+        let participate = || -> Participation {
+            let t0 = Instant::now();
+            let claimed = catch_unwind(AssertUnwindSafe(|| loop {
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                if i >= n {
+                    break;
+                }
+                let v = f(i);
+                // SAFETY: index `i` was claimed by exactly this participant
+                // (atomic ticket), so the slot is unaliased.
+                unsafe { slots_ref.fill(i, v) };
+            }));
+            (t0.elapsed(), claimed.err())
         };
-        let body: &(dyn Fn() + Sync) = &participate;
-        // SAFETY (lifetime erasure): workers only dereference the
-        // pointer between the epoch bump below and their check-in, and
-        // we block until all of them checked in — `participate` (and
-        // everything it borrows) outlives that window.
-        let job = Job {
-            body: unsafe {
-                std::mem::transmute::<*const (dyn Fn() + Sync), *const (dyn Fn() + Sync + 'static)>(
-                    body as *const (dyn Fn() + Sync),
-                )
-            },
-        };
-        shared.busy_ns.store(0, Ordering::SeqCst);
-        shared.finished.store(0, Ordering::SeqCst);
-        // SAFETY: every worker is parked or pre-epoch here (previous
-        // round fully checked in), so the caller is the only accessor.
-        unsafe { *shared.job.get() = Some(job) };
-        shared.epoch.fetch_add(1, Ordering::SeqCst);
-        for w in &self.workers {
-            w.unpark();
-        }
+        let outcomes: Vec<Participation> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (1..participants)
+                .map(|_| scope.spawn(participate))
+                .collect();
+            // The caller is a full participant.
+            let mut outcomes = vec![participate()];
+            // A worker catches its own panics, so a failed join can only
+            // carry a panic from outside the unit loop; it is re-raised
+            // all the same.
+            outcomes.extend(workers.into_iter().map(|w| {
+                w.join()
+                    .unwrap_or_else(|payload| (Duration::ZERO, Some(payload)))
+            }));
+            outcomes
+        });
 
-        // The caller is a full participant.
-        let t0 = Instant::now();
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(&participate)) {
-            shared.store_panic(payload);
-        }
-        let caller_busy = t0.elapsed();
-
-        // Every spawned worker must check in before the round ends —
-        // otherwise a straggler could observe a dangling job pointer.
-        while shared.finished.load(Ordering::SeqCst) < self.workers.len() {
-            std::thread::park_timeout(Duration::from_micros(100));
-        }
-        // SAFETY: all workers checked in; sole accessor again.
-        unsafe { *shared.job.get() = None };
-
-        if let Some(payload) = shared.take_panic() {
+        let busy = outcomes.iter().map(|(t, _)| *t).sum();
+        if let Some(payload) = outcomes.into_iter().find_map(|(_, p)| p) {
             panic::resume_unwind(payload);
         }
 
@@ -447,13 +283,12 @@ impl<'env> Pool<'env> {
                 None => unreachable!("pool round left an unfilled result slot"),
             })
             .collect();
-        let busy = caller_busy + Duration::from_nanos(shared.busy_ns.load(Ordering::SeqCst));
         (
             results,
             PhaseTime {
                 wall: start.elapsed(),
                 busy,
-                workers: self.participants().min(n.max(1)),
+                workers: participants,
                 units: n,
                 absorbed: 0,
                 replayed: 0,
@@ -467,9 +302,36 @@ impl<'env> Pool<'env> {
 mod tests {
     use super::*;
 
-    /// One round on a pool spawned for just this call.
+    /// One round on a pool of `jobs`.
     fn run<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> (Vec<T>, PhaseTime) {
-        with_pool(jobs, |pool| pool.run(n, f))
+        Pool::new(jobs).run(n, f)
+    }
+
+    /// Unit `i` of a round whose unit 7 panics. The caller's other units
+    /// wait (at most 2 s) for that panic, so unit 7 runs on a spawned
+    /// worker unless the workers claimed units 0..=6 before the caller
+    /// claimed any: the panic has to cross a worker's join.
+    fn unit_7_explodes(i: usize, caller: std::thread::ThreadId, exploded: &AtomicUsize) -> usize {
+        if i == 7 {
+            exploded.store(1, Ordering::SeqCst);
+            panic!("unit 7 exploded");
+        }
+        let t0 = Instant::now();
+        while std::thread::current().id() == caller
+            && exploded.load(Ordering::SeqCst) == 0
+            && t0.elapsed() < Duration::from_secs(2)
+        {
+            std::thread::yield_now();
+        }
+        i
+    }
+
+    /// The message a caught panic carries.
+    fn panic_message(payload: &(dyn Any + Send)) -> &str {
+        match payload.downcast_ref::<&str>() {
+            Some(s) => s,
+            None => payload.downcast_ref::<String>().map_or("", String::as_str),
+        }
     }
 
     #[test]
@@ -515,13 +377,12 @@ mod tests {
 
     #[test]
     fn panics_propagate_to_the_caller() {
-        let res = std::panic::catch_unwind(|| {
-            run(4, 10, |i| {
-                assert!(i != 7, "unit 7 exploded");
-                i
-            })
-        });
-        assert!(res.is_err());
+        let caller = std::thread::current().id();
+        let exploded = AtomicUsize::new(0);
+        let res =
+            std::panic::catch_unwind(|| run(4, 10, |i| unit_7_explodes(i, caller, &exploded)));
+        let payload = res.err().unwrap_or_else(|| Box::new("no panic"));
+        assert_eq!(panic_message(&*payload), "unit 7 exploded");
     }
 
     #[test]
@@ -537,56 +398,58 @@ mod tests {
     #[test]
     fn pool_results_come_back_in_index_order() {
         for jobs in [1, 2, 4, 8] {
-            with_pool(jobs, |pool| {
-                assert_eq!(pool.ahead(|| 7), (jobs > 1).then_some(7));
-                // Several rounds through the same pool, like the
-                // return-jump stage's one-round-per-level dispatch.
-                for round in 0..5usize {
-                    let (out, pt) = pool.run(100, |i| i * i + round);
-                    assert_eq!(out, (0..100).map(|i| i * i + round).collect::<Vec<_>>());
-                    assert_eq!(pt.units, 100);
-                    assert!(pt.workers >= 1 && pt.workers <= jobs.max(1));
-                }
-            });
+            let pool = Pool::new(jobs);
+            assert_eq!(pool.ahead(|| 7), (jobs > 1).then_some(7));
+            // Several rounds through the same pool, like the return-jump
+            // stage's one-round-per-level dispatch.
+            for round in 0..5usize {
+                let (out, pt) = pool.run(100, |i| i * i + round);
+                assert_eq!(out, (0..100).map(|i| i * i + round).collect::<Vec<_>>());
+                assert_eq!(pt.units, 100);
+                assert!(pt.workers >= 1 && pt.workers <= jobs.max(1));
+            }
         }
     }
 
     #[test]
     fn pool_empty_and_tiny_rounds_stay_on_the_caller() {
-        with_pool(4, |pool| {
-            let caller = std::thread::current().id();
-            let (out, pt) = pool.run(0, |i| i);
-            assert!(out.is_empty());
-            assert_eq!(pt.units, 0);
-            let (out, _) = pool.run(1, |_| std::thread::current().id());
-            assert_eq!(out, vec![caller]);
-        });
+        let pool = Pool::new(4);
+        let caller = std::thread::current().id();
+        let (out, pt) = pool.run(0, |i| i);
+        assert!(out.is_empty());
+        assert_eq!(pt.units, 0);
+        let (out, _) = pool.run(1, |_| std::thread::current().id());
+        assert_eq!(out, vec![caller]);
     }
 
     #[test]
     fn pool_panics_propagate_after_the_round_drains() {
+        let pool = Pool::new(4);
+        let caller = std::thread::current().id();
+        let (ran, exploded) = (AtomicUsize::new(0), AtomicUsize::new(0));
         let res = std::panic::catch_unwind(|| {
-            with_pool(4, |pool| {
-                pool.run(10, |i| {
-                    assert!(i != 7, "unit 7 exploded");
-                    i
-                })
+            pool.run(10, |i| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                unit_7_explodes(i, caller, &exploded)
             })
         });
-        assert!(res.is_err());
-        // A panic in the closure itself still shuts workers down.
-        let res =
-            std::panic::catch_unwind(|| with_pool(4, |_pool| -> () { panic!("driver exploded") }));
-        assert!(res.is_err());
+        let payload = res.err().unwrap_or_else(|| Box::new("no panic"));
+        assert_eq!(panic_message(&*payload), "unit 7 exploded");
+        // The participant that panicked stopped claiming, the others
+        // drained the rest, and all of them were joined before the panic
+        // was re-raised.
+        assert_eq!(ran.load(Ordering::SeqCst), 10);
+        // The pool still runs rounds after one panicked.
+        let (out, _) = pool.run(10, |i| i);
+        assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn pool_matches_spawn_per_call_results() {
-        with_pool(3, |pool| {
-            let (a, _) = pool.run(41, |i| i as u64 * 3 + 1);
-            let (b, _) = run(3, 41, |i| i as u64 * 3 + 1);
-            assert_eq!(a, b);
-        });
+        let pool = Pool::new(3);
+        let (a, _) = pool.run(41, |i| i as u64 * 3 + 1);
+        let (b, _) = run(3, 41, |i| i as u64 * 3 + 1);
+        assert_eq!(a, b);
     }
 
     #[test]

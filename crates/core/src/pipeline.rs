@@ -176,7 +176,7 @@ impl PhaseFold {
 /// stage's sequential tail; callers stamp that with
 /// [`PhaseTime::with_tail`].
 pub(crate) fn fold_units<T: Send>(
-    pool: &Pool<'_>,
+    pool: Pool,
     gov: &mut Governor,
     n: usize,
     unit: impl Fn(usize, &mut Governor) -> T + Sync,
@@ -251,12 +251,7 @@ impl Analysis {
     /// propagation". The iteration stops at a fixpoint (or after a small
     /// bound; one extra round almost always suffices).
     pub fn run(mcfg: &ModuleCfg, config: &Config) -> Analysis {
-        // One pool for the whole analysis: workers are spawned here once
-        // and parked between rounds, so every phase (and every gating
-        // round) reuses them instead of paying a spawn/join per level.
-        crate::par::with_pool(config.effective_jobs(), |pool| {
-            Self::run_on(mcfg, config, pool, None)
-        })
+        Self::run_with(mcfg, config, None)
     }
 
     /// [`Analysis::run`] with serve's summary cache as a memo hook: every
@@ -272,22 +267,15 @@ impl Analysis {
             memo.txn.bypassed = true;
             return Analysis::run(mcfg, config);
         }
-        crate::par::with_pool(config.effective_jobs(), |pool| {
-            Self::run_on(mcfg, config, pool, Some(memo))
-        })
+        Self::run_with(mcfg, config, Some(memo))
     }
 
-    fn run_on(
-        mcfg: &ModuleCfg,
-        config: &Config,
-        pool: &Pool<'_>,
-        memo: Option<Memo<'_>>,
-    ) -> Analysis {
-        let mut analysis = Self::run_once_on(mcfg, config, None, pool, memo);
+    fn run_with(mcfg: &ModuleCfg, config: &Config, memo: Option<Memo<'_>>) -> Analysis {
+        let mut analysis = Self::run_once(mcfg, config, None, memo);
         if config.gated_jump_fns {
             for _ in 0..4 {
                 let vals = analysis.vals.vals.clone();
-                let mut next = Self::run_once_on(mcfg, config, Some(&vals), pool, None);
+                let mut next = Self::run_once(mcfg, config, Some(&vals), None);
                 let stable = next.vals.vals == analysis.vals.vals;
                 // Telemetry accumulates across gating rounds. `absorb` is
                 // order-preserving concatenation (associative, documented
@@ -311,14 +299,16 @@ impl Analysis {
     /// the fold ([`fold_units`], and its SCC-levelled form for return jump
     /// functions), whatever the pool's size; `memo`, when given, is
     /// consulted by every unit and takes the fold's notes.
-    fn run_once_on(
+    fn run_once(
         mcfg: &ModuleCfg,
         config: &Config,
         gate_seeds: Option<&Vec<Vec<Lattice>>>,
-        pool: &Pool<'_>,
         memo: Option<Memo<'_>>,
     ) -> Analysis {
         let t_run = Instant::now();
+        // Every round of every stage runs on this pool; a round spawns
+        // and joins its own workers.
+        let pool = Pool::new(config.effective_jobs());
         let cg = build_call_graph(mcfg);
         let layout = SlotLayout::new(&mcfg.module);
         let mut gov = Governor::new(config);

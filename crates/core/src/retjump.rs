@@ -234,22 +234,20 @@ pub fn build_return_jfs(
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) -> ReturnJumpFns {
-    crate::par::with_pool(config.effective_jobs(), |pool| {
-        let (table, _, _) = build_return_jfs_on(
-            mcfg,
-            cg,
-            layout,
-            kills,
-            config,
-            quarantined,
-            gov,
-            pool,
-            false,
-            None,
-            &mut CacheTxn::new(),
-        );
-        table
-    })
+    let (table, _, _) = build_return_jfs_on(
+        mcfg,
+        cg,
+        layout,
+        kills,
+        config,
+        quarantined,
+        gov,
+        Pool::new(config.effective_jobs()),
+        false,
+        None,
+        &mut CacheTxn::new(),
+    );
+    table
 }
 
 /// [`build_return_jfs`] on `pool`, with the memo consulted per procedure,
@@ -286,7 +284,7 @@ pub(crate) fn build_return_jfs_on(
     config: &Config,
     quarantined: &mut [bool],
     gov: &mut Governor,
-    pool: &Pool<'_>,
+    pool: Pool,
     keep: bool,
     memo: Option<&MemoKeys<'_>>,
     txn: &mut CacheTxn,

@@ -336,11 +336,6 @@ impl CacheTxn {
         self.staged.push((key, value));
     }
 
-    /// Number of staged inserts.
-    pub fn staged_len(&self) -> usize {
-        self.staged.len()
-    }
-
     /// Notes how one unit was served. The pipeline's fold calls this in
     /// sequential unit order, so counters and staged entries do not depend
     /// on `--jobs`.

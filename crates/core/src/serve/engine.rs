@@ -488,46 +488,19 @@ impl ServeEngine {
         Ok(outcome)
     }
 
-    /// `CONSTANTS(p)` for one procedure (or all) from the warm analysis,
-    /// plus the substitution total. With overrides, a one-off analysis
-    /// runs first (sharing the cache).
+    /// `CONSTANTS(p)` for one procedure (or all) under a one-off
+    /// analysis with `config`, plus the substitution total. The run shares
+    /// the cache; the warm base-config analysis stays current. Reads of
+    /// the warm analysis go through [`ServeEngine::snapshot`].
     pub fn constants(
         &mut self,
         proc: Option<&str>,
-        overrides: Option<Config>,
+        config: Config,
     ) -> Result<(ConstantsReport, RequestOutcome), ServeError> {
-        let (one_off, outcome) = match overrides {
-            None => (None, self.last_outcome.clone()),
-            Some(config) => {
-                let (analysis, outcome) = self.run_guarded(config)?;
-                (Some(analysis), outcome)
-            }
-        };
-        let analysis: &Analysis = match &one_off {
-            Some(a) => a,
-            None => &self.current,
-        };
+        let (analysis, outcome) = self.run_guarded(config)?;
         let substituted = analysis.substitution_counts(&self.mcfg).total;
-        match constants_report(&self.mcfg, analysis, proc, substituted) {
+        match constants_report(&self.mcfg, &analysis, proc, substituted) {
             Ok(report) => Ok((report, outcome)),
-            Err(e) => {
-                self.stats.errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    /// Explains where `(proc, slot)` values came from, rendered as the
-    /// same text `ipcc explain` prints. `slot: None` explains every
-    /// entry slot of the procedure.
-    pub fn explain(
-        &mut self,
-        proc: &str,
-        slot: Option<&str>,
-        depth: usize,
-    ) -> Result<String, ServeError> {
-        match explain_render(&self.mcfg, &self.current, proc, slot, depth) {
-            Ok(text) => Ok(text),
             Err(e) => {
                 self.stats.errors += 1;
                 Err(e)
@@ -615,8 +588,7 @@ impl ServeEngine {
 
 /// `CONSTANTS(p)` for one procedure (or all) of `mcfg` under `analysis`.
 /// The single rendering path behind both [`ServeEngine::constants`] and
-/// [`crate::serve::workers::Snapshot::constants`] — sharing it is what
-/// makes pooled answers byte-identical to single-threaded ones.
+/// [`crate::serve::workers::Snapshot::constants`].
 pub(crate) fn constants_report(
     mcfg: &ModuleCfg,
     analysis: &Analysis,
@@ -642,9 +614,8 @@ pub(crate) fn constants_report(
 }
 
 /// The `ipcc explain` text for `(proc, slot)` of `mcfg` under
-/// `analysis` — the single rendering path behind both
-/// [`ServeEngine::explain`] and
-/// [`crate::serve::workers::Snapshot::explain`].
+/// `analysis`, as [`crate::serve::workers::Snapshot::explain`] renders
+/// it. `slot: None` explains every entry slot of the procedure.
 pub(crate) fn explain_render(
     mcfg: &ModuleCfg,
     analysis: &Analysis,

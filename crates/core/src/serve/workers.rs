@@ -106,9 +106,8 @@ impl Snapshot {
             .get_or_init(|| self.analysis.substitution_counts(&self.mcfg).total)
     }
 
-    /// `CONSTANTS(p)` from the warm analysis — the read-path twin of
-    /// [`crate::serve::ServeEngine::constants`] without overrides, built
-    /// by the same helper so the answers are byte-identical.
+    /// `CONSTANTS(p)` from the warm analysis, plus the substitution
+    /// total — the daemon's one answer to an override-free `constants`.
     ///
     /// # Errors
     ///
@@ -143,7 +142,7 @@ impl Snapshot {
     }
 
     /// The `ipcc explain` derivation text from the warm analysis — the
-    /// read-path twin of [`crate::serve::ServeEngine::explain`].
+    /// daemon's one answer to `explain`.
     ///
     /// # Errors
     ///
@@ -545,8 +544,9 @@ mod tests {
         assert!(snap.constants(Some("nope")).is_err());
         assert!(snap.explain("nope", None, 3).is_err());
 
-        // The engine's own `constants` reply, with and without a one-off
-        // configuration, reports the materialized substitution total.
+        // The daemon's `constants` reply, from the snapshot or from a
+        // one-off configuration, reports the materialized substitution
+        // total.
         let src = "global g; proc main() { g = 2; call f(3); call f(3); } \
                    proc f(a) { print a + g; if (a > 1) { print a * g; } }";
         let mut engine = crate::ServeEngine::new(src, &crate::Config::default()).unwrap();
@@ -555,10 +555,10 @@ mod tests {
         assert!(direct > 0);
         assert_eq!(snap.substituted(), direct);
         assert_eq!(snap.constants(None).unwrap().substituted, direct);
-        let (report, _) = engine.constants(None, None).unwrap();
+        let report = engine.snapshot().constants(None).unwrap();
         assert_eq!(report.substituted, direct);
         let poly = crate::Config::polynomial();
-        let (report, _) = engine.constants(Some("f"), Some(poly)).unwrap();
+        let (report, _) = engine.constants(Some("f"), poly).unwrap();
         let one_off = Analysis::run(&snap.mcfg, &poly)
             .substitute(&snap.mcfg)
             .total;

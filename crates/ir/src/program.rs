@@ -1076,11 +1076,6 @@ impl SlotLayout {
         arity + self.scalar_globals.len()
     }
 
-    /// The slot index of formal `i` (identity, for symmetry).
-    pub fn formal_slot(&self, i: usize) -> usize {
-        i
-    }
-
     /// The slot index of global `g`, if `g` is a tracked scalar global.
     pub fn global_slot(&self, arity: usize, g: GlobalId) -> Option<usize> {
         self.scalar_globals

@@ -214,11 +214,6 @@ impl DomTree {
         &self.rpo
     }
 
-    /// Position of `b` in reverse postorder (`usize::MAX` if unreachable).
-    pub fn rpo_position(&self, b: BlockId) -> usize {
-        self.rpo_pos[b.index()]
-    }
-
     /// Number of blocks the tree covers, reachable or not.
     pub(crate) fn len(&self) -> usize {
         self.idom.len()

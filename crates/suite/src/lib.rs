@@ -31,7 +31,7 @@ pub use rng::Rng;
 pub use scale::{generate_scale, scale_stats, ScaleShape, ScaleSource, ScaleSpec, ScaleStats};
 pub use stats::{program_stats, ProgramStats};
 
-use ipcp_ir::{lower_module, parse_and_resolve, Diagnostics, Module, ModuleCfg};
+use ipcp_ir::{lower_module, parse_and_resolve, Module, ModuleCfg};
 
 /// One benchmark program.
 #[derive(Clone, Copy, Debug)]
@@ -62,11 +62,6 @@ impl SuiteProgram {
     /// Parses, resolves and lowers the program.
     pub fn module_cfg(&self) -> ModuleCfg {
         lower_module(&self.module())
-    }
-
-    /// Fallible variant of [`SuiteProgram::module`].
-    pub fn try_module(&self) -> Result<Module, Diagnostics> {
-        parse_and_resolve(self.source)
     }
 }
 

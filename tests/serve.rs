@@ -215,7 +215,7 @@ fn failed_updates_leave_model_and_cache_untouched() {
     assert_eq!(e.stats().errors, cases.len() as u64);
 
     // And the engine still serves.
-    let (report, _) = e.constants(Some("g"), None).unwrap();
+    let report = e.snapshot().constants(Some("g")).unwrap();
     assert_eq!(report.procs.len(), 1);
 }
 
@@ -248,9 +248,10 @@ fn panicking_requests_are_contained_with_cache_untouched() {
     assert!(same_results(e.analysis(), &cold), "warm state untouched");
 
     // Still serving: plain requests and edits keep working.
-    let (report, outcome) = e.constants(None, None).unwrap();
+    let snap = e.snapshot();
+    let report = snap.constants(None).unwrap();
     assert_eq!(report.procs.len(), 3);
-    assert!(!outcome.degraded);
+    assert!(!snap.outcome.degraded);
     e.update("g", "proc g(b) { print b * 2; }").unwrap();
     assert!(same_results(e.analysis(), &cold_twin(&e)));
 
@@ -345,10 +346,11 @@ fn config_overrides_validate_through_the_builder() {
 /// recomputation, and reject unknown names as structured errors.
 #[test]
 fn constants_and_explain_serve_from_the_warm_analysis() {
-    let mut e = engine(CHAIN);
+    let e = engine(CHAIN);
     let misses_before = e.cache_stats().misses;
+    let snap = e.snapshot();
 
-    let (report, _) = e.constants(None, None).unwrap();
+    let report = snap.constants(None).unwrap();
     assert_eq!(report.procs.len(), 3);
     let g = report.procs.iter().find(|(n, _)| n == "g").unwrap();
     assert!(
@@ -356,25 +358,25 @@ fn constants_and_explain_serve_from_the_warm_analysis() {
         "g(b) is entered with b = 2"
     );
 
-    let (one, _) = e.constants(Some("g"), None).unwrap();
+    let one = snap.constants(Some("g")).unwrap();
     assert_eq!(one.procs.len(), 1);
     assert_eq!(one.procs[0].1, g.1);
 
-    let rendered = e.explain("g", Some("b"), 3).unwrap();
+    let rendered = snap.explain("g", Some("b"), 3).unwrap();
     assert!(!rendered.is_empty());
     assert!(rendered.contains('b'));
 
     assert_eq!(e.cache_stats().misses, misses_before, "no recomputation");
     assert_eq!(
-        e.constants(Some("nope"), None).unwrap_err().kind(),
+        snap.constants(Some("nope")).unwrap_err().kind(),
         "bad_request"
     );
     assert_eq!(
-        e.explain("nope", None, 1).unwrap_err().kind(),
+        snap.explain("nope", None, 1).unwrap_err().kind(),
         "bad_request"
     );
     assert_eq!(
-        e.explain("g", Some("zz"), 1).unwrap_err().kind(),
+        snap.explain("g", Some("zz"), 1).unwrap_err().kind(),
         "bad_request"
     );
 }
