@@ -4,7 +4,8 @@
 //!
 //! * **cold boot** — spawn → first `ok` health reply over the socket;
 //! * **warm edits** — an `update` + re-`constants` round trip per edit
-//!   (the incremental path, never a cold re-analysis);
+//!   (the incremental path, never a cold re-analysis), and the summary
+//!   cache's misses per edit, from `stats` before and after;
 //! * **read throughput** — N unbatched `constants` reads (one round
 //!   trip each) vs. the same reads packed into `batch` frames;
 //! * **identity** — per-request replies must be byte-identical between
@@ -192,6 +193,15 @@ impl Daemon {
 }
 
 /// Extracts the string id of a reply object (ids here are all strings).
+/// The daemon's lifetime summary-cache misses, from a `stats` request.
+fn cache_misses(d: &mut Daemon) -> Result<i64, String> {
+    let reply = d.request(r#"{"id": "stats", "op": "stats"}"#)?;
+    json::parse(&reply)
+        .ok()
+        .and_then(|j| j.as_object()?.get("cache_misses")?.as_i64())
+        .ok_or_else(|| format!("stats reply has no cache_misses: {reply}"))
+}
+
 fn reply_id(reply: &str) -> Result<String, String> {
     let parsed = json::parse(reply).map_err(|e| format!("bad reply {reply}: {e}"))?;
     let Json::Object(obj) = parsed else {
@@ -236,6 +246,7 @@ struct CellRow {
     cold_boot_ms: u128,
     edit_ms: u128,
     edit_max_ms: u128,
+    edit_misses: f64,
     unbatched_read_us: u128,
     batched_read_us: u128,
     batch_speedup: f64,
@@ -263,6 +274,7 @@ fn run_cell(
     let (mut d, boot) = Daemon::boot(program, &sock, workers)?;
 
     // Warm edits: update + re-read the edited procedure, per round.
+    let misses_before = cache_misses(&mut d)?;
     let mut edit_total = Duration::ZERO;
     let mut edit_max = Duration::ZERO;
     for e in 0..edits {
@@ -287,6 +299,7 @@ fn run_cell(
         edit_total += dt;
         edit_max = edit_max.max(dt);
     }
+    let edit_misses = (cache_misses(&mut d)? - misses_before) as f64 / edits.max(1) as f64;
 
     // The read set: `constants` over a rotating window of procedures.
     let read_reqs: Vec<(String, String)> = (0..reads)
@@ -414,6 +427,7 @@ fn run_cell(
             edit_total.as_millis() / edits as u128
         },
         edit_max_ms: edit_max.as_millis(),
+        edit_misses,
         unbatched_read_us,
         batched_read_us,
         batch_speedup: unbatched_read_us as f64 / batched_read_us as f64,
@@ -494,7 +508,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 concat!(
                     "    {{\"program\": \"serve-{t}\", \"tier\": \"{t}\", \"spec\": \"{s}\", ",
                     "\"jobs\": {w}, \"n_procs\": {n}, \"cold_boot_ms\": {boot}, ",
-                    "\"edit_ms\": {edit}, \"edit_max_ms\": {emax}, ",
+                    "\"edit_ms\": {edit}, \"edit_max_ms\": {emax}, \"edit_misses\": {em:.1}, ",
                     "\"unbatched_read_us\": {ub}, \"batched_read_us\": {b}, ",
                     "\"batch_speedup\": {sp:.2}, \"identical\": {id}}}"
                 ),
@@ -505,6 +519,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 boot = cell.cold_boot_ms,
                 edit = cell.edit_ms,
                 emax = cell.edit_max_ms,
+                em = cell.edit_misses,
                 ub = cell.unbatched_read_us,
                 b = cell.batched_read_us,
                 sp = cell.batch_speedup,

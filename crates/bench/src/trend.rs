@@ -91,9 +91,13 @@ fn row_key(row: &json::Object) -> String {
     parts.join(",")
 }
 
-/// Is `key` a trend-tracked metric (time or memory)?
+/// Is `key` a trend-tracked metric (time, memory, or cache misses)?
 fn is_metric(key: &str) -> bool {
-    key.ends_with("_us") || key.ends_with("_ms") || key == "rss_mb" || key == "rss_bytes"
+    key.ends_with("_us")
+        || key.ends_with("_ms")
+        || key.ends_with("_misses")
+        || key == "rss_mb"
+        || key == "rss_bytes"
 }
 
 fn rows(parsed: &Json) -> Vec<&json::Object> {

@@ -378,6 +378,7 @@ fn read_payload(
             let mut o = Object::new();
             o.set("requests", Json::from(stats.requests));
             o.set("updates", Json::from(stats.updates));
+            o.set("spliced_updates", Json::from(stats.spliced_updates));
             o.set("loads", Json::from(stats.loads));
             o.set("errors", Json::from(errors));
             o.set("degraded_requests", Json::from(stats.degraded_requests));

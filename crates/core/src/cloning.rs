@@ -17,7 +17,8 @@ use crate::pipeline::Analysis;
 use ipcp_ir::cfg::{CStmt, CallSiteId, ModuleCfg};
 use ipcp_ir::program::ProcId;
 use ipcp_ssa::Lattice;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Outcome of a cloning round.
 #[derive(Debug)]
@@ -158,10 +159,10 @@ pub fn clone_by_constants(
                 break;
             }
             let clone_id = ProcId::from(module.module.procs.len());
-            let mut proc = module.module.procs[callee_idx].clone();
+            let mut proc = (*module.module.procs[callee_idx]).clone();
             proc.id = clone_id;
             proc.name = format!("{}${}", proc.name, *clone_count + 1);
-            module.module.procs.push(proc);
+            module.module.procs.push(Arc::new(proc));
             module.cfgs.push(module.cfgs[callee_idx].clone());
             *clone_count += 1;
             n_clones += 1;
@@ -174,9 +175,13 @@ pub fn clone_by_constants(
     // Retarget the planned call statements (clone bodies keep their
     // original targets — they are copies of procedures whose own call
     // sites were not part of any group plan).
-    for pi in 0..n_orig {
-        let caller = ProcId::from(pi);
-        for blk in &mut module.cfgs[pi].blocks {
+    let callers: BTreeSet<ProcId> = retarget
+        .keys()
+        .map(|&(caller, _)| caller)
+        .filter(|caller| caller.index() < n_orig)
+        .collect();
+    for caller in callers {
+        for blk in &mut Arc::make_mut(&mut module.cfgs[caller.index()]).blocks {
             for s in &mut blk.stmts {
                 if let CStmt::Call { callee, site, .. } = s {
                     if let Some(&new) = retarget.get(&(caller, *site)) {

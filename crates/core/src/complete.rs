@@ -54,7 +54,7 @@ pub fn complete_propagation(mcfg: &ModuleCfg, config: &Config) -> CompleteResult
         let analysis = Analysis::run(&module, config);
         let mut substitution = analysis.substitute(&module);
 
-        let live_before: usize = module.cfgs.iter().map(live_statements).sum();
+        let live_before: usize = module.cfgs.iter().map(|c| live_statements(c)).sum();
         // Each procedure's prune (SCCP verdicts → folded branches) is pure
         // given the round's analysis, so the scan runs on the worker pool;
         // the fold below applies results in procedure order, keeping the
@@ -84,7 +84,7 @@ pub fn complete_propagation(mcfg: &ModuleCfg, config: &Config) -> CompleteResult
                 continue;
             };
             carried_substitutions += carried;
-            next.cfgs[pi] = pruned;
+            next.cfgs[pi] = std::sync::Arc::new(pruned);
             pruned_any = true;
         }
 
@@ -99,7 +99,7 @@ pub fn complete_propagation(mcfg: &ModuleCfg, config: &Config) -> CompleteResult
                 carried_substitutions,
             };
         }
-        let live_after: usize = next.cfgs.iter().map(live_statements).sum();
+        let live_after: usize = next.cfgs.iter().map(|c| live_statements(c)).sum();
         statements_removed += live_before.saturating_sub(live_after);
         dce_rounds += 1;
         module = next;

@@ -26,6 +26,7 @@ use crate::par::Pool;
 use ipcp_ir::cfg::{BasicBlock, BlockId, CStmt, CallSiteId, ModuleCfg, Terminator};
 use ipcp_ir::program::{Arg, Expr, ProcId, VarId, VarInfo, VarKind};
 use ipcp_ir::span::Span;
+use std::sync::Arc;
 
 /// Outcome of the inlining transformation.
 #[derive(Debug)]
@@ -249,7 +250,9 @@ fn inline_one(mcfg: &mut ModuleCfg, caller: ProcId, block: BlockId, stmt: usize,
         };
         var_map[vi] = Some(mapped);
     }
-    mcfg.module.procs[caller.index()].vars.extend(fresh_vars);
+    Arc::make_mut(&mut mcfg.module.procs[caller.index()])
+        .vars
+        .extend(fresh_vars);
 
     let map_var = |v: VarId| match var_map[v.index()] {
         Some(m) => m,
@@ -257,7 +260,7 @@ fn inline_one(mcfg: &mut ModuleCfg, caller: ProcId, block: BlockId, stmt: usize,
     };
 
     // --- splice the blocks ------------------------------------------------
-    let caller_cfg = &mut mcfg.cfgs[caller.index()];
+    let caller_cfg = Arc::make_mut(&mut mcfg.cfgs[caller.index()]);
     let offset = caller_cfg.blocks.len();
     let remap_block = |b: BlockId| BlockId::from(b.index() + offset);
 

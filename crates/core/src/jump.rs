@@ -25,6 +25,7 @@ use ipcp_ssa::ssa::StmtInfo;
 use ipcp_ssa::symbolic::SymVal;
 use ipcp_ssa::Lattice;
 use std::fmt;
+use std::sync::Arc;
 
 /// One jump function — also the representation of return jump functions.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -222,7 +223,7 @@ pub fn build_forward_jump_fns(
     cg: &CallGraph,
     layout: &SlotLayout,
     config: &Config,
-    symbolics: &[Option<ProcSymbolic>],
+    symbolics: &[Option<Arc<ProcSymbolic>>],
     quarantined: &mut [bool],
     gov: &mut Governor,
     pool: Pool,
@@ -282,7 +283,7 @@ fn build_caller_jump_fns(
     cg: &CallGraph,
     layout: &SlotLayout,
     config: &Config,
-    symbolics: &[Option<ProcSymbolic>],
+    symbolics: &[Option<Arc<ProcSymbolic>>],
     caller: usize,
     already_quarantined: bool,
     gov: &mut Governor,

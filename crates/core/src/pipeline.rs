@@ -40,6 +40,7 @@ use ipcp_ssa::ssa::{build_ssa, build_ssa_pruned, CallKills, ModKills, WorstCaseK
 use ipcp_ssa::symbolic::{CallDefEval, EvalBudget, OpaqueCalls};
 use ipcp_ssa::{Lattice, Seeds};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A typed phase-unit failure: which [`Stage`] faulted, which unit, and
@@ -221,7 +222,9 @@ pub struct Analysis {
     /// Return jump functions (an empty table when disabled).
     pub ret_jfs: ReturnJumpFns,
     /// Per-procedure SSA + polynomial evaluation (reachable procedures).
-    pub symbolics: Vec<Option<ProcSymbolic>>,
+    /// Each form is shared with serve's summary cache, which hands the
+    /// same `Arc` to every later analysis its entry serves.
+    pub symbolics: Vec<Option<Arc<ProcSymbolic>>>,
     /// Forward jump functions for every reachable call site.
     pub jump_fns: ForwardJumpFns,
     /// The fixpoint `VAL` sets.
@@ -401,7 +404,7 @@ impl Analysis {
         // step budgets are enforced inside the evaluator — so their fold
         // only orders the *recording* of outcomes.
         let t2 = Instant::now();
-        let latch = std::sync::Arc::clone(gov.latch());
+        let latch = Arc::clone(gov.latch());
         let budget = EvalBudget {
             max_steps: gov.limits().max_symbolic_steps,
             deadline: config.deadline.map(|d| d.instant()),
@@ -409,7 +412,7 @@ impl Analysis {
         };
         let before = quarantined.clone();
         let has_form: Vec<bool> = forms.iter().map(Option::is_some).collect();
-        let mut symbolics: Vec<Option<ProcSymbolic>> = Vec::with_capacity(n_procs);
+        let mut symbolics: Vec<Option<Arc<ProcSymbolic>>> = Vec::with_capacity(n_procs);
         let mut reused = 0;
         let mut pt = fold_units(
             pool,
@@ -424,8 +427,10 @@ impl Analysis {
                     return Symbolic::Live(None, None);
                 }
                 let lookup = memo.map(|m| m.lookup(SummaryStage::Jump, pi));
-                if let Some((CachedSummary::Jump { sym }, recovered)) = lookup.and_then(|l| l.hit) {
-                    return Symbolic::Hit((**sym).clone(), recovered);
+                if let Some(l) = lookup {
+                    if let Some((CachedSummary::Jump { sym }, _)) = l.hit {
+                        return Symbolic::Hit(Arc::clone(sym), l);
+                    }
                 }
                 if has_form[pi] {
                     return Symbolic::Live(None, lookup);
@@ -435,18 +440,18 @@ impl Analysis {
                         mcfg, config, &layout, kills, &ret_jfs, gate_seeds, pi, &budget,
                     )
                 });
-                Symbolic::Live(Some(unit), lookup)
+                Symbolic::Live(Some(Box::new(unit)), lookup)
             },
             |pi, out, gov| {
                 let (unit, lookup) = match out {
-                    Symbolic::Hit(ps, recovered) => {
+                    Symbolic::Hit(ps, lookup) => {
                         // The kept form is not needed: free it at once.
                         forms[pi] = None;
-                        txn.note(Served::Hit { recovered });
+                        txn.note(lookup.served_hit());
                         symbolics.push(Some(ps));
                         return;
                     }
-                    Symbolic::Live(unit, lookup) => (unit, lookup),
+                    Symbolic::Live(unit, lookup) => (unit.map(|u| *u), lookup),
                 };
                 let kept = || {
                     forms[pi]
@@ -457,16 +462,14 @@ impl Analysis {
                     symbolics.push(None);
                     return;
                 };
-                if let Some(lookup) = lookup {
-                    let entry = match &unit {
-                        Ok((ps, false)) => Some(CachedSummary::Jump {
-                            sym: Box::new(ps.clone()),
-                        }),
-                        _ => None,
-                    };
-                    txn.note(lookup.served_miss(entry));
-                }
+                let clean = matches!(unit, Ok((_, false)));
                 commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, gov);
+                if let Some(lookup) = lookup {
+                    // A clean form is cached as the very `Arc` just
+                    // committed, so a later hit shares it.
+                    let sym = symbolics[pi].as_ref().filter(|_| clean).map(Arc::clone);
+                    txn.note(lookup.served_miss(sym.map(|sym| CachedSummary::Jump { sym })));
+                }
             },
         );
         let (jump_fns, pt_fwd) = build_forward_jump_fns(
@@ -586,12 +589,10 @@ fn modref_unit(
         return (widened(), true, Served::Skipped);
     }
     let lookup = memo.map(|m| m.lookup(SummaryStage::ModRef, pi));
-    if let Some((CachedSummary::ModRef { mods, refs }, recovered)) = lookup.and_then(|l| l.hit) {
-        return (
-            (mods.clone(), refs.clone()),
-            false,
-            Served::Hit { recovered },
-        );
+    if let Some(l) = lookup {
+        if let Some((CachedSummary::ModRef { mods, refs }, _)) = l.hit {
+            return ((mods.clone(), refs.clone()), false, l.served_hit());
+        }
     }
     let unit = run_unit(config, Stage::ModRef, pi, || {
         direct_effects(mcfg, ProcId::from(pi))
@@ -622,12 +623,11 @@ fn modref_unit(
 
 /// One symbolic unit's outcome, before the fold commits it.
 enum Symbolic<'c> {
-    /// Served from the memo (`true` when the entry was restored from a
-    /// persisted store).
-    Hit(ProcSymbolic, bool),
+    /// Served from the memo, with the lookup that hit.
+    Hit(Arc<ProcSymbolic>, Lookup<'c>),
     /// Computed live — `None` to commit the form Stage 1 kept, if any —
     /// with the memo lookup that missed.
-    Live(Option<Result<KeptForm, UnitError>>, Option<Lookup<'c>>),
+    Live(Option<Box<Result<KeptForm, UnitError>>>, Option<Lookup<'c>>),
 }
 
 /// One evaluation's outcome: the procedure's symbolic form and whether
@@ -734,7 +734,7 @@ pub(crate) fn commit_symbolic_unit(
     mcfg: &ModuleCfg,
     pi: usize,
     unit: Result<KeptForm, UnitError>,
-    symbolics: &mut Vec<Option<ProcSymbolic>>,
+    symbolics: &mut Vec<Option<Arc<ProcSymbolic>>>,
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) {
@@ -760,7 +760,7 @@ pub(crate) fn commit_symbolic_unit(
                     );
                 }
             }
-            symbolics.push(Some(ps));
+            symbolics.push(Some(Arc::new(ps)));
         }
         Err(e) => {
             quarantined[pi] = true;

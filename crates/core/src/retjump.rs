@@ -475,7 +475,7 @@ impl RetStage<'_> {
             return self.run(view, p, self.before[pi], keep, gov);
         };
         let lookup = memo.lookup(SummaryStage::RetJump, pi);
-        if let Some((CachedSummary::RetJump { fns, charges }, recovered)) = lookup.hit {
+        if let Some((CachedSummary::RetJump { fns, charges }, _)) = lookup.hit {
             let mut replay = gov.shard();
             replay.add_charges(charges);
             if gov.can_absorb(&replay) {
@@ -484,7 +484,7 @@ impl RetStage<'_> {
                     fns: fns.clone(),
                     newly_quarantined: false,
                     form: None,
-                    served: Served::Hit { recovered },
+                    served: lookup.served_hit(),
                 };
             }
         }
@@ -504,7 +504,7 @@ impl RetStage<'_> {
             out.served = lookup.served_miss(entry);
         } else {
             out = self.run(view, p, false, keep, gov);
-            out.served = Served::Miss(None);
+            out.served = lookup.served_miss(None);
         }
         out
     }

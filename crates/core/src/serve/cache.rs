@@ -12,7 +12,10 @@
 //!   with the governor charges the unit made recorded alongside, so a
 //!   hit replays them — see [`crate::Governor::add_charges`]);
 //! * the SSA + symbolic form feeding forward jump functions (cone-keyed;
-//!   the unit makes no governor charges).
+//!   the unit makes no governor charges). The entry holds the very
+//!   `Arc<ProcSymbolic>` the analysis that computed it committed, and a
+//!   hit hands the same `Arc` to the next analysis: a form is stored
+//!   once, however many analyses and cache entries refer to it.
 //!
 //! The cache is not a second pipeline: it is a [`Memo`] handed to
 //! [`Analysis::run_memoized`](crate::Analysis::run_memoized). Inside the
@@ -62,9 +65,19 @@
 //! request completed without a request-level panic — snapshot, validate,
 //! commit. A dropped transaction provably leaves the cache untouched.
 //!
-//! The cache is bounded ([`SummaryCache::with_capacity`]) with FIFO
-//! eviction: admission control bounds the request queue, this bounds the
-//! memory a long-lived daemon accretes.
+//! **Pinning.** Every key a *live* request looked up — one whose analysis
+//! is, or equals, the engine's current one: boot, `update`, `load`, and
+//! any run under the base configuration — is pinned
+//! ([`SummaryCache::commit_live`]). The pinned set is replaced by each
+//! live commit, so it is exactly the live program's entries, and
+//! eviction never touches it: an edit misses only the units whose keys
+//! it changed, however large the program.
+//!
+//! The bound ([`SummaryCache::with_capacity`]) counts only *superseded*
+//! entries — those the live program no longer looks up — and evicts the
+//! oldest of them first: admission control bounds the request queue,
+//! this bounds the memory a long-lived daemon accretes on top of the
+//! live program.
 
 use crate::config::{Config, PanicInjection, Stage};
 use crate::jump::ProcSymbolic;
@@ -72,7 +85,8 @@ use crate::{Analysis, JumpFn};
 use ipcp_analysis::{summary_keys, CallGraph, ModSet, SummaryKeys};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::Fnv128;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// Recorded per-stage governor charges, in [`Stage::ALL`] order.
 pub type Charges = [u64; Stage::ALL.len()];
@@ -134,8 +148,9 @@ pub enum CachedSummary {
     },
     /// The SSA + symbolic form of one procedure (charge-free).
     Jump {
-        /// The cached symbolic form.
-        sym: Box<ProcSymbolic>,
+        /// The cached symbolic form, shared with every analysis that
+        /// committed or was served it.
+        sym: Arc<ProcSymbolic>,
     },
 }
 
@@ -182,12 +197,16 @@ struct CacheEntry {
 pub struct SummaryCache {
     entries: HashMap<CacheKey, CacheEntry>,
     order: VecDeque<CacheKey>,
+    /// Every key the latest live request looked up: the entries the
+    /// current program uses, which eviction never touches.
+    pinned: HashSet<CacheKey>,
     capacity: usize,
     stats: CacheStats,
 }
 
 impl SummaryCache {
-    /// Default entry bound: three families × a generous procedure count.
+    /// Default bound on *superseded* entries — those the live program no
+    /// longer looks up. Pinned entries do not count against it.
     pub const DEFAULT_CAPACITY: usize = 16 * 1024;
 
     /// An empty cache with the default bound.
@@ -195,17 +214,19 @@ impl SummaryCache {
         SummaryCache::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// An empty cache bounded to `capacity` entries (minimum 1).
+    /// An empty cache holding at most `capacity` unpinned entries
+    /// (minimum 1) on top of the pinned ones.
     pub fn with_capacity(capacity: usize) -> SummaryCache {
         SummaryCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
+            pinned: HashSet::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
         }
     }
 
-    /// Number of live entries.
+    /// Number of entries held, pinned or not.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -249,6 +270,7 @@ impl SummaryCache {
                 },
             );
         }
+        cache.evict();
         cache.stats = CacheStats {
             recovered: cache.entries.len() as u64,
             ..CacheStats::default()
@@ -277,25 +299,59 @@ impl SummaryCache {
     fn insert_entry(&mut self, key: CacheKey, entry: CacheEntry) {
         if self.entries.insert(key, entry).is_none() {
             self.order.push_back(key);
-            while self.entries.len() > self.capacity {
-                if let Some(oldest) = self.order.pop_front() {
-                    self.entries.remove(&oldest);
-                    self.stats.evictions += 1;
-                } else {
-                    break;
-                }
-            }
         }
     }
 
+    /// Evicts the oldest unpinned entries until at most `capacity` are
+    /// left, keeping the FIFO order of the rest.
+    fn evict(&mut self) {
+        let pinned = self
+            .pinned
+            .iter()
+            .filter(|k| self.entries.contains_key(k))
+            .count();
+        let mut excess = (self.entries.len() - pinned).saturating_sub(self.capacity);
+        if excess == 0 {
+            return;
+        }
+        let (entries, stats) = (&mut self.entries, &mut self.stats);
+        self.order.retain(|k| {
+            if excess == 0 || self.pinned.contains(k) {
+                return true;
+            }
+            entries.remove(k);
+            stats.evictions += 1;
+            excess -= 1;
+            false
+        });
+    }
+
     /// Commits a completed request's transaction: staged inserts land,
-    /// per-request counters fold into the lifetime stats. Only called
-    /// after the request ran to completion — a panicked request's
-    /// transaction is dropped instead, leaving the cache untouched.
+    /// per-request counters fold into the lifetime stats, and the oldest
+    /// unpinned entries beyond the bound are evicted. Only called after
+    /// the request ran to completion — a panicked request's transaction
+    /// is dropped instead, leaving the cache untouched.
     pub fn commit(&mut self, txn: CacheTxn) {
+        self.commit_with(txn, false);
+    }
+
+    /// [`SummaryCache::commit`] for a request whose analysis is (or
+    /// equals) the live one: the keys it looked up become the pinned set,
+    /// replacing the previous one, before eviction runs. The live
+    /// program's entries therefore never age out, and the bound counts
+    /// only superseded ones.
+    pub(crate) fn commit_live(&mut self, txn: CacheTxn) {
+        self.commit_with(txn, true);
+    }
+
+    fn commit_with(&mut self, txn: CacheTxn, live: bool) {
         for (key, value) in txn.staged {
             self.insert(key, value);
         }
+        if live {
+            self.pinned = txn.looked_up.into_iter().collect();
+        }
+        self.evict();
         self.stats.hits += txn.hits;
         self.stats.misses += txn.misses;
         self.stats.persisted_hits += txn.persisted_hits;
@@ -314,6 +370,8 @@ impl Default for SummaryCache {
 #[derive(Debug, Default)]
 pub struct CacheTxn {
     staged: Vec<(CacheKey, CachedSummary)>,
+    /// Every key a unit looked up, hit or miss — what a live commit pins.
+    looked_up: Vec<CacheKey>,
     /// Units served from cache during this request.
     pub hits: u64,
     /// Units recomputed during this request.
@@ -342,13 +400,15 @@ impl CacheTxn {
     pub(crate) fn note(&mut self, served: Served) {
         match served {
             Served::Skipped => {}
-            Served::Hit { recovered } => {
+            Served::Hit { key, recovered } => {
                 self.hits += 1;
                 self.persisted_hits += u64::from(recovered);
+                self.looked_up.push(key);
             }
-            Served::Miss(entry) => {
+            Served::Miss { key, entry } => {
                 self.misses += 1;
-                if let Some((key, summary)) = entry {
+                self.looked_up.push(key);
+                if let Some(summary) = entry {
                     self.stage(key, summary);
                 }
             }
@@ -381,12 +441,19 @@ pub(crate) enum Served {
     /// Served from the cache; `recovered` when the entry was restored from
     /// a persisted store.
     Hit {
+        /// The key that hit.
+        key: CacheKey,
         /// Whether the entry came from a persisted store.
         recovered: bool,
     },
     /// Computed live, with the entry to cache when the unit came out clean
     /// and was not a forced miss.
-    Miss(Option<(CacheKey, CachedSummary)>),
+    Miss {
+        /// The key that missed.
+        key: CacheKey,
+        /// The unit's summary, to stage under `key`.
+        entry: Option<CachedSummary>,
+    },
 }
 
 /// The read side of a memo: the cache and every unit's key. Units consult
@@ -451,11 +518,22 @@ impl<'a> MemoKeys<'a> {
 }
 
 impl Lookup<'_> {
+    /// The note for a unit served by its hit.
+    pub(crate) fn served_hit(&self) -> Served {
+        Served::Hit {
+            key: self.key,
+            recovered: self.hit.is_some_and(|(_, recovered)| recovered),
+        }
+    }
+
     /// The note for a unit computed live: a miss that caches `entry` —
     /// the unit's summary when it came out clean — unless the unit was a
     /// forced miss.
     pub(crate) fn served_miss(&self, entry: Option<CachedSummary>) -> Served {
-        Served::Miss(entry.filter(|_| !self.forced).map(|e| (self.key, e)))
+        Served::Miss {
+            key: self.key,
+            entry: entry.filter(|_| !self.forced),
+        }
     }
 }
 
@@ -658,6 +736,46 @@ mod tests {
         cache.commit(txn);
         assert_eq!(cache.stats().hits, 3);
         assert_eq!(cache.stats().persisted_hits, 2);
+    }
+
+    #[test]
+    fn pinned_entries_survive_eviction_and_do_not_count_against_the_bound() {
+        let mut cache = SummaryCache::with_capacity(2);
+        let mut live = CacheTxn::new();
+        for d in 0..4u128 {
+            live.note(Served::Miss {
+                key: key(d),
+                entry: Some(entry()),
+            });
+        }
+        cache.commit_live(live);
+        assert_eq!(cache.len(), 4, "the bound counts only unpinned entries");
+        assert!((0..4u128).all(|d| cache.pinned.contains(&key(d))));
+        // A one-off request's entries are unpinned and age out among
+        // themselves.
+        for d in 10..14u128 {
+            let mut txn = CacheTxn::new();
+            txn.stage(key(d), entry());
+            cache.commit(txn);
+        }
+        assert_eq!(cache.len(), 6);
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.get(key(10)).is_none() && cache.get(key(13)).is_some());
+        // The next live request re-pins: 0 and 1 stay live, 2 and 3 are
+        // superseded and evict before the younger unpinned entries.
+        let mut next = CacheTxn::new();
+        for d in 0..2u128 {
+            next.note(Served::Hit {
+                key: key(d),
+                recovered: false,
+            });
+        }
+        cache.commit_live(next);
+        assert!(!cache.pinned.contains(&key(2)));
+        assert!(cache.get(key(2)).is_none() && cache.get(key(3)).is_none());
+        assert!(cache.get(key(0)).is_some() && cache.get(key(1)).is_some());
+        assert!(cache.get(key(12)).is_some() && cache.get(key(13)).is_some());
+        assert_eq!(cache.stats().evictions, 4);
     }
 
     #[test]

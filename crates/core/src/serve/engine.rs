@@ -27,14 +27,15 @@ use crate::serve::cache::{
     config_fingerprint, shape_fingerprint, CacheStats, CacheTxn, Memo, SummaryCache,
 };
 use crate::serve::json::{Json, Object};
+use crate::substitute::{self, SubstitutionCounts};
 use crate::{Analysis, IpcpError};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::hash_str;
 use ipcp_ir::lang::{ast, parse_program, pretty};
-use ipcp_ir::program::SlotLayout;
+use ipcp_ir::program::{resolve_replacement, SlotLayout};
 use ipcp_ir::{lower_module_owned, parse_and_resolve};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A structured request failure. Everything a hostile or unlucky request
 /// can provoke is one of these — the daemon never exits on a request.
@@ -82,22 +83,24 @@ impl From<IpcpError> for ServeError {
 }
 
 /// The program as the daemon holds it: a normalized global header plus
-/// one normalized text per procedure, in declaration order. Normalized
-/// means parsed and re-rendered through the pretty-printer, so two
-/// textually different but structurally identical bodies hash alike and
-/// [`ProgramModel::source`] is byte-stable.
+/// one normalized text per procedure, in declaration order, with each
+/// text's content hash. Normalized means parsed and re-rendered through
+/// the pretty-printer, so two textually different but structurally
+/// identical bodies hash alike and [`ProgramModel::source`] is
+/// byte-stable. Procedures are shared between a model and the candidate
+/// an edit derives from it, so an edit copies and hashes one text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProgramModel {
     header: String,
-    procs: Vec<(String, String)>,
+    procs: Vec<Arc<ModelProc>>,
+    own: Vec<u128>,
 }
 
-fn proc_text(p: &ast::ProcDecl) -> String {
-    let one = ast::Program {
-        globals: Vec::new(),
-        procs: vec![p.clone()],
-    };
-    pretty::program(&one)
+/// One procedure of a [`ProgramModel`]: its name and normalized text.
+#[derive(Debug, PartialEq, Eq)]
+struct ModelProc {
+    name: String,
+    text: String,
 }
 
 impl ProgramModel {
@@ -114,36 +117,42 @@ impl ProgramModel {
             globals: prog.globals.clone(),
             procs: Vec::new(),
         });
-        let procs = prog
+        let procs: Vec<Arc<ModelProc>> = prog
             .procs
             .iter()
-            .map(|p| (p.name.clone(), proc_text(p)))
+            .map(|p| {
+                Arc::new(ModelProc {
+                    name: p.name.clone(),
+                    text: pretty::proc_decl(p),
+                })
+            })
             .collect();
-        Ok(ProgramModel { header, procs })
+        let own = procs.iter().map(|p| hash_str(&p.text)).collect();
+        Ok(ProgramModel { header, procs, own })
     }
 
     /// The whole program, byte-identical to what [`pretty::program`]
     /// renders for the parsed source.
     pub fn source(&self) -> String {
         let mut out = self.header.clone();
-        for (i, (_, text)) in self.procs.iter().enumerate() {
+        for (i, p) in self.procs.iter().enumerate() {
             if i > 0 || !self.header.is_empty() {
                 out.push('\n');
             }
-            out.push_str(text);
+            out.push_str(&p.text);
         }
         out
     }
 
     /// Content hashes of each procedure's normalized text, in order —
     /// the `own` input to [`ipcp_analysis::summary_keys`].
-    pub fn own_hashes(&self) -> Vec<u128> {
-        self.procs.iter().map(|(_, t)| hash_str(t)).collect()
+    pub fn own_hashes(&self) -> &[u128] {
+        &self.own
     }
 
     /// Procedure names in declaration order.
     pub fn proc_names(&self) -> impl Iterator<Item = &str> {
-        self.procs.iter().map(|(n, _)| n.as_str())
+        self.procs.iter().map(|p| p.name.as_str())
     }
 
     /// The normalized text of procedure `name`, if it exists. A
@@ -153,8 +162,8 @@ impl ProgramModel {
     pub fn proc_text(&self, name: &str) -> Option<&str> {
         self.procs
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t.as_str())
+            .find(|p| p.name == name)
+            .map(|p| p.text.as_str())
     }
 
     /// A candidate model with procedure `name`'s definition replaced by
@@ -170,7 +179,7 @@ impl ProgramModel {
         let index = self
             .procs
             .iter()
-            .position(|(n, _)| n == name)
+            .position(|p| p.name == name)
             .ok_or_else(|| ServeError::BadRequest(format!("no procedure named `{name}`")))?;
         let prog = parse_program(fragment).map_err(|d| ServeError::Invalid(d.into()))?;
         if !prog.globals.is_empty() {
@@ -193,8 +202,13 @@ impl ProgramModel {
                 decl.name
             )));
         }
+        let text = pretty::proc_decl(decl);
         let mut next = self.clone();
-        next.procs[index].1 = proc_text(decl);
+        next.own[index] = hash_str(&text);
+        next.procs[index] = Arc::new(ModelProc {
+            name: decl.name.clone(),
+            text,
+        });
         Ok(next)
     }
 }
@@ -257,6 +271,9 @@ pub struct EngineStats {
     pub errors: u64,
     /// Committed `update` operations.
     pub updates: u64,
+    /// The subset of `updates` that resolved and lowered only the edited
+    /// procedure and spliced it into the live module.
+    pub spliced_updates: u64,
     /// Committed `load` operations.
     pub loads: u64,
 }
@@ -290,6 +307,9 @@ pub struct ServeEngine {
     model: ProgramModel,
     mcfg: Arc<ModuleCfg>,
     current: Arc<Analysis>,
+    /// The substitution counts of `current`, filled by the first read
+    /// that needs them or carried over from the previous analysis.
+    counts: Arc<OnceLock<SubstitutionCounts>>,
     cache: SummaryCache,
     stats: EngineStats,
     last_outcome: RequestOutcome,
@@ -369,16 +389,16 @@ impl ServeEngine {
         cache: SummaryCache,
     ) -> Result<ServeEngine, ServeError> {
         let mut cache = cache;
-        let own = model.own_hashes();
         let (analysis, txn) =
-            run_request(&cache, &config, &mcfg, &own).map_err(ServeError::Panic)?;
+            run_request(&cache, &config, &mcfg, model.own_hashes()).map_err(ServeError::Panic)?;
         let outcome = RequestOutcome::from_run(&txn, &mcfg, &analysis);
-        cache.commit(txn);
+        cache.commit_live(txn);
         Ok(ServeEngine {
             base_config: config,
             model,
             mcfg: Arc::new(mcfg),
             current: Arc::new(analysis),
+            counts: Arc::default(),
             cache,
             stats: EngineStats {
                 requests: 1,
@@ -400,6 +420,11 @@ impl ServeEngine {
     }
 
     /// The current module (for callers that inspect results directly).
+    ///
+    /// After an `update` that took the splice path, the edited
+    /// procedure's spans are relative to its own normalized text, as in a
+    /// streamed module; span-keyed output (`--emit substituted`) should
+    /// re-parse [`ServeEngine::source`] instead.
     pub fn mcfg(&self) -> &ModuleCfg {
         &self.mcfg
     }
@@ -454,23 +479,51 @@ impl ServeEngine {
         self.last_outcome = outcome.clone();
     }
 
-    /// Runs the current program under `config`, committing the cache
-    /// transaction (and the request accounting) only on success.
-    fn run_guarded(&mut self, config: Config) -> Result<(Analysis, RequestOutcome), ServeError> {
-        let own = self.model.own_hashes();
-        match run_request(&self.cache, &config, &self.mcfg, &own) {
+    /// Runs `mcfg` (the program `own` hashes) under `config`,
+    /// committing the cache transaction (and the request accounting) only
+    /// on success. A base-configuration run pins what it looked up.
+    fn run_guarded(
+        &mut self,
+        config: Config,
+        mcfg: &ModuleCfg,
+        own: &[u128],
+    ) -> Result<(Analysis, RequestOutcome), ServeError> {
+        match run_request(&self.cache, &config, mcfg, own) {
             Err(msg) => {
                 self.stats.panics_contained += 1;
                 self.stats.errors += 1;
                 Err(ServeError::Panic(msg))
             }
             Ok((analysis, txn)) => {
-                let outcome = RequestOutcome::from_run(&txn, &self.mcfg, &analysis);
-                self.cache.commit(txn);
+                let outcome = RequestOutcome::from_run(&txn, mcfg, &analysis);
+                if config == self.base_config {
+                    self.cache.commit_live(txn);
+                } else {
+                    self.cache.commit(txn);
+                }
                 self.record(&outcome);
                 Ok((analysis, outcome))
             }
         }
+    }
+
+    /// Makes `analysis` of `mcfg` the live one. With `carry`, and when
+    /// the previous live analysis's substitution counts were computed, the
+    /// new counts are derived from them, recounting only the procedures
+    /// whose inputs moved ([`substitute::recount`]); otherwise they stay
+    /// lazy and whole-program.
+    fn install(&mut self, mcfg: Arc<ModuleCfg>, analysis: Analysis, carry: bool) {
+        let counts = OnceLock::new();
+        if let Some(prev) = self.counts.get().filter(|_| carry) {
+            if let Some(next) =
+                substitute::recount(&self.mcfg, &self.current, prev, &mcfg, &analysis)
+            {
+                let _ = counts.set(next);
+            }
+        }
+        self.mcfg = mcfg;
+        self.current = Arc::new(analysis);
+        self.counts = Arc::new(counts);
     }
 
     /// Re-analyzes the current program. With `overrides: None` the base
@@ -481,9 +534,11 @@ impl ServeEngine {
     pub fn analyze(&mut self, overrides: Option<Config>) -> Result<RequestOutcome, ServeError> {
         let replace = overrides.is_none();
         let config = overrides.unwrap_or(self.base_config);
-        let (analysis, outcome) = self.run_guarded(config)?;
+        let mcfg = Arc::clone(&self.mcfg);
+        let own = self.model.own.clone();
+        let (analysis, outcome) = self.run_guarded(config, &mcfg, &own)?;
         if replace {
-            self.current = Arc::new(analysis);
+            self.install(mcfg, analysis, true);
         }
         Ok(outcome)
     }
@@ -497,7 +552,9 @@ impl ServeEngine {
         proc: Option<&str>,
         config: Config,
     ) -> Result<(ConstantsReport, RequestOutcome), ServeError> {
-        let (analysis, outcome) = self.run_guarded(config)?;
+        let mcfg = Arc::clone(&self.mcfg);
+        let own = self.model.own.clone();
+        let (analysis, outcome) = self.run_guarded(config, &mcfg, &own)?;
         let substituted = analysis.substitution_counts(&self.mcfg).total;
         match constants_report(&self.mcfg, &analysis, proc, substituted) {
             Ok(report) => Ok((report, outcome)),
@@ -512,6 +569,12 @@ impl ServeEngine {
     /// under the base configuration. Snapshot–validate–commit: any
     /// failure (parse, resolve, panic) leaves model, analysis, and cache
     /// exactly as they were.
+    ///
+    /// When the new definition provably leaves every other procedure's
+    /// resolution unchanged ([`resolve_replacement`]), only it is resolved
+    /// and lowered, and spliced into the live module; otherwise the
+    /// recombined program is parsed and resolved in full, exactly as
+    /// `load` would.
     pub fn update(&mut self, name: &str, fragment: &str) -> Result<RequestOutcome, ServeError> {
         let candidate = match self.model.replace_proc(name, fragment) {
             Ok(c) => c,
@@ -520,9 +583,29 @@ impl ServeEngine {
                 return Err(e);
             }
         };
-        let outcome = self.commit_model(candidate)?;
+        let spliced = candidate.proc_text(name).and_then(|text| self.splice(text));
+        let outcome = match spliced {
+            Some(mcfg) => {
+                let outcome = self.commit(candidate, mcfg, true)?;
+                self.stats.spliced_updates += 1;
+                outcome
+            }
+            None => self.commit_model(candidate, true)?,
+        };
         self.stats.updates += 1;
         Ok(outcome)
+    }
+
+    /// The live module with the procedure `text` defines resolved against
+    /// its signature table, lowered and swapped in — or `None` when that
+    /// might differ from resolving the whole program.
+    fn splice(&self, text: &str) -> Option<ModuleCfg> {
+        let prog = parse_program(text).ok()?;
+        let [decl] = prog.procs.as_slice() else {
+            return None;
+        };
+        let proc = resolve_replacement(&self.mcfg.module, decl)?;
+        Some(self.mcfg.with_proc(proc))
     }
 
     /// Replaces the whole program (shape changes included) and
@@ -537,12 +620,18 @@ impl ServeEngine {
                 return Err(ServeError::Invalid(e));
             }
         };
-        let outcome = self.commit_model(candidate)?;
+        let outcome = self.commit_model(candidate, false)?;
         self.stats.loads += 1;
         Ok(outcome)
     }
 
-    fn commit_model(&mut self, candidate: ProgramModel) -> Result<RequestOutcome, ServeError> {
+    /// Parses, resolves and lowers the whole candidate program, then
+    /// commits it (`carry` as for [`ServeEngine::commit`]).
+    fn commit_model(
+        &mut self,
+        candidate: ProgramModel,
+        carry: bool,
+    ) -> Result<RequestOutcome, ServeError> {
         let module = match parse_and_resolve(&candidate.source()) {
             Ok(m) => m,
             Err(d) => {
@@ -550,30 +639,30 @@ impl ServeEngine {
                 return Err(ServeError::Invalid(d.into()));
             }
         };
-        let mcfg = lower_module_owned(module);
-        let own = candidate.own_hashes();
-        match run_request(&self.cache, &self.base_config, &mcfg, &own) {
-            Err(msg) => {
-                self.stats.panics_contained += 1;
-                self.stats.errors += 1;
-                Err(ServeError::Panic(msg))
-            }
-            Ok((analysis, txn)) => {
-                let outcome = RequestOutcome::from_run(&txn, &mcfg, &analysis);
-                self.cache.commit(txn);
-                self.record(&outcome);
-                self.model = candidate;
-                self.mcfg = Arc::new(mcfg);
-                self.current = Arc::new(analysis);
-                Ok(outcome)
-            }
-        }
+        self.commit(candidate, lower_module_owned(module), carry)
+    }
+
+    /// Analyzes `mcfg`, the lowered `candidate`, under the base
+    /// configuration and makes both live — or, on a panic, leaves
+    /// everything as it was. `carry` derives the new substitution counts
+    /// from the previous ones (see [`ServeEngine::install`]).
+    fn commit(
+        &mut self,
+        candidate: ProgramModel,
+        mcfg: ModuleCfg,
+        carry: bool,
+    ) -> Result<RequestOutcome, ServeError> {
+        let (analysis, outcome) = self.run_guarded(self.base_config, &mcfg, &candidate.own)?;
+        self.model = candidate;
+        self.install(Arc::new(mcfg), analysis, carry);
+        Ok(outcome)
     }
 
     /// An immutable [`Snapshot`] of the committed state for the read
     /// workers — O(1) in the program size (`Arc` clones plus the small
     /// telemetry structs). The transport publishes one after every
-    /// committed writer operation.
+    /// committed writer operation. Every snapshot of one analysis shares
+    /// its substitution counts, so they are computed at most once.
     pub fn snapshot(&self) -> crate::serve::workers::Snapshot {
         crate::serve::workers::Snapshot::new(
             Arc::clone(&self.mcfg),
@@ -583,6 +672,7 @@ impl ServeEngine {
             self.cache.stats(),
             self.cache.len(),
         )
+        .sharing_counts(Arc::clone(&self.counts))
     }
 }
 

@@ -862,7 +862,7 @@ pub fn get_summary(r: &mut Reader<'_>, stage: SummaryStage) -> WireResult<Cached
             charges: get_charges(r)?,
         },
         SummaryStage::Jump => CachedSummary::Jump {
-            sym: Box::new(get_proc_symbolic(r)?),
+            sym: std::sync::Arc::new(get_proc_symbolic(r)?),
         },
     })
 }

@@ -40,6 +40,7 @@ use crate::serve::cache::CacheStats;
 use crate::serve::engine::{
     constants_report, explain_render, ConstantsReport, EngineStats, RequestOutcome, ServeError,
 };
+use crate::substitute::SubstitutionCounts;
 use crate::Analysis;
 use ipcp_ir::cfg::ModuleCfg;
 use std::cell::UnsafeCell;
@@ -66,10 +67,12 @@ pub struct Snapshot {
     pub cache: CacheStats,
     /// Live cache entry count at publication time.
     pub cache_len: usize,
-    /// The substitution total, computed on the first warm `constants`
-    /// read of this snapshot and reused by every later one (it is a
-    /// pure function of `(mcfg, analysis)`, and whole-program).
-    substituted: Arc<OnceLock<usize>>,
+    /// The per-procedure substitution counts, computed on the first warm
+    /// `constants` read and reused by every later one (they are a pure
+    /// function of `(mcfg, analysis)`). Snapshots the engine takes of one
+    /// analysis share the cell, and an `update` can fill it from the
+    /// previous analysis's counts.
+    counts: Arc<OnceLock<SubstitutionCounts>>,
     /// Procedure name → index into `mcfg.module.procs`, built on the
     /// first by-name read of this snapshot. Turns the per-request
     /// linear name scan into a hash lookup, which is what makes a
@@ -94,16 +97,34 @@ impl Snapshot {
             stats,
             cache,
             cache_len,
-            substituted: Arc::new(OnceLock::new()),
+            counts: Arc::new(OnceLock::new()),
             proc_index: Arc::new(OnceLock::new()),
         }
     }
 
-    /// The substitution total for this snapshot, computed lazily once.
+    /// This snapshot reading its substitution counts from `counts`.
+    pub(crate) fn sharing_counts(mut self, counts: Arc<OnceLock<SubstitutionCounts>>) -> Snapshot {
+        self.counts = counts;
+        self
+    }
+
+    /// The per-procedure substitution counts of this snapshot's analysis,
+    /// computed from scratch unless they already are.
+    pub fn counts(&self) -> &SubstitutionCounts {
+        self.counts
+            .get_or_init(|| self.analysis.substitution_counts(&self.mcfg))
+    }
+
+    /// The per-procedure substitution counts if they are already known —
+    /// computed by an earlier read, or carried over from the previous
+    /// analysis by the `update` that produced this one.
+    pub fn computed_counts(&self) -> Option<&SubstitutionCounts> {
+        self.counts.get()
+    }
+
+    /// The substitution total for this snapshot.
     pub fn substituted(&self) -> usize {
-        *self
-            .substituted
-            .get_or_init(|| self.analysis.substitution_counts(&self.mcfg).total)
+        self.counts().total
     }
 
     /// `CONSTANTS(p)` from the warm analysis, plus the substitution

@@ -23,6 +23,7 @@ use ipcp_ir::span::Span;
 use ipcp_ssa::sccp::{self, CallDefLattice, OpaqueCallsLattice, SccpResult, Seeds};
 use ipcp_ssa::ssa::{build_ssa, ModKills, SsaProc, StmtInfo};
 use ipcp_ssa::{Lattice, ValueId};
+use std::sync::Arc;
 
 /// The outcome of a substitution pass.
 #[derive(Debug)]
@@ -104,6 +105,71 @@ pub fn substitution_counts(mcfg: &ModuleCfg, analysis: &Analysis) -> Substitutio
     run_counts(mcfg, analysis, oracle.as_ref(), |p| {
         seeds_for(analysis, mcfg, p)
     })
+}
+
+/// The counts of `analysis` over `mcfg`, derived from `prev_counts`, the
+/// counts of an earlier analysis `prev` over `prev_mcfg`: a procedure is
+/// recounted only when an input of its count moved, and keeps its earlier
+/// count otherwise. The inputs of procedure `p`'s count are its symbolic
+/// form (compared by `Arc` identity, so a form the summary cache served
+/// to both analyses is unchanged), `VAL(p)`, the return jump functions of
+/// its callees, and whether it is reachable and quarantined.
+///
+/// Returns `None` when the two analyses do not share a configuration and
+/// a program shape — procedure count, arities and scalar globals — since
+/// the inputs then index different slots.
+pub(crate) fn recount(
+    prev_mcfg: &ModuleCfg,
+    prev: &Analysis,
+    prev_counts: &SubstitutionCounts,
+    mcfg: &ModuleCfg,
+    analysis: &Analysis,
+) -> Option<SubstitutionCounts> {
+    let n = mcfg.module.procs.len();
+    let same_shape = prev.config == analysis.config
+        && prev_mcfg.module.procs.len() == n
+        && prev.layout.scalar_globals == analysis.layout.scalar_globals
+        && (0..n).all(|i| prev_mcfg.module.procs[i].arity() == mcfg.module.procs[i].arity());
+    if !same_shape {
+        return None;
+    }
+    let ret_moved: Vec<bool> = (0..n)
+        .map(|i| prev.ret_jfs.fns[i] != analysis.ret_jfs.fns[i])
+        .collect();
+    let form_moved = |i: usize| match (&prev.symbolics[i], &analysis.symbolics[i]) {
+        (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
+        (a, b) => a.is_some() != b.is_some(),
+    };
+    let oracle = analysis.sccp_oracle(mcfg);
+    let mut counts = prev_counts.counts.clone();
+    for (pi, count) in counts.iter_mut().enumerate() {
+        let p = ProcId::from(pi);
+        let moved = prev.cg.reachable[pi] != analysis.cg.reachable[pi]
+            || prev.quarantined[pi] != analysis.quarantined[pi]
+            || form_moved(pi)
+            || prev.vals.of(p) != analysis.vals.of(p)
+            || analysis
+                .cg
+                .calls_from(p)
+                .iter()
+                .any(|e| ret_moved[e.callee.index()]);
+        if !moved {
+            continue;
+        }
+        *count = match analysis.symbolics[pi].as_ref() {
+            Some(ps) if analysis.cg.reachable[pi] => {
+                let res = sccp::run(
+                    mcfg,
+                    &ps.ssa,
+                    &seeds_for(analysis, mcfg, p),
+                    oracle.as_ref(),
+                );
+                count_proc(mcfg.cfg(p), &ps.ssa, &res)
+            }
+            _ => 0,
+        };
+    }
+    Some(SubstitutionCounts::from(counts))
 }
 
 /// The purely intraprocedural baseline (Table 3, column 4): no seeds, no
@@ -229,7 +295,7 @@ pub fn apply_replacements(module: &Module, replacements: &[(Span, i64)]) -> Modu
     let map: HashMap<Span, i64> = replacements.iter().copied().collect();
     let mut out = module.clone();
     for proc in &mut out.procs {
-        rewrite_ast_block(&mut proc.body, &map);
+        rewrite_ast_block(&mut Arc::make_mut(proc).body, &map);
     }
     out
 }
@@ -312,7 +378,7 @@ fn rewrite_proc(
             continue;
         }
         let b = BlockId::from(bi);
-        let out_block = &mut out.cfgs[p.index()].blocks[b.index()];
+        let out_block = &mut Arc::make_mut(&mut out.cfgs[p.index()]).blocks[b.index()];
         for (si, (stmt, info)) in cfg.block(b).stmts.iter().zip(ssa.stmts(b)).enumerate() {
             out_block.stmts[si] = rewrite_stmt(stmt, info, res, replacements);
         }

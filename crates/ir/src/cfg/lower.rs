@@ -4,6 +4,7 @@ use super::{BasicBlock, BlockId, CStmt, CallSiteId, Cfg, ModuleCfg, Terminator};
 use crate::lang::ast::BinOp;
 use crate::program::{Block, Expr, Module, Proc, Stmt, VarId, VarInfo, VarKind};
 use crate::span::Span;
+use std::sync::Arc;
 
 /// Lowers every procedure of `module` to a CFG.
 ///
@@ -31,9 +32,17 @@ pub fn lower_module_owned(mut module: Module) -> ModuleCfg {
     let cfgs = module
         .procs
         .iter_mut()
-        .map(|p| Lowerer::new(p).run())
+        .map(|p| Arc::new(lower_proc(Arc::make_mut(p))))
         .collect();
     ModuleCfg { module, cfgs }
+}
+
+/// Lowers one procedure to its CFG, appending the compiler temporaries it
+/// needs to the procedure's symbol table. Lowering reads nothing outside
+/// the procedure, so a module with one procedure replaced can lower just
+/// that one (see [`ModuleCfg::with_proc`]).
+pub(crate) fn lower_proc(proc: &mut Proc) -> Cfg {
+    Lowerer::new(proc).run()
 }
 
 struct Lowerer<'a> {
@@ -422,7 +431,9 @@ mod tests {
         check(&m);
         // An edit that shifts statements leaves the index stale; the
         // lookup still finds every site.
-        m.cfgs[main.index()].blocks[0].stmts.remove(0);
+        std::sync::Arc::make_mut(&mut m.cfgs[main.index()]).blocks[0]
+            .stmts
+            .remove(0);
         check(&m);
     }
 

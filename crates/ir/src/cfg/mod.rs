@@ -11,8 +11,9 @@ mod lower;
 
 pub use lower::{lower_module, lower_module_owned};
 
-use crate::program::{Arg, Expr, Module, ProcId, VarId};
+use crate::program::{Arg, Expr, Module, Proc, ProcId, VarId};
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a basic block within its procedure's [`Cfg`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -442,8 +443,9 @@ pub struct ModuleCfg {
     /// so use this module (not the one passed to [`lower_module`]) when
     /// mapping `VarId`s to names.
     pub module: Module,
-    /// One CFG per procedure, indexed by [`ProcId`].
-    pub cfgs: Vec<Cfg>,
+    /// One CFG per procedure, indexed by [`ProcId`], each behind its own
+    /// [`Arc`] like [`Module::procs`].
+    pub cfgs: Vec<Arc<Cfg>>,
 }
 
 impl ModuleCfg {
@@ -456,12 +458,28 @@ impl ModuleCfg {
         &self.cfgs[p.index()]
     }
 
+    /// This module with procedure `proc.id` replaced by `proc`, lowered
+    /// here. Every other procedure and CFG is shared with `self`, so the
+    /// cost is one procedure's lowering plus a reference-count bump per
+    /// procedure. The caller guarantees that `proc` resolved against this
+    /// module's signature table (same name and arity) and that no other
+    /// procedure's resolution depends on it beyond that signature — see
+    /// [`crate::program::resolve_replacement`].
+    pub fn with_proc(&self, mut proc: Proc) -> ModuleCfg {
+        let i = proc.id.index();
+        let cfg = lower::lower_proc(&mut proc);
+        let mut next = self.clone();
+        next.module.procs[i] = Arc::new(proc);
+        next.cfgs[i] = Arc::new(cfg);
+        next
+    }
+
     /// Iterates over `(ProcId, &Cfg)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ProcId, &Cfg)> {
         self.cfgs
             .iter()
             .enumerate()
-            .map(|(i, c)| (ProcId::from(i), c))
+            .map(|(i, c)| (ProcId::from(i), &**c))
     }
 
     /// Call site `site` of procedure `p`: its block, callee and actual

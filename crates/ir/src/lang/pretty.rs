@@ -32,12 +32,24 @@ pub fn program(p: &Program) -> String {
         if i > 0 || !p.globals.is_empty() {
             out.push('\n');
         }
-        let params: Vec<&str> = proc.params.iter().map(|(n, _)| n.as_str()).collect();
-        let _ = writeln!(out, "proc {}({}) {{", proc.name, params.join(", "));
-        block_body(&mut out, &proc.body, 1);
-        out.push_str("}\n");
+        proc_into(&mut out, proc);
     }
     out
+}
+
+/// Renders one procedure definition exactly as [`program`] renders it
+/// inside a program.
+pub fn proc_decl(p: &ProcDecl) -> String {
+    let mut out = String::new();
+    proc_into(&mut out, p);
+    out
+}
+
+fn proc_into(out: &mut String, proc: &ProcDecl) {
+    let params: Vec<&str> = proc.params.iter().map(|(n, _)| n.as_str()).collect();
+    let _ = writeln!(out, "proc {}({}) {{", proc.name, params.join(", "));
+    block_body(out, &proc.body, 1);
+    out.push_str("}\n");
 }
 
 /// Renders a single statement at the given indent depth.

@@ -10,6 +10,7 @@ use crate::lang::{self, ast};
 use crate::span::Span;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! id_type {
     ($(#[$meta:meta])* $name:ident) => {
@@ -312,8 +313,10 @@ impl Proc {
 pub struct Module {
     /// Module-level variables.
     pub globals: Vec<GlobalInfo>,
-    /// All procedures.
-    pub procs: Vec<Proc>,
+    /// All procedures, each behind its own [`Arc`]: cloning a module
+    /// shares every procedure, and a pass that rewrites one procedure
+    /// copies only that one (`Arc::make_mut`).
+    pub procs: Vec<Arc<Proc>>,
     /// The entry procedure (`main`, which must take no parameters).
     pub entry: ProcId,
 }
@@ -330,7 +333,7 @@ impl Module {
 
     /// Finds a procedure by source name.
     pub fn proc_named(&self, name: &str) -> Option<&Proc> {
-        self.procs.iter().find(|p| p.name == name)
+        self.procs.iter().map(|p| &**p).find(|p| p.name == name)
     }
 
     /// Ids of the scalar (non-array) globals — the ones whose values the
@@ -405,7 +408,7 @@ fn unresolve_expr(p: &Proc, e: &Expr) -> ast::Expr {
     }
 }
 
-fn unresolve_block(p: &Proc, procs: &[Proc], b: &Block) -> ast::Block {
+fn unresolve_block(p: &Proc, procs: &[Arc<Proc>], b: &Block) -> ast::Block {
     let mut out = ast::Block::default();
     // Re-emit local array declarations first so the result re-resolves.
     // (Declarations are stripped during resolution.)
@@ -424,7 +427,7 @@ fn unresolve_block(p: &Proc, procs: &[Proc], b: &Block) -> ast::Block {
     out
 }
 
-fn unresolve_stmts(p: &Proc, procs: &[Proc], b: &Block, out: &mut Vec<ast::Stmt>) {
+fn unresolve_stmts(p: &Proc, procs: &[Arc<Proc>], b: &Block, out: &mut Vec<ast::Stmt>) {
     for s in &b.stmts {
         out.push(match s {
             Stmt::Assign(v, e, span) => ast::Stmt::Assign {
@@ -491,7 +494,7 @@ fn unresolve_stmts(p: &Proc, procs: &[Proc], b: &Block, out: &mut Vec<ast::Stmt>
     }
 }
 
-fn unresolve_inner(p: &Proc, procs: &[Proc], b: &Block) -> ast::Block {
+fn unresolve_inner(p: &Proc, procs: &[Arc<Proc>], b: &Block) -> ast::Block {
     let mut stmts = Vec::new();
     unresolve_stmts(p, procs, b, &mut stmts);
     ast::Block { stmts }
@@ -527,9 +530,77 @@ pub fn resolve(prog: &ast::Program) -> Result<Module, Diagnostics> {
     let mut procs = Vec::with_capacity(prog.procs.len());
     for (i, p) in prog.procs.iter().enumerate() {
         let resolved = r.resolve_proc_body(ProcId::from(i), p);
-        procs.push(resolved);
+        procs.push(Arc::new(resolved));
     }
     r.finish(procs)
+}
+
+/// Resolves `decl`, a new definition of one of `module`'s procedures,
+/// against `module`'s signature table, when that provably yields the
+/// procedure [`resolve`] would produce for the whole program with `decl`
+/// swapped in — spans aside, which stay relative to `decl`'s own text.
+/// Returns `None` whenever it cannot prove that; the caller then resolves
+/// the recombined program in full.
+///
+/// The proof needs four things:
+///
+/// * a procedure named `decl.name` exists, with `decl`'s arity, so the
+///   signature table (and every other body's resolution) is unchanged;
+/// * `decl` resolves without a diagnostic;
+/// * each formal's array-ness from `decl`'s own indexing equals the
+///   formal's array-ness in `module`. Every array formal is then indexed
+///   in `decl` itself, so the whole-module array-ness fixpoint, which
+///   `module` already satisfies, stays the least fixpoint with `decl`
+///   swapped in, and no procedure's formals move;
+/// * `decl`'s call sites pass the call-site checks against that fixpoint.
+///   Other procedures' call sites into it see unchanged formals, so they
+///   pass as they did.
+pub fn resolve_replacement(module: &Module, decl: &ast::ProcDecl) -> Option<Proc> {
+    let old = module.proc_named(&decl.name)?;
+    if decl.params.len() != old.arity() {
+        return None;
+    }
+    let mut r = Resolver::new();
+    r.globals.clone_from(&module.globals);
+    r.global_ids = module
+        .globals
+        .iter()
+        .enumerate()
+        .map(|(i, g)| (g.name.clone(), GlobalId::from(i)))
+        .collect();
+    r.proc_ids = module
+        .procs
+        .iter()
+        .map(|p| (p.name.clone(), p.id))
+        .collect();
+    r.sigs = module
+        .procs
+        .iter()
+        .map(|p| ProcSig { arity: p.arity() })
+        .collect();
+    let mut proc = r.resolve_proc_body(old.id, decl);
+    let formals_match = proc
+        .formals
+        .iter()
+        .zip(&old.formals)
+        .all(|(&new, &was)| proc.var(new).is_array == old.var(was).is_array);
+    if !r.diags.is_empty() || !formals_match {
+        return None;
+    }
+    let vars = proc.vars.clone();
+    retag_args(&mut proc.body, &vars);
+    let callee = |id: ProcId| {
+        if id == proc.id {
+            &proc
+        } else {
+            &*module.procs[id.index()]
+        }
+    };
+    let mut ok = true;
+    each_call(&proc.body, &mut |id, args, span| {
+        ok &= call_site_errors(callee(id), args, span).is_empty();
+    });
+    ok.then_some(proc)
 }
 
 /// The signature a call site needs from its callee: just the arity (plus
@@ -648,7 +719,7 @@ impl Resolver {
 
     /// Pass 2: the whole-module array-ness fixpoint, call-site checks,
     /// and the entry-procedure rule. Consumes the resolver.
-    pub(crate) fn finish(mut self, mut procs: Vec<Proc>) -> Result<Module, Diagnostics> {
+    pub(crate) fn finish(mut self, mut procs: Vec<Arc<Proc>>) -> Result<Module, Diagnostics> {
         self.infer_formal_arrays(&mut procs);
         self.check_call_sites(&procs);
 
@@ -941,7 +1012,7 @@ impl Resolver {
 
     /// Propagates array-ness from formals used as arrays to the actuals
     /// bound to them, transitively, until nothing changes.
-    fn infer_formal_arrays(&mut self, procs: &mut [Proc]) {
+    fn infer_formal_arrays(&mut self, procs: &mut [Arc<Proc>]) {
         loop {
             let mut changed = false;
             // Collect (proc, var) pairs that must become arrays.
@@ -965,7 +1036,7 @@ impl Resolver {
                 });
             }
             for (pi, v) in promote {
-                let info = &mut procs[pi].vars[v.index()];
+                let info = &mut Arc::make_mut(&mut procs[pi]).vars[v.index()];
                 // Non-formals are reported in `check_call_sites`.
                 if !info.is_array && info.is_formal() {
                     info.is_array = true;
@@ -978,50 +1049,58 @@ impl Resolver {
         }
         // Re-tag Scalar args that now name arrays.
         for p in procs.iter_mut() {
+            let p = Arc::make_mut(p);
             let vars = p.vars.clone();
             retag_args(&mut p.body, &vars);
         }
     }
 
-    fn check_call_sites(&mut self, procs: &[Proc]) {
+    fn check_call_sites(&mut self, procs: &[Arc<Proc>]) {
         let mut errors: Vec<(String, Span)> = Vec::new();
         for p in procs {
             each_call(&p.body, &mut |callee, args, span| {
-                let cp = &procs[callee.index()];
-                for (ai, arg) in args.iter().enumerate() {
-                    let Some(&fv) = cp.formals.get(ai) else {
-                        continue;
-                    };
-                    let formal_is_array = cp.var(fv).is_array;
-                    let actual_is_array = matches!(arg, Arg::Array(..));
-                    if formal_is_array && !actual_is_array {
-                        errors.push((
-                            format!(
-                                "argument {} of call to `{}` must be an array (formal `{}` is indexed)",
-                                ai + 1,
-                                cp.name,
-                                cp.var(fv).name
-                            ),
-                            span,
-                        ));
-                    } else if !formal_is_array && actual_is_array {
-                        errors.push((
-                            format!(
-                                "argument {} of call to `{}` is an array but formal `{}` is a scalar",
-                                ai + 1,
-                                cp.name,
-                                cp.var(fv).name
-                            ),
-                            span,
-                        ));
-                    }
-                }
+                errors.extend(call_site_errors(&procs[callee.index()], args, span));
             });
         }
         for (msg, span) in errors {
             self.diags.error(msg, span);
         }
     }
+}
+
+/// The array/scalar mismatches between one call's actuals and the formals
+/// of its callee `cp`.
+fn call_site_errors(cp: &Proc, args: &[Arg], span: Span) -> Vec<(String, Span)> {
+    let mut errors = Vec::new();
+    for (ai, arg) in args.iter().enumerate() {
+        let Some(&fv) = cp.formals.get(ai) else {
+            continue;
+        };
+        let formal_is_array = cp.var(fv).is_array;
+        let actual_is_array = matches!(arg, Arg::Array(..));
+        if formal_is_array && !actual_is_array {
+            errors.push((
+                format!(
+                    "argument {} of call to `{}` must be an array (formal `{}` is indexed)",
+                    ai + 1,
+                    cp.name,
+                    cp.var(fv).name
+                ),
+                span,
+            ));
+        } else if !formal_is_array && actual_is_array {
+            errors.push((
+                format!(
+                    "argument {} of call to `{}` is an array but formal `{}` is a scalar",
+                    ai + 1,
+                    cp.name,
+                    cp.var(fv).name
+                ),
+                span,
+            ));
+        }
+    }
+    errors
 }
 
 /// The layout of a procedure's *entry slots*: the values the

@@ -154,7 +154,7 @@ pub fn resolve_streaming<S: ProgramSource + ?Sized>(
         for p in &ast.procs {
             let id = ProcId::from(procs.len());
             let resolved = resolver.resolve_proc_body(id, p);
-            procs.push(resolved);
+            procs.push(std::sync::Arc::new(resolved));
         }
     }
 

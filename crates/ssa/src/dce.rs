@@ -103,7 +103,7 @@ mod tests {
         let (m, pruned) = prune_main(src);
         let pruned = pruned.expect("fold");
         let mut m2 = m.clone();
-        m2.cfgs[m.module.entry.index()] = pruned;
+        m2.cfgs[m.module.entry.index()] = pruned.into();
         for input in [&[0][..], &[5], &[-3]] {
             let a = exec_cfg(&m0, input, &ExecLimits::default()).unwrap();
             let b = exec_cfg(&m2, input, &ExecLimits::default()).unwrap();

@@ -90,7 +90,7 @@ fn digest(mcfg: &ModuleCfg, config: &Config) -> u64 {
         // The store decodes what it encoded: same form, same bytes again.
         let back = get_proc_symbolic(&mut Reader::new(&bytes))
             .unwrap_or_else(|_| panic!("proc {pi}'s encoding decodes"));
-        assert_eq!(&back, ps, "proc {pi} round trip");
+        assert_eq!(&back, &**ps, "proc {pi} round trip");
         let mut again = Writer::new();
         put_proc_symbolic(&mut again, &back);
         assert_eq!(again.into_bytes(), bytes, "proc {pi} re-encoding");
