@@ -279,8 +279,8 @@ OTHER OPTIONS:
     fuzz:   --props <a,b,...>       properties to check, from: panic-free,
                                     soundness, jobs-identity,
                                     wavefront-worklist, exit-consistency,
-                                    serve-identity, serve-persist
-                                    (default: all of them)
+                                    serve-identity, serve-persist,
+                                    stream-identity (default: all of them)
             --seed <N>              base case seed (default 1); case i runs
                                     seed N+i, so failures replay exactly
                                     with `--seed <case seed> --cases 1`

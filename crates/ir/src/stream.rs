@@ -244,6 +244,123 @@ mod tests {
         assert!(err.to_string().contains("expects 1 argument"));
     }
 
+    /// Diagnostics as `(message, start, end)`, or `ok`.
+    fn outcome<T>(r: Result<T, Diagnostics>) -> Vec<(String, u32, u32)> {
+        match r {
+            Ok(_) => vec![("ok".to_owned(), 0, 0)],
+            Err(d) => d
+                .iter()
+                .map(|d| (d.message.clone(), d.span.start, d.span.end))
+                .collect(),
+        }
+    }
+
+    fn msgs(r: Vec<(String, u32, u32)>) -> Vec<String> {
+        r.into_iter().map(|(m, _, _)| m).collect()
+    }
+
+    #[test]
+    fn braces_and_proc_inside_comments_do_not_split_bodies() {
+        let chunks = [
+            "global g; # { proc bogus() {\n",
+            "proc main() { // } proc x() }\n  g = 1; # }}}\n  call f(g); // {\n}\n# proc f() {\n",
+            "proc f(a) { print a; } // }\n",
+        ];
+        let resident = parse_and_resolve(&chunks.concat()).unwrap();
+        let streamed = resolve_streaming(&chunks[..]).unwrap().module;
+        assert_eq!(resident.procs.len(), 2);
+        assert_eq!(resident.to_source(), streamed.to_source());
+        assert_eq!(
+            resident.to_source(),
+            "global g;\n\nproc main() {\n    g = 1;\n    call f(g);\n}\n\nproc f(a) {\n    print a;\n}\n"
+        );
+    }
+
+    #[test]
+    fn a_chunk_with_unbalanced_braces_is_a_parse_error_of_that_chunk() {
+        // Split mid-body: each chunk is parsed as its own program.
+        let chunks = ["proc main() { call f(1);\n", "}\nproc f(a) { print a; }\n"];
+        assert_eq!(
+            outcome(parse_and_resolve(&chunks.concat())),
+            outcome(Ok(()))
+        );
+        assert_eq!(
+            outcome(resolve_streaming(&chunks[..])),
+            [
+                ("expected `}`, found `<eof>`".to_owned(), 25, 25),
+                ("expected `proc` or `global`, found `}`".to_owned(), 0, 1),
+            ]
+        );
+        // One `}` too many closes the body early; the stray one is an
+        // item-level error in the resident and the streamed path alike.
+        let chunks = ["proc main() { } }\n", "proc f() { }\n"];
+        let want = [("expected `proc` or `global`, found `}`".to_owned(), 16, 17)];
+        assert_eq!(outcome(parse_and_resolve(&chunks.concat())), want);
+        assert_eq!(outcome(resolve_streaming(&chunks[..])), want);
+    }
+
+    #[test]
+    fn a_lex_error_hides_parse_errors_only_within_its_own_chunk() {
+        let chunks = ["proc main() { x = ; }\n", "proc f() { y = 1 $ 2; }\n"];
+        let lex_only = [("unrecognized character `$`".to_owned(), 39, 40)];
+        assert_eq!(outcome(parse_and_resolve(&chunks.concat())), lex_only);
+        assert_eq!(outcome(resolve_streaming(&[chunks.concat()][..])), lex_only);
+        assert_eq!(
+            outcome(resolve_streaming(&chunks[..])),
+            [
+                ("expected expression, found `;`".to_owned(), 18, 19),
+                ("unrecognized character `$`".to_owned(), 17, 18),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_parse_error_in_one_chunk_suppresses_resolution_of_the_others() {
+        let chunks = ["proc main() { call nope(); }\n", "proc f( { }\n"];
+        let parse_only = vec!["expected identifier, found `{`".to_owned()];
+        assert_eq!(
+            msgs(outcome(parse_and_resolve(&chunks.concat()))),
+            parse_only
+        );
+        assert_eq!(msgs(outcome(resolve_streaming(&chunks[..]))), parse_only);
+        // Declarations of the chunks that did parse are still checked
+        // (and reported in chunk order) before the streamed path stops.
+        let chunks = ["global g; global g;\n", "proc main( { }\n"];
+        assert_eq!(
+            msgs(outcome(parse_and_resolve(&chunks.concat()))),
+            ["expected identifier, found `{`"]
+        );
+        assert_eq!(
+            msgs(outcome(resolve_streaming(&chunks[..]))),
+            ["duplicate global `g`", "expected identifier, found `{`"]
+        );
+    }
+
+    #[test]
+    fn a_duplicate_procedure_declared_after_its_first_call() {
+        let chunks = [
+            "proc main() { call f(1, 2); }\n",
+            "proc f(a) { print a; }\n",
+            "proc f(a, b) { print a + b; }\n",
+        ];
+        let want = vec![
+            "duplicate procedure `f`".to_owned(),
+            "`f` expects 1 argument, got 2".to_owned(),
+        ];
+        assert_eq!(msgs(outcome(parse_and_resolve(&chunks.concat()))), want);
+        assert_eq!(msgs(outcome(resolve_streaming(&chunks[..]))), want);
+        // The first declaration wins the name: a matching call resolves
+        // to it, and the duplicate still aborts the module.
+        let chunks = [
+            "proc main() { call f(1); }\n",
+            "proc f(a) { }\n",
+            "proc f(a, b) { }\n",
+        ];
+        let want = vec!["duplicate procedure `f`".to_owned()];
+        assert_eq!(msgs(outcome(parse_and_resolve(&chunks.concat()))), want);
+        assert_eq!(msgs(outcome(resolve_streaming(&chunks[..]))), want);
+    }
+
     #[test]
     fn empty_and_globals_only_chunks_are_fine() {
         let chunks = ["", "global g;\n", "", "proc main() { g = 1; print g; }\n"];

@@ -105,9 +105,48 @@ pub fn program(name: &str) -> Option<&'static SuiteProgram> {
     PROGRAMS.iter().find(|p| p.name == name)
 }
 
+/// Splits FT source text into per-procedure chunks for
+/// [`ipcp_ir::resolve_streaming`]: a new chunk starts at every line that
+/// begins with `proc`, and whatever precedes the first such line
+/// (globals, comments) is chunk 0. The split is purely textual, so a
+/// body line that happens to start with `proc` splits too; the chunks
+/// always concatenate back to `src`.
+pub fn proc_chunks(src: &str) -> Vec<&str> {
+    let mut chunks = Vec::new();
+    let mut start = 0;
+    let mut line = 0;
+    while line < src.len() {
+        if line > start && src[line..].starts_with("proc") {
+            chunks.push(&src[start..line]);
+            start = line;
+        }
+        line = src[line..].find('\n').map_or(src.len(), |i| line + i + 1);
+    }
+    chunks.push(&src[start..]);
+    chunks
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn proc_chunks_split_before_each_proc_line_and_concatenate_back() {
+        let src = "global g;\nproc main() {\n}\n# c\nproc f(a) {\nprocx = 1;\n}\n";
+        let chunks = proc_chunks(src);
+        assert_eq!(
+            chunks,
+            [
+                "global g;\n",
+                "proc main() {\n}\n# c\n",
+                "proc f(a) {\n",
+                "procx = 1;\n}\n"
+            ]
+        );
+        assert_eq!(chunks.concat(), src);
+        assert_eq!(proc_chunks("proc main() { }"), ["proc main() { }"]);
+        assert_eq!(proc_chunks(""), [""]);
+    }
     use ipcp_ir::interp::{run_module, ExecLimits};
 
     #[test]

@@ -13,8 +13,9 @@ use ipcp::{
     IpcpError, Lattice,
 };
 use ipcp_ir::hash::hash_str;
+use ipcp_ir::lang::parse_program;
 use ipcp_ir::program::ProcId;
-use ipcp_ir::{lower_module, parse_and_resolve, ModuleCfg};
+use ipcp_ir::{lower_module, parse_and_resolve, resolve_streaming, ModuleCfg};
 
 use crate::mutate;
 use crate::rng::Rng;
@@ -391,6 +392,63 @@ impl Property for ServePersist {
     }
 }
 
+/// `stream-identity`: resolving a program one procedure at a time
+/// ([`resolve_streaming`] over [`crate::proc_chunks`]) gives what
+/// [`parse_and_resolve`] gives for the whole text — the same `to_source()`,
+/// the same `vars` and `formals` for every procedure and the same
+/// analysis results, or the same diagnostic messages (spans differ:
+/// streamed ones are chunk-relative). A chunk that does not parse on its
+/// own (the textual split can cut a body whose braces a mutation
+/// unbalanced) reports its own parse errors, so there only the rejection
+/// itself must agree.
+pub struct StreamIdentity;
+
+impl Property for StreamIdentity {
+    fn name(&self) -> &'static str {
+        "stream-identity"
+    }
+
+    fn check(&self, src: &str, ctx: &PropContext) -> Result<(), String> {
+        let chunks = crate::proc_chunks(src);
+        match (parse_and_resolve(src), resolve_streaming(&chunks[..])) {
+            (Ok(resident), Ok(streamed)) => {
+                let streamed = streamed.module;
+                if resident.to_source() != streamed.to_source() {
+                    return Err("streamed module prints differently".to_owned());
+                }
+                for (r, s) in resident.procs.iter().zip(&streamed.procs) {
+                    if r.vars != s.vars || r.formals != s.formals {
+                        return Err(format!("symbol table of `{}` differs", r.name));
+                    }
+                }
+                let mut config = ctx.config;
+                config.deadline = None;
+                let run = |m| Analysis::run(&lower_module(&m), &config);
+                if !same_results(&run(resident), &run(streamed)) {
+                    return Err("streamed module analyzes differently".to_owned());
+                }
+                Ok(())
+            }
+            (Err(resident), Err(streamed)) => {
+                if chunks.iter().any(|c| parse_program(c).is_err()) {
+                    return Ok(());
+                }
+                let messages = |d: &ipcp_ir::Diagnostics| {
+                    d.iter().map(|d| d.message.clone()).collect::<Vec<_>>()
+                };
+                if messages(&resident) != messages(&streamed) {
+                    return Err(format!(
+                        "diagnostics differ: resident [{resident}] vs streamed [{streamed}]"
+                    ));
+                }
+                Ok(())
+            }
+            (Ok(_), Err(d)) => Err(format!("only the streamed path rejects: {d}")),
+            (Err(d), Ok(_)) => Err(format!("only the resident path rejects: {d}")),
+        }
+    }
+}
+
 /// Every registered property, in stable order.
 pub fn all_properties() -> Vec<Box<dyn Property>> {
     vec![
@@ -401,6 +459,7 @@ pub fn all_properties() -> Vec<Box<dyn Property>> {
         Box::new(ExitConsistency),
         Box::new(ServeIdentity),
         Box::new(ServePersist),
+        Box::new(StreamIdentity),
     ]
 }
 
