@@ -600,11 +600,7 @@ impl ServeEngine {
     /// its signature table, lowered and swapped in — or `None` when that
     /// might differ from resolving the whole program.
     fn splice(&self, text: &str) -> Option<ModuleCfg> {
-        let prog = parse_program(text).ok()?;
-        let [decl] = prog.procs.as_slice() else {
-            return None;
-        };
-        let proc = resolve_replacement(&self.mcfg.module, decl)?;
+        let proc = resolve_replacement(&self.mcfg.module, text)?;
         Some(self.mcfg.with_proc(proc))
     }
 

@@ -1,14 +1,12 @@
 //! Hand-written lexer for FT.
 
 use super::token::{Keyword, Token, TokenKind};
-use crate::error::{Diagnostic, Diagnostics};
+use crate::error::Diagnostic;
 use crate::span::Span;
 
-/// Streaming lexer over FT source text.
-///
-/// Usually used through the convenience function [`lex`], which drains the
-/// lexer into a token vector ending in [`TokenKind::Eof`].
-#[derive(Debug)]
+/// On-demand lexer over FT source text: the parser pulls one token at a
+/// time, and identifiers borrow `src`.
+#[derive(Clone, Debug)]
 pub struct Lexer<'a> {
     src: &'a str,
     bytes: &'a [u8],
@@ -61,16 +59,40 @@ impl<'a> Lexer<'a> {
         }
     }
 
+    /// Skips past the `}` that closes a block whose `{` was the last
+    /// token lexed, counting nested braces and skipping comments — byte
+    /// for byte what lexing would see, since no FT token contains a brace
+    /// or a comment opener. Returns `false` when the input ends first.
+    pub(crate) fn skip_block(&mut self) -> bool {
+        let mut depth = 1usize;
+        while let Some(b) = self.bump() {
+            match b {
+                b'{' => depth += 1,
+                b'}' => {
+                    depth -= 1;
+                    if depth == 0 {
+                        return true;
+                    }
+                }
+                b'#' => self.skip_line(),
+                b'/' if self.peek() == Some(b'/') => self.skip_line(),
+                _ => {}
+            }
+        }
+        false
+    }
+
     /// Lexes the next token, or a diagnostic for an unrecognized character
-    /// or malformed literal.
-    pub fn next_token(&mut self) -> Result<Token, Diagnostic> {
+    /// or malformed literal. After an error the offending text is
+    /// consumed, so the next call resumes behind it.
+    pub fn next_token(&mut self) -> Result<Token<'a>, Diagnostic> {
         self.skip_trivia();
         let start = self.pos as u32;
         let Some(b) = self.bump() else {
             return Ok(Token::new(TokenKind::Eof, Span::new(start, start)));
         };
         let simple =
-            |kind: TokenKind, end: usize| Ok(Token::new(kind, Span::new(start, end as u32)));
+            |kind: TokenKind<'a>, end: usize| Ok(Token::new(kind, Span::new(start, end as u32)));
         match b {
             b'0'..=b'9' => self.lex_int(start as usize),
             b'a'..=b'z' | b'A'..=b'Z' | b'_' => Ok(self.lex_word(start as usize)),
@@ -148,7 +170,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_int(&mut self, start: usize) -> Result<Token, Diagnostic> {
+    fn lex_int(&mut self, start: usize) -> Result<Token<'a>, Diagnostic> {
         while matches!(self.peek(), Some(b'0'..=b'9')) {
             self.pos += 1;
         }
@@ -163,7 +185,7 @@ impl<'a> Lexer<'a> {
         }
     }
 
-    fn lex_word(&mut self, start: usize) -> Token {
+    fn lex_word(&mut self, start: usize) -> Token<'a> {
         while matches!(
             self.peek(),
             Some(b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'_')
@@ -174,51 +196,36 @@ impl<'a> Lexer<'a> {
         let text = &self.src[start..self.pos];
         match Keyword::from_str(text) {
             Some(kw) => Token::new(TokenKind::Keyword(kw), span),
-            None => Token::new(TokenKind::Ident(text.to_owned()), span),
+            None => Token::new(TokenKind::Ident(text), span),
         }
     }
-}
-
-/// Lexes `src` into a full token vector ending with [`TokenKind::Eof`].
-///
-/// # Errors
-///
-/// Collects every lexical error (unrecognized characters, oversized
-/// literals) into one [`Diagnostics`] value; recovery skips the bad
-/// character and continues.
-///
-/// ```
-/// use ipcp_ir::lang::{lex, TokenKind};
-/// let toks = lex("x = 41 + 1;")?;
-/// assert_eq!(toks.len(), 7); // x = 41 + 1 ; <eof>
-/// assert_eq!(toks[2].kind, TokenKind::Int(41));
-/// # Ok::<(), ipcp_ir::Diagnostics>(())
-/// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, Diagnostics> {
-    let mut lexer = Lexer::new(src);
-    let mut tokens = Vec::new();
-    let mut diags = Diagnostics::new();
-    loop {
-        match lexer.next_token() {
-            Ok(tok) => {
-                let done = tok.kind == TokenKind::Eof;
-                tokens.push(tok);
-                if done {
-                    break;
-                }
-            }
-            Err(d) => diags.push(d),
-        }
-    }
-    diags.into_result(tokens)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        lex(src).unwrap().into_iter().map(|t| t.kind).collect()
+    /// Every token up to and including `Eof`, and every error.
+    fn lex(src: &str) -> (Vec<Token<'_>>, Vec<Diagnostic>) {
+        let mut lexer = Lexer::new(src);
+        let (mut tokens, mut errors) = (Vec::new(), Vec::new());
+        loop {
+            match lexer.next_token() {
+                Ok(tok) => {
+                    tokens.push(tok);
+                    if tok.kind == TokenKind::Eof {
+                        return (tokens, errors);
+                    }
+                }
+                Err(d) => errors.push(d),
+            }
+        }
+    }
+
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
+        let (tokens, errors) = lex(src);
+        assert!(errors.is_empty(), "{errors:?}");
+        tokens.into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -240,11 +247,11 @@ mod tests {
             kinds("do doit i1 _x proc process"),
             vec![
                 Keyword(super::Keyword::Do),
-                Ident("doit".into()),
-                Ident("i1".into()),
-                Ident("_x".into()),
+                Ident("doit"),
+                Ident("i1"),
+                Ident("_x"),
                 Keyword(super::Keyword::Proc),
-                Ident("process".into()),
+                Ident("process"),
                 Eof
             ]
         );
@@ -260,7 +267,7 @@ mod tests {
 
     #[test]
     fn spans_cover_tokens() {
-        let toks = lex("ab + 12").unwrap();
+        let toks = lex("ab + 12").0;
         assert_eq!(toks[0].span, Span::new(0, 2));
         assert_eq!(toks[1].span, Span::new(3, 4));
         assert_eq!(toks[2].span, Span::new(5, 7));
@@ -268,20 +275,33 @@ mod tests {
 
     #[test]
     fn huge_literal_is_an_error() {
-        let err = lex("99999999999999999999").unwrap_err();
-        assert!(err.has_errors());
-        assert!(err.to_string().contains("out of 64-bit range"));
+        let (_, errors) = lex("99999999999999999999");
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0].message.contains("out of 64-bit range"));
     }
 
     #[test]
     fn bad_character_reports_and_recovers() {
-        let err = lex("a $ b ?").unwrap_err();
-        assert_eq!(err.len(), 2);
+        let (tokens, errors) = lex("a $ b ?");
+        assert_eq!(errors.len(), 2);
+        assert_eq!(tokens.len(), 3); // a b <eof>
     }
 
     #[test]
     fn empty_input_is_just_eof() {
         assert_eq!(kinds("   \n\t "), vec![TokenKind::Eof]);
+    }
+
+    #[test]
+    fn skip_block_balances_braces_outside_comments() {
+        let src = "{ a { b } # }\n // } {\n c } d";
+        let mut lexer = Lexer::new(src);
+        assert_eq!(lexer.next_token().unwrap().kind, TokenKind::LBrace);
+        assert!(lexer.skip_block());
+        assert_eq!(lexer.next_token().unwrap().kind, TokenKind::Ident("d"));
+        let mut lexer = Lexer::new("{ { }");
+        lexer.next_token().unwrap();
+        assert!(!lexer.skip_block());
     }
 
     #[test]

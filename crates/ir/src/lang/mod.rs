@@ -37,6 +37,7 @@ pub mod pretty;
 mod token;
 
 pub use ast::*;
-pub use lexer::{lex, Lexer};
+pub use lexer::Lexer;
 pub use parser::{parse_expr, parse_program};
+pub(crate) use parser::{scan_items, Build, Item, Parser};
 pub use token::{Keyword, Token, TokenKind};

@@ -1,7 +1,14 @@
 //! Recursive-descent parser for FT.
+//!
+//! The grammar exists once, generic over a [`Build`] sink that decides
+//! what each parsed construct becomes: [`AstBuilder`] builds the
+//! unresolved [`Program`] that the syntactic tools read (`ipcc fmt`,
+//! `program_stats`, serve's `ProgramModel`), and the resolving builder in
+//! [`crate::program`] writes checked procedure bodies straight into a
+//! `Module`. Tokens are lexed on demand, one token of lookahead.
 
 use super::ast::*;
-use super::lexer::lex;
+use super::lexer::Lexer;
 use super::token::{Keyword, Token, TokenKind};
 use crate::error::Diagnostics;
 use crate::span::Span;
@@ -22,10 +29,9 @@ use crate::span::Span;
 /// # Ok::<(), ipcp_ir::Diagnostics>(())
 /// ```
 pub fn parse_program(src: &str) -> Result<Program, Diagnostics> {
-    let tokens = lex(src)?;
-    let mut parser = Parser::new(tokens);
-    let program = parser.program();
-    parser.diags.into_result(program)
+    let mut parser = Parser::new(src, AstBuilder::default());
+    parser.program();
+    Ok(parser.finish()?.0.program)
 }
 
 /// Parses a single expression (used by tests and the REPL-style examples).
@@ -34,18 +40,54 @@ pub fn parse_program(src: &str) -> Result<Program, Diagnostics> {
 ///
 /// Returns diagnostics if the input is not exactly one expression.
 pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
-    let tokens = lex(src)?;
-    let mut parser = Parser::new(tokens);
+    let mut parser = Parser::new(src, AstBuilder::default());
     let expr = parser.expr();
-    if parser.peek_kind() != &TokenKind::Eof {
+    if parser.tok.kind != TokenKind::Eof {
         parser
             .diags
-            .error("trailing input after expression", parser.peek_span());
+            .error("trailing input after expression", parser.tok.span);
     }
-    match expr {
-        Some(e) => parser.diags.into_result(e),
-        None => Err(parser.diags),
+    parser.finish()?;
+    expr.ok_or_else(Diagnostics::new)
+}
+
+/// The globals and procedure signatures of `src`, read without parsing
+/// a body: each is skipped by counting braces. `None` when `src` has a
+/// lex or parse error outside the bodies, or a body whose braces do not
+/// balance; such a text never parses. A `Some` text may still hold an
+/// error inside a body, which only the full parse finds.
+pub(crate) fn scan_items(src: &str) -> Option<Vec<Item<'_>>> {
+    let mut parser = Parser::new(src, AstBuilder::default());
+    parser.skim = true;
+    loop {
+        match parser.tok.kind {
+            TokenKind::Eof => break,
+            TokenKind::Keyword(Keyword::Global) => parser.global_decl()?,
+            TokenKind::Keyword(Keyword::Proc) => parser.proc_decl()?,
+            _ => return None,
+        }
     }
+    parser.finish().ok().map(|(_, items)| items)
+}
+
+/// The binary operator `kind` spells, if any.
+fn binop(kind: TokenKind<'_>) -> Option<BinOp> {
+    Some(match kind {
+        TokenKind::OrOr => BinOp::Or,
+        TokenKind::AndAnd => BinOp::And,
+        TokenKind::Eq => BinOp::Eq,
+        TokenKind::Ne => BinOp::Ne,
+        TokenKind::Lt => BinOp::Lt,
+        TokenKind::Le => BinOp::Le,
+        TokenKind::Gt => BinOp::Gt,
+        TokenKind::Ge => BinOp::Ge,
+        TokenKind::Plus => BinOp::Add,
+        TokenKind::Minus => BinOp::Sub,
+        TokenKind::Star => BinOp::Mul,
+        TokenKind::Slash => BinOp::Div,
+        TokenKind::Percent => BinOp::Rem,
+        _ => return None,
+    })
 }
 
 /// Maximum nesting depth of expressions and blocks. Recursive descent
@@ -54,27 +96,373 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
 /// diagnostic instead of recursing.
 const MAX_DEPTH: usize = 256;
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
-    depth: usize,
-    diags: Diagnostics,
+/// A top-level declaration as the signature table needs it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Item<'s> {
+    /// `global name;` or `global name[len];`
+    Global {
+        name: &'s str,
+        array_len: Option<i64>,
+        span: Span,
+    },
+    /// A procedure header: name, parameter count and header span.
+    Proc {
+        name: &'s str,
+        arity: usize,
+        span: Span,
+    },
 }
 
-impl Parser {
-    fn new(mut tokens: Vec<Token>) -> Self {
-        // `peek` indexes `tokens[..len]` unconditionally; guarantee the
-        // vector is non-empty and Eof-terminated even for callers that
-        // bypass `lex` (which always appends Eof).
-        if tokens.last().is_none_or(|t| t.kind != TokenKind::Eof) {
-            let at = tokens.last().map_or(0, |t| t.span.end);
-            tokens.push(Token::new(TokenKind::Eof, Span::new(at, at)));
+/// The sink the grammar builds into. The parser calls each hook when the
+/// construct is complete, except [`Build::target`] and [`Build::callee`],
+/// which run before the subexpressions they govern: the resolver must
+/// meet names in exactly the order the language defines (an assignment's
+/// value before its target, an array before its index).
+pub(crate) trait Build<'s> {
+    /// An expression.
+    type Expr;
+    /// A call argument.
+    type Arg;
+    /// A statement.
+    type Stmt;
+    /// A statement list.
+    type Block: Default;
+    /// The array of a load or store, or a `do` variable.
+    type Target;
+    /// The procedure a call names.
+    type Callee;
+
+    /// Source span of `e`.
+    fn span(e: &Self::Expr) -> Span;
+    /// The value of `e` when it is an integer literal.
+    fn literal(e: &Self::Expr) -> Option<i64>;
+
+    /// `global name;` or `global name[len];`
+    fn global(&mut self, name: &'s str, array_len: Option<i64>, span: Span);
+    /// A procedure header; its body follows.
+    fn proc_begin(&mut self, name: &'s str, params: &[(&'s str, Span)], span: Span);
+    /// The body of the procedure begun last.
+    fn proc_end(&mut self, body: Self::Block);
+    /// Opens a statement list: the statements pushed until the matching
+    /// [`Build::block_end`] form it. Lists nest like the blocks they
+    /// build, so one stack serves them all and each list is allocated
+    /// once, at its exact length.
+    fn block_begin(&mut self) -> usize;
+    /// Appends `stmt` to the innermost open list.
+    fn push(&mut self, stmt: Self::Stmt);
+    /// Closes the list that [`Build::block_begin`] returned `start` for.
+    fn block_end(&mut self, start: usize) -> Self::Block;
+
+    /// An integer literal.
+    fn int(&mut self, value: i64, span: Span) -> Self::Expr;
+    /// A scalar variable use.
+    fn var(&mut self, name: &'s str, span: Span) -> Self::Expr;
+    /// Names an array (`array`) or a `do` variable before the
+    /// subexpressions that follow it.
+    fn target(&mut self, name: &'s str, array: bool) -> Self::Target;
+    /// `array[index]`
+    fn load(&mut self, array: Self::Target, index: Self::Expr, span: Span) -> Self::Expr;
+    /// A unary operation.
+    fn unary(&mut self, op: UnOp, operand: Self::Expr, span: Span) -> Self::Expr;
+    /// A binary operation.
+    fn binary(&mut self, op: BinOp, lhs: Self::Expr, rhs: Self::Expr, span: Span) -> Self::Expr;
+
+    /// `array name[len];`
+    fn array_decl(&mut self, name: &'s str, len: i64, span: Span) -> Self::Stmt;
+    /// `name = value;`
+    fn assign(&mut self, name: &'s str, value: Self::Expr, span: Span) -> Self::Stmt;
+    /// `array[index] = value;`
+    fn store(
+        &mut self,
+        array: Self::Target,
+        index: Self::Expr,
+        value: Self::Expr,
+        span: Span,
+    ) -> Self::Stmt;
+    /// `if (cond) { .. } else { .. }`
+    fn if_(
+        &mut self,
+        cond: Self::Expr,
+        then_blk: Self::Block,
+        else_blk: Self::Block,
+        span: Span,
+    ) -> Self::Stmt;
+    /// `while (cond) { .. }`
+    fn while_(&mut self, cond: Self::Expr, body: Self::Block, span: Span) -> Self::Stmt;
+    /// `do var = lo, hi [, step] { .. }`
+    #[allow(clippy::too_many_arguments)]
+    fn do_(
+        &mut self,
+        var: Self::Target,
+        lo: Self::Expr,
+        hi: Self::Expr,
+        step: Option<Self::Expr>,
+        body: Self::Block,
+        span: Span,
+    ) -> Self::Stmt;
+    /// The callee of a call, before its arguments.
+    fn callee(&mut self, name: &'s str) -> Self::Callee;
+    /// One call argument.
+    fn arg(&mut self, e: Self::Expr) -> Self::Arg;
+    /// `call callee(args);`
+    fn call(&mut self, callee: Self::Callee, args: Vec<Self::Arg>, span: Span) -> Self::Stmt;
+    /// `return;`
+    fn ret(&mut self, span: Span) -> Self::Stmt;
+    /// `read name;`
+    fn read(&mut self, name: &'s str, span: Span) -> Self::Stmt;
+    /// `print value;`
+    fn print(&mut self, value: Self::Expr, span: Span) -> Self::Stmt;
+}
+
+/// Builds the unresolved [`Program`].
+#[derive(Default)]
+pub(crate) struct AstBuilder {
+    program: Program,
+    /// The procedure begun last, its body still empty.
+    header: Option<ProcDecl>,
+    stmts: Vec<Stmt>,
+}
+
+impl<'s> Build<'s> for AstBuilder {
+    type Expr = Expr;
+    type Arg = Expr;
+    type Stmt = Stmt;
+    type Block = Block;
+    type Target = &'s str;
+    type Callee = &'s str;
+
+    fn span(e: &Expr) -> Span {
+        e.span()
+    }
+
+    fn literal(e: &Expr) -> Option<i64> {
+        match e {
+            Expr::Const { value, .. } => Some(*value),
+            _ => None,
         }
-        Parser {
-            tokens,
-            pos: 0,
+    }
+
+    fn global(&mut self, name: &'s str, array_len: Option<i64>, span: Span) {
+        self.program.globals.push(GlobalDecl {
+            name: name.to_owned(),
+            array_len,
+            span,
+        });
+    }
+
+    fn proc_begin(&mut self, name: &'s str, params: &[(&'s str, Span)], span: Span) {
+        self.header = Some(ProcDecl {
+            name: name.to_owned(),
+            params: params.iter().map(|&(p, s)| (p.to_owned(), s)).collect(),
+            body: Block::default(),
+            span,
+        });
+    }
+
+    fn proc_end(&mut self, body: Block) {
+        if let Some(decl) = self.header.take() {
+            self.program.procs.push(ProcDecl { body, ..decl });
+        }
+    }
+
+    fn block_begin(&mut self) -> usize {
+        self.stmts.len()
+    }
+
+    fn push(&mut self, stmt: Stmt) {
+        self.stmts.push(stmt);
+    }
+
+    fn block_end(&mut self, start: usize) -> Block {
+        Block {
+            stmts: self.stmts.drain(start..).collect(),
+        }
+    }
+
+    fn int(&mut self, value: i64, span: Span) -> Expr {
+        Expr::Const { value, span }
+    }
+
+    fn var(&mut self, name: &'s str, span: Span) -> Expr {
+        Expr::Var {
+            name: name.to_owned(),
+            span,
+        }
+    }
+
+    fn target(&mut self, name: &'s str, _array: bool) -> &'s str {
+        name
+    }
+
+    fn load(&mut self, name: &'s str, index: Expr, span: Span) -> Expr {
+        Expr::Load {
+            name: name.to_owned(),
+            index: Box::new(index),
+            span,
+        }
+    }
+
+    fn unary(&mut self, op: UnOp, operand: Expr, span: Span) -> Expr {
+        Expr::Unary {
+            op,
+            operand: Box::new(operand),
+            span,
+        }
+    }
+
+    fn binary(&mut self, op: BinOp, lhs: Expr, rhs: Expr, span: Span) -> Expr {
+        Expr::Binary {
+            op,
+            lhs: Box::new(lhs),
+            rhs: Box::new(rhs),
+            span,
+        }
+    }
+
+    fn array_decl(&mut self, name: &'s str, len: i64, span: Span) -> Stmt {
+        Stmt::ArrayDecl {
+            name: name.to_owned(),
+            len,
+            span,
+        }
+    }
+
+    fn assign(&mut self, name: &'s str, value: Expr, span: Span) -> Stmt {
+        Stmt::Assign {
+            name: name.to_owned(),
+            value,
+            span,
+        }
+    }
+
+    fn store(&mut self, name: &'s str, index: Expr, value: Expr, span: Span) -> Stmt {
+        Stmt::Store {
+            name: name.to_owned(),
+            index,
+            value,
+            span,
+        }
+    }
+
+    fn if_(&mut self, cond: Expr, then_blk: Block, else_blk: Block, span: Span) -> Stmt {
+        Stmt::If {
+            cond,
+            then_blk,
+            else_blk,
+            span,
+        }
+    }
+
+    fn while_(&mut self, cond: Expr, body: Block, span: Span) -> Stmt {
+        Stmt::While { cond, body, span }
+    }
+
+    fn do_(
+        &mut self,
+        var: &'s str,
+        lo: Expr,
+        hi: Expr,
+        step: Option<Expr>,
+        body: Block,
+        span: Span,
+    ) -> Stmt {
+        Stmt::Do {
+            var: var.to_owned(),
+            lo,
+            hi,
+            step,
+            body,
+            span,
+        }
+    }
+
+    fn callee(&mut self, name: &'s str) -> &'s str {
+        name
+    }
+
+    fn arg(&mut self, e: Expr) -> Expr {
+        e
+    }
+
+    fn call(&mut self, callee: &'s str, args: Vec<Expr>, span: Span) -> Stmt {
+        Stmt::Call {
+            callee: callee.to_owned(),
+            args,
+            span,
+        }
+    }
+
+    fn ret(&mut self, span: Span) -> Stmt {
+        Stmt::Return { span }
+    }
+
+    fn read(&mut self, name: &'s str, span: Span) -> Stmt {
+        Stmt::Read {
+            name: name.to_owned(),
+            span,
+        }
+    }
+
+    fn print(&mut self, value: Expr, span: Span) -> Stmt {
+        Stmt::Print { value, span }
+    }
+}
+
+/// The grammar, writing into `b`.
+pub(crate) struct Parser<'s, B> {
+    lexer: Lexer<'s>,
+    /// The one token of lookahead.
+    tok: Token<'s>,
+    depth: usize,
+    diags: Diagnostics,
+    lex_errors: Diagnostics,
+    /// Every global and every procedure header parsed, in source order.
+    items: Vec<Item<'s>>,
+    /// The current header's parameters (reused across procedures).
+    params: Vec<(&'s str, Span)>,
+    /// Skip procedure bodies instead of parsing them ([`scan_items`]).
+    skim: bool,
+    /// The sink.
+    pub(crate) b: B,
+}
+
+impl<'s, B: Build<'s>> Parser<'s, B> {
+    pub(crate) fn new(src: &'s str, b: B) -> Self {
+        let mut parser = Parser {
+            lexer: Lexer::new(src),
+            tok: Token::new(TokenKind::Eof, Span::dummy()),
             depth: 0,
             diags: Diagnostics::new(),
+            lex_errors: Diagnostics::new(),
+            items: Vec::new(),
+            params: Vec::new(),
+            skim: false,
+            b,
+        };
+        parser.tok = parser.lex();
+        parser
+    }
+
+    /// The builder and the items — or the errors: the lex errors if
+    /// there are any (a token stream with holes would only yield
+    /// follow-on parse errors), else the parse errors.
+    pub(crate) fn finish(mut self) -> Result<(B, Vec<Item<'s>>), Diagnostics> {
+        while self.tok.kind != TokenKind::Eof {
+            self.bump();
+        }
+        if !self.lex_errors.is_empty() {
+            return Err(self.lex_errors);
+        }
+        self.diags.into_result((self.b, self.items))
+    }
+
+    /// The next token; lex errors are recorded and skipped.
+    fn lex(&mut self) -> Token<'s> {
+        loop {
+            match self.lexer.next_token() {
+                Ok(tok) => return tok,
+                Err(d) => self.lex_errors.push(d),
+            }
         }
     }
 
@@ -84,7 +472,7 @@ impl Parser {
         if self.depth >= MAX_DEPTH {
             self.diags.error(
                 format!("{what} nesting exceeds the supported depth ({MAX_DEPTH})"),
-                self.peek_span(),
+                self.tok.span,
             );
             false
         } else {
@@ -97,35 +485,19 @@ impl Parser {
         self.depth -= 1;
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
-    }
-
-    fn peek_kind(&self) -> &TokenKind {
-        &self.peek().kind
-    }
-
-    fn peek_span(&self) -> Span {
-        self.peek().span
-    }
-
-    fn bump(&mut self) -> Token {
-        let tok = self.peek().clone();
-        if self.pos + 1 < self.tokens.len() {
-            self.pos += 1;
+    fn bump(&mut self) -> Token<'s> {
+        let tok = self.tok;
+        if tok.kind != TokenKind::Eof {
+            self.tok = self.lex();
         }
         tok
     }
 
-    fn at(&self, kind: &TokenKind) -> bool {
-        self.peek_kind() == kind
+    fn at(&self, kind: TokenKind<'_>) -> bool {
+        self.tok.kind == kind
     }
 
-    fn at_kw(&self, kw: Keyword) -> bool {
-        matches!(self.peek_kind(), TokenKind::Keyword(k) if *k == kw)
-    }
-
-    fn eat(&mut self, kind: &TokenKind) -> bool {
+    fn eat(&mut self, kind: TokenKind<'_>) -> bool {
         if self.at(kind) {
             self.bump();
             true
@@ -134,28 +506,25 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Option<Token> {
+    fn expect(&mut self, kind: TokenKind<'_>) -> Option<Token<'s>> {
         if self.at(kind) {
             Some(self.bump())
         } else {
             self.diags.error(
-                format!("expected `{kind}`, found `{}`", self.peek_kind()),
-                self.peek_span(),
+                format!("expected `{kind}`, found `{}`", self.tok.kind),
+                self.tok.span,
             );
             None
         }
     }
 
-    fn expect_ident(&mut self) -> Option<(String, Span)> {
-        match self.peek_kind().clone() {
-            TokenKind::Ident(name) => {
-                let span = self.bump().span;
-                Some((name, span))
-            }
+    fn expect_ident(&mut self) -> Option<(&'s str, Span)> {
+        match self.tok.kind {
+            TokenKind::Ident(name) => Some((name, self.bump().span)),
             other => {
                 self.diags.error(
                     format!("expected identifier, found `{other}`"),
-                    self.peek_span(),
+                    self.tok.span,
                 );
                 None
             }
@@ -163,25 +532,30 @@ impl Parser {
     }
 
     fn expect_int(&mut self) -> Option<(i64, Span)> {
-        match *self.peek_kind() {
-            TokenKind::Int(v) => {
-                let span = self.bump().span;
-                Some((v, span))
-            }
-            ref other => {
+        match self.tok.kind {
+            TokenKind::Int(v) => Some((v, self.bump().span)),
+            other => {
                 self.diags.error(
                     format!("expected integer literal, found `{other}`"),
-                    self.peek_span(),
+                    self.tok.span,
                 );
                 None
             }
         }
     }
 
+    /// `len` of an array declaration, reported when not positive.
+    fn check_len(&mut self, len: i64, span: Span) {
+        if len <= 0 {
+            self.diags
+                .error(format!("array length must be positive, got {len}"), span);
+        }
+    }
+
     /// Skip forward to the start of the next top-level item (error recovery).
     fn recover_to_item(&mut self) {
         while !matches!(
-            self.peek_kind(),
+            self.tok.kind,
             TokenKind::Eof
                 | TokenKind::Keyword(Keyword::Proc)
                 | TokenKind::Keyword(Keyword::Global)
@@ -190,87 +564,88 @@ impl Parser {
         }
     }
 
-    fn program(&mut self) -> Program {
-        let mut program = Program::default();
+    pub(crate) fn program(&mut self) {
         loop {
-            match self.peek_kind() {
+            match self.tok.kind {
                 TokenKind::Eof => break,
                 TokenKind::Keyword(Keyword::Global) => {
-                    if let Some(g) = self.global_decl() {
-                        program.globals.push(g);
-                    } else {
+                    if self.global_decl().is_none() {
                         self.recover_to_item();
                     }
                 }
                 TokenKind::Keyword(Keyword::Proc) => {
-                    if let Some(p) = self.proc_decl() {
-                        program.procs.push(p);
-                    } else {
+                    if self.proc_decl().is_none() {
                         self.recover_to_item();
                     }
                 }
                 other => {
                     self.diags.error(
                         format!("expected `proc` or `global`, found `{other}`"),
-                        self.peek_span(),
+                        self.tok.span,
                     );
                     self.bump();
                     self.recover_to_item();
                 }
             }
         }
-        program
     }
 
-    fn global_decl(&mut self) -> Option<GlobalDecl> {
+    fn global_decl(&mut self) -> Option<()> {
         let start = self.bump().span; // `global`
         let (name, name_span) = self.expect_ident()?;
-        let array_len = if self.eat(&TokenKind::LBracket) {
+        let array_len = if self.eat(TokenKind::LBracket) {
             let (len, len_span) = self.expect_int()?;
-            if len <= 0 {
-                self.diags.error(
-                    format!("array length must be positive, got {len}"),
-                    len_span,
-                );
-            }
-            self.expect(&TokenKind::RBracket)?;
+            self.check_len(len, len_span);
+            self.expect(TokenKind::RBracket)?;
             Some(len)
         } else {
             None
         };
-        let end = self.expect(&TokenKind::Semi)?.span;
-        Some(GlobalDecl {
+        let end = self.expect(TokenKind::Semi)?.span;
+        let span = start.merge(name_span).merge(end);
+        self.items.push(Item::Global {
             name,
             array_len,
-            span: start.merge(name_span).merge(end),
-        })
+            span,
+        });
+        if !self.skim {
+            self.b.global(name, array_len, span);
+        }
+        Some(())
     }
 
-    fn proc_decl(&mut self) -> Option<ProcDecl> {
+    fn proc_decl(&mut self) -> Option<()> {
         let start = self.bump().span; // `proc`
         let (name, _) = self.expect_ident()?;
-        self.expect(&TokenKind::LParen)?;
-        let mut params = Vec::new();
-        if !self.at(&TokenKind::RParen) {
+        self.expect(TokenKind::LParen)?;
+        self.params.clear();
+        if !self.at(TokenKind::RParen) {
             loop {
-                let (p, span) = self.expect_ident()?;
-                params.push((p, span));
-                if !self.eat(&TokenKind::Comma) {
+                let param = self.expect_ident()?;
+                self.params.push(param);
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        let header_end = self.expect(&TokenKind::RParen)?.span;
-        let body = self.block()?;
-        Some(ProcDecl {
-            name,
-            params,
-            body,
-            span: start.merge(header_end),
-        })
+        let header_end = self.expect(TokenKind::RParen)?.span;
+        let span = start.merge(header_end);
+        let arity = self.params.len();
+        if self.skim {
+            if !self.at(TokenKind::LBrace) || !self.lexer.skip_block() {
+                return None;
+            }
+            self.tok = self.lex();
+        } else {
+            self.b.proc_begin(name, &self.params, span);
+            let body = self.block()?;
+            self.b.proc_end(body);
+        }
+        self.items.push(Item::Proc { name, arity, span });
+        Some(())
     }
 
-    fn block(&mut self) -> Option<Block> {
+    fn block(&mut self) -> Option<B::Block> {
         if !self.enter("block") {
             return None;
         }
@@ -279,17 +654,17 @@ impl Parser {
         block
     }
 
-    fn block_inner(&mut self) -> Option<Block> {
-        self.expect(&TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.at(&TokenKind::RBrace) && !self.at(&TokenKind::Eof) {
+    fn block_inner(&mut self) -> Option<B::Block> {
+        self.expect(TokenKind::LBrace)?;
+        let start = self.b.block_begin();
+        while !self.at(TokenKind::RBrace) && !self.at(TokenKind::Eof) {
             match self.stmt() {
-                Some(s) => stmts.push(s),
+                Some(s) => self.b.push(s),
                 None => {
                     // Recover within the block: skip to just after the next `;`
                     // or stop at a brace.
                     loop {
-                        match self.peek_kind() {
+                        match self.tok.kind {
                             TokenKind::Semi => {
                                 self.bump();
                                 break;
@@ -303,12 +678,13 @@ impl Parser {
                 }
             }
         }
-        self.expect(&TokenKind::RBrace)?;
-        Some(Block { stmts })
+        let block = self.b.block_end(start);
+        self.expect(TokenKind::RBrace)?;
+        Some(block)
     }
 
-    fn stmt(&mut self) -> Option<Stmt> {
-        match self.peek_kind().clone() {
+    fn stmt(&mut self) -> Option<B::Stmt> {
+        match self.tok.kind {
             TokenKind::Keyword(Keyword::Array) => self.array_decl(),
             TokenKind::Keyword(Keyword::If) => self.if_stmt(),
             TokenKind::Keyword(Keyword::While) => self.while_stmt(),
@@ -316,34 +692,26 @@ impl Parser {
             TokenKind::Keyword(Keyword::Call) => self.call_stmt(),
             TokenKind::Keyword(Keyword::Return) => {
                 let start = self.bump().span;
-                let end = self.expect(&TokenKind::Semi)?.span;
-                Some(Stmt::Return {
-                    span: start.merge(end),
-                })
+                let end = self.expect(TokenKind::Semi)?.span;
+                Some(self.b.ret(start.merge(end)))
             }
             TokenKind::Keyword(Keyword::Read) => {
                 let start = self.bump().span;
                 let (name, _) = self.expect_ident()?;
-                let end = self.expect(&TokenKind::Semi)?.span;
-                Some(Stmt::Read {
-                    name,
-                    span: start.merge(end),
-                })
+                let end = self.expect(TokenKind::Semi)?.span;
+                Some(self.b.read(name, start.merge(end)))
             }
             TokenKind::Keyword(Keyword::Print) => {
                 let start = self.bump().span;
                 let value = self.expr()?;
-                let end = self.expect(&TokenKind::Semi)?.span;
-                Some(Stmt::Print {
-                    value,
-                    span: start.merge(end),
-                })
+                let end = self.expect(TokenKind::Semi)?.span;
+                Some(self.b.print(value, start.merge(end)))
             }
             TokenKind::Ident(_) => self.assign_or_store(),
             other => {
                 self.diags.error(
                     format!("expected statement, found `{other}`"),
-                    self.peek_span(),
+                    self.tok.span,
                 );
                 // Consume the offending token: the caller's recovery loop
                 // stops *before* braces, so leaving it in place would spin
@@ -354,223 +722,128 @@ impl Parser {
         }
     }
 
-    fn array_decl(&mut self) -> Option<Stmt> {
+    fn array_decl(&mut self) -> Option<B::Stmt> {
         let start = self.bump().span; // `array`
         let (name, _) = self.expect_ident()?;
-        self.expect(&TokenKind::LBracket)?;
+        self.expect(TokenKind::LBracket)?;
         let (len, len_span) = self.expect_int()?;
-        if len <= 0 {
-            self.diags.error(
-                format!("array length must be positive, got {len}"),
-                len_span,
-            );
-        }
-        self.expect(&TokenKind::RBracket)?;
-        let end = self.expect(&TokenKind::Semi)?.span;
-        Some(Stmt::ArrayDecl {
-            name,
-            len,
-            span: start.merge(end),
-        })
+        self.check_len(len, len_span);
+        self.expect(TokenKind::RBracket)?;
+        let end = self.expect(TokenKind::Semi)?.span;
+        Some(self.b.array_decl(name, len, start.merge(end)))
     }
 
-    fn if_stmt(&mut self) -> Option<Stmt> {
+    fn if_stmt(&mut self) -> Option<B::Stmt> {
         let start = self.bump().span; // `if`
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let then_blk = self.block()?;
-        let else_blk = if self.eat(&TokenKind::Keyword(Keyword::Else)) {
-            if self.at_kw(Keyword::If) {
+        let else_blk = if self.eat(TokenKind::Keyword(Keyword::Else)) {
+            if self.at(TokenKind::Keyword(Keyword::If)) {
                 // `else if` chains desugar to a one-statement else block.
                 let nested = self.if_stmt()?;
-                Block {
-                    stmts: vec![nested],
-                }
+                let start = self.b.block_begin();
+                self.b.push(nested);
+                self.b.block_end(start)
             } else {
                 self.block()?
             }
         } else {
-            Block::default()
+            B::Block::default()
         };
-        Some(Stmt::If {
-            cond,
-            then_blk,
-            else_blk,
-            span: start,
-        })
+        Some(self.b.if_(cond, then_blk, else_blk, start))
     }
 
-    fn while_stmt(&mut self) -> Option<Stmt> {
+    fn while_stmt(&mut self) -> Option<B::Stmt> {
         let start = self.bump().span; // `while`
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let cond = self.expr()?;
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
         let body = self.block()?;
-        Some(Stmt::While {
-            cond,
-            body,
-            span: start,
-        })
+        Some(self.b.while_(cond, body, start))
     }
 
-    fn do_stmt(&mut self) -> Option<Stmt> {
+    fn do_stmt(&mut self) -> Option<B::Stmt> {
         let start = self.bump().span; // `do`
         let (var, _) = self.expect_ident()?;
-        self.expect(&TokenKind::Assign)?;
+        let var = self.b.target(var, false);
+        self.expect(TokenKind::Assign)?;
         let lo = self.expr()?;
-        self.expect(&TokenKind::Comma)?;
+        self.expect(TokenKind::Comma)?;
         let hi = self.expr()?;
-        let step = if self.eat(&TokenKind::Comma) {
+        let step = if self.eat(TokenKind::Comma) {
             Some(self.expr()?)
         } else {
             None
         };
         let body = self.block()?;
-        Some(Stmt::Do {
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            span: start,
-        })
+        Some(self.b.do_(var, lo, hi, step, body, start))
     }
 
-    fn call_stmt(&mut self) -> Option<Stmt> {
+    fn call_stmt(&mut self) -> Option<B::Stmt> {
         let start = self.bump().span; // `call`
         let (callee, _) = self.expect_ident()?;
-        self.expect(&TokenKind::LParen)?;
+        let callee = self.b.callee(callee);
+        self.expect(TokenKind::LParen)?;
         let mut args = Vec::new();
-        if !self.at(&TokenKind::RParen) {
+        if !self.at(TokenKind::RParen) {
             loop {
-                args.push(self.expr()?);
-                if !self.eat(&TokenKind::Comma) {
+                let e = self.expr()?;
+                args.push(self.b.arg(e));
+                if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(&TokenKind::RParen)?;
-        let end = self.expect(&TokenKind::Semi)?.span;
-        Some(Stmt::Call {
-            callee,
-            args,
-            span: start.merge(end),
-        })
+        self.expect(TokenKind::RParen)?;
+        let end = self.expect(TokenKind::Semi)?.span;
+        Some(self.b.call(callee, args, start.merge(end)))
     }
 
-    fn assign_or_store(&mut self) -> Option<Stmt> {
+    fn assign_or_store(&mut self) -> Option<B::Stmt> {
         let (name, name_span) = self.expect_ident()?;
-        if self.eat(&TokenKind::LBracket) {
+        if self.eat(TokenKind::LBracket) {
+            let array = self.b.target(name, true);
             let index = self.expr()?;
-            self.expect(&TokenKind::RBracket)?;
-            self.expect(&TokenKind::Assign)?;
+            self.expect(TokenKind::RBracket)?;
+            self.expect(TokenKind::Assign)?;
             let value = self.expr()?;
-            let end = self.expect(&TokenKind::Semi)?.span;
-            Some(Stmt::Store {
-                name,
-                index,
-                value,
-                span: name_span.merge(end),
-            })
+            let end = self.expect(TokenKind::Semi)?.span;
+            Some(self.b.store(array, index, value, name_span.merge(end)))
         } else {
-            self.expect(&TokenKind::Assign)?;
+            self.expect(TokenKind::Assign)?;
             let value = self.expr()?;
-            let end = self.expect(&TokenKind::Semi)?.span;
-            Some(Stmt::Assign {
-                name,
-                value,
-                span: name_span.merge(end),
-            })
+            let end = self.expect(TokenKind::Semi)?.span;
+            Some(self.b.assign(name, value, name_span.merge(end)))
         }
     }
 
-    // ---- expressions (precedence climbing) ----
+    // ---- expressions (precedence climbing over `BinOp::precedence`) ----
 
-    fn expr(&mut self) -> Option<Expr> {
+    fn expr(&mut self) -> Option<B::Expr> {
         if !self.enter("expression") {
             return None;
         }
-        let e = self.or_expr();
+        let e = self.binary(1);
         self.leave();
         e
     }
 
-    fn binary_tier(
-        &mut self,
-        next: fn(&mut Self) -> Option<Expr>,
-        table: &[(TokenKind, BinOp)],
-    ) -> Option<Expr> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (tok, op) in table {
-                if self.at(tok) {
-                    self.bump();
-                    let rhs = next(self)?;
-                    let span = lhs.span().merge(rhs.span());
-                    lhs = Expr::Binary {
-                        op: *op,
-                        lhs: Box::new(lhs),
-                        rhs: Box::new(rhs),
-                        span,
-                    };
-                    continue 'outer;
-                }
-            }
-            break;
+    /// A chain of binary operators that bind at least as tightly as
+    /// `min_prec`, left-associative: `a - b - c` is `(a - b) - c`.
+    fn binary(&mut self, min_prec: u8) -> Option<B::Expr> {
+        let mut lhs = self.unary_expr()?;
+        while let Some(op) = binop(self.tok.kind).filter(|op| op.precedence() >= min_prec) {
+            self.bump();
+            let rhs = self.binary(op.precedence() + 1)?;
+            let span = B::span(&lhs).merge(B::span(&rhs));
+            lhs = self.b.binary(op, lhs, rhs, span);
         }
         Some(lhs)
     }
 
-    fn or_expr(&mut self) -> Option<Expr> {
-        self.binary_tier(Self::and_expr, &[(TokenKind::OrOr, BinOp::Or)])
-    }
-
-    fn and_expr(&mut self) -> Option<Expr> {
-        self.binary_tier(Self::eq_expr, &[(TokenKind::AndAnd, BinOp::And)])
-    }
-
-    fn eq_expr(&mut self) -> Option<Expr> {
-        self.binary_tier(
-            Self::rel_expr,
-            &[(TokenKind::Eq, BinOp::Eq), (TokenKind::Ne, BinOp::Ne)],
-        )
-    }
-
-    fn rel_expr(&mut self) -> Option<Expr> {
-        self.binary_tier(
-            Self::add_expr,
-            &[
-                (TokenKind::Le, BinOp::Le),
-                (TokenKind::Lt, BinOp::Lt),
-                (TokenKind::Ge, BinOp::Ge),
-                (TokenKind::Gt, BinOp::Gt),
-            ],
-        )
-    }
-
-    fn add_expr(&mut self) -> Option<Expr> {
-        self.binary_tier(
-            Self::mul_expr,
-            &[
-                (TokenKind::Plus, BinOp::Add),
-                (TokenKind::Minus, BinOp::Sub),
-            ],
-        )
-    }
-
-    fn mul_expr(&mut self) -> Option<Expr> {
-        self.binary_tier(
-            Self::unary_expr,
-            &[
-                (TokenKind::Star, BinOp::Mul),
-                (TokenKind::Slash, BinOp::Div),
-                (TokenKind::Percent, BinOp::Rem),
-            ],
-        )
-    }
-
-    fn unary_expr(&mut self) -> Option<Expr> {
+    fn unary_expr(&mut self) -> Option<B::Expr> {
         // Unary operators recurse without passing through `expr`; charge
         // depth here too so `----…x` cannot overflow the stack.
         if !self.enter("expression") {
@@ -581,68 +854,53 @@ impl Parser {
         e
     }
 
-    fn unary_expr_inner(&mut self) -> Option<Expr> {
-        if self.at(&TokenKind::Minus) {
-            let start = self.bump().span;
-            let operand = self.unary_expr()?;
-            let span = start.merge(operand.span());
-            // Fold negated literals so `-5` is a literal constant (as in
-            // FORTRAN): the literal jump function and the constant-step
-            // `do` lowering both depend on seeing it syntactically.
-            if let Expr::Const { value, .. } = operand {
-                if let Some(neg) = value.checked_neg() {
-                    return Some(Expr::Const { value: neg, span });
-                }
+    fn unary_expr_inner(&mut self) -> Option<B::Expr> {
+        let op = match self.tok.kind {
+            TokenKind::Minus => UnOp::Neg,
+            TokenKind::Not => UnOp::Not,
+            _ => return self.atom(),
+        };
+        let start = self.bump().span;
+        let operand = self.unary_expr()?;
+        let span = start.merge(B::span(&operand));
+        // Fold negated literals so `-5` is a literal constant (as in
+        // FORTRAN): the literal jump function and the constant-step
+        // `do` lowering both depend on seeing it syntactically.
+        if op == UnOp::Neg {
+            if let Some(neg) = B::literal(&operand).and_then(i64::checked_neg) {
+                return Some(self.b.int(neg, span));
             }
-            return Some(Expr::Unary {
-                op: UnOp::Neg,
-                operand: Box::new(operand),
-                span,
-            });
         }
-        if self.at(&TokenKind::Not) {
-            let start = self.bump().span;
-            let operand = self.unary_expr()?;
-            let span = start.merge(operand.span());
-            return Some(Expr::Unary {
-                op: UnOp::Not,
-                operand: Box::new(operand),
-                span,
-            });
-        }
-        self.atom()
+        Some(self.b.unary(op, operand, span))
     }
 
-    fn atom(&mut self) -> Option<Expr> {
-        match self.peek_kind().clone() {
+    fn atom(&mut self) -> Option<B::Expr> {
+        match self.tok.kind {
             TokenKind::Int(value) => {
                 let span = self.bump().span;
-                Some(Expr::Const { value, span })
+                Some(self.b.int(value, span))
             }
             TokenKind::Ident(name) => {
                 let span = self.bump().span;
-                if self.eat(&TokenKind::LBracket) {
+                if self.eat(TokenKind::LBracket) {
+                    let array = self.b.target(name, true);
                     let index = self.expr()?;
-                    let end = self.expect(&TokenKind::RBracket)?.span;
-                    Some(Expr::Load {
-                        name,
-                        index: Box::new(index),
-                        span: span.merge(end),
-                    })
+                    let end = self.expect(TokenKind::RBracket)?.span;
+                    Some(self.b.load(array, index, span.merge(end)))
                 } else {
-                    Some(Expr::Var { name, span })
+                    Some(self.b.var(name, span))
                 }
             }
             TokenKind::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Some(e)
             }
             other => {
                 self.diags.error(
                     format!("expected expression, found `{other}`"),
-                    self.peek_span(),
+                    self.tok.span,
                 );
                 None
             }

@@ -76,13 +76,14 @@ impl fmt::Display for Keyword {
     }
 }
 
-/// The kind of a lexed token.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum TokenKind {
+/// The kind of a lexed token. Identifiers borrow the source text, so a
+/// token is `Copy` and lexing allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum TokenKind<'s> {
     /// An integer literal; the value is stored pre-parsed.
     Int(i64),
     /// An identifier (not a keyword).
-    Ident(String),
+    Ident(&'s str),
     /// A reserved word.
     Keyword(Keyword),
     /// `+`
@@ -135,7 +136,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Int(v) => write!(f, "{v}"),
@@ -170,22 +171,22 @@ impl fmt::Display for TokenKind {
 }
 
 /// A token together with its source location.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Token {
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Token<'s> {
     /// What was lexed.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'s>,
     /// Where it was lexed from.
     pub span: Span,
 }
 
-impl Token {
+impl<'s> Token<'s> {
     /// Creates a token.
-    pub fn new(kind: TokenKind, span: Span) -> Self {
+    pub fn new(kind: TokenKind<'s>, span: Span) -> Self {
         Token { kind, span }
     }
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.kind)
     }
@@ -219,6 +220,6 @@ mod tests {
     fn token_kinds_display_their_spelling() {
         assert_eq!(TokenKind::Le.to_string(), "<=");
         assert_eq!(TokenKind::Int(-3).to_string(), "-3");
-        assert_eq!(TokenKind::Ident("x1".into()).to_string(), "x1");
+        assert_eq!(TokenKind::Ident("x1").to_string(), "x1");
     }
 }

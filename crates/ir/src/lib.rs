@@ -58,14 +58,16 @@ pub use cfg::{lower_module, lower_module_owned, ModuleCfg};
 pub use error::{Diagnostic, Diagnostics};
 pub use lang::{parse_program, pretty};
 pub use names::{NameId, Names};
-pub use program::{resolve, GlobalId, Module, Proc, ProcId, VarId};
+pub use program::{GlobalId, Module, Proc, ProcId, VarId};
 pub use span::Span;
 pub use stream::{resolve_streaming, ProgramSource, StreamedModule};
 
 /// Parse FT source text and resolve it into a checked [`Module`].
 ///
-/// This is the usual entry point: it chains [`lang::parse_program`] and
-/// [`program::resolve`].
+/// This is the usual entry point, and the one-chunk case of
+/// [`resolve_streaming`]: a signatures pass skims the globals and
+/// procedure headers, then one parse writes every body straight into its
+/// resolved [`Proc`] — no token vector and no syntax tree are built.
 ///
 /// # Errors
 ///
@@ -73,6 +75,5 @@ pub use stream::{resolve_streaming, ProgramSource, StreamedModule};
 /// parse, or resolve (unknown names, arity mismatches, scalar/array
 /// confusion, missing `main`, …).
 pub fn parse_and_resolve(src: &str) -> Result<Module, Diagnostics> {
-    let ast = lang::parse_program(src)?;
-    program::resolve(&ast)
+    stream::resolve_chunks(&[src][..], |_| {})
 }

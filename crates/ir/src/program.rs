@@ -5,8 +5,8 @@
 //! lowering, the interpreters, MOD/REF analysis and the interprocedural
 //! constant propagation pipeline.
 
-use crate::error::Diagnostics;
-use crate::lang::{self, ast};
+use crate::error::{Diagnostic, Diagnostics};
+use crate::lang::{self, ast, Build, Item, Parser};
 use crate::span::Span;
 use std::collections::HashMap;
 use std::fmt;
@@ -504,91 +504,50 @@ fn unresolve_inner(p: &Proc, procs: &[Arc<Proc>], b: &Block) -> ast::Block {
 // Resolution
 // ---------------------------------------------------------------------------
 
-/// Resolves a parsed program into a checked [`Module`].
-///
-/// Checks performed:
-///
-/// * duplicate global / procedure / parameter names;
-/// * presence of a zero-parameter `main`;
-/// * unknown variable or procedure references;
-/// * arity of every call;
-/// * consistent scalar/array usage of every variable, with array-ness of
-///   formals inferred to a fixpoint across call chains;
-/// * array arguments are bare names (no array expressions).
-///
-/// # Errors
-///
-/// Returns every violation found as [`Diagnostics`].
-pub fn resolve(prog: &ast::Program) -> Result<Module, Diagnostics> {
-    let mut r = Resolver::new();
-    for g in &prog.globals {
-        r.declare_global(g);
-    }
-    for p in &prog.procs {
-        r.declare_proc(&p.name, p.params.len(), p.span);
-    }
-    let mut procs = Vec::with_capacity(prog.procs.len());
-    for (i, p) in prog.procs.iter().enumerate() {
-        let resolved = r.resolve_proc_body(ProcId::from(i), p);
-        procs.push(Arc::new(resolved));
-    }
-    r.finish(procs)
-}
-
-/// Resolves `decl`, a new definition of one of `module`'s procedures,
+/// Resolves `text`, a new definition of one of `module`'s procedures,
 /// against `module`'s signature table, when that provably yields the
-/// procedure [`resolve`] would produce for the whole program with `decl`
-/// swapped in — spans aside, which stay relative to `decl`'s own text.
+/// procedure a whole-program resolution would produce with the new
+/// definition swapped in — spans aside, which stay relative to `text`.
 /// Returns `None` whenever it cannot prove that; the caller then resolves
 /// the recombined program in full.
 ///
 /// The proof needs four things:
 ///
-/// * a procedure named `decl.name` exists, with `decl`'s arity, so the
-///   signature table (and every other body's resolution) is unchanged;
-/// * `decl` resolves without a diagnostic;
-/// * each formal's array-ness from `decl`'s own indexing equals the
+/// * `text` is exactly one procedure definition, named like one of
+///   `module`'s procedures and with its arity, so the signature table
+///   (and every other body's resolution) is unchanged;
+/// * `text` parses and resolves without a diagnostic;
+/// * each formal's array-ness from the new body's own indexing equals the
 ///   formal's array-ness in `module`. Every array formal is then indexed
-///   in `decl` itself, so the whole-module array-ness fixpoint, which
-///   `module` already satisfies, stays the least fixpoint with `decl`
-///   swapped in, and no procedure's formals move;
-/// * `decl`'s call sites pass the call-site checks against that fixpoint.
-///   Other procedures' call sites into it see unchanged formals, so they
-///   pass as they did.
-pub fn resolve_replacement(module: &Module, decl: &ast::ProcDecl) -> Option<Proc> {
-    let old = module.proc_named(&decl.name)?;
-    if decl.params.len() != old.arity() {
+///   in the new body itself, so the whole-module array-ness fixpoint,
+///   which `module` already satisfies, stays the least fixpoint with the
+///   body swapped in, and no procedure's formals move;
+/// * the new body's call sites pass the call-site checks against that
+///   fixpoint. Other procedures' call sites into it see unchanged
+///   formals, so they pass as they did.
+pub fn resolve_replacement(module: &Module, text: &str) -> Option<Proc> {
+    let items = lang::scan_items(text)?;
+    let [Item::Proc { name, arity, .. }] = items[..] else {
+        return None;
+    };
+    let old = module.proc_named(name)?;
+    if arity != old.arity() {
         return None;
     }
-    let mut r = Resolver::new();
-    r.globals.clone_from(&module.globals);
-    r.global_ids = module
-        .globals
-        .iter()
-        .enumerate()
-        .map(|(i, g)| (g.name.clone(), GlobalId::from(i)))
-        .collect();
-    r.proc_ids = module
-        .procs
-        .iter()
-        .map(|p| (p.name.clone(), p.id))
-        .collect();
-    r.sigs = module
-        .procs
-        .iter()
-        .map(|p| ProcSig { arity: p.arity() })
-        .collect();
-    let mut proc = r.resolve_proc_body(old.id, decl);
+    let mut r = Resolver::for_module(module);
+    let mut procs = Vec::with_capacity(1);
+    r.resolve_bodies(text, &mut procs, old.id.index()).ok()?;
+    let proc = procs.pop().map(Arc::try_unwrap)?.ok()?;
     let formals_match = proc
         .formals
         .iter()
         .zip(&old.formals)
         .all(|(&new, &was)| proc.var(new).is_array == old.var(was).is_array);
-    if !r.diags.is_empty() || !formals_match {
+    if !r.diags.is_empty() || !procs.is_empty() || !formals_match {
         return None;
     }
-    let vars = proc.vars.clone();
-    retag_args(&mut proc.body, &vars);
+    let mut proc = proc;
+    retag_args(&mut proc.body, &proc.vars);
     let callee = |id: ProcId| {
         if id == proc.id {
             &proc
@@ -603,25 +562,20 @@ pub fn resolve_replacement(module: &Module, decl: &ast::ProcDecl) -> Option<Proc
     ok.then_some(proc)
 }
 
-/// The signature a call site needs from its callee: just the arity (plus
-/// the declaration span for diagnostics). Bodies resolve against this
-/// table, which is what lets [`crate::stream`] resolve one procedure at
-/// a time without the whole AST resident.
+/// The signature a call site needs from its callee: just the arity.
+/// Bodies resolve against this table, which is what lets
+/// [`crate::stream`] resolve one chunk at a time.
 pub(crate) struct ProcSig {
     pub(crate) arity: usize,
 }
 
-/// Incremental resolver.
-///
-/// The classic entry point [`resolve`] drives it over a whole parsed
-/// program; the streaming entry point ([`crate::stream::resolve_streaming`])
-/// drives the same passes one chunk at a time:
+/// Incremental resolver: the signature table plus the module-level
+/// diagnostics. [`crate::stream`] drives it in three steps:
 ///
 /// 1. declare every global and every procedure signature
-///    ([`Resolver::declare_global`] / [`Resolver::declare_proc`]);
-/// 2. resolve each body against the signature table
-///    ([`Resolver::resolve_proc_body`]) — the source AST of a body can be
-///    dropped as soon as its resolved [`Proc`] exists;
+///    ([`Resolver::declare`], fed by [`lang::scan_items`]);
+/// 2. parse each text's bodies straight into resolved [`Proc`]s against
+///    the table ([`Resolver::resolve_bodies`]);
 /// 3. run the whole-module fixpoint and checks ([`Resolver::finish`]).
 pub(crate) struct Resolver {
     diags: Diagnostics,
@@ -629,46 +583,6 @@ pub(crate) struct Resolver {
     global_ids: HashMap<String, GlobalId>,
     proc_ids: HashMap<String, ProcId>,
     sigs: Vec<ProcSig>,
-}
-
-struct ProcCtx {
-    vars: Vec<VarInfo>,
-    by_name: HashMap<String, VarId>,
-    formals: Vec<VarId>,
-}
-
-impl ProcCtx {
-    /// Looks up `name`, creating a local (or importing a global) on demand.
-    fn lookup(
-        &mut self,
-        name: &str,
-        globals: &HashMap<String, GlobalId>,
-        global_infos: &[GlobalInfo],
-    ) -> VarId {
-        if let Some(&v) = self.by_name.get(name) {
-            return v;
-        }
-        let id = VarId::from(self.vars.len());
-        let info = if let Some(&g) = globals.get(name) {
-            let gi = &global_infos[g.index()];
-            VarInfo {
-                name: name.to_owned(),
-                kind: VarKind::Global(g),
-                is_array: gi.is_array(),
-                array_len: gi.array_len,
-            }
-        } else {
-            VarInfo {
-                name: name.to_owned(),
-                kind: VarKind::Local,
-                is_array: false,
-                array_len: None,
-            }
-        };
-        self.vars.push(info);
-        self.by_name.insert(name.to_owned(), id);
-        id
-    }
 }
 
 impl Resolver {
@@ -682,39 +596,106 @@ impl Resolver {
         }
     }
 
-    /// Pass 0, global half: registers one module-level declaration.
-    pub(crate) fn declare_global(&mut self, g: &ast::GlobalDecl) {
-        if self.global_ids.contains_key(&g.name) {
-            self.diags
-                .error(format!("duplicate global `{}`", g.name), g.span);
-            return;
-        }
-        let id = GlobalId::from(self.globals.len());
-        self.global_ids.insert(g.name.clone(), id);
-        self.globals.push(GlobalInfo {
-            name: g.name.clone(),
-            array_len: g.array_len,
-        });
+    /// A resolver holding `module`'s signature table.
+    fn for_module(module: &Module) -> Self {
+        let mut r = Resolver::new();
+        r.globals.clone_from(&module.globals);
+        r.global_ids = module
+            .globals
+            .iter()
+            .enumerate()
+            .map(|(i, g)| (g.name.clone(), GlobalId::from(i)))
+            .collect();
+        r.proc_ids = module
+            .procs
+            .iter()
+            .map(|p| (p.name.clone(), p.id))
+            .collect();
+        r.sigs = module
+            .procs
+            .iter()
+            .map(|p| ProcSig { arity: p.arity() })
+            .collect();
+        r
     }
 
-    /// Pass 0, procedure half: registers one signature. Signatures get
-    /// consecutive [`ProcId`]s in declaration order — a duplicate name
-    /// still occupies its slot so ids stay aligned with body order.
-    pub(crate) fn declare_proc(&mut self, name: &str, arity: usize, span: Span) {
-        let id = ProcId::from(self.sigs.len());
-        if self.proc_ids.contains_key(name) {
-            self.diags
-                .error(format!("duplicate procedure `{name}`"), span);
-        } else {
-            self.proc_ids.insert(name.to_owned(), id);
-        }
-        if self.global_ids.contains_key(name) {
-            self.diags.error(
-                format!("procedure `{name}` shadows a global of the same name"),
+    /// Number of procedures declared so far.
+    pub(crate) fn n_procs(&self) -> usize {
+        self.sigs.len()
+    }
+
+    /// Pass 0: registers one text's declarations — its globals first,
+    /// then its procedure signatures, each group in source order.
+    /// Signatures get consecutive [`ProcId`]s in declaration order; a
+    /// duplicate name still occupies its slot so ids stay aligned with
+    /// body order.
+    pub(crate) fn declare(&mut self, items: &[Item<'_>]) {
+        for item in items {
+            if let Item::Global {
+                name,
+                array_len,
                 span,
-            );
+            } = *item
+            {
+                if self.global_ids.contains_key(name) {
+                    self.diags.error(format!("duplicate global `{name}`"), span);
+                    continue;
+                }
+                let id = GlobalId::from(self.globals.len());
+                self.global_ids.insert(name.to_owned(), id);
+                self.globals.push(GlobalInfo {
+                    name: name.to_owned(),
+                    array_len,
+                });
+            }
         }
-        self.sigs.push(ProcSig { arity });
+        for item in items {
+            if let Item::Proc { name, arity, span } = *item {
+                let id = ProcId::from(self.sigs.len());
+                if self.proc_ids.contains_key(name) {
+                    self.diags
+                        .error(format!("duplicate procedure `{name}`"), span);
+                } else {
+                    self.proc_ids.insert(name.to_owned(), id);
+                }
+                if self.global_ids.contains_key(name) {
+                    self.diags.error(
+                        format!("procedure `{name}` shadows a global of the same name"),
+                        span,
+                    );
+                }
+                self.sigs.push(ProcSig { arity });
+            }
+        }
+    }
+
+    /// Pass 1: parses `src` and resolves each procedure body against the
+    /// signature table as it is parsed, appending the procedures to
+    /// `procs` with ids from `first_id + procs.len()` up. On a lex or
+    /// parse error returns those errors, and the resolve errors of `src`
+    /// are dropped.
+    pub(crate) fn resolve_bodies(
+        &mut self,
+        src: &str,
+        procs: &mut Vec<Arc<Proc>>,
+        first_id: usize,
+    ) -> Result<(), Diagnostics> {
+        let mut parser = Parser::new(src, Resolving::new(self, procs, first_id));
+        parser.program();
+        let diags = parser.finish()?.0.diags;
+        for d in diags {
+            self.diags.push(d);
+        }
+        Ok(())
+    }
+
+    /// The declarations of `src`, or its lex or parse errors. The bodies
+    /// are resolved against this resolver's table and dropped.
+    pub(crate) fn parse_items<'s>(&self, src: &'s str) -> Result<Vec<Item<'s>>, Diagnostics> {
+        let mut procs = Vec::new();
+        let mut parser = Parser::new(src, Resolving::new(self, &mut procs, 0));
+        parser.program();
+        Ok(parser.finish()?.1)
     }
 
     /// Pass 2: the whole-module array-ness fixpoint, call-site checks,
@@ -758,258 +739,6 @@ impl Resolver {
         self.diags
     }
 
-    /// Pass 1: resolves one procedure body against the signature table.
-    pub(crate) fn resolve_proc_body(&mut self, id: ProcId, p: &ast::ProcDecl) -> Proc {
-        let mut ctx = ProcCtx {
-            vars: Vec::new(),
-            by_name: HashMap::new(),
-            formals: Vec::new(),
-        };
-        for (i, (name, span)) in p.params.iter().enumerate() {
-            if ctx.by_name.contains_key(name) {
-                self.diags
-                    .error(format!("duplicate parameter `{name}`"), *span);
-                continue;
-            }
-            if self.global_ids.contains_key(name) {
-                self.diags.error(
-                    format!("parameter `{name}` shadows a global of the same name"),
-                    *span,
-                );
-            }
-            let v = VarId::from(ctx.vars.len());
-            ctx.vars.push(VarInfo {
-                name: name.clone(),
-                kind: VarKind::Formal(i),
-                is_array: false, // refined by use and by the later fixpoint
-                array_len: None,
-            });
-            ctx.by_name.insert(name.clone(), v);
-            ctx.formals.push(v);
-        }
-        let body = self.resolve_block(&mut ctx, &p.body);
-        // FORTRAN COMMON model: every procedure can see every scalar
-        // global, whether or not it names it. Importing them all gives the
-        // analyses a uniform view (call sites transmit a value for every
-        // scalar global, and MOD kills apply to them in every caller).
-        for (gi, g) in self.globals.iter().enumerate() {
-            if g.is_array() || ctx.by_name.contains_key(&g.name) {
-                continue;
-            }
-            let v = VarId::from(ctx.vars.len());
-            ctx.vars.push(VarInfo {
-                name: g.name.clone(),
-                kind: VarKind::Global(GlobalId::from(gi)),
-                is_array: false,
-                array_len: None,
-            });
-            ctx.by_name.insert(g.name.clone(), v);
-        }
-        Proc {
-            name: p.name.clone(),
-            id,
-            vars: ctx.vars,
-            formals: ctx.formals,
-            body,
-            span: p.span,
-        }
-    }
-
-    fn resolve_block(&mut self, ctx: &mut ProcCtx, b: &ast::Block) -> Block {
-        let mut out = Block::default();
-        for s in &b.stmts {
-            if let Some(rs) = self.resolve_stmt(ctx, s) {
-                out.stmts.push(rs);
-            }
-        }
-        out
-    }
-
-    fn mark_array_use(&mut self, ctx: &mut ProcCtx, v: VarId, span: Span) {
-        let info = &mut ctx.vars[v.index()];
-        if info.is_array {
-            return;
-        }
-        match info.kind {
-            VarKind::Formal(_) => info.is_array = true,
-            VarKind::Local if info.array_len.is_none() => {
-                self.diags.error(
-                    format!("`{}` indexed but never declared with `array`", info.name),
-                    span,
-                );
-            }
-            _ => {
-                self.diags
-                    .error(format!("`{}` is a scalar, not an array", info.name), span);
-            }
-        }
-    }
-
-    fn mark_scalar_use(&mut self, ctx: &mut ProcCtx, v: VarId, span: Span) {
-        let info = &ctx.vars[v.index()];
-        if info.is_array {
-            self.diags.error(
-                format!("array `{}` used where a scalar is required", info.name),
-                span,
-            );
-        }
-    }
-
-    fn resolve_expr(&mut self, ctx: &mut ProcCtx, e: &ast::Expr) -> Expr {
-        match e {
-            ast::Expr::Const { value, span } => Expr::Const(*value, *span),
-            ast::Expr::Var { name, span } => {
-                let v = ctx.lookup(name, &self.global_ids, &self.globals);
-                self.mark_scalar_use(ctx, v, *span);
-                Expr::Var(v, *span)
-            }
-            ast::Expr::Load { name, index, span } => {
-                let v = ctx.lookup(name, &self.global_ids, &self.globals);
-                self.mark_array_use(ctx, v, *span);
-                let idx = self.resolve_expr(ctx, index);
-                Expr::Load(v, Box::new(idx), *span)
-            }
-            ast::Expr::Unary { op, operand, span } => {
-                Expr::Unary(*op, Box::new(self.resolve_expr(ctx, operand)), *span)
-            }
-            ast::Expr::Binary { op, lhs, rhs, span } => Expr::Binary(
-                *op,
-                Box::new(self.resolve_expr(ctx, lhs)),
-                Box::new(self.resolve_expr(ctx, rhs)),
-                *span,
-            ),
-        }
-    }
-
-    fn resolve_stmt(&mut self, ctx: &mut ProcCtx, s: &ast::Stmt) -> Option<Stmt> {
-        Some(match s {
-            ast::Stmt::ArrayDecl { name, len, span } => {
-                if let Some(&existing) = ctx.by_name.get(name) {
-                    let info = &ctx.vars[existing.index()];
-                    self.diags.error(
-                        format!(
-                            "`{name}` already declared as {}",
-                            if info.is_array {
-                                "an array"
-                            } else {
-                                "a scalar"
-                            }
-                        ),
-                        *span,
-                    );
-                } else {
-                    let v = VarId::from(ctx.vars.len());
-                    ctx.vars.push(VarInfo {
-                        name: name.clone(),
-                        kind: VarKind::Local,
-                        is_array: true,
-                        array_len: Some(*len),
-                    });
-                    ctx.by_name.insert(name.clone(), v);
-                }
-                return None; // declarations carry no runtime behaviour
-            }
-            ast::Stmt::Assign { name, value, span } => {
-                let value = self.resolve_expr(ctx, value);
-                let v = ctx.lookup(name, &self.global_ids, &self.globals);
-                self.mark_scalar_use(ctx, v, *span);
-                Stmt::Assign(v, value, *span)
-            }
-            ast::Stmt::Store {
-                name,
-                index,
-                value,
-                span,
-            } => {
-                let v = ctx.lookup(name, &self.global_ids, &self.globals);
-                self.mark_array_use(ctx, v, *span);
-                let index = self.resolve_expr(ctx, index);
-                let value = self.resolve_expr(ctx, value);
-                Stmt::Store(v, index, value, *span)
-            }
-            ast::Stmt::If {
-                cond,
-                then_blk,
-                else_blk,
-                span,
-            } => {
-                let cond = self.resolve_expr(ctx, cond);
-                let t = self.resolve_block(ctx, then_blk);
-                let e = self.resolve_block(ctx, else_blk);
-                Stmt::If(cond, t, e, *span)
-            }
-            ast::Stmt::While { cond, body, span } => {
-                let cond = self.resolve_expr(ctx, cond);
-                let body = self.resolve_block(ctx, body);
-                Stmt::While(cond, body, *span)
-            }
-            ast::Stmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                span,
-            } => {
-                let v = ctx.lookup(var, &self.global_ids, &self.globals);
-                self.mark_scalar_use(ctx, v, *span);
-                let lo = self.resolve_expr(ctx, lo);
-                let hi = self.resolve_expr(ctx, hi);
-                let step = step.as_ref().map(|s| self.resolve_expr(ctx, s));
-                let body = self.resolve_block(ctx, body);
-                Stmt::Do {
-                    var: v,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                    span: *span,
-                }
-            }
-            ast::Stmt::Call { callee, args, span } => {
-                let Some(&pid) = self.proc_ids.get(callee) else {
-                    self.diags
-                        .error(format!("call to unknown procedure `{callee}`"), *span);
-                    return None;
-                };
-                let expected = self.sigs[pid.index()].arity;
-                if args.len() != expected {
-                    self.diags.error(
-                        format!(
-                            "`{callee}` expects {expected} argument{}, got {}",
-                            if expected == 1 { "" } else { "s" },
-                            args.len()
-                        ),
-                        *span,
-                    );
-                }
-                let mut rargs = Vec::new();
-                for a in args {
-                    let ra = match a {
-                        ast::Expr::Var { name, span } => {
-                            let v = ctx.lookup(name, &self.global_ids, &self.globals);
-                            if ctx.vars[v.index()].is_array {
-                                Arg::Array(v, *span)
-                            } else {
-                                Arg::Scalar(v, *span)
-                            }
-                        }
-                        other => Arg::Value(self.resolve_expr(ctx, other)),
-                    };
-                    rargs.push(ra);
-                }
-                Stmt::Call(pid, rargs, *span)
-            }
-            ast::Stmt::Return { span } => Stmt::Return(*span),
-            ast::Stmt::Read { name, span } => {
-                let v = ctx.lookup(name, &self.global_ids, &self.globals);
-                self.mark_scalar_use(ctx, v, *span);
-                Stmt::Read(v, *span)
-            }
-            ast::Stmt::Print { value, span } => Stmt::Print(self.resolve_expr(ctx, value), *span),
-        })
-    }
-
     /// Propagates array-ness from formals used as arrays to the actuals
     /// bound to them, transitively, until nothing changes.
     fn infer_formal_arrays(&mut self, procs: &mut [Arc<Proc>]) {
@@ -1049,9 +778,8 @@ impl Resolver {
         }
         // Re-tag Scalar args that now name arrays.
         for p in procs.iter_mut() {
-            let p = Arc::make_mut(p);
-            let vars = p.vars.clone();
-            retag_args(&mut p.body, &vars);
+            let Proc { vars, body, .. } = Arc::make_mut(p);
+            retag_args(body, vars);
         }
     }
 
@@ -1065,6 +793,387 @@ impl Resolver {
         for (msg, span) in errors {
             self.diags.error(msg, span);
         }
+    }
+}
+
+/// The resolving [`Build`]er: the parser hands it each construct as it
+/// completes, and it turns names into ids against the signature table
+/// and the current procedure's symbol table, exactly in the order the
+/// language defines — an assignment's value before its target, an array
+/// before its index, a callee before its arguments.
+///
+/// Three diagnostics belong *before* text that is parsed after them: an
+/// indexed scalar (its span is the whole load or store), a `do` variable
+/// used as an array, and a call's arity mismatch (its span is the whole
+/// call). The first two are pushed with a placeholder span when the name
+/// is met and patched when the construct completes; the last is inserted
+/// at the position its callee was met.
+struct Resolving<'r, 's> {
+    r: &'r Resolver,
+    /// This text's resolve diagnostics, in order.
+    diags: Vec<Diagnostic>,
+    procs: &'r mut Vec<Arc<Proc>>,
+    first_id: usize,
+    ctx: ProcCtx<'s>,
+    /// Open argument lists of calls to unknown procedures: nothing in
+    /// them is resolved (no variable is created, nothing is reported).
+    skipping: usize,
+    /// Whether the latest [`Build::var`] reported a scalar use of an
+    /// array — withdrawn when the variable turns out to be a bare,
+    /// by-reference call argument.
+    var_reported: bool,
+    /// The open statement lists ([`Build::block_begin`]).
+    stmts: Vec<Stmt>,
+}
+
+/// The procedure being resolved.
+#[derive(Default)]
+struct ProcCtx<'s> {
+    name: &'s str,
+    span: Span,
+    vars: Vec<VarInfo>,
+    by_name: HashMap<&'s str, VarId>,
+    formals: Vec<VarId>,
+}
+
+/// A resolved [`Build::target`]: the variable, plus the index of its
+/// diagnostic while that still waits for its span.
+type Target = (VarId, Option<usize>);
+
+impl<'r, 's> Resolving<'r, 's> {
+    fn new(r: &'r Resolver, procs: &'r mut Vec<Arc<Proc>>, first_id: usize) -> Self {
+        Resolving {
+            r,
+            diags: Vec::new(),
+            procs,
+            first_id,
+            ctx: ProcCtx::default(),
+            skipping: 0,
+            var_reported: false,
+            stmts: Vec::new(),
+        }
+    }
+
+    fn error(&mut self, message: String, span: Span) -> usize {
+        self.diags.push(Diagnostic::error(message, span));
+        self.diags.len() - 1
+    }
+
+    /// Looks up `name`, creating a local (or importing a global) on demand.
+    fn lookup(&mut self, name: &'s str) -> VarId {
+        if let Some(&v) = self.ctx.by_name.get(name) {
+            return v;
+        }
+        let id = VarId::from(self.ctx.vars.len());
+        let (kind, is_array, array_len) = match self.r.global_ids.get(name) {
+            Some(&g) => {
+                let gi = &self.r.globals[g.index()];
+                (VarKind::Global(g), gi.is_array(), gi.array_len)
+            }
+            None => (VarKind::Local, false, None),
+        };
+        self.ctx.vars.push(VarInfo {
+            name: name.to_owned(),
+            kind,
+            is_array,
+            array_len,
+        });
+        self.ctx.by_name.insert(name, id);
+        id
+    }
+
+    /// Records that `v` is indexed; returns the diagnostic's index when
+    /// that is an error.
+    fn mark_array_use(&mut self, v: VarId, span: Span) -> Option<usize> {
+        let info = &mut self.ctx.vars[v.index()];
+        if info.is_array {
+            return None;
+        }
+        let message = match info.kind {
+            VarKind::Formal(_) => {
+                info.is_array = true;
+                return None;
+            }
+            VarKind::Local if info.array_len.is_none() => {
+                format!("`{}` indexed but never declared with `array`", info.name)
+            }
+            _ => format!("`{}` is a scalar, not an array", info.name),
+        };
+        Some(self.error(message, span))
+    }
+
+    /// Records that `v` is read or written as a scalar; returns the
+    /// diagnostic's index when that is an error.
+    fn mark_scalar_use(&mut self, v: VarId, span: Span) -> Option<usize> {
+        let info = &self.ctx.vars[v.index()];
+        if !info.is_array {
+            return None;
+        }
+        let message = format!("array `{}` used where a scalar is required", info.name);
+        Some(self.error(message, span))
+    }
+
+    /// The variable of `t`, its diagnostic (if any) now spanning `span`.
+    fn settle(&mut self, (v, pending): Target, span: Span) -> VarId {
+        if let Some(d) = pending.and_then(|i| self.diags.get_mut(i)) {
+            d.span = span;
+        }
+        v
+    }
+}
+
+impl<'s> Build<'s> for Resolving<'_, 's> {
+    type Expr = Expr;
+    type Arg = Arg;
+    type Stmt = Option<Stmt>;
+    type Block = Block;
+    type Target = Target;
+    type Callee = Result<(ProcId, &'s str, usize), &'s str>;
+
+    fn span(e: &Expr) -> Span {
+        e.span()
+    }
+
+    fn literal(e: &Expr) -> Option<i64> {
+        match e {
+            Expr::Const(v, _) => Some(*v),
+            _ => None,
+        }
+    }
+
+    /// Globals were declared by the signature pass.
+    fn global(&mut self, _name: &'s str, _array_len: Option<i64>, _span: Span) {}
+
+    fn proc_begin(&mut self, name: &'s str, params: &[(&'s str, Span)], span: Span) {
+        self.ctx.name = name;
+        self.ctx.span = span;
+        self.ctx.vars.clear();
+        self.ctx.by_name.clear();
+        self.ctx.formals = Vec::with_capacity(params.len());
+        for (i, &(param, span)) in params.iter().enumerate() {
+            if self.ctx.by_name.contains_key(param) {
+                self.error(format!("duplicate parameter `{param}`"), span);
+                continue;
+            }
+            if self.r.global_ids.contains_key(param) {
+                self.error(
+                    format!("parameter `{param}` shadows a global of the same name"),
+                    span,
+                );
+            }
+            let v = VarId::from(self.ctx.vars.len());
+            self.ctx.vars.push(VarInfo {
+                name: param.to_owned(),
+                kind: VarKind::Formal(i),
+                is_array: false, // refined by use and by the later fixpoint
+                array_len: None,
+            });
+            self.ctx.by_name.insert(param, v);
+            self.ctx.formals.push(v);
+        }
+    }
+
+    fn proc_end(&mut self, body: Block) {
+        let mut vars = Vec::with_capacity(self.ctx.vars.len() + self.r.globals.len());
+        vars.append(&mut self.ctx.vars);
+        // FORTRAN COMMON model: every procedure can see every scalar
+        // global, whether or not it names it. Importing them all gives the
+        // analyses a uniform view (call sites transmit a value for every
+        // scalar global, and MOD kills apply to them in every caller).
+        for (gi, g) in self.r.globals.iter().enumerate() {
+            if g.is_array() || self.ctx.by_name.contains_key(g.name.as_str()) {
+                continue;
+            }
+            vars.push(VarInfo {
+                name: g.name.clone(),
+                kind: VarKind::Global(GlobalId::from(gi)),
+                is_array: false,
+                array_len: None,
+            });
+        }
+        let id = ProcId::from(self.first_id + self.procs.len());
+        self.procs.push(Arc::new(Proc {
+            name: self.ctx.name.to_owned(),
+            id,
+            vars,
+            formals: std::mem::take(&mut self.ctx.formals),
+            body,
+            span: self.ctx.span,
+        }));
+    }
+
+    fn block_begin(&mut self) -> usize {
+        self.stmts.len()
+    }
+
+    fn push(&mut self, stmt: Option<Stmt>) {
+        // Declarations and calls to unknown procedures leave no statement.
+        self.stmts.extend(stmt);
+    }
+
+    fn block_end(&mut self, start: usize) -> Block {
+        Block {
+            stmts: self.stmts.drain(start..).collect(),
+        }
+    }
+
+    fn int(&mut self, value: i64, span: Span) -> Expr {
+        Expr::Const(value, span)
+    }
+
+    fn var(&mut self, name: &'s str, span: Span) -> Expr {
+        if self.skipping > 0 {
+            return Expr::Var(VarId(0), span);
+        }
+        let v = self.lookup(name);
+        self.var_reported = self.mark_scalar_use(v, span).is_some();
+        Expr::Var(v, span)
+    }
+
+    fn target(&mut self, name: &'s str, array: bool) -> Target {
+        if self.skipping > 0 {
+            return (VarId(0), None);
+        }
+        let v = self.lookup(name);
+        let pending = if array {
+            self.mark_array_use(v, Span::dummy())
+        } else {
+            self.mark_scalar_use(v, Span::dummy())
+        };
+        (v, pending)
+    }
+
+    fn load(&mut self, array: Target, index: Expr, span: Span) -> Expr {
+        Expr::Load(self.settle(array, span), Box::new(index), span)
+    }
+
+    fn unary(&mut self, op: ast::UnOp, operand: Expr, span: Span) -> Expr {
+        Expr::Unary(op, Box::new(operand), span)
+    }
+
+    fn binary(&mut self, op: ast::BinOp, lhs: Expr, rhs: Expr, span: Span) -> Expr {
+        Expr::Binary(op, Box::new(lhs), Box::new(rhs), span)
+    }
+
+    fn array_decl(&mut self, name: &'s str, len: i64, span: Span) -> Option<Stmt> {
+        if let Some(&existing) = self.ctx.by_name.get(name) {
+            let what = if self.ctx.vars[existing.index()].is_array {
+                "an array"
+            } else {
+                "a scalar"
+            };
+            self.error(format!("`{name}` already declared as {what}"), span);
+        } else {
+            let v = VarId::from(self.ctx.vars.len());
+            self.ctx.vars.push(VarInfo {
+                name: name.to_owned(),
+                kind: VarKind::Local,
+                is_array: true,
+                array_len: Some(len),
+            });
+            self.ctx.by_name.insert(name, v);
+        }
+        None // declarations carry no runtime behaviour
+    }
+
+    fn assign(&mut self, name: &'s str, value: Expr, span: Span) -> Option<Stmt> {
+        let v = self.lookup(name);
+        self.mark_scalar_use(v, span);
+        Some(Stmt::Assign(v, value, span))
+    }
+
+    fn store(&mut self, array: Target, index: Expr, value: Expr, span: Span) -> Option<Stmt> {
+        Some(Stmt::Store(self.settle(array, span), index, value, span))
+    }
+
+    fn if_(&mut self, cond: Expr, then_blk: Block, else_blk: Block, span: Span) -> Option<Stmt> {
+        Some(Stmt::If(cond, then_blk, else_blk, span))
+    }
+
+    fn while_(&mut self, cond: Expr, body: Block, span: Span) -> Option<Stmt> {
+        Some(Stmt::While(cond, body, span))
+    }
+
+    fn do_(
+        &mut self,
+        var: Target,
+        lo: Expr,
+        hi: Expr,
+        step: Option<Expr>,
+        body: Block,
+        span: Span,
+    ) -> Option<Stmt> {
+        Some(Stmt::Do {
+            var: self.settle(var, span),
+            lo,
+            hi,
+            step,
+            body,
+            span,
+        })
+    }
+
+    fn callee(&mut self, name: &'s str) -> Self::Callee {
+        match self.r.proc_ids.get(name) {
+            Some(&pid) => Ok((pid, name, self.diags.len())),
+            None => {
+                self.skipping += 1;
+                Err(name)
+            }
+        }
+    }
+
+    fn arg(&mut self, e: Expr) -> Arg {
+        match e {
+            // A bare name passes by reference: not a scalar use.
+            Expr::Var(v, span) if self.skipping == 0 => {
+                if self.var_reported {
+                    self.diags.pop();
+                }
+                if self.ctx.vars[v.index()].is_array {
+                    Arg::Array(v, span)
+                } else {
+                    Arg::Scalar(v, span)
+                }
+            }
+            e => Arg::Value(e),
+        }
+    }
+
+    fn call(&mut self, callee: Self::Callee, args: Vec<Arg>, span: Span) -> Option<Stmt> {
+        let (pid, name, at) = match callee {
+            Ok(found) => found,
+            Err(name) => {
+                self.skipping -= 1;
+                self.error(format!("call to unknown procedure `{name}`"), span);
+                return None;
+            }
+        };
+        let expected = self.r.sigs[pid.index()].arity;
+        if args.len() != expected {
+            let message = format!(
+                "`{name}` expects {expected} argument{}, got {}",
+                if expected == 1 { "" } else { "s" },
+                args.len()
+            );
+            let at = at.min(self.diags.len());
+            self.diags.insert(at, Diagnostic::error(message, span));
+        }
+        Some(Stmt::Call(pid, args, span))
+    }
+
+    fn ret(&mut self, span: Span) -> Option<Stmt> {
+        Some(Stmt::Return(span))
+    }
+
+    fn read(&mut self, name: &'s str, span: Span) -> Option<Stmt> {
+        let v = self.lookup(name);
+        self.mark_scalar_use(v, span);
+        Some(Stmt::Read(v, span))
+    }
+
+    fn print(&mut self, value: Expr, span: Span) -> Option<Stmt> {
+        Some(Stmt::Print(value, span))
     }
 }
 

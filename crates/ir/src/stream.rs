@@ -42,7 +42,8 @@
 use crate::error::Diagnostics;
 use crate::hash::{hash_str, Fnv128};
 use crate::lang;
-use crate::program::{Module, ProcId, Resolver};
+use crate::program::{Module, Resolver};
+use crate::span::Span;
 
 /// A re-iterable chunk producer: chunk `i` holds zero or more complete
 /// top-level declarations (globals and/or procedures), and concatenating
@@ -94,7 +95,7 @@ pub struct StreamedModule {
 }
 
 /// Resolves a chunked program without materializing the whole source
-/// text or AST. See the module docs for the two-pass protocol.
+/// text. See the module docs for the two-pass protocol.
 ///
 /// # Errors
 ///
@@ -105,60 +106,17 @@ pub struct StreamedModule {
 pub fn resolve_streaming<S: ProgramSource + ?Sized>(
     source: &S,
 ) -> Result<StreamedModule, Diagnostics> {
-    let n = source.n_chunks();
-    let mut resolver = Resolver::new();
-    let mut buf = String::new();
-    let mut chunk_digests = Vec::with_capacity(n);
+    let mut chunk_digests = Vec::with_capacity(source.n_chunks());
     let mut module_hasher = Fnv128::new();
     let mut total_bytes = 0usize;
     let mut peak_chunk_bytes = 0usize;
-    let mut parse_failed = false;
-
-    // Pass 1: digests, globals, and procedure signatures.
-    for i in 0..n {
-        buf.clear();
-        source.chunk(i, &mut buf);
-        let digest = hash_str(&buf);
+    let module = resolve_chunks(source, |chunk| {
+        let digest = hash_str(chunk);
         chunk_digests.push(digest);
         module_hasher.write_u128(digest);
-        total_bytes += buf.len();
-        peak_chunk_bytes = peak_chunk_bytes.max(buf.len());
-        match lang::parse_program(&buf) {
-            Ok(ast) => {
-                for g in &ast.globals {
-                    resolver.declare_global(g);
-                }
-                for p in &ast.procs {
-                    resolver.declare_proc(&p.name, p.params.len(), p.span);
-                }
-            }
-            Err(diags) => {
-                parse_failed = true;
-                resolver.absorb_diags(diags);
-            }
-        }
-    }
-    if parse_failed {
-        return Err(resolver.into_diags());
-    }
-
-    // Pass 2: re-parse each chunk and resolve its bodies immediately;
-    // the chunk's AST dies at the end of each iteration.
-    let mut procs = Vec::new();
-    for i in 0..n {
-        buf.clear();
-        source.chunk(i, &mut buf);
-        // Pass 1 accepted every chunk, so a failure here means the
-        // source violated its determinism contract between passes.
-        let ast = lang::parse_program(&buf)?;
-        for p in &ast.procs {
-            let id = ProcId::from(procs.len());
-            let resolved = resolver.resolve_proc_body(id, p);
-            procs.push(std::sync::Arc::new(resolved));
-        }
-    }
-
-    let module = resolver.finish(procs)?;
+        total_bytes += chunk.len();
+        peak_chunk_bytes = peak_chunk_bytes.max(chunk.len());
+    })?;
     Ok(StreamedModule {
         module,
         chunk_digests,
@@ -166,6 +124,69 @@ pub fn resolve_streaming<S: ProgramSource + ?Sized>(
         total_bytes,
         peak_chunk_bytes,
     })
+}
+
+/// The two passes over `source`; `seen` observes each chunk's text as the
+/// signatures pass reads it. `parse_and_resolve` is the one-chunk case.
+pub(crate) fn resolve_chunks<S: ProgramSource + ?Sized>(
+    source: &S,
+    mut seen: impl FnMut(&str),
+) -> Result<Module, Diagnostics> {
+    let n = source.n_chunks();
+    let mut resolver = Resolver::new();
+    let mut buf = String::new();
+
+    // Pass 1: globals and procedure signatures, bodies skipped.
+    for i in 0..n {
+        buf.clear();
+        source.chunk(i, &mut buf);
+        seen(&buf);
+        match lang::scan_items(&buf) {
+            Some(items) => resolver.declare(&items),
+            None => return Err(chunk_errors(source, &mut buf)),
+        }
+    }
+
+    // Pass 2: parse each chunk's bodies straight into resolved procedures.
+    let mut procs = Vec::with_capacity(resolver.n_procs());
+    for i in 0..n {
+        buf.clear();
+        source.chunk(i, &mut buf);
+        if resolver.resolve_bodies(&buf, &mut procs, 0).is_err() {
+            return Err(chunk_errors(source, &mut buf));
+        }
+    }
+    if procs.len() != resolver.n_procs() {
+        return Err(chunk_errors(source, &mut buf));
+    }
+    resolver.finish(procs)
+}
+
+/// The report for a program one of whose chunks does not parse: chunk by
+/// chunk, its lex or parse errors, or else the errors of declaring its
+/// globals and procedures, in chunk order — the signatures pass as it
+/// reads when every chunk is parsed in full. Declarations of chunks that
+/// fail are never declared, and no body is resolved.
+fn chunk_errors<S: ProgramSource + ?Sized>(source: &S, buf: &mut String) -> Diagnostics {
+    let mut resolver = Resolver::new();
+    let table = Resolver::new();
+    for i in 0..source.n_chunks() {
+        buf.clear();
+        source.chunk(i, buf);
+        match table.parse_items(buf) {
+            Ok(items) => resolver.declare(&items),
+            Err(diags) => resolver.absorb_diags(diags),
+        }
+    }
+    let mut diags = resolver.into_diags();
+    if !diags.has_errors() {
+        // Both readings parsed: the source broke its determinism contract.
+        diags.error(
+            "program source changed between the signature and body passes",
+            Span::dummy(),
+        );
+    }
+    diags
 }
 
 #[cfg(test)]

@@ -196,7 +196,9 @@ fn scale_corpus() -> String {
     out
 }
 
-const CORPORA: [(&str, fn() -> String); 4] = [
+type Corpus = fn() -> String;
+
+const CORPORA: [(&str, Corpus); 4] = [
     ("suite", suite_corpus),
     ("mutants", mutant_corpus),
     ("soup", soup_corpus),
