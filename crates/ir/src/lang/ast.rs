@@ -1,7 +1,11 @@
 //! Parsed (unresolved) abstract syntax tree for FT.
 //!
-//! Names are plain strings at this stage; [`crate::program::resolve`] turns
-//! the tree into the checked, id-based [`crate::program::Module`] form.
+//! Names are plain strings here. Only the syntactic tools build this tree
+//! ([`super::parse_program`]: `ipcc fmt`, `program_stats`, serve's
+//! `ProgramModel`); resolution never does — the same grammar writes the
+//! checked, id-based [`crate::program::Module`] directly
+//! ([`crate::parse_and_resolve`]). [`BinOp`] and [`UnOp`] are shared by
+//! both forms.
 
 use crate::span::Span;
 use std::fmt;

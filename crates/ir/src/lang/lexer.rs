@@ -6,6 +6,23 @@ use crate::span::Span;
 
 /// On-demand lexer over FT source text: the parser pulls one token at a
 /// time, and identifiers borrow `src`.
+///
+/// ```
+/// use ipcp_ir::lang::{Lexer, TokenKind};
+/// let mut lexer = Lexer::new("x = 41 + 1;");
+/// let mut kinds = Vec::new();
+/// loop {
+///     let tok = lexer.next_token()?;
+///     kinds.push(tok.kind);
+///     if tok.kind == TokenKind::Eof {
+///         break;
+///     }
+/// }
+/// assert_eq!(kinds.len(), 7); // x = 41 + 1 ; <eof>
+/// assert_eq!(kinds[0], TokenKind::Ident("x"));
+/// assert_eq!(kinds[2], TokenKind::Int(41));
+/// # Ok::<(), ipcp_ir::Diagnostic>(())
+/// ```
 #[derive(Clone, Debug)]
 pub struct Lexer<'a> {
     src: &'a str,

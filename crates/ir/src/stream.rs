@@ -1,27 +1,30 @@
 //! Streaming front end: build, hash, and resolve a module chunk by
-//! chunk, without the whole source text or unresolved AST resident.
+//! chunk, without the whole source text resident and without any AST.
 //!
-//! The resident path (`parse_and_resolve`) materializes the full source
-//! string and the full `ast::Program` before resolution begins — at the
-//! 100k-procedure scale tier that is tens of megabytes of text plus a
-//! proportionally larger AST held simultaneously. This module feeds the
-//! *existing* parser one [`ProgramSource`] chunk at a time and drives the
-//! incremental resolver ([`crate::program`]) in two passes:
+//! [`resolve_streaming`] drives the incremental resolver
+//! ([`crate::program`]) over one [`ProgramSource`] chunk at a time, in two
+//! passes:
 //!
 //! 1. **Signatures + digests** — each chunk is generated, FNV-128-hashed
 //!    ([`crate::hash`], the same keys the serve summary cache uses), and
-//!    parsed; only the global declarations and procedure signatures
-//!    (name, arity) are retained. The chunk's text and AST are dropped.
-//! 2. **Bodies** — each chunk is regenerated and re-parsed, and every
-//!    procedure body is immediately resolved against the signature table
-//!    into its compact [`Proc`](crate::program::Proc) form.
+//!    pre-scanned: its global declarations and procedure headers are
+//!    parsed, each body is skipped by counting braces, and the signature
+//!    table is declared from them.
+//! 2. **Bodies** — each chunk is regenerated and parsed once more, and the
+//!    grammar writes every procedure body straight into its compact,
+//!    resolved [`Proc`](crate::program::Proc) against the table.
 //!
-//! Peak residency is therefore one chunk's text + AST plus the growing
-//! resolved module — the representation every downstream consumer needs
-//! anyway — instead of text + AST + module for the whole program at once.
-//! The price is generating and parsing every chunk twice; chunk sources
-//! are required to be cheap to re-iterate (the scale generator in
+//! Peak residency is therefore one chunk's text plus the growing resolved
+//! module. The price is generating every chunk twice; chunk sources are
+//! required to be cheap to re-iterate (the scale generator in
 //! `ipcp-suite` regenerates any chunk from its seed in microseconds).
+//! `parse_and_resolve` is the one-chunk case of the same driver.
+//!
+//! Diagnostics are those of parsing every chunk in full: when a chunk
+//! fails to parse, the report is, chunk by chunk, its lex errors (or else
+//! its parse errors) and the declaration errors of the chunks that do
+//! parse; no body is resolved. Otherwise it is the declaration errors,
+//! then each body's resolve errors, then the whole-module checks.
 //!
 //! Spans in a streamed module are **chunk-relative** (each chunk is
 //! parsed as its own little program), so `Module` equality against the

@@ -9,9 +9,9 @@
 //!   Cytron dominance frontiers;
 //! * [`ssa`] — SSA construction producing a *value graph* with explicit
 //!   opaque sources (entries, reads, array loads, call-modified values);
-//! * [`gvn`] — Alpern–Wegman–Zadeck-style partition value numbering, a
-//!   standalone analysis: no pipeline stage calls it (SSA construction
-//!   hash-conses pure expressions itself);
+//!   it hash-conses pure expressions, so equal operators over equal
+//!   operands share one value (the value numbering the symbolic
+//!   evaluator relies on);
 //! * [`poly`] — exact multivariate polynomials over entry slots, with
 //!   constants and `c·x + k` stored inline;
 //! * [`symbolic`] — the polynomial symbolic evaluator behind `gcp(y, s)`
@@ -29,7 +29,6 @@
 mod csr;
 pub mod dce;
 pub mod dominators;
-pub mod gvn;
 pub mod lattice;
 pub mod liveness;
 pub mod poly;

@@ -151,28 +151,6 @@ fn ssa_uses_are_dominated_by_defs() {
     }
 }
 
-#[test]
-fn gvn_never_merges_distinct_constants() {
-    for seed in 0u64..40 {
-        let mcfg = modules(seed);
-        let cg = build_call_graph(&mcfg);
-        let mr = compute_modref(&mcfg, &cg);
-        for (pid, _) in mcfg.iter() {
-            let ssa = build_ssa(&mcfg, pid, &ModKills(&mr));
-            let vn = ipcp_ssa::gvn::number(&ssa);
-            let mut by_class: std::collections::HashMap<u32, i64> = Default::default();
-            for (i, kind) in ssa.values.iter().enumerate() {
-                if let ValueKind::Const(c) = kind {
-                    let class = vn.class[i];
-                    if let Some(prev) = by_class.insert(class, *c) {
-                        assert_eq!(prev, *c, "class merged {} and {}", prev, c);
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Pruned SSA: never more phis than minimal, and the analyses agree
 /// on every observable value (prints and exits).
 #[test]
