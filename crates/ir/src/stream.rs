@@ -169,7 +169,7 @@ pub(crate) fn resolve_chunks<S: ProgramSource + ?Sized>(
 /// chunk, its lex or parse errors, or else the errors of declaring its
 /// globals and procedures, in chunk order — the signatures pass as it
 /// reads when every chunk is parsed in full. Declarations of chunks that
-/// fail are never declared, and no body is resolved.
+/// fail are never declared, and no resolve error is reported.
 fn chunk_errors<S: ProgramSource + ?Sized>(source: &S, buf: &mut String) -> Diagnostics {
     let mut resolver = Resolver::new();
     let table = Resolver::new();
