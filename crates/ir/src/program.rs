@@ -537,16 +537,15 @@ pub fn resolve_replacement(module: &Module, text: &str) -> Option<Proc> {
     let mut r = Resolver::for_module(module);
     let mut procs = Vec::with_capacity(1);
     r.resolve_bodies(text, &mut procs, old.id.index()).ok()?;
-    let proc = procs.pop().map(Arc::try_unwrap)?.ok()?;
+    let mut proc = procs.pop().map(Arc::try_unwrap)?.ok()?;
     let formals_match = proc
         .formals
         .iter()
         .zip(&old.formals)
         .all(|(&new, &was)| proc.var(new).is_array == old.var(was).is_array);
-    if !r.diags.is_empty() || !procs.is_empty() || !formals_match {
+    if !r.diags.is_empty() || !formals_match {
         return None;
     }
-    let mut proc = proc;
     retag_args(&mut proc.body, &proc.vars);
     let callee = |id: ProcId| {
         if id == proc.id {
@@ -1447,6 +1446,23 @@ mod tests {
             assert_eq!(args[1].literal(), None);
             assert_eq!(args[2].literal(), None);
         });
+    }
+
+    #[test]
+    fn replacement_text_must_be_one_known_procedure_that_resolves_cleanly() {
+        let m = parse_and_resolve("proc main() { call f(1); } proc f(a) { print a; }").unwrap();
+        let f = resolve_replacement(&m, "# new body\nproc f(a) { print a + 1; }").unwrap();
+        assert_eq!(f.id, m.proc_named("f").unwrap().id);
+        for text in [
+            "proc f(a) { print a; } proc main() { }", // two procedures
+            "global g; proc f(a) { print a; }",       // a global
+            "proc g(a) { print a; }",                 // unknown name
+            "proc f(a, b) { print a; }",              // arity changed
+            "proc f(a) { print ; }",                  // parse error
+            "proc f(a) { call nope(); }",             // resolve error
+        ] {
+            assert!(resolve_replacement(&m, text).is_none(), "{text}");
+        }
     }
 
     #[test]

@@ -386,6 +386,20 @@ mod tests {
     }
 
     #[test]
+    fn a_body_too_deep_to_parse_reports_what_the_parser_reports() {
+        // The pre-scan accepts the balanced body; the body pass fails.
+        let src = format!(
+            "proc main() {{ {} print 1; {} }}\n",
+            "if (1) {".repeat(300),
+            "}".repeat(300)
+        );
+        let want = outcome(crate::lang::parse_program(&src));
+        assert!(want[0].0.contains("nesting exceeds"), "{want:?}");
+        assert_eq!(outcome(parse_and_resolve(&src)), want);
+        assert_eq!(outcome(resolve_streaming(&[src][..])), want);
+    }
+
+    #[test]
     fn empty_and_globals_only_chunks_are_fine() {
         let chunks = ["", "global g;\n", "", "proc main() { g = 1; print g; }\n"];
         let streamed = resolve_streaming(&chunks[..]).unwrap();
