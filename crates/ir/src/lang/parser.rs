@@ -423,7 +423,7 @@ pub(crate) struct Parser<'s, B> {
     /// Skip procedure bodies instead of parsing them ([`scan_items`]).
     skim: bool,
     /// The sink.
-    pub(crate) b: B,
+    b: B,
 }
 
 impl<'s, B: Build<'s>> Parser<'s, B> {
