@@ -384,8 +384,9 @@ stage_fuzz() {
     # The shrinking property harness as a CI gate: `ipcc fuzz` drives
     # seeded generated programs through every registered property
     # (panic-free, soundness, jobs-identity, wavefront-worklist,
-    # exit-consistency, serve-identity, serve-persist, stream-identity),
-    # minimizing any counterexample into the corpus dir and exiting 1. The PR lane runs the default 45 s budget; the
+    # exit-consistency, serve-identity, serve-persist,
+    # stream-identity), minimizing any counterexample into the corpus
+    # dir and exiting 1. The PR lane runs the default 45 s budget; the
     # nightly lane (`fuzz-nightly` in ci.yml) raises the budget to 10
     # minutes and seeds from the workflow run id — the seed is echoed
     # below so a red night is replayable from its log.
