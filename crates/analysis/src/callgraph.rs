@@ -25,7 +25,8 @@ pub struct CallEdge {
 #[derive(Clone, Debug)]
 pub struct CallGraph {
     /// Every call edge, grouped by caller (all of a caller's edges are
-    /// contiguous, in call-site order).
+    /// contiguous, in the order of the caller's CFG blocks — call-site ids
+    /// need not ascend).
     pub edges: Vec<CallEdge>,
     edge_range: Vec<(usize, usize)>,
     callers_of: Vec<Vec<usize>>,
@@ -40,7 +41,7 @@ pub struct CallGraph {
 }
 
 impl CallGraph {
-    /// The out-edges (call sites) of procedure `p`, in call-site order.
+    /// The out-edges (call sites) of procedure `p`, in block order.
     pub fn calls_from(&self, p: ProcId) -> &[CallEdge] {
         let (lo, hi) = self.edge_range[p.index()];
         &self.edges[lo..hi]
@@ -97,21 +98,8 @@ pub fn build_call_graph(mcfg: &ModuleCfg) -> CallGraph {
     let mut edges = Vec::new();
     let mut edge_range = Vec::with_capacity(n);
     for p in 0..n {
-        let pid = ProcId::from(p);
         let lo = edges.len();
-        let reach = mcfg.cfg(pid).reachable();
-        mcfg.each_call_in(pid, |block, site, callee, _| {
-            // Calls in unreachable blocks (code after `return`) are not
-            // part of the program and would pollute MOD and VAL sets.
-            if reach[block.index()] {
-                edges.push(CallEdge {
-                    caller: pid,
-                    site,
-                    block,
-                    callee,
-                });
-            }
-        });
+        push_calls_from(mcfg, ProcId::from(p), &mut edges);
         edge_range.push((lo, edges.len()));
     }
 
@@ -140,6 +128,32 @@ pub fn build_call_graph(mcfg: &ModuleCfg) -> CallGraph {
         sccs,
         scc_of,
     }
+}
+
+/// The out-edges [`build_call_graph`] gives procedure `pid`, in block
+/// order — for a caller that wants one procedure's edges without building
+/// the whole graph (serve compares an edited procedure's edges with the
+/// live graph's).
+pub fn calls_from(mcfg: &ModuleCfg, pid: ProcId) -> Vec<CallEdge> {
+    let mut edges = Vec::new();
+    push_calls_from(mcfg, pid, &mut edges);
+    edges
+}
+
+fn push_calls_from(mcfg: &ModuleCfg, pid: ProcId, edges: &mut Vec<CallEdge>) {
+    let reach = mcfg.cfg(pid).reachable();
+    mcfg.each_call_in(pid, |block, site, callee, _| {
+        // Calls in unreachable blocks (code after `return`) are not
+        // part of the program and would pollute MOD and VAL sets.
+        if reach[block.index()] {
+            edges.push(CallEdge {
+                caller: pid,
+                site,
+                block,
+                callee,
+            });
+        }
+    });
 }
 
 /// Iterative Tarjan SCC. Emits components in reverse topological

@@ -40,6 +40,10 @@ pub struct SummaryKeys {
     /// SCC-aware Merkle hash of the procedure's transitive callee cone
     /// (including its own text).
     pub cone: Vec<u128>,
+    /// Per SCC of the call graph ([`CallGraph::sccs`] order), the Merkle
+    /// hash its members' cones fold in — kept so [`update_summary_keys`]
+    /// can rehash only the components an edit reaches.
+    pub scc_cone: Vec<u128>,
 }
 
 /// Computes [`SummaryKeys`] from per-procedure content hashes and the
@@ -50,43 +54,84 @@ pub struct SummaryKeys {
 /// components first — so each component's Merkle hash can fold in the
 /// already-final hashes of the components it calls.
 pub fn summary_keys(cg: &CallGraph, own: &[u128]) -> SummaryKeys {
-    let n_sccs = cg.sccs.len();
-    let mut scc_cone = vec![0u128; n_sccs];
-    for (si, members) in cg.sccs.iter().enumerate() {
-        let mut h = Fnv128::new();
-        // The component's combined text, in member order: an edit to any
-        // member re-keys the whole component (members are analyzed
-        // against each other's fresh tables, so that is exactly right).
-        for &p in members {
-            h.write_u128(own[p.index()]);
-        }
-        // The cones of callee components, in call-site order. Edge order
-        // is deterministic (grouped by caller, call sites in program
-        // order), so the fold is reproducible; duplicates are harmless.
-        for &p in members {
-            for e in cg.calls_from(p) {
-                let cs = cg.scc_of[e.callee.index()];
-                if cs != si {
-                    h.write_u128(scc_cone[cs]);
-                }
-            }
-        }
-        scc_cone[si] = h.finish();
+    let mut scc_cone = vec![0u128; cg.sccs.len()];
+    for si in 0..cg.sccs.len() {
+        scc_cone[si] = scc_hash(cg, own, &scc_cone, si);
     }
     let cone = own
         .iter()
         .enumerate()
-        .map(|(i, &o)| {
-            let mut h = Fnv128::new();
-            h.write_u128(o);
-            h.write_u128(scc_cone[cg.scc_of[i]]);
-            h.finish()
-        })
+        .map(|(i, &o)| cone_hash(o, scc_cone[cg.scc_of[i]]))
         .collect();
     SummaryKeys {
         own: own.to_vec(),
         cone,
+        scc_cone,
     }
+}
+
+/// [`summary_keys`] of a program whose call graph `cg` is the one `prev`
+/// was derived over, where only some procedures' own hashes moved: a
+/// component is rehashed only when one of its members' own hash or one of
+/// its callee components' cone moved, and every other key is copied. The
+/// result equals `summary_keys(cg, own)`.
+pub fn update_summary_keys(prev: &SummaryKeys, cg: &CallGraph, own: &[u128]) -> SummaryKeys {
+    let mut keys = SummaryKeys {
+        own: own.to_vec(),
+        cone: prev.cone.clone(),
+        scc_cone: prev.scc_cone.clone(),
+    };
+    let mut moved = vec![false; cg.sccs.len()];
+    for (si, members) in cg.sccs.iter().enumerate() {
+        let stale = members.iter().any(|&p| {
+            prev.own[p.index()] != own[p.index()]
+                || cg
+                    .calls_from(p)
+                    .iter()
+                    .any(|e| moved[cg.scc_of[e.callee.index()]])
+        });
+        if !stale {
+            continue;
+        }
+        keys.scc_cone[si] = scc_hash(cg, own, &keys.scc_cone, si);
+        moved[si] = keys.scc_cone[si] != prev.scc_cone[si];
+        for &p in members {
+            keys.cone[p.index()] = cone_hash(own[p.index()], keys.scc_cone[si]);
+        }
+    }
+    keys
+}
+
+/// Component `si`'s Merkle hash, given the final hashes of the components
+/// it calls (Tarjan emits them first).
+fn scc_hash(cg: &CallGraph, own: &[u128], scc_cone: &[u128], si: usize) -> u128 {
+    let members = &cg.sccs[si];
+    let mut h = Fnv128::new();
+    // The component's combined text, in member order: an edit to any
+    // member re-keys the whole component (members are analyzed against
+    // each other's fresh tables, so that is exactly right).
+    for &p in members {
+        h.write_u128(own[p.index()]);
+    }
+    // The cones of callee components, in edge order. Edge order is
+    // deterministic (grouped by caller, in block order), so the fold is
+    // reproducible; duplicates are harmless.
+    for &p in members {
+        for e in cg.calls_from(p) {
+            let cs = cg.scc_of[e.callee.index()];
+            if cs != si {
+                h.write_u128(scc_cone[cs]);
+            }
+        }
+    }
+    h.finish()
+}
+
+fn cone_hash(own: u128, scc_cone: u128) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_u128(own);
+    h.write_u128(scc_cone);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -154,6 +199,27 @@ mod tests {
         assert_ne!(before.cone[2], after.cone[2], "g");
         // ...but not the unrelated h.
         assert_eq!(before.cone[3], after.cone[3], "h");
+    }
+
+    #[test]
+    fn an_update_equals_a_fresh_derivation() {
+        let a = "proc main() { call f(3); call h(1); }";
+        let f = "proc f(x) { if (x) { call g(x - 1); } }";
+        let g = "proc g(y) { call f(y); }";
+        let h = "proc h(z) { print z; }";
+        let m = lower_module(&parse_and_resolve(&format!("{a} {f} {g} {h}")).unwrap());
+        let cg = build_call_graph(&m);
+        let before: Vec<u128> = [a, f, g, h].iter().map(|s| hash_str(s)).collect();
+        let prev = summary_keys(&cg, &before);
+        for edited in 0..4 {
+            let mut own = before.clone();
+            own[edited] ^= 1;
+            let fresh = summary_keys(&cg, &own);
+            let updated = update_summary_keys(&prev, &cg, &own);
+            assert_eq!(updated.own, fresh.own, "edit {edited}");
+            assert_eq!(updated.cone, fresh.cone, "edit {edited}");
+            assert_eq!(updated.scc_cone, fresh.scc_cone, "edit {edited}");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@ pub mod callgraph;
 pub mod keys;
 pub mod modref;
 
-pub use callgraph::{build_call_graph, CallEdge, CallGraph};
-pub use keys::{summary_keys, SummaryKeys};
+pub use callgraph::{build_call_graph, calls_from, CallEdge, CallGraph};
+pub use keys::{summary_keys, update_summary_keys, SummaryKeys};
 pub use modref::{
     compute_modref, direct_effects, propagate_modref, worst_case_killed, ModRef, ModSet,
 };

@@ -243,6 +243,7 @@ fn outcome_payload(outcome: &RequestOutcome) -> Object {
     o.set("cache_hits", Json::from(outcome.hits));
     o.set("cache_persisted_hits", Json::from(outcome.persisted_hits));
     o.set("cache_misses", Json::from(outcome.misses));
+    o.set("cache_carried", Json::from(outcome.carried));
     o.set("cache_bypassed", Json::from(outcome.bypassed));
     o.set(
         "events",
@@ -391,6 +392,7 @@ fn read_payload(
             o.set("cache_entries", Json::from(snap.cache_len));
             o.set("cache_recovered", Json::from(cache.recovered));
             o.set("cache_persisted_hits", Json::from(cache.persisted_hits));
+            o.set("cache_carried", Json::from(cache.carried));
             if let Some(rate) = cache.hit_rate() {
                 o.set("cache_hit_rate", Json::Float(rate));
             }

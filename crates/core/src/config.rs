@@ -73,8 +73,6 @@ pub enum Stage {
     RetJump,
     /// The interprocedural VAL worklist solver.
     Solver,
-    /// The binding-multigraph solver.
-    Binding,
     /// Constant-driven procedure cloning.
     Cloning,
     /// Leaf-call integration (inlining).
@@ -83,12 +81,11 @@ pub enum Stage {
 
 impl Stage {
     /// All stages, in pipeline order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 6] = [
         Stage::ModRef,
         Stage::Jump,
         Stage::RetJump,
         Stage::Solver,
-        Stage::Binding,
         Stage::Cloning,
         Stage::Inline,
     ];
@@ -100,7 +97,6 @@ impl Stage {
             Stage::Jump => "jump",
             Stage::RetJump => "retjump",
             Stage::Solver => "solver",
-            Stage::Binding => "binding",
             Stage::Cloning => "cloning",
             Stage::Inline => "inline",
         }

@@ -170,9 +170,8 @@ fn stage_index(stage: Stage) -> usize {
         Stage::Jump => 1,
         Stage::RetJump => 2,
         Stage::Solver => 3,
-        Stage::Binding => 4,
-        Stage::Cloning => 5,
-        Stage::Inline => 6,
+        Stage::Cloning => 4,
+        Stage::Inline => 5,
     }
 }
 
@@ -272,6 +271,21 @@ impl Governor {
         }
     }
 
+    /// Charges a unit's recorded `counts` when [`Governor::can_absorb`]
+    /// proves they land exactly where running the unit would put them —
+    /// the replay of a memo hit or of a unit reused from the live
+    /// analysis. Otherwise charges nothing and returns `false`: the unit
+    /// must run, reproducing the trip.
+    pub fn replay(&mut self, counts: &[u64; Stage::ALL.len()]) -> bool {
+        let mut shard = self.shard();
+        shard.add_charges(counts);
+        let clean = self.can_absorb(&shard);
+        if clean {
+            self.absorb_shard(shard);
+        }
+        clean
+    }
+
     /// The shared deadline latch, for threading into symbolic-evaluation
     /// budgets ([`ipcp_ssa::symbolic::EvalBudget`]).
     pub fn latch(&self) -> &Arc<DeadlineLatch> {
@@ -297,7 +311,6 @@ impl Governor {
             Stage::Jump => l.max_symbolic_steps,
             Stage::RetJump => l.max_symbolic_steps,
             Stage::Solver => l.max_solver_iterations,
-            Stage::Binding => l.max_solver_iterations,
             Stage::Cloning => l.max_clones as u64,
             Stage::Inline => l.max_inline_statements as u64,
         }
@@ -416,7 +429,6 @@ mod tests {
         assert!(h.degraded());
         assert_eq!(h.count(Stage::Jump), 2);
         assert_eq!(h.count(Stage::Solver), 1);
-        assert_eq!(h.count(Stage::Binding), 0);
         let text = h.to_string();
         assert!(text.contains("3 degradation(s)"), "{text}");
         assert!(text.contains("[jump]"), "{text}");

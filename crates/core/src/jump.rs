@@ -17,6 +17,7 @@ use crate::config::{AnalysisLimits, Config, Stage};
 use crate::health::Governor;
 use crate::par::{PhaseTime, Pool};
 use crate::pipeline::fold_units;
+use crate::serve::cache::{CacheTxn, Reuse};
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
@@ -25,6 +26,7 @@ use ipcp_ssa::ssa::StmtInfo;
 use ipcp_ssa::symbolic::SymVal;
 use ipcp_ssa::Lattice;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// One jump function — also the representation of return jump functions.
@@ -168,12 +170,35 @@ impl fmt::Display for JumpFn {
 /// (formals first, then scalar globals).
 pub type SiteJumpFns = Vec<JumpFn>;
 
+/// One caller's forward jump functions, indexed by call site. Shared, so
+/// an analysis that reuses a caller's functions from another (serve's
+/// live-analysis reuse) copies none.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CallerJumpFns(Arc<[SiteJumpFns]>);
+
+impl Deref for CallerJumpFns {
+    type Target = [SiteJumpFns];
+
+    fn deref(&self) -> &[SiteJumpFns] {
+        &self.0
+    }
+}
+
+impl<'a> IntoIterator for &'a CallerJumpFns {
+    type Item = &'a SiteJumpFns;
+    type IntoIter = std::slice::Iter<'a, SiteJumpFns>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// All forward jump functions of a program, indexed `[proc][site]`.
 #[derive(Clone, Debug, Default)]
 pub struct ForwardJumpFns {
     /// `sites[p][s]` — jump functions of call site `s` in procedure `p`
     /// (empty for unreachable sites).
-    pub sites: Vec<Vec<SiteJumpFns>>,
+    pub sites: Vec<CallerJumpFns>,
 }
 
 impl ForwardJumpFns {
@@ -228,16 +253,67 @@ pub fn build_forward_jump_fns(
     gov: &mut Governor,
     pool: Pool,
 ) -> (ForwardJumpFns, PhaseTime) {
+    build_forward_jump_fns_on(
+        mcfg,
+        cg,
+        layout,
+        config,
+        symbolics,
+        quarantined,
+        gov,
+        pool,
+        None,
+        &mut CacheTxn::new(),
+    )
+}
+
+/// [`build_forward_jump_fns`], recording each caller unit's charges in
+/// `txn`'s memo log, and with `reuse`, sharing a caller's live functions
+/// when its form is the live one (the same `Arc`), no earlier stage
+/// quarantined it, its live unit ran clean, and replaying the live unit's
+/// charges passes [`Governor::can_absorb`]. Any other caller runs.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_forward_jump_fns_on(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    config: &Config,
+    symbolics: &[Option<Arc<ProcSymbolic>>],
+    quarantined: &mut [bool],
+    gov: &mut Governor,
+    pool: Pool,
+    reuse: Option<&Reuse<'_>>,
+    txn: &mut CacheTxn,
+) -> (ForwardJumpFns, PhaseTime) {
     // A unit reads only its own caller's flag, which only its own commit
     // writes.
     let before = quarantined.to_vec();
-    let mut out = empty_sites(mcfg);
+    let n_procs = mcfg.module.procs.len();
+    // Every caller without call sites shares one empty entry.
+    let none: Arc<[SiteJumpFns]> = Arc::from(Vec::new());
+    let mut out = ForwardJumpFns {
+        sites: Vec::with_capacity(n_procs),
+    };
     let time = fold_units(
         pool,
         gov,
-        mcfg.module.procs.len(),
+        n_procs,
         |caller, g| {
-            build_caller_jump_fns(
+            if let Some(r) = reuse.filter(|_| !before[caller]) {
+                let live = &r.live;
+                let same_form = match (&symbolics[caller], &live.symbolics[caller]) {
+                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                    (a, b) => a.is_none() && b.is_none(),
+                };
+                if let Some(charges) = r.fwd_charges(caller).filter(|_| same_form) {
+                    if g.replay(charges) {
+                        let sites = live.jump_fns.sites[caller].clone();
+                        return (sites, false, Some(*charges));
+                    }
+                }
+            }
+            let (c0, e0) = (g.counters(), g.health.events.len());
+            let (mut fns, quar) = build_caller_jump_fns(
                 mcfg,
                 cg,
                 layout,
@@ -246,32 +322,35 @@ pub fn build_forward_jump_fns(
                 caller,
                 before[caller],
                 g,
-            )
+            );
+            // Edges come in block order, not site order; sites the caller
+            // never reaches keep an empty entry.
+            let n_sites = mcfg.cfgs[caller].n_call_sites;
+            fns.sort_unstable_by_key(|&(site, _)| site);
+            let mut fns = fns.into_iter().peekable();
+            let sites = match n_sites {
+                0 => Arc::clone(&none),
+                _ => (0..n_sites)
+                    .map(|s| {
+                        fns.next_if(|(site, _)| *site == s)
+                            .map_or_else(Vec::new, |(_, f)| f)
+                    })
+                    .collect(),
+            };
+            let clean = !quar && g.health.events.len() == e0;
+            let charges = clean.then(|| {
+                let c1 = g.counters();
+                std::array::from_fn(|i| c1[i] - c0[i])
+            });
+            (CallerJumpFns(sites), quar, charges)
         },
-        |caller, (fns, quar), _| {
-            commit_caller(&mut out, caller, fns);
+        |caller, (sites, quar, charges), _| {
+            out.sites.push(sites);
             quarantined[caller] = quar;
+            txn.log_fwd_charges(caller, charges);
         },
     );
     (out, time)
-}
-
-fn empty_sites(mcfg: &ModuleCfg) -> ForwardJumpFns {
-    ForwardJumpFns {
-        sites: mcfg
-            .module
-            .procs
-            .iter()
-            .enumerate()
-            .map(|(p, _)| vec![Vec::new(); mcfg.cfgs[p].n_call_sites])
-            .collect(),
-    }
-}
-
-fn commit_caller(out: &mut ForwardJumpFns, caller: usize, fns: Vec<(usize, SiteJumpFns)>) {
-    for (site, f) in fns {
-        out.sites[caller][site] = f;
-    }
 }
 
 /// Builds the jump functions for every call site of one caller — the unit

@@ -66,7 +66,6 @@
 //! * [`error`] — the unified [`IpcpError`] taxonomy over front-end
 //!   diagnostics, interpreter faults, and exhausted budgets.
 
-pub mod binding;
 pub mod cloning;
 pub mod complete;
 pub mod config;
@@ -92,7 +91,6 @@ pub mod lattice {
     pub use ipcp_ssa::lattice::Lattice;
 }
 
-pub use binding::solve_binding_graph;
 pub use cloning::{clone_by_constants, cloning_gain, CloneResult};
 pub use complete::{complete_propagation, CompleteResult};
 pub use config::{

@@ -21,12 +21,13 @@
 use crate::config::{Config, Stage};
 use crate::error::IpcpError;
 use crate::health::{AnalysisHealth, Governor};
-use crate::jump::{build_forward_jump_fns, ForwardJumpFns, ProcSymbolic};
+use crate::jump::{build_forward_jump_fns_on, ForwardJumpFns, ProcSymbolic};
 use crate::par::{PhaseTime, Pool, Timings};
 use crate::quarantine::run_unit;
-use crate::retjump::{build_return_jfs_on, RetOracle, RetView, ReturnJumpFns};
+use crate::retjump::{build_return_jfs_on, RetMarks, RetOracle, RetView, ReturnJumpFns};
 use crate::serve::cache::{
-    cacheable, CacheTxn, CachedSummary, Lookup, Memo, MemoKeys, Served, SummaryStage,
+    cacheable, CacheTxn, CachedSummary, Live, Lookup, Memo, MemoKeys, MemoLog, Reuse, Served,
+    SummaryStage,
 };
 use crate::solver::ValSets;
 use crate::substitute::{self, Substitution, SubstitutionCounts};
@@ -213,12 +214,12 @@ pub struct Analysis {
     /// The configuration used.
     pub config: Config,
     /// Call graph.
-    pub cg: CallGraph,
+    pub cg: Arc<CallGraph>,
     /// MOD/REF summaries (always computed; consulted only when
     /// `config.use_mod`).
-    pub modref: ModRef,
+    pub modref: Arc<ModRef>,
     /// Entry-slot layout shared by every table.
-    pub layout: SlotLayout,
+    pub layout: Arc<SlotLayout>,
     /// Return jump functions (an empty table when disabled).
     pub ret_jfs: ReturnJumpFns,
     /// Per-procedure SSA + polynomial evaluation (reachable procedures).
@@ -242,6 +243,9 @@ pub struct Analysis {
     /// across gating rounds). Purely observational: timings never feed
     /// back into results.
     pub timings: Timings,
+    /// What a memoized run recorded for the next run to reuse (`None`
+    /// for a run without a memo).
+    pub(crate) memo_log: Option<MemoLog>,
 }
 
 impl Analysis {
@@ -254,27 +258,7 @@ impl Analysis {
     /// propagation". The iteration stops at a fixpoint (or after a small
     /// bound; one extra round almost always suffices).
     pub fn run(mcfg: &ModuleCfg, config: &Config) -> Analysis {
-        Self::run_with(mcfg, config, None)
-    }
-
-    /// [`Analysis::run`] with serve's summary cache as a memo hook: every
-    /// per-procedure unit looks its key up before computing, a hit goes
-    /// through the same governor gate as a unit run ahead on the pool, and
-    /// the fold notes hits, misses and fresh clean units into `memo.txn`
-    /// in sequential unit order. The result is bit-identical to
-    /// [`Analysis::run`] (see [`crate::serve::cache`] for the contract),
-    /// and so are the notes at every `--jobs`. Gated configurations bypass
-    /// the memo (their units read the previous round's fixpoint).
-    pub fn run_memoized(mcfg: &ModuleCfg, config: &Config, memo: Memo<'_>) -> Analysis {
-        if !cacheable(config) {
-            memo.txn.bypassed = true;
-            return Analysis::run(mcfg, config);
-        }
-        Self::run_with(mcfg, config, Some(memo))
-    }
-
-    fn run_with(mcfg: &ModuleCfg, config: &Config, memo: Option<Memo<'_>>) -> Analysis {
-        let mut analysis = Self::run_once(mcfg, config, None, memo);
+        let mut analysis = Self::run_once(mcfg, config, None, None);
         if config.gated_jump_fns {
             for _ in 0..4 {
                 let vals = analysis.vals.vals.clone();
@@ -298,22 +282,68 @@ impl Analysis {
         analysis
     }
 
+    /// [`Analysis::run`] with serve's summary cache as a memo hook: every
+    /// per-procedure unit looks its key up before computing, a hit goes
+    /// through the same governor gate as a unit run ahead on the pool, and
+    /// the fold notes hits, misses and fresh clean units into `memo.txn`
+    /// in sequential unit order. The result is bit-identical to
+    /// [`Analysis::run`] (see [`crate::serve::cache`] for the contract),
+    /// and so are the notes at every `--jobs`. Gated configurations bypass
+    /// the memo (their units read the previous round's fixpoint).
+    pub fn run_memoized(mcfg: &ModuleCfg, config: &Config, memo: Memo<'_>) -> Analysis {
+        Self::run_memoized_on(mcfg, config, memo, None)
+    }
+
+    /// [`Analysis::run_memoized`] that may also reuse `live`, the analysis
+    /// serve holds for the previous program, stage by stage: see
+    /// [`crate::serve::cache`] for when a stage's product is shared and
+    /// when the run falls back to the plain memoized path. The result,
+    /// the notes and the staged entries are the plain path's.
+    pub(crate) fn run_memoized_on(
+        mcfg: &ModuleCfg,
+        config: &Config,
+        memo: Memo<'_>,
+        live: Option<Live<'_>>,
+    ) -> Analysis {
+        if !cacheable(config) {
+            memo.txn.bypassed = true;
+            return Analysis::run(mcfg, config);
+        }
+        let reuse = live.and_then(|live| Reuse::check(mcfg, config, memo.own, live));
+        Self::run_once(mcfg, config, None, Some((memo, reuse)))
+    }
+
     /// One pass of the four stages. Every per-procedure stage runs through
     /// the fold ([`fold_units`], and its SCC-levelled form for return jump
     /// functions), whatever the pool's size; `memo`, when given, is
-    /// consulted by every unit and takes the fold's notes.
+    /// consulted by every unit and takes the fold's notes, and its
+    /// [`Reuse`], when given, lets each stage share the live analysis's
+    /// product or its clean units' results.
     fn run_once(
         mcfg: &ModuleCfg,
         config: &Config,
         gate_seeds: Option<&Vec<Vec<Lattice>>>,
-        memo: Option<Memo<'_>>,
+        memo: Option<(Memo<'_>, Option<Reuse<'_>>)>,
     ) -> Analysis {
         let t_run = Instant::now();
         // Every round of every stage runs on this pool; a round spawns
         // and joins its own workers.
         let pool = Pool::new(config.effective_jobs());
-        let cg = build_call_graph(mcfg);
-        let layout = SlotLayout::new(&mcfg.module);
+        let (memo, reuse) = match memo {
+            Some((m, reuse)) => (Some(m), reuse),
+            None => (None, None),
+        };
+        // A run that reuses the live analysis shares its call graph and
+        // (unless an edit renamed a formal) slot layout: the shape and every
+        // edited procedure's call edges are unchanged, so rebuilding them
+        // would give equal ones.
+        let (cg, layout) = match &reuse {
+            Some(r) => (Arc::clone(&r.live.cg), Arc::clone(&r.layout)),
+            None => (
+                Arc::new(build_call_graph(mcfg)),
+                Arc::new(SlotLayout::new(&mcfg.module)),
+            ),
+        };
         let mut gov = Governor::new(config);
         let n_procs = mcfg.module.procs.len();
         let mut quarantined = vec![false; n_procs];
@@ -324,11 +354,19 @@ impl Analysis {
         // The memo's read side goes into the units (and so into pool
         // rounds); its transaction takes the fold's notes.
         let mut unmemoized = CacheTxn::new();
-        let (memo, txn) = match memo {
-            Some(m) => (Some(MemoKeys::new(&m, mcfg, &cg, config)), m.txn),
+        let (memo_keys, txn) = match memo {
+            Some(m) => {
+                let keys = MemoKeys::new(&m, mcfg, &cg, config, reuse.as_ref());
+                m.txn.start_log(n_procs, reuse.is_some());
+                (Some(keys), m.txn)
+            }
             None => (None, &mut unmemoized),
         };
-        let memo = memo.as_ref();
+        let memo = memo_keys.as_ref();
+        let prev_log = reuse.as_ref().map(Reuse::log);
+        // Each stage below keeps reusing only while its inputs equal the
+        // live run's; the first stage whose product moved ends reuse.
+        let mut reuse = reuse;
 
         // Stage 0: per-procedure MOD/REF direct effects (under
         // quarantine), then call-edge propagation. Its timer starts with
@@ -337,22 +375,49 @@ impl Analysis {
         // whole run. A contained failure widens only that procedure's
         // summary to "touches everything visible"; the fixpoint spreads
         // the widening to callers exactly as far as reference bindings
-        // demand.
-        let mut mods = Vec::with_capacity(n_procs);
-        let mut refs = Vec::with_capacity(n_procs);
+        // demand. A reused unit's effects are the live ones (`None`).
+        let mut direct: Vec<Option<(ModSet, ModSet)>> = Vec::with_capacity(n_procs);
         let pt = fold_units(
             pool,
             &mut gov,
             n_procs,
-            |pi, g| modref_unit(mcfg, config, memo, pi, g),
+            |pi, g| modref_unit(mcfg, config, memo, reuse.as_ref(), pi, g),
             |pi, (pair, quarantine, served), _| {
-                mods.push(pair.0);
-                refs.push(pair.1);
+                direct.push(pair);
                 quarantined[pi] |= quarantine;
-                txn.note(served);
+                txn.note_unit(pi, served);
             },
         );
-        let modref = propagate_modref(mcfg, &cg, mods, refs);
+        // The live propagation is shared when every unit that ran has the
+        // direct effects the live run used.
+        let shared = reuse.as_ref().filter(|r| {
+            direct
+                .iter()
+                .enumerate()
+                .all(|(pi, d)| d.as_ref().is_none_or(|d| *d == r.live_direct_effects(pi)))
+        });
+        let modref = match shared {
+            Some(r) => Arc::clone(&r.live.modref),
+            None => {
+                reuse = None;
+                let (mods, refs) = direct
+                    .into_iter()
+                    .enumerate()
+                    .map(|(pi, d)| d.unwrap_or_else(|| direct_effects(mcfg, ProcId::from(pi))))
+                    .unzip();
+                Arc::new(propagate_modref(mcfg, &cg, mods, refs))
+            }
+        };
+        let reuse = reuse.as_ref();
+        // A unit whose call kills read a MOD set widened by a degraded
+        // MOD/REF unit computes what no clean cone computes: the memo
+        // neither serves nor keeps it.
+        let mod_tainted = match memo {
+            Some(_) if config.use_mod && quarantined.contains(&true) => {
+                mod_taint(&cg, &quarantined)
+            }
+            _ => Vec::new(),
+        };
         // Direct effects plus their propagation make up the stage.
         timings.modref = pt.with_tail(t_run.elapsed());
 
@@ -369,8 +434,8 @@ impl Analysis {
         // and evaluates it symbolically; when Stage 2 would build the same
         // form, the unit keeps it.
         let t1 = Instant::now();
-        let (ret_jfs, mut forms) = if config.use_return_jfs {
-            let (table, forms, pt) = build_return_jfs_on(
+        let (ret_jfs, mut forms, marks) = if config.use_return_jfs {
+            let (table, forms, pt, marks) = build_return_jfs_on(
                 mcfg,
                 &cg,
                 &layout,
@@ -381,16 +446,28 @@ impl Analysis {
                 pool,
                 reuses_forms(config),
                 memo,
+                &mod_tainted,
+                reuse,
                 txn,
             );
             timings.retjump = pt.with_tail(t1.elapsed());
-            (table, forms)
+            (table, forms, marks)
         } else {
             let table = ReturnJumpFns {
                 fns: vec![None; n_procs],
                 compose: false,
             };
-            (table, vec![None; n_procs])
+            (table, vec![None; n_procs], RetMarks::default())
+        };
+        // A form reads its callees' return jump functions: one that reads
+        // a degraded or tainted table entry is tainted too.
+        let flagged = |v: &[bool], i: usize| v.get(i).is_some_and(|&b| b);
+        let form_tainted = |pi: usize| {
+            flagged(&mod_tainted, pi)
+                || cg
+                    .calls_from(ProcId::from(pi))
+                    .iter()
+                    .any(|e| flagged(&marks.bad, e.callee.index()))
         };
 
         // Stage 2: each reachable procedure's symbolic form, then forward
@@ -402,7 +479,8 @@ impl Analysis {
         // runs as a `Stage::Jump` quarantine unit, so panic injection and
         // containment behave the same. The symbolic units charge nothing —
         // step budgets are enforced inside the evaluator — so their fold
-        // only orders the *recording* of outcomes.
+        // only orders the *recording* of outcomes. A clean unit whose
+        // return-jump inputs did not move reuses its live form.
         let t2 = Instant::now();
         let latch = Arc::clone(gov.latch());
         let budget = EvalBudget {
@@ -426,10 +504,22 @@ impl Analysis {
                 if !cg.reachable[pi] || before[pi] {
                     return Symbolic::Live(None, None);
                 }
-                let lookup = memo.map(|m| m.lookup(SummaryStage::Jump, pi));
+                let tainted = memo.is_some() && form_tainted(pi);
+                if let Some((r, memo)) = reuse.zip(memo).filter(|_| !tainted) {
+                    let live = r.live.symbolics[pi].as_ref();
+                    let clean = !flagged(&marks.stale, pi) && r.clean(memo, SummaryStage::Jump, pi);
+                    if let Some(ps) = live.filter(|_| clean) {
+                        let served =
+                            r.served(memo, SummaryStage::Jump, pi, || CachedSummary::Jump {
+                                sym: Arc::clone(ps),
+                            });
+                        return Symbolic::Reused(Arc::clone(ps), served);
+                    }
+                }
+                let lookup = memo.map(|m| m.lookup(SummaryStage::Jump, pi).forced_if(tainted));
                 if let Some(l) = lookup {
                     if let Some((CachedSummary::Jump { sym }, _)) = l.hit {
-                        return Symbolic::Hit(Arc::clone(sym), l);
+                        return Symbolic::Reused(Arc::clone(sym), l.served_hit());
                     }
                 }
                 if has_form[pi] {
@@ -444,10 +534,10 @@ impl Analysis {
             },
             |pi, out, gov| {
                 let (unit, lookup) = match out {
-                    Symbolic::Hit(ps, lookup) => {
+                    Symbolic::Reused(ps, served) => {
                         // The kept form is not needed: free it at once.
                         forms[pi] = None;
-                        txn.note(lookup.served_hit());
+                        txn.note_unit(pi, served);
                         symbolics.push(Some(ps));
                         return;
                     }
@@ -468,11 +558,14 @@ impl Analysis {
                     // A clean form is cached as the very `Arc` just
                     // committed, so a later hit shares it.
                     let sym = symbolics[pi].as_ref().filter(|_| clean).map(Arc::clone);
-                    txn.note(lookup.served_miss(sym.map(|sym| CachedSummary::Jump { sym })));
+                    txn.note_unit(
+                        pi,
+                        lookup.served_miss(sym.map(|sym| CachedSummary::Jump { sym })),
+                    );
                 }
             },
         );
-        let (jump_fns, pt_fwd) = build_forward_jump_fns(
+        let (jump_fns, pt_fwd) = build_forward_jump_fns_on(
             mcfg,
             &cg,
             &layout,
@@ -481,6 +574,8 @@ impl Analysis {
             &mut quarantined,
             &mut gov,
             pool,
+            reuse,
+            txn,
         );
         pt.absorb(pt_fwd);
         pt.reused = reused;
@@ -503,6 +598,7 @@ impl Analysis {
             &mut quarantined,
         );
         timings.solve = solve_time;
+        let memo_log = memo_keys.and_then(|m| txn.finish_log(m.keys, prev_log));
         timings.total = t_run.elapsed();
 
         Analysis {
@@ -517,6 +613,7 @@ impl Analysis {
             health: gov.into_health(),
             quarantined,
             timings,
+            memo_log,
         }
     }
 
@@ -555,18 +652,43 @@ impl Analysis {
     }
 }
 
+/// `t[p]`: some callee of `p` has a MOD set that a degraded MOD/REF unit
+/// (`degraded[q]`) widened, directly or through its own callees — so `p`'s
+/// call kills differ from what a clean run gives.
+fn mod_taint(cg: &CallGraph, degraded: &[bool]) -> Vec<bool> {
+    let mut scc_bad = vec![false; cg.sccs.len()];
+    for (si, members) in cg.sccs.iter().enumerate() {
+        scc_bad[si] = members.iter().any(|&p| {
+            degraded[p.index()]
+                || cg.calls_from(p).iter().any(|e| {
+                    let cs = cg.scc_of[e.callee.index()];
+                    cs != si && scc_bad[cs]
+                })
+        });
+    }
+    (0..degraded.len())
+        .map(|p| {
+            cg.calls_from(ProcId::from(p))
+                .iter()
+                .any(|e| scc_bad[cg.scc_of[e.callee.index()]])
+        })
+        .collect()
+}
+
 /// One procedure's MOD/REF unit: charge the direct-effects budget, then
-/// serve the direct effects from the memo or compute them under
-/// quarantine. A failed charge or a contained panic widens the summary to
-/// everything visible. Returns the pair, whether the procedure is now
-/// quarantined, and how the memo served it.
+/// reuse a clean unit's live effects (`None`), or serve the direct effects
+/// from the memo or compute them under quarantine. A failed charge or a
+/// contained panic widens the summary to everything visible. Returns the
+/// pair, whether the procedure is now quarantined, and how the memo
+/// served it.
 fn modref_unit(
     mcfg: &ModuleCfg,
     config: &Config,
     memo: Option<&MemoKeys<'_>>,
+    reuse: Option<&Reuse<'_>>,
     pi: usize,
     gov: &mut Governor,
-) -> ((ModSet, ModSet), bool, Served) {
+) -> (Option<(ModSet, ModSet)>, bool, Served) {
     let p = &mcfg.module.procs[pi];
     let widened = || {
         let n_globals = mcfg.module.globals.len();
@@ -586,12 +708,21 @@ fn modref_unit(
                 p.name
             ),
         );
-        return (widened(), true, Served::Skipped);
+        return (Some(widened()), true, Served::Skipped);
+    }
+    if let Some((r, memo)) = reuse.zip(memo) {
+        if r.clean(memo, SummaryStage::ModRef, pi) {
+            let served = r.served(memo, SummaryStage::ModRef, pi, || {
+                let (mods, refs) = direct_effects(mcfg, ProcId::from(pi));
+                CachedSummary::ModRef { mods, refs }
+            });
+            return (None, false, served);
+        }
     }
     let lookup = memo.map(|m| m.lookup(SummaryStage::ModRef, pi));
     if let Some(l) = lookup {
         if let Some((CachedSummary::ModRef { mods, refs }, _)) = l.hit {
-            return ((mods.clone(), refs.clone()), false, l.served_hit());
+            return (Some((mods.clone(), refs.clone())), false, l.served_hit());
         }
     }
     let unit = run_unit(config, Stage::ModRef, pi, || {
@@ -618,13 +749,14 @@ fn modref_unit(
         });
         l.served_miss(entry)
     });
-    (pair, quarantine, served)
+    (Some(pair), quarantine, served)
 }
 
 /// One symbolic unit's outcome, before the fold commits it.
 enum Symbolic<'c> {
-    /// Served from the memo, with the lookup that hit.
-    Hit(Arc<ProcSymbolic>, Lookup<'c>),
+    /// A form served from the memo or reused from the live analysis, with
+    /// its note.
+    Reused(Arc<ProcSymbolic>, Served),
     /// Computed live — `None` to commit the form Stage 1 kept, if any —
     /// with the memo lookup that missed.
     Live(Option<Box<Result<KeptForm, UnitError>>>, Option<Lookup<'c>>),

@@ -22,7 +22,9 @@ use crate::jump::{JumpFn, ProcSymbolic};
 use crate::par::{PhaseTime, Pool};
 use crate::pipeline::{evaluate_proc, KeptForm, PhaseFold, PhaseUnit};
 use crate::quarantine::run_unit;
-use crate::serve::cache::{CacheTxn, CachedSummary, MemoKeys, Served, SummaryStage};
+use crate::serve::cache::{
+    CacheTxn, CachedSummary, Charges, MemoKeys, Reuse, Served, SummaryStage,
+};
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout, VarId};
@@ -38,11 +40,13 @@ use std::time::Duration;
 ///
 /// Every reachable procedure gets one entry per entry slot. A slot the
 /// procedure provably leaves untouched holds the identity pass-through of
-/// itself; a slot it may set unpredictably holds ⊥.
+/// itself; a slot it may set unpredictably holds ⊥. Each procedure's
+/// entry is shared, so an analysis that reuses another's entries (serve's
+/// live-analysis reuse, a multi-member SCC's fresh overlay) copies none.
 #[derive(Clone, Debug, Default)]
 pub struct ReturnJumpFns {
     /// Per procedure, per entry slot (`None` for unreachable procedures).
-    pub fns: Vec<Option<Vec<JumpFn>>>,
+    pub fns: Vec<Option<Arc<[JumpFn]>>>,
     /// Whether evaluation composes polynomials (extension) or applies the
     /// paper's constant-only limitation.
     pub compose: bool,
@@ -82,7 +86,7 @@ impl RetTable for ReturnJumpFns {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RetView<'a> {
     table: &'a ReturnJumpFns,
-    fresh: &'a [(ProcId, Vec<JumpFn>)],
+    fresh: &'a [(ProcId, Arc<[JumpFn]>)],
 }
 
 impl<'a> RetView<'a> {
@@ -234,7 +238,7 @@ pub fn build_return_jfs(
     quarantined: &mut [bool],
     gov: &mut Governor,
 ) -> ReturnJumpFns {
-    let (table, _, _) = build_return_jfs_on(
+    let (table, _, _, _) = build_return_jfs_on(
         mcfg,
         cg,
         layout,
@@ -244,6 +248,8 @@ pub fn build_return_jfs(
         gov,
         Pool::new(config.effective_jobs()),
         false,
+        None,
+        &[],
         None,
         &mut CacheTxn::new(),
     );
@@ -275,6 +281,15 @@ pub fn build_return_jfs(
 /// ahead, as on a pool without workers — the unit runs against the final
 /// table and the master governor, and the difference from its optimistic
 /// run (if any) propagates to its dependents through `changed`.
+///
+/// With a memo, a unit whose inputs include a degraded result — a MOD set
+/// a degraded MOD/REF unit widened (`mod_tainted[p]`), or a callee's
+/// degraded or tainted functions — is a forced miss: no clean cone
+/// computes what it computes, so the cache neither serves nor keeps it.
+/// The taint a unit ran ahead under is part of what the fold compares.
+///
+/// With `reuse`, the walk reuses the live analysis instead (see
+/// [`RetStage::reuse_walk`]).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_return_jfs_on(
     mcfg: &ModuleCfg,
@@ -287,8 +302,10 @@ pub(crate) fn build_return_jfs_on(
     pool: Pool,
     keep: bool,
     memo: Option<&MemoKeys<'_>>,
+    mod_tainted: &[bool],
+    reuse: Option<&Reuse<'_>>,
     txn: &mut CacheTxn,
-) -> (ReturnJumpFns, Vec<Option<KeptForm>>, PhaseTime) {
+) -> (ReturnJumpFns, Vec<Option<KeptForm>>, PhaseTime, RetMarks) {
     let n_procs = mcfg.module.procs.len();
     let n_sccs = cg.sccs.len();
     let stage = RetStage {
@@ -300,45 +317,68 @@ pub(crate) fn build_return_jfs_on(
         before: quarantined.to_vec(),
         keep,
         memo,
+        mod_tainted,
     };
     let empty = || ReturnJumpFns {
         fns: vec![None; n_procs],
         compose: config.compose_return_jfs,
     };
+    if let Some((r, memo)) = reuse.zip(memo) {
+        let t = std::time::Instant::now();
+        let mut table = empty();
+        let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
+        let marks = stage.reuse_walk(r, memo, &mut table, &mut forms, quarantined, gov, txn);
+        let units = cg.bottom_up().count();
+        return (
+            table,
+            forms,
+            PhaseTime::sequential(t.elapsed(), units),
+            marks,
+        );
+    }
 
     // Optimistic phase: run each level's SCC units on the pool, committing
     // their tables before the next level starts.
     let master: &Governor = gov;
     let ahead = pool.ahead(|| {
         let mut opt_table = empty();
+        let mut opt_bad = vec![false; n_procs];
+        let mut opt_taint = vec![false; n_sccs];
         let mut units: Vec<Option<PhaseUnit<Vec<MemberOut>>>> = (0..n_sccs).map(|_| None).collect();
         let mut time = PhaseTime::default();
         for level in scc_levels(cg) {
+            let taint: Vec<bool> = level
+                .iter()
+                .map(|&si| stage.taint_in(si, &opt_bad))
+                .collect();
             let (level_units, pt) = pool.run(level.len(), |k| {
                 let mut shard = master.shard();
-                let outs = stage.scc_unit(level[k], &opt_table, &mut shard);
+                let outs = stage.scc_unit(level[k], &opt_table, taint[k], &mut shard);
                 PhaseUnit::new(level[k], outs, shard)
             });
             time.absorb(pt);
-            for unit in level_units {
+            for (unit, taint) in level_units.into_iter().zip(taint) {
                 let si = unit.index;
+                opt_taint[si] = taint;
                 for (out, &p) in unit.outcome.iter().zip(&cg.sccs[si]) {
-                    opt_table.fns[p.index()] = Some(out.fns.clone());
+                    opt_table.fns[p.index()] = Some(Arc::clone(&out.fns));
+                    opt_bad[p.index()] = out.bad;
                 }
                 units[si] = Some(unit);
             }
         }
-        (units, opt_table, time)
+        (units, opt_table, opt_taint, time)
     });
-    let (mut units, opt_table, mut time) = ahead.unwrap_or_else(|| {
+    let (mut units, opt_table, opt_taint, mut time) = ahead.unwrap_or_else(|| {
         let reachable = cg.bottom_up().count();
         let time = PhaseTime::sequential(Duration::ZERO, reachable);
-        (Vec::new(), ReturnJumpFns::default(), time)
+        (Vec::new(), ReturnJumpFns::default(), Vec::new(), time)
     });
 
     // Deterministic fold, in bottom-up SCC order.
     let mut table = empty();
     let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
+    let mut bad = vec![false; n_procs];
     let mut fold = PhaseFold::default();
     let mut changed = vec![false; n_sccs];
     for (si, members) in cg.sccs.iter().enumerate() {
@@ -347,6 +387,7 @@ pub(crate) fn build_return_jfs_on(
         if !members.first().is_some_and(|p| cg.reachable[p.index()]) {
             continue;
         }
+        let taint = stage.taint_in(si, &bad);
         let ahead = units.get_mut(si).and_then(Option::take);
         let absorbed = ahead.and_then(|unit| {
             let dep_changed = members.iter().any(|&p| {
@@ -355,12 +396,12 @@ pub(crate) fn build_return_jfs_on(
                     cs != si && changed[cs]
                 })
             });
-            fold.try_absorb(gov, unit, !dep_changed)
+            fold.try_absorb(gov, unit, !dep_changed && opt_taint[si] == taint)
         });
         let outs = match absorbed {
             Some(outs) => outs, // committed == optimistic: `changed[si]` stays false
             None => {
-                let outs = stage.scc_unit(si, &table, gov);
+                let outs = stage.scc_unit(si, &table, taint, gov);
                 changed[si] = members.iter().zip(&outs).any(|(&p, out)| {
                     opt_table.fns.get(p.index()).and_then(Option::as_ref) != Some(&out.fns)
                 });
@@ -368,14 +409,24 @@ pub(crate) fn build_return_jfs_on(
             }
         };
         for (out, &p) in outs.into_iter().zip(members) {
-            quarantined[p.index()] = stage.before[p.index()] || out.newly_quarantined;
-            table.fns[p.index()] = Some(out.fns);
-            forms[p.index()] = out.form;
-            txn.note(out.served);
+            bad[p.index()] = out.bad;
+            stage.commit(p, out, &mut table, &mut forms, quarantined, txn);
         }
     }
     fold.stamp(&mut time);
-    (table, forms, time)
+    let stale = Vec::new();
+    (table, forms, time, RetMarks { stale, bad })
+}
+
+/// What the return-jump stage tells the symbolic stage, per procedure.
+#[derive(Debug, Default)]
+pub(crate) struct RetMarks {
+    /// `stale[p]`: `p`'s unit ran rather than reusing its live result
+    /// (empty unless the run reuses the live analysis).
+    pub(crate) stale: Vec<bool>,
+    /// `bad[p]`: `p`'s functions are degraded or read a degraded result,
+    /// so no clean cone computes them (meaningful only with a memo).
+    pub(crate) bad: Vec<bool>,
 }
 
 /// Groups the call graph's reachable SCCs into dependency levels: level 0
@@ -413,11 +464,12 @@ fn scc_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
 
 /// One procedure's result in the bottom-up walk: its slot functions,
 /// whether this unit newly quarantined it, the symbolic form it evaluated
-/// when the caller asked to keep it, and how the memo served it.
+/// when the caller asked to keep it, how the memo served it, and the
+/// charges of a clean unit.
 #[derive(Debug)]
 struct MemberOut {
     /// Return jump function per entry slot.
-    fns: Vec<JumpFn>,
+    fns: Arc<[JumpFn]>,
     /// Whether the unit panicked here (the procedure is quarantined).
     newly_quarantined: bool,
     /// The `(ProcSymbolic, steps_exhausted)` pair the unit evaluated —
@@ -425,6 +477,11 @@ struct MemberOut {
     form: Option<KeptForm>,
     /// The memo's note for this procedure.
     served: Served,
+    /// The governor charges of a clean unit (recorded for reuse).
+    charges: Charges,
+    /// Whether the functions are degraded or read a degraded result (see
+    /// [`build_return_jfs_on`]).
+    bad: bool,
 }
 
 /// Everything a return-jump unit reads besides the table and the governor
@@ -439,52 +496,186 @@ struct RetStage<'a> {
     before: Vec<bool>,
     keep: bool,
     memo: Option<&'a MemoKeys<'a>>,
+    /// `mod_tainted[p]`: a callee's MOD set was widened by a degraded
+    /// MOD/REF unit (empty when no memo is consulted or MOD is off).
+    mod_tainted: &'a [bool],
 }
 
 impl RetStage<'_> {
+    /// Whether SCC `si`'s unit reads a degraded result, given `bad` for
+    /// the SCCs below it (see [`build_return_jfs_on`]). Always `false`
+    /// without a memo: only the cache cares.
+    fn taint_in(&self, si: usize, bad: &[bool]) -> bool {
+        let cg = self.cg;
+        self.memo.is_some()
+            && cg.sccs[si].iter().any(|&p| {
+                self.mod_tainted.get(p.index()).is_some_and(|&t| t)
+                    || cg
+                        .calls_from(p)
+                        .iter()
+                        .any(|e| cg.scc_of[e.callee.index()] != si && bad[e.callee.index()])
+            })
+    }
+
     /// One SCC's unit: its members in order, each reading `table` plus the
-    /// fresh entries of the members before it.
-    fn scc_unit(&self, si: usize, table: &ReturnJumpFns, gov: &mut Governor) -> Vec<MemberOut> {
+    /// fresh entries of the members before it. `tainted`: the unit reads
+    /// a degraded result; a member also does once an earlier member's
+    /// functions are bad.
+    fn scc_unit(
+        &self,
+        si: usize,
+        table: &ReturnJumpFns,
+        mut tainted: bool,
+        gov: &mut Governor,
+    ) -> Vec<MemberOut> {
         let members = &self.cg.sccs[si];
-        let mut fresh: Vec<(ProcId, Vec<JumpFn>)> = Vec::new();
+        let mut fresh: Vec<(ProcId, Arc<[JumpFn]>)> = Vec::new();
         let mut outs = Vec::with_capacity(members.len());
         for &p in members {
             let view = RetView {
                 table,
                 fresh: &fresh,
             };
-            let out = self.member(view, p, gov);
+            let out = self.member(view, p, tainted, gov);
+            tainted |= out.bad;
             if members.len() > 1 {
-                fresh.push((p, out.fns.clone()));
+                fresh.push((p, Arc::clone(&out.fns)));
             }
             outs.push(out);
         }
         outs
     }
 
+    /// Commits procedure `p`'s outcome into the table, the kept forms, the
+    /// quarantine flags and the memo notes.
+    fn commit(
+        &self,
+        p: ProcId,
+        out: MemberOut,
+        table: &mut ReturnJumpFns,
+        forms: &mut [Option<KeptForm>],
+        quarantined: &mut [bool],
+        txn: &mut CacheTxn,
+    ) {
+        let pi = p.index();
+        quarantined[pi] = self.before[pi] || out.newly_quarantined;
+        table.fns[pi] = Some(out.fns);
+        forms[pi] = out.form;
+        txn.log_ret_charges(pi, out.charges);
+        txn.note_unit(pi, out.served);
+    }
+
+    /// The bottom-up walk of a run that reuses the live analysis, in the
+    /// fold's SCC order on the master governor, with early cutoff.
+    ///
+    /// An SCC is *dirty* when one of its members is not clean
+    /// ([`Reuse::clean`]), was quarantined by an earlier stage, or calls
+    /// an SCC whose return jump functions came out different from the live
+    /// ones. A dirty SCC runs as the plain path runs it (memo lookups
+    /// included). A clean SCC reuses each member's live functions after
+    /// replaying its recorded charges through [`Governor::can_absorb`];
+    /// a member whose replay would trip, and every later member once one
+    /// member's functions moved, runs instead. The dirty set therefore
+    /// climbs to a caller only while some callee's functions actually
+    /// changed. A unit that reads a degraded result runs too, as a forced
+    /// miss (see [`build_return_jfs_on`]).
+    #[allow(clippy::too_many_arguments)]
+    fn reuse_walk(
+        &self,
+        r: &Reuse<'_>,
+        memo: &MemoKeys<'_>,
+        table: &mut ReturnJumpFns,
+        forms: &mut [Option<KeptForm>],
+        quarantined: &mut [bool],
+        gov: &mut Governor,
+        txn: &mut CacheTxn,
+    ) -> RetMarks {
+        let cg = self.cg;
+        let live = &r.live.ret_jfs.fns;
+        let n_procs = self.mcfg.module.procs.len();
+        let mut marks = RetMarks {
+            stale: vec![false; n_procs],
+            bad: vec![false; n_procs],
+        };
+        let mut changed = vec![false; cg.sccs.len()];
+        for (si, members) in cg.sccs.iter().enumerate() {
+            if !members.first().is_some_and(|p| cg.reachable[p.index()]) {
+                continue;
+            }
+            let mut tainted = self.taint_in(si, &marks.bad);
+            let dirty = tainted
+                || members.iter().any(|&p| {
+                    self.before[p.index()]
+                        || !r.clean(memo, SummaryStage::RetJump, p.index())
+                        || cg.calls_from(p).iter().any(|e| {
+                            let cs = cg.scc_of[e.callee.index()];
+                            cs != si && changed[cs]
+                        })
+                });
+            let mut fresh: Vec<(ProcId, Arc<[JumpFn]>)> = Vec::new();
+            for &p in members {
+                let pi = p.index();
+                let live_fns = live[pi].as_ref();
+                let reusable = !dirty && !changed[si] && !tainted;
+                let charges = r.ret_charges(pi);
+                if let Some(fns) = live_fns.filter(|_| reusable && gov.replay(charges)) {
+                    // Committed in place: a reused member has no form and
+                    // no quarantine to record.
+                    let served =
+                        r.served(memo, SummaryStage::RetJump, pi, || CachedSummary::RetJump {
+                            fns: fns.to_vec(),
+                            charges: *charges,
+                        });
+                    if members.len() > 1 {
+                        fresh.push((p, Arc::clone(fns)));
+                    }
+                    table.fns[pi] = Some(Arc::clone(fns));
+                    txn.log_ret_charges(pi, *charges);
+                    txn.note_unit(pi, served);
+                    continue;
+                }
+                marks.stale[pi] = true;
+                let view = RetView {
+                    table,
+                    fresh: &fresh,
+                };
+                let out = self.member(view, p, tainted, gov);
+                changed[si] |= live_fns != Some(&out.fns);
+                tainted |= out.bad;
+                marks.bad[pi] = out.bad;
+                if members.len() > 1 {
+                    fresh.push((p, Arc::clone(&out.fns)));
+                }
+                self.commit(p, out, table, forms, quarantined, txn);
+            }
+        }
+        marks
+    }
+
     /// One procedure's unit with the memo consulted first. A hit replays
     /// its recorded charges through [`Governor::can_absorb`]; a hit that
     /// would cross a budget or fault trip runs live instead, reproducing
     /// the cold trip. A live unit runs against a recording shard, so a
-    /// clean one can be cached with its charges.
-    fn member(&self, view: RetView<'_>, p: ProcId, gov: &mut Governor) -> MemberOut {
+    /// clean one can be cached with its charges. A `tainted` unit is a
+    /// forced miss.
+    fn member(&self, view: RetView<'_>, p: ProcId, tainted: bool, gov: &mut Governor) -> MemberOut {
         let pi = p.index();
         let keep = self.keep && !self.cg.is_recursive(p);
         // The quarantine short-circuit touches neither memo nor governor.
         let Some(memo) = self.memo.filter(|_| !self.before[pi]) else {
-            return self.run(view, p, self.before[pi], keep, gov);
+            let out = self.run(view, p, self.before[pi], keep, gov);
+            return MemberOut { bad: true, ..out };
         };
-        let lookup = memo.lookup(SummaryStage::RetJump, pi);
+        let lookup = memo.lookup(SummaryStage::RetJump, pi).forced_if(tainted);
         if let Some((CachedSummary::RetJump { fns, charges }, _)) = lookup.hit {
-            let mut replay = gov.shard();
-            replay.add_charges(charges);
-            if gov.can_absorb(&replay) {
-                gov.absorb_shard(replay);
+            if gov.replay(charges) {
                 return MemberOut {
-                    fns: fns.clone(),
+                    fns: Arc::from(fns.as_slice()),
                     newly_quarantined: false,
                     form: None,
                     served: lookup.served_hit(),
+                    charges: *charges,
+                    bad: false,
                 };
             }
         }
@@ -496,15 +687,18 @@ impl RetStage<'_> {
             // branch is charge-for-charge identical to running against
             // `gov` itself.
             let clean = !out.newly_quarantined && !shard.health.degraded();
+            out.charges = shard.counters();
+            out.bad = tainted || !clean;
             let entry = clean.then(|| CachedSummary::RetJump {
-                fns: out.fns.clone(),
-                charges: shard.counters(),
+                fns: out.fns.to_vec(),
+                charges: out.charges,
             });
             gov.absorb_shard(shard);
             out.served = lookup.served_miss(entry);
         } else {
             out = self.run(view, p, false, keep, gov);
             out.served = lookup.served_miss(None);
+            out.bad = true;
         }
         out
     }
@@ -523,12 +717,15 @@ impl RetStage<'_> {
     ) -> MemberOut {
         let proc = self.mcfg.module.proc(p);
         let n_slots = self.layout.n_slots(proc.arity());
-        let bottom = || MemberOut {
-            fns: vec![JumpFn::Bottom; n_slots],
+        let out = |fns, form| MemberOut {
+            fns,
             newly_quarantined: false,
-            form: None,
+            form,
             served: Served::Skipped,
+            charges: Charges::default(),
+            bad: false,
         };
+        let bottom = || out(vec![JumpFn::Bottom; n_slots].into(), None);
         if already_quarantined {
             return bottom();
         }
@@ -551,11 +748,9 @@ impl RetStage<'_> {
             )
         });
         match unit {
-            Ok((fns, form, cut_by_deadline)) => MemberOut {
-                fns,
-                form: (keep && !cut_by_deadline).then_some(form),
-                ..bottom()
-            },
+            Ok((fns, form, cut_by_deadline)) => {
+                out(fns, (keep && !cut_by_deadline).then_some(form))
+            }
             Err(e) => {
                 gov.record_quarantine(
                     Stage::RetJump,
@@ -587,7 +782,7 @@ fn build_proc_ret_jfs(
     n_slots: usize,
     budget: &EvalBudget<'_>,
     gov: &mut Governor,
-) -> (Vec<JumpFn>, KeptForm, bool) {
+) -> (Arc<[JumpFn]>, KeptForm, bool) {
     let (ps, exhausted) = evaluate_proc(mcfg, layout, kills, Some(view), p, false, None, budget);
     let ProcSymbolic { ssa, sym, .. } = &ps;
     let proc = mcfg.module.proc(p);
@@ -611,66 +806,68 @@ fn build_proc_ret_jfs(
             ),
         );
     }
-    let mut fns = Vec::with_capacity(n_slots);
-    for slot in 0..n_slots {
-        let var: Option<VarId> = if slot < proc.arity() {
-            Some(proc.formals[slot])
-        } else {
-            proc.var_for_global(layout.scalar_globals[slot - proc.arity()])
-        };
-        let jf = match var {
-            Some(v) if !proc.var(v).is_array => {
-                let mut acc = SymVal::Top;
-                for (_, snapshot) in ssa.exits() {
-                    let at_exit = snapshot[v.index()]
-                        .map(|val| sym.value(val).clone())
-                        .unwrap_or(SymVal::Bottom);
-                    acc = acc.meet(&at_exit);
+    // One allocation, straight into the shared table entry.
+    let fns: Arc<[JumpFn]> = (0..n_slots)
+        .map(|slot| {
+            let var: Option<VarId> = if slot < proc.arity() {
+                Some(proc.formals[slot])
+            } else {
+                proc.var_for_global(layout.scalar_globals[slot - proc.arity()])
+            };
+            let jf = match var {
+                Some(v) if !proc.var(v).is_array => {
+                    let mut acc = SymVal::Top;
+                    for (_, snapshot) in ssa.exits() {
+                        let at_exit = snapshot[v.index()]
+                            .map(|val| sym.value(val).clone())
+                            .unwrap_or(SymVal::Bottom);
+                        acc = acc.meet(&at_exit);
+                    }
+                    match acc {
+                        // No reachable exit (infinite loop): the value is
+                        // never observed after the call; ⊥ is safe.
+                        SymVal::Top => JumpFn::Bottom,
+                        SymVal::Bottom => JumpFn::Bottom,
+                        SymVal::Poly(p) => match (p.as_const(), p.as_var()) {
+                            (Some(c), _) => JumpFn::Const(c),
+                            (None, Some(v)) => JumpFn::PassThrough(v),
+                            _ => JumpFn::Poly(p),
+                        },
+                    }
                 }
-                match acc {
-                    // No reachable exit (infinite loop): the value is
-                    // never observed after the call; ⊥ is safe.
-                    SymVal::Top => JumpFn::Bottom,
-                    SymVal::Bottom => JumpFn::Bottom,
-                    SymVal::Poly(p) => match (p.as_const(), p.as_var()) {
-                        (Some(c), _) => JumpFn::Const(c),
-                        (None, Some(v)) => JumpFn::PassThrough(v),
-                        _ => JumpFn::Poly(p),
-                    },
+                _ => JumpFn::Bottom,
+            };
+            // Each slot classification charges the return-jump budget, and
+            // the result is clamped to the polynomial shape limits.
+            let jf = if gov.charge(Stage::RetJump) {
+                let limits = *gov.limits();
+                let (clamped, degraded) = jf.clamp(&limits);
+                if degraded {
+                    gov.record(
+                        Stage::RetJump,
+                        format!(
+                            "{}: slot {slot}: polynomial exceeds shape limits; \
+                             degraded to {clamped}",
+                            proc.name
+                        ),
+                    );
                 }
-            }
-            _ => JumpFn::Bottom,
-        };
-        // Each slot classification charges the return-jump budget, and
-        // the result is clamped to the polynomial shape limits.
-        let jf = if gov.charge(Stage::RetJump) {
-            let limits = *gov.limits();
-            let (clamped, degraded) = jf.clamp(&limits);
-            if degraded {
-                gov.record(
-                    Stage::RetJump,
-                    format!(
-                        "{}: slot {slot}: polynomial exceeds shape limits; \
-                         degraded to {clamped}",
-                        proc.name
-                    ),
-                );
-            }
-            clamped
-        } else {
-            if !jf.is_bottom() {
-                gov.record(
-                    Stage::RetJump,
-                    format!(
-                        "{}: slot {slot}: classification budget exhausted; forced to ⊥",
-                        proc.name
-                    ),
-                );
-            }
-            JumpFn::Bottom
-        };
-        fns.push(jf);
-    }
+                clamped
+            } else {
+                if !jf.is_bottom() {
+                    gov.record(
+                        Stage::RetJump,
+                        format!(
+                            "{}: slot {slot}: classification budget exhausted; forced to ⊥",
+                            proc.name
+                        ),
+                    );
+                }
+                JumpFn::Bottom
+            };
+            jf
+        })
+        .collect();
     (fns, (ps, exhausted), cut_by_deadline)
 }
 
@@ -828,7 +1025,7 @@ mod tests {
         let h = layout
             .global_slot(0, ipcp_ir::program::GlobalId(1))
             .unwrap();
-        let tables: Vec<Vec<Option<Vec<JumpFn>>>> = [1, 4]
+        let tables: Vec<Vec<Option<Arc<[JumpFn]>>>> = [1, 4]
             .into_iter()
             .map(|jobs| {
                 let mut quarantined = vec![false; m.module.procs.len()];

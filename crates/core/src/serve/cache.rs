@@ -50,6 +50,12 @@
 //!    cold; and degraded units are never cached, so a quarantined
 //!    procedure is recomputed (and re-contained, or healed by an edit) on
 //!    every request.
+//! 4. **Taint.** A return-jump or symbolic unit that reads a degraded
+//!    result — a callee's degraded, quarantined or tainted return jump
+//!    functions, or a MOD set a degraded MOD/REF unit widened — is a
+//!    forced miss too. Its key hashes text only, so it cannot tell the
+//!    degraded inputs from clean ones when the degradation moves (an
+//!    edit that shifts a fault's offset, say).
 //!
 //! Gated configurations (`gated_jump_fns`) bypass the cache: their units
 //! read the previous round's fixpoint, which is not part of the key.
@@ -65,13 +71,40 @@
 //! request completed without a request-level panic — snapshot, validate,
 //! commit. A dropped transaction provably leaves the cache untouched.
 //!
+//! **Live-analysis reuse.** A base-configuration run also gets the live
+//! `(ModuleCfg, Analysis, own hashes)` (`Live`), and the pipeline
+//! shares each stage's product by `Arc` while that stage's inputs are
+//! unchanged (`Reuse`). The preconditions: the live analysis was
+//! memoized under this configuration, the program shape is the same, and
+//! every edited procedure (own hash moved) has exactly its live call
+//! edges. Then the call graph is shared, and the slot layout unless an
+//! edit renamed a formal; keys are rehashed for the edited cone only;
+//! the propagated MOD/REF is shared when every recomputed direct effect
+//! equals the live one; return jump functions and kept forms are shared
+//! for every SCC outside the *dirty set*; and forward jump functions for
+//! every caller whose form `Arc` did not move. The dirty set starts at
+//! the edited procedures, the units a panic injection forces, the units
+//! the live run degraded or quarantined, and tainted units; it climbs to
+//! a caller only while some callee's return jump functions actually
+//! changed (early cutoff). A reused unit is a memo hit to every
+//! contract: the charges the live run recorded for it (`MemoLog`)
+//! replay in sequential unit order through `can_absorb`, and a trip runs
+//! the unit live; an unchanged key is noted as a hit on the entry the
+//! live run left; a moved key hits the cache or, when absent, stages the
+//! live result under the new key ([`CacheStats::carried`]). If a
+//! precondition fails the run is the plain memoized path, and if the
+//! propagated MOD/REF moves, so are the stages after it: counters,
+//! cache contents and [`same_results`] are the plain path's either way.
+//!
 //! **Pinning.** Every key a *live* request looked up — one whose analysis
 //! is, or equals, the engine's current one: boot, `update`, `load`, and
 //! any run under the base configuration — is pinned
 //! ([`SummaryCache::commit_live`]). The pinned set is replaced by each
 //! live commit, so it is exactly the live program's entries, and
 //! eviction never touches it: an edit misses only the units whose keys
-//! it changed, however large the program.
+//! it changed, however large the program. A run that reused the live
+//! analysis moves only the pins of the units whose keys changed; pins
+//! are counted per key, since two procedures with one text share a key.
 //!
 //! The bound ([`SummaryCache::with_capacity`]) counts only *superseded*
 //! entries — those the live program no longer looks up — and evicts the
@@ -82,10 +115,13 @@
 use crate::config::{Config, PanicInjection, Stage};
 use crate::jump::ProcSymbolic;
 use crate::{Analysis, JumpFn};
-use ipcp_analysis::{summary_keys, CallGraph, ModSet, SummaryKeys};
+use ipcp_analysis::{
+    calls_from, summary_keys, update_summary_keys, CallGraph, ModSet, SummaryKeys,
+};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::Fnv128;
-use std::collections::{HashMap, HashSet, VecDeque};
+use ipcp_ir::program::{ProcId, SlotLayout};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Recorded per-stage governor charges, in [`Stage::ALL`] order.
@@ -105,6 +141,12 @@ pub enum SummaryStage {
 }
 
 impl SummaryStage {
+    const ALL: [SummaryStage; 3] = [
+        SummaryStage::ModRef,
+        SummaryStage::RetJump,
+        SummaryStage::Jump,
+    ];
+
     /// The pipeline stage whose units this family memoises — the stage a
     /// `--inject-panic` must name to force the family's misses.
     fn stage(self) -> Stage {
@@ -113,6 +155,10 @@ impl SummaryStage {
             SummaryStage::RetJump => Stage::RetJump,
             SummaryStage::Jump => Stage::Jump,
         }
+    }
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -172,6 +218,10 @@ pub struct CacheStats {
     /// The subset of `hits` served by a restored entry — the payoff of
     /// persistence: work a *previous process* did and this one did not.
     pub persisted_hits: u64,
+    /// The subset of `misses` filled from the live analysis by early
+    /// cutoff: a unit whose key moved but whose inputs did not, so its
+    /// live result was staged under the new key instead of recomputed.
+    pub carried: u64,
 }
 
 impl CacheStats {
@@ -199,9 +249,44 @@ pub struct SummaryCache {
     order: VecDeque<CacheKey>,
     /// Every key the latest live request looked up: the entries the
     /// current program uses, which eviction never touches.
-    pinned: HashSet<CacheKey>,
+    pinned: PinSet,
+    /// Entries whose key is not pinned — what the bound counts, kept
+    /// current by every insert, pin move and eviction.
+    unpinned: usize,
     capacity: usize,
     stats: CacheStats,
+}
+
+/// The pinned keys, each with the number of live units that look it up
+/// (two procedures with the same text share a key), so a live commit can
+/// move the pins of only the units whose keys changed.
+#[derive(Debug, Default)]
+struct PinSet(HashMap<CacheKey, u32>);
+
+impl PinSet {
+    fn contains(&self, key: &CacheKey) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// Pins `key` once more; `true` when it was not pinned before.
+    fn pin(&mut self, key: CacheKey) -> bool {
+        let n = self.0.entry(key).or_insert(0);
+        *n += 1;
+        *n == 1
+    }
+
+    /// Drops one pin of `key`; `true` when that was its last.
+    fn unpin(&mut self, key: CacheKey) -> bool {
+        let Some(n) = self.0.get_mut(&key) else {
+            return false;
+        };
+        *n -= 1;
+        let last = *n == 0;
+        if last {
+            self.0.remove(&key);
+        }
+        last
+    }
 }
 
 impl SummaryCache {
@@ -220,7 +305,8 @@ impl SummaryCache {
         SummaryCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
-            pinned: HashSet::new(),
+            pinned: PinSet::default(),
+            unpinned: 0,
             capacity: capacity.max(1),
             stats: CacheStats::default(),
         }
@@ -299,21 +385,30 @@ impl SummaryCache {
     fn insert_entry(&mut self, key: CacheKey, entry: CacheEntry) {
         if self.entries.insert(key, entry).is_none() {
             self.order.push_back(key);
+            self.unpinned += usize::from(!self.pinned.contains(&key));
+        }
+    }
+
+    fn pin(&mut self, key: CacheKey) {
+        if self.pinned.pin(key) && self.entries.contains_key(&key) {
+            self.unpinned -= 1;
+        }
+    }
+
+    fn unpin(&mut self, key: CacheKey) {
+        if self.pinned.unpin(key) && self.entries.contains_key(&key) {
+            self.unpinned += 1;
         }
     }
 
     /// Evicts the oldest unpinned entries until at most `capacity` are
     /// left, keeping the FIFO order of the rest.
     fn evict(&mut self) {
-        let pinned = self
-            .pinned
-            .iter()
-            .filter(|k| self.entries.contains_key(k))
-            .count();
-        let mut excess = (self.entries.len() - pinned).saturating_sub(self.capacity);
+        let mut excess = self.unpinned.saturating_sub(self.capacity);
         if excess == 0 {
             return;
         }
+        self.unpinned -= excess;
         let (entries, stats) = (&mut self.entries, &mut self.stats);
         self.order.retain(|k| {
             if excess == 0 || self.pinned.contains(k) {
@@ -339,8 +434,9 @@ impl SummaryCache {
     /// equals) the live one: the keys it looked up become the pinned set,
     /// replacing the previous one, before eviction runs. The live
     /// program's entries therefore never age out, and the bound counts
-    /// only superseded ones.
-    pub(crate) fn commit_live(&mut self, txn: CacheTxn) {
+    /// only superseded ones. A request that reused the live analysis
+    /// moves only the pins of the units whose keys changed.
+    pub fn commit_live(&mut self, txn: CacheTxn) {
         self.commit_with(txn, true);
     }
 
@@ -349,12 +445,23 @@ impl SummaryCache {
             self.insert(key, value);
         }
         if live {
-            self.pinned = txn.looked_up.into_iter().collect();
+            match txn.repin {
+                Some(repin) => {
+                    repin.unpin.into_iter().for_each(|k| self.unpin(k));
+                    repin.pin.into_iter().for_each(|k| self.pin(k));
+                }
+                None => {
+                    self.pinned = PinSet::default();
+                    self.unpinned = self.entries.len();
+                    txn.looked_up.into_iter().for_each(|k| self.pin(k));
+                }
+            }
         }
         self.evict();
         self.stats.hits += txn.hits;
         self.stats.misses += txn.misses;
         self.stats.persisted_hits += txn.persisted_hits;
+        self.stats.carried += txn.carried;
         self.stats.bypasses += txn.bypassed as u64;
     }
 }
@@ -371,16 +478,33 @@ impl Default for SummaryCache {
 pub struct CacheTxn {
     staged: Vec<(CacheKey, CachedSummary)>,
     /// Every key a unit looked up, hit or miss — what a live commit pins.
+    /// Left empty by a run that reused the live analysis: `repin` moves
+    /// the pins instead.
     looked_up: Vec<CacheKey>,
+    /// The pins a run that reused the live analysis moves: the keys of
+    /// the units whose key changed.
+    repin: Option<Repin>,
+    /// The memo log the run records, for the next run to reuse.
+    log: Option<MemoLog>,
     /// Units served from cache during this request.
     pub hits: u64,
     /// Units recomputed during this request.
     pub misses: u64,
+    /// The subset of `misses` filled from the live analysis by early
+    /// cutoff (see [`CacheStats::carried`]).
+    pub carried: u64,
     /// The subset of `hits` served by entries restored from a persisted
     /// store.
     pub persisted_hits: u64,
     /// Whether this request's configuration bypassed the cache.
     pub bypassed: bool,
+}
+
+/// The pin moves of a run that reused the live analysis.
+#[derive(Debug, Default)]
+struct Repin {
+    unpin: Vec<CacheKey>,
+    pin: Vec<CacheKey>,
 }
 
 impl CacheTxn {
@@ -398,20 +522,73 @@ impl CacheTxn {
     /// sequential unit order, so counters and staged entries do not depend
     /// on `--jobs`.
     pub(crate) fn note(&mut self, served: Served) {
-        match served {
-            Served::Skipped => {}
+        let key = match served {
+            Served::Skipped => return,
             Served::Hit { key, recovered } => {
                 self.hits += 1;
                 self.persisted_hits += u64::from(recovered);
-                self.looked_up.push(key);
+                key
             }
             Served::Miss { key, entry } => {
                 self.misses += 1;
-                self.looked_up.push(key);
                 if let Some(summary) = entry {
                     self.stage(key, summary);
                 }
+                key
             }
+            Served::Carried { key, entry } => {
+                self.misses += 1;
+                self.carried += 1;
+                self.stage(key, entry);
+                key
+            }
+        };
+        if self.repin.is_none() {
+            self.looked_up.push(key);
+        }
+    }
+
+    /// [`CacheTxn::note`] for procedure `pi`'s unit, also recorded in the
+    /// run's memo log.
+    pub(crate) fn note_unit(&mut self, pi: usize, served: Served) {
+        if let (Some(log), Some((family, note))) = (self.log.as_mut(), Note::of(&served)) {
+            log.notes[family.index()][pi] = note;
+        }
+        self.note(served);
+    }
+
+    /// Starts the memo log of a run over `n_procs` procedures. With
+    /// `reusing`, the run reuses the live analysis, and its commit moves
+    /// only the pins of units whose keys changed.
+    pub(crate) fn start_log(&mut self, n_procs: usize, reusing: bool) {
+        self.log = Some(MemoLog::new(n_procs));
+        self.repin = reusing.then(Repin::default);
+    }
+
+    /// Ends the run's memo log with the run's `keys`, deriving the pin
+    /// moves from `prev`, the live analysis's log, when the run reused it.
+    pub(crate) fn finish_log(&mut self, keys: KeySet, prev: Option<&MemoLog>) -> Option<MemoLog> {
+        let mut log = self.log.take()?;
+        log.keys = keys;
+        if let (Some(repin), Some(prev)) = (self.repin.as_mut(), prev) {
+            *repin = log.repin(prev);
+        }
+        Some(log)
+    }
+
+    /// Records the governor charges of procedure `pi`'s clean
+    /// return-jump unit in the run's memo log.
+    pub(crate) fn log_ret_charges(&mut self, pi: usize, charges: Charges) {
+        if let Some(log) = self.log.as_mut() {
+            log.ret_charges[pi] = charges;
+        }
+    }
+
+    /// Records the governor charges of caller `pi`'s forward-jump unit in
+    /// the run's memo log — `None` when the unit did not run clean.
+    pub(crate) fn log_fwd_charges(&mut self, pi: usize, charges: Option<Charges>) {
+        if let Some(log) = self.log.as_mut() {
+            log.fwd_charges[pi] = charges;
         }
     }
 }
@@ -454,6 +631,169 @@ pub(crate) enum Served {
         /// The unit's summary, to stage under `key`.
         entry: Option<CachedSummary>,
     },
+    /// A miss filled from the live analysis by early cutoff: the key moved
+    /// but the unit's inputs did not, so its live result is staged under
+    /// the new key.
+    Carried {
+        /// The key that missed.
+        key: CacheKey,
+        /// The live result, to stage under `key`.
+        entry: CachedSummary,
+    },
+}
+
+/// How one unit of a memoized run was served, as its [`MemoLog`] keeps
+/// it for the next run.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Note {
+    /// Not looked up: its charge failed, or an earlier stage quarantined
+    /// the procedure.
+    #[default]
+    Skipped,
+    /// Computed live and not cached: a forced miss, or a degraded unit.
+    Dirty,
+    /// Served from the cache or staged into it: a clean unit, whose entry
+    /// the cache holds from the commit on. `recovered` when that entry was
+    /// restored from a persisted store.
+    Clean {
+        /// Whether the entry came from a persisted store.
+        recovered: bool,
+    },
+}
+
+impl Note {
+    fn of(served: &Served) -> Option<(SummaryStage, Note)> {
+        match served {
+            Served::Skipped => None,
+            Served::Hit { key, recovered } => Some((
+                key.stage,
+                Note::Clean {
+                    recovered: *recovered,
+                },
+            )),
+            Served::Miss { key, entry } => Some((
+                key.stage,
+                match entry {
+                    Some(_) => Note::Clean { recovered: false },
+                    None => Note::Dirty,
+                },
+            )),
+            Served::Carried { key, .. } => Some((key.stage, Note::Clean { recovered: false })),
+        }
+    }
+}
+
+/// What a memoized run leaves in its [`Analysis`] for the next run over
+/// the same program shape to reuse ([`Reuse`]): its keys, how each unit of
+/// each family was served, and the governor charges of its clean
+/// return-jump and forward-jump units, replayed when those units are
+/// reused.
+#[derive(Debug)]
+pub(crate) struct MemoLog {
+    keys: KeySet,
+    /// `notes[family][p]`, families in [`SummaryStage`] order.
+    notes: [Vec<Note>; 3],
+    /// Per procedure: the charges of its clean return-jump unit.
+    ret_charges: Vec<Charges>,
+    /// Per caller: the charges of its forward-jump unit, when it ran clean
+    /// on a caller no earlier stage quarantined.
+    fwd_charges: Vec<Option<Charges>>,
+}
+
+impl MemoLog {
+    fn new(n_procs: usize) -> MemoLog {
+        MemoLog {
+            keys: KeySet::default(),
+            notes: std::array::from_fn(|_| vec![Note::Skipped; n_procs]),
+            ret_charges: vec![Charges::default(); n_procs],
+            fwd_charges: vec![None; n_procs],
+        }
+    }
+
+    /// Unit `(family, pi)`'s cache key, if the run looked it up.
+    fn looked_up(&self, family: SummaryStage, pi: usize) -> Option<CacheKey> {
+        (self.notes[family.index()][pi] != Note::Skipped).then(|| self.keys.key(family, pi))
+    }
+
+    /// The pins that move from `prev`'s run to this one: the looked-up
+    /// keys of every unit whose key or lookup changed.
+    fn repin(&self, prev: &MemoLog) -> Repin {
+        let mut repin = Repin::default();
+        for family in SummaryStage::ALL {
+            let f = family.index();
+            for pi in 0..self.notes[f].len() {
+                let looked = |log: &MemoLog| log.notes[f][pi] != Note::Skipped;
+                if looked(self) == looked(prev)
+                    && self.keys.digest(family, pi) == prev.keys.digest(family, pi)
+                {
+                    continue;
+                }
+                repin.unpin.extend(prev.looked_up(family, pi));
+                repin.pin.extend(self.looked_up(family, pi));
+            }
+        }
+        repin
+    }
+}
+
+/// Every unit's key material for one program: the summary keys, the
+/// shape fingerprint, and each unit's digest (content mixed with the
+/// shape) — MOD/REF by the procedure's own text, the other families by
+/// its callee cone.
+#[derive(Debug, Default)]
+pub(crate) struct KeySet {
+    pub(crate) shape: u128,
+    raw: Option<SummaryKeys>,
+    /// `[own-text digests, cone digests]`, per procedure.
+    digests: [Vec<u128>; 2],
+}
+
+impl KeySet {
+    fn new(cg: &CallGraph, own: &[u128], shape: u128) -> KeySet {
+        let raw = summary_keys(cg, own);
+        let digests = [&raw.own, &raw.cone].map(|c| c.iter().map(|&c| mix(shape, c)).collect());
+        KeySet {
+            shape,
+            raw: Some(raw),
+            digests,
+        }
+    }
+
+    /// `prev`'s key set for the same shape and call graph with the own
+    /// hashes `own`: only the digests whose content moved are rehashed.
+    fn update(prev: &KeySet, cg: &CallGraph, own: &[u128]) -> KeySet {
+        let Some(prev_raw) = &prev.raw else {
+            return KeySet::new(cg, own, prev.shape);
+        };
+        let raw = update_summary_keys(prev_raw, cg, own);
+        let mut digests = prev.digests.clone();
+        for (f, (new, old)) in [(&raw.own, &prev_raw.own), (&raw.cone, &prev_raw.cone)]
+            .into_iter()
+            .enumerate()
+        {
+            for (i, (&c, &o)) in new.iter().zip(old).enumerate() {
+                if c != o {
+                    digests[f][i] = mix(prev.shape, c);
+                }
+            }
+        }
+        KeySet {
+            shape: prev.shape,
+            raw: Some(raw),
+            digests,
+        }
+    }
+
+    fn digest(&self, family: SummaryStage, pi: usize) -> u128 {
+        self.digests[usize::from(family != SummaryStage::ModRef)][pi]
+    }
+
+    fn key(&self, family: SummaryStage, pi: usize) -> CacheKey {
+        CacheKey {
+            stage: family,
+            digest: self.digest(family, pi),
+        }
+    }
 }
 
 /// The read side of a memo: the cache and every unit's key. Units consult
@@ -461,8 +801,7 @@ pub(crate) enum Served {
 #[derive(Debug)]
 pub(crate) struct MemoKeys<'a> {
     cache: &'a SummaryCache,
-    keys: SummaryKeys,
-    shape: u128,
+    pub(crate) keys: KeySet,
     injection: Option<PanicInjection>,
 }
 
@@ -477,37 +816,44 @@ pub(crate) struct Lookup<'a> {
 }
 
 impl<'a> MemoKeys<'a> {
-    /// Derives every unit's key for `mcfg` under `config`.
+    /// Derives every unit's key for `mcfg` under `config` — from the live
+    /// analysis's keys when the run reuses it, rehashing only the cones
+    /// the edit reaches.
     pub(crate) fn new(
         memo: &Memo<'a>,
         mcfg: &ModuleCfg,
         cg: &CallGraph,
         config: &Config,
+        reuse: Option<&Reuse<'_>>,
     ) -> MemoKeys<'a> {
+        let keys = match reuse {
+            Some(r) => KeySet::update(&r.log.keys, cg, memo.own),
+            None => KeySet::new(cg, memo.own, shape_fingerprint(mcfg, config)),
+        };
         MemoKeys {
             cache: memo.cache,
-            keys: summary_keys(cg, memo.own),
-            shape: shape_fingerprint(mcfg, config),
+            keys,
             injection: config.panic_injection,
         }
+    }
+
+    fn key(&self, family: SummaryStage, pi: usize) -> CacheKey {
+        self.keys.key(family, pi)
+    }
+
+    /// Whether a panic injection names procedure `pi`'s `family` unit:
+    /// such a unit never comes from the cache, so the injection fires
+    /// exactly as cold.
+    fn forced(&self, family: SummaryStage, pi: usize) -> bool {
+        self.injection
+            .is_some_and(|i| i.stage == family.stage() && i.proc == pi)
     }
 
     /// Looks up procedure `pi`'s `family` entry. MOD/REF is keyed by the
     /// procedure's own text, the other families by its callee cone.
     pub(crate) fn lookup(&self, family: SummaryStage, pi: usize) -> Lookup<'a> {
-        let content = match family {
-            SummaryStage::ModRef => self.keys.own[pi],
-            SummaryStage::RetJump | SummaryStage::Jump => self.keys.cone[pi],
-        };
-        let key = CacheKey {
-            stage: family,
-            digest: mix(self.shape, content),
-        };
-        // The unit a panic injection names never comes from the cache, so
-        // the injection fires exactly as cold.
-        let forced = self
-            .injection
-            .is_some_and(|i| i.stage == family.stage() && i.proc == pi);
+        let key = self.key(family, pi);
+        let forced = self.forced(family, pi);
         let hit = if forced {
             None
         } else {
@@ -517,7 +863,173 @@ impl<'a> MemoKeys<'a> {
     }
 }
 
+/// The live analysis a base-configuration run may reuse: the module and
+/// analysis the engine serves and the own hashes of its program model.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Live<'a> {
+    /// The live module.
+    pub(crate) mcfg: &'a ModuleCfg,
+    /// The live analysis of `mcfg`.
+    pub(crate) analysis: &'a Analysis,
+    /// `own[i]`: content hash of live procedure `i`'s normalized text.
+    pub(crate) own: &'a [u128],
+}
+
+/// A run's license to reuse the live analysis stage by stage.
+///
+/// It exists only when the live analysis was memoized under this very
+/// configuration, the program shape is unchanged, and every edited
+/// procedure (one whose own hash moved) has exactly its live call edges;
+/// the call graph is then the live one, and so is the slot layout unless
+/// an edit renamed a formal (slot names are part of the layout). A unit is
+/// *clean* when its procedure was not edited, no panic injection forces
+/// it, and the live run served it cleanly; each stage adds its own input
+/// checks before reusing a clean unit's live result.
+#[derive(Debug)]
+pub(crate) struct Reuse<'a> {
+    /// The live analysis.
+    pub(crate) live: &'a Analysis,
+    /// The run's slot layout: the live one, or rebuilt when an edit
+    /// renamed a formal.
+    pub(crate) layout: Arc<SlotLayout>,
+    live_mcfg: &'a ModuleCfg,
+    log: &'a MemoLog,
+    edited: Vec<bool>,
+}
+
+impl<'a> Reuse<'a> {
+    /// The license for a run of `config` over `mcfg` (own hashes `own`),
+    /// or `None` when a precondition fails.
+    pub(crate) fn check(
+        mcfg: &ModuleCfg,
+        config: &Config,
+        own: &[u128],
+        live: Live<'a>,
+    ) -> Option<Reuse<'a>> {
+        let log = live.analysis.memo_log.as_ref()?;
+        let n = mcfg.module.procs.len();
+        // The live run's configuration and this shape give `log.shape`.
+        let (old, new) = (&live.mcfg.module, &mcfg.module);
+        let same_shape =
+            old.globals == new.globals
+                && old.procs.len() == n
+                && old.procs.iter().zip(&new.procs).all(|(a, b)| {
+                    Arc::ptr_eq(a, b) || (a.name == b.name && a.arity() == b.arity())
+                });
+        if live.analysis.config != *config || !same_shape || live.own.len() != n || own.len() != n {
+            return None;
+        }
+        let edited: Vec<bool> = own.iter().zip(live.own).map(|(a, b)| a != b).collect();
+        let cg = &live.analysis.cg;
+        let same_edges = (0..n).filter(|&p| edited[p]).all(|p| {
+            let p = ProcId::from(p);
+            calls_from(mcfg, p).as_slice() == cg.calls_from(p)
+        });
+        if !same_edges {
+            return None;
+        }
+        let formal_names = |m: &'_ ModuleCfg, p: usize| {
+            let proc = &m.module.procs[p];
+            proc.formals
+                .iter()
+                .map(|&v| proc.var(v).name.clone())
+                .collect::<Vec<_>>()
+        };
+        let renamed =
+            (0..n).any(|p| edited[p] && formal_names(mcfg, p) != formal_names(live.mcfg, p));
+        let layout = if renamed {
+            Arc::new(SlotLayout::new(&mcfg.module))
+        } else {
+            Arc::clone(&live.analysis.layout)
+        };
+        Some(Reuse {
+            live: live.analysis,
+            layout,
+            live_mcfg: live.mcfg,
+            log,
+            edited,
+        })
+    }
+
+    /// The live analysis's memo log.
+    pub(crate) fn log(&self) -> &'a MemoLog {
+        self.log
+    }
+
+    /// Whether procedure `pi`'s `family` unit is clean (see the type docs).
+    pub(crate) fn clean(&self, memo: &MemoKeys<'_>, family: SummaryStage, pi: usize) -> bool {
+        !self.edited[pi]
+            && matches!(self.log.notes[family.index()][pi], Note::Clean { .. })
+            && !memo.forced(family, pi)
+    }
+
+    /// The note for a clean unit whose live result is reused. An unchanged
+    /// key hits the entry the live run left; a changed one hits when the
+    /// cache holds the new key, and otherwise is a miss that stages
+    /// `entry()`, the live result, under it.
+    pub(crate) fn served(
+        &self,
+        memo: &MemoKeys<'_>,
+        family: SummaryStage,
+        pi: usize,
+        entry: impl FnOnce() -> CachedSummary,
+    ) -> Served {
+        let key = memo.key(family, pi);
+        if key.digest == self.log.keys.digest(family, pi) {
+            let recovered = self.log.notes[family.index()][pi] == Note::Clean { recovered: true };
+            return Served::Hit { key, recovered };
+        }
+        match memo.cache.get_with_origin(key) {
+            Some((_, recovered)) => Served::Hit { key, recovered },
+            None => Served::Carried {
+                key,
+                entry: entry(),
+            },
+        }
+    }
+
+    /// Procedure `pi`'s direct MOD/REF effects as the live run used them:
+    /// widened to everything visible unless its unit ran clean.
+    pub(crate) fn live_direct_effects(&self, pi: usize) -> (ModSet, ModSet) {
+        let f = SummaryStage::ModRef.index();
+        if matches!(self.log.notes[f][pi], Note::Clean { .. }) {
+            return ipcp_analysis::direct_effects(self.live_mcfg, ProcId::from(pi));
+        }
+        let arity = self.live_mcfg.module.procs[pi].arity();
+        let n_globals = self.live_mcfg.module.globals.len();
+        (
+            ModSet::everything(arity, n_globals),
+            ModSet::everything(arity, n_globals),
+        )
+    }
+
+    /// The charges of procedure `pi`'s clean live return-jump unit.
+    pub(crate) fn ret_charges(&self, pi: usize) -> &Charges {
+        &self.log.ret_charges[pi]
+    }
+
+    /// The charges of caller `pi`'s live forward-jump unit, when it ran
+    /// clean.
+    pub(crate) fn fwd_charges(&self, pi: usize) -> Option<&Charges> {
+        self.log.fwd_charges[pi].as_ref()
+    }
+}
+
 impl Lookup<'_> {
+    /// This lookup as a forced miss when `force`: the unit reads a
+    /// degraded result, which no cache key captures, so the cache must
+    /// neither serve nor keep it.
+    pub(crate) fn forced_if(self, force: bool) -> Self {
+        if !force {
+            return self;
+        }
+        Lookup {
+            forced: true,
+            hit: None,
+            ..self
+        }
+    }
+
     /// The note for a unit served by its hit.
     pub(crate) fn served_hit(&self) -> Served {
         Served::Hit {
@@ -608,7 +1120,9 @@ fn mix(shape: u128, content: u128) -> u128 {
 
 /// The identity predicate the differential tests assert: everything an
 /// analysis computes except wall-clock observations (timings) and the
-/// solver's internal work counters.
+/// solver's internal work counters — including the call graph (edges,
+/// reachability, SCCs) and the slot layout, which a run that reuses the
+/// live analysis shares instead of rebuilding.
 pub fn same_results(a: &Analysis, b: &Analysis) -> bool {
     a.vals.vals == b.vals.vals
         && a.health == b.health
@@ -616,6 +1130,10 @@ pub fn same_results(a: &Analysis, b: &Analysis) -> bool {
         && a.ret_jfs.fns == b.ret_jfs.fns
         && a.jump_fns.sites == b.jump_fns.sites
         && a.modref == b.modref
+        && a.cg.edges == b.cg.edges
+        && a.cg.reachable == b.cg.reachable
+        && a.cg.sccs == b.cg.sccs
+        && a.layout == b.layout
 }
 
 #[cfg(test)]

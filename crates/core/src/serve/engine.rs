@@ -24,7 +24,7 @@ use crate::config::{Config, Stage};
 use crate::health::DegradationEvent;
 use crate::quarantine::quiet_catch;
 use crate::serve::cache::{
-    config_fingerprint, shape_fingerprint, CacheStats, CacheTxn, Memo, SummaryCache,
+    config_fingerprint, shape_fingerprint, CacheStats, CacheTxn, Live, Memo, SummaryCache,
 };
 use crate::serve::json::{Json, Object};
 use crate::substitute::{self, SubstitutionCounts};
@@ -225,6 +225,9 @@ pub struct RequestOutcome {
     pub persisted_hits: u64,
     /// Units recomputed.
     pub misses: u64,
+    /// The subset of `misses` filled from the live analysis by early
+    /// cutoff (see [`CacheStats::carried`]).
+    pub carried: u64,
     /// Whether the configuration bypassed the cache.
     pub bypassed: bool,
     /// Whether any stage degraded (the response-level `degraded` marker:
@@ -243,6 +246,7 @@ impl RequestOutcome {
             hits: txn.hits,
             persisted_hits: txn.persisted_hits,
             misses: txn.misses,
+            carried: txn.carried,
             bypassed: txn.bypassed,
             degraded: analysis.health.degraded(),
             events: analysis.health.events.clone(),
@@ -279,13 +283,14 @@ pub struct EngineStats {
 }
 
 /// Runs one analysis over `(mcfg, own)` under the request envelope:
-/// quiet-caught, transaction-staged. On a panic the transaction is
-/// dropped with the cache untouched.
+/// quiet-caught, transaction-staged, reusing `live` where it can. On a
+/// panic the transaction is dropped with the cache untouched.
 fn run_request(
     cache: &SummaryCache,
     config: &Config,
     mcfg: &ModuleCfg,
     own: &[u128],
+    live: Option<Live<'_>>,
 ) -> Result<(Analysis, CacheTxn), String> {
     let mut txn = CacheTxn::new();
     let analysis = quiet_catch(|| {
@@ -294,7 +299,7 @@ fn run_request(
             own,
             txn: &mut txn,
         };
-        Analysis::run_memoized(mcfg, config, memo)
+        Analysis::run_memoized_on(mcfg, config, memo, live)
     })?;
     Ok((analysis, txn))
 }
@@ -389,8 +394,8 @@ impl ServeEngine {
         cache: SummaryCache,
     ) -> Result<ServeEngine, ServeError> {
         let mut cache = cache;
-        let (analysis, txn) =
-            run_request(&cache, &config, &mcfg, model.own_hashes()).map_err(ServeError::Panic)?;
+        let (analysis, txn) = run_request(&cache, &config, &mcfg, model.own_hashes(), None)
+            .map_err(ServeError::Panic)?;
         let outcome = RequestOutcome::from_run(&txn, &mcfg, &analysis);
         cache.commit_live(txn);
         Ok(ServeEngine {
@@ -481,14 +486,20 @@ impl ServeEngine {
 
     /// Runs `mcfg` (the program `own` hashes) under `config`,
     /// committing the cache transaction (and the request accounting) only
-    /// on success. A base-configuration run pins what it looked up.
+    /// on success. A base-configuration run may reuse the live analysis,
+    /// and pins what it looked up.
     fn run_guarded(
         &mut self,
         config: Config,
         mcfg: &ModuleCfg,
         own: &[u128],
     ) -> Result<(Analysis, RequestOutcome), ServeError> {
-        match run_request(&self.cache, &config, mcfg, own) {
+        let live = (config == self.base_config).then(|| Live {
+            mcfg: &self.mcfg,
+            analysis: &self.current,
+            own: &self.model.own,
+        });
+        match run_request(&self.cache, &config, mcfg, own, live) {
             Err(msg) => {
                 self.stats.panics_contained += 1;
                 self.stats.errors += 1;

@@ -48,7 +48,9 @@ pub const MAGIC: [u8; 8] = *b"IPCPSUMS";
 
 /// Format version. Bump on any layout change; old versions are
 /// discarded as [`DiscardReason::VersionSkew`], never migrated.
-pub const VERSION: u32 = 1;
+/// Version 2: recorded `Charges` hold one counter per stage of six (the
+/// binding-multigraph stage is gone).
+pub const VERSION: u32 = 2;
 
 /// Why a store file was rejected at load. Surfaced in the startup log,
 /// the `stats`/`health` protocol ops, and the telemetry tables.

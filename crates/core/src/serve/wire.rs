@@ -976,7 +976,7 @@ mod tests {
 
     #[test]
     fn charges_round_trip_and_reject_arity_skew() {
-        let c: Charges = [1, 2, 3, 4, 5, 6, 7];
+        let c: Charges = [1, 2, 3, 4, 5, 6];
         assert_eq!(round_trip(&c, put_charges, get_charges), c);
         let mut w = Writer::new();
         w.put_u8(3); // wrong stage count
@@ -1018,7 +1018,7 @@ mod tests {
             &mut w,
             &CachedSummary::RetJump {
                 fns: vec![JumpFn::Const(1), JumpFn::Bottom],
-                charges: [0; 7],
+                charges: [0; 6],
             },
         );
         let bytes = w.into_bytes();

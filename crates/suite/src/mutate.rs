@@ -49,6 +49,43 @@ pub fn splice_statement(src: &str, rng: &mut Rng) -> String {
     out
 }
 
+/// Adds 1 to 3 to one integer literal — the edit the serve benchmark
+/// times: the program keeps its shape and its calls, and a value that
+/// may or may not reach a callee or a return moves.
+pub fn bump_literal(src: &str, rng: &mut Rng) -> String {
+    let bytes = src.as_bytes();
+    let starts: Vec<usize> = (0..bytes.len())
+        .filter(|&i| {
+            bytes[i].is_ascii_digit()
+                && (i == 0 || !(bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_'))
+        })
+        .collect();
+    if starts.is_empty() {
+        return src.to_string();
+    }
+    let at = starts[rng.below(starts.len() as u64) as usize];
+    let len = bytes[at..]
+        .iter()
+        .take_while(|b| b.is_ascii_digit())
+        .count();
+    let Ok(value) = src[at..at + len].parse::<i64>() else {
+        return src.to_string();
+    };
+    let bumped = value.saturating_add(1 + rng.below(3) as i64);
+    format!("{}{bumped}{}", &src[..at], &src[at + len..])
+}
+
+/// Assigns `global` a literal at the top of the first procedure body in
+/// `src`, so that procedure's direct MOD set gains the global (unless a
+/// formal or local of the same name shadows it).
+pub fn add_global_write(src: &str, global: &str, rng: &mut Rng) -> String {
+    let Some(open) = src.find('{') else {
+        return src.to_string();
+    };
+    let value = rng.below(100);
+    format!("{} {global} = {value};{}", &src[..=open], &src[open + 1..])
+}
+
 /// Adds or drops one argument at a random call site, so formal/actual
 /// arity no longer matches the callee.
 pub fn perturb_call_arity(src: &str, rng: &mut Rng) -> String {

@@ -214,14 +214,32 @@ pub struct ServeIdentity;
 
 impl ServeIdentity {
     /// Derives one candidate replacement for `proc_src` (a normalized
-    /// single-procedure program). The mutators keep the procedure name
-    /// intact; arity perturbation is deliberately in the mix so rejected
-    /// updates exercise rollback.
-    fn mutate_proc(proc_src: &str, rng: &mut Rng) -> String {
-        match rng.below(3) {
+    /// single-procedure program of the daemon's program `src`). The
+    /// mutators keep the procedure name intact; arity perturbation is
+    /// deliberately in the mix so rejected updates exercise rollback. A
+    /// literal bump mostly leaves return jump functions alone (the edit
+    /// early cutoff stops at), and a new global write moves the direct
+    /// MOD set (the edit the MOD/REF reuse check rejects).
+    fn mutate_proc(src: &str, proc_src: &str, rng: &mut Rng) -> String {
+        match rng.below(5) {
             0 => mutate::swap_operator(proc_src, rng),
             1 => mutate::splice_statement(proc_src, rng),
-            _ => mutate::perturb_call_arity(proc_src, rng),
+            2 => mutate::perturb_call_arity(proc_src, rng),
+            3 => mutate::bump_literal(proc_src, rng),
+            _ => {
+                let globals: Vec<&str> = src
+                    .lines()
+                    .filter_map(|l| l.strip_prefix("global ")?.strip_suffix(';'))
+                    .filter(|g| !g.contains('['))
+                    .collect();
+                match globals.len() {
+                    0 => mutate::bump_literal(proc_src, rng),
+                    n => {
+                        let g = globals[rng.below(n as u64) as usize];
+                        mutate::add_global_write(proc_src, g, rng)
+                    }
+                }
+            }
         }
     }
 }
@@ -262,7 +280,7 @@ impl Property for ServeIdentity {
                 return Err(format!("model lost procedure `{name}`"));
             };
             let before = engine.source();
-            let fragment = Self::mutate_proc(proc_src, &mut rng);
+            let fragment = Self::mutate_proc(&before, proc_src, &mut rng);
             if engine.update(name, &fragment).is_err() && engine.source() != before {
                 return Err(format!(
                     "step {step}: rejected update to `{name}` mutated the daemon's source"
@@ -331,7 +349,7 @@ impl Property for ServePersist {
             }
             let name = &names[rng.below(names.len() as u64) as usize];
             if let Some(proc_src) = model.proc_text(name) {
-                let fragment = ServeIdentity::mutate_proc(proc_src, &mut rng);
+                let fragment = ServeIdentity::mutate_proc(&engine.source(), proc_src, &mut rng);
                 let _ = engine.update(name, &fragment);
             }
 

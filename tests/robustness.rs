@@ -20,10 +20,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use ipcp::{
-    analyze_source, solve_binding_graph, Analysis, AnalysisLimits, Config, Governor, IpcpError,
-    Lattice, Stage,
-};
+use ipcp::{analyze_source, Analysis, AnalysisLimits, Config, IpcpError, Lattice, Stage};
 use ipcp_ir::interp::{run_module, EntryTrace, ExecLimits};
 use ipcp_ir::{lower_module, parse_and_resolve, ModuleCfg};
 use ipcp_suite::mutate::{perturb_call_arity, splice_statement, swap_operator};
@@ -344,25 +341,6 @@ fn fault_injection_trips_jump_retjump_and_solver() {
         // Degraded ≠ unsound: whatever survived must still be true.
         check_trace(&mcfg, &analysis, &exec.trace, &format!("fault {stage}"));
     }
-}
-
-#[test]
-fn fault_injection_trips_the_binding_solver() {
-    let mcfg = lower_module(&parse_and_resolve(FAULT_SRC).unwrap());
-    let analysis = Analysis::run(&mcfg, &Config::polynomial());
-    let mut gov = Governor::new(&Config::polynomial().with_fault(Stage::Binding, 1));
-    let vals = solve_binding_graph(
-        &mcfg,
-        &analysis.cg,
-        &analysis.layout,
-        &analysis.jump_fns,
-        Lattice::Bottom,
-        &mut gov,
-    );
-    let health = gov.into_health();
-    assert!(health.count(Stage::Binding) >= 1, "{health}");
-    // Everything reachable was forced to ⊥ — coarse, but sound.
-    assert_eq!(vals.n_constants(), 0);
 }
 
 /// The quarantine acceptance criterion: a panic in any single procedure's

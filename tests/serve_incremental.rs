@@ -21,11 +21,19 @@
 //!    `update` carries over from the previous snapshot equal a recount
 //!    from scratch, per procedure, under five configurations, including
 //!    an edit that changes reachability.
+//! 4. **Live-analysis reuse ≡ the plain memoized path.** An `update` that
+//!    reuses the live analysis stage by stage answers what a cold run
+//!    answers, and leaves the cache counters and the persisted cache
+//!    bytes exactly where a session of plain memoized runs leaves them —
+//!    across edit classes that take every reuse and fallback path, five
+//!    configurations, one and two workers, injected faults and panics.
 
+use ipcp::serve::store::encode;
 use ipcp::serve::{
-    same_results, ProgramModel, RequestOutcome, ServeEngine, ServeError, SummaryCache,
+    same_results, CacheTxn, Memo, ProgramModel, RequestOutcome, ServeEngine, ServeError,
+    SummaryCache,
 };
-use ipcp::{Analysis, Config};
+use ipcp::{Analysis, Config, Stage};
 use ipcp_analysis::{build_call_graph, summary_keys};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::{lower_module_owned, parse_and_resolve};
@@ -437,5 +445,312 @@ fn carried_counts_follow_reachability_changes() {
             label
         ));
         assert!(engine.analysis().cg.reachable[2], "{label}: b reachable");
+    }
+}
+
+/// A session of plain memoized runs — no live analysis to reuse — kept
+/// beside a [`ServeEngine`] and fed the same edits: what the engine's
+/// cache must equal.
+struct PlainSession {
+    config: Config,
+    model: ProgramModel,
+    cache: SummaryCache,
+}
+
+impl PlainSession {
+    fn new(src: &str, config: Config) -> PlainSession {
+        let model = ProgramModel::from_source(src).unwrap();
+        let mut session = PlainSession {
+            config,
+            model: model.clone(),
+            cache: SummaryCache::new(),
+        };
+        session.run(model);
+        session
+    }
+
+    /// Runs `model` the plain way and commits it as the live program.
+    /// Returns the module, the analysis, and the request's hits, misses,
+    /// persisted hits and bypass flag.
+    fn run(&mut self, model: ProgramModel) -> (ModuleCfg, Analysis, (u64, u64, u64, bool)) {
+        let mcfg = full_path(&model.source());
+        let mut txn = CacheTxn::new();
+        let memo = Memo {
+            cache: &self.cache,
+            own: model.own_hashes(),
+            txn: &mut txn,
+        };
+        let analysis = Analysis::run_memoized(&mcfg, &self.config, memo);
+        assert_eq!(txn.carried, 0, "the plain path carries nothing");
+        let counters = (txn.hits, txn.misses, txn.persisted_hits, txn.bypassed);
+        self.cache.commit_live(txn);
+        self.model = model;
+        (mcfg, analysis, counters)
+    }
+}
+
+/// Applies one update to `engine` and to `plain`, then checks the engine
+/// against a cold run (results and per-procedure substitution counts) and
+/// against the plain session (request counters, lifetime cache counters
+/// and the persisted cache bytes). Returns the engine's outcome, or
+/// `None` when both rejected the edit.
+fn step_both(
+    engine: &mut ServeEngine,
+    plain: &mut PlainSession,
+    name: &str,
+    body: &str,
+    what: &str,
+) -> Option<RequestOutcome> {
+    // Read the counts first, so the update carries them.
+    let _ = engine.snapshot().counts();
+    let got = engine.update(name, body);
+    let candidate = plain
+        .model
+        .replace_proc(name, body)
+        .ok()
+        .filter(|c| parse_and_resolve(&c.source()).is_ok());
+    let (Ok(out), Some(candidate)) = (got.as_ref(), candidate) else {
+        assert!(
+            got.is_err(),
+            "{what}: the engine accepted an edit the plain path rejects"
+        );
+        return None;
+    };
+    let out = out.clone();
+    let (mcfg, warm, txn) = plain.run(candidate);
+    assert_eq!(
+        (out.hits, out.misses, out.persisted_hits, out.bypassed),
+        txn,
+        "{what}: request counters"
+    );
+    assert!(
+        out.carried <= out.misses,
+        "{what}: carried is a subset of misses"
+    );
+    let cold = Analysis::run(&mcfg, &plain.config);
+    assert!(
+        same_results(engine.analysis(), &cold),
+        "{what}: reuse vs cold"
+    );
+    assert!(same_results(&warm, &cold), "{what}: plain vs cold");
+    let counts = engine.snapshot().counts().clone();
+    assert_eq!(counts, cold.substitution_counts(&mcfg), "{what}: counts");
+    let mut stats = engine.cache_stats();
+    assert!(stats.carried <= stats.misses, "{what}");
+    stats.carried = 0;
+    assert_eq!(stats, plain.cache.stats(), "{what}: cache counters");
+    let (cfp, sfp) = engine.fingerprints();
+    assert!(
+        encode(engine.cache(), cfp, sfp) == encode(&plain.cache, cfp, sfp),
+        "{what}: cache bytes"
+    );
+    Some(out)
+}
+
+/// `name`'s current text in `engine`.
+fn text_of(engine: &ServeEngine, name: &str) -> String {
+    let model = ProgramModel::from_source(&engine.source()).unwrap();
+    model.proc_text(name).unwrap().to_string()
+}
+
+/// The first procedure from `from` on that assigns a global at the top
+/// level of its body, with that global: an edit that assigns it again
+/// before the final `print` changes the procedure's return jump function
+/// for it but not its MOD set.
+fn global_writer(engine: &ServeEngine, from: u64) -> (String, String) {
+    (from..1000)
+        .map(|i| format!("p{i}"))
+        .find_map(|name| {
+            let text = text_of(engine, &name);
+            let g = text.lines().find_map(|l| {
+                l.strip_prefix("    g")?
+                    .split_once(" = ")
+                    .map(|(k, _)| k.to_string())
+            })?;
+            Some((name, format!("g{g}")))
+        })
+        .expect("some procedure writes a global")
+}
+
+/// A caller and the procedure it holds the only call to, on a line of its
+/// own at the top level of the caller's body.
+fn sole_call(engine: &ServeEngine) -> (String, String) {
+    let (mcfg, cg) = (engine.mcfg(), &engine.analysis().cg);
+    let name = |p: ipcp_ir::program::ProcId| mcfg.module.proc(p).name.clone();
+    mcfg.module
+        .procs
+        .iter()
+        .filter(|p| cg.calls_to(p.id).count() == 1)
+        .find_map(|p| {
+            let edge = cg.calls_to(p.id).next()?;
+            let (caller, callee) = (name(edge.caller), name(edge.callee));
+            let line = format!("\n    call {callee}(");
+            text_of(engine, &caller)
+                .contains(&line)
+                .then_some((caller, callee))
+        })
+        .expect("some procedure has a single caller")
+}
+
+/// `text` with `line` inserted before its final `print`.
+fn before_last_print(text: &str, line: &str) -> String {
+    let at = text.rfind("    print ").expect("generated epilogue");
+    let mut out = text.to_string();
+    out.insert_str(at, &format!("    {line}\n"));
+    out
+}
+
+/// The edit script: a literal bump (early cutoff), a return-jump change
+/// (the dirty set climbs), a new global write (the MOD/REF precondition
+/// fails), a dropped call (the call-edge precondition fails), and an
+/// arity change of the procedure that lost its only caller, there and
+/// back (the full path; the way back finds the superseded entries).
+fn edit_session(engine: &mut ServeEngine, plain: &mut PlainSession, label: &str) {
+    let mut rng = Rng::new(0x5EED_0023);
+    let mut carried = 0;
+    let mut step = |engine: &mut ServeEngine, name: &str, body: String, class: &str| {
+        let what = format!("{label}: {class} of `{name}`");
+        let out = step_both(engine, plain, name, &body, &what);
+        carried += out.unwrap_or_else(|| panic!("{what}: rejected")).carried;
+    };
+    for round in 1..=2 {
+        let name = format!("p{}", 1 + rng.below(999));
+        let body = bump(engine, &name, round);
+        step(engine, &name, body, "literal bump");
+    }
+    let (name, g) = global_writer(engine, 1 + rng.below(500));
+    let body = before_last_print(&text_of(engine, &name), &format!("{g} = 2023;"));
+    step(engine, &name, body, "return-jump change");
+    let name = format!("p{}", 1 + rng.below(999));
+    let text = text_of(engine, &name);
+    let fresh = (0..4)
+        .map(|k| format!("g{k}"))
+        .find(|g| !text.contains(&format!("{g} = ")));
+    if let Some(g) = fresh {
+        step(
+            engine,
+            &name,
+            before_last_print(&text, &format!("{g} = 7;")),
+            "MOD change",
+        );
+    }
+    // Drop the only call to some procedure, which can then change arity.
+    let (caller, callee) = sole_call(engine);
+    let text = text_of(engine, &caller);
+    let at = text.find(&format!("    call {callee}(")).unwrap();
+    let end = at + text[at..].find('\n').unwrap() + 1;
+    let dropped = format!("{}{}", &text[..at], &text[end..]);
+    step(engine, &caller, dropped, "dropped call");
+    let text = text_of(engine, &callee);
+    let open = text.find('(').unwrap() + 1;
+    let wider = match text[open..].starts_with(')') {
+        true => text.replacen("()", "(zz)", 1),
+        false => format!("{}zz, {}", &text[..open], &text[open..]),
+    };
+    step(engine, &callee, wider, "arity change");
+    step(engine, &callee, text, "arity change back");
+    let name = format!("p{}", 1 + rng.below(999));
+    let body = bump(engine, &name, 3);
+    step(engine, &name, body, "literal bump after the full path");
+    assert!(carried > 0, "{label}: early cutoff never carried a unit");
+}
+
+#[test]
+fn live_reuse_matches_the_plain_memoized_path() {
+    let src = scale_1k();
+    let b = Config::builder;
+    let configs = [
+        ("default", Config::default()),
+        ("polynomial", Config::polynomial()),
+        ("no-mod", Config::default().with_mod(false)),
+        ("no-return-jfs", Config::default().with_return_jfs(false)),
+        (
+            "compose",
+            b().compose_return_jfs(true).build().expect("valid"),
+        ),
+    ];
+    for (label, config) in configs {
+        for jobs in [1, 2] {
+            let config = config.with_jobs(jobs);
+            let mut engine = ServeEngine::new(&src, &config).unwrap();
+            let mut plain = PlainSession::new(&src, config);
+            edit_session(&mut engine, &mut plain, &format!("{label}/jobs {jobs}"));
+        }
+    }
+}
+
+/// The `Stage::RetJump` charges a fault-free run makes before procedure
+/// `p`'s unit, plus one: a fault there trips on `p`'s first slot.
+fn ret_offset(analysis: &Analysis, mcfg: &ModuleCfg, p: usize) -> u64 {
+    let cg = &analysis.cg;
+    let mut charges = 0;
+    for q in cg.bottom_up() {
+        if q.index() == p {
+            break;
+        }
+        charges += analysis
+            .layout
+            .n_slots(mcfg.module.procs[q.index()].arity()) as u64;
+    }
+    charges + 1
+}
+
+/// The `Stage::Jump` charges a fault-free run makes before caller `p`'s
+/// forward-jump unit, plus one.
+fn jump_offset(analysis: &Analysis, mcfg: &ModuleCfg, p: usize) -> u64 {
+    let per_caller = |q: usize| -> u64 {
+        analysis.jump_fns.sites[q]
+            .iter()
+            .map(|fns| fns.len() as u64)
+            .sum()
+    };
+    let _ = mcfg;
+    (0..p).map(per_caller).sum::<u64>() + 1
+}
+
+#[test]
+fn live_reuse_matches_the_plain_memoized_path_under_faults_and_panics() {
+    let src = scale_1k();
+    let base = Config::default();
+    let probe = ServeEngine::new(&src, &base).unwrap();
+    // The literal bump the session makes first edits this procedure.
+    let edited = 1 + Rng::new(0x5EED_0023).below(999) as usize;
+    let clean = if edited == 500 { 501 } else { 500 };
+    let (a, m) = (probe.analysis(), probe.mcfg());
+    let variants = [
+        (
+            "retjump fault at the edit",
+            base.with_fault(Stage::RetJump, ret_offset(a, m, edited)),
+        ),
+        (
+            "jump fault at the edit",
+            base.with_fault(Stage::Jump, jump_offset(a, m, edited)),
+        ),
+        (
+            "retjump panic in the edit",
+            base.with_panic(Stage::RetJump, edited),
+        ),
+        (
+            "jump panic in the edit",
+            base.with_panic(Stage::Jump, edited),
+        ),
+        (
+            "modref panic elsewhere",
+            base.with_panic(Stage::ModRef, clean),
+        ),
+        (
+            "retjump panic elsewhere",
+            base.with_panic(Stage::RetJump, clean),
+        ),
+    ];
+    for (i, (label, config)) in variants.into_iter().enumerate() {
+        let config = config.with_jobs(1 + i % 2);
+        let mut engine = ServeEngine::new(&src, &config).unwrap();
+        assert!(
+            engine.analysis().health.degraded(),
+            "{label}: the injection fires"
+        );
+        let mut plain = PlainSession::new(&src, config);
+        edit_session(&mut engine, &mut plain, label);
     }
 }
