@@ -383,6 +383,22 @@ pub fn propagate_modref(
     ModRef { mods, refs }
 }
 
+/// What [`propagate_modref`] reads of procedure `pid`'s call sites besides
+/// its call edges: per call statement, in block order, the kind of the
+/// variable each actual binds by reference (`None` for a by-value actual).
+pub fn ref_bindings(mcfg: &ModuleCfg, pid: ProcId) -> Vec<Vec<Option<VarKind>>> {
+    let p = mcfg.module.proc(pid);
+    let mut sites = Vec::new();
+    mcfg.each_call_in(pid, |_, _, _, args| {
+        let kinds = args.iter().map(|a| match a {
+            Arg::Scalar(v, _) | Arg::Array(v, _) => Some(p.var(*v).kind),
+            Arg::Value(_) => None,
+        });
+        sites.push(kinds.collect());
+    });
+    sites
+}
+
 /// Carries the callee's summary in `sets` back over call edge `e` into
 /// the caller's: formals through the reference bindings at the call,
 /// globals directly. Whether the caller's set grew.

@@ -389,12 +389,13 @@ impl Analysis {
             },
         );
         // The live propagation is shared when every unit that ran has the
-        // direct effects the live run used.
+        // direct effects the live run used, and every procedure binds the
+        // same variables by reference at its call sites.
         let shared = reuse.as_ref().filter(|r| {
-            direct
-                .iter()
-                .enumerate()
-                .all(|(pi, d)| d.as_ref().is_none_or(|d| *d == r.live_direct_effects(pi)))
+            direct.iter().enumerate().all(|(pi, d)| {
+                d.as_ref().is_none_or(|d| *d == r.live_direct_effects(pi))
+                    && r.same_bindings(mcfg, pi)
+            })
         });
         let modref = match shared {
             Some(r) => Arc::clone(&r.live.modref),

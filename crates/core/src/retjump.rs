@@ -94,6 +94,25 @@ impl<'a> RetView<'a> {
     pub(crate) fn of(table: &'a ReturnJumpFns) -> RetView<'a> {
         RetView { table, fresh: &[] }
     }
+
+    /// Procedure `proc`'s functions as the view reads them.
+    fn fns(&self, proc: ProcId) -> Option<&'a Arc<[JumpFn]>> {
+        let fresh = || self.fresh.iter().find(|(q, _)| *q == proc).map(|(_, f)| f);
+        self.table
+            .fns
+            .get(proc.index())
+            .and_then(Option::as_ref)
+            .or_else(fresh)
+    }
+}
+
+/// Whether two entries hold the same functions (by `Arc` or by value).
+fn same_fns(a: Option<&Arc<[JumpFn]>>, b: Option<&Arc<[JumpFn]>>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => Arc::ptr_eq(a, b) || a == b,
+        (None, None) => true,
+        _ => false,
+    }
 }
 
 impl RetTable for RetView<'_> {
@@ -288,8 +307,11 @@ pub fn build_return_jfs(
 /// computes what it computes, so the cache neither serves nor keeps it.
 /// The taint a unit ran ahead under is part of what the fold compares.
 ///
-/// With `reuse`, the walk reuses the live analysis instead (see
-/// [`RetStage::reuse_walk`]).
+/// With `reuse`, a member whose inputs are the live run's takes its live
+/// functions instead of running (see [`RetStage::reused`]), in the
+/// optimistic phase and in the fold alike; the fold's comparison against
+/// the optimistic table then gives early cutoff for free: a caller runs
+/// again only when a callee's functions came out different.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_return_jfs_on(
     mcfg: &ModuleCfg,
@@ -318,35 +340,38 @@ pub(crate) fn build_return_jfs_on(
         keep,
         memo,
         mod_tainted,
+        reuse: reuse.filter(|_| memo.is_some()),
     };
     let empty = || ReturnJumpFns {
         fns: vec![None; n_procs],
         compose: config.compose_return_jfs,
     };
-    if let Some((r, memo)) = reuse.zip(memo) {
-        let t = std::time::Instant::now();
-        let mut table = empty();
-        let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
-        let marks = stage.reuse_walk(r, memo, &mut table, &mut forms, quarantined, gov, txn);
-        let units = cg.bottom_up().count();
-        return (
-            table,
-            forms,
-            PhaseTime::sequential(t.elapsed(), units),
-            marks,
-        );
-    }
 
     // Optimistic phase: run each level's SCC units on the pool, committing
     // their tables before the next level starts.
     let master: &Governor = gov;
     let ahead = pool.ahead(|| {
-        let mut opt_table = empty();
+        // With a live analysis, only the cone above its unclean units can
+        // come out different, so only the cone runs ahead, levelled among
+        // itself; the rest is left to the fold, which reuses it, and reads
+        // as the live table meanwhile.
+        let cone = stage
+            .reuse
+            .zip(memo)
+            .map(|(r, memo)| stage.dirty_cone(r, memo));
+        let mut opt_table = match stage.reuse {
+            Some(r) => ReturnJumpFns {
+                fns: r.live.ret_jfs.fns.clone(),
+                compose: config.compose_return_jfs,
+            },
+            None => empty(),
+        };
         let mut opt_bad = vec![false; n_procs];
         let mut opt_taint = vec![false; n_sccs];
         let mut units: Vec<Option<PhaseUnit<Vec<MemberOut>>>> = (0..n_sccs).map(|_| None).collect();
         let mut time = PhaseTime::default();
-        for level in scc_levels(cg) {
+        let in_cone = |si: usize| cone.as_ref().is_none_or(|c| c[si]);
+        for level in scc_levels(cg, in_cone) {
             let taint: Vec<bool> = level
                 .iter()
                 .map(|&si| stage.taint_in(si, &opt_bad))
@@ -379,6 +404,7 @@ pub(crate) fn build_return_jfs_on(
     let mut table = empty();
     let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
     let mut bad = vec![false; n_procs];
+    let mut ran = vec![false; n_procs];
     let mut fold = PhaseFold::default();
     let mut changed = vec![false; n_sccs];
     for (si, members) in cg.sccs.iter().enumerate() {
@@ -410,44 +436,60 @@ pub(crate) fn build_return_jfs_on(
         };
         for (out, &p) in outs.into_iter().zip(members) {
             bad[p.index()] = out.bad;
+            ran[p.index()] = !out.reused;
             stage.commit(p, out, &mut table, &mut forms, quarantined, txn);
         }
     }
     fold.stamp(&mut time);
-    let stale = Vec::new();
+    // A form reads its callees' final functions, so it is stale when its
+    // unit ran or one of those moved from the live run's.
+    let stale = stage.reuse.map_or_else(Vec::new, |r| {
+        let live = &r.live.ret_jfs.fns;
+        let moved: Vec<bool> = (table.fns.iter().zip(live))
+            .map(|(now, was)| !same_fns(now.as_ref(), was.as_ref()))
+            .collect();
+        (0..n_procs)
+            .map(|p| {
+                let calls = cg.calls_from(ProcId::from(p));
+                ran[p] || calls.iter().any(|e| moved[e.callee.index()])
+            })
+            .collect()
+    });
     (table, forms, time, RetMarks { stale, bad })
 }
 
 /// What the return-jump stage tells the symbolic stage, per procedure.
 #[derive(Debug, Default)]
 pub(crate) struct RetMarks {
-    /// `stale[p]`: `p`'s unit ran rather than reusing its live result
-    /// (empty unless the run reuses the live analysis).
+    /// `stale[p]`: `p`'s unit ran rather than reusing its live result, or
+    /// a callee's functions moved (empty unless the run reuses the live
+    /// analysis).
     pub(crate) stale: Vec<bool>,
     /// `bad[p]`: `p`'s functions are degraded or read a degraded result,
     /// so no clean cone computes them (meaningful only with a memo).
     pub(crate) bad: Vec<bool>,
 }
 
-/// Groups the call graph's reachable SCCs into dependency levels: level 0
-/// has no cross-SCC callees, level `k` calls only into levels `< k`.
+/// Groups the call graph's reachable SCCs that `run` selects into
+/// dependency levels: level 0 calls no selected SCC but itself, level `k`
+/// calls only into levels `< k` (an SCC not selected counts as built).
 /// Within a level, SCC indices ascend (their relative bottom-up order).
 /// All SCCs of one level can be built concurrently once the previous
 /// levels' tables are committed.
-fn scc_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
+fn scc_levels(cg: &CallGraph, run: impl Fn(usize) -> bool) -> Vec<Vec<usize>> {
     let mut level = vec![0usize; cg.sccs.len()];
     let mut levels: Vec<Vec<usize>> = Vec::new();
     for (si, members) in cg.sccs.iter().enumerate() {
         // Reachability is uniform across an SCC (it is strongly
         // connected), so the first member decides.
-        if !members.first().is_some_and(|p| cg.reachable[p.index()]) {
+        if !run(si) || !members.first().is_some_and(|p| cg.reachable[p.index()]) {
             continue;
         }
         let mut lv = 0;
         for &p in members {
             for e in cg.calls_from(p) {
                 let cs = cg.scc_of[e.callee.index()];
-                if cs != si {
+                if cs != si && run(cs) {
                     // Tarjan emits callee SCCs first, so level[cs] is final.
                     lv = lv.max(level[cs] + 1);
                 }
@@ -479,6 +521,8 @@ struct MemberOut {
     served: Served,
     /// The governor charges of a clean unit (recorded for reuse).
     charges: Charges,
+    /// Whether the live analysis's functions were reused.
+    reused: bool,
     /// Whether the functions are degraded or read a degraded result (see
     /// [`build_return_jfs_on`]).
     bad: bool,
@@ -499,6 +543,8 @@ struct RetStage<'a> {
     /// `mod_tainted[p]`: a callee's MOD set was widened by a degraded
     /// MOD/REF unit (empty when no memo is consulted or MOD is off).
     mod_tainted: &'a [bool],
+    /// The live analysis to reuse (only with a memo).
+    reuse: Option<&'a Reuse<'a>>,
 }
 
 impl RetStage<'_> {
@@ -560,96 +606,84 @@ impl RetStage<'_> {
         let pi = p.index();
         quarantined[pi] = self.before[pi] || out.newly_quarantined;
         table.fns[pi] = Some(out.fns);
-        forms[pi] = out.form;
+        if out.form.is_some() {
+            // Only a unit that ran keeps a form, and `forms` starts empty:
+            // a reused unit leaves its slot of that large array untouched.
+            forms[pi] = out.form;
+        }
         txn.log_ret_charges(pi, out.charges);
         txn.note_unit(pi, out.served);
     }
 
-    /// The bottom-up walk of a run that reuses the live analysis, in the
-    /// fold's SCC order on the master governor, with early cutoff.
-    ///
-    /// An SCC is *dirty* when one of its members is not clean
-    /// ([`Reuse::clean`]), was quarantined by an earlier stage, or calls
-    /// an SCC whose return jump functions came out different from the live
-    /// ones. A dirty SCC runs as the plain path runs it (memo lookups
-    /// included). A clean SCC reuses each member's live functions after
-    /// replaying its recorded charges through [`Governor::can_absorb`];
-    /// a member whose replay would trip, and every later member once one
-    /// member's functions moved, runs instead. The dirty set therefore
-    /// climbs to a caller only while some callee's functions actually
-    /// changed. A unit that reads a degraded result runs too, as a forced
-    /// miss (see [`build_return_jfs_on`]).
-    #[allow(clippy::too_many_arguments)]
-    fn reuse_walk(
-        &self,
-        r: &Reuse<'_>,
-        memo: &MemoKeys<'_>,
-        table: &mut ReturnJumpFns,
-        forms: &mut [Option<KeptForm>],
-        quarantined: &mut [bool],
-        gov: &mut Governor,
-        txn: &mut CacheTxn,
-    ) -> RetMarks {
+    /// Procedure `p`'s functions in the live analysis (`None` without one).
+    fn live_fns(&self, p: ProcId) -> Option<&Arc<[JumpFn]>> {
+        self.reuse?.live.ret_jfs.fns[p.index()].as_ref()
+    }
+
+    /// The SCCs whose return jump functions may come out different from
+    /// the live run's: those with a member that is not clean
+    /// ([`Reuse::clean`]) or that an earlier stage quarantined, and every
+    /// SCC above them. Outside it, only a charge replay that trips can
+    /// make a unit run, and the fold catches that.
+    fn dirty_cone(&self, r: &Reuse<'_>, memo: &MemoKeys<'_>) -> Vec<bool> {
         let cg = self.cg;
-        let live = &r.live.ret_jfs.fns;
-        let n_procs = self.mcfg.module.procs.len();
-        let mut marks = RetMarks {
-            stale: vec![false; n_procs],
-            bad: vec![false; n_procs],
-        };
-        let mut changed = vec![false; cg.sccs.len()];
-        for (si, members) in cg.sccs.iter().enumerate() {
-            if !members.first().is_some_and(|p| cg.reachable[p.index()]) {
+        let mut cone = vec![false; cg.sccs.len()];
+        let mut todo: Vec<usize> = (0..self.before.len())
+            .filter(|&pi| self.before[pi] || !r.clean(memo, SummaryStage::RetJump, pi))
+            .map(|pi| cg.scc_of[pi])
+            .collect();
+        while let Some(si) = todo.pop() {
+            if std::mem::replace(&mut cone[si], true) {
                 continue;
             }
-            let mut tainted = self.taint_in(si, &marks.bad);
-            let dirty = tainted
-                || members.iter().any(|&p| {
-                    self.before[p.index()]
-                        || !r.clean(memo, SummaryStage::RetJump, p.index())
-                        || cg.calls_from(p).iter().any(|e| {
-                            let cs = cg.scc_of[e.callee.index()];
-                            cs != si && changed[cs]
-                        })
-                });
-            let mut fresh: Vec<(ProcId, Arc<[JumpFn]>)> = Vec::new();
-            for &p in members {
-                let pi = p.index();
-                let live_fns = live[pi].as_ref();
-                let reusable = !dirty && !changed[si] && !tainted;
-                let charges = r.ret_charges(pi);
-                if let Some(fns) = live_fns.filter(|_| reusable && gov.replay(charges)) {
-                    // Committed in place: a reused member has no form and
-                    // no quarantine to record.
-                    let served =
-                        r.served(memo, SummaryStage::RetJump, pi, || CachedSummary::RetJump {
-                            fns: fns.to_vec(),
-                            charges: *charges,
-                        });
-                    if members.len() > 1 {
-                        fresh.push((p, Arc::clone(fns)));
-                    }
-                    table.fns[pi] = Some(Arc::clone(fns));
-                    txn.log_ret_charges(pi, *charges);
-                    txn.note_unit(pi, served);
-                    continue;
-                }
-                marks.stale[pi] = true;
-                let view = RetView {
-                    table,
-                    fresh: &fresh,
-                };
-                let out = self.member(view, p, tainted, gov);
-                changed[si] |= live_fns != Some(&out.fns);
-                tainted |= out.bad;
-                marks.bad[pi] = out.bad;
-                if members.len() > 1 {
-                    fresh.push((p, Arc::clone(&out.fns)));
-                }
-                self.commit(p, out, table, forms, quarantined, txn);
+            for &p in &cg.sccs[si] {
+                todo.extend(cg.calls_to(p).map(|e| cg.scc_of[e.caller.index()]));
             }
         }
-        marks
+        cone
+    }
+
+    /// Procedure `p`'s live functions, when its unit may reuse them: it is
+    /// clean ([`Reuse::clean`]), reads no degraded result, every callee
+    /// entry `view` holds is the live one, and its recorded charges replay
+    /// through [`Governor::can_absorb`]. A callee the view lacks is a later
+    /// member of `p`'s own SCC, which the live run had not built at this
+    /// point either. A reused unit is noted as the memo hit the plain path
+    /// makes, or stages its live result under its moved key.
+    fn reused(
+        &self,
+        view: RetView<'_>,
+        p: ProcId,
+        tainted: bool,
+        memo: &MemoKeys<'_>,
+        gov: &mut Governor,
+    ) -> Option<MemberOut> {
+        let r = self.reuse.filter(|_| !tainted)?;
+        let (pi, cg) = (p.index(), self.cg);
+        let fns = self
+            .live_fns(p)
+            .filter(|_| r.clean(memo, SummaryStage::RetJump, pi))?;
+        let same_inputs = cg.calls_from(p).iter().all(|e| match view.fns(e.callee) {
+            Some(now) => same_fns(Some(now), self.live_fns(e.callee)),
+            None => cg.scc_of[e.callee.index()] == cg.scc_of[pi],
+        });
+        let charges = *r.ret_charges(pi);
+        if !same_inputs || !gov.replay(&charges) {
+            return None;
+        }
+        let served = r.served(memo, SummaryStage::RetJump, pi, || CachedSummary::RetJump {
+            fns: fns.to_vec(),
+            charges,
+        });
+        Some(MemberOut {
+            fns: Arc::clone(fns),
+            newly_quarantined: false,
+            form: None,
+            served,
+            charges,
+            bad: false,
+            reused: true,
+        })
     }
 
     /// One procedure's unit with the memo consulted first. A hit replays
@@ -666,6 +700,9 @@ impl RetStage<'_> {
             let out = self.run(view, p, self.before[pi], keep, gov);
             return MemberOut { bad: true, ..out };
         };
+        if let Some(out) = self.reused(view, p, tainted, memo, gov) {
+            return out;
+        }
         let lookup = memo.lookup(SummaryStage::RetJump, pi).forced_if(tainted);
         if let Some((CachedSummary::RetJump { fns, charges }, _)) = lookup.hit {
             if gov.replay(charges) {
@@ -676,6 +713,7 @@ impl RetStage<'_> {
                     served: lookup.served_hit(),
                     charges: *charges,
                     bad: false,
+                    reused: false,
                 };
             }
         }
@@ -724,6 +762,7 @@ impl RetStage<'_> {
             served: Served::Skipped,
             charges: Charges::default(),
             bad: false,
+            reused: false,
         };
         let bottom = || out(vec![JumpFn::Bottom; n_slots].into(), None);
         if already_quarantined {

@@ -80,13 +80,16 @@
 //! edges. Then the call graph is shared, and the slot layout unless an
 //! edit renamed a formal; keys are rehashed for the edited cone only;
 //! the propagated MOD/REF is shared when every recomputed direct effect
-//! equals the live one; return jump functions and kept forms are shared
-//! for every SCC outside the *dirty set*; and forward jump functions for
-//! every caller whose form `Arc` did not move. The dirty set starts at
-//! the edited procedures, the units a panic injection forces, the units
-//! the live run degraded or quarantined, and tainted units; it climbs to
-//! a caller only while some callee's return jump functions actually
-//! changed (early cutoff). A reused unit is a memo hit to every
+//! equals the live one and every edited procedure binds the same
+//! variables by reference at its call sites; return jump functions and
+//! kept forms are shared for every procedure outside the *dirty set*;
+//! and forward jump functions for every caller whose form `Arc` did not
+//! move. The dirty set starts at the edited procedures, the units a
+//! panic injection forces, the units the live run degraded or
+//! quarantined, and tainted units; it climbs to a caller only while some
+//! callee's return jump functions actually changed (early cutoff). The
+//! return-jump stage decides this per unit inside its levelled walk, so
+//! the dirty cone still runs ahead on workers. A reused unit is a memo hit to every
 //! contract: the charges the live run recorded for it (`MemoLog`)
 //! replay in sequential unit order through `can_absorb`, and a trip runs
 //! the unit live; an unchanged key is noted as a hit on the entry the
@@ -116,7 +119,7 @@ use crate::config::{Config, PanicInjection, Stage};
 use crate::jump::ProcSymbolic;
 use crate::{Analysis, JumpFn};
 use ipcp_analysis::{
-    calls_from, summary_keys, update_summary_keys, CallGraph, ModSet, SummaryKeys,
+    calls_from, ref_bindings, summary_keys, update_summary_keys, CallGraph, ModSet, SummaryKeys,
 };
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::Fnv128;
@@ -1001,6 +1004,17 @@ impl<'a> Reuse<'a> {
             ModSet::everything(arity, n_globals),
             ModSet::everything(arity, n_globals),
         )
+    }
+
+    /// Whether procedure `pi` binds by reference, call site by call site,
+    /// what it bound in the live run. MOD/REF propagation carries a
+    /// callee's formal effects back through these bindings, so an edit
+    /// that keeps the call edges and the direct effects but swaps a
+    /// by-reference actual still moves the propagated sets. Only an edited
+    /// procedure can differ.
+    pub(crate) fn same_bindings(&self, mcfg: &ModuleCfg, pi: usize) -> bool {
+        let p = ProcId::from(pi);
+        !self.edited[pi] || ref_bindings(mcfg, p) == ref_bindings(self.live_mcfg, p)
     }
 
     /// The charges of procedure `pi`'s clean live return-jump unit.

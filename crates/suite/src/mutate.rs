@@ -86,6 +86,62 @@ pub fn add_global_write(src: &str, global: &str, rng: &mut Rng) -> String {
     format!("{} {global} = {value};{}", &src[..=open], &src[open + 1..])
 }
 
+/// Passes `global` by reference in place of one actual at a random call
+/// site, preferring an actual that is already a bare variable: the call
+/// edges and, for such an actual, the caller's direct effects stay the
+/// same, while what a callee's formal effects reach in the caller moves.
+pub fn bind_global_by_reference(src: &str, global: &str, rng: &mut Rng) -> String {
+    let actuals = call_actuals(src);
+    let bare: Vec<(usize, usize)> = actuals
+        .iter()
+        .copied()
+        .filter(|&(lo, hi)| {
+            let a = &src[lo..hi];
+            a.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+                && a.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
+        })
+        .collect();
+    let pool = if bare.is_empty() { &actuals } else { &bare };
+    if pool.is_empty() {
+        return src.to_string();
+    }
+    let (lo, hi) = pool[rng.below(pool.len() as u64) as usize];
+    format!("{}{global}{}", &src[..lo], &src[hi..])
+}
+
+/// The byte ranges of every call's actuals in `src`, each trimmed of
+/// surrounding blanks.
+fn call_actuals(src: &str) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    for (at, _) in src.match_indices("call ") {
+        let Some(open) = src[at..].find('(').map(|i| at + i) else {
+            continue;
+        };
+        let mut depth = 0i32;
+        let mut start = open + 1;
+        for (i, c) in src[open..].char_indices() {
+            let i = open + i;
+            match c {
+                '(' => depth += 1,
+                ')' | ',' if depth == 1 => {
+                    let arg = &src[start..i];
+                    let lead = arg.len() - arg.trim_start().len();
+                    if !arg.trim().is_empty() {
+                        out.push((start + lead, start + lead + arg.trim().len()));
+                    }
+                    start = i + 1;
+                    if c == ')' {
+                        break;
+                    }
+                }
+                ')' => depth -= 1,
+                _ => {}
+            }
+        }
+    }
+    out
+}
+
 /// Adds or drops one argument at a random call site, so formal/actual
 /// arity no longer matches the callee.
 pub fn perturb_call_arity(src: &str, rng: &mut Rng) -> String {
@@ -159,6 +215,16 @@ mod tests {
         assert_ne!(swap_operator(&base, &mut rng), base.as_str());
         assert_ne!(splice_statement(&base, &mut rng), base.as_str());
         assert_ne!(perturb_call_arity(&base, &mut rng), base.as_str());
+    }
+
+    #[test]
+    fn a_global_replaces_one_bare_actual() {
+        let src = "proc main() { call f(1 + x, y, (2)); }";
+        let got = bind_global_by_reference(src, "g", &mut Rng::new(4));
+        assert_eq!(got, "proc main() { call f(1 + x, g, (2)); }");
+        let src = "proc main() { call f(1, (x)); }";
+        let got = bind_global_by_reference(src, "g", &mut Rng::new(4));
+        assert!(got.contains("call f(g, (x))") || got.contains("call f(1, g)"));
     }
 
     #[test]

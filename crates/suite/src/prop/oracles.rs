@@ -218,15 +218,16 @@ impl ServeIdentity {
     /// mutators keep the procedure name intact; arity perturbation is
     /// deliberately in the mix so rejected updates exercise rollback. A
     /// literal bump mostly leaves return jump functions alone (the edit
-    /// early cutoff stops at), and a new global write moves the direct
-    /// MOD set (the edit the MOD/REF reuse check rejects).
+    /// early cutoff stops at); a new global write moves the direct MOD
+    /// set, and a global passed by reference moves the bindings MOD/REF
+    /// propagation reads (the edits the MOD/REF reuse check rejects).
     fn mutate_proc(src: &str, proc_src: &str, rng: &mut Rng) -> String {
-        match rng.below(5) {
+        match rng.below(6) {
             0 => mutate::swap_operator(proc_src, rng),
             1 => mutate::splice_statement(proc_src, rng),
             2 => mutate::perturb_call_arity(proc_src, rng),
             3 => mutate::bump_literal(proc_src, rng),
-            _ => {
+            k => {
                 let globals: Vec<&str> = src
                     .lines()
                     .filter_map(|l| l.strip_prefix("global ")?.strip_suffix(';'))
@@ -236,7 +237,10 @@ impl ServeIdentity {
                     0 => mutate::bump_literal(proc_src, rng),
                     n => {
                         let g = globals[rng.below(n as u64) as usize];
-                        mutate::add_global_write(proc_src, g, rng)
+                        match k {
+                            4 => mutate::add_global_write(proc_src, g, rng),
+                            _ => mutate::bind_global_by_reference(proc_src, g, rng),
+                        }
                     }
                 }
             }

@@ -36,6 +36,7 @@ use ipcp::serve::{
 use ipcp::{Analysis, Config, Stage};
 use ipcp_analysis::{build_call_graph, summary_keys};
 use ipcp_ir::cfg::ModuleCfg;
+use ipcp_ir::program::{GlobalId, ProcId};
 use ipcp_ir::{lower_module_owned, parse_and_resolve};
 use ipcp_suite::mutate::swap_operator;
 use ipcp_suite::{generate_scale, Rng, ScaleSpec, PROGRAMS};
@@ -553,23 +554,38 @@ fn text_of(engine: &ServeEngine, name: &str) -> String {
     model.proc_text(name).unwrap().to_string()
 }
 
-/// The first procedure from `from` on that assigns a global at the top
-/// level of its body, with that global: an edit that assigns it again
-/// before the final `print` changes the procedure's return jump function
-/// for it but not its MOD set.
-fn global_writer(engine: &ServeEngine, from: u64) -> (String, String) {
-    (from..1000)
-        .map(|i| format!("p{i}"))
-        .find_map(|name| {
-            let text = text_of(engine, &name);
-            let g = text.lines().find_map(|l| {
-                l.strip_prefix("    g")?
-                    .split_once(" = ")
-                    .map(|(k, _)| k.to_string())
-            })?;
-            Some((name, format!("g{g}")))
-        })
-        .expect("some procedure writes a global")
+/// A procedure from `from` on that assigns a global at the top level of
+/// its body, and that procedure's text with the global assigned again
+/// before the final `print`: its return jump function for the global
+/// moves, its MOD set does not. Of the first few such procedures, the
+/// first whose edit also moves a caller's return jump functions in a cold
+/// run, so that the dirty set has to climb; the first one when none does
+/// (as without return jump functions).
+fn return_jump_change(engine: &ServeEngine, from: u64) -> (String, String) {
+    let model = ProgramModel::from_source(&engine.source()).unwrap();
+    let (live, module) = (engine.analysis(), &engine.mcfg().module);
+    let edits = (from..1000).filter_map(|i| {
+        let proc = module.procs.get(i as usize)?;
+        let text = model.proc_text(&proc.name)?;
+        let g = text.lines().find_map(|l| {
+            let (g, _) = l.strip_prefix("    g")?.split_once(" = ")?;
+            g.parse::<u32>().ok()
+        })?;
+        let body = before_last_print(text, &format!("g{g} = 2023;"));
+        Some((proc.id, body))
+    });
+    let mut first = None;
+    for (p, body) in edits.take(8) {
+        let name = module.proc(p).name.clone();
+        let src = model.replace_proc(&name, &body).unwrap().source();
+        let cold = Analysis::run(&full_path(&src), engine.config());
+        let moved = |q: usize| cold.ret_jfs.fns[q] != live.ret_jfs.fns[q];
+        if live.cg.calls_to(p).any(|e| moved(e.caller.index())) {
+            return (name, body);
+        }
+        first.get_or_insert((name, body));
+    }
+    first.expect("some procedure writes a global")
 }
 
 /// A caller and the procedure it holds the only call to, on a line of its
@@ -592,6 +608,35 @@ fn sole_call(engine: &ServeEngine) -> (String, String) {
         .expect("some procedure has a single caller")
 }
 
+/// A call at which some caller binds one of its locals by reference to a
+/// callee formal other than a fuel slot, in a caller whose MOD set leaves
+/// some scalar global out: the caller, the call's argument list as
+/// written, the callee, the actual's position, and the global.
+fn byref_local_call(engine: &ServeEngine) -> (ProcId, String, String, usize, GlobalId) {
+    let (module, modref) = (&engine.mcfg().module, &engine.analysis().modref);
+    let model = ProgramModel::from_source(&engine.source()).unwrap();
+    let is_local = |a: &str| {
+        a.strip_prefix('v')
+            .is_some_and(|n| n.parse::<u32>().is_ok())
+    };
+    module.procs[1..]
+        .iter()
+        .find_map(|caller| {
+            let g = (0..module.globals.len()).map(GlobalId::from).find(|&g| {
+                module.globals[g.index()].array_len.is_none() && !modref.mod_of(caller.id).global(g)
+            })?;
+            let text = model.proc_text(&caller.name)?;
+            let (args, callee, k) = text.lines().find_map(|l| {
+                let call = l.trim().strip_prefix("call ")?.strip_suffix(");")?;
+                let (callee, args) = call.split_once('(')?;
+                let k = args.split(", ").skip(1).position(is_local)? + 1;
+                Some((args.to_string(), callee.to_string(), k))
+            })?;
+            Some((caller.id, args, callee, k, g))
+        })
+        .expect("some call passes a local by reference")
+}
+
 /// `text` with `line` inserted before its final `print`.
 fn before_last_print(text: &str, line: &str) -> String {
     let at = text.rfind("    print ").expect("generated epilogue");
@@ -601,8 +646,9 @@ fn before_last_print(text: &str, line: &str) -> String {
 }
 
 /// The edit script: a literal bump (early cutoff), a return-jump change
-/// (the dirty set climbs), a new global write (the MOD/REF precondition
-/// fails), a dropped call (the call-edge precondition fails), and an
+/// (the dirty set climbs), a new global write and a global bound by
+/// reference in place of a local (the MOD/REF precondition fails), a
+/// dropped call (the call-edge precondition fails), and an
 /// arity change of the procedure that lost its only caller, there and
 /// back (the full path; the way back finds the superseded entries).
 fn edit_session(engine: &mut ServeEngine, plain: &mut PlainSession, label: &str) {
@@ -618,8 +664,7 @@ fn edit_session(engine: &mut ServeEngine, plain: &mut PlainSession, label: &str)
         let body = bump(engine, &name, round);
         step(engine, &name, body, "literal bump");
     }
-    let (name, g) = global_writer(engine, 1 + rng.below(500));
-    let body = before_last_print(&text_of(engine, &name), &format!("{g} = 2023;"));
+    let (name, body) = return_jump_change(engine, 1 + rng.below(500));
     step(engine, &name, body, "return-jump change");
     let name = format!("p{}", 1 + rng.below(999));
     let text = text_of(engine, &name);
@@ -634,6 +679,32 @@ fn edit_session(engine: &mut ServeEngine, plain: &mut PlainSession, label: &str)
             "MOD change",
         );
     }
+    // Have a callee write a formal its caller binds a local to, then bind
+    // a global there instead, and back: the caller keeps its call edges
+    // and direct effects, but its propagated MOD set gains the global.
+    let (caller_id, args, callee, k, g) = byref_local_call(engine);
+    let write = before_last_print(&text_of(engine, &callee), &format!("f{k} = 11;"));
+    step(engine, &callee, write, "formal write");
+    let module = &engine.mcfg().module;
+    let (caller, global) = (
+        module.proc(caller_id).name.clone(),
+        module.globals[g.index()].name.clone(),
+    );
+    let mut swapped: Vec<&str> = args.split(", ").collect();
+    swapped[k] = &global;
+    let text = text_of(engine, &caller);
+    let (from, to) = (
+        format!("{callee}({args});"),
+        format!("{callee}({});", swapped.join(", ")),
+    );
+    let bound = text.replacen(&from, &to, 1);
+    step(engine, &caller, bound, "by-reference swap");
+    let modref = &engine.analysis().modref;
+    assert!(
+        modref.mod_of(caller_id).global(g),
+        "{label}: the swap moves MOD"
+    );
+    step(engine, &caller, text, "by-reference swap back");
     // Drop the only call to some procedure, which can then change arity.
     let (caller, callee) = sole_call(engine);
     let text = text_of(engine, &caller);
@@ -653,6 +724,35 @@ fn edit_session(engine: &mut ServeEngine, plain: &mut PlainSession, label: &str)
     let body = bump(engine, &name, 3);
     step(engine, &name, body, "literal bump after the full path");
     assert!(carried > 0, "{label}: early cutoff never carried a unit");
+}
+
+/// The first member of a recursive SCC is built while its siblings'
+/// entries are still empty, so its return jump functions do not read
+/// them, but its symbolic form (evaluated against the final table) does.
+/// An edit that moves a later member's functions therefore reuses the
+/// first member's functions and must still rebuild its form: the forward
+/// jump function of its call to `c` moves with the sibling's global.
+#[test]
+fn live_reuse_rebuilds_the_form_of_an_earlier_scc_member() {
+    let src = "global g; global h; \
+               proc main() { call a(); call b(); print g + h; } \
+               proc a() { call b(); g = 5; call c(h); } \
+               proc b() { call a(); h = 7; call c(g); } \
+               proc c(x) { print x; }";
+    for jobs in [1, 2] {
+        let config = Config::default().with_jobs(jobs);
+        let mut engine = ServeEngine::new(src, &config).unwrap();
+        let mut plain = PlainSession::new(src, config);
+        let (module, cg) = (&engine.mcfg().module, &engine.analysis().cg);
+        let scc = cg.sccs.iter().find(|s| s.len() == 2).unwrap();
+        let later = module.proc(scc[1]).name.clone();
+        let body = text_of(&engine, &later)
+            .replace("= 5;", "= 6;")
+            .replace("= 7;", "= 8;");
+        let what = format!("jobs {jobs}: edit of `{later}`");
+        let out = step_both(&mut engine, &mut plain, &later, &body, &what).unwrap();
+        assert!(out.carried > 0, "{what}: the first member was reused");
+    }
 }
 
 #[test]
@@ -697,14 +797,13 @@ fn ret_offset(analysis: &Analysis, mcfg: &ModuleCfg, p: usize) -> u64 {
 
 /// The `Stage::Jump` charges a fault-free run makes before caller `p`'s
 /// forward-jump unit, plus one.
-fn jump_offset(analysis: &Analysis, mcfg: &ModuleCfg, p: usize) -> u64 {
+fn jump_offset(analysis: &Analysis, p: usize) -> u64 {
     let per_caller = |q: usize| -> u64 {
         analysis.jump_fns.sites[q]
             .iter()
             .map(|fns| fns.len() as u64)
             .sum()
     };
-    let _ = mcfg;
     (0..p).map(per_caller).sum::<u64>() + 1
 }
 
@@ -724,7 +823,7 @@ fn live_reuse_matches_the_plain_memoized_path_under_faults_and_panics() {
         ),
         (
             "jump fault at the edit",
-            base.with_fault(Stage::Jump, jump_offset(a, m, edited)),
+            base.with_fault(Stage::Jump, jump_offset(a, edited)),
         ),
         (
             "retjump panic in the edit",
