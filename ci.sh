@@ -386,7 +386,10 @@ stage_fuzz() {
     # (panic-free, soundness, jobs-identity, wavefront-worklist,
     # exit-consistency, serve-identity, serve-persist,
     # stream-identity), minimizing any counterexample into the corpus
-    # dir and exiting 1. The PR lane runs the default 45 s budget; the
+    # dir and exiting 1. serve-identity's edits mix every suite mutator:
+    # operator swaps, statement splices, call-arity perturbation,
+    # literal bumps, global writes, globals bound by reference, and
+    # perturbed actuals (perturb_actual, which moves VAL below a call). The PR lane runs the default 45 s budget; the
     # nightly lane (`fuzz-nightly` in ci.yml) raises the budget to 10
     # minutes and seeds from the workflow run id — the seed is echoed
     # below so a red night is replayable from its log.

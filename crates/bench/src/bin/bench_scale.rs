@@ -126,7 +126,10 @@ fn child(spec_str: &str, jobs: usize) -> Result<(), Box<dyn std::error::Error>> 
     write!(
         hw,
         "{:?}{:?}{:?}{:?}",
-        a.vals.vals, a.health, a.quarantined, substituted.counts
+        a.vals.rows().collect::<Vec<_>>(),
+        a.health,
+        a.quarantined,
+        substituted.counts
     )?;
     let digest = hw.0.finish();
 

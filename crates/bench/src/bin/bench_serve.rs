@@ -4,8 +4,9 @@
 //!
 //! * **cold boot** — spawn → first `ok` health reply over the socket;
 //! * **warm edits** — an `update` + re-`constants` round trip per edit
-//!   (the incremental path, never a cold re-analysis), and the summary
-//!   cache's misses per edit, from `stats` before and after;
+//!   (the incremental path, never a cold re-analysis), the summary
+//!   cache's misses per edit and the SCC units each edit's `VAL` solve
+//!   ran (`edit_solved`, the cone size), from `stats` before and after;
 //! * **read throughput** — N unbatched `constants` reads (one round
 //!   trip each) vs. the same reads packed into `batch` frames;
 //! * **identity** — per-request replies must be byte-identical between
@@ -193,13 +194,16 @@ impl Daemon {
 }
 
 /// Extracts the string id of a reply object (ids here are all strings).
-/// The daemon's lifetime summary-cache misses, from a `stats` request.
-fn cache_misses(d: &mut Daemon) -> Result<i64, String> {
+/// The daemon's lifetime summary-cache misses and solved SCC units, from
+/// a `stats` request.
+fn misses_and_solved(d: &mut Daemon) -> Result<(i64, i64), String> {
     let reply = d.request(r#"{"id": "stats", "op": "stats"}"#)?;
-    json::parse(&reply)
-        .ok()
-        .and_then(|j| j.as_object()?.get("cache_misses")?.as_i64())
-        .ok_or_else(|| format!("stats reply has no cache_misses: {reply}"))
+    let stats = json::parse(&reply).ok();
+    let stats = stats.as_ref().and_then(|j| j.as_object());
+    let get = |key: &str| stats.and_then(|o| o.get(key)?.as_i64());
+    get("cache_misses")
+        .zip(get("solved_units"))
+        .ok_or_else(|| format!("stats reply lacks cache_misses or solved_units: {reply}"))
 }
 
 fn reply_id(reply: &str) -> Result<String, String> {
@@ -247,6 +251,7 @@ struct CellRow {
     edit_ms: u128,
     edit_max_ms: u128,
     edit_misses: f64,
+    edit_solved: f64,
     unbatched_read_us: u128,
     batched_read_us: u128,
     batch_speedup: f64,
@@ -274,7 +279,7 @@ fn run_cell(
     let (mut d, boot) = Daemon::boot(program, &sock, workers)?;
 
     // Warm edits: update + re-read the edited procedure, per round.
-    let misses_before = cache_misses(&mut d)?;
+    let (misses_before, solved_before) = misses_and_solved(&mut d)?;
     let mut edit_total = Duration::ZERO;
     let mut edit_max = Duration::ZERO;
     for e in 0..edits {
@@ -299,7 +304,10 @@ fn run_cell(
         edit_total += dt;
         edit_max = edit_max.max(dt);
     }
-    let edit_misses = (cache_misses(&mut d)? - misses_before) as f64 / edits.max(1) as f64;
+    let (misses_after, solved_after) = misses_and_solved(&mut d)?;
+    let per_edit = |n: i64| n as f64 / edits.max(1) as f64;
+    let edit_misses = per_edit(misses_after - misses_before);
+    let edit_solved = per_edit(solved_after - solved_before);
 
     // The read set: `constants` over a rotating window of procedures.
     let read_reqs: Vec<(String, String)> = (0..reads)
@@ -428,6 +436,7 @@ fn run_cell(
         },
         edit_max_ms: edit_max.as_millis(),
         edit_misses,
+        edit_solved,
         unbatched_read_us,
         batched_read_us,
         batch_speedup: unbatched_read_us as f64 / batched_read_us as f64,
@@ -509,6 +518,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "    {{\"program\": \"serve-{t}\", \"tier\": \"{t}\", \"spec\": \"{s}\", ",
                     "\"jobs\": {w}, \"n_procs\": {n}, \"cold_boot_ms\": {boot}, ",
                     "\"edit_ms\": {edit}, \"edit_max_ms\": {emax}, \"edit_misses\": {em:.1}, ",
+                    "\"edit_solved\": {es:.1}, ",
                     "\"unbatched_read_us\": {ub}, \"batched_read_us\": {b}, ",
                     "\"batch_speedup\": {sp:.2}, \"identical\": {id}}}"
                 ),
@@ -520,6 +530,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 edit = cell.edit_ms,
                 emax = cell.edit_max_ms,
                 em = cell.edit_misses,
+                es = cell.edit_solved,
                 ub = cell.unbatched_read_us,
                 b = cell.batched_read_us,
                 sp = cell.batch_speedup,

@@ -182,11 +182,7 @@ fn time_wavefront(
         best = best.min(t0.elapsed());
         last = Some(v);
     }
-    let v = last.unwrap_or(ValSets {
-        vals: Vec::new(),
-        meets: 0,
-        iterations: 0,
-    });
+    let v = last.unwrap_or_default();
     (best, v)
 }
 
@@ -202,11 +198,7 @@ fn time_worklist(mcfg: &ModuleCfg, a: &Analysis, layout: &SlotLayout) -> (Durati
         best = best.min(t0.elapsed());
         last = Some(v);
     }
-    let v = last.unwrap_or(ValSets {
-        vals: Vec::new(),
-        meets: 0,
-        iterations: 0,
-    });
+    let v = last.unwrap_or_default();
     (best, v)
 }
 
@@ -235,7 +227,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let (wl_t, wl_v) = time_worklist(&mcfg, &analysis, &layout);
 
         // The wavefront must reach the worklist's VAL fixpoint.
-        if seq_v.vals != wl_v.vals {
+        if !seq_v.same_rows(&wl_v) {
             return Err(format!(
                 "wavefront fixpoint diverged from the worklist reference on `{}`",
                 w.name

@@ -91,13 +91,24 @@ fn row_key(row: &json::Object) -> String {
     parts.join(",")
 }
 
-/// Is `key` a trend-tracked metric (time, memory, or cache misses)?
+/// Is `key` a trend-tracked metric (time, memory, cache misses, or
+/// solved units per edit)?
 fn is_metric(key: &str) -> bool {
     key.ends_with("_us")
         || key.ends_with("_ms")
         || key.ends_with("_misses")
+        || key.ends_with("_solved")
         || key == "rss_mb"
         || key == "rss_bytes"
+}
+
+/// A metric's value: an integer or a per-edit average.
+fn number(v: &Json) -> Option<f64> {
+    match v {
+        Json::Int(i) => Some(*i as f64),
+        Json::Float(f) => Some(*f),
+        _ => None,
+    }
 }
 
 fn rows(parsed: &Json) -> Vec<&json::Object> {
@@ -178,21 +189,21 @@ pub fn compare_report(file: &str, old: Option<&str>, new: &str, pct: f64) -> Tre
             if !is_metric(k) {
                 continue;
             }
-            let Some(new_v) = v.as_i64() else {
+            let Some(new_v) = number(v) else {
                 continue;
             };
             // A column added since the baseline was written has nothing
             // to trend against yet; it starts its history with this run.
-            let Some(old_v) = old_row.get(k).and_then(Json::as_i64) else {
+            let Some(old_v) = old_row.get(k).and_then(number) else {
                 report.notes.push(format!(
                     "{file}: new metric {k} on [{key}] (no baseline value)"
                 ));
                 continue;
             };
-            if old_v <= 0 {
+            if old_v <= 0.0 {
                 continue;
             }
-            let change = 100.0 * (new_v as f64 - old_v as f64) / old_v as f64;
+            let change = 100.0 * (new_v - old_v) / old_v;
             if change > pct {
                 report.warnings.push(format!(
                     "{file}: {k} regressed {change:+.1}% ({old_v} -> {new_v}) on [{key}]"

@@ -280,7 +280,13 @@ OTHER OPTIONS:
                                     soundness, jobs-identity,
                                     wavefront-worklist, exit-consistency,
                                     serve-identity, serve-persist,
-                                    stream-identity (default: all of them)
+                                    stream-identity (default: all of them);
+                                    serve-identity edits procedures with
+                                    swap_operator, splice_statement,
+                                    perturb_call_arity, bump_literal,
+                                    add_global_write,
+                                    bind_global_by_reference and
+                                    perturb_actual
             --seed <N>              base case seed (default 1); case i runs
                                     seed N+i, so failures replay exactly
                                     with `--seed <case seed> --cases 1`

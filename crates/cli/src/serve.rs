@@ -237,6 +237,14 @@ impl StoreState {
     }
 }
 
+/// The reply of a request that ran an analysis: its outcome plus the SCC
+/// units the solve ran (a warm read reports the outcome alone).
+fn run_payload(outcome: &RequestOutcome) -> Object {
+    let mut o = outcome_payload(outcome);
+    o.set("solved_units", Json::from(outcome.solved_units));
+    o
+}
+
 fn outcome_payload(outcome: &RequestOutcome) -> Object {
     let mut o = Object::new();
     o.set("degraded", Json::from(outcome.degraded));
@@ -381,6 +389,7 @@ fn read_payload(
             o.set("updates", Json::from(stats.updates));
             o.set("spliced_updates", Json::from(stats.spliced_updates));
             o.set("loads", Json::from(stats.loads));
+            o.set("solved_units", Json::from(stats.solved_units));
             o.set("errors", Json::from(errors));
             o.set("degraded_requests", Json::from(stats.degraded_requests));
             o.set("panics_contained", Json::from(stats.panics_contained));
@@ -1072,7 +1081,7 @@ fn dispatch(
         "analyze" => {
             let config = request_config(engine, req, request_deadline_ms)?;
             let outcome = engine.analyze(config)?;
-            Ok(outcome_payload(&outcome))
+            Ok(run_payload(&outcome))
         }
         "constants" => {
             // Only a `constants` with `config` overrides reaches the
@@ -1088,7 +1097,7 @@ fn dispatch(
                 ),
             };
             let (report, outcome) = engine.constants(proc, config)?;
-            let mut o = outcome_payload(&outcome);
+            let mut o = run_payload(&outcome);
             let report = report.to_json();
             if let Some(fields) = report.as_object() {
                 for (k, v) in fields.iter() {
@@ -1101,12 +1110,12 @@ fn dispatch(
             let proc = str_field(req, "proc")?.to_string();
             let body = str_field(req, "body")?.to_string();
             let outcome = engine.update(&proc, &body)?;
-            Ok(outcome_payload(&outcome))
+            Ok(run_payload(&outcome))
         }
         "load" => {
             let source = str_field(req, "source")?.to_string();
             let outcome = engine.load(&source)?;
-            Ok(outcome_payload(&outcome))
+            Ok(run_payload(&outcome))
         }
         "snapshot" => {
             let Some(st) = store.as_mut() else {

@@ -223,8 +223,13 @@ impl Governor {
     /// absorbed/replayed counts into each phase's
     /// [`PhaseTime`](crate::PhaseTime).
     pub fn can_absorb(&self, shard: &Governor) -> bool {
+        self.can_absorb_counts(&shard.counters)
+    }
+
+    /// [`Governor::can_absorb`] for a shard that charged `counts`.
+    fn can_absorb_counts(&self, counts: &[u64; Stage::ALL.len()]) -> bool {
         for (i, &stage) in Stage::ALL.iter().enumerate() {
-            let n = shard.counters[i];
+            let n = counts[i];
             if n == 0 {
                 continue;
             }
@@ -277,11 +282,9 @@ impl Governor {
     /// analysis. Otherwise charges nothing and returns `false`: the unit
     /// must run, reproducing the trip.
     pub fn replay(&mut self, counts: &[u64; Stage::ALL.len()]) -> bool {
-        let mut shard = self.shard();
-        shard.add_charges(counts);
-        let clean = self.can_absorb(&shard);
+        let clean = self.can_absorb_counts(counts);
         if clean {
-            self.absorb_shard(shard);
+            self.add_charges(counts);
         }
         clean
     }

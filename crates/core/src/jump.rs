@@ -176,6 +176,13 @@ pub type SiteJumpFns = Vec<JumpFn>;
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CallerJumpFns(Arc<[SiteJumpFns]>);
 
+impl CallerJumpFns {
+    /// Whether both hold the very same shared functions.
+    pub(crate) fn ptr_eq(&self, other: &CallerJumpFns) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
 impl Deref for CallerJumpFns {
     type Target = [SiteJumpFns];
 
@@ -294,22 +301,34 @@ pub(crate) fn build_forward_jump_fns_on(
     let mut out = ForwardJumpFns {
         sites: Vec::with_capacity(n_procs),
     };
+    // A caller whose form is the live one, that no earlier stage
+    // quarantined and whose live unit ran clean may reuse its live
+    // functions: a pure check, made before the round too.
+    let live_charges = |caller: usize| {
+        let r = reuse.filter(|_| !before[caller])?;
+        let same_form = match (&symbolics[caller], &r.live.symbolics[caller]) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        r.fwd_charges(caller)
+            .filter(|_| same_form)
+            .map(|charges| (r, charges))
+    };
+    let computes = reuse.map(|_| {
+        (0..n_procs)
+            .filter(|&caller| live_charges(caller).is_none())
+            .collect::<Vec<_>>()
+    });
     let time = fold_units(
         pool,
         gov,
         n_procs,
+        computes.as_deref(),
         |caller, g| {
-            if let Some(r) = reuse.filter(|_| !before[caller]) {
-                let live = &r.live;
-                let same_form = match (&symbolics[caller], &live.symbolics[caller]) {
-                    (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                    (a, b) => a.is_none() && b.is_none(),
-                };
-                if let Some(charges) = r.fwd_charges(caller).filter(|_| same_form) {
-                    if g.replay(charges) {
-                        let sites = live.jump_fns.sites[caller].clone();
-                        return (sites, false, Some(*charges));
-                    }
+            if let Some((r, charges)) = live_charges(caller) {
+                if g.replay(charges) {
+                    let sites = r.live.jump_fns.sites[caller].clone();
+                    return (sites, false, Some(*charges));
                 }
             }
             let (c0, e0) = (g.counters(), g.health.events.len());

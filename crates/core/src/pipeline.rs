@@ -29,7 +29,7 @@ use crate::serve::cache::{
     cacheable, CacheTxn, CachedSummary, Live, Lookup, Memo, MemoKeys, MemoLog, Reuse, Served,
     SummaryStage,
 };
-use crate::solver::ValSets;
+use crate::solver::{LiveSolve, ValSets};
 use crate::substitute::{self, Substitution, SubstitutionCounts};
 use ipcp_analysis::{
     build_call_graph, direct_effects, propagate_modref, CallGraph, ModRef, ModSet,
@@ -171,7 +171,11 @@ impl PhaseFold {
 /// On a pool with workers every unit first runs ahead against its own
 /// governor shard; the fold then walks the units in index order and keeps
 /// a unit's outcome when its shard absorbs, re-running the unit against
-/// the master otherwise ([`PhaseFold::try_absorb`]). On a pool without
+/// the master otherwise ([`PhaseFold::try_absorb`]). `only`, when given,
+/// lists (ascending) the units that run ahead: a reusing run decides which
+/// units reuse the live analysis before the round, and those — cheap, and
+/// decided by pure checks — run on the master in the fold, so a round in
+/// which nothing computes opens no thread scope. On a pool without
 /// workers nothing runs ahead ([`Pool::ahead`]): each unit runs on the
 /// master and is committed at once, which is the sequential loop at the
 /// sequential loop's cost. Returns the phase accounting without the
@@ -181,23 +185,29 @@ pub(crate) fn fold_units<T: Send>(
     pool: Pool,
     gov: &mut Governor,
     n: usize,
+    only: Option<&[usize]>,
     unit: impl Fn(usize, &mut Governor) -> T + Sync,
     mut commit: impl FnMut(usize, T, &mut Governor),
 ) -> PhaseTime {
     let master: &Governor = gov;
     let (ahead, mut time) = pool
         .ahead(|| {
-            pool.run(n, |i| {
+            let index = |j: usize| only.map_or(j, |o| o[j]);
+            pool.run(only.map_or(n, <[usize]>::len), |j| {
+                let i = index(j);
                 let mut shard = master.shard();
                 let outcome = unit(i, &mut shard);
                 PhaseUnit::new(i, outcome, shard)
             })
         })
         .unwrap_or_else(|| (Vec::new(), PhaseTime::sequential(Duration::ZERO, n)));
-    let mut ahead = ahead.into_iter();
+    let mut ahead = ahead.into_iter().peekable();
     let mut fold = PhaseFold::default();
     for i in 0..n {
-        let outcome = match ahead.next().and_then(|u| fold.try_absorb(gov, u, true)) {
+        let absorbed = ahead
+            .next_if(|u| u.index == i)
+            .and_then(|u| fold.try_absorb(gov, u, true));
+        let outcome = match absorbed {
             Some(outcome) => outcome,
             None => unit(i, gov),
         };
@@ -246,6 +256,10 @@ pub struct Analysis {
     /// What a memoized run recorded for the next run to reuse (`None`
     /// for a run without a memo).
     pub(crate) memo_log: Option<MemoLog>,
+    /// For a run that reused the live analysis, every procedure whose
+    /// `VAL` row, symbolic form or callee return jump functions may differ
+    /// from the live run's, ascending (`None` for any other run).
+    pub(crate) touched: Option<Vec<usize>>,
 }
 
 impl Analysis {
@@ -261,9 +275,8 @@ impl Analysis {
         let mut analysis = Self::run_once(mcfg, config, None, None);
         if config.gated_jump_fns {
             for _ in 0..4 {
-                let vals = analysis.vals.vals.clone();
-                let mut next = Self::run_once(mcfg, config, Some(&vals), None);
-                let stable = next.vals.vals == analysis.vals.vals;
+                let mut next = Self::run_once(mcfg, config, Some(&analysis.vals), None);
+                let stable = next.vals.same_rows(&analysis.vals);
                 // Telemetry accumulates across gating rounds. `absorb` is
                 // order-preserving concatenation (associative, documented
                 // on `AnalysisHealth::absorb`): round order is chronology.
@@ -322,7 +335,7 @@ impl Analysis {
     fn run_once(
         mcfg: &ModuleCfg,
         config: &Config,
-        gate_seeds: Option<&Vec<Vec<Lattice>>>,
+        gate_seeds: Option<&ValSets>,
         memo: Option<(Memo<'_>, Option<Reuse<'_>>)>,
     ) -> Analysis {
         let t_run = Instant::now();
@@ -377,10 +390,16 @@ impl Analysis {
         // the widening to callers exactly as far as reference bindings
         // demand. A reused unit's effects are the live ones (`None`).
         let mut direct: Vec<Option<(ModSet, ModSet)>> = Vec::with_capacity(n_procs);
+        let computes = reuse.as_ref().zip(memo).map(|(r, memo)| {
+            (0..n_procs)
+                .filter(|&pi| !r.clean(memo, SummaryStage::ModRef, pi))
+                .collect::<Vec<_>>()
+        });
         let pt = fold_units(
             pool,
             &mut gov,
             n_procs,
+            computes.as_deref(),
             |pi, g| modref_unit(mcfg, config, memo, reuse.as_ref(), pi, g),
             |pi, (pair, quarantine, served), _| {
                 direct.push(pair);
@@ -493,10 +512,30 @@ impl Analysis {
         let has_form: Vec<bool> = forms.iter().map(Option::is_some).collect();
         let mut symbolics: Vec<Option<Arc<ProcSymbolic>>> = Vec::with_capacity(n_procs);
         let mut reused = 0;
+        // A clean unit whose return-jump inputs did not move takes its
+        // live form (a pure check, made before the round too).
+        let live_form = |pi: usize| {
+            let (r, memo) = reuse.zip(memo)?;
+            let clean = !form_tainted(pi)
+                && !flagged(&marks.stale, pi)
+                && r.clean(memo, SummaryStage::Jump, pi);
+            r.live.symbolics[pi]
+                .as_ref()
+                .filter(|_| clean)
+                .map(|ps| (r, memo, ps))
+        };
+        let computes = reuse.map(|_| {
+            (0..n_procs)
+                .filter(|&pi| {
+                    cg.reachable[pi] && !before[pi] && !has_form[pi] && live_form(pi).is_none()
+                })
+                .collect::<Vec<_>>()
+        });
         let mut pt = fold_units(
             pool,
             &mut gov,
             n_procs,
+            computes.as_deref(),
             |pi, _| {
                 // A procedure quarantined by an earlier phase contributes
                 // no symbolic form: its call sites get explicit all-⊥ jump
@@ -506,16 +545,11 @@ impl Analysis {
                     return Symbolic::Live(None, None);
                 }
                 let tainted = memo.is_some() && form_tainted(pi);
-                if let Some((r, memo)) = reuse.zip(memo).filter(|_| !tainted) {
-                    let live = r.live.symbolics[pi].as_ref();
-                    let clean = !flagged(&marks.stale, pi) && r.clean(memo, SummaryStage::Jump, pi);
-                    if let Some(ps) = live.filter(|_| clean) {
-                        let served =
-                            r.served(memo, SummaryStage::Jump, pi, || CachedSummary::Jump {
-                                sym: Arc::clone(ps),
-                            });
-                        return Symbolic::Reused(Arc::clone(ps), served);
-                    }
+                if let Some((r, memo, ps)) = live_form(pi) {
+                    let served = r.served(memo, SummaryStage::Jump, pi, || CachedSummary::Jump {
+                        sym: Arc::clone(ps),
+                    });
+                    return Symbolic::Reused(Arc::clone(ps), served);
                 }
                 let lookup = memo.map(|m| m.lookup(SummaryStage::Jump, pi).forced_if(tainted));
                 if let Some(l) = lookup {
@@ -547,7 +581,7 @@ impl Analysis {
                 let kept = || {
                     forms[pi]
                         .take()
-                        .map(|f| reuse_unit(config, pi, f, &mut reused))
+                        .map(|f| reuse_unit(config, pi, *f, &mut reused))
                 };
                 let Some(unit) = unit.or_else(kept) else {
                     symbolics.push(None);
@@ -588,7 +622,19 @@ impl Analysis {
         } else {
             Lattice::Bottom
         };
-        let (vals, solve_time) = crate::solver::solve(
+        // A run that reuses the live analysis re-solves only the SCCs
+        // whose inputs moved, unless the live solve degraded.
+        let live = reuse
+            .filter(|r| r.live.health.count(Stage::Solver) == 0)
+            .and_then(|r| {
+                let work = r.solve_work().filter(|w| w.len() == cg.sccs.len())?;
+                Some(LiveSolve {
+                    vals: &r.live.vals,
+                    jump_fns: &r.live.jump_fns,
+                    work,
+                })
+            });
+        let solved = crate::solver::solve_on(
             mcfg,
             &cg,
             &layout,
@@ -597,8 +643,27 @@ impl Analysis {
             config,
             &mut gov,
             &mut quarantined,
+            live,
         );
-        timings.solve = solve_time;
+        timings.solve = solved.time;
+        let vals = solved.vals;
+        txn.log_solve(solved.work);
+        // The reusing stages report what moved: re-solved rows, forms that
+        // are not the live ones, and callers of moved return jump
+        // functions.
+        let touched = reuse.zip(solved.rerun).map(|(r, mut touched)| {
+            let live = &r.live.symbolics;
+            touched.extend((0..n_procs).filter(|&p| match (&symbolics[p], &live[p]) {
+                (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
+                (a, b) => a.is_some() || b.is_some(),
+            }));
+            for &q in &marks.moved {
+                touched.extend(cg.calls_to(ProcId::from(q)).map(|e| e.caller.index()));
+            }
+            touched.sort_unstable();
+            touched.dedup();
+            touched
+        });
         let memo_log = memo_keys.and_then(|m| txn.finish_log(m.keys, prev_log));
         timings.total = t_run.elapsed();
 
@@ -615,6 +680,7 @@ impl Analysis {
             quarantined,
             timings,
             memo_log,
+            touched,
         }
     }
 
@@ -822,7 +888,7 @@ pub(crate) fn build_proc_symbolic(
     layout: &SlotLayout,
     kills: &(dyn CallKills + Sync),
     ret_jfs: &ReturnJumpFns,
-    gate_seeds: Option<&Vec<Vec<Lattice>>>,
+    gate_seeds: Option<&ValSets>,
     pi: usize,
     budget: &EvalBudget<'_>,
 ) -> KeptForm {
@@ -831,7 +897,7 @@ pub(crate) fn build_proc_symbolic(
     // inputs and dead call sites, approximating jump-function generation
     // over gated single-assignment form.
     let gate = config.gated_jump_fns.then(|| match gate_seeds {
-        Some(vals) => crate::substitute::seeds_from_vals(mcfg, layout, p, &vals[pi]),
+        Some(vals) => crate::substitute::seeds_from_vals(mcfg, layout, p, vals.of(p)),
         None => Seeds::none(mcfg.module.proc(p).vars.len()),
     });
     let ret_jfs = config.use_return_jfs.then(|| RetView::of(ret_jfs));

@@ -327,7 +327,12 @@ pub(crate) fn build_return_jfs_on(
     mod_tainted: &[bool],
     reuse: Option<&Reuse<'_>>,
     txn: &mut CacheTxn,
-) -> (ReturnJumpFns, Vec<Option<KeptForm>>, PhaseTime, RetMarks) {
+) -> (
+    ReturnJumpFns,
+    Vec<Option<Box<KeptForm>>>,
+    PhaseTime,
+    RetMarks,
+) {
     let n_procs = mcfg.module.procs.len();
     let n_sccs = cg.sccs.len();
     let stage = RetStage {
@@ -400,11 +405,13 @@ pub(crate) fn build_return_jfs_on(
         (Vec::new(), ReturnJumpFns::default(), Vec::new(), time)
     });
 
-    // Deterministic fold, in bottom-up SCC order.
+    // Deterministic fold, in bottom-up SCC order. `forms` holds only the
+    // forms of units that ran; `ran` lists the procedures whose unit did
+    // not reuse its live functions.
     let mut table = empty();
-    let mut forms: Vec<Option<KeptForm>> = vec![None; n_procs];
+    let mut forms: Vec<Option<Box<KeptForm>>> = vec![None; n_procs];
     let mut bad = vec![false; n_procs];
-    let mut ran = vec![false; n_procs];
+    let mut ran = Vec::new();
     let mut fold = PhaseFold::default();
     let mut changed = vec![false; n_sccs];
     for (si, members) in cg.sccs.iter().enumerate() {
@@ -415,6 +422,14 @@ pub(crate) fn build_return_jfs_on(
         }
         let taint = stage.taint_in(si, &bad);
         let ahead = units.get_mut(si).and_then(Option::take);
+        // A clean single-member SCC that did not run ahead takes its live
+        // functions straight into the table.
+        if let ([p], None) = (&members[..], &ahead) {
+            if let Some(reused) = stage.reused(RetView::of(&table), *p, taint, gov) {
+                stage.commit_reused(*p, reused, &mut table, txn);
+                continue;
+            }
+        }
         let absorbed = ahead.and_then(|unit| {
             let dep_changed = members.iter().any(|&p| {
                 cg.calls_from(p).iter().any(|e| {
@@ -436,26 +451,34 @@ pub(crate) fn build_return_jfs_on(
         };
         for (out, &p) in outs.into_iter().zip(members) {
             bad[p.index()] = out.bad;
-            ran[p.index()] = !out.reused;
+            if !out.reused {
+                ran.push(p.index());
+            }
             stage.commit(p, out, &mut table, &mut forms, quarantined, txn);
         }
     }
     fold.stamp(&mut time);
     // A form reads its callees' final functions, so it is stale when its
-    // unit ran or one of those moved from the live run's.
-    let stale = stage.reuse.map_or_else(Vec::new, |r| {
+    // unit ran or one of those moved from the live run's; only a unit that
+    // ran can have moved.
+    let mut marks = RetMarks {
+        bad,
+        ..RetMarks::default()
+    };
+    if let Some(r) = stage.reuse {
         let live = &r.live.ret_jfs.fns;
-        let moved: Vec<bool> = (table.fns.iter().zip(live))
-            .map(|(now, was)| !same_fns(now.as_ref(), was.as_ref()))
-            .collect();
-        (0..n_procs)
-            .map(|p| {
-                let calls = cg.calls_from(ProcId::from(p));
-                ran[p] || calls.iter().any(|e| moved[e.callee.index()])
-            })
-            .collect()
-    });
-    (table, forms, time, RetMarks { stale, bad })
+        marks.stale = vec![false; n_procs];
+        for p in ran {
+            marks.stale[p] = true;
+            if !same_fns(table.fns[p].as_ref(), live[p].as_ref()) {
+                marks.moved.push(p);
+                for e in cg.calls_to(ProcId::from(p)) {
+                    marks.stale[e.caller.index()] = true;
+                }
+            }
+        }
+    }
+    (table, forms, time, marks)
 }
 
 /// What the return-jump stage tells the symbolic stage, per procedure.
@@ -468,6 +491,9 @@ pub(crate) struct RetMarks {
     /// `bad[p]`: `p`'s functions are degraded or read a degraded result,
     /// so no clean cone computes them (meaningful only with a memo).
     pub(crate) bad: Vec<bool>,
+    /// The procedures whose functions moved from the live run's, in
+    /// commit order (empty unless the run reuses the live analysis).
+    pub(crate) moved: Vec<usize>,
 }
 
 /// Groups the call graph's reachable SCCs that `run` selects into
@@ -516,7 +542,7 @@ struct MemberOut {
     newly_quarantined: bool,
     /// The `(ProcSymbolic, steps_exhausted)` pair the unit evaluated —
     /// `None` unless kept (see [`build_return_jfs_on`]).
-    form: Option<KeptForm>,
+    form: Option<Box<KeptForm>>,
     /// The memo's note for this procedure.
     served: Served,
     /// The governor charges of a clean unit (recorded for reuse).
@@ -526,6 +552,15 @@ struct MemberOut {
     /// Whether the functions are degraded or read a degraded result (see
     /// [`build_return_jfs_on`]).
     bad: bool,
+}
+
+/// A unit that reused its live functions: them, the charges it replayed
+/// and its memo note.
+#[derive(Debug)]
+struct Reused {
+    fns: Arc<[JumpFn]>,
+    charges: Charges,
+    served: Served,
 }
 
 /// Everything a return-jump unit reads besides the table and the governor
@@ -599,7 +634,7 @@ impl RetStage<'_> {
         p: ProcId,
         out: MemberOut,
         table: &mut ReturnJumpFns,
-        forms: &mut [Option<KeptForm>],
+        forms: &mut [Option<Box<KeptForm>>],
         quarantined: &mut [bool],
         txn: &mut CacheTxn,
     ) {
@@ -607,12 +642,27 @@ impl RetStage<'_> {
         quarantined[pi] = self.before[pi] || out.newly_quarantined;
         table.fns[pi] = Some(out.fns);
         if out.form.is_some() {
-            // Only a unit that ran keeps a form, and `forms` starts empty:
-            // a reused unit leaves its slot of that large array untouched.
+            // Only a unit that ran keeps a form, and `forms` starts empty.
             forms[pi] = out.form;
         }
         txn.log_ret_charges(pi, out.charges);
         txn.note_unit(pi, out.served);
+    }
+
+    /// Commits procedure `p`'s reused live functions: the table entry,
+    /// the charges and the memo note. Its quarantine flag stays as the
+    /// stage found it (clear: a reused unit was not quarantined before).
+    fn commit_reused(
+        &self,
+        p: ProcId,
+        reused: Reused,
+        table: &mut ReturnJumpFns,
+        txn: &mut CacheTxn,
+    ) {
+        let pi = p.index();
+        table.fns[pi] = Some(reused.fns);
+        txn.log_ret_charges(pi, reused.charges);
+        txn.note_unit(pi, reused.served);
     }
 
     /// Procedure `p`'s functions in the live analysis (`None` without one).
@@ -643,8 +693,9 @@ impl RetStage<'_> {
         cone
     }
 
-    /// Procedure `p`'s live functions, when its unit may reuse them: it is
-    /// clean ([`Reuse::clean`]), reads no degraded result, every callee
+    /// Procedure `p`'s live functions, when its unit may reuse them: an
+    /// earlier stage did not quarantine it, it is clean
+    /// ([`Reuse::clean`]), it reads no degraded result, every callee
     /// entry `view` holds is the live one, and its recorded charges replay
     /// through [`Governor::can_absorb`]. A callee the view lacks is a later
     /// member of `p`'s own SCC, which the live run had not built at this
@@ -655,11 +706,13 @@ impl RetStage<'_> {
         view: RetView<'_>,
         p: ProcId,
         tainted: bool,
-        memo: &MemoKeys<'_>,
         gov: &mut Governor,
-    ) -> Option<MemberOut> {
-        let r = self.reuse.filter(|_| !tainted)?;
+    ) -> Option<Reused> {
         let (pi, cg) = (p.index(), self.cg);
+        let (r, memo) = self
+            .reuse
+            .zip(self.memo)
+            .filter(|_| !tainted && !self.before[pi])?;
         let fns = self
             .live_fns(p)
             .filter(|_| r.clean(memo, SummaryStage::RetJump, pi))?;
@@ -675,14 +728,10 @@ impl RetStage<'_> {
             fns: fns.to_vec(),
             charges,
         });
-        Some(MemberOut {
+        Some(Reused {
             fns: Arc::clone(fns),
-            newly_quarantined: false,
-            form: None,
-            served,
             charges,
-            bad: false,
-            reused: true,
+            served,
         })
     }
 
@@ -700,8 +749,16 @@ impl RetStage<'_> {
             let out = self.run(view, p, self.before[pi], keep, gov);
             return MemberOut { bad: true, ..out };
         };
-        if let Some(out) = self.reused(view, p, tainted, memo, gov) {
-            return out;
+        if let Some(r) = self.reused(view, p, tainted, gov) {
+            return MemberOut {
+                fns: r.fns,
+                newly_quarantined: false,
+                form: None,
+                served: r.served,
+                charges: r.charges,
+                bad: false,
+                reused: true,
+            };
         }
         let lookup = memo.lookup(SummaryStage::RetJump, pi).forced_if(tainted);
         if let Some((CachedSummary::RetJump { fns, charges }, _)) = lookup.hit {
@@ -788,7 +845,7 @@ impl RetStage<'_> {
         });
         match unit {
             Ok((fns, form, cut_by_deadline)) => {
-                out(fns, (keep && !cut_by_deadline).then_some(form))
+                out(fns, (keep && !cut_by_deadline).then(|| Box::new(form)))
             }
             Err(e) => {
                 gov.record_quarantine(

@@ -117,6 +117,7 @@
 
 use crate::config::{Config, PanicInjection, Stage};
 use crate::jump::ProcSymbolic;
+use crate::solver::SccWork;
 use crate::{Analysis, JumpFn};
 use ipcp_analysis::{
     calls_from, ref_bindings, summary_keys, update_summary_keys, CallGraph, ModSet, SummaryKeys,
@@ -587,6 +588,13 @@ impl CacheTxn {
         }
     }
 
+    /// Records the run's per-SCC solver work in its memo log.
+    pub(crate) fn log_solve(&mut self, work: SccWork) {
+        if let Some(log) = self.log.as_mut() {
+            log.solve = work;
+        }
+    }
+
     /// Records the governor charges of caller `pi`'s forward-jump unit in
     /// the run's memo log — `None` when the unit did not run clean.
     pub(crate) fn log_fwd_charges(&mut self, pi: usize, charges: Option<Charges>) {
@@ -701,6 +709,8 @@ pub(crate) struct MemoLog {
     /// Per caller: the charges of its forward-jump unit, when it ran clean
     /// on a caller no earlier stage quarantined.
     fwd_charges: Vec<Option<Charges>>,
+    /// Per SCC: the `meets` and `iterations` its solver unit added.
+    solve: SccWork,
 }
 
 impl MemoLog {
@@ -710,6 +720,7 @@ impl MemoLog {
             notes: std::array::from_fn(|_| vec![Note::Skipped; n_procs]),
             ret_charges: vec![Charges::default(); n_procs],
             fwd_charges: vec![None; n_procs],
+            solve: SccWork::new(),
         }
     }
 
@@ -1022,6 +1033,11 @@ impl<'a> Reuse<'a> {
         &self.log.ret_charges[pi]
     }
 
+    /// The live run's per-SCC solver work, when it recorded one.
+    pub(crate) fn solve_work(&self) -> Option<&'a [(usize, usize)]> {
+        Some(self.log.solve.as_slice()).filter(|w| !w.is_empty())
+    }
+
     /// The charges of caller `pi`'s live forward-jump unit, when it ran
     /// clean.
     pub(crate) fn fwd_charges(&self, pi: usize) -> Option<&Charges> {
@@ -1133,12 +1149,13 @@ fn mix(shape: u128, content: u128) -> u128 {
 }
 
 /// The identity predicate the differential tests assert: everything an
-/// analysis computes except wall-clock observations (timings) and the
-/// solver's internal work counters — including the call graph (edges,
-/// reachability, SCCs) and the slot layout, which a run that reuses the
-/// live analysis shares instead of rebuilding.
+/// analysis computes except wall-clock observations (timings) — the whole
+/// `VAL` sets with the solver's `meets` and `iterations`, which a run that
+/// reuses the live solve must reproduce, and the call graph (edges,
+/// reachability, SCCs) and the slot layout, which it shares instead of
+/// rebuilding.
 pub fn same_results(a: &Analysis, b: &Analysis) -> bool {
-    a.vals.vals == b.vals.vals
+    a.vals == b.vals
         && a.health == b.health
         && a.quarantined == b.quarantined
         && a.ret_jfs.fns == b.ret_jfs.fns

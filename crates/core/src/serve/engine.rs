@@ -230,6 +230,9 @@ pub struct RequestOutcome {
     pub carried: u64,
     /// Whether the configuration bypassed the cache.
     pub bypassed: bool,
+    /// The SCC units the `VAL` solve ran — the edited cone's size, for a
+    /// run that re-solved only the SCCs whose inputs moved.
+    pub solved_units: u64,
     /// Whether any stage degraded (the response-level `degraded` marker:
     /// every reported constant is still sound, but some answers were
     /// forced to ⊥ instead of invented).
@@ -248,6 +251,7 @@ impl RequestOutcome {
             misses: txn.misses,
             carried: txn.carried,
             bypassed: txn.bypassed,
+            solved_units: analysis.timings.solve.units as u64,
             degraded: analysis.health.degraded(),
             events: analysis.health.events.clone(),
             quarantined: analysis
@@ -280,6 +284,8 @@ pub struct EngineStats {
     pub spliced_updates: u64,
     /// Committed `load` operations.
     pub loads: u64,
+    /// SCC units the `VAL` solves of every analyzing request ran.
+    pub solved_units: u64,
 }
 
 /// Runs one analysis over `(mcfg, own)` under the request envelope:
@@ -408,6 +414,7 @@ impl ServeEngine {
             stats: EngineStats {
                 requests: 1,
                 degraded_requests: outcome.degraded as u64,
+                solved_units: outcome.solved_units,
                 ..EngineStats::default()
             },
             last_outcome: outcome,
@@ -478,6 +485,7 @@ impl ServeEngine {
 
     fn record(&mut self, outcome: &RequestOutcome) {
         self.stats.requests += 1;
+        self.stats.solved_units += outcome.solved_units;
         if outcome.degraded {
             self.stats.degraded_requests += 1;
         }

@@ -73,11 +73,6 @@ pub struct Snapshot {
     /// analysis share the cell, and an `update` can fill it from the
     /// previous analysis's counts.
     counts: Arc<OnceLock<SubstitutionCounts>>,
-    /// Procedure name → index into `mcfg.module.procs`, built on the
-    /// first by-name read of this snapshot. Turns the per-request
-    /// linear name scan into a hash lookup, which is what makes a
-    /// 50-item `batch` frame cheap at the 100k tier.
-    proc_index: Arc<OnceLock<std::collections::HashMap<String, usize>>>,
 }
 
 impl Snapshot {
@@ -98,7 +93,6 @@ impl Snapshot {
             cache,
             cache_len,
             counts: Arc::new(OnceLock::new()),
-            proc_index: Arc::new(OnceLock::new()),
         }
     }
 
@@ -134,26 +128,17 @@ impl Snapshot {
     ///
     /// [`ServeError::BadRequest`] when `proc` names no procedure.
     pub fn constants(&self, proc: Option<&str>) -> Result<ConstantsReport, ServeError> {
-        // By-name queries take the indexed fast path. Procedure names
-        // are unique (a duplicate is a resolve error), so the single
-        // indexed hit is exactly what the declaration-order scan in
+        // By-name queries look the procedure up in the module's signature
+        // table, shared with every snapshot and update of the program.
+        // Procedure names are unique (a duplicate is a resolve error), so
+        // the hit is exactly what the declaration-order scan in
         // `constants_report` would have produced.
         if let Some(want) = proc {
-            let index = self.proc_index.get_or_init(|| {
-                self.mcfg
-                    .module
-                    .procs
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (p.name.clone(), i))
-                    .collect()
-            });
-            let Some(&i) = index.get(want) else {
+            let Some(p) = self.mcfg.module.proc_named(want) else {
                 return Err(ServeError::BadRequest(format!(
                     "no procedure named `{want}`"
                 )));
             };
-            let p = &self.mcfg.module.procs[i];
             return Ok(ConstantsReport {
                 procs: vec![(p.name.clone(), self.analysis.constants_of(&self.mcfg, p.id))],
                 substituted: self.substituted(),

@@ -29,10 +29,45 @@
 //! therefore the same for every jobs count — the contract the
 //! per-procedure phases keep through their fold (`docs/ROBUSTNESS.md`,
 //! "Concurrency contract").
+//!
+//! # The reusing schedule
+//!
+//! A serve edit re-solves only its cone. A run that reuses the live
+//! analysis walks the same levels, and each SCC takes one of two paths:
+//!
+//! * **Reused.** Its members' forward jump functions are the live `Arc`s
+//!   and every external caller finished with its live row and live jump
+//!   functions. Its inputs are then the live run's, so its rows, its
+//!   activation and its work are too: it keeps its live rows, replays
+//!   its recorded [`Stage::Solver`] charges through
+//!   [`Governor::replay`], and adds the `meets` and `iterations` the live
+//!   run recorded for it.
+//! * **Re-run.** Its members are re-seeded — ⊤ (the entry procedure as
+//!   in a full solve), met with every external in-edge's jump functions
+//!   evaluated at the caller's final row — and marked dirty exactly when
+//!   the seeding lowered a row (or for the entry), then [`eval_unit`] runs
+//!   unchanged.
+//!
+//! The re-seeding is exact because jump functions are monotone. A caller
+//! SCC that ran evaluated each external call site at every row its
+//! member held when popped, and its last pop saw the final row (any later
+//! lowering would have queued it again). Every earlier evaluation is
+//! therefore ≥ the one at the final row, so the meet of all of them is
+//! the evaluation at the final row. A caller contributes at all only if
+//! it was popped, and a member is popped exactly when it is the entry or
+//! its row left ⊤ — which the final row shows. The unit then starts from
+//! the rows and dirty flags the full solve would give it, so its rows,
+//! `meets` and `iterations` are the full solve's. A re-run member whose
+//! row or jump functions came out different from the live run's marks
+//! its callees' SCCs for re-running: the cutoff stops where nothing
+//! moved. The run falls back to the full solve when a replay fails, when
+//! a re-run unit panics, trips its budget or sees the deadline, and when
+//! the live solve degraded or quarantined anything; an SCC holding the
+//! procedure a solver panic injection names always re-runs.
 
 use crate::config::{Config, Stage};
 use crate::health::Governor;
-use crate::jump::ForwardJumpFns;
+use crate::jump::{CallerJumpFns, ForwardJumpFns};
 use crate::par::PhaseTime;
 use crate::pipeline::UnitError;
 use ipcp_analysis::CallGraph;
@@ -41,13 +76,16 @@ use ipcp_ir::program::{ProcId, SlotLayout};
 use ipcp_ssa::Lattice;
 use std::collections::VecDeque;
 use std::fmt;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-/// The fixpoint `VAL` sets: `vals[p][slot]`.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The fixpoint `VAL` sets: one flat buffer of lattice elements, with
+/// procedure `p`'s row (one element per entry slot) at
+/// `offsets[p]..offsets[p + 1]`. Copying every row is one copy, and
+/// dropping the sets frees one buffer.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ValSets {
-    /// Per procedure, per entry slot.
-    pub vals: Vec<Vec<Lattice>>,
+    rows: Vec<Lattice>,
+    offsets: Vec<usize>,
     /// Number of meet operations performed (reported by the cost model).
     pub meets: usize,
     /// Number of worklist iterations (procedure re-evaluations).
@@ -55,15 +93,50 @@ pub struct ValSets {
 }
 
 impl ValSets {
+    /// Every procedure's row at its initial value: ⊤ everywhere except the
+    /// entry procedure, whose formals are ⊥ and whose globals hold
+    /// `entry_globals`.
+    fn initial(mcfg: &ModuleCfg, layout: &SlotLayout, entry_globals: Lattice) -> ValSets {
+        let mut offsets = Vec::with_capacity(mcfg.module.procs.len() + 1);
+        offsets.push(0);
+        for p in &mcfg.module.procs {
+            offsets.push(offsets[offsets.len() - 1] + layout.n_slots(p.arity()));
+        }
+        let mut vals = ValSets {
+            rows: vec![Lattice::Top; offsets[offsets.len() - 1]],
+            offsets,
+            meets: 0,
+            iterations: 0,
+        };
+        let entry = mcfg.module.entry;
+        init_row(mcfg, entry, entry_globals, vals.row_mut(entry.index()));
+        vals
+    }
+
     /// The `VAL` vector of `p`.
     pub fn of(&self, p: ProcId) -> &[Lattice] {
-        &self.vals[p.index()]
+        &self.rows[self.offsets[p.index()]..self.offsets[p.index() + 1]]
+    }
+
+    fn row_mut(&mut self, p: usize) -> &mut [Lattice] {
+        &mut self.rows[self.offsets[p]..self.offsets[p + 1]]
+    }
+
+    /// Every procedure's `VAL` vector, in procedure order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Lattice]> + '_ {
+        self.offsets.windows(2).map(|w| &self.rows[w[0]..w[1]])
+    }
+
+    /// Whether `other` holds the same `VAL` vectors (the work counters
+    /// aside).
+    pub fn same_rows(&self, other: &ValSets) -> bool {
+        self.offsets == other.offsets && self.rows == other.rows
     }
 
     /// `CONSTANTS(p)`: the `(slot, value)` pairs that always hold on entry
     /// to `p`.
     pub fn constants(&self, p: ProcId) -> Vec<(usize, i64)> {
-        self.vals[p.index()]
+        self.of(p)
             .iter()
             .enumerate()
             .filter_map(|(i, l)| l.as_const().map(|c| (i, c)))
@@ -72,10 +145,7 @@ impl ValSets {
 
     /// Total number of constant slots across all procedures.
     pub fn n_constants(&self) -> usize {
-        self.vals
-            .iter()
-            .map(|v| v.iter().filter(|l| l.is_const()).count())
-            .sum()
+        self.rows.iter().filter(|l| l.is_const()).count()
     }
 
     /// Renders `CONSTANTS(p)` for every reachable procedure with names.
@@ -85,6 +155,26 @@ impl ValSets {
             mcfg,
             layout,
         }
+    }
+}
+
+/// Sets `row`, procedure `p`'s row, to its initial value: ⊤, or for the
+/// entry procedure ⊥ formals and `entry_globals` globals.
+fn init_row(mcfg: &ModuleCfg, p: ProcId, entry_globals: Lattice, row: &mut [Lattice]) {
+    if p != mcfg.module.entry {
+        row.fill(Lattice::Top);
+        return;
+    }
+    // The entry procedure is invoked by the environment: nothing is known
+    // about its formals (main has none) and its globals get the configured
+    // assumption.
+    let arity = mcfg.module.proc(p).arity();
+    for (i, v) in row.iter_mut().enumerate() {
+        *v = if i < arity {
+            Lattice::Bottom
+        } else {
+            entry_globals
+        };
     }
 }
 
@@ -187,6 +277,15 @@ struct UnitOutcome {
     deadline: bool,
 }
 
+/// The buffers every unit of one solve reuses: the FIFO and its queued
+/// flags, and the copy of the row being evaluated.
+#[derive(Default)]
+struct Scratch {
+    queued: Vec<bool>,
+    work: VecDeque<usize>,
+    row: Vec<Lattice>,
+}
+
 /// Evaluates one SCC unit: a local FIFO fixpoint over the members, seeded
 /// by their dirty flags. Each pop checks the deadline, fires the panic
 /// injection hook, charges the governor, then evaluates the member's call
@@ -196,8 +295,7 @@ struct UnitOutcome {
 /// External callees live at strictly later levels (same-level SCCs never
 /// call each other), so nothing reads their rows before this level is
 /// done; on a panic, trip or deadline the partially applied meets are
-/// erased by the quarantine ⊥-fill or `degrade_reachable`. `queued` and
-/// `work` are the caller's buffers, reused across units.
+/// erased by the quarantine ⊥-fill or `degrade_reachable`.
 #[allow(clippy::too_many_arguments)]
 fn eval_unit(
     cg: &CallGraph,
@@ -205,11 +303,10 @@ fn eval_unit(
     config: &Config,
     members: &[ProcId],
     scc: usize,
-    vals: &mut [Vec<Lattice>],
+    vals: &mut ValSets,
     dirty: &mut [bool],
     gov: &mut Governor,
-    queued: &mut Vec<bool>,
-    work: &mut VecDeque<usize>,
+    scratch: &mut Scratch,
 ) -> UnitOutcome {
     let mut out = UnitOutcome {
         meets: 0,
@@ -217,6 +314,7 @@ fn eval_unit(
         tripped: false,
         deadline: false,
     };
+    let Scratch { queued, work, row } = scratch;
     queued.clear();
     queued.resize(members.len(), false);
     work.clear();
@@ -242,9 +340,12 @@ fn eval_unit(
         }
         queued[li] = false;
         out.iterations += 1;
-        // Take the caller's row out so callee rows can be met into
-        // without aliasing it (external callees are always other rows).
-        let mut caller_row = std::mem::take(&mut vals[p.index()]);
+        // Work on a copy of the caller's row, so callee rows can be met
+        // into without aliasing it (external callees are always other
+        // rows); it is written back after the last call site.
+        row.clear();
+        row.extend_from_slice(vals.of(p));
+        let caller_row = &mut *row;
         for edge in cg.calls_from(p) {
             let site_fns = jump_fns.at(p, edge.site);
             if site_fns.is_empty() {
@@ -255,7 +356,7 @@ fn eval_unit(
                     unreachable!("intra-SCC callee missing from member list");
                 };
                 // Intra-SCC meets may lower the caller's own row
-                // (self-recursion lands in the taken row), so every slot
+                // (self-recursion lands in the copied row), so every slot
                 // of the site is evaluated against one snapshot.
                 let snapshot = caller_row.clone();
                 let mut changed = false;
@@ -266,7 +367,7 @@ fn eval_unit(
                     let target = if edge.callee == p {
                         &mut caller_row[slot]
                     } else {
-                        &mut vals[edge.callee.index()][slot]
+                        &mut vals.row_mut(edge.callee.index())[slot]
                     };
                     changed |= target.meet_in(incoming);
                 }
@@ -276,7 +377,7 @@ fn eval_unit(
                 }
             } else {
                 let mut changed = false;
-                let callee_row = &mut vals[edge.callee.index()];
+                let callee_row = vals.row_mut(edge.callee.index());
                 for (slot, jf) in site_fns.iter().enumerate() {
                     let incoming = jf.eval(|v| {
                         caller_row
@@ -292,7 +393,7 @@ fn eval_unit(
                 }
             }
         }
-        vals[p.index()] = caller_row;
+        vals.row_mut(p.index()).copy_from_slice(caller_row);
     }
     out
 }
@@ -301,12 +402,39 @@ fn eval_unit(
 /// mid-solve budget trip or deadline expiry, when the partially descended
 /// `VAL` sets are still optimistic (too high to be trusted). Unreachable
 /// procedures keep ⊤, which is equally sound (they never execute).
-fn degrade_reachable(vals: &mut [Vec<Lattice>], cg: &CallGraph) {
-    for (pi, v) in vals.iter_mut().enumerate() {
-        if cg.reachable[pi] {
-            v.fill(Lattice::Bottom);
+fn degrade_reachable(vals: &mut ValSets, cg: &CallGraph) {
+    for (pi, &reachable) in cg.reachable.iter().enumerate() {
+        if reachable {
+            vals.row_mut(pi).fill(Lattice::Bottom);
         }
     }
+}
+
+/// The `(meets, iterations)` each SCC's unit added to a solve, indexed by
+/// SCC — `(0, 0)` for a unit that did not run. A reusing solve replays
+/// the live run's entries for the SCCs it reuses.
+pub(crate) type SccWork = Vec<(usize, usize)>;
+
+/// The live solve a reusing run starts from: its `VAL` sets, the forward
+/// jump functions they were solved over, and its per-SCC work.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LiveSolve<'a> {
+    pub(crate) vals: &'a ValSets,
+    pub(crate) jump_fns: &'a ForwardJumpFns,
+    pub(crate) work: &'a [(usize, usize)],
+}
+
+/// One solve's products.
+#[derive(Debug)]
+pub(crate) struct Solved {
+    pub(crate) vals: ValSets,
+    /// The per-SCC work, for the next reusing solve.
+    pub(crate) work: SccWork,
+    /// Wall time; `units` counts the SCC units that ran.
+    pub(crate) time: PhaseTime,
+    /// For a reusing solve, the members of the SCCs it re-ran: every
+    /// procedure whose row may differ from the live one.
+    pub(crate) rerun: Option<Vec<usize>>,
 }
 
 /// Runs the wavefront propagation (see the module docs for the schedule).
@@ -334,47 +462,98 @@ pub fn solve(
     gov: &mut Governor,
     quarantined: &mut [bool],
 ) -> (ValSets, PhaseTime) {
+    let solved = solve_on(
+        mcfg,
+        cg,
+        layout,
+        jump_fns,
+        entry_globals,
+        config,
+        gov,
+        quarantined,
+        None,
+    );
+    (solved.vals, solved.time)
+}
+
+/// [`solve`], reusing `live` where the reusing schedule allows (see the
+/// module docs), and reporting the per-SCC work.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_on(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    jump_fns: &ForwardJumpFns,
+    entry_globals: Lattice,
+    config: &Config,
+    gov: &mut Governor,
+    quarantined: &mut [bool],
+    live: Option<LiveSolve<'_>>,
+) -> Solved {
     let t0 = Instant::now();
-    let n_procs = mcfg.module.procs.len();
-    let mut vals: Vec<Vec<Lattice>> = (0..n_procs)
-        .map(|p| {
-            let arity = mcfg.module.procs[p].arity();
-            vec![Lattice::Top; layout.n_slots(arity)]
-        })
-        .collect();
-
-    // The entry procedure is invoked by the environment: nothing is known
-    // about its formals (main has none) and its globals get the configured
-    // assumption.
-    let entry = mcfg.module.entry;
-    {
-        let arity = mcfg.module.proc(entry).arity();
-        for (i, v) in vals[entry.index()].iter_mut().enumerate() {
-            *v = if i < arity {
-                Lattice::Bottom
-            } else {
-                entry_globals
-            };
-        }
-    }
-
-    let mut dirty = vec![false; n_procs];
-    dirty[entry.index()] = true;
-
-    let mut meets = 0usize;
-    let mut iterations = 0usize;
     let levels = topdown_levels(cg);
-    let n_units: usize = levels.iter().map(Vec::len).sum();
-    // One `queued`/FIFO pair, reused by every unit of the solve.
-    let mut queued = Vec::new();
-    let mut work = VecDeque::new();
+    let reused = live.and_then(|live| {
+        let saved = gov.clone();
+        let reused = solve_reusing(
+            mcfg,
+            cg,
+            &levels,
+            jump_fns,
+            entry_globals,
+            config,
+            gov,
+            live,
+        );
+        if reused.is_none() {
+            *gov = saved;
+        }
+        reused
+    });
+    let mut solved = reused.unwrap_or_else(|| {
+        solve_full(
+            mcfg,
+            cg,
+            layout,
+            &levels,
+            jump_fns,
+            entry_globals,
+            config,
+            gov,
+            quarantined,
+        )
+    });
+    solved.time = PhaseTime::sequential(t0.elapsed(), solved.time.units);
+    solved
+}
 
-    'levels: for level in &levels {
+/// The full wavefront: every reachable SCC in level order, each run when
+/// a member is dirty. The caller stamps the wall time.
+#[allow(clippy::too_many_arguments)]
+fn solve_full(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    levels: &[Vec<usize>],
+    jump_fns: &ForwardJumpFns,
+    entry_globals: Lattice,
+    config: &Config,
+    gov: &mut Governor,
+    quarantined: &mut [bool],
+) -> Solved {
+    let mut vals = ValSets::initial(mcfg, layout, entry_globals);
+    let mut dirty = vec![false; mcfg.module.procs.len()];
+    dirty[mcfg.module.entry.index()] = true;
+    let mut work = vec![(0, 0); cg.sccs.len()];
+    let mut units = 0;
+    let mut scratch = Scratch::default();
+
+    'levels: for level in levels {
         for &si in level {
             let members: &[ProcId] = &cg.sccs[si];
             if !members.iter().any(|&m| dirty[m.index()]) {
                 continue;
             }
+            units += 1;
             let unit = guarded(config, si, || {
                 eval_unit(
                     cg,
@@ -385,8 +564,7 @@ pub fn solve(
                     &mut vals,
                     &mut dirty,
                     gov,
-                    &mut queued,
-                    &mut work,
+                    &mut scratch,
                 )
             });
             match unit {
@@ -414,7 +592,7 @@ pub fn solve(
                         ),
                     );
                     for &m in members {
-                        vals[m.index()].fill(Lattice::Bottom);
+                        vals.row_mut(m.index()).fill(Lattice::Bottom);
                     }
                     for &m in members {
                         for edge in cg.calls_from(m) {
@@ -422,7 +600,7 @@ pub fn solve(
                                 continue;
                             }
                             let n_fns = jump_fns.at(m, edge.site).len();
-                            let callee_vals = &mut vals[edge.callee.index()];
+                            let callee_vals = vals.row_mut(edge.callee.index());
                             let mut changed = false;
                             for v in callee_vals.iter_mut().take(n_fns) {
                                 changed |= v.meet_in(Lattice::Bottom);
@@ -434,8 +612,10 @@ pub fn solve(
                     }
                 }
                 Ok(u) => {
-                    meets += u.meets;
-                    iterations += u.iterations;
+                    work[si] = (u.meets, u.iterations);
+                    vals.meets += u.meets;
+                    vals.iterations += u.iterations;
+                    let iterations = vals.iterations;
                     if u.deadline {
                         gov.record_deadline(
                             Stage::Solver,
@@ -462,15 +642,151 @@ pub fn solve(
             }
         }
     }
+    Solved {
+        vals,
+        work,
+        time: PhaseTime::sequential(Duration::ZERO, units),
+        rerun: None,
+    }
+}
 
-    (
-        ValSets {
-            vals,
-            meets,
-            iterations,
-        },
-        PhaseTime::sequential(t0.elapsed(), n_units),
-    )
+/// Whether two callers' forward jump functions are equal (by `Arc` or by
+/// value).
+fn same_fns(a: &CallerJumpFns, b: &CallerJumpFns) -> bool {
+    a.ptr_eq(b) || a == b
+}
+
+/// The reusing schedule (see the module docs): `None` when the run must
+/// fall back to the full solve (the caller restores the governor then).
+/// The caller stamps the wall time.
+#[allow(clippy::too_many_arguments)]
+fn solve_reusing(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    levels: &[Vec<usize>],
+    jump_fns: &ForwardJumpFns,
+    entry_globals: Lattice,
+    config: &Config,
+    gov: &mut Governor,
+    live: LiveSolve<'_>,
+) -> Option<Solved> {
+    let n_procs = mcfg.module.procs.len();
+    let entry = mcfg.module.entry;
+    let mut rerun = vec![false; cg.sccs.len()];
+    for (p, (now, was)) in jump_fns.sites.iter().zip(&live.jump_fns.sites).enumerate() {
+        if !now.ptr_eq(was) {
+            rerun[cg.scc_of[p]] = true;
+        }
+    }
+    if let Some(inject) = config.panic_injection.filter(|i| i.stage == Stage::Solver) {
+        if let Some(&si) = cg.scc_of.get(inject.proc) {
+            rerun[si] = true;
+        }
+    }
+    let mut vals = live.vals.clone();
+    vals.meets = 0;
+    vals.iterations = 0;
+    let mut work = vec![(0, 0); cg.sccs.len()];
+    let mut dirty = vec![false; n_procs];
+    let mut units = 0;
+    let mut scratch = Scratch::default();
+    let mut rerun_members = Vec::new();
+    // Reused units' charges replay in batches, each flushed before a
+    // re-run unit charges and at the end: a trip condition is monotone in
+    // the counter, so a batch that replays cleanly crosses no trip at any
+    // unit inside it.
+    let solver = Stage::ALL.iter().position(|&s| s == Stage::Solver)?;
+    let mut pending = [0; Stage::ALL.len()];
+    let flush = |gov: &mut Governor, pending: &mut [u64; Stage::ALL.len()]| {
+        let clean = pending[solver] == 0 || gov.replay(pending);
+        pending[solver] = 0;
+        clean
+    };
+    for &si in levels.iter().flatten() {
+        let members: &[ProcId] = &cg.sccs[si];
+        if !rerun[si] {
+            let (meets, iterations) = live.work[si];
+            pending[solver] += iterations as u64;
+            work[si] = (meets, iterations);
+            vals.meets += meets;
+            vals.iterations += iterations;
+            continue;
+        }
+        // Re-seed: every external caller at an earlier level has its
+        // final row, and contributed iff it was popped.
+        rerun_members.extend(members.iter().map(|m| m.index()));
+        for &m in members {
+            let init = &mut scratch.row;
+            init.clear();
+            init.resize(vals.of(m).len(), Lattice::Top);
+            init_row(mcfg, m, entry_globals, init);
+            let mut row = std::mem::take(init);
+            for edge in cg.calls_to(m) {
+                let c = edge.caller;
+                if cg.scc_of[c.index()] == si {
+                    continue;
+                }
+                let caller_row = vals.of(c);
+                let popped = c == entry || caller_row.iter().any(|&l| l != Lattice::Top);
+                if !popped {
+                    continue;
+                }
+                for (slot, jf) in jump_fns.at(c, edge.site).iter().enumerate() {
+                    let incoming = jf.eval(|v| {
+                        caller_row
+                            .get(v as usize)
+                            .copied()
+                            .unwrap_or(Lattice::Bottom)
+                    });
+                    row[slot].meet_in(incoming);
+                }
+            }
+            dirty[m.index()] = m == entry || row.iter().any(|&l| l != Lattice::Top);
+            vals.row_mut(m.index()).copy_from_slice(&row);
+            scratch.row = row;
+        }
+        if members.iter().any(|&m| dirty[m.index()]) {
+            if !flush(gov, &mut pending) {
+                return None;
+            }
+            units += 1;
+            let unit = guarded(config, si, || {
+                eval_unit(
+                    cg,
+                    jump_fns,
+                    config,
+                    members,
+                    si,
+                    &mut vals,
+                    &mut dirty,
+                    gov,
+                    &mut scratch,
+                )
+            });
+            let u = unit.ok().filter(|u| !u.tripped && !u.deadline)?;
+            work[si] = (u.meets, u.iterations);
+            vals.meets += u.meets;
+            vals.iterations += u.iterations;
+        }
+        // Cutoff: only a member whose row or jump functions moved can
+        // move its callees.
+        for &m in members {
+            let p = m.index();
+            let moved = vals.of(m) != live.vals.of(m)
+                || !same_fns(&jump_fns.sites[p], &live.jump_fns.sites[p]);
+            if moved {
+                for edge in cg.calls_from(m) {
+                    rerun[cg.scc_of[edge.callee.index()]] = true;
+                }
+            }
+        }
+    }
+    flush(gov, &mut pending).then(|| Solved {
+        vals,
+        work,
+        time: PhaseTime::sequential(Duration::ZERO, units),
+        rerun: Some(rerun_members),
+    })
 }
 
 /// The classic §4.1 FIFO worklist propagation, retained as a reference
@@ -494,26 +810,8 @@ pub fn solve_worklist_reference(
     gov: &mut Governor,
 ) -> ValSets {
     let n_procs = mcfg.module.procs.len();
-    let mut vals: Vec<Vec<Lattice>> = (0..n_procs)
-        .map(|p| {
-            let arity = mcfg.module.procs[p].arity();
-            vec![Lattice::Top; layout.n_slots(arity)]
-        })
-        .collect();
+    let mut vals = ValSets::initial(mcfg, layout, entry_globals);
     let entry = mcfg.module.entry;
-    {
-        let arity = mcfg.module.proc(entry).arity();
-        for (i, v) in vals[entry.index()].iter_mut().enumerate() {
-            *v = if i < arity {
-                Lattice::Bottom
-            } else {
-                entry_globals
-            };
-        }
-    }
-
-    let mut meets = 0usize;
-    let mut iterations = 0usize;
     let mut queued = vec![false; n_procs];
     let mut work: VecDeque<ProcId> = VecDeque::new();
     work.push_back(entry);
@@ -525,14 +823,15 @@ pub fn solve_worklist_reference(
             break;
         }
         queued[p.index()] = false;
-        iterations += 1;
+        vals.iterations += 1;
         for edge in cg.calls_from(p) {
             let site_fns = jump_fns.at(p, edge.site);
             if site_fns.is_empty() {
                 continue;
             }
-            let caller_vals = vals[p.index()].clone();
-            let callee_vals = &mut vals[edge.callee.index()];
+            let caller_vals = vals.of(p).to_vec();
+            vals.meets += site_fns.len();
+            let callee_vals = vals.row_mut(edge.callee.index());
             let mut changed = false;
             for (slot, jf) in site_fns.iter().enumerate() {
                 let incoming = jf.eval(|v| {
@@ -541,7 +840,6 @@ pub fn solve_worklist_reference(
                         .copied()
                         .unwrap_or(Lattice::Bottom)
                 });
-                meets += 1;
                 changed |= callee_vals[slot].meet_in(incoming);
             }
             if changed && !queued[edge.callee.index()] {
@@ -551,11 +849,7 @@ pub fn solve_worklist_reference(
         }
     }
 
-    ValSets {
-        vals,
-        meets,
-        iterations,
-    }
+    vals
 }
 
 #[cfg(test)]
@@ -779,6 +1073,91 @@ mod tests {
         }
     }
 
+    /// The reusing schedule against a full solve of the same jump
+    /// functions: `live` is a full solve of `a`, and `b`'s table shares
+    /// every caller's functions with `a`'s except the ones `b` changed.
+    /// Under every iteration cap (so trips land in reused and re-run
+    /// units alike) the rows, counters and health must be the full
+    /// solve's.
+    fn check_reuse(a: &str, b: &str, config: Config) {
+        let lower = |src: &str| lower_module(&parse_and_resolve(src).unwrap());
+        let (ma, mb) = (lower(a), lower(b));
+        let (aa, ab) = (Analysis::run(&ma, &config), Analysis::run(&mb, &config));
+        assert_eq!(aa.cg.edges, ab.cg.edges, "the edit keeps the call graph");
+        let mut jump_fns = aa.jump_fns.clone();
+        for (p, sites) in ab.jump_fns.sites.iter().enumerate() {
+            if *sites != aa.jump_fns.sites[p] {
+                jump_fns.sites[p] = sites.clone();
+            }
+        }
+        let layout = SlotLayout::new(&ma.module);
+        let run = |mcfg: &ModuleCfg, fns: &ForwardJumpFns, cap: u64, live| {
+            let config = Config::builder()
+                .max_solver_iterations(cap)
+                .build()
+                .unwrap();
+            let mut gov = Governor::new(&config);
+            let mut quarantined = vec![false; mcfg.module.procs.len()];
+            let solved = solve_on(
+                mcfg,
+                &aa.cg,
+                &layout,
+                fns,
+                Lattice::Bottom,
+                &config,
+                &mut gov,
+                &mut quarantined,
+                live,
+            );
+            (solved, gov.into_health())
+        };
+        let (live, _) = run(&ma, &aa.jump_fns, u64::MAX, None);
+        let live = LiveSolve {
+            vals: &live.vals,
+            jump_fns: &aa.jump_fns,
+            work: &live.work,
+        };
+        let (full, _) = run(&mb, &jump_fns, u64::MAX, None);
+        let most = full.vals.iterations as u64 + 1;
+        for cap in (1..=most).chain([u64::MAX]) {
+            let (want, want_health) = run(&mb, &jump_fns, cap, None);
+            let (got, got_health) = run(&mb, &jump_fns, cap, Some(live));
+            assert_eq!(got.vals, want.vals, "cap {cap}: {b}");
+            assert_eq!(got_health, want_health, "cap {cap}: {b}");
+            assert_eq!(got.work, want.work, "cap {cap}: {b}");
+        }
+    }
+
+    #[test]
+    fn reusing_solve_matches_a_full_solve() {
+        // A caller with no entry slots is never popped, so it contributes
+        // nothing, and `g` stays ⊤ in both solves.
+        check_reuse(
+            "proc main() { call f(); } proc f() { call g(5); } \
+             proc g(a) { call h(a); } proc h(b) { print b; }",
+            "proc main() { call f(); } proc f() { call g(6); } \
+             proc g(a) { call h(a); } proc h(b) { print b; }",
+            Config::default(),
+        );
+        // An actual that moves `VAL` through a pass-through chain and a
+        // recursive SCC, and one that moves nothing below the edit.
+        let prog = |x: i64, y: i64| {
+            format!(
+                "global g; \
+                 proc main() {{ g = 4; call a({x}); call b(7); }} \
+                 proc a(p) {{ call c(p); call r(p, {y}); }} \
+                 proc b(q) {{ call c(q); }} \
+                 proc c(s) {{ print s + g; }} \
+                 proc r(n, k) {{ if (n > 0) {{ call r(n - 1, k); }} call c(k); }}"
+            )
+        };
+        for config in [Config::default(), Config::polynomial()] {
+            check_reuse(&prog(7, 1), &prog(8, 1), config);
+            check_reuse(&prog(7, 1), &prog(7, 2), config);
+            check_reuse(&prog(7, 1), &prog(7, 1), config);
+        }
+    }
+
     #[test]
     fn wavefront_matches_the_worklist_reference_fixpoint() {
         // The classic §4.1 FIFO worklist and the wavefront must compute
@@ -812,8 +1191,8 @@ mod tests {
                     Lattice::Bottom,
                     &mut Governor::unlimited(),
                 );
-                assert_eq!(
-                    a.vals.vals, reference.vals,
+                assert!(
+                    a.vals.same_rows(&reference),
                     "wavefront and worklist fixpoints diverged on {src}"
                 );
             }

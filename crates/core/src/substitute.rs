@@ -113,7 +113,9 @@ pub fn substitution_counts(mcfg: &ModuleCfg, analysis: &Analysis) -> Substitutio
 /// count otherwise. The inputs of procedure `p`'s count are its symbolic
 /// form (compared by `Arc` identity, so a form the summary cache served
 /// to both analyses is unchanged), `VAL(p)`, the return jump functions of
-/// its callees, and whether it is reachable and quarantined.
+/// its callees, and whether it is reachable and quarantined. When
+/// `analysis` reused `prev` stage by stage, only the procedures it reports
+/// as touched, and those whose quarantine flag moved, are examined.
 ///
 /// Returns `None` when the two analyses do not share a configuration and
 /// a program shape — procedure count, arities and scalar globals — since
@@ -133,30 +135,39 @@ pub(crate) fn recount(
     if !same_shape {
         return None;
     }
-    let ret_moved: Vec<bool> = (0..n)
-        .map(|i| prev.ret_jfs.fns[i] != analysis.ret_jfs.fns[i])
-        .collect();
+    let ret_moved = |i: usize| prev.ret_jfs.fns[i] != analysis.ret_jfs.fns[i];
     let form_moved = |i: usize| match (&prev.symbolics[i], &analysis.symbolics[i]) {
         (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
         (a, b) => a.is_some() != b.is_some(),
     };
+    let quarantine_moved = |i: usize| prev.quarantined[i] != analysis.quarantined[i];
+    let candidates: Vec<usize> = match &analysis.touched {
+        Some(touched) => {
+            let mut c: Vec<usize> = (0..n).filter(|&i| quarantine_moved(i)).collect();
+            c.extend(touched);
+            c.sort_unstable();
+            c.dedup();
+            c
+        }
+        None => (0..n).collect(),
+    };
     let oracle = analysis.sccp_oracle(mcfg);
     let mut counts = prev_counts.counts.clone();
-    for (pi, count) in counts.iter_mut().enumerate() {
+    for pi in candidates {
         let p = ProcId::from(pi);
         let moved = prev.cg.reachable[pi] != analysis.cg.reachable[pi]
-            || prev.quarantined[pi] != analysis.quarantined[pi]
+            || quarantine_moved(pi)
             || form_moved(pi)
             || prev.vals.of(p) != analysis.vals.of(p)
             || analysis
                 .cg
                 .calls_from(p)
                 .iter()
-                .any(|e| ret_moved[e.callee.index()]);
+                .any(|e| ret_moved(e.callee.index()));
         if !moved {
             continue;
         }
-        *count = match analysis.symbolics[pi].as_ref() {
+        counts[pi] = match analysis.symbolics[pi].as_ref() {
             Some(ps) if analysis.cg.reachable[pi] => {
                 let res = sccp::run(
                     mcfg,

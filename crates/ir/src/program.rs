@@ -309,7 +309,7 @@ impl Proc {
 }
 
 /// A fully resolved, semantically checked module.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Module {
     /// Module-level variables.
     pub globals: Vec<GlobalInfo>,
@@ -319,6 +319,44 @@ pub struct Module {
     pub procs: Vec<Arc<Proc>>,
     /// The entry procedure (`main`, which must take no parameters).
     pub entry: ProcId,
+    /// The name and signature table the resolution built, shared by every
+    /// clone of the module.
+    sigs: SharedSigs,
+}
+
+/// A program's name and signature table: global and procedure names to
+/// ids, and each procedure's arity. Resolution builds it once; every
+/// module derived from that resolution shares it by [`Arc`], and so does a
+/// replacement resolved against it ([`resolve_replacement`]).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Signatures {
+    global_ids: HashMap<String, GlobalId>,
+    proc_ids: HashMap<String, ProcId>,
+    arities: Vec<usize>,
+}
+
+/// The table a module holds. It is derived from the module's own globals
+/// and procedures, so it takes no part in equality or in the module's
+/// `Debug` output.
+#[derive(Clone, Default)]
+struct SharedSigs(Arc<Signatures>);
+
+impl PartialEq for SharedSigs {
+    fn eq(&self, _: &SharedSigs) -> bool {
+        true
+    }
+}
+
+impl Eq for SharedSigs {}
+
+impl fmt::Debug for Module {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Module")
+            .field("globals", &self.globals)
+            .field("procs", &self.procs)
+            .field("entry", &self.entry)
+            .finish()
+    }
 }
 
 impl Module {
@@ -331,8 +369,14 @@ impl Module {
         &self.procs[p.index()]
     }
 
-    /// Finds a procedure by source name.
+    /// Finds a procedure by source name: a hash lookup in the module's
+    /// signature table, or a scan when procedures were added after
+    /// resolution (procedure cloning).
     pub fn proc_named(&self, name: &str) -> Option<&Proc> {
+        let table = &self.sigs.0;
+        if table.arities.len() == self.procs.len() {
+            return table.proc_ids.get(name).map(|&id| self.proc(id));
+        }
         self.procs.iter().map(|p| &**p).find(|p| p.name == name)
     }
 
@@ -505,7 +549,8 @@ fn unresolve_inner(p: &Proc, procs: &[Arc<Proc>], b: &Block) -> ast::Block {
 // ---------------------------------------------------------------------------
 
 /// Resolves `text`, a new definition of one of `module`'s procedures,
-/// against `module`'s signature table, when that provably yields the
+/// against `module`'s signature table (the one its resolution built,
+/// shared — the call builds no table), when that provably yields the
 /// procedure a whole-program resolution would produce with the new
 /// definition swapped in — spans aside, which stay relative to `text`.
 /// Returns `None` whenever it cannot prove that; the caller then resolves
@@ -534,7 +579,12 @@ pub fn resolve_replacement(module: &Module, text: &str) -> Option<Proc> {
     if arity != old.arity() {
         return None;
     }
-    let mut r = Resolver::for_module(module);
+    // The module's own table, shared: nothing is declared against it.
+    let mut r = Resolver {
+        diags: Diagnostics::new(),
+        globals: module.globals.clone(),
+        table: Arc::clone(&module.sigs.0),
+    };
     let mut procs = Vec::with_capacity(1);
     r.resolve_bodies(text, &mut procs, old.id.index()).ok()?;
     let mut proc = procs.pop().map(Arc::try_unwrap)?.ok()?;
@@ -561,13 +611,6 @@ pub fn resolve_replacement(module: &Module, text: &str) -> Option<Proc> {
     ok.then_some(proc)
 }
 
-/// The signature a call site needs from its callee: just the arity.
-/// Bodies resolve against this table, which is what lets
-/// [`crate::stream`] resolve one chunk at a time.
-pub(crate) struct ProcSig {
-    pub(crate) arity: usize,
-}
-
 /// Incremental resolver: the signature table plus the module-level
 /// diagnostics. [`crate::stream`] drives it in three steps:
 ///
@@ -579,9 +622,7 @@ pub(crate) struct ProcSig {
 pub(crate) struct Resolver {
     diags: Diagnostics,
     globals: Vec<GlobalInfo>,
-    global_ids: HashMap<String, GlobalId>,
-    proc_ids: HashMap<String, ProcId>,
-    sigs: Vec<ProcSig>,
+    table: Arc<Signatures>,
 }
 
 impl Resolver {
@@ -589,38 +630,13 @@ impl Resolver {
         Resolver {
             diags: Diagnostics::new(),
             globals: Vec::new(),
-            global_ids: HashMap::new(),
-            proc_ids: HashMap::new(),
-            sigs: Vec::new(),
+            table: Arc::default(),
         }
-    }
-
-    /// A resolver holding `module`'s signature table.
-    fn for_module(module: &Module) -> Self {
-        let mut r = Resolver::new();
-        r.globals.clone_from(&module.globals);
-        r.global_ids = module
-            .globals
-            .iter()
-            .enumerate()
-            .map(|(i, g)| (g.name.clone(), GlobalId::from(i)))
-            .collect();
-        r.proc_ids = module
-            .procs
-            .iter()
-            .map(|p| (p.name.clone(), p.id))
-            .collect();
-        r.sigs = module
-            .procs
-            .iter()
-            .map(|p| ProcSig { arity: p.arity() })
-            .collect();
-        r
     }
 
     /// Number of procedures declared so far.
     pub(crate) fn n_procs(&self) -> usize {
-        self.sigs.len()
+        self.table.arities.len()
     }
 
     /// Pass 0: registers one text's declarations — its globals first,
@@ -629,6 +645,7 @@ impl Resolver {
     /// duplicate name still occupies its slot so ids stay aligned with
     /// body order.
     pub(crate) fn declare(&mut self, items: &[Item<'_>]) {
+        let table = Arc::make_mut(&mut self.table);
         for item in items {
             if let Item::Global {
                 name,
@@ -636,12 +653,12 @@ impl Resolver {
                 span,
             } = *item
             {
-                if self.global_ids.contains_key(name) {
+                if table.global_ids.contains_key(name) {
                     self.diags.error(format!("duplicate global `{name}`"), span);
                     continue;
                 }
                 let id = GlobalId::from(self.globals.len());
-                self.global_ids.insert(name.to_owned(), id);
+                table.global_ids.insert(name.to_owned(), id);
                 self.globals.push(GlobalInfo {
                     name: name.to_owned(),
                     array_len,
@@ -650,20 +667,20 @@ impl Resolver {
         }
         for item in items {
             if let Item::Proc { name, arity, span } = *item {
-                let id = ProcId::from(self.sigs.len());
-                if self.proc_ids.contains_key(name) {
+                let id = ProcId::from(table.arities.len());
+                if table.proc_ids.contains_key(name) {
                     self.diags
                         .error(format!("duplicate procedure `{name}`"), span);
                 } else {
-                    self.proc_ids.insert(name.to_owned(), id);
+                    table.proc_ids.insert(name.to_owned(), id);
                 }
-                if self.global_ids.contains_key(name) {
+                if table.global_ids.contains_key(name) {
                     self.diags.error(
                         format!("procedure `{name}` shadows a global of the same name"),
                         span,
                     );
                 }
-                self.sigs.push(ProcSig { arity });
+                table.arities.push(arity);
             }
         }
     }
@@ -703,7 +720,7 @@ impl Resolver {
         self.infer_formal_arrays(&mut procs);
         self.check_call_sites(&procs);
 
-        let entry = match self.proc_ids.get("main") {
+        let entry = match self.table.proc_ids.get("main") {
             Some(&id) => {
                 if !procs[id.index()].formals.is_empty() {
                     self.diags
@@ -722,6 +739,7 @@ impl Resolver {
             globals: self.globals,
             procs,
             entry,
+            sigs: SharedSigs(self.table),
         };
         self.diags.into_result(module)
     }
@@ -864,7 +882,7 @@ impl<'r, 's> Resolving<'r, 's> {
             return v;
         }
         let id = VarId::from(self.ctx.vars.len());
-        let (kind, is_array, array_len) = match self.r.global_ids.get(name) {
+        let (kind, is_array, array_len) = match self.r.table.global_ids.get(name) {
             Some(&g) => {
                 let gi = &self.r.globals[g.index()];
                 (VarKind::Global(g), gi.is_array(), gi.array_len)
@@ -954,7 +972,7 @@ impl<'s> Build<'s> for Resolving<'_, 's> {
                 self.error(format!("duplicate parameter `{param}`"), span);
                 continue;
             }
-            if self.r.global_ids.contains_key(param) {
+            if self.r.table.global_ids.contains_key(param) {
                 self.error(
                     format!("parameter `{param}` shadows a global of the same name"),
                     span,
@@ -1113,7 +1131,7 @@ impl<'s> Build<'s> for Resolving<'_, 's> {
     }
 
     fn callee(&mut self, name: &'s str) -> Self::Callee {
-        match self.r.proc_ids.get(name) {
+        match self.r.table.proc_ids.get(name) {
             Some(&pid) => Ok((pid, name, self.diags.len())),
             None => {
                 self.skipping += 1;
@@ -1148,7 +1166,7 @@ impl<'s> Build<'s> for Resolving<'_, 's> {
                 return None;
             }
         };
-        let expected = self.r.sigs[pid.index()].arity;
+        let expected = self.r.table.arities[pid.index()];
         if args.len() != expected {
             let message = format!(
                 "`{name}` expects {expected} argument{}, got {}",

@@ -109,6 +109,45 @@ pub fn bind_global_by_reference(src: &str, global: &str, rng: &mut Rng) -> Strin
     format!("{}{global}{}", &src[..lo], &src[hi..])
 }
 
+/// Rewrites one call's actual argument: a literal becomes another literal
+/// or a variable the text assigns, and anything else becomes a literal.
+/// The call edges and arities stay, while the value the call transmits —
+/// and so `VAL` below the call — moves.
+pub fn perturb_actual(src: &str, rng: &mut Rng) -> String {
+    let actuals = call_actuals(src);
+    if actuals.is_empty() {
+        return src.to_string();
+    }
+    let (lo, hi) = actuals[rng.below(actuals.len() as u64) as usize];
+    let assigned = assigned_names(src);
+    let new = match src[lo..hi].parse::<i64>() {
+        Ok(_) if !assigned.is_empty() && rng.below(2) == 0 => {
+            assigned[rng.below(assigned.len() as u64) as usize].to_string()
+        }
+        Ok(value) => value.saturating_add(1 + rng.below(5) as i64).to_string(),
+        Err(_) => rng.below(50).to_string(),
+    };
+    format!("{}{new}{}", &src[..lo], &src[hi..])
+}
+
+/// The names `src` assigns with `name = ...`, in order of first
+/// assignment.
+fn assigned_names(src: &str) -> Vec<&str> {
+    let mut names: Vec<&str> = Vec::new();
+    for (at, _) in src.match_indices(" = ") {
+        let head = &src[..at];
+        let start = head
+            .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .map_or(0, |i| i + 1);
+        let name = &head[start..];
+        if name.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') && !names.contains(&name)
+        {
+            names.push(name);
+        }
+    }
+    names
+}
+
 /// The byte ranges of every call's actuals in `src`, each trimmed of
 /// surrounding blanks.
 fn call_actuals(src: &str) -> Vec<(usize, usize)> {
@@ -201,7 +240,12 @@ mod tests {
     #[test]
     fn mutations_are_deterministic_under_a_fixed_seed() {
         let base = generate(&GenConfig::default(), 7);
-        for f in [swap_operator, splice_statement, perturb_call_arity] {
+        for f in [
+            swap_operator,
+            splice_statement,
+            perturb_call_arity,
+            perturb_actual,
+        ] {
             let a = f(&base, &mut Rng::new(99));
             let b = f(&base, &mut Rng::new(99));
             assert_eq!(a, b);
@@ -225,6 +269,30 @@ mod tests {
         let src = "proc main() { call f(1, (x)); }";
         let got = bind_global_by_reference(src, "g", &mut Rng::new(4));
         assert!(got.contains("call f(g, (x))") || got.contains("call f(1, g)"));
+    }
+
+    #[test]
+    fn an_actual_moves_between_literals_and_variables() {
+        let src = "proc p(a) { v = 2; call f(3, a); }";
+        let outs: Vec<String> = (0..32)
+            .map(|k| perturb_actual(src, &mut Rng::new(k)))
+            .collect();
+        for out in &outs {
+            assert_ne!(out, src);
+            assert!(out.starts_with("proc p(a) { v = 2; call f("), "{out}");
+        }
+        assert!(outs.iter().any(|o| o.contains("call f(v, a)")));
+        assert!(outs
+            .iter()
+            .any(|o| o.contains("call f(3, ") && !o.contains(", a)")));
+        assert!(outs.iter().any(|o| {
+            let n: Option<i64> = o
+                .split("call f(")
+                .nth(1)
+                .and_then(|r| r.split(',').next()?.parse().ok());
+            n.is_some_and(|n| n > 3)
+        }));
+        assert_eq!(perturb_actual("no calls", &mut Rng::new(1)), "no calls");
     }
 
     #[test]

@@ -220,13 +220,16 @@ impl ServeIdentity {
     /// literal bump mostly leaves return jump functions alone (the edit
     /// early cutoff stops at); a new global write moves the direct MOD
     /// set, and a global passed by reference moves the bindings MOD/REF
-    /// propagation reads (the edits the MOD/REF reuse check rejects).
+    /// propagation reads (the edits the MOD/REF reuse check rejects). A
+    /// perturbed actual moves `VAL` below the call, driving the reusing
+    /// solve's re-seeding and cutoff.
     fn mutate_proc(src: &str, proc_src: &str, rng: &mut Rng) -> String {
-        match rng.below(6) {
+        match rng.below(7) {
             0 => mutate::swap_operator(proc_src, rng),
             1 => mutate::splice_statement(proc_src, rng),
             2 => mutate::perturb_call_arity(proc_src, rng),
             3 => mutate::bump_literal(proc_src, rng),
+            6 => mutate::perturb_actual(proc_src, rng),
             k => {
                 let globals: Vec<&str> = src
                     .lines()

@@ -134,7 +134,7 @@ fn streaming_and_resident_builds_are_equivalent_at_1k() {
         let config = Config::default().with_jobs(jobs);
         let r = Analysis::run(&r_mcfg, &config);
         let s = Analysis::run(&s_mcfg, &config);
-        assert_eq!(r.vals.vals, s.vals.vals, "vals diverge at jobs={jobs}");
+        assert!(r.vals.same_rows(&s.vals), "vals diverge at jobs={jobs}");
         assert_eq!(
             format!("{:?}", r.health),
             format!("{:?}", s.health),

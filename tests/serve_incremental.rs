@@ -853,3 +853,170 @@ fn live_reuse_matches_the_plain_memoized_path_under_faults_and_panics() {
         edit_session(&mut engine, &mut plain, label);
     }
 }
+
+/// Applies one update and checks the engine's analysis against a cold run
+/// of the recombined program: the same results, the same `VAL` rows,
+/// `meets` and `iterations`, and the same health events.
+fn check_solve(engine: &mut ServeEngine, name: &str, body: &str, what: &str) {
+    if let Err(e) = engine.update(name, body) {
+        panic!("{what}: rejected: {e}");
+    }
+    let cold = Analysis::run(&full_path(&engine.source()), engine.config());
+    let warm = engine.analysis();
+    assert!(same_results(warm, &cold), "{what}: results");
+    assert!(warm.vals == cold.vals, "{what}: VAL rows and counters");
+    assert_eq!(warm.health, cold.health, "{what}: health");
+}
+
+/// The incremental-solve edit script over one program: a call whose
+/// actual changes, an edit that moves nothing below the entry, and a call
+/// whose removal makes its callee unreachable.
+struct SolveScript {
+    /// The caller and its text with one literal actual changed.
+    actual: (String, String),
+    /// `main` with a `print 0;` added.
+    quiet: String,
+    /// The caller of the sole call, its text without and with the call.
+    drop: (String, String, String),
+    /// The callee the dropped call reaches.
+    callee: String,
+}
+
+impl SolveScript {
+    /// Finds the script's edits in `engine`'s program. Of the first few
+    /// calls with a literal actual, the actual change takes the first
+    /// whose cold `VAL` moves in at least three procedures.
+    fn new(engine: &ServeEngine) -> SolveScript {
+        let model = ProgramModel::from_source(&engine.source()).unwrap();
+        let (module, live) = (&engine.mcfg().module, engine.analysis());
+        let edits = module.procs[1..].iter().filter_map(|p| {
+            let text = model.proc_text(&p.name)?;
+            let line = text.lines().find(|l| {
+                l.trim().strip_prefix("call ").is_some_and(|c| {
+                    let args = c.split_once('(').map_or("", |(_, a)| a);
+                    args.split(", ").skip(1).any(|a| a.parse::<i64>().is_ok())
+                })
+            })?;
+            let (head, args) = line.split_once('(')?;
+            let args = args.strip_suffix(");")?;
+            let mut parts: Vec<String> = args.split(", ").map(str::to_string).collect();
+            let k = (1..parts.len()).find(|&k| parts[k].parse::<i64>().is_ok())?;
+            parts[k] = "4242".to_string();
+            let edited = format!("{head}({});", parts.join(", "));
+            Some((p.name.clone(), text.replacen(line, &edited, 1)))
+        });
+        let mut actual = None;
+        for (name, body) in edits.take(12) {
+            let src = model.replace_proc(&name, &body).unwrap().source();
+            let cold = Analysis::run(&full_path(&src), engine.config());
+            let moved = (0..module.procs.len())
+                .filter(|&p| cold.vals.of(ProcId::from(p)) != live.vals.of(ProcId::from(p)))
+                .count();
+            let found = moved >= 3;
+            if found || actual.is_none() {
+                actual = Some((name, body));
+            }
+            if found {
+                break;
+            }
+        }
+        let quiet = before_last_print(&text_of(engine, "main"), "print 0;");
+        let (caller, callee) = sole_call(engine);
+        let text = text_of(engine, &caller);
+        let at = text.find(&format!("    call {callee}(")).unwrap();
+        let end = at + text[at..].find('\n').unwrap() + 1;
+        let dropped = format!("{}{}", &text[..at], &text[end..]);
+        SolveScript {
+            actual: actual.expect("some call passes a literal"),
+            quiet,
+            drop: (caller, dropped, text),
+            callee,
+        }
+    }
+
+    /// The program with the sole call dropped.
+    fn dropped_source(&self, src: &str) -> String {
+        let model = ProgramModel::from_source(src).unwrap();
+        let (caller, dropped, _) = &self.drop;
+        model.replace_proc(caller, dropped).unwrap().source()
+    }
+
+    /// Runs the script on an engine booted on the dropped program: the
+    /// actual change, the quiet edit, the call restored, dropped and
+    /// restored again.
+    fn run(&self, engine: &mut ServeEngine, label: &str) {
+        let (caller, dropped, restored) = &self.drop;
+        let steps = [
+            ("actual change", &self.actual.0, &self.actual.1),
+            ("quiet edit", &"main".to_string(), &self.quiet),
+            ("call restored", caller, restored),
+            ("call dropped", caller, dropped),
+            ("call restored again", caller, restored),
+        ];
+        for (class, name, body) in steps {
+            check_solve(engine, name, body, &format!("{label}: {class} of `{name}`"));
+        }
+    }
+}
+
+#[test]
+fn incremental_solve_matches_a_full_solve() {
+    let src = scale_1k();
+    let probe = ServeEngine::new(&src, &Config::default()).unwrap();
+    let script = SolveScript::new(&probe);
+    let dropped = script.dropped_source(&src);
+    let b = Config::builder;
+    let configs = [
+        ("default", Config::default()),
+        ("poly", Config::polynomial()),
+        ("no-mod", Config::default().with_mod(false)),
+        ("no-return-jfs", Config::default().with_return_jfs(false)),
+        (
+            "compose",
+            b().compose_return_jfs(true).build().expect("valid"),
+        ),
+    ];
+    for (label, config) in configs {
+        for jobs in [1, 2] {
+            let config = config.with_jobs(jobs);
+            let mut engine = ServeEngine::new(&dropped, &config).unwrap();
+            assert!(!engine.analysis().health.degraded(), "{label}");
+            script.run(&mut engine, &format!("{label}/jobs {jobs}"));
+        }
+    }
+    // Faults: an iteration cap and a solver fault that the restored call
+    // crosses (the live runs before it are clean), a solver fault every
+    // run trips, and solver panics in the callee the restored call
+    // reaches and in a procedure no edit touches.
+    let base = Config::default();
+    let boot = ServeEngine::new(&dropped, &base).unwrap();
+    let iterations = boot.analysis().vals.iterations as u64;
+    assert!(iterations > boot.mcfg().module.procs.len() as u64);
+    let callee = boot.mcfg().module.proc_named(&script.callee).unwrap().id;
+    let clean = boot.mcfg().module.proc_named("p500").unwrap().id;
+    let cap = b().max_solver_iterations(iterations + 4).build();
+    let variants = [
+        ("iteration cap", cap.expect("valid")),
+        (
+            "solver fault",
+            base.with_fault(Stage::Solver, iterations + 1),
+        ),
+        (
+            "solver fault in every run",
+            base.with_fault(Stage::Solver, iterations / 2),
+        ),
+        (
+            "solver panic in the callee",
+            base.with_panic(Stage::Solver, callee.index()),
+        ),
+        (
+            "solver panic elsewhere",
+            base.with_panic(Stage::Solver, clean.index()),
+        ),
+    ];
+    for (i, (label, config)) in variants.into_iter().enumerate() {
+        let config = config.with_jobs(1 + i % 2);
+        let mut engine = ServeEngine::new(&dropped, &config).unwrap();
+        script.run(&mut engine, label);
+    }
+}
