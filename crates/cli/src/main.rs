@@ -437,9 +437,9 @@ fn emit_analysis(mcfg: &ModuleCfg, analysis: &Analysis, emit: Emit) {
             for (pi, sites) in analysis.jump_fns.sites.iter().enumerate() {
                 let caller = ProcId::from(pi);
                 for (si, fns) in sites.iter().enumerate() {
-                    if fns.is_empty() {
+                    let Some(fns) = fns.as_ref().filter(|f| !f.is_empty()) else {
                         continue;
-                    }
+                    };
                     let rendered: Vec<String> = fns.iter().map(|jf| jf.to_string()).collect();
                     println!(
                         "{} cs{si}: [{}]",

@@ -170,11 +170,14 @@ impl fmt::Display for JumpFn {
 /// (formals first, then scalar globals).
 pub type SiteJumpFns = Vec<JumpFn>;
 
-/// One caller's forward jump functions, indexed by call site. Shared, so
-/// an analysis that reuses a caller's functions from another (serve's
+/// One caller's forward jump functions, indexed by call site: `None` for
+/// a site the caller never reaches, which binds nothing. A reached site
+/// of a callee without entry slots holds `Some` of no functions: it
+/// transmits no value, but the call still runs the callee. Shared, so an
+/// analysis that reuses a caller's functions from another (serve's
 /// live-analysis reuse) copies none.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CallerJumpFns(Arc<[SiteJumpFns]>);
+pub struct CallerJumpFns(Arc<[Option<SiteJumpFns>]>);
 
 impl CallerJumpFns {
     /// Whether both hold the very same shared functions.
@@ -184,16 +187,16 @@ impl CallerJumpFns {
 }
 
 impl Deref for CallerJumpFns {
-    type Target = [SiteJumpFns];
+    type Target = [Option<SiteJumpFns>];
 
-    fn deref(&self) -> &[SiteJumpFns] {
+    fn deref(&self) -> &[Option<SiteJumpFns>] {
         &self.0
     }
 }
 
 impl<'a> IntoIterator for &'a CallerJumpFns {
-    type Item = &'a SiteJumpFns;
-    type IntoIter = std::slice::Iter<'a, SiteJumpFns>;
+    type Item = &'a Option<SiteJumpFns>;
+    type IntoIter = std::slice::Iter<'a, Option<SiteJumpFns>>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.0.iter()
@@ -204,20 +207,28 @@ impl<'a> IntoIterator for &'a CallerJumpFns {
 #[derive(Clone, Debug, Default)]
 pub struct ForwardJumpFns {
     /// `sites[p][s]` — jump functions of call site `s` in procedure `p`
-    /// (empty for unreachable sites).
+    /// (`None` for unreachable sites).
     pub sites: Vec<CallerJumpFns>,
 }
 
 impl ForwardJumpFns {
-    /// The jump functions at call site `site` of `proc`.
-    pub fn at(&self, proc: ProcId, site: ipcp_ir::cfg::CallSiteId) -> &SiteJumpFns {
-        &self.sites[proc.index()][site.index()]
+    /// The jump functions at call site `site` of `proc` (none for an
+    /// unreachable site).
+    pub fn at(&self, proc: ProcId, site: ipcp_ir::cfg::CallSiteId) -> &[JumpFn] {
+        self.reached(proc, site).map_or(&[], Vec::as_slice)
+    }
+
+    /// The jump functions at call site `site` of `proc`, or `None` when
+    /// `proc` never reaches the site.
+    pub fn reached(&self, proc: ProcId, site: ipcp_ir::cfg::CallSiteId) -> Option<&SiteJumpFns> {
+        self.sites[proc.index()][site.index()].as_ref()
     }
 
     /// Total number of constructed (non-⊥) jump functions, for reporting.
     pub fn n_informative(&self) -> usize {
         self.sites
             .iter()
+            .flatten()
             .flatten()
             .flatten()
             .filter(|j| !j.is_bottom())
@@ -240,7 +251,7 @@ impl ForwardJumpFns {
 /// only the *caller* — every one of its call sites transmits ⊥ for every
 /// callee entry slot, which the solver treats exactly like a call whose
 /// arguments are unknown. A quarantined-but-reachable caller must **not**
-/// be skipped: an empty site entry would make the solver ignore the edge
+/// be skipped: an absent site entry would make the solver ignore the edge
 /// entirely (leaving the callee optimistically at ⊤), so quarantine
 /// materializes explicit all-⊥ functions of the correct length instead.
 ///
@@ -297,7 +308,7 @@ pub(crate) fn build_forward_jump_fns_on(
     let before = quarantined.to_vec();
     let n_procs = mcfg.module.procs.len();
     // Every caller without call sites shares one empty entry.
-    let none: Arc<[SiteJumpFns]> = Arc::from(Vec::new());
+    let none: Arc<[Option<SiteJumpFns>]> = Arc::from(Vec::new());
     let mut out = ForwardJumpFns {
         sites: Vec::with_capacity(n_procs),
     };
@@ -343,17 +354,14 @@ pub(crate) fn build_forward_jump_fns_on(
                 g,
             );
             // Edges come in block order, not site order; sites the caller
-            // never reaches keep an empty entry.
+            // never reaches stay `None`.
             let n_sites = mcfg.cfgs[caller].n_call_sites;
             fns.sort_unstable_by_key(|&(site, _)| site);
             let mut fns = fns.into_iter().peekable();
             let sites = match n_sites {
                 0 => Arc::clone(&none),
                 _ => (0..n_sites)
-                    .map(|s| {
-                        fns.next_if(|(site, _)| *site == s)
-                            .map_or_else(Vec::new, |(_, f)| f)
-                    })
+                    .map(|s| fns.next_if(|(site, _)| *site == s).map(|(_, f)| f))
                     .collect(),
             };
             let clean = !quar && g.health.events.len() == e0;

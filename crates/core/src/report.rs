@@ -73,7 +73,7 @@ impl CostReport {
             ..CostReport::default()
         };
         for sites in &analysis.jump_fns.sites {
-            for fns in sites {
+            for fns in sites.iter().flatten() {
                 for jf in fns {
                     let support = jf.support().len();
                     r.total_support += support;

@@ -20,8 +20,11 @@
 //! one top-down pass with a local FIFO fixpoint inside each SCC reaches
 //! exactly the fixpoint the classic sequential worklist reaches. Each SCC
 //! unit is *dirty-driven*: it runs only when some member received a
-//! lowering meet (or is the entry), so the activation set matches the
-//! sequential worklist's and unreached procedures keep ⊤ untouched.
+//! lowering meet, is the entry, or has no entry slots and is called from
+//! a reached site of an evaluated procedure (a call that transmits no
+//! value still runs the callee, whose own call sites then count). The
+//! activation set therefore matches the sequential worklist's, and
+//! unreached procedures keep ⊤ untouched.
 //!
 //! The solve runs on the calling thread at every `--jobs`: levels in
 //! order, the dirty SCCs of a level in ascending SCC index, each unit
@@ -45,7 +48,8 @@
 //! * **Re-run.** Its members are re-seeded — ⊤ (the entry procedure as
 //!   in a full solve), met with every external in-edge's jump functions
 //!   evaluated at the caller's final row — and marked dirty exactly when
-//!   the seeding lowered a row (or for the entry), then [`eval_unit`] runs
+//!   the seeding lowered a row, for the entry, and for a member without
+//!   entry slots that an evaluated caller calls; then [`eval_unit`] runs
 //!   unchanged.
 //!
 //! The re-seeding is exact because jump functions are monotone. A caller
@@ -54,12 +58,12 @@
 //! lowering would have queued it again). Every earlier evaluation is
 //! therefore ≥ the one at the final row, so the meet of all of them is
 //! the evaluation at the final row. A caller contributes at all only if
-//! it was popped, and a member is popped exactly when it is the entry or
-//! its row left ⊤ — which the final row shows. The unit then starts from
+//! it was popped, which the `VAL` sets record per procedure. The unit
+//! then starts from
 //! the rows and dirty flags the full solve would give it, so its rows,
 //! `meets` and `iterations` are the full solve's. A re-run member whose
-//! row or jump functions came out different from the live run's marks
-//! its callees' SCCs for re-running: the cutoff stops where nothing
+//! row, jump functions or popped flag came out different from the live
+//! run's marks its callees' SCCs for re-running: the cutoff stops where nothing
 //! moved. The run falls back to the full solve when a replay fails, when
 //! a re-run unit panics, trips its budget or sees the deadline, and when
 //! the live solve degraded or quarantined anything; an SCC holding the
@@ -86,6 +90,9 @@ use std::time::{Duration, Instant};
 pub struct ValSets {
     rows: Vec<Lattice>,
     offsets: Vec<usize>,
+    /// Whether the solve evaluated procedure `p`'s call sites at least
+    /// once. A row shows this only when the procedure has entry slots.
+    popped: Vec<bool>,
     /// Number of meet operations performed (reported by the cost model).
     pub meets: usize,
     /// Number of worklist iterations (procedure re-evaluations).
@@ -105,6 +112,7 @@ impl ValSets {
         let mut vals = ValSets {
             rows: vec![Lattice::Top; offsets[offsets.len() - 1]],
             offsets,
+            popped: vec![false; mcfg.module.procs.len()],
             meets: 0,
             iterations: 0,
         };
@@ -339,6 +347,7 @@ fn eval_unit(
             return out;
         }
         queued[li] = false;
+        vals.popped[p.index()] = true;
         out.iterations += 1;
         // Work on a copy of the caller's row, so callee rows can be met
         // into without aliasing it (external callees are always other
@@ -347,10 +356,12 @@ fn eval_unit(
         row.extend_from_slice(vals.of(p));
         let caller_row = &mut *row;
         for edge in cg.calls_from(p) {
-            let site_fns = jump_fns.at(p, edge.site);
-            if site_fns.is_empty() {
+            let Some(site_fns) = jump_fns.reached(p, edge.site) else {
                 continue; // unreachable call site
-            }
+            };
+            // A callee without entry slots meets nothing in, but the call
+            // still runs it once.
+            let first_call = site_fns.is_empty() && !vals.popped[edge.callee.index()];
             if cg.scc_of[edge.callee.index()] == scc {
                 let Some(lj) = members.iter().position(|&m| m == edge.callee) else {
                     unreachable!("intra-SCC callee missing from member list");
@@ -371,7 +382,7 @@ fn eval_unit(
                     };
                     changed |= target.meet_in(incoming);
                 }
-                if changed && !queued[lj] {
+                if (changed || first_call) && !queued[lj] {
                     queued[lj] = true;
                     work.push_back(lj);
                 }
@@ -388,7 +399,7 @@ fn eval_unit(
                     out.meets += 1;
                     changed |= callee_row[slot].meet_in(incoming);
                 }
-                if changed {
+                if changed || first_call {
                     dirty[edge.callee.index()] = true;
                 }
             }
@@ -599,10 +610,12 @@ fn solve_full(
                             if cg.scc_of[edge.callee.index()] == si {
                                 continue;
                             }
-                            let n_fns = jump_fns.at(m, edge.site).len();
+                            let Some(fns) = jump_fns.reached(m, edge.site) else {
+                                continue;
+                            };
                             let callee_vals = vals.row_mut(edge.callee.index());
-                            let mut changed = false;
-                            for v in callee_vals.iter_mut().take(n_fns) {
+                            let mut changed = fns.is_empty();
+                            for v in callee_vals.iter_mut().take(fns.len()) {
                                 changed |= v.meet_in(Lattice::Bottom);
                             }
                             if changed {
@@ -721,17 +734,19 @@ fn solve_reusing(
             init.resize(vals.of(m).len(), Lattice::Top);
             init_row(mcfg, m, entry_globals, init);
             let mut row = std::mem::take(init);
+            vals.popped[m.index()] = false;
+            let mut called = false;
             for edge in cg.calls_to(m) {
                 let c = edge.caller;
-                if cg.scc_of[c.index()] == si {
+                if cg.scc_of[c.index()] == si || !vals.popped[c.index()] {
                     continue;
                 }
+                let Some(fns) = jump_fns.reached(c, edge.site) else {
+                    continue;
+                };
+                called |= fns.is_empty();
                 let caller_row = vals.of(c);
-                let popped = c == entry || caller_row.iter().any(|&l| l != Lattice::Top);
-                if !popped {
-                    continue;
-                }
-                for (slot, jf) in jump_fns.at(c, edge.site).iter().enumerate() {
+                for (slot, jf) in fns.iter().enumerate() {
                     let incoming = jf.eval(|v| {
                         caller_row
                             .get(v as usize)
@@ -741,7 +756,7 @@ fn solve_reusing(
                     row[slot].meet_in(incoming);
                 }
             }
-            dirty[m.index()] = m == entry || row.iter().any(|&l| l != Lattice::Top);
+            dirty[m.index()] = m == entry || called || row.iter().any(|&l| l != Lattice::Top);
             vals.row_mut(m.index()).copy_from_slice(&row);
             scratch.row = row;
         }
@@ -773,6 +788,7 @@ fn solve_reusing(
         for &m in members {
             let p = m.index();
             let moved = vals.of(m) != live.vals.of(m)
+                || vals.popped[p] != live.vals.popped[p]
                 || !same_fns(&jump_fns.sites[p], &live.jump_fns.sites[p]);
             if moved {
                 for edge in cg.calls_from(m) {
@@ -823,12 +839,13 @@ pub fn solve_worklist_reference(
             break;
         }
         queued[p.index()] = false;
+        vals.popped[p.index()] = true;
         vals.iterations += 1;
         for edge in cg.calls_from(p) {
-            let site_fns = jump_fns.at(p, edge.site);
-            if site_fns.is_empty() {
+            let Some(site_fns) = jump_fns.reached(p, edge.site) else {
                 continue;
-            }
+            };
+            let first_call = site_fns.is_empty() && !vals.popped[edge.callee.index()];
             let caller_vals = vals.of(p).to_vec();
             vals.meets += site_fns.len();
             let callee_vals = vals.row_mut(edge.callee.index());
@@ -842,7 +859,7 @@ pub fn solve_worklist_reference(
                 });
                 changed |= callee_vals[slot].meet_in(incoming);
             }
-            if changed && !queued[edge.callee.index()] {
+            if (changed || first_call) && !queued[edge.callee.index()] {
                 queued[edge.callee.index()] = true;
                 work.push_back(edge.callee);
             }
@@ -1130,8 +1147,8 @@ mod tests {
 
     #[test]
     fn reusing_solve_matches_a_full_solve() {
-        // A caller with no entry slots is never popped, so it contributes
-        // nothing, and `g` stays ⊤ in both solves.
+        // A caller with no entry slots still runs: its constant reaches
+        // `g` and `h`, and the edit moves both.
         check_reuse(
             "proc main() { call f(); } proc f() { call g(5); } \
              proc g(a) { call h(a); } proc h(b) { print b; }",
@@ -1139,6 +1156,18 @@ mod tests {
              proc g(a) { call h(a); } proc h(b) { print b; }",
             Config::default(),
         );
+        // Reviving a gated-away call pops `k` and so `f`, whose row stays
+        // empty: only its popped flag tells the cutoff that `h` must
+        // re-run.
+        let revived = |x: i64| {
+            format!(
+                "proc main() {{ x = {x}; if (x) {{ call k(2); }} }} \
+                 proc k(y) {{ call f(); }} proc f() {{ call h(5); }} \
+                 proc h(a) {{ print a; }}"
+            )
+        };
+        let gated = Config::builder().gated(true).build().unwrap();
+        check_reuse(&revived(0), &revived(1), gated);
         // An actual that moves `VAL` through a pass-through chain and a
         // recursive SCC, and one that moves nothing below the edit.
         let prog = |x: i64, y: i64| {
@@ -1177,6 +1206,11 @@ mod tests {
              proc even(n) { if (n > 0) { m = n - 1; call odd(m); } } \
              proc odd(n) { if (n > 0) { m = n - 1; call even(m); } } \
              proc dead(a) { print a; }",
+            // Callees without entry slots, alone and in a recursive SCC.
+            "proc main() { call f(); call g(5); } \
+             proc f() { call g(7); call r(); } \
+             proc r() { call s(); call g(9); } proc s() { call r(); } \
+             proc g(a) { print a; }",
         ];
         for src in srcs {
             let m = lower_module(&parse_and_resolve(src).unwrap());

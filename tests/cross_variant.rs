@@ -239,7 +239,7 @@ fn support_sets_bound_reevaluation_work() {
         let mcfg = p.module_cfg();
         let a = Analysis::run(&mcfg, &Config::default());
         for sites in &a.jump_fns.sites {
-            for fns in sites {
+            for fns in sites.iter().flatten() {
                 for jf in fns {
                     assert!(
                         jf.support().len() <= 1,
@@ -256,7 +256,7 @@ fn support_sets_bound_reevaluation_work() {
         for (pi, sites) in a.jump_fns.sites.iter().enumerate() {
             let arity = mcfg.module.procs[pi].arity();
             let max = a.layout.n_slots(arity);
-            for fns in sites {
+            for fns in sites.iter().flatten() {
                 for jf in fns {
                     assert!(jf.support().len() <= max);
                 }

@@ -801,6 +801,7 @@ fn jump_offset(analysis: &Analysis, p: usize) -> u64 {
     let per_caller = |q: usize| -> u64 {
         analysis.jump_fns.sites[q]
             .iter()
+            .flatten()
             .map(|fns| fns.len() as u64)
             .sum()
     };

@@ -116,6 +116,25 @@ fn unreachable_procedures_report_no_constants() {
     assert!(a.vals.constants(dead).is_empty());
 }
 
+/// A call to a procedure without entry slots (no formals, no scalar
+/// globals) transmits no value, but the callee still runs and its own
+/// call sites count — at every job count and in the interpreter.
+#[test]
+fn callees_without_entry_slots_still_run_their_call_sites() {
+    let chain = "proc main() { call f(); } proc f() { call g(5); } proc g(a) { print a; }";
+    let conflicting = "proc main() { call f(); call g(5); } \
+                       proc f() { call g(7); } proc g(a) { print a; }";
+    for (src, want) in [(chain, vec![(0, 5)]), (conflicting, vec![])] {
+        let mcfg = lower_module(&parse_and_resolve(src).unwrap());
+        let g = mcfg.module.proc_named("g").unwrap().id;
+        for jobs in [1, 2] {
+            let a = Analysis::run(&mcfg, &Config::default().with_jobs(jobs));
+            assert_eq!(a.vals.constants(g), want, "jobs={jobs}: {src}");
+        }
+        check_program(src, &[], "zero-slot callee");
+    }
+}
+
 #[test]
 fn zero_globals_extension_is_sound_for_ft_semantics() {
     // FT really does zero-initialize globals, so the extension may claim
