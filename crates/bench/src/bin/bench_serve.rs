@@ -9,10 +9,15 @@
 //!   ran (`edit_solved`, the cone size), from `stats` before and after;
 //! * **read throughput** — N unbatched `constants` reads (one round
 //!   trip each) vs. the same reads packed into `batch` frames;
+//! * **restart** — the daemon runs with `--store`: a `snapshot` op after
+//!   the reads (`snapshot_ms`, and the file's size as `store_kb`), then a
+//!   second daemon boots from that store (`restart_ms`, spawn → first
+//!   `ok` health reply, like `cold_boot_ms`);
 //! * **identity** — per-request replies must be byte-identical between
-//!   the batched and unbatched passes, and the full read transcript
-//!   (plus a final whole-program `constants`) must digest-match across
-//!   every `--serve-workers` count.
+//!   the batched and unbatched passes, the full read transcript (plus a
+//!   final whole-program `constants`) must digest-match across every
+//!   `--serve-workers` count, and the restarted daemon's whole-program
+//!   `constants` must equal the one before the restart.
 //!
 //! One row per (tier, workers) cell lands in `BENCH_serve.json`, shaped
 //! like the other bench reports so `bench_trend` tracks it across runs.
@@ -97,11 +102,13 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Spawns `ipcc serve` over `program` and waits for the first `ok`
-    /// health reply. Returns the daemon and the measured boot time.
+    /// Spawns `ipcc serve` over `program` with the summary store at
+    /// `store` and waits for the first `ok` health reply. Returns the
+    /// daemon and the measured boot time.
     fn boot(
         program: &std::path::Path,
         sock: &std::path::Path,
+        store: &std::path::Path,
         workers: usize,
     ) -> Result<(Daemon, Duration), String> {
         let exe = std::env::current_exe().map_err(|e| e.to_string())?;
@@ -121,6 +128,8 @@ impl Daemon {
             .arg(sock)
             .args(["--serve-workers", &workers.to_string()])
             .args(["--max-inflight", "4096", "--queue-ms", "600000"])
+            .arg("--store")
+            .arg(store)
             .stdin(Stdio::piped())
             .stdout(Stdio::null())
             .stderr(Stdio::null())
@@ -245,9 +254,23 @@ fn edited_body(source: &ScaleSource, round: usize) -> Result<(String, String), S
     Ok((format!("p{idx}"), body))
 }
 
+/// Edit round `e`'s `update` request and the procedure it edits.
+fn update_request(source: &ScaleSource, e: usize) -> Result<(String, String), String> {
+    let (proc_name, body) = edited_body(source, e)?;
+    let mut req = json::Object::new();
+    req.set("id", Json::Str(format!("e{e}")));
+    req.set("op", Json::Str("update".to_owned()));
+    req.set("proc", Json::Str(proc_name.clone()));
+    req.set("body", Json::Str(body));
+    Ok((proc_name, Json::Object(req).to_string()))
+}
+
 /// One (tier, workers) measurement row.
 struct CellRow {
     cold_boot_ms: u128,
+    snapshot_ms: u128,
+    store_kb: u64,
+    restart_ms: u128,
     edit_ms: u128,
     edit_max_ms: u128,
     edit_misses: f64,
@@ -275,22 +298,19 @@ fn run_cell(
     let procs = source.spec().procs;
 
     let sock = program.with_extension(format!("w{workers}.sock"));
+    let store = program.with_extension(format!("w{workers}.store"));
     let _ = std::fs::remove_file(&sock);
-    let (mut d, boot) = Daemon::boot(program, &sock, workers)?;
+    let _ = std::fs::remove_file(&store);
+    let (mut d, boot) = Daemon::boot(program, &sock, &store, workers)?;
 
     // Warm edits: update + re-read the edited procedure, per round.
     let (misses_before, solved_before) = misses_and_solved(&mut d)?;
     let mut edit_total = Duration::ZERO;
     let mut edit_max = Duration::ZERO;
     for e in 0..edits {
-        let (proc_name, body) = edited_body(&source, e)?;
-        let mut req = json::Object::new();
-        req.set("id", Json::Str(format!("e{e}")));
-        req.set("op", Json::Str("update".to_owned()));
-        req.set("proc", Json::Str(proc_name.clone()));
-        req.set("body", Json::Str(body));
+        let (proc_name, req) = update_request(&source, e)?;
         let t = Instant::now();
-        let reply = d.request(&Json::Object(req).to_string())?;
+        let reply = d.request(&req)?;
         if !reply.contains("\"ok\":true") {
             return Err(format!("edit round {e} rejected: {reply}"));
         }
@@ -421,14 +441,52 @@ fn run_cell(
     hasher.write(full.as_bytes());
     let digest = format!("{:032x}", hasher.finish());
 
+    // Restart: snapshot the warm daemon, then boot a second one from the
+    // store over the program file. After the same edits, its
+    // whole-program constants must be the first one's.
+    let t = Instant::now();
+    let snap = d.request(r#"{"id": "snap", "op": "snapshot"}"#)?;
+    let snapshot = t.elapsed();
+    if !snap.contains("\"snapshotted\":true") {
+        return Err(format!("snapshot failed: {snap}"));
+    }
+    let store_kb = std::fs::metadata(&store)
+        .map_err(|e| format!("reading {}: {e}", store.display()))?
+        .len()
+        / 1024;
     d.shutdown()?;
     let _ = std::fs::remove_file(&sock);
+    let (mut r, restart) = Daemon::boot(program, &sock, &store, workers)?;
+    for e in 0..edits {
+        let reply = r.request(&update_request(&source, e)?.1)?;
+        if !reply.contains("\"ok\":true") {
+            return Err(format!(
+                "edit round {e} rejected after the restart: {reply}"
+            ));
+        }
+    }
+    let restarted = r.request(r#"{"id": "full", "op": "constants"}"#)?;
+    r.shutdown()?;
+    let _ = std::fs::remove_file(&sock);
+    let _ = std::fs::remove_file(&store);
+    // Compare the analysis payload only: the reply also carries cache
+    // counters, which a warm restart changes.
+    let payload = |reply: &str| reply.find("\"procs\"").map(|at| reply[at..].to_owned());
+    let identical_restart = payload(&restarted).is_some() && payload(&restarted) == payload(&full);
+    if !identical_restart {
+        failures.push(format!(
+            "tier {tier} workers={workers}: constants differ across a restart from the store"
+        ));
+    }
 
     let per_read = |wall: Duration| wall.as_micros() / reads as u128;
     let unbatched_read_us = per_read(unbatched_wall).max(1);
     let batched_read_us = per_read(batched_wall).max(1);
     Ok(CellRow {
         cold_boot_ms: boot.as_millis(),
+        snapshot_ms: snapshot.as_millis(),
+        store_kb,
+        restart_ms: restart.as_millis(),
         edit_ms: if edits == 0 {
             0
         } else {
@@ -440,7 +498,7 @@ fn run_cell(
         unbatched_read_us,
         batched_read_us,
         batch_speedup: unbatched_read_us as f64 / batched_read_us as f64,
-        identical_in_cell,
+        identical_in_cell: identical_in_cell && identical_restart,
         digest,
     })
 }
@@ -459,8 +517,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut failures: Vec<String> = Vec::new();
     let mut rows: Vec<String> = Vec::new();
     println!(
-        "{:<6} {:>7} {:>9} {:>8} {:>10} {:>12} {:>10} {:>8}",
-        "tier", "workers", "boot_ms", "edit_ms", "edit_max", "unbatch_us", "batch_us", "speedup"
+        "{:<6} {:>7} {:>9} {:>8} {:>10} {:>12} {:>10} {:>8} {:>8} {:>9} {:>10}",
+        "tier",
+        "workers",
+        "boot_ms",
+        "edit_ms",
+        "edit_max",
+        "unbatch_us",
+        "batch_us",
+        "speedup",
+        "snap_ms",
+        "store_kb",
+        "restart_ms"
     );
     for &(tier, spec_str) in &tiers {
         let spec = ScaleSpec::parse(spec_str)?;
@@ -475,7 +543,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let cell = run_cell(tier, spec_str, workers, &program, &mut failures)
                 .map_err(|e| format!("tier {tier} workers={workers}: {e}"))?;
             println!(
-                "{:<6} {:>7} {:>9} {:>8} {:>10} {:>12} {:>10} {:>8.2}",
+                "{:<6} {:>7} {:>9} {:>8} {:>10} {:>12} {:>10} {:>8.2} {:>8} {:>9} {:>10}",
                 tier,
                 workers,
                 cell.cold_boot_ms,
@@ -484,6 +552,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cell.unbatched_read_us,
                 cell.batched_read_us,
                 cell.batch_speedup,
+                cell.snapshot_ms,
+                cell.store_kb,
+                cell.restart_ms,
             );
             if let Some(limit) = max_edit_ms {
                 if cell.edit_max_ms > limit {
@@ -517,6 +588,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 concat!(
                     "    {{\"program\": \"serve-{t}\", \"tier\": \"{t}\", \"spec\": \"{s}\", ",
                     "\"jobs\": {w}, \"n_procs\": {n}, \"cold_boot_ms\": {boot}, ",
+                    "\"snapshot_ms\": {snap}, \"store_kb\": {kb}, \"restart_ms\": {restart}, ",
                     "\"edit_ms\": {edit}, \"edit_max_ms\": {emax}, \"edit_misses\": {em:.1}, ",
                     "\"edit_solved\": {es:.1}, ",
                     "\"unbatched_read_us\": {ub}, \"batched_read_us\": {b}, ",
@@ -527,6 +599,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 w = workers,
                 n = n_procs,
                 boot = cell.cold_boot_ms,
+                snap = cell.snapshot_ms,
+                kb = cell.store_kb,
+                restart = cell.restart_ms,
                 edit = cell.edit_ms,
                 emax = cell.edit_max_ms,
                 em = cell.edit_misses,

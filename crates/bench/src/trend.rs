@@ -21,7 +21,7 @@
 //!
 //! Rows are matched structurally, not by schema: a row's identity is
 //! every string-valued field plus `jobs` / `n_procs`, and its metrics
-//! are every field ending in `_us` / `_ms` plus the RSS fields. All
+//! are every field ending in `_us` / `_ms` / `_kb` plus the RSS fields. All
 //! four current report shapes (and future ones that follow the same
 //! convention) compare without per-file code.
 
@@ -91,11 +91,12 @@ fn row_key(row: &json::Object) -> String {
     parts.join(",")
 }
 
-/// Is `key` a trend-tracked metric (time, memory, cache misses, or
-/// solved units per edit)?
+/// Is `key` a trend-tracked metric (time, memory, store size, cache
+/// misses, or solved units per edit)?
 fn is_metric(key: &str) -> bool {
     key.ends_with("_us")
         || key.ends_with("_ms")
+        || key.ends_with("_kb")
         || key.ends_with("_misses")
         || key.ends_with("_solved")
         || key == "rss_mb"
@@ -337,6 +338,19 @@ mod tests {
         assert!(r.ok() && r.warnings.is_empty(), "{r}");
         assert_eq!(r.notes.len(), 1, "{r}");
         assert!(r.notes[0].contains("new metric substitute_ms"), "{r}");
+    }
+
+    #[test]
+    fn store_size_is_tracked_like_a_time() {
+        let old = report(&[
+            r#"{"program": "serve-1k", "jobs": 1, "store_kb": 100, "restart_ms": 50, "identical": true}"#,
+        ]);
+        let new = report(&[
+            r#"{"program": "serve-1k", "jobs": 1, "store_kb": 130, "restart_ms": 50, "identical": true}"#,
+        ]);
+        let r = compare_report("BENCH_serve.json", Some(&old), &new, 15.0);
+        assert_eq!(r.warnings.len(), 1, "{r}");
+        assert!(r.warnings[0].contains("store_kb"), "{r}");
     }
 
     #[test]

@@ -39,10 +39,11 @@
 //! * **Drain.** SIGTERM/SIGINT or a `shutdown` request stop admission and
 //!   drain queued requests under `--drain-ms`; whatever cannot drain in
 //!   time is shed with `shutting_down`.
-//! * **Persistence.** With `--store`, the summary cache is restored
-//!   (after full verification — any mismatch is a logged cold start,
-//!   never a wrong answer) at boot and snapshotted atomically on drain
-//!   and every `--snapshot-every-n` requests. Snapshot failures are
+//! * **Persistence.** With `--store`, the summary cache's MOD/REF and
+//!   return-jump entries are restored (after full verification — any
+//!   mismatch is a logged cold start, never a wrong answer) at boot and
+//!   snapshotted atomically on drain and every `--snapshot-every-n`
+//!   requests; the boot run rebuilds the symbolic forms. Snapshot failures are
 //!   logged and counted, never fatal. See `docs/ROBUSTNESS.md` for the
 //!   durability contract.
 //!

@@ -15,7 +15,9 @@
 //!   the unit makes no governor charges). The entry holds the very
 //!   `Arc<ProcSymbolic>` the analysis that computed it committed, and a
 //!   hit hands the same `Arc` to the next analysis: a form is stored
-//!   once, however many analyses and cache entries refer to it.
+//!   once, however many analyses and cache entries refer to it. Forms
+//!   live in memory only: the persisted store (`serve::store`) keeps the
+//!   other two families, and a restart rebuilds the forms.
 //!
 //! The cache is not a second pipeline: it is a [`Memo`] handed to
 //! [`Analysis::run_memoized`](crate::Analysis::run_memoized). Inside the
@@ -346,9 +348,10 @@ impl SummaryCache {
 
     /// Rebuilds a cache from entries decoded out of a persisted store,
     /// preserving their FIFO order and marking every entry recovered.
-    /// Entries beyond the capacity evict oldest-first exactly as live
-    /// inserts would (without counting as evictions — they were evicted
-    /// by the *bound*, not by churn).
+    /// Every entry is kept, however many: nothing is pinned yet, so the
+    /// bound cannot tell the program's entries from superseded ones. The
+    /// boot run's live commit pins what it looked up, and only then does
+    /// the bound apply, to the superseded entries.
     pub fn restore(entries: Vec<(CacheKey, CachedSummary)>, capacity: usize) -> SummaryCache {
         let mut cache = SummaryCache::with_capacity(capacity);
         for (key, summary) in entries {
@@ -360,7 +363,6 @@ impl SummaryCache {
                 },
             );
         }
-        cache.evict();
         cache.stats = CacheStats {
             recovered: cache.entries.len() as u64,
             ..CacheStats::default()
@@ -1264,16 +1266,30 @@ mod tests {
         assert!(!recovered);
     }
 
+    /// A restore keeps every entry; the first live commit pins what the
+    /// boot run looked up, and the bound then keeps the newest of the
+    /// rest.
     #[test]
     fn restore_beyond_capacity_keeps_the_newest() {
         let entries: Vec<(CacheKey, CachedSummary)> =
-            (0..5u128).map(|d| (key(d), entry())).collect();
-        let cache = SummaryCache::restore(entries, 2);
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.stats().recovered, 2);
-        assert_eq!(cache.stats().evictions, 0, "bound, not churn");
-        assert!(cache.get(key(3)).is_some());
-        assert!(cache.get(key(4)).is_some());
+            (0..6u128).map(|d| (key(d), entry())).collect();
+        let mut cache = SummaryCache::restore(entries, 2);
+        assert_eq!(cache.len(), 6);
+        assert_eq!(cache.stats().recovered, 6);
+        assert_eq!(cache.stats().evictions, 0);
+        let mut boot = CacheTxn::new();
+        for d in [0u128, 1] {
+            boot.note(Served::Hit {
+                key: key(d),
+                recovered: true,
+            });
+        }
+        cache.commit_live(boot);
+        assert_eq!(cache.len(), 4, "the pinned two plus the bound's two");
+        assert_eq!(cache.stats().evictions, 2);
+        assert!(cache.get(key(0)).is_some() && cache.get(key(1)).is_some());
+        assert!(cache.get(key(2)).is_none() && cache.get(key(3)).is_none());
+        assert!(cache.get(key(4)).is_some() && cache.get(key(5)).is_some());
     }
 
     #[test]

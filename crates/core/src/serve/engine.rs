@@ -362,7 +362,8 @@ impl ServeEngine {
     /// of *this* `(src, config)` pair; any mismatch or corruption means
     /// a cold cache, reported in the returned [`LoadStatus`] — never an
     /// error. The initial analysis then runs against whatever was
-    /// restored, so a clean restart is warm from its very first request.
+    /// restored: a clean restart serves every MOD/REF and return-jump
+    /// unit from the store and rebuilds only the symbolic forms.
     ///
     /// # Errors
     ///

@@ -20,8 +20,10 @@
 //! * [`workers`] — the multi-worker read engine: an epoch-gated,
 //!   Mutex-free snapshot cell ([`EpochCell`]) and the read-request
 //!   thread pool ([`ReadPool`]) behind `--serve-workers`;
-//! * [`wire`] — panic-free binary codecs for every cached summary;
-//! * [`store`] — the durable on-disk snapshot of the cache (atomic
+//! * [`wire`] — panic-free binary codecs for the persisted summaries
+//!   (MOD/REF and return jump functions);
+//! * [`store`] — the durable on-disk snapshot of the cache's MOD/REF and
+//!   return-jump entries (atomic
 //!   write-temp/fsync/rename saves, fully checksummed loads that
 //!   discard with a reason and cold-start on any mismatch, plus the
 //!   deterministic disk-fault injector behind `--inject-io`).

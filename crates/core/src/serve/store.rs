@@ -3,9 +3,13 @@
 //!
 //! A daemon restart used to be a full cold start. This module gives the
 //! [`SummaryCache`] an on-disk form so `ipcc serve --store <path>` comes
-//! back warm: per-procedure MOD/REF, return-jump-function (with recorded
-//! governor charges), and forward-jump-function summaries, keyed by the
-//! same FNV-1a-128 own/cone digests the in-memory cache uses.
+//! back warm: per-procedure MOD/REF effects and return jump functions
+//! (with their recorded governor charges), keyed by the same FNV-1a-128
+//! own/cone digests the in-memory cache uses. These are the results of
+//! the expensive units. The SSA and symbolic forms behind forward jump
+//! functions are not persisted: they are scratch work, and a restart's
+//! first run rebuilds them exactly as a cold run does, so the store
+//! carries a small fraction of the cache's bytes.
 //!
 //! **Durability model.** Snapshots are atomic: the whole store is
 //! encoded, written to a sibling `<path>.tmp`, fsynced, and renamed over
@@ -48,9 +52,9 @@ pub const MAGIC: [u8; 8] = *b"IPCPSUMS";
 
 /// Format version. Bump on any layout change; old versions are
 /// discarded as [`DiscardReason::VersionSkew`], never migrated.
-/// Version 2: recorded `Charges` hold one counter per stage of six (the
-/// binding-multigraph stage is gone).
-pub const VERSION: u32 = 2;
+/// Version 3: only the MOD/REF and return-jump families are persisted; a
+/// record of the form family is corrupt.
+pub const VERSION: u32 = 3;
 
 /// Why a store file was rejected at load. Surfaced in the startup log,
 /// the `stats`/`health` protocol ops, and the telemetry tables.
@@ -123,25 +127,47 @@ impl fmt::Display for DiscardReason {
 /// file_checksum[u128]        // FNV-1a-128 of every preceding byte
 /// ```
 ///
-/// Entries are emitted in the cache's FIFO order, so restore followed by
-/// re-encode is byte-identical (asserted by tests — it is what makes the
-/// checksums meaningful).
+/// The records are the [`wire::persisted`] families' entries, in the
+/// cache's FIFO order, so restore followed by re-encode is byte-identical
+/// (asserted by tests — it is what makes the checksums meaningful).
 pub fn encode(cache: &SummaryCache, config_fp: u128, shape_fp: u128) -> Vec<u8> {
+    image(config_fp, shape_fp, &records(cache))
+}
+
+/// One encoded record: family tag, key digest and payload.
+type Record = (u8, u128, Vec<u8>);
+
+/// The cache's persisted entries as records, in FIFO order.
+fn records(cache: &SummaryCache) -> Vec<Record> {
+    cache
+        .iter_fifo()
+        .filter(|(key, _)| wire::persisted(key.stage))
+        .map(|(key, summary)| {
+            let mut payload = Writer::new();
+            wire::put_summary(&mut payload, summary);
+            (
+                wire::stage_code(key.stage),
+                key.digest,
+                payload.into_bytes(),
+            )
+        })
+        .collect()
+}
+
+/// The store image holding `records`.
+fn image(config_fp: u128, shape_fp: u128, records: &[Record]) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_bytes(&MAGIC);
     w.put_u32(VERSION);
     w.put_u128(config_fp);
     w.put_u128(shape_fp);
-    w.put_len(cache.len());
-    for (key, summary) in cache.iter_fifo() {
+    w.put_len(records.len());
+    for (stage, digest, payload) in records {
         let mut rec = Writer::new();
-        rec.put_u8(wire::stage_code(key.stage));
-        rec.put_u128(key.digest);
-        let mut payload = Writer::new();
-        wire::put_summary(&mut payload, summary);
-        let payload = payload.into_bytes();
+        rec.put_u8(*stage);
+        rec.put_u128(*digest);
         rec.put_len(payload.len());
-        rec.put_bytes(&payload);
+        rec.put_bytes(payload);
         let rec = rec.into_bytes();
         let checksum = hash_bytes(&rec);
         w.put_bytes(&rec);
@@ -409,15 +435,16 @@ impl SummaryStore {
     /// fsync. On any error (real or injected) the previous store file
     /// is untouched; a stranded `.tmp` is cleaned up best-effort and
     /// ignored by [`SummaryStore::load`] either way. Returns the number
-    /// of records written.
+    /// of records written: the cache's persisted-family entries.
     pub fn save(
         &mut self,
         cache: &SummaryCache,
         config_fp: u128,
         shape_fp: u128,
     ) -> io::Result<usize> {
-        let bytes = encode(cache, config_fp, shape_fp);
-        let records = cache.len();
+        let records = records(cache);
+        let bytes = image(config_fp, shape_fp, &records);
+        let records = records.len();
         let tmp = self.tmp_path();
         let result = self.write_tmp(&tmp, &bytes).and_then(|()| {
             if let Some(f) = self.injector.as_mut().and_then(|i| i.trip(false)) {
@@ -482,6 +509,7 @@ impl SummaryStore {
 mod tests {
     use super::*;
     use crate::config::Config;
+    use crate::serve::cache::SummaryStage;
     use crate::serve::engine::ServeEngine;
 
     const SRC: &str = "proc main() { x = 1; call mid(x); print x; }\n\
@@ -489,10 +517,29 @@ mod tests {
                        proc leaf(b) { print b + 41; }";
 
     fn warm_engine() -> (ServeEngine, u128, u128) {
+        warm_engine_over(SRC)
+    }
+
+    fn warm_engine_over(src: &str) -> (ServeEngine, u128, u128) {
         let config = Config::default();
-        let engine = ServeEngine::new(SRC, &config).expect("engine");
+        let engine = ServeEngine::new(src, &config).expect("engine");
         let (cfp, sfp) = engine.fingerprints();
         (engine, cfp, sfp)
+    }
+
+    /// `main` calling down a chain of `n` procedures: a store spanning
+    /// several write chunks.
+    fn long_chain(n: usize) -> String {
+        let mut src = String::from("proc main() { call p0(1); }\n");
+        for i in 0..n {
+            let call = if i + 1 < n {
+                format!("call p{}(a + 1);", i + 1)
+            } else {
+                "print a;".to_owned()
+            };
+            src.push_str(&format!("proc p{i}(a) {{ {call} }}\n"));
+        }
+        src
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -503,13 +550,23 @@ mod tests {
         dir
     }
 
+    /// The cache's persisted-family entries.
+    fn n_persisted(cache: &SummaryCache) -> usize {
+        cache
+            .iter_fifo()
+            .filter(|(key, _)| wire::persisted(key.stage))
+            .count()
+    }
+
     #[test]
     fn encode_decode_restore_is_byte_idempotent() {
         let (engine, cfp, sfp) = warm_engine();
         assert!(!engine.cache().is_empty(), "warm cache expected");
         let bytes = encode(engine.cache(), cfp, sfp);
         let entries = decode(&bytes, cfp, sfp).expect("own encoding decodes");
-        assert_eq!(entries.len(), engine.cache().len());
+        assert_eq!(entries.len(), n_persisted(engine.cache()));
+        assert!(entries.len() < engine.cache().len(), "forms stay out");
+        assert!(entries.iter().all(|(key, _)| wire::persisted(key.stage)));
         let restored = SummaryCache::restore(entries, SummaryCache::DEFAULT_CAPACITY);
         assert_eq!(encode(&restored, cfp, sfp), bytes);
     }
@@ -587,6 +644,17 @@ mod tests {
             DiscardReason::BadChecksum
         );
 
+        // A record of the form family, checksummed like any other, is
+        // corrupt.
+        let mut jump = records(engine.cache());
+        let tag = wire::stage_code(SummaryStage::Jump);
+        jump[0].0 = tag;
+        jump[0].2[0] = tag;
+        assert_eq!(
+            reason(decode(&image(cfp, sfp, &jump), cfp, sfp)),
+            DiscardReason::BadRecord
+        );
+
         assert_eq!(reason(decode(&[], cfp, sfp)), DiscardReason::Truncated);
         assert_eq!(
             reason(decode(b"not a store file at all", cfp, sfp)),
@@ -602,7 +670,7 @@ mod tests {
         // A stranded tmp from a "crashed" previous save is inert.
         fs::write(dir.join("cache.store.tmp"), b"garbage").expect("write tmp");
         let n = store.save(engine.cache(), cfp, sfp).expect("save");
-        assert_eq!(n, engine.cache().len());
+        assert_eq!(n, n_persisted(engine.cache()));
         let (entries, status) = store.load(cfp, sfp);
         assert_eq!(status, LoadStatus::Restored(n));
         assert_eq!(entries.len(), n);
@@ -614,7 +682,7 @@ mod tests {
 
     #[test]
     fn injected_faults_at_every_point_leave_the_old_store_intact() {
-        let (engine, cfp, sfp) = warm_engine();
+        let (engine, cfp, sfp) = warm_engine_over(&long_chain(12));
         let dir = tmp_dir("faults");
         let path = dir.join("cache.store");
         SummaryStore::new(&path)

@@ -233,75 +233,6 @@ impl DomTree {
     }
 }
 
-/// The raw fields of a [`DomTree`], exposed for stable serialization.
-///
-/// A dominator tree is deterministic given its CFG, so persisting one is
-/// only an optimization — but the serve summary store round-trips whole
-/// SSA forms, and rebuilding the tree from a CFG the store does not carry
-/// is not an option there. `from_parts` trusts its input structurally
-/// (vector lengths must agree); callers that read parts from disk guard
-/// them with checksums before reconstructing.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DomTreeParts {
-    /// Immediate dominator per block; the entry maps to itself.
-    pub idom: Vec<Option<BlockId>>,
-    /// Children in the dominator tree.
-    pub children: Vec<Vec<BlockId>>,
-    /// Reverse postorder of reachable blocks.
-    pub rpo: Vec<BlockId>,
-    /// Position of each block in `rpo` (`usize::MAX` for unreachable).
-    pub rpo_pos: Vec<usize>,
-    /// The CFG entry block.
-    pub entry: BlockId,
-}
-
-impl DomTree {
-    /// Decomposes the tree into its raw parts.
-    pub fn to_parts(&self) -> DomTreeParts {
-        DomTreeParts {
-            idom: self.idom.clone(),
-            children: (0..self.idom.len())
-                .map(|b| self.children(BlockId::from(b)).to_vec())
-                .collect(),
-            rpo: self.rpo.clone(),
-            rpo_pos: self.rpo_pos.clone(),
-            entry: self.entry,
-        }
-    }
-
-    /// Reassembles a tree from raw parts, rejecting structurally
-    /// inconsistent inputs (mismatched vector lengths, out-of-range
-    /// entry, or an `rpo`/`rpo_pos` disagreement).
-    pub fn from_parts(parts: DomTreeParts) -> Option<DomTree> {
-        let n = parts.idom.len();
-        if parts.children.len() != n || parts.rpo_pos.len() != n || parts.rpo.len() > n {
-            return None;
-        }
-        if n == 0 || parts.entry.index() >= n {
-            return None;
-        }
-        for (i, &b) in parts.rpo.iter().enumerate() {
-            if b.index() >= n || parts.rpo_pos[b.index()] != i {
-                return None;
-            }
-        }
-        let mut child_offsets = Vec::with_capacity(n + 1);
-        child_offsets.push(0u32);
-        for kids in &parts.children {
-            let end = child_offsets[child_offsets.len() - 1] as usize + kids.len();
-            child_offsets.push(u32::try_from(end).ok()?);
-        }
-        Some(DomTree {
-            idom: parts.idom,
-            child_offsets,
-            children: parts.children.concat(),
-            rpo: parts.rpo,
-            rpo_pos: parts.rpo_pos,
-            entry: parts.entry,
-        })
-    }
-}
-
 /// Computes dominance frontiers per Cytron et al.: `b ∈ DF(a)` iff `a`
 /// dominates a predecessor of `b` but does not strictly dominate `b`.
 pub fn dominance_frontiers(cfg: &Cfg, dom: &DomTree) -> Vec<Vec<BlockId>> {
@@ -515,32 +446,6 @@ mod tests {
         }
         // The entry's frontier is empty (it dominates everything).
         assert!(df[cfg.entry.index()].is_empty());
-    }
-
-    #[test]
-    fn parts_round_trip_and_reject_inconsistency() {
-        let cfg =
-            entry_cfg("proc main() { read x; if (x) { while (x > 0) { x = x - 1; } } print x; }");
-        let dom = DomTree::build(&cfg);
-        let rebuilt = DomTree::from_parts(dom.to_parts()).expect("valid parts");
-        assert_eq!(rebuilt, dom);
-
-        let mut short = dom.to_parts();
-        short.children.pop();
-        assert!(DomTree::from_parts(short).is_none(), "length mismatch");
-
-        let mut skewed = dom.to_parts();
-        if skewed.rpo.len() > 1 {
-            skewed.rpo.swap(0, 1);
-        }
-        assert!(
-            DomTree::from_parts(skewed).is_none(),
-            "rpo/rpo_pos disagreement"
-        );
-
-        let mut bad_entry = dom.to_parts();
-        bad_entry.entry = BlockId::from(bad_entry.idom.len());
-        assert!(DomTree::from_parts(bad_entry).is_none(), "entry range");
     }
 
     #[test]

@@ -36,13 +36,13 @@ pub mod sccp;
 pub mod ssa;
 pub mod symbolic;
 
-pub use dominators::{dominance_frontiers, DomTree, DomTreeParts};
+pub use dominators::{dominance_frontiers, DomTree};
 pub use lattice::Lattice;
 pub use poly::{Poly, PolyVar};
 pub use sccp::{CallDefLattice, OpaqueCallsLattice, SccpResult, Seeds};
 pub use ssa::{
-    build_ssa, build_ssa_pruned, CallKills, ModKills, SsaAssembler, SsaProc, StmtInfo, Users,
-    ValueId, ValueKind, WorstCaseKills,
+    build_ssa, build_ssa_pruned, CallKills, ModKills, SsaProc, StmtInfo, Users, ValueId, ValueKind,
+    WorstCaseKills,
 };
 pub use symbolic::{
     CallActuals, CallDefEval, DeadlineLatch, OpaqueCalls, RetTarget, SymVal, Symbolic,

@@ -291,57 +291,6 @@ impl Flat {
             },
         }
     }
-
-    fn push_vals(&mut self, vs: &[ValueId]) -> Span {
-        let start = self.vals.len();
-        self.vals.extend_from_slice(vs);
-        Span::since(start, &self.vals)
-    }
-
-    /// Copies `s`'s operand lists into the flat arrays.
-    fn push_stmt(&mut self, s: StmtInfo<'_>) {
-        let rec = match s {
-            StmtInfo::Assign { value, use_vals } => StmtRec::Assign {
-                value,
-                uses: self.push_vals(use_vals),
-            },
-            StmtInfo::Store {
-                index,
-                value,
-                use_vals,
-            } => StmtRec::Store {
-                index,
-                value,
-                uses: self.push_vals(use_vals),
-            },
-            StmtInfo::Read { def } => StmtRec::Read { def },
-            StmtInfo::Print { value, use_vals } => StmtRec::Print {
-                value,
-                uses: self.push_vals(use_vals),
-            },
-            StmtInfo::Call {
-                site,
-                arg_vals,
-                defs,
-                use_vals,
-                global_pre,
-            } => {
-                let start = self.opt_vals.len();
-                self.opt_vals.extend_from_slice(arg_vals);
-                let args = Span::since(start, &self.opt_vals);
-                let start = self.defs.len();
-                self.defs.extend_from_slice(defs);
-                StmtRec::Call {
-                    site,
-                    args,
-                    defs: Span::since(start, &self.defs),
-                    uses: self.push_vals(use_vals),
-                    globals: self.push_vals(global_pre),
-                }
-            }
-        };
-        self.stmts.push(rec);
-    }
 }
 
 /// SSA form of one procedure.
@@ -554,89 +503,6 @@ impl SsaProc {
                 } => Some((b, site, arg_vals, defs)),
                 _ => None,
             })
-        })
-    }
-}
-
-/// Reassembles an [`SsaProc`] from its parts in the order
-/// [`SsaProc`]'s accessors list them: one phi-argument list per value,
-/// then each block (its phis, statements and terminator), then the
-/// exits. The serve summary store decodes SSA forms through it.
-#[derive(Debug)]
-pub struct SsaAssembler {
-    proc: ProcId,
-    values: Vec<ValueKind>,
-    flat: Flat,
-}
-
-impl SsaAssembler {
-    /// Starts a form for `proc` with the given values.
-    pub fn new(proc: ProcId, values: Vec<ValueKind>) -> SsaAssembler {
-        let mut flat = Flat::default();
-        flat.phi_offsets.push(0);
-        SsaAssembler { proc, values, flat }
-    }
-
-    /// The phi arguments of the next value (empty for a non-phi).
-    pub fn push_phi_args(&mut self, args: &[(BlockId, ValueId)]) {
-        self.flat.phi_args.extend_from_slice(args);
-        self.flat.phi_offsets.push(as_u32(self.flat.phi_args.len()));
-    }
-
-    /// Opens the next block with its phis.
-    pub fn begin_block(&mut self, phis: &[ValueId]) {
-        let phis = self.flat.push_vals(phis);
-        let stmts = Span::since(self.flat.stmts.len(), &self.flat.stmts);
-        self.flat.blocks.push(BlockRec {
-            phis,
-            stmts,
-            ..BlockRec::default()
-        });
-    }
-
-    /// Appends a statement to the open block.
-    pub fn push_stmt(&mut self, s: StmtInfo<'_>) {
-        self.flat.push_stmt(s);
-        if let Some(blk) = self.flat.blocks.last_mut() {
-            blk.stmts.end = as_u32(self.flat.stmts.len());
-        }
-    }
-
-    /// Closes the open block with its terminator's condition and uses.
-    pub fn end_block(&mut self, term_cond: Option<ValueId>, term_use_vals: &[ValueId]) {
-        let uses = self.flat.push_vals(term_use_vals);
-        if let Some(blk) = self.flat.blocks.last_mut() {
-            blk.term_cond = term_cond;
-            blk.term_uses = uses;
-        }
-    }
-
-    /// Appends an exit: a `return` block and its snapshot.
-    pub fn push_exit(&mut self, b: BlockId, snapshot: &[Option<ValueId>]) {
-        let start = self.flat.opt_vals.len();
-        self.flat.opt_vals.extend_from_slice(snapshot);
-        let span = Span::since(start, &self.flat.opt_vals);
-        self.flat.exits.push((b, span));
-    }
-
-    /// The finished form, or `None` unless exactly one phi-argument list
-    /// was pushed per value.
-    pub fn finish(
-        self,
-        dom: DomTree,
-        entry_vals: Vec<Option<ValueId>>,
-        call_sites: Vec<Option<(BlockId, usize)>>,
-    ) -> Option<SsaProc> {
-        if self.flat.phi_offsets.len() != self.values.len() + 1 {
-            return None;
-        }
-        Some(SsaProc {
-            proc: self.proc,
-            values: self.values,
-            dom,
-            entry_vals,
-            call_sites,
-            flat: self.flat,
         })
     }
 }

@@ -526,8 +526,45 @@ fn partially_warm_caches_match_cold_runs_under_faults_at_every_job_count() {
 // store file.
 // ---------------------------------------------------------------------
 
-use ipcp::serve::{DiscardReason, IoFault, IoInjector, LoadStatus, SummaryStore};
+use ipcp::serve::store::{decode, encode};
+use ipcp::serve::wire::persisted;
+use ipcp::serve::{
+    CacheKey, CachedSummary, DiscardReason, IoFault, IoInjector, LoadStatus, SummaryCache,
+    SummaryStage, SummaryStore,
+};
 use std::path::PathBuf;
+
+/// `cache`'s entries whose family satisfies `keep`, in FIFO order.
+fn entries_where(
+    cache: &SummaryCache,
+    keep: impl Fn(SummaryStage) -> bool,
+) -> Vec<(CacheKey, CachedSummary)> {
+    cache
+        .iter_fifo()
+        .filter(|(key, _)| keep(key.stage))
+        .map(|(key, summary)| (key, summary.clone()))
+        .collect()
+}
+
+/// The form (`Jump`) units a boot of `engine`'s program looks up: the
+/// hits of a boot whose cache holds only `engine`'s forms.
+fn form_lookups(engine: &ServeEngine) -> u64 {
+    let forms = entries_where(engine.cache(), |s| s == SummaryStage::Jump);
+    let cache = SummaryCache::restore(forms, SummaryCache::DEFAULT_CAPACITY);
+    let boot = ServeEngine::new_with_cache(&engine.source(), engine.config(), cache).unwrap();
+    assert_eq!(boot.last_outcome().hits, boot.last_outcome().persisted_hits);
+    boot.last_outcome().hits
+}
+
+/// A restarted boot served every MOD/REF and return-jump unit from the
+/// store and recomputed only the forms: its misses are the `Jump`
+/// lookups (`forms`), every hit is persisted, and it made the cold
+/// boot's `units` lookups.
+fn assert_warm_restart(out: &ipcp::serve::RequestOutcome, units: u64, forms: u64, label: &str) {
+    assert_eq!(out.misses, forms, "{label}: only the forms are recomputed");
+    assert_eq!(out.hits, out.persisted_hits, "{label}: all hits persisted");
+    assert_eq!(out.hits + out.misses, units, "{label}: lookups");
+}
 
 fn store_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ipcp-serve-it-{}-{name}", std::process::id()));
@@ -537,9 +574,10 @@ fn store_dir(name: &str) -> PathBuf {
 }
 
 /// Every suite program: snapshot a warm daemon, restart from the file,
-/// and the restarted daemon is (a) fully warm — its startup run misses
-/// nothing and every hit is a persisted hit — and (b) bit-identical to
-/// a cold analysis.
+/// and the restarted daemon is (a) warm for the persisted families —
+/// every MOD/REF and return-jump unit is a persisted hit, and the only
+/// misses are the forms it rebuilds — and (b) bit-identical to a cold
+/// analysis.
 #[test]
 fn restart_from_a_store_is_warm_and_bit_identical_across_the_suite() {
     let dir = store_dir("suite");
@@ -551,18 +589,12 @@ fn restart_from_a_store_is_warm_and_bit_identical_across_the_suite() {
         let (cfp, sfp) = before.fingerprints();
         let mut store = SummaryStore::new(&path);
         let written = store.save(before.cache(), cfp, sfp).expect("save");
-        assert_eq!(written, before.cache_len(), "{}: record count", p.name);
+        let persisted_entries = entries_where(before.cache(), persisted).len();
+        assert_eq!(written, persisted_entries, "{}: record count", p.name);
 
         let (after, status) = ServeEngine::new_with_store(p.source, &config, &mut store).unwrap();
         assert_eq!(status, LoadStatus::Restored(written), "{}", p.name);
-        let out = after.last_outcome();
-        assert_eq!(out.misses, 0, "{}: restart recomputed units", p.name);
-        assert_eq!(out.persisted_hits, units, "{}: persisted hits", p.name);
-        assert_eq!(
-            out.hits, out.persisted_hits,
-            "{}: all hits persisted",
-            p.name
-        );
+        assert_warm_restart(after.last_outcome(), units, form_lookups(&before), p.name);
         assert_eq!(after.cache_stats().recovered, written as u64, "{}", p.name);
         assert!(
             same_results(after.analysis(), &Analysis::run(after.mcfg(), &config)),
@@ -593,16 +625,26 @@ fn restart_after_an_edit_session_at(jobs: usize) {
     let edited_src = before.source();
     let (cfp, sfp) = before.fingerprints();
     let mut store = SummaryStore::new(&path);
-    store.save(before.cache(), cfp, sfp).expect("save");
+    let written = store.save(before.cache(), cfp, sfp).expect("save");
+    assert_eq!(written, entries_where(before.cache(), persisted).len());
+    let units = ServeEngine::new(&edited_src, &config)
+        .unwrap()
+        .last_outcome()
+        .misses;
 
     // Restart against the *edited* source — what a daemon supervisor
     // would feed it after writing the program back to disk.
     let (mut after, status) =
         ServeEngine::new_with_store(&edited_src, &config, &mut store).unwrap();
-    assert!(matches!(status, LoadStatus::Restored(n) if n > 0));
-    assert_eq!(after.last_outcome().misses, 0, "restart is fully warm");
-    assert!(after.last_outcome().persisted_hits > 0);
+    assert_eq!(status, LoadStatus::Restored(written));
+    assert_warm_restart(
+        after.last_outcome(),
+        units,
+        form_lookups(&before),
+        "restart",
+    );
     assert!(same_results(after.analysis(), before.analysis()));
+    assert!(same_results(after.analysis(), &cold_twin(&after)));
 
     // The session continues: edits on the restarted daemon still match
     // cold runs, and unchanged summaries still come from the store.
@@ -610,6 +652,31 @@ fn restart_after_an_edit_session_at(jobs: usize) {
     assert!(out.persisted_hits > 0, "untouched units stay persisted");
     assert!(same_results(after.analysis(), &cold_twin(&after)));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store with more entries than the cache bound restores whole: the
+/// boot run pins what it looks up before the bound applies, so every
+/// MOD/REF and return-jump unit is a persisted hit.
+#[test]
+fn restore_beyond_the_bound_serves_every_persisted_unit() {
+    let config = Config::polynomial();
+    for p in PROGRAMS {
+        let before = ServeEngine::new(p.source, &config).unwrap();
+        let units = before.last_outcome().misses;
+        let (cfp, sfp) = before.fingerprints();
+        let entries = decode(&encode(before.cache(), cfp, sfp), cfp, sfp).unwrap();
+        let restored = entries.len() as u64;
+        assert!(restored > 1, "{}: nothing to bound", p.name);
+        let cache = SummaryCache::restore(entries, 1);
+        let after = ServeEngine::new_with_cache(p.source, &config, cache).unwrap();
+        assert_warm_restart(after.last_outcome(), units, form_lookups(&before), p.name);
+        assert_eq!(after.cache_stats().recovered, restored, "{}", p.name);
+        assert!(
+            same_results(after.analysis(), &cold_twin(&after)),
+            "{}",
+            p.name
+        );
+    }
 }
 
 /// Every corruption and drift shape cold-starts with its specific
@@ -697,13 +764,23 @@ fn corrupted_and_drifted_stores_cold_start_with_a_reason() {
 /// The kill-during-save drill, deterministic edition: a save interrupted
 /// at every reachable fault point — short write, ENOSPC, EIO, rename
 /// failure — leaves the previous store byte-identical and restorable,
-/// over at least 20 interruption points.
+/// over at least 20 interruption points. The program is a chain long
+/// enough that its store spans several write chunks.
 #[test]
 fn interrupted_saves_never_tear_the_previous_store() {
     let dir = store_dir("torn");
     let path = dir.join("x.store");
     let config = Config::polynomial();
-    let engine = ServeEngine::new(CHAIN, &config).unwrap();
+    let mut src = String::from("proc main() { call p0(1); }\n");
+    for i in 0..12 {
+        let call = if i < 11 {
+            format!("call p{}(a + 1);", i + 1)
+        } else {
+            "print a;".to_owned()
+        };
+        src.push_str(&format!("proc p{i}(a) {{ {call} }}\n"));
+    }
+    let engine = ServeEngine::new(&src, &config).unwrap();
     let (cfp, sfp) = engine.fingerprints();
     SummaryStore::new(&path)
         .save(engine.cache(), cfp, sfp)
@@ -730,7 +807,7 @@ fn interrupted_saves_never_tear_the_previous_store() {
                     );
                     // And a restart still restores the old snapshot.
                     let (_, status) =
-                        ServeEngine::new_with_store(CHAIN, &config, &mut SummaryStore::new(&path))
+                        ServeEngine::new_with_store(&src, &config, &mut SummaryStore::new(&path))
                             .unwrap();
                     assert!(
                         matches!(status, LoadStatus::Restored(n) if n > 0),
