@@ -13,6 +13,12 @@
 //!   the reads (`snapshot_ms`, and the file's size as `store_kb`), then a
 //!   second daemon boots from that store (`restart_ms`, spawn → first
 //!   `ok` health reply, like `cold_boot_ms`);
+//! * **in-process edits** — `ServeEngine::update` timed in this process
+//!   at `--jobs 1`, without the socket: `update_us` is the p50 of 40
+//!   literal bumps of the middle procedure's `v0 = <lit>` prologue, and
+//!   `update_call_us` the p50 of 10 rounds that add a call to a leaf
+//!   procedure and then drop it (20 updates). Both are per tier, so
+//!   every row of a tier carries the same pair;
 //! * **identity** — per-request replies must be byte-identical between
 //!   the batched and unbatched passes, the full read transcript (plus a
 //!   final whole-program `constants`) must digest-match across every
@@ -40,7 +46,9 @@ use std::os::unix::net::UnixStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use ipcp::serve::engine::ServeEngine;
 use ipcp::serve::json::{self, Json};
+use ipcp::Config;
 use ipcp_ir::hash::Fnv128;
 use ipcp_ir::ProgramSource;
 use ipcp_suite::{generate_scale, ScaleSource, ScaleSpec};
@@ -263,6 +271,84 @@ fn update_request(source: &ScaleSource, e: usize) -> Result<(String, String), St
     req.set("proc", Json::Str(proc_name.clone()));
     req.set("body", Json::Str(body));
     Ok((proc_name, Json::Object(req).to_string()))
+}
+
+/// `body` with the literal of its `v0 = <lit>;` prologue replaced by
+/// `lit + delta`.
+fn bump_prologue(body: &str, delta: i64) -> Result<String, String> {
+    let at = body.find("v0 = ").ok_or("no v0 prologue")?;
+    let lit_start = at + "v0 = ".len();
+    let semi = body[lit_start..]
+        .find(';')
+        .ok_or("prologue line is unterminated")?;
+    let lit: i64 = body[lit_start..lit_start + semi]
+        .trim()
+        .parse()
+        .map_err(|e| format!("prologue literal: {e}"))?;
+    let mut out = body.to_owned();
+    out.replace_range(
+        lit_start..lit_start + semi,
+        &lit.wrapping_add(delta).to_string(),
+    );
+    Ok(out)
+}
+
+/// The in-process edit latencies of one tier, in µs: the p50 of 40
+/// literal bumps of the middle procedure, and the p50 of 10 rounds that
+/// add a call from one leaf procedure to another and drop it again.
+fn in_process_updates(source: &ScaleSource, text: &str) -> Result<(u128, u128), String> {
+    let config = Config::default().with_jobs(1);
+    let mut engine = ServeEngine::new(text, &config).map_err(|e| e.to_string())?;
+    let procs = source.spec().procs;
+    let chunk = |idx: usize| {
+        let mut body = String::new();
+        source.chunk(idx + 1, &mut body);
+        body
+    };
+    let p50 = |mut times: Vec<Duration>| {
+        times.sort_unstable();
+        times[times.len() / 2].as_micros()
+    };
+    let timed = |engine: &mut ServeEngine, name: &str, body: &str| {
+        let t = Instant::now();
+        let out = engine.update(name, body).map_err(|e| e.to_string());
+        out.map(|_| t.elapsed())
+    };
+    let mid = procs / 2;
+    let body = chunk(mid);
+    let mut bumps = Vec::new();
+    for round in 0..40 {
+        let bumped = bump_prologue(&body, round + 1)?;
+        bumps.push(timed(&mut engine, &format!("p{mid}"), &bumped)?);
+    }
+    // Two reachable leaves from the middle on: the call from the first to
+    // the second adds an edge and no cycle.
+    let leaves: Vec<(usize, usize)> = {
+        let (module, cg) = (&engine.mcfg().module, &engine.analysis().cg);
+        (mid..procs)
+            .chain(1..mid)
+            .filter_map(|idx| {
+                let p = module.proc_named(&format!("p{idx}"))?;
+                let leaf = cg.reachable[p.id.index()] && cg.calls_from(p.id).is_empty();
+                leaf.then_some((idx, p.arity()))
+            })
+            .take(2)
+            .collect()
+    };
+    let [(leaf, _), (callee, arity)] = leaves[..] else {
+        return Err("the program has fewer than two reachable leaves".to_owned());
+    };
+    let args: Vec<String> = (1..=arity).map(|k| k.to_string()).collect();
+    let plain = chunk(leaf);
+    let at = plain.rfind("    print ").ok_or("leaf has no print epilogue")?;
+    let mut with_call = plain.clone();
+    with_call.insert_str(at, &format!("    call p{callee}({});\n", args.join(", ")));
+    let mut calls = Vec::new();
+    for _ in 0..10 {
+        calls.push(timed(&mut engine, &format!("p{leaf}"), &with_call)?);
+        calls.push(timed(&mut engine, &format!("p{leaf}"), &plain)?);
+    }
+    Ok((p50(bumps), p50(calls)))
 }
 
 /// One (tier, workers) measurement row.
@@ -534,8 +620,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let spec = ScaleSpec::parse(spec_str)?;
         let dir = std::env::temp_dir();
         let program = dir.join(format!("ipcp_serve_bench_{tier}.ft"));
-        std::fs::write(&program, generate_scale(&spec))?;
+        let text = generate_scale(&spec);
+        std::fs::write(&program, &text)?;
         let n_procs = spec.procs;
+        let (update_us, update_call_us) = in_process_updates(&ScaleSource::new(spec), &text)
+            .map_err(|e| format!("tier {tier}: in-process updates: {e}"))?;
+        drop(text);
+        println!("{tier:<6} in-process update_us {update_us} update_call_us {update_call_us}");
 
         let mut digests: Vec<(usize, String)> = Vec::new();
         let mut cell_rows: Vec<(usize, CellRow)> = Vec::new();
@@ -590,7 +681,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     "\"jobs\": {w}, \"n_procs\": {n}, \"cold_boot_ms\": {boot}, ",
                     "\"snapshot_ms\": {snap}, \"store_kb\": {kb}, \"restart_ms\": {restart}, ",
                     "\"edit_ms\": {edit}, \"edit_max_ms\": {emax}, \"edit_misses\": {em:.1}, ",
-                    "\"edit_solved\": {es:.1}, ",
+                    "\"edit_solved\": {es:.1}, \"update_us\": {uu}, \"update_call_us\": {uc}, ",
                     "\"unbatched_read_us\": {ub}, \"batched_read_us\": {b}, ",
                     "\"batch_speedup\": {sp:.2}, \"identical\": {id}}}"
                 ),
@@ -606,6 +697,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 emax = cell.edit_max_ms,
                 em = cell.edit_misses,
                 es = cell.edit_solved,
+                uu = update_us,
+                uc = update_call_us,
                 ub = cell.unbatched_read_us,
                 b = cell.batched_read_us,
                 sp = cell.batch_speedup,
