@@ -31,6 +31,8 @@
 
 use crate::callgraph::CallGraph;
 use ipcp_ir::hash::Fnv128;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Per-procedure cache-key material. Indexed by `ProcId` index.
 #[derive(Clone, Debug)]
@@ -56,7 +58,7 @@ pub struct SummaryKeys {
 pub fn summary_keys(cg: &CallGraph, own: &[u128]) -> SummaryKeys {
     let mut scc_cone = vec![0u128; cg.sccs.len()];
     for si in 0..cg.sccs.len() {
-        scc_cone[si] = scc_hash(cg, own, &scc_cone, si);
+        scc_cone[si] = scc_hash(cg, |p| own[p], |s| scc_cone[s], si);
     }
     let cone = own
         .iter()
@@ -71,47 +73,98 @@ pub fn summary_keys(cg: &CallGraph, own: &[u128]) -> SummaryKeys {
 }
 
 /// [`summary_keys`] of a program whose call graph `cg` is the one `prev`
-/// was derived over, where only some procedures' own hashes moved: a
-/// component is rehashed only when one of its members' own hash or one of
-/// its callee components' cone moved, and every other key is copied. The
-/// result equals `summary_keys(cg, own)`.
+/// was derived over, where only some procedures' own hashes moved: only
+/// the components above them are rehashed ([`rekey`]), and every other
+/// key is copied. The result equals `summary_keys(cg, own)`.
 pub fn update_summary_keys(prev: &SummaryKeys, cg: &CallGraph, own: &[u128]) -> SummaryKeys {
     let mut keys = SummaryKeys {
         own: own.to_vec(),
         cone: prev.cone.clone(),
         scc_cone: prev.scc_cone.clone(),
     };
-    let mut moved = vec![false; cg.sccs.len()];
-    for (si, members) in cg.sccs.iter().enumerate() {
-        let stale = members.iter().any(|&p| {
-            prev.own[p.index()] != own[p.index()]
-                || cg
-                    .calls_from(p)
-                    .iter()
-                    .any(|e| moved[cg.scc_of[e.callee.index()]])
-        });
-        if !stale {
+    let edited: Vec<usize> = (0..own.len()).filter(|&p| prev.own[p] != own[p]).collect();
+    rekey(cg, &mut keys, &edited);
+    keys
+}
+
+/// Cone-key storage that [`rekey`] reads and writes: the own hashes (new),
+/// and the per-component and per-procedure cone hashes (old until
+/// rewritten).
+pub trait ConeKeys {
+    /// Procedure `p`'s own hash.
+    fn own(&self, p: usize) -> u128;
+    /// Component `si`'s cone hash.
+    fn scc_cone(&self, si: usize) -> u128;
+    /// Sets component `si`'s cone hash.
+    fn set_scc_cone(&mut self, si: usize, hash: u128);
+    /// Sets procedure `p`'s cone hash.
+    fn set_cone(&mut self, p: usize, hash: u128);
+}
+
+impl ConeKeys for SummaryKeys {
+    fn own(&self, p: usize) -> u128 {
+        self.own[p]
+    }
+
+    fn scc_cone(&self, si: usize) -> u128 {
+        self.scc_cone[si]
+    }
+
+    fn set_scc_cone(&mut self, si: usize, hash: u128) {
+        self.scc_cone[si] = hash;
+    }
+
+    fn set_cone(&mut self, p: usize, hash: u128) {
+        self.cone[p] = hash;
+    }
+}
+
+/// Re-derives the cone hashes in `keys` after the own hashes of `edited`
+/// moved, visiting only the components above them: a component is
+/// rehashed when a member was edited or a callee component's hash moved,
+/// in bottom-up order (ascending index, callees first), so each reads its
+/// callees' final hashes. Every member of a rehashed component gets its
+/// cone hash set, moved or not.
+pub fn rekey(cg: &CallGraph, keys: &mut impl ConeKeys, edited: &[usize]) {
+    let mut todo: BinaryHeap<Reverse<usize>> =
+        edited.iter().map(|&p| Reverse(cg.scc_of[p])).collect();
+    let mut last = None;
+    while let Some(Reverse(si)) = todo.pop() {
+        if last.replace(si) == Some(si) {
             continue;
         }
-        keys.scc_cone[si] = scc_hash(cg, own, &keys.scc_cone, si);
-        moved[si] = keys.scc_cone[si] != prev.scc_cone[si];
-        for &p in members {
-            keys.cone[p.index()] = cone_hash(own[p.index()], keys.scc_cone[si]);
+        let hash = scc_hash(cg, |p| keys.own(p), |s| keys.scc_cone(s), si);
+        let moved = hash != keys.scc_cone(si);
+        keys.set_scc_cone(si, hash);
+        for &p in &cg.sccs[si] {
+            keys.set_cone(p.index(), cone_hash(keys.own(p.index()), hash));
+            if moved {
+                todo.extend(
+                    cg.calls_to(p)
+                        .map(|e| cg.scc_of[e.caller.index()])
+                        .filter(|&cs| cs != si)
+                        .map(Reverse),
+                );
+            }
         }
     }
-    keys
 }
 
 /// Component `si`'s Merkle hash, given the final hashes of the components
 /// it calls (Tarjan emits them first).
-fn scc_hash(cg: &CallGraph, own: &[u128], scc_cone: &[u128], si: usize) -> u128 {
+fn scc_hash(
+    cg: &CallGraph,
+    own: impl Fn(usize) -> u128,
+    scc_cone: impl Fn(usize) -> u128,
+    si: usize,
+) -> u128 {
     let members = &cg.sccs[si];
     let mut h = Fnv128::new();
     // The component's combined text, in member order: an edit to any
     // member re-keys the whole component (members are analyzed against
     // each other's fresh tables, so that is exactly right).
     for &p in members {
-        h.write_u128(own[p.index()]);
+        h.write_u128(own(p.index()));
     }
     // The cones of callee components, in edge order. Edge order is
     // deterministic (grouped by caller, in block order), so the fold is
@@ -120,13 +173,14 @@ fn scc_hash(cg: &CallGraph, own: &[u128], scc_cone: &[u128], si: usize) -> u128 
         for e in cg.calls_from(p) {
             let cs = cg.scc_of[e.callee.index()];
             if cs != si {
-                h.write_u128(scc_cone[cs]);
+                h.write_u128(scc_cone(cs));
             }
         }
     }
     h.finish()
 }
 
+/// Procedure `p`'s cone hash: its own hash and its component's.
 fn cone_hash(own: u128, scc_cone: u128) -> u128 {
     let mut h = Fnv128::new();
     h.write_u128(own);

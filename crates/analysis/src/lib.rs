@@ -23,7 +23,7 @@ pub mod keys;
 pub mod modref;
 
 pub use callgraph::{build_call_graph, calls_from, CallEdge, CallGraph};
-pub use keys::{summary_keys, update_summary_keys, SummaryKeys};
+pub use keys::{rekey, summary_keys, update_summary_keys, ConeKeys, SummaryKeys};
 pub use modref::{
     compute_modref, direct_effects, propagate_modref, ref_bindings, worst_case_killed, ModRef,
     ModSet,

@@ -340,7 +340,9 @@ fn in_process_updates(source: &ScaleSource, text: &str) -> Result<(u128, u128), 
     };
     let args: Vec<String> = (1..=arity).map(|k| k.to_string()).collect();
     let plain = chunk(leaf);
-    let at = plain.rfind("    print ").ok_or("leaf has no print epilogue")?;
+    let at = plain
+        .rfind("    print ")
+        .ok_or("leaf has no print epilogue")?;
     let mut with_call = plain.clone();
     with_call.insert_str(at, &format!("    call p{callee}({});\n", args.join(", ")));
     let mut calls = Vec::new();

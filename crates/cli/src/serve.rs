@@ -53,7 +53,7 @@ use crate::args::ServeOpts;
 use ipcp::serve::json;
 use ipcp::serve::{
     config_from_overrides, DiscardReason, IoInjector, Json, LoadStatus, Object, PoolCounters,
-    ReadPool, RequestOutcome, ServeEngine, ServeError, Snapshot, SummaryStore,
+    ReadPool, RequestOutcome, RunPath, ServeEngine, ServeError, Snapshot, SummaryStore,
 };
 use ipcp::Config;
 use ipcp_suite::Rng;
@@ -239,10 +239,12 @@ impl StoreState {
 }
 
 /// The reply of a request that ran an analysis: its outcome plus the SCC
-/// units the solve ran (a warm read reports the outcome alone).
+/// units the solve ran and the path the run took (a warm read reports the
+/// outcome alone).
 fn run_payload(outcome: &RequestOutcome) -> Object {
     let mut o = outcome_payload(outcome);
     o.set("solved_units", Json::from(outcome.solved_units));
+    o.set("path", Json::from(outcome.path.label()));
     o
 }
 
@@ -391,6 +393,12 @@ fn read_payload(
             o.set("spliced_updates", Json::from(stats.spliced_updates));
             o.set("loads", Json::from(stats.loads));
             o.set("solved_units", Json::from(stats.solved_units));
+            o.set("live_runs", Json::from(stats.runs_on(RunPath::Live)));
+            let mut plain = Object::new();
+            for path in RunPath::ALL.into_iter().skip(1) {
+                plain.set(path.label(), Json::from(stats.runs_on(path)));
+            }
+            o.set("plain_runs", Json::from(plain));
             o.set("errors", Json::from(errors));
             o.set("degraded_requests", Json::from(stats.degraded_requests));
             o.set("panics_contained", Json::from(stats.panics_contained));

@@ -17,10 +17,11 @@ use crate::config::{AnalysisLimits, Config, Stage};
 use crate::health::Governor;
 use crate::par::{PhaseTime, Pool};
 use crate::pipeline::fold_units;
-use crate::serve::cache::{CacheTxn, Reuse};
+use crate::serve::cache::{CacheTxn, Charges, Reuse};
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
+use ipcp_ir::Table;
 use ipcp_ssa::poly::{Poly, PolyVar};
 use ipcp_ssa::ssa::StmtInfo;
 use ipcp_ssa::symbolic::SymVal;
@@ -208,7 +209,7 @@ impl<'a> IntoIterator for &'a CallerJumpFns {
 pub struct ForwardJumpFns {
     /// `sites[p][s]` — jump functions of call site `s` in procedure `p`
     /// (`None` for unreachable sites).
-    pub sites: Vec<CallerJumpFns>,
+    pub sites: Table<CallerJumpFns>,
 }
 
 impl ForwardJumpFns {
@@ -266,7 +267,7 @@ pub fn build_forward_jump_fns(
     cg: &CallGraph,
     layout: &SlotLayout,
     config: &Config,
-    symbolics: &[Option<Arc<ProcSymbolic>>],
+    symbolics: &Table<Option<Arc<ProcSymbolic>>>,
     quarantined: &mut [bool],
     gov: &mut Governor,
     pool: Pool,
@@ -296,7 +297,7 @@ pub(crate) fn build_forward_jump_fns_on(
     cg: &CallGraph,
     layout: &SlotLayout,
     config: &Config,
-    symbolics: &[Option<Arc<ProcSymbolic>>],
+    symbolics: &Table<Option<Arc<ProcSymbolic>>>,
     quarantined: &mut [bool],
     gov: &mut Governor,
     pool: Pool,
@@ -309,9 +310,7 @@ pub(crate) fn build_forward_jump_fns_on(
     let n_procs = mcfg.module.procs.len();
     // Every caller without call sites shares one empty entry.
     let none: Arc<[Option<SiteJumpFns>]> = Arc::from(Vec::new());
-    let mut out = ForwardJumpFns {
-        sites: Vec::with_capacity(n_procs),
-    };
+    let mut out = Vec::with_capacity(n_procs);
     // A caller whose form is the live one, that no earlier stage
     // quarantined and whose live unit ran clean may reuse its live
     // functions: a pure check, made before the round too.
@@ -342,8 +341,7 @@ pub(crate) fn build_forward_jump_fns_on(
                     return (sites, false, Some(*charges));
                 }
             }
-            let (c0, e0) = (g.counters(), g.health.events.len());
-            let (mut fns, quar) = build_caller_jump_fns(
+            caller_unit(
                 mcfg,
                 cg,
                 layout,
@@ -351,33 +349,94 @@ pub(crate) fn build_forward_jump_fns_on(
                 symbolics,
                 caller,
                 before[caller],
+                &none,
                 g,
-            );
-            // Edges come in block order, not site order; sites the caller
-            // never reaches stay `None`.
-            let n_sites = mcfg.cfgs[caller].n_call_sites;
-            fns.sort_unstable_by_key(|&(site, _)| site);
-            let mut fns = fns.into_iter().peekable();
-            let sites = match n_sites {
-                0 => Arc::clone(&none),
-                _ => (0..n_sites)
-                    .map(|s| fns.next_if(|(site, _)| *site == s).map(|(_, f)| f))
-                    .collect(),
-            };
-            let clean = !quar && g.health.events.len() == e0;
-            let charges = clean.then(|| {
-                let c1 = g.counters();
-                std::array::from_fn(|i| c1[i] - c0[i])
-            });
-            (CallerJumpFns(sites), quar, charges)
+            )
         },
         |caller, (sites, quar, charges), _| {
-            out.sites.push(sites);
+            out.push(sites);
             quarantined[caller] = quar;
             txn.log_fwd_charges(caller, charges);
         },
     );
-    (out, time)
+    (ForwardJumpFns { sites: out.into() }, time)
+}
+
+/// One caller's forward-jump unit: its sites' functions (sites the caller
+/// never reaches stay `None`; a caller without sites shares `none`),
+/// whether it is now quarantined, and its charges when it ran clean.
+#[allow(clippy::too_many_arguments)]
+fn caller_unit(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    config: &Config,
+    symbolics: &Table<Option<Arc<ProcSymbolic>>>,
+    caller: usize,
+    already_quarantined: bool,
+    none: &Arc<[Option<SiteJumpFns>]>,
+    g: &mut Governor,
+) -> (CallerJumpFns, bool, Option<Charges>) {
+    let (c0, e0) = (g.counters(), g.health.events.len());
+    let (mut fns, quar) = build_caller_jump_fns(
+        mcfg,
+        cg,
+        layout,
+        config,
+        symbolics,
+        caller,
+        already_quarantined,
+        g,
+    );
+    // Edges come in block order, not site order; sites the caller never
+    // reaches stay `None`.
+    let n_sites = mcfg.cfgs[caller].n_call_sites;
+    fns.sort_unstable_by_key(|&(site, _)| site);
+    let mut fns = fns.into_iter().peekable();
+    let sites = match n_sites {
+        0 => Arc::clone(none),
+        _ => (0..n_sites)
+            .map(|s| fns.next_if(|(site, _)| *site == s).map(|(_, f)| f))
+            .collect(),
+    };
+    let clean = !quar && g.health.events.len() == e0;
+    let charges = clean.then(|| {
+        let c1 = g.counters();
+        std::array::from_fn(|i| c1[i] - c0[i])
+    });
+    (CallerJumpFns(sites), quar, charges)
+}
+
+/// The forward-jump stage of a run that visits only its cone: starting
+/// from the live functions, only `callers` (ascending: the callers whose
+/// symbolic form is not the live one) run, against `gov`, and log their
+/// charges in `txn`. `None` when a unit did not run clean, which only the
+/// per-unit path reproduces.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_forward_jump_fns_cone(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    config: &Config,
+    symbolics: &Table<Option<Arc<ProcSymbolic>>>,
+    gov: &mut Governor,
+    live: &ForwardJumpFns,
+    txn: &mut CacheTxn,
+    callers: &[usize],
+) -> Option<ForwardJumpFns> {
+    let none: Arc<[Option<SiteJumpFns>]> = Arc::from(Vec::new());
+    let mut out = live.clone();
+    for &caller in callers {
+        let (sites, quar, charges) = caller_unit(
+            mcfg, cg, layout, config, symbolics, caller, false, &none, gov,
+        );
+        if quar || charges.is_none() {
+            return None;
+        }
+        out.sites.set(caller, sites);
+        txn.log_fwd_charges(caller, charges);
+    }
+    Some(out)
 }
 
 /// Builds the jump functions for every call site of one caller — the unit
@@ -389,7 +448,7 @@ fn build_caller_jump_fns(
     cg: &CallGraph,
     layout: &SlotLayout,
     config: &Config,
-    symbolics: &[Option<Arc<ProcSymbolic>>],
+    symbolics: &Table<Option<Arc<ProcSymbolic>>>,
     caller: usize,
     already_quarantined: bool,
     gov: &mut Governor,

@@ -27,7 +27,6 @@
 //! `bench_par`.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::panic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -163,29 +162,10 @@ impl Timings {
     }
 }
 
-/// Marker wrapper making the per-unit result slots shareable across the
-/// round's participants. Each slot index is claimed by exactly one
-/// participant (the `fetch_add` ticket), so no slot is written twice.
-struct ResultSlots<'a, T>(&'a [UnsafeCell<Option<T>>]);
-
-// SAFETY: disjoint-index access only, guaranteed by the atomic ticket.
-unsafe impl<T: Send> Sync for ResultSlots<'_, T> {}
-
-impl<T> ResultSlots<'_, T> {
-    /// Fills slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i` must be claimed by exactly one participant per round (the
-    /// `fetch_add` ticket guarantees this), so the cell is unaliased.
-    unsafe fn fill(&self, i: usize, v: T) {
-        *self.0[i].get() = Some(v);
-    }
-}
-
-/// What one participant hands back from a round: its busy time, and the
-/// payload of the panic that stopped it, if one did.
-type Participation = (Duration, Option<Box<dyn Any + Send>>);
+/// What one participant hands back from a round: its busy time, the
+/// payload of the panic that stopped it, if one did, and the results of
+/// the units it ran, with their indices.
+type Participation<T> = (Duration, Option<Box<dyn Any + Send>>, Vec<(usize, T)>);
 
 /// A worker pool of `jobs` participants: the calling thread plus up to
 /// `jobs - 1` scoped workers, spawned for each [`Pool::run`] round and
@@ -236,24 +216,23 @@ impl Pool {
             return (results, PhaseTime::sequential(start.elapsed(), n));
         }
 
-        let slots: Vec<UnsafeCell<Option<T>>> = (0..n).map(|_| UnsafeCell::new(None)).collect();
-        let slots_ref = &ResultSlots(&slots);
+        // Each participant keeps the `(index, result)` pairs of the units
+        // it claimed from the atomic ticket; they are scattered into index
+        // order after the round joins.
         let next = AtomicUsize::new(0);
-        let participate = || -> Participation {
+        let participate = || -> Participation<T> {
             let t0 = Instant::now();
+            let mut done = Vec::new();
             let claimed = catch_unwind(AssertUnwindSafe(|| loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 if i >= n {
                     break;
                 }
-                let v = f(i);
-                // SAFETY: index `i` was claimed by exactly this participant
-                // (atomic ticket), so the slot is unaliased.
-                unsafe { slots_ref.fill(i, v) };
+                done.push((i, f(i)));
             }));
-            (t0.elapsed(), claimed.err())
+            (t0.elapsed(), claimed.err(), done)
         };
-        let outcomes: Vec<Participation> = std::thread::scope(|scope| {
+        let outcomes: Vec<Participation<T>> = std::thread::scope(|scope| {
             let workers: Vec<_> = (1..participants)
                 .map(|_| scope.spawn(participate))
                 .collect();
@@ -264,19 +243,27 @@ impl Pool {
             // all the same.
             outcomes.extend(workers.into_iter().map(|w| {
                 w.join()
-                    .unwrap_or_else(|payload| (Duration::ZERO, Some(payload)))
+                    .unwrap_or_else(|payload| (Duration::ZERO, Some(payload), Vec::new()))
             }));
             outcomes
         });
 
-        let busy = outcomes.iter().map(|(t, _)| *t).sum();
-        if let Some(payload) = outcomes.into_iter().find_map(|(_, p)| p) {
+        let busy = outcomes.iter().map(|(t, _, _)| *t).sum();
+        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
+        let mut payload = None;
+        for (_, p, done) in outcomes {
+            payload = payload.or(p);
+            for (i, v) in done {
+                slots[i] = Some(v);
+            }
+        }
+        if let Some(payload) = payload {
             panic::resume_unwind(payload);
         }
 
         let results: Vec<T> = slots
             .into_iter()
-            .map(|cell| match cell.into_inner() {
+            .map(|slot| match slot {
                 Some(v) => v,
                 // Unreachable: every index < n is claimed by exactly one
                 // participant, and a panicked claim re-raised above.

@@ -21,25 +21,32 @@
 use crate::config::{Config, Stage};
 use crate::error::IpcpError;
 use crate::health::{AnalysisHealth, Governor};
-use crate::jump::{build_forward_jump_fns_on, ForwardJumpFns, ProcSymbolic};
+use crate::jump::{
+    build_forward_jump_fns_cone, build_forward_jump_fns_on, ForwardJumpFns, ProcSymbolic,
+};
 use crate::par::{PhaseTime, Pool, Timings};
 use crate::quarantine::run_unit;
-use crate::retjump::{build_return_jfs_on, RetMarks, RetOracle, RetView, ReturnJumpFns};
-use crate::serve::cache::{
-    cacheable, CacheTxn, CachedSummary, Live, Lookup, Memo, MemoKeys, MemoLog, Reuse, Served,
-    SummaryStage,
+use crate::retjump::{
+    build_return_jfs_cone, build_return_jfs_on, RetCone, RetMarks, RetOracle, RetView,
+    ReturnJumpFns,
 };
-use crate::solver::{LiveSolve, ValSets};
+use crate::serve::cache::{
+    cacheable, CacheTxn, CachedSummary, Live, Lookup, Memo, MemoKeys, MemoLog, Reuse, RunPath,
+    Served, SummaryStage,
+};
+use crate::solver::{solve_cone, LiveSolve, ValSets};
 use crate::substitute::{self, Substitution, SubstitutionCounts};
 use ipcp_analysis::{
     build_call_graph, direct_effects, propagate_modref, CallGraph, ModRef, ModSet,
 };
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
+use ipcp_ir::Table;
 use ipcp_ssa::sccp::{CallDefLattice, OpaqueCallsLattice};
 use ipcp_ssa::ssa::{build_ssa, build_ssa_pruned, CallKills, ModKills, WorstCaseKills};
 use ipcp_ssa::symbolic::{CallDefEval, EvalBudget, OpaqueCalls};
 use ipcp_ssa::{Lattice, Seeds};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -235,7 +242,7 @@ pub struct Analysis {
     /// Per-procedure SSA + polynomial evaluation (reachable procedures).
     /// Each form is shared with serve's summary cache, which hands the
     /// same `Arc` to every later analysis its entry serves.
-    pub symbolics: Vec<Option<Arc<ProcSymbolic>>>,
+    pub symbolics: Table<Option<Arc<ProcSymbolic>>>,
     /// Forward jump functions for every reachable call site.
     pub jump_fns: ForwardJumpFns,
     /// The fixpoint `VAL` sets.
@@ -248,7 +255,7 @@ pub struct Analysis {
     /// exhausted its slice in some per-procedure phase, so its summaries
     /// were degraded to their sound worst case (jump functions ⊥, MOD/REF
     /// everything). Every other procedure kept full precision.
-    pub quarantined: Vec<bool>,
+    pub quarantined: Table<bool>,
     /// Per-stage wall-clock and worker-utilization accounting (summed
     /// across gating rounds). Purely observational: timings never feed
     /// back into results.
@@ -258,7 +265,8 @@ pub struct Analysis {
     pub(crate) memo_log: Option<MemoLog>,
     /// For a run that reused the live analysis, every procedure whose
     /// `VAL` row, symbolic form or callee return jump functions may differ
-    /// from the live run's, ascending (`None` for any other run).
+    /// from the live run's, ascending (`None` for any other run). A run
+    /// that visited only its cone lists every procedure it visited.
     pub(crate) touched: Option<Vec<usize>>,
 }
 
@@ -320,10 +328,269 @@ impl Analysis {
     ) -> Analysis {
         if !cacheable(config) {
             memo.txn.bypassed = true;
+            memo.txn.path = RunPath::Config;
             return Analysis::run(mcfg, config);
         }
-        let reuse = live.and_then(|live| Reuse::check(mcfg, config, memo.own, live));
+        let reuse = live.map_or(Err(RunPath::NoLog), |live| {
+            Reuse::check(mcfg, config, memo.own, live)
+        });
+        memo.txn.path = reuse.as_ref().map_or_else(|&path| path, |_| RunPath::Live);
+        let reuse = reuse.ok();
+        if let Some((analysis, txn)) = reuse
+            .as_ref()
+            .and_then(|r| Self::run_cone(mcfg, config, &memo, r))
+        {
+            let mut txn = txn;
+            txn.path = memo.txn.path;
+            *memo.txn = txn;
+            return analysis;
+        }
         Self::run_once(mcfg, config, None, Some((memo, reuse)))
+    }
+
+    /// The live path's common case: a run that visits only its cone. It
+    /// applies when the live analysis is regular — no degradation event,
+    /// so every reachable unit ran clean — and no panic injection or
+    /// deadline can make a unit's outcome depend on more than its inputs.
+    /// Every product starts as the live analysis's table; the stages visit
+    /// only the edited procedures, the procedures whose keys moved, and
+    /// what early cutoff reaches from them, and `set` their entries. The
+    /// units it does not visit are the live run's clean units under
+    /// unchanged keys: the plain path notes each as a hit and replays its
+    /// recorded charges, so the run's counters come from the live log's
+    /// tallies ([`CacheTxn::finish_cone`]) and their charges replay in one
+    /// batch with the visited units', through one
+    /// [`Governor::can_absorb`]. A trip condition is monotone in the
+    /// counter, so when the batch absorbs, no unit would have tripped in
+    /// sequential order either. `None` — the run then takes the per-unit
+    /// live path ([`Analysis::run_once`]), which reproduces the plain
+    /// path's trips — when a precondition fails, the propagated MOD/REF
+    /// moves, a visited unit does not come out clean, or the batch does
+    /// not absorb.
+    fn run_cone(
+        mcfg: &ModuleCfg,
+        config: &Config,
+        memo: &Memo<'_>,
+        reuse: &Reuse<'_>,
+    ) -> Option<(Analysis, CacheTxn)> {
+        let live = reuse.live;
+        let regular = live.health.events.is_empty()
+            && config.panic_injection.is_none()
+            && config.deadline.is_none();
+        let cg = Arc::clone(&live.cg);
+        let work = reuse
+            .solve_work()
+            .filter(|w| regular && w.len() == cg.sccs.len())?;
+        let t_run = Instant::now();
+        let (n_procs, layout) = (mcfg.module.procs.len(), Arc::clone(&reuse.layout));
+        let prev_log = reuse.log();
+        let mut txn = CacheTxn::new();
+        txn.start_cone(prev_log);
+        let memo_keys = MemoKeys::new(memo, mcfg, &cg, config, Some(reuse));
+        let keys = Some(&memo_keys);
+        // Every visited unit charges this governor; what the run did not
+        // visit is added before the one absorb check at the end.
+        let mut gov = Governor::new(config);
+        let mut timings = Timings {
+            jobs: config.effective_jobs(),
+            ..Timings::default()
+        };
+
+        // Stage 0: the edited procedures' direct effects; the live
+        // propagation stands when each equals the live one and binds the
+        // same variables by reference.
+        for &pi in reuse.edited() {
+            let (pair, quarantine, served) =
+                modref_unit(mcfg, config, keys, Some(reuse), pi, &mut gov);
+            let same = pair
+                .as_ref()
+                .is_none_or(|d| *d == reuse.live_direct_effects(pi));
+            if quarantine || !same || !reuse.same_bindings(mcfg, pi) {
+                return None;
+            }
+            txn.note_unit(pi, served);
+        }
+        timings.modref = PhaseTime::sequential(t_run.elapsed(), reuse.edited().len());
+        let modref = Arc::clone(&live.modref);
+        let mod_kills = ModKills(&modref);
+        let kills: &(dyn CallKills + Sync) = if config.use_mod {
+            &mod_kills
+        } else {
+            &WorstCaseKills
+        };
+
+        // Stage 1: return jump functions of the re-keyed procedures and of
+        // the callers of moved ones.
+        let quarantined = live.quarantined.clone();
+        let ret = match config.use_return_jfs {
+            true => build_return_jfs_cone(
+                mcfg,
+                &cg,
+                &layout,
+                kills,
+                config,
+                &quarantined,
+                &mut gov,
+                reuses_forms(config),
+                &memo_keys,
+                reuse,
+                &mut txn,
+                &memo_keys.moved,
+            )?,
+            false => RetCone {
+                table: live.ret_jfs.clone(),
+                forms: Vec::new(),
+                visited: Vec::new(),
+                ran: Vec::new(),
+                moved: Vec::new(),
+                time: PhaseTime::default(),
+            },
+        };
+        timings.retjump = ret.time;
+        // A form is stale when its unit ran or a callee's functions moved.
+        let mut stale = ret.ran.clone();
+        for &q in &ret.moved {
+            stale.extend(cg.calls_to(ProcId::from(q)).map(|e| e.caller.index()));
+        }
+        stale.sort_unstable();
+        stale.dedup();
+
+        // Stage 2: the forms of stale and re-keyed procedures, then the
+        // forward jump functions of the callers whose form moved.
+        let t2 = Instant::now();
+        let latch = Arc::clone(gov.latch());
+        let budget = EvalBudget {
+            max_steps: gov.limits().max_symbolic_steps,
+            deadline: None,
+            latch: Some(&latch),
+        };
+        let mut visit: Vec<usize> = stale.iter().chain(&memo_keys.moved).copied().collect();
+        visit.sort_unstable();
+        visit.dedup();
+        let mut kept: HashMap<usize, Box<KeptForm>> = ret.forms.into_iter().collect();
+        let mut symbolics = live.symbolics.clone();
+        let (mut reused, mut moved_forms) = (0, Vec::new());
+        for &pi in visit.iter().filter(|&&pi| cg.reachable[pi]) {
+            let live_form = live.symbolics[pi].as_ref().filter(|_| {
+                stale.binary_search(&pi).is_err() && reuse.clean(&memo_keys, SummaryStage::Jump, pi)
+            });
+            if let Some(ps) = live_form {
+                let served =
+                    reuse.served(&memo_keys, SummaryStage::Jump, pi, || CachedSummary::Jump {
+                        sym: Arc::clone(ps),
+                    });
+                txn.note_unit(pi, served);
+                continue;
+            }
+            let lookup = memo_keys.lookup(SummaryStage::Jump, pi);
+            let ps = match lookup.hit {
+                Some((CachedSummary::Jump { sym }, _)) => {
+                    txn.note_unit(pi, lookup.served_hit());
+                    Arc::clone(sym)
+                }
+                _ => {
+                    let unit = match kept.remove(&pi) {
+                        Some(form) => reuse_unit(config, pi, *form, &mut reused),
+                        None => run_unit(config, Stage::Jump, pi, || {
+                            build_proc_symbolic(
+                                mcfg, config, &layout, kills, &ret.table, None, pi, &budget,
+                            )
+                        }),
+                    };
+                    let Ok((form, false)) = unit else {
+                        return None;
+                    };
+                    let ps = Arc::new(form);
+                    let entry = CachedSummary::Jump {
+                        sym: Arc::clone(&ps),
+                    };
+                    txn.note_unit(pi, lookup.served_miss(Some(entry)));
+                    ps
+                }
+            };
+            if live.symbolics[pi]
+                .as_ref()
+                .is_none_or(|l| !Arc::ptr_eq(l, &ps))
+            {
+                moved_forms.push(pi);
+            }
+            symbolics.set(pi, Some(ps));
+        }
+        // An edited caller runs even with no form (unreachable): its
+        // sites follow its new call statements.
+        let mut callers: Vec<usize> = moved_forms.iter().chain(reuse.edited()).copied().collect();
+        callers.sort_unstable();
+        callers.dedup();
+        let jump_fns = build_forward_jump_fns_cone(
+            mcfg,
+            &cg,
+            &layout,
+            config,
+            &symbolics,
+            &mut gov,
+            &live.jump_fns,
+            &mut txn,
+            &callers,
+        )?;
+        timings.jump = PhaseTime::sequential(t2.elapsed(), visit.len());
+        timings.jump.reused = reused;
+
+        // Stage 3: re-solve from the callers whose functions moved.
+        let entry_globals = if config.assume_zero_globals {
+            Lattice::Const(0)
+        } else {
+            Lattice::Bottom
+        };
+        let live_solve = LiveSolve {
+            vals: &live.vals,
+            jump_fns: &live.jump_fns,
+            work,
+        };
+        let (solved, solver_unvisited) = solve_cone(
+            mcfg,
+            &cg,
+            &jump_fns,
+            entry_globals,
+            config,
+            &mut gov,
+            live_solve,
+            &callers,
+        )?;
+        timings.solve = solved.time;
+        txn.log_solve(solved.work);
+        let (memo_log, mut unvisited) = txn.finish_cone(memo_keys.keys, prev_log, n_procs)?;
+        let solver = Stage::ALL.iter().position(|&s| s == Stage::Solver)?;
+        unvisited[solver] += solver_unvisited;
+        gov.add_charges(&unvisited);
+        let mut master = Governor::new(config);
+        if gov.health.degraded() || !master.can_absorb(&gov) {
+            return None;
+        }
+        master.absorb_shard(gov);
+        // Every procedure the run visited, a superset of those whose row,
+        // form or callee functions moved: the tables differ from the live
+        // ones only in the chunks that hold one.
+        let mut touched = solved.rerun.unwrap_or_default();
+        touched.extend(visit.iter().chain(&ret.visited));
+        touched.sort_unstable();
+        touched.dedup();
+        timings.total = t_run.elapsed();
+        let analysis = Analysis {
+            config: *config,
+            cg,
+            modref,
+            layout,
+            ret_jfs: ret.table,
+            symbolics,
+            jump_fns,
+            vals: solved.vals,
+            health: master.into_health(),
+            quarantined,
+            timings,
+            memo_log: Some(memo_log),
+            touched: Some(touched),
+        };
+        Some((analysis, txn))
     }
 
     /// One pass of the four stages. Every per-procedure stage runs through
@@ -474,7 +741,7 @@ impl Analysis {
             (table, forms, marks)
         } else {
             let table = ReturnJumpFns {
-                fns: vec![None; n_procs],
+                fns: Table::filled(n_procs, None),
                 compose: false,
             };
             (table, vec![None; n_procs], RetMarks::default())
@@ -600,6 +867,7 @@ impl Analysis {
                 }
             },
         );
+        let symbolics: Table<_> = symbolics.into();
         let (jump_fns, pt_fwd) = build_forward_jump_fns_on(
             mcfg,
             &cg,
@@ -677,7 +945,7 @@ impl Analysis {
             jump_fns,
             vals,
             health: gov.into_health(),
-            quarantined,
+            quarantined: quarantined.into(),
             timings,
             memo_log,
             touched,

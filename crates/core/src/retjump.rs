@@ -28,11 +28,14 @@ use crate::serve::cache::{
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout, VarId};
+use ipcp_ir::Table;
 use ipcp_ssa::lattice::Lattice;
 use ipcp_ssa::poly::Poly;
 use ipcp_ssa::sccp::CallDefLattice;
 use ipcp_ssa::ssa::CallKills;
 use ipcp_ssa::symbolic::{CallActuals, CallDefEval, EvalBudget, RetTarget, SymVal};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,7 +49,7 @@ use std::time::Duration;
 #[derive(Clone, Debug, Default)]
 pub struct ReturnJumpFns {
     /// Per procedure, per entry slot (`None` for unreachable procedures).
-    pub fns: Vec<Option<Arc<[JumpFn]>>>,
+    pub fns: Table<Option<Arc<[JumpFn]>>>,
     /// Whether evaluation composes polynomials (extension) or applies the
     /// paper's constant-only limitation.
     pub compose: bool,
@@ -62,15 +65,16 @@ impl ReturnJumpFns {
 /// Where a [`RetOracle`] reads callee return jump functions: a whole
 /// [`ReturnJumpFns`] table, or a return-jump unit's view of one.
 pub trait RetTable {
-    /// The return jump function for `slot` of `proc`, if built yet.
-    fn ret_jf(&self, proc: ProcId, slot: usize) -> Option<&JumpFn>;
+    /// The return jump functions of `proc`, one per entry slot, if built
+    /// yet.
+    fn ret_fns(&self, proc: ProcId) -> Option<&[JumpFn]>;
     /// Whether evaluation composes polynomials (extension).
     fn compose(&self) -> bool;
 }
 
 impl RetTable for ReturnJumpFns {
-    fn ret_jf(&self, proc: ProcId, slot: usize) -> Option<&JumpFn> {
-        self.get(proc, slot)
+    fn ret_fns(&self, proc: ProcId) -> Option<&[JumpFn]> {
+        self.fns[proc.index()].as_deref()
     }
 
     fn compose(&self) -> bool {
@@ -116,11 +120,8 @@ fn same_fns(a: Option<&Arc<[JumpFn]>>, b: Option<&Arc<[JumpFn]>>) -> bool {
 }
 
 impl RetTable for RetView<'_> {
-    fn ret_jf(&self, proc: ProcId, slot: usize) -> Option<&JumpFn> {
-        self.table.get(proc, slot).or_else(|| {
-            let (_, fns) = self.fresh.iter().find(|(q, _)| *q == proc)?;
-            fns.get(slot)
-        })
+    fn ret_fns(&self, proc: ProcId) -> Option<&[JumpFn]> {
+        self.fns(proc).map(|fns| &**fns)
     }
 
     fn compose(&self) -> bool {
@@ -141,13 +142,18 @@ pub struct RetOracle<'a, T: ?Sized = ReturnJumpFns> {
 }
 
 impl<T: RetTable + ?Sized> RetOracle<'_, T> {
-    fn jf_for(&self, callee: ProcId, target: RetTarget) -> Option<&JumpFn> {
-        let arity = self.mcfg.module.proc(callee).arity();
+    /// The function `callee`'s entry binds to `target`, and `callee`'s
+    /// arity — read off the entry, which holds one function per formal
+    /// and then one per scalar global — or `None` when the table holds no
+    /// entry for `callee` or no slot for `target`.
+    fn jf_for(&self, callee: ProcId, target: RetTarget) -> Option<(&JumpFn, usize)> {
+        let fns = self.table.ret_fns(callee)?;
+        let arity = fns.len().saturating_sub(self.layout.scalar_globals.len());
         let slot = match target {
             RetTarget::Formal(i) => (i < arity).then_some(i),
             RetTarget::Global(g) => self.layout.global_slot(arity, g),
         };
-        self.table.ret_jf(callee, slot?)
+        Some((fns.get(slot?)?, arity))
     }
 
     /// The value of callee entry slot `v` at the call, over the caller's
@@ -164,10 +170,9 @@ impl<T: RetTable + ?Sized> CallDefEval for RetOracle<'_, T> {
         target: RetTarget,
         actuals: &CallActuals<'_, SymVal>,
     ) -> SymVal {
-        let Some(jf) = self.jf_for(callee, target) else {
+        let Some((jf, arity)) = self.jf_for(callee, target) else {
             return SymVal::Bottom;
         };
-        let arity = self.mcfg.module.proc(callee).arity();
         match jf {
             JumpFn::Bottom => SymVal::Bottom,
             JumpFn::Const(c) => SymVal::constant(*c),
@@ -222,10 +227,9 @@ impl<T: RetTable + ?Sized> CallDefLattice for RetOracle<'_, T> {
         target: RetTarget,
         actuals: &CallActuals<'_, Lattice>,
     ) -> Lattice {
-        let Some(jf) = self.jf_for(callee, target) else {
+        let Some((jf, arity)) = self.jf_for(callee, target) else {
             return Lattice::Bottom;
         };
-        let arity = self.mcfg.module.proc(callee).arity();
         jf.eval(|s| {
             actuals
                 .slot(arity, s as usize)
@@ -341,14 +345,14 @@ pub(crate) fn build_return_jfs_on(
         layout,
         kills,
         config,
-        before: quarantined.to_vec(),
+        before: quarantined.to_vec().into(),
         keep,
         memo,
         mod_tainted,
         reuse: reuse.filter(|_| memo.is_some()),
     };
     let empty = || ReturnJumpFns {
-        fns: vec![None; n_procs],
+        fns: Table::filled(n_procs, None),
         compose: config.compose_return_jfs,
     };
 
@@ -481,6 +485,118 @@ pub(crate) fn build_return_jfs_on(
     (table, forms, time, marks)
 }
 
+/// What the return-jump stage of a run that visits only its cone hands
+/// on: the table, the forms its units kept, the members of the SCCs it
+/// visited, those whose unit ran rather than reusing its live functions,
+/// and those whose functions moved from the live run's, each ascending.
+#[derive(Debug)]
+pub(crate) struct RetCone {
+    pub(crate) table: ReturnJumpFns,
+    pub(crate) forms: Vec<(usize, Box<KeptForm>)>,
+    pub(crate) visited: Vec<usize>,
+    pub(crate) ran: Vec<usize>,
+    pub(crate) moved: Vec<usize>,
+    pub(crate) time: PhaseTime,
+}
+
+/// The return-jump stage of a run that visits only its cone: starting
+/// from the live table, it runs the SCCs holding a procedure of `start`
+/// (the procedures whose keys moved) and, by early cutoff, every SCC that
+/// calls a procedure whose functions moved, bottom-up; every other
+/// procedure keeps its live functions and is not visited. Each visited
+/// SCC runs as [`build_return_jfs_on`] runs it, against `gov`, and notes
+/// its units in `txn` in SCC order. `None` when a unit came out degraded,
+/// which only the per-unit path reproduces.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn build_return_jfs_cone(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    layout: &SlotLayout,
+    kills: &(dyn CallKills + Sync),
+    config: &Config,
+    quarantined: &Table<bool>,
+    gov: &mut Governor,
+    keep: bool,
+    memo: &MemoKeys<'_>,
+    reuse: &Reuse<'_>,
+    txn: &mut CacheTxn,
+    start: &[usize],
+) -> Option<RetCone> {
+    let t0 = std::time::Instant::now();
+    let stage = RetStage {
+        mcfg,
+        cg,
+        layout,
+        kills,
+        config,
+        before: quarantined.clone(),
+        keep,
+        memo: Some(memo),
+        mod_tainted: &[],
+        reuse: Some(reuse),
+    };
+    let live = &reuse.live.ret_jfs.fns;
+    let mut table = ReturnJumpFns {
+        fns: live.clone(),
+        compose: config.compose_return_jfs,
+    };
+    let (mut forms, mut visited) = (Vec::new(), Vec::new());
+    let (mut ran, mut moved) = (Vec::new(), Vec::new());
+    let mut todo: BinaryHeap<Reverse<usize>> =
+        start.iter().map(|&p| Reverse(cg.scc_of[p])).collect();
+    let (mut last, mut units) = (None, 0);
+    while let Some(Reverse(si)) = todo.pop() {
+        let members = &cg.sccs[si];
+        if last.replace(si) == Some(si) || !members.first().is_some_and(|p| cg.reachable[p.index()])
+        {
+            continue;
+        }
+        units += 1;
+        // As in the bottom-up walk, a unit sees no entry of its own SCC
+        // but the fresh ones of the members before it.
+        for &p in members {
+            table.fns.set(p.index(), None);
+            visited.push(p.index());
+        }
+        let outs = stage.scc_unit(si, &table, false, gov);
+        for (out, &p) in outs.into_iter().zip(members) {
+            let pi = p.index();
+            if out.bad || out.newly_quarantined {
+                return None;
+            }
+            if !out.reused {
+                ran.push(pi);
+            }
+            if !same_fns(Some(&out.fns), live[pi].as_ref()) {
+                moved.push(pi);
+                todo.extend(
+                    cg.calls_to(p)
+                        .map(|e| cg.scc_of[e.caller.index()])
+                        .filter(|&cs| cs != si)
+                        .map(Reverse),
+                );
+            }
+            table.fns.set(pi, Some(out.fns));
+            if let Some(form) = out.form {
+                forms.push((pi, form));
+            }
+            txn.log_ret_charges(pi, out.charges);
+            txn.note_unit(pi, out.served);
+        }
+    }
+    visited.sort_unstable();
+    ran.sort_unstable();
+    moved.sort_unstable();
+    Some(RetCone {
+        table,
+        forms,
+        visited,
+        ran,
+        moved,
+        time: PhaseTime::sequential(t0.elapsed(), units),
+    })
+}
+
 /// What the return-jump stage tells the symbolic stage, per procedure.
 #[derive(Debug, Default)]
 pub(crate) struct RetMarks {
@@ -572,7 +688,7 @@ struct RetStage<'a> {
     kills: &'a (dyn CallKills + Sync),
     config: &'a Config,
     /// Quarantine flags as the stage found them.
-    before: Vec<bool>,
+    before: Table<bool>,
     keep: bool,
     memo: Option<&'a MemoKeys<'a>>,
     /// `mod_tainted[p]`: a callee's MOD set was widened by a degraded
@@ -1121,7 +1237,7 @@ mod tests {
         let h = layout
             .global_slot(0, ipcp_ir::program::GlobalId(1))
             .unwrap();
-        let tables: Vec<Vec<Option<Arc<[JumpFn]>>>> = [1, 4]
+        let tables: Vec<Table<Option<Arc<[JumpFn]>>>> = [1, 4]
             .into_iter()
             .map(|jobs| {
                 let mut quarantined = vec![false; m.module.procs.len()];

@@ -75,31 +75,53 @@
 //!
 //! **Live-analysis reuse.** A base-configuration run also gets the live
 //! `(ModuleCfg, Analysis, own hashes)` (`Live`), and the pipeline
-//! shares each stage's product by `Arc` while that stage's inputs are
-//! unchanged (`Reuse`). The preconditions: the live analysis was
-//! memoized under this configuration, the program shape is the same, and
-//! every edited procedure (own hash moved) has exactly its live call
-//! edges. Then the call graph is shared, and the slot layout unless an
-//! edit renamed a formal; keys are rehashed for the edited cone only;
-//! the propagated MOD/REF is shared when every recomputed direct effect
-//! equals the live one and every edited procedure binds the same
-//! variables by reference at its call sites; return jump functions and
-//! kept forms are shared for every procedure outside the *dirty set*;
-//! and forward jump functions for every caller whose form `Arc` did not
-//! move. The dirty set starts at the edited procedures, the units a
+//! shares each stage's product while that stage's inputs are unchanged
+//! (`Reuse`). The preconditions (`Reuse::check`, which names the one
+//! that fails as the run's [`RunPath`]): the live analysis was memoized
+//! under this configuration, the program shape is the same, and every
+//! edited procedure (own hash moved) has exactly its live call edges —
+//! checked over the table chunks the new module and hashes do not share
+//! with the live ones. Then the call graph is shared, and the slot layout
+//! unless an edit renamed a formal; keys are rehashed for the SCCs above
+//! the edits only ([`ipcp_analysis::rekey`]); the propagated MOD/REF is
+//! shared when every recomputed direct effect equals the live one and
+//! every edited procedure binds the same variables by reference at its
+//! call sites; return jump functions and kept forms are shared for every
+//! procedure outside the *dirty set*; and forward jump functions for
+//! every caller whose form `Arc` did not move. The dirty set starts at
+//! the edited procedures (and, on the per-unit path below, the units a
 //! panic injection forces, the units the live run degraded or
-//! quarantined, and tainted units; it climbs to a caller only while some
-//! callee's return jump functions actually changed (early cutoff). The
-//! return-jump stage decides this per unit inside its levelled walk, so
-//! the dirty cone still runs ahead on workers. A reused unit is a memo hit to every
-//! contract: the charges the live run recorded for it (`MemoLog`)
-//! replay in sequential unit order through `can_absorb`, and a trip runs
-//! the unit live; an unchanged key is noted as a hit on the entry the
-//! live run left; a moved key hits the cache or, when absent, stages the
-//! live result under the new key ([`CacheStats::carried`]). If a
-//! precondition fails the run is the plain memoized path, and if the
-//! propagated MOD/REF moves, so are the stages after it: counters,
-//! cache contents and [`same_results`] are the plain path's either way.
+//! quarantined, and tainted units); it climbs to a caller only while
+//! some callee's return jump functions actually changed (early cutoff).
+//! A reused unit is a memo hit to every contract: an unchanged key is
+//! noted as a hit on the entry the live run left; a moved key hits the
+//! cache or, when absent, stages the live result under the new key
+//! ([`CacheStats::carried`]).
+//!
+//! Every table of the analysis and of its memo log is a chunked
+//! copy-on-write [`Table`], so a run that reuses the live analysis
+//! normally *visits only its cone*
+//! ([`Analysis::run_memoized_on`](crate::Analysis)'s cone path): it
+//! starts from the live tables, and each stage visits and `set`s only
+//! the edited procedures, those whose keys moved, and what early cutoff
+//! reaches. **The tally rule** accounts for the rest: a unit it does not
+//! visit is the live run's clean unit under an unchanged key, which the
+//! plain path notes as a hit and whose recorded charges it replays. So
+//! the counters are the live log's per-family `Tally` less the
+//! visited units' share plus what they noted
+//! (`CacheTxn::finish_cone`), the pins move for the visited units
+//! only, and every charge replays as one batch through one
+//! `can_absorb` — trip conditions are monotone in the counter, so a batch
+//! that absorbs trips nowhere in sequential order either. That needs a
+//! regular live run (no degradation event, so every reachable unit ran
+//! clean) and no panic injection or deadline. Otherwise — or when a
+//! visited unit does not come out clean or the batch does not absorb —
+//! the run takes the *per-unit path*: every stage walks every procedure,
+//! and a reused unit's recorded charges replay in sequential unit order
+//! through `can_absorb`, a trip running the unit live. If a precondition
+//! fails the run is the plain memoized path, and if the propagated
+//! MOD/REF moves, so are the stages after it: counters, cache contents
+//! and [`same_results`] are the plain path's either way.
 //!
 //! **Pinning.** Every key a *live* request looked up — one whose analysis
 //! is, or equals, the engine's current one: boot, `update`, `load`, and
@@ -113,21 +135,21 @@
 //!
 //! The bound ([`SummaryCache::with_capacity`]) counts only *superseded*
 //! entries — those the live program no longer looks up — and evicts the
-//! oldest of them first: admission control bounds the request queue,
-//! this bounds the memory a long-lived daemon accretes on top of the
-//! live program.
+//! oldest of them first (they are kept ordered by insertion, so an
+//! eviction visits only what it evicts): admission control bounds the
+//! request queue, this bounds the memory a long-lived daemon accretes on
+//! top of the live program.
 
 use crate::config::{Config, PanicInjection, Stage};
 use crate::jump::ProcSymbolic;
 use crate::solver::SccWork;
 use crate::{Analysis, JumpFn};
-use ipcp_analysis::{
-    calls_from, ref_bindings, summary_keys, update_summary_keys, CallGraph, ModSet, SummaryKeys,
-};
+use ipcp_analysis::{calls_from, ref_bindings, rekey, summary_keys, CallGraph, ConeKeys, ModSet};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::Fnv128;
 use ipcp_ir::program::{ProcId, SlotLayout};
-use std::collections::{HashMap, VecDeque};
+use ipcp_ir::Table;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Recorded per-stage governor charges, in [`Stage::ALL`] order.
@@ -238,27 +260,35 @@ impl CacheStats {
     }
 }
 
-/// One live entry: the summary plus whether it was restored from a
-/// persisted store (rather than computed by this process) — restored
-/// entries are counted separately on a hit so the payoff of persistence
-/// is observable.
+/// One live entry: the summary, whether it was restored from a persisted
+/// store (rather than computed by this process) — restored entries are
+/// counted separately on a hit so the payoff of persistence is
+/// observable — and its insertion sequence number, its FIFO position.
 #[derive(Debug)]
 struct CacheEntry {
     summary: CachedSummary,
     recovered: bool,
+    seq: u64,
 }
 
 /// The daemon-lifetime summary cache. See the module docs.
 #[derive(Debug)]
 pub struct SummaryCache {
     entries: HashMap<CacheKey, CacheEntry>,
-    order: VecDeque<CacheKey>,
+    /// Insertions in FIFO order, by sequence number. A position whose
+    /// entry was evicted (or evicted and inserted again, later) is stale
+    /// and skipped; stale positions are dropped once they outnumber the
+    /// live ones.
+    order: VecDeque<(u64, CacheKey)>,
+    next_seq: u64,
     /// Every key the latest live request looked up: the entries the
     /// current program uses, which eviction never touches.
     pinned: PinSet,
-    /// Entries whose key is not pinned — what the bound counts, kept
-    /// current by every insert, pin move and eviction.
-    unpinned: usize,
+    /// The entries whose key is not pinned, by sequence number — what the
+    /// bound counts and evicts oldest first, kept current by every
+    /// insert, pin move and eviction, so an eviction visits only what it
+    /// evicts.
+    unpinned: BTreeMap<u64, CacheKey>,
     capacity: usize,
     stats: CacheStats,
 }
@@ -311,8 +341,9 @@ impl SummaryCache {
         SummaryCache {
             entries: HashMap::new(),
             order: VecDeque::new(),
+            next_seq: 0,
             pinned: PinSet::default(),
-            unpinned: 0,
+            unpinned: BTreeMap::new(),
             capacity: capacity.max(1),
             stats: CacheStats::default(),
         }
@@ -355,13 +386,7 @@ impl SummaryCache {
     pub fn restore(entries: Vec<(CacheKey, CachedSummary)>, capacity: usize) -> SummaryCache {
         let mut cache = SummaryCache::with_capacity(capacity);
         for (key, summary) in entries {
-            cache.insert_entry(
-                key,
-                CacheEntry {
-                    summary,
-                    recovered: true,
-                },
-            );
+            cache.insert_entry(key, summary, true);
         }
         cache.stats = CacheStats {
             recovered: cache.entries.len() as u64,
@@ -373,58 +398,64 @@ impl SummaryCache {
     /// The live entries in FIFO (insertion) order — the order a snapshot
     /// persists, so restore + re-encode is byte-identical.
     pub fn iter_fifo(&self) -> impl Iterator<Item = (CacheKey, &CachedSummary)> {
-        self.order
-            .iter()
-            .filter_map(|k| self.entries.get(k).map(|e| (*k, &e.summary)))
+        self.order.iter().filter_map(|&(seq, k)| {
+            let e = self.entries.get(&k).filter(|e| e.seq == seq)?;
+            Some((k, &e.summary))
+        })
     }
 
-    fn insert(&mut self, key: CacheKey, value: CachedSummary) {
-        self.insert_entry(
-            key,
-            CacheEntry {
-                summary: value,
-                recovered: false,
-            },
-        );
-    }
-
-    fn insert_entry(&mut self, key: CacheKey, entry: CacheEntry) {
-        if self.entries.insert(key, entry).is_none() {
-            self.order.push_back(key);
-            self.unpinned += usize::from(!self.pinned.contains(&key));
+    /// Inserts an entry; a key already present keeps its FIFO position.
+    fn insert_entry(&mut self, key: CacheKey, summary: CachedSummary, recovered: bool) {
+        if let Some(e) = self.entries.get_mut(&key) {
+            e.summary = summary;
+            e.recovered = recovered;
+            return;
+        }
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let entry = CacheEntry {
+            summary,
+            recovered,
+            seq,
+        };
+        self.entries.insert(key, entry);
+        self.order.push_back((seq, key));
+        if !self.pinned.contains(&key) {
+            self.unpinned.insert(seq, key);
         }
     }
 
     fn pin(&mut self, key: CacheKey) {
-        if self.pinned.pin(key) && self.entries.contains_key(&key) {
-            self.unpinned -= 1;
+        if self.pinned.pin(key) {
+            if let Some(e) = self.entries.get(&key) {
+                self.unpinned.remove(&e.seq);
+            }
         }
     }
 
     fn unpin(&mut self, key: CacheKey) {
-        if self.pinned.unpin(key) && self.entries.contains_key(&key) {
-            self.unpinned += 1;
+        if self.pinned.unpin(key) {
+            if let Some(e) = self.entries.get(&key) {
+                self.unpinned.insert(e.seq, key);
+            }
         }
     }
 
     /// Evicts the oldest unpinned entries until at most `capacity` are
     /// left, keeping the FIFO order of the rest.
     fn evict(&mut self) {
-        let mut excess = self.unpinned.saturating_sub(self.capacity);
-        if excess == 0 {
-            return;
+        while self.unpinned.len() > self.capacity {
+            let Some((_, key)) = self.unpinned.pop_first() else {
+                break;
+            };
+            self.entries.remove(&key);
+            self.stats.evictions += 1;
         }
-        self.unpinned -= excess;
-        let (entries, stats) = (&mut self.entries, &mut self.stats);
-        self.order.retain(|k| {
-            if excess == 0 || self.pinned.contains(k) {
-                return true;
-            }
-            entries.remove(k);
-            stats.evictions += 1;
-            excess -= 1;
-            false
-        });
+        if self.order.len() > 2 * self.entries.len() + 64 {
+            let entries = &self.entries;
+            self.order
+                .retain(|(seq, k)| entries.get(k).is_some_and(|e| e.seq == *seq));
+        }
     }
 
     /// Commits a completed request's transaction: staged inserts land,
@@ -448,7 +479,7 @@ impl SummaryCache {
 
     fn commit_with(&mut self, txn: CacheTxn, live: bool) {
         for (key, value) in txn.staged {
-            self.insert(key, value);
+            self.insert_entry(key, value, false);
         }
         if live {
             match txn.repin {
@@ -458,7 +489,7 @@ impl SummaryCache {
                 }
                 None => {
                     self.pinned = PinSet::default();
-                    self.unpinned = self.entries.len();
+                    self.unpinned = self.entries.iter().map(|(&k, e)| (e.seq, k)).collect();
                     txn.looked_up.into_iter().for_each(|k| self.pin(k));
                 }
             }
@@ -504,6 +535,18 @@ pub struct CacheTxn {
     pub persisted_hits: u64,
     /// Whether this request's configuration bypassed the cache.
     pub bypassed: bool,
+    /// Which path the run took.
+    pub path: RunPath,
+    /// For a run that visits only its cone, the units it noted.
+    cone: Option<Visits>,
+}
+
+/// The units a run that visits only its cone noted: per family, and the
+/// callers whose forward-jump unit it ran.
+#[derive(Debug, Default)]
+struct Visits {
+    noted: [Vec<usize>; 3],
+    fwd: Vec<usize>,
 }
 
 /// The pin moves of a run that reused the live analysis.
@@ -558,7 +601,10 @@ impl CacheTxn {
     /// run's memo log.
     pub(crate) fn note_unit(&mut self, pi: usize, served: Served) {
         if let (Some(log), Some((family, note))) = (self.log.as_mut(), Note::of(&served)) {
-            log.notes[family.index()][pi] = note;
+            log.notes[family.index()].set(pi, note);
+            if let Some(cone) = self.cone.as_mut() {
+                cone.noted[family.index()].push(pi);
+            }
         }
         self.note(served);
     }
@@ -576,17 +622,83 @@ impl CacheTxn {
     pub(crate) fn finish_log(&mut self, keys: KeySet, prev: Option<&MemoLog>) -> Option<MemoLog> {
         let mut log = self.log.take()?;
         log.keys = keys;
+        log.tally = Tally::of(&log);
         if let (Some(repin), Some(prev)) = (self.repin.as_mut(), prev) {
-            *repin = log.repin(prev);
+            *repin = log.repin(prev, 0..log.notes[0].len());
         }
         Some(log)
+    }
+
+    /// Starts a run that visits only its cone: its memo log starts as
+    /// `prev`'s, the live analysis's, and only the units it notes move.
+    pub(crate) fn start_cone(&mut self, prev: &MemoLog) {
+        self.log = Some(prev.clone());
+        self.repin = Some(Repin::default());
+        self.cone = Some(Visits::default());
+    }
+
+    /// Ends a run that visits only its cone. Every unit it did not note is
+    /// the live run's clean unit with an unchanged key, which the plain
+    /// path notes as a hit: the counters add those from `prev`'s tally,
+    /// less the units the run noted. The log's tally moves by the noted
+    /// units, and so do the pins. Returns the log and the charges the
+    /// units it did not visit make, which the caller replays in one batch:
+    /// one per MOD/REF unit of the `n_procs` it did not note, and the
+    /// recorded return-jump and forward-jump charges of the rest.
+    pub(crate) fn finish_cone(
+        &mut self,
+        keys: KeySet,
+        prev: &MemoLog,
+        n_procs: usize,
+    ) -> Option<(MemoLog, Charges)> {
+        let (mut log, cone) = (self.log.take()?, self.cone.take()?);
+        log.keys = keys;
+        let mut unvisited = Charges::default();
+        for family in SummaryStage::ALL {
+            let f = family.index();
+            let (mut clean, mut recovered) = (prev.tally.clean[f], prev.tally.recovered[f]);
+            for &pi in &cone.noted[f] {
+                let was = prev.notes[f][pi];
+                if let Note::Clean { recovered: r } = was {
+                    clean -= 1;
+                    recovered -= u64::from(r);
+                }
+                log.tally.note(family, was, -1);
+                log.tally.note(family, log.notes[f][pi], 1);
+            }
+            self.hits += clean;
+            self.persisted_hits += recovered;
+        }
+        let stage = |s: Stage| Stage::ALL.iter().position(|&t| t == s).unwrap_or(0);
+        unvisited[stage(Stage::ModRef)] =
+            (n_procs - cone.noted[SummaryStage::ModRef.index()].len()) as u64;
+        let mut ret = prev.tally.ret;
+        for &pi in &cone.noted[SummaryStage::RetJump.index()] {
+            add(&mut ret, &prev.ret_charges[pi], -1);
+            add(&mut log.tally.ret, &prev.ret_charges[pi], -1);
+            add(&mut log.tally.ret, &log.ret_charges[pi], 1);
+        }
+        let mut fwd = prev.tally.fwd;
+        for &pi in &cone.fwd {
+            let (was, now) = (&prev.fwd_charges[pi], &log.fwd_charges[pi]);
+            was.iter().for_each(|c| add(&mut fwd, c, -1));
+            was.iter().for_each(|c| add(&mut log.tally.fwd, c, -1));
+            now.iter().for_each(|c| add(&mut log.tally.fwd, c, 1));
+        }
+        add(&mut unvisited, &ret, 1);
+        add(&mut unvisited, &fwd, 1);
+        let mut units: Vec<usize> = cone.noted.concat();
+        units.sort_unstable();
+        units.dedup();
+        self.repin = Some(log.repin(prev, units.into_iter()));
+        Some((log, unvisited))
     }
 
     /// Records the governor charges of procedure `pi`'s clean
     /// return-jump unit in the run's memo log.
     pub(crate) fn log_ret_charges(&mut self, pi: usize, charges: Charges) {
         if let Some(log) = self.log.as_mut() {
-            log.ret_charges[pi] = charges;
+            log.ret_charges.set(pi, charges);
         }
     }
 
@@ -601,7 +713,10 @@ impl CacheTxn {
     /// the run's memo log — `None` when the unit did not run clean.
     pub(crate) fn log_fwd_charges(&mut self, pi: usize, charges: Option<Charges>) {
         if let Some(log) = self.log.as_mut() {
-            log.fwd_charges[pi] = charges;
+            log.fwd_charges.set(pi, charges);
+            if let Some(cone) = self.cone.as_mut() {
+                cone.fwd.push(pi);
+            }
         }
     }
 }
@@ -616,7 +731,7 @@ pub struct Memo<'a> {
     /// The cache units read.
     pub cache: &'a SummaryCache,
     /// `own[i]`: content hash of procedure `i`'s normalized text.
-    pub own: &'a [u128],
+    pub own: &'a Table<u128>,
     /// Where the request's outcome stages, for the engine to commit.
     pub txn: &'a mut CacheTxn,
 }
@@ -700,30 +815,98 @@ impl Note {
 /// the same program shape to reuse ([`Reuse`]): its keys, how each unit of
 /// each family was served, and the governor charges of its clean
 /// return-jump and forward-jump units, replayed when those units are
-/// reused.
-#[derive(Debug)]
+/// reused. Every table is a chunked copy-on-write [`Table`], so a run that
+/// reuses the live log copies only the chunks of the units it visits; the
+/// [`Tally`] sums what a visit adjusts.
+#[derive(Clone, Debug)]
 pub(crate) struct MemoLog {
     keys: KeySet,
     /// `notes[family][p]`, families in [`SummaryStage`] order.
-    notes: [Vec<Note>; 3],
+    notes: [Table<Note>; 3],
     /// Per procedure: the charges of its clean return-jump unit.
-    ret_charges: Vec<Charges>,
+    ret_charges: Table<Charges>,
     /// Per caller: the charges of its forward-jump unit, when it ran clean
     /// on a caller no earlier stage quarantined.
-    fwd_charges: Vec<Option<Charges>>,
+    fwd_charges: Table<Option<Charges>>,
     /// Per SCC: the `meets` and `iterations` its solver unit added.
     solve: SccWork,
+    tally: Tally,
+}
+
+/// Sums over a [`MemoLog`]'s tables: what the units a run does not visit
+/// contribute to its counters and its governor, by subtraction.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Tally {
+    /// Per family: units noted `Clean`, and of those, restored ones.
+    clean: [u64; 3],
+    recovered: [u64; 3],
+    /// Summed recorded return-jump and forward-jump charges.
+    ret: Charges,
+    fwd: Charges,
+}
+
+impl Tally {
+    fn of(log: &MemoLog) -> Tally {
+        let mut t = Tally::default();
+        for family in SummaryStage::ALL {
+            for note in &log.notes[family.index()] {
+                t.note(family, *note, 1);
+            }
+        }
+        log.ret_charges.iter().for_each(|c| add(&mut t.ret, c, 1));
+        log.fwd_charges
+            .iter()
+            .flatten()
+            .for_each(|c| add(&mut t.fwd, c, 1));
+        t
+    }
+
+    /// Counts `note` in `family` `sign` times (`-1` takes it out).
+    fn note(&mut self, family: SummaryStage, note: Note, sign: i64) {
+        if let Note::Clean { recovered } = note {
+            let f = family.index();
+            self.clean[f] = self.clean[f].wrapping_add_signed(sign);
+            self.recovered[f] = self.recovered[f].wrapping_add_signed(sign * i64::from(recovered));
+        }
+    }
+}
+
+/// `acc += sign * c`, stage by stage.
+fn add(acc: &mut Charges, c: &Charges, sign: i64) {
+    for (a, &c) in acc.iter_mut().zip(c) {
+        *a = a.wrapping_add_signed(sign * c as i64);
+    }
 }
 
 impl MemoLog {
     fn new(n_procs: usize) -> MemoLog {
         MemoLog {
             keys: KeySet::default(),
-            notes: std::array::from_fn(|_| vec![Note::Skipped; n_procs]),
-            ret_charges: vec![Charges::default(); n_procs],
-            fwd_charges: vec![None; n_procs],
+            notes: std::array::from_fn(|_| Table::filled(n_procs, Note::Skipped)),
+            ret_charges: Table::filled(n_procs, Charges::default()),
+            fwd_charges: Table::filled(n_procs, None),
             solve: SccWork::new(),
+            tally: Tally::default(),
         }
+    }
+
+    /// Every table of the log and its keys: name, whether it is indexed by
+    /// SCC (rather than by procedure), and its chunk addresses.
+    pub(crate) fn chunk_tables(&self) -> Vec<(&'static str, bool, Vec<usize>)> {
+        let k = &self.keys;
+        vec![
+            ("memo.notes.modref", false, self.notes[0].chunk_addrs()),
+            ("memo.notes.retjump", false, self.notes[1].chunk_addrs()),
+            ("memo.notes.jump", false, self.notes[2].chunk_addrs()),
+            ("memo.ret_charges", false, self.ret_charges.chunk_addrs()),
+            ("memo.fwd_charges", false, self.fwd_charges.chunk_addrs()),
+            ("memo.solve", true, self.solve.chunk_addrs()),
+            ("keys.own", false, k.own.chunk_addrs()),
+            ("keys.cone", false, k.cone.chunk_addrs()),
+            ("keys.scc_cone", true, k.scc_cone.chunk_addrs()),
+            ("keys.own_digests", false, k.digests[0].chunk_addrs()),
+            ("keys.cone_digests", false, k.digests[1].chunk_addrs()),
+        ]
     }
 
     /// Unit `(family, pi)`'s cache key, if the run looked it up.
@@ -732,12 +915,12 @@ impl MemoLog {
     }
 
     /// The pins that move from `prev`'s run to this one: the looked-up
-    /// keys of every unit whose key or lookup changed.
-    fn repin(&self, prev: &MemoLog) -> Repin {
+    /// keys of every unit among `units` whose key or lookup changed.
+    fn repin(&self, prev: &MemoLog, units: impl Iterator<Item = usize> + Clone) -> Repin {
         let mut repin = Repin::default();
         for family in SummaryStage::ALL {
             let f = family.index();
-            for pi in 0..self.notes[f].len() {
+            for pi in units.clone() {
                 let looked = |log: &MemoLog| log.notes[f][pi] != Note::Skipped;
                 if looked(self) == looked(prev)
                     && self.keys.digest(family, pi) == prev.keys.digest(family, pi)
@@ -752,52 +935,59 @@ impl MemoLog {
     }
 }
 
-/// Every unit's key material for one program: the summary keys, the
-/// shape fingerprint, and each unit's digest (content mixed with the
-/// shape) — MOD/REF by the procedure's own text, the other families by
-/// its callee cone.
-#[derive(Debug, Default)]
+/// Every unit's key material for one program: the own hashes, the cone
+/// hashes per procedure and per SCC, the shape fingerprint, and each
+/// unit's digest (content mixed with the shape) — MOD/REF by the
+/// procedure's own text, the other families by its callee cone.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct KeySet {
     pub(crate) shape: u128,
-    raw: Option<SummaryKeys>,
+    own: Table<u128>,
+    cone: Table<u128>,
+    scc_cone: Table<u128>,
     /// `[own-text digests, cone digests]`, per procedure.
-    digests: [Vec<u128>; 2],
+    digests: [Table<u128>; 2],
 }
 
 impl KeySet {
-    fn new(cg: &CallGraph, own: &[u128], shape: u128) -> KeySet {
-        let raw = summary_keys(cg, own);
+    fn new(cg: &CallGraph, own: &Table<u128>, shape: u128) -> KeySet {
+        let raw = summary_keys(cg, &own.to_vec());
         let digests = [&raw.own, &raw.cone].map(|c| c.iter().map(|&c| mix(shape, c)).collect());
         KeySet {
             shape,
-            raw: Some(raw),
+            own: own.clone(),
+            cone: raw.cone.into(),
+            scc_cone: raw.scc_cone.into(),
             digests,
         }
     }
 
     /// `prev`'s key set for the same shape and call graph with the own
-    /// hashes `own`: only the digests whose content moved are rehashed.
-    fn update(prev: &KeySet, cg: &CallGraph, own: &[u128]) -> KeySet {
-        let Some(prev_raw) = &prev.raw else {
-            return KeySet::new(cg, own, prev.shape);
+    /// hashes `own`, which differ from `prev`'s at `edited` only: only the
+    /// SCCs above the edits are rehashed ([`rekey`]). Also returns every
+    /// procedure whose own or cone digest moved, ascending.
+    fn update(
+        prev: &KeySet,
+        cg: &CallGraph,
+        own: &Table<u128>,
+        edited: &[usize],
+    ) -> (KeySet, Vec<usize>) {
+        let mut keys = KeySet {
+            own: own.clone(),
+            ..prev.clone()
         };
-        let raw = update_summary_keys(prev_raw, cg, own);
-        let mut digests = prev.digests.clone();
-        for (f, (new, old)) in [(&raw.own, &prev_raw.own), (&raw.cone, &prev_raw.cone)]
-            .into_iter()
-            .enumerate()
-        {
-            for (i, (&c, &o)) in new.iter().zip(old).enumerate() {
-                if c != o {
-                    digests[f][i] = mix(prev.shape, c);
-                }
-            }
+        for &p in edited {
+            keys.digests[0].set(p, mix(keys.shape, own[p]));
         }
-        KeySet {
-            shape: prev.shape,
-            raw: Some(raw),
-            digests,
-        }
+        let mut rekeyed = Rekeyed {
+            keys: &mut keys,
+            moved: edited.to_vec(),
+        };
+        rekey(cg, &mut rekeyed, edited);
+        let mut moved = rekeyed.moved;
+        moved.sort_unstable();
+        moved.dedup();
+        (keys, moved)
     }
 
     fn digest(&self, family: SummaryStage, pi: usize) -> u128 {
@@ -812,12 +1002,44 @@ impl KeySet {
     }
 }
 
+/// A [`KeySet`] being rekeyed, collecting the procedures whose cone
+/// digest moved.
+struct Rekeyed<'k> {
+    keys: &'k mut KeySet,
+    moved: Vec<usize>,
+}
+
+impl ConeKeys for Rekeyed<'_> {
+    fn own(&self, p: usize) -> u128 {
+        self.keys.own[p]
+    }
+
+    fn scc_cone(&self, si: usize) -> u128 {
+        self.keys.scc_cone[si]
+    }
+
+    fn set_scc_cone(&mut self, si: usize, hash: u128) {
+        self.keys.scc_cone.set(si, hash);
+    }
+
+    fn set_cone(&mut self, p: usize, hash: u128) {
+        if self.keys.cone[p] != hash {
+            self.keys.cone.set(p, hash);
+            self.keys.digests[1].set(p, mix(self.keys.shape, hash));
+            self.moved.push(p);
+        }
+    }
+}
+
 /// The read side of a memo: the cache and every unit's key. Units consult
 /// it from inside pool rounds, so it only ever reads.
 #[derive(Debug)]
 pub(crate) struct MemoKeys<'a> {
     cache: &'a SummaryCache,
     pub(crate) keys: KeySet,
+    /// For a run that reuses the live analysis, every procedure whose own
+    /// or cone digest moved, ascending.
+    pub(crate) moved: Vec<usize>,
     injection: Option<PanicInjection>,
 }
 
@@ -842,13 +1064,17 @@ impl<'a> MemoKeys<'a> {
         config: &Config,
         reuse: Option<&Reuse<'_>>,
     ) -> MemoKeys<'a> {
-        let keys = match reuse {
-            Some(r) => KeySet::update(&r.log.keys, cg, memo.own),
-            None => KeySet::new(cg, memo.own, shape_fingerprint(mcfg, config)),
+        let (keys, moved) = match reuse {
+            Some(r) => KeySet::update(&r.log.keys, cg, memo.own, &r.edited),
+            None => (
+                KeySet::new(cg, memo.own, shape_fingerprint(mcfg, config)),
+                Vec::new(),
+            ),
         };
         MemoKeys {
             cache: memo.cache,
             keys,
+            moved,
             injection: config.panic_injection,
         }
     }
@@ -888,7 +1114,49 @@ pub(crate) struct Live<'a> {
     /// The live analysis of `mcfg`.
     pub(crate) analysis: &'a Analysis,
     /// `own[i]`: content hash of live procedure `i`'s normalized text.
-    pub(crate) own: &'a [u128],
+    pub(crate) own: &'a Table<u128>,
+}
+
+/// Which path a memoized run took: the live path, which reuses the live
+/// analysis, or the plain memoized path, named by the precondition of the
+/// reuse check that failed.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum RunPath {
+    /// The run reused the live analysis.
+    Live,
+    /// The run's configuration is not the live analysis's (an override,
+    /// or a configuration that bypasses the cache).
+    Config,
+    /// There was no memoized live analysis: the boot run, or a live
+    /// analysis computed without the cache.
+    #[default]
+    NoLog,
+    /// The program shape moved: globals, or procedure names or arities.
+    Shape,
+    /// An edited procedure's call edges moved.
+    CallEdges,
+}
+
+impl RunPath {
+    /// Every path, in declaration order.
+    pub const ALL: [RunPath; 5] = [
+        RunPath::Live,
+        RunPath::Config,
+        RunPath::NoLog,
+        RunPath::Shape,
+        RunPath::CallEdges,
+    ];
+
+    /// Stable protocol label.
+    pub fn label(self) -> &'static str {
+        match self {
+            RunPath::Live => "live",
+            RunPath::Config => "config",
+            RunPath::NoLog => "no_log",
+            RunPath::Shape => "shape",
+            RunPath::CallEdges => "call_edges",
+        }
+    }
 }
 
 /// A run's license to reuse the live analysis stage by stage.
@@ -910,39 +1178,49 @@ pub(crate) struct Reuse<'a> {
     pub(crate) layout: Arc<SlotLayout>,
     live_mcfg: &'a ModuleCfg,
     log: &'a MemoLog,
-    edited: Vec<bool>,
+    /// The procedures whose own text moved, ascending.
+    edited: Vec<usize>,
 }
 
 impl<'a> Reuse<'a> {
     /// The license for a run of `config` over `mcfg` (own hashes `own`),
-    /// or `None` when a precondition fails.
+    /// or the precondition that fails. Visits the procedures of the table
+    /// chunks `mcfg` and `own` do not share with the live ones.
     pub(crate) fn check(
         mcfg: &ModuleCfg,
         config: &Config,
-        own: &[u128],
+        own: &Table<u128>,
         live: Live<'a>,
-    ) -> Option<Reuse<'a>> {
-        let log = live.analysis.memo_log.as_ref()?;
+    ) -> Result<Reuse<'a>, RunPath> {
+        if live.analysis.config != *config {
+            return Err(RunPath::Config);
+        }
+        let log = live.analysis.memo_log.as_ref().ok_or(RunPath::NoLog)?;
         let n = mcfg.module.procs.len();
         // The live run's configuration and this shape give `log.shape`.
         let (old, new) = (&live.mcfg.module, &mcfg.module);
-        let same_shape =
-            old.globals == new.globals
-                && old.procs.len() == n
-                && old.procs.iter().zip(&new.procs).all(|(a, b)| {
-                    Arc::ptr_eq(a, b) || (a.name == b.name && a.arity() == b.arity())
-                });
-        if live.analysis.config != *config || !same_shape || live.own.len() != n || own.len() != n {
-            return None;
+        let same_shape = old.globals == new.globals
+            && old.procs.len() == n
+            && live.own.len() == n
+            && own.len() == n
+            && new.procs.unshared(&old.procs).all(|p| {
+                let (a, b) = (&old.procs[p], &new.procs[p]);
+                Arc::ptr_eq(a, b) || (a.name == b.name && a.arity() == b.arity())
+            });
+        if !same_shape {
+            return Err(RunPath::Shape);
         }
-        let edited: Vec<bool> = own.iter().zip(live.own).map(|(a, b)| a != b).collect();
+        let edited: Vec<usize> = own
+            .unshared(live.own)
+            .filter(|&p| own[p] != live.own[p])
+            .collect();
         let cg = &live.analysis.cg;
-        let same_edges = (0..n).filter(|&p| edited[p]).all(|p| {
+        let same_edges = edited.iter().all(|&p| {
             let p = ProcId::from(p);
             calls_from(mcfg, p).as_slice() == cg.calls_from(p)
         });
         if !same_edges {
-            return None;
+            return Err(RunPath::CallEdges);
         }
         let formal_names = |m: &'_ ModuleCfg, p: usize| {
             let proc = &m.module.procs[p];
@@ -951,20 +1229,31 @@ impl<'a> Reuse<'a> {
                 .map(|&v| proc.var(v).name.clone())
                 .collect::<Vec<_>>()
         };
-        let renamed =
-            (0..n).any(|p| edited[p] && formal_names(mcfg, p) != formal_names(live.mcfg, p));
+        let renamed = edited
+            .iter()
+            .any(|&p| formal_names(mcfg, p) != formal_names(live.mcfg, p));
         let layout = if renamed {
             Arc::new(SlotLayout::new(&mcfg.module))
         } else {
             Arc::clone(&live.analysis.layout)
         };
-        Some(Reuse {
+        Ok(Reuse {
             live: live.analysis,
             layout,
             live_mcfg: live.mcfg,
             log,
             edited,
         })
+    }
+
+    /// Whether procedure `pi`'s own text moved.
+    fn is_edited(&self, pi: usize) -> bool {
+        self.edited.binary_search(&pi).is_ok()
+    }
+
+    /// The procedures whose own text moved, ascending.
+    pub(crate) fn edited(&self) -> &[usize] {
+        &self.edited
     }
 
     /// The live analysis's memo log.
@@ -974,7 +1263,7 @@ impl<'a> Reuse<'a> {
 
     /// Whether procedure `pi`'s `family` unit is clean (see the type docs).
     pub(crate) fn clean(&self, memo: &MemoKeys<'_>, family: SummaryStage, pi: usize) -> bool {
-        !self.edited[pi]
+        !self.is_edited(pi)
             && matches!(self.log.notes[family.index()][pi], Note::Clean { .. })
             && !memo.forced(family, pi)
     }
@@ -1027,7 +1316,7 @@ impl<'a> Reuse<'a> {
     /// procedure can differ.
     pub(crate) fn same_bindings(&self, mcfg: &ModuleCfg, pi: usize) -> bool {
         let p = ProcId::from(pi);
-        !self.edited[pi] || ref_bindings(mcfg, p) == ref_bindings(self.live_mcfg, p)
+        !self.is_edited(pi) || ref_bindings(mcfg, p) == ref_bindings(self.live_mcfg, p)
     }
 
     /// The charges of procedure `pi`'s clean live return-jump unit.
@@ -1036,8 +1325,8 @@ impl<'a> Reuse<'a> {
     }
 
     /// The live run's per-SCC solver work, when it recorded one.
-    pub(crate) fn solve_work(&self) -> Option<&'a [(usize, usize)]> {
-        Some(self.log.solve.as_slice()).filter(|w| !w.is_empty())
+    pub(crate) fn solve_work(&self) -> Option<&'a SccWork> {
+        Some(&self.log.solve).filter(|w| !w.is_empty())
     }
 
     /// The charges of caller `pi`'s live forward-jump unit, when it ran

@@ -21,10 +21,10 @@
 //! process exit.
 
 use crate::config::{Config, Stage};
-use crate::health::DegradationEvent;
+use crate::health::{DegradationEvent, DegradationKind};
 use crate::quarantine::quiet_catch;
 use crate::serve::cache::{
-    config_fingerprint, shape_fingerprint, CacheStats, CacheTxn, Live, Memo, SummaryCache,
+    config_fingerprint, shape_fingerprint, CacheStats, CacheTxn, Live, Memo, RunPath, SummaryCache,
 };
 use crate::serve::json::{Json, Object};
 use crate::substitute::{self, SubstitutionCounts};
@@ -33,7 +33,8 @@ use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::hash::hash_str;
 use ipcp_ir::lang::{ast, parse_program, pretty};
 use ipcp_ir::program::{resolve_replacement, SlotLayout};
-use ipcp_ir::{lower_module_owned, parse_and_resolve};
+use ipcp_ir::{lower_module_owned, parse_and_resolve, Table};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -87,13 +88,16 @@ impl From<IpcpError> for ServeError {
 /// text's content hash. Normalized means parsed and re-rendered through
 /// the pretty-printer, so two textually different but structurally
 /// identical bodies hash alike and [`ProgramModel::source`] is
-/// byte-stable. Procedures are shared between a model and the candidate
-/// an edit derives from it, so an edit copies and hashes one text.
+/// byte-stable. Texts and hashes are chunked copy-on-write [`Table`]s
+/// shared between a model and the candidate an edit derives from it, and
+/// the name index is shared whole (an edit keeps every name), so an edit
+/// copies and hashes one text and copies one chunk of each table.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProgramModel {
     header: String,
-    procs: Vec<Arc<ModelProc>>,
-    own: Vec<u128>,
+    procs: Table<Arc<ModelProc>>,
+    own: Table<u128>,
+    index: Arc<HashMap<String, usize>>,
 }
 
 /// One procedure of a [`ProgramModel`]: its name and normalized text.
@@ -117,7 +121,7 @@ impl ProgramModel {
             globals: prog.globals.clone(),
             procs: Vec::new(),
         });
-        let procs: Vec<Arc<ModelProc>> = prog
+        let procs: Table<Arc<ModelProc>> = prog
             .procs
             .iter()
             .map(|p| {
@@ -128,7 +132,17 @@ impl ProgramModel {
             })
             .collect();
         let own = procs.iter().map(|p| hash_str(&p.text)).collect();
-        Ok(ProgramModel { header, procs, own })
+        let mut index = HashMap::with_capacity(procs.len());
+        for (i, p) in procs.iter().enumerate() {
+            // The first definition wins, as the old linear scan found it.
+            index.entry(p.name.clone()).or_insert(i);
+        }
+        Ok(ProgramModel {
+            header,
+            procs,
+            own,
+            index: Arc::new(index),
+        })
     }
 
     /// The whole program, byte-identical to what [`pretty::program`]
@@ -146,7 +160,7 @@ impl ProgramModel {
 
     /// Content hashes of each procedure's normalized text, in order —
     /// the `own` input to [`ipcp_analysis::summary_keys`].
-    pub fn own_hashes(&self) -> &[u128] {
+    pub fn own_hashes(&self) -> &Table<u128> {
         &self.own
     }
 
@@ -160,10 +174,8 @@ impl ProgramModel {
     /// be mutated and fed back through [`ServeEngine::update`] — the
     /// serve-identity fuzz oracle is built on this.
     pub fn proc_text(&self, name: &str) -> Option<&str> {
-        self.procs
-            .iter()
-            .find(|p| p.name == name)
-            .map(|p| p.text.as_str())
+        let &i = self.index.get(name)?;
+        Some(self.procs[i].text.as_str())
     }
 
     /// A candidate model with procedure `name`'s definition replaced by
@@ -176,10 +188,9 @@ impl ProgramModel {
     /// is not exactly one matching procedure definition;
     /// [`ServeError::Invalid`] when the fragment fails to parse.
     pub fn replace_proc(&self, name: &str, fragment: &str) -> Result<ProgramModel, ServeError> {
-        let index = self
-            .procs
-            .iter()
-            .position(|p| p.name == name)
+        let &index = self
+            .index
+            .get(name)
             .ok_or_else(|| ServeError::BadRequest(format!("no procedure named `{name}`")))?;
         let prog = parse_program(fragment).map_err(|d| ServeError::Invalid(d.into()))?;
         if !prog.globals.is_empty() {
@@ -204,11 +215,14 @@ impl ProgramModel {
         }
         let text = pretty::proc_decl(decl);
         let mut next = self.clone();
-        next.own[index] = hash_str(&text);
-        next.procs[index] = Arc::new(ModelProc {
-            name: decl.name.clone(),
-            text,
-        });
+        next.own.set(index, hash_str(&text));
+        next.procs.set(
+            index,
+            Arc::new(ModelProc {
+                name: decl.name.clone(),
+                text,
+            }),
+        );
         Ok(next)
     }
 }
@@ -230,6 +244,9 @@ pub struct RequestOutcome {
     pub carried: u64,
     /// Whether the configuration bypassed the cache.
     pub bypassed: bool,
+    /// Which path the run took: the live path, or the plain memoized path
+    /// named by the precondition that failed.
+    pub path: RunPath,
     /// The SCC units the `VAL` solve ran — the edited cone's size, for a
     /// run that re-solved only the SCCs whose inputs moved.
     pub solved_units: u64,
@@ -245,22 +262,30 @@ pub struct RequestOutcome {
 
 impl RequestOutcome {
     fn from_run(txn: &CacheTxn, mcfg: &ModuleCfg, analysis: &Analysis) -> RequestOutcome {
-        RequestOutcome {
-            hits: txn.hits,
-            persisted_hits: txn.persisted_hits,
-            misses: txn.misses,
-            carried: txn.carried,
-            bypassed: txn.bypassed,
-            solved_units: analysis.timings.solve.units as u64,
-            degraded: analysis.health.degraded(),
-            events: analysis.health.events.clone(),
-            quarantined: analysis
+        // Every quarantine records an event, so a run without one has an
+        // empty roster and its flags need no scan.
+        let quarantines = analysis.health.count_kind(DegradationKind::Quarantined);
+        let quarantined = match quarantines {
+            0 => Vec::new(),
+            _ => analysis
                 .quarantined
                 .iter()
                 .enumerate()
                 .filter(|&(_, &q)| q)
                 .map(|(i, _)| mcfg.module.procs[i].name.clone())
                 .collect(),
+        };
+        RequestOutcome {
+            hits: txn.hits,
+            persisted_hits: txn.persisted_hits,
+            misses: txn.misses,
+            carried: txn.carried,
+            bypassed: txn.bypassed,
+            path: txn.path,
+            solved_units: analysis.timings.solve.units as u64,
+            degraded: analysis.health.degraded(),
+            events: analysis.health.events.clone(),
+            quarantined,
         }
     }
 }
@@ -286,6 +311,16 @@ pub struct EngineStats {
     pub loads: u64,
     /// SCC units the `VAL` solves of every analyzing request ran.
     pub solved_units: u64,
+    /// Analyzing requests per path they took, in [`RunPath::ALL`] order:
+    /// the live path, then the plain path by the precondition that failed.
+    pub runs: [u64; RunPath::ALL.len()],
+}
+
+impl EngineStats {
+    /// Analyzing requests that took `path`.
+    pub fn runs_on(&self, path: RunPath) -> u64 {
+        self.runs[path as usize]
+    }
 }
 
 /// Runs one analysis over `(mcfg, own)` under the request envelope:
@@ -295,7 +330,7 @@ fn run_request(
     cache: &SummaryCache,
     config: &Config,
     mcfg: &ModuleCfg,
-    own: &[u128],
+    own: &Table<u128>,
     live: Option<Live<'_>>,
 ) -> Result<(Analysis, CacheTxn), String> {
     let mut txn = CacheTxn::new();
@@ -416,6 +451,7 @@ impl ServeEngine {
                 requests: 1,
                 degraded_requests: outcome.degraded as u64,
                 solved_units: outcome.solved_units,
+                runs: RunPath::ALL.map(|path| u64::from(path == outcome.path)),
                 ..EngineStats::default()
             },
             last_outcome: outcome,
@@ -486,6 +522,7 @@ impl ServeEngine {
 
     fn record(&mut self, outcome: &RequestOutcome) {
         self.stats.requests += 1;
+        self.stats.runs[outcome.path as usize] += 1;
         self.stats.solved_units += outcome.solved_units;
         if outcome.degraded {
             self.stats.degraded_requests += 1;
@@ -493,17 +530,20 @@ impl ServeEngine {
         self.last_outcome = outcome.clone();
     }
 
-    /// Runs `mcfg` (the program `own` hashes) under `config`,
-    /// committing the cache transaction (and the request accounting) only
-    /// on success. A base-configuration run may reuse the live analysis,
-    /// and pins what it looked up.
+    /// Runs `mcfg` (the program `own` hashes; `None` for the live model's,
+    /// borrowed) under `config`, committing the cache transaction (and the
+    /// request accounting) only on success. A base-configuration run may
+    /// reuse the live analysis, and pins what it looked up.
     fn run_guarded(
         &mut self,
         config: Config,
         mcfg: &ModuleCfg,
-        own: &[u128],
+        own: Option<&Table<u128>>,
     ) -> Result<(Analysis, RequestOutcome), ServeError> {
-        let live = (config == self.base_config).then(|| Live {
+        let own = own.unwrap_or(&self.model.own);
+        // Any configuration but the live analysis's fails the reuse
+        // check, which names it.
+        let live = Some(Live {
             mcfg: &self.mcfg,
             analysis: &self.current,
             own: &self.model.own,
@@ -555,8 +595,7 @@ impl ServeEngine {
         let replace = overrides.is_none();
         let config = overrides.unwrap_or(self.base_config);
         let mcfg = Arc::clone(&self.mcfg);
-        let own = self.model.own.clone();
-        let (analysis, outcome) = self.run_guarded(config, &mcfg, &own)?;
+        let (analysis, outcome) = self.run_guarded(config, &mcfg, None)?;
         if replace {
             self.install(mcfg, analysis, true);
         }
@@ -573,8 +612,7 @@ impl ServeEngine {
         config: Config,
     ) -> Result<(ConstantsReport, RequestOutcome), ServeError> {
         let mcfg = Arc::clone(&self.mcfg);
-        let own = self.model.own.clone();
-        let (analysis, outcome) = self.run_guarded(config, &mcfg, &own)?;
+        let (analysis, outcome) = self.run_guarded(config, &mcfg, None)?;
         let substituted = analysis.substitution_counts(&self.mcfg).total;
         match constants_report(&self.mcfg, &analysis, proc, substituted) {
             Ok(report) => Ok((report, outcome)),
@@ -668,10 +706,60 @@ impl ServeEngine {
         mcfg: ModuleCfg,
         carry: bool,
     ) -> Result<RequestOutcome, ServeError> {
-        let (analysis, outcome) = self.run_guarded(self.base_config, &mcfg, &candidate.own)?;
+        let (analysis, outcome) =
+            self.run_guarded(self.base_config, &mcfg, Some(&candidate.own))?;
         self.model = candidate;
         self.install(Arc::new(mcfg), analysis, carry);
         Ok(outcome)
+    }
+
+    /// Where every per-procedure table of the live state keeps its chunks
+    /// — the module, the program model, the analysis, its memo log and its
+    /// keys — and the procedures the last run visited, when it visited
+    /// only its cone. A structural probe for tests of the copy-on-write
+    /// sharing: a probe keeps the state it describes alive, so two probes
+    /// held together share a chunk iff their addresses agree.
+    #[doc(hidden)]
+    pub fn chunk_probe(&self) -> ChunkProbe {
+        let (mcfg, analysis) = (&self.mcfg, &self.current);
+        let mut tables = vec![
+            ("module.procs", false, mcfg.module.procs.chunk_addrs()),
+            ("module.cfgs", false, mcfg.cfgs.chunk_addrs()),
+            ("model.procs", false, self.model.procs.chunk_addrs()),
+            ("model.own", false, self.model.own.chunk_addrs()),
+            (
+                "analysis.symbolics",
+                false,
+                analysis.symbolics.chunk_addrs(),
+            ),
+            (
+                "analysis.quarantined",
+                false,
+                analysis.quarantined.chunk_addrs(),
+            ),
+            (
+                "analysis.ret_jfs",
+                false,
+                analysis.ret_jfs.fns.chunk_addrs(),
+            ),
+            (
+                "analysis.jump_fns",
+                false,
+                analysis.jump_fns.sites.chunk_addrs(),
+            ),
+        ];
+        tables.extend(
+            analysis
+                .vals
+                .chunk_tables()
+                .map(|(name, chunks)| (name, false, chunks)),
+        );
+        tables.extend(analysis.memo_log.iter().flat_map(|log| log.chunk_tables()));
+        ChunkProbe {
+            tables,
+            visited: analysis.touched.clone(),
+            _keep: (Arc::clone(mcfg), Arc::clone(analysis), self.model.clone()),
+        }
     }
 
     /// An immutable [`Snapshot`] of the committed state for the read
@@ -690,6 +778,18 @@ impl ServeEngine {
         )
         .sharing_counts(Arc::clone(&self.counts))
     }
+}
+
+/// The chunk layout [`ServeEngine::chunk_probe`] reports.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct ChunkProbe {
+    /// Per table: its name, whether it is indexed by SCC rather than by
+    /// procedure, and its chunk addresses.
+    pub tables: Vec<(&'static str, bool, Vec<usize>)>,
+    /// The procedures the last run visited, when it visited only its cone.
+    pub visited: Option<Vec<usize>>,
+    _keep: (Arc<ModuleCfg>, Arc<Analysis>, ProgramModel),
 }
 
 /// `CONSTANTS(p)` for one procedure (or all) of `mcfg` under `analysis`.

@@ -40,11 +40,11 @@ pub mod workers;
 
 pub use cache::{
     cacheable, config_fingerprint, same_results, shape_fingerprint, CacheKey, CacheStats, CacheTxn,
-    CachedSummary, Memo, SummaryCache, SummaryStage,
+    CachedSummary, Memo, RunPath, SummaryCache, SummaryStage,
 };
 pub use engine::{
-    config_from_overrides, ConstantsReport, EngineStats, ProgramModel, RequestOutcome, ServeEngine,
-    ServeError,
+    config_from_overrides, ChunkProbe, ConstantsReport, EngineStats, ProgramModel, RequestOutcome,
+    ServeEngine, ServeError,
 };
 pub use json::{Json, Object};
 pub use store::{DiscardReason, IoFault, IoInjector, LoadStatus, SummaryStore};

@@ -77,22 +77,23 @@ use crate::pipeline::UnitError;
 use ipcp_analysis::CallGraph;
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
+use ipcp_ir::Table;
 use ipcp_ssa::Lattice;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// The fixpoint `VAL` sets: one flat buffer of lattice elements, with
-/// procedure `p`'s row (one element per entry slot) at
-/// `offsets[p]..offsets[p + 1]`. Copying every row is one copy, and
-/// dropping the sets frees one buffer.
+/// The fixpoint `VAL` sets: one row of lattice elements per procedure (one
+/// element per entry slot), held in a chunked copy-on-write [`Table`], so
+/// a solve that starts from another's rows copies only the chunks and
+/// rows it writes.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ValSets {
-    rows: Vec<Lattice>,
-    offsets: Vec<usize>,
+    rows: Table<Arc<[Lattice]>>,
     /// Whether the solve evaluated procedure `p`'s call sites at least
     /// once. A row shows this only when the procedure has entry slots.
-    popped: Vec<bool>,
+    popped: Table<bool>,
     /// Number of meet operations performed (reported by the cost model).
     pub meets: usize,
     /// Number of worklist iterations (procedure re-evaluations).
@@ -104,41 +105,50 @@ impl ValSets {
     /// entry procedure, whose formals are ⊥ and whose globals hold
     /// `entry_globals`.
     fn initial(mcfg: &ModuleCfg, layout: &SlotLayout, entry_globals: Lattice) -> ValSets {
-        let mut offsets = Vec::with_capacity(mcfg.module.procs.len() + 1);
-        offsets.push(0);
-        for p in &mcfg.module.procs {
-            offsets.push(offsets[offsets.len() - 1] + layout.n_slots(p.arity()));
-        }
-        let mut vals = ValSets {
-            rows: vec![Lattice::Top; offsets[offsets.len() - 1]],
-            offsets,
-            popped: vec![false; mcfg.module.procs.len()],
+        let rows = mcfg
+            .module
+            .procs
+            .iter()
+            .map(|p| {
+                let mut row = vec![Lattice::Top; layout.n_slots(p.arity())];
+                init_row(mcfg, p.id, entry_globals, &mut row);
+                Arc::from(row)
+            })
+            .collect();
+        ValSets {
+            rows,
+            popped: Table::filled(mcfg.module.procs.len(), false),
             meets: 0,
             iterations: 0,
-        };
-        let entry = mcfg.module.entry;
-        init_row(mcfg, entry, entry_globals, vals.row_mut(entry.index()));
-        vals
+        }
     }
 
     /// The `VAL` vector of `p`.
     pub fn of(&self, p: ProcId) -> &[Lattice] {
-        &self.rows[self.offsets[p.index()]..self.offsets[p.index() + 1]]
+        &self.rows[p.index()]
     }
 
     fn row_mut(&mut self, p: usize) -> &mut [Lattice] {
-        &mut self.rows[self.offsets[p]..self.offsets[p + 1]]
+        Arc::make_mut(self.rows.get_mut(p))
     }
 
     /// Every procedure's `VAL` vector, in procedure order.
-    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Lattice]> + '_ {
-        self.offsets.windows(2).map(|w| &self.rows[w[0]..w[1]])
+    pub fn rows(&self) -> impl Iterator<Item = &[Lattice]> + '_ {
+        self.rows.iter().map(|r| &**r)
+    }
+
+    /// The chunk addresses of the rows and the popped flags.
+    pub(crate) fn chunk_tables(&self) -> [(&'static str, Vec<usize>); 2] {
+        [
+            ("vals.rows", self.rows.chunk_addrs()),
+            ("vals.popped", self.popped.chunk_addrs()),
+        ]
     }
 
     /// Whether `other` holds the same `VAL` vectors (the work counters
     /// aside).
     pub fn same_rows(&self, other: &ValSets) -> bool {
-        self.offsets == other.offsets && self.rows == other.rows
+        self.rows == other.rows
     }
 
     /// `CONSTANTS(p)`: the `(slot, value)` pairs that always hold on entry
@@ -153,7 +163,7 @@ impl ValSets {
 
     /// Total number of constant slots across all procedures.
     pub fn n_constants(&self) -> usize {
-        self.rows.iter().filter(|l| l.is_const()).count()
+        self.rows().flatten().filter(|l| l.is_const()).count()
     }
 
     /// Renders `CONSTANTS(p)` for every reachable procedure with names.
@@ -286,12 +296,45 @@ struct UnitOutcome {
 }
 
 /// The buffers every unit of one solve reuses: the FIFO and its queued
-/// flags, and the copy of the row being evaluated.
+/// flags, the copy of the row being evaluated, and the values one call
+/// site transmits.
 #[derive(Default)]
 struct Scratch {
     queued: Vec<bool>,
     work: VecDeque<usize>,
     row: Vec<Lattice>,
+    incoming: Vec<Lattice>,
+}
+
+/// The dirty flags a unit evaluation reads for its members and sets for
+/// the external callees whose rows it lowered.
+trait Dirty {
+    fn get(&self, p: usize) -> bool;
+    fn mark(&mut self, p: usize);
+}
+
+impl Dirty for [bool] {
+    fn get(&self, p: usize) -> bool {
+        self[p]
+    }
+
+    fn mark(&mut self, p: usize) {
+        self[p] = true;
+    }
+}
+
+/// The dirty flags of a cone solve: only the visited procedures' (a
+/// re-seed sets every member's, so marks on external callees are moot).
+struct DirtyFlags<'a>(&'a mut HashMap<usize, bool>);
+
+impl Dirty for DirtyFlags<'_> {
+    fn get(&self, p: usize) -> bool {
+        self.0.get(&p).copied().unwrap_or(false)
+    }
+
+    fn mark(&mut self, p: usize) {
+        self.0.insert(p, true);
+    }
 }
 
 /// Evaluates one SCC unit: a local FIFO fixpoint over the members, seeded
@@ -312,7 +355,7 @@ fn eval_unit(
     members: &[ProcId],
     scc: usize,
     vals: &mut ValSets,
-    dirty: &mut [bool],
+    dirty: &mut (impl Dirty + ?Sized),
     gov: &mut Governor,
     scratch: &mut Scratch,
 ) -> UnitOutcome {
@@ -322,12 +365,17 @@ fn eval_unit(
         tripped: false,
         deadline: false,
     };
-    let Scratch { queued, work, row } = scratch;
+    let Scratch {
+        queued,
+        work,
+        row,
+        incoming,
+    } = scratch;
     queued.clear();
     queued.resize(members.len(), false);
     work.clear();
     for (li, &p) in members.iter().enumerate() {
-        if dirty[p.index()] {
+        if dirty.get(p.index()) {
             queued[li] = true;
             work.push_back(li);
         }
@@ -387,20 +435,33 @@ fn eval_unit(
                     work.push_back(lj);
                 }
             } else {
-                let mut changed = false;
-                let callee_row = vals.row_mut(edge.callee.index());
-                for (slot, jf) in site_fns.iter().enumerate() {
-                    let incoming = jf.eval(|v| {
+                // Evaluate first and write the callee's row only when a
+                // meet lowers it: a row the unit leaves alone stays shared
+                // with the solve a reusing run started from.
+                incoming.clear();
+                incoming.extend(site_fns.iter().map(|jf| {
+                    jf.eval(|v| {
                         caller_row
                             .get(v as usize)
                             .copied()
                             .unwrap_or(Lattice::Bottom)
-                    });
-                    out.meets += 1;
-                    changed |= callee_row[slot].meet_in(incoming);
+                    })
+                }));
+                out.meets += site_fns.len();
+                let callee = edge.callee.index();
+                let lowers = vals
+                    .of(edge.callee)
+                    .iter()
+                    .zip(incoming.iter())
+                    .any(|(&was, &inc)| was.meet(inc) != was);
+                if lowers {
+                    let callee_row = vals.row_mut(callee);
+                    for (slot, &inc) in callee_row.iter_mut().zip(incoming.iter()) {
+                        slot.meet_in(inc);
+                    }
                 }
-                if changed || first_call {
-                    dirty[edge.callee.index()] = true;
+                if lowers || first_call {
+                    dirty.mark(callee);
                 }
             }
         }
@@ -424,7 +485,7 @@ fn degrade_reachable(vals: &mut ValSets, cg: &CallGraph) {
 /// The `(meets, iterations)` each SCC's unit added to a solve, indexed by
 /// SCC — `(0, 0)` for a unit that did not run. A reusing solve replays
 /// the live run's entries for the SCCs it reuses.
-pub(crate) type SccWork = Vec<(usize, usize)>;
+pub(crate) type SccWork = Table<(usize, usize)>;
 
 /// The live solve a reusing run starts from: its `VAL` sets, the forward
 /// jump functions they were solved over, and its per-SCC work.
@@ -432,7 +493,7 @@ pub(crate) type SccWork = Vec<(usize, usize)>;
 pub(crate) struct LiveSolve<'a> {
     pub(crate) vals: &'a ValSets,
     pub(crate) jump_fns: &'a ForwardJumpFns,
-    pub(crate) work: &'a [(usize, usize)],
+    pub(crate) work: &'a SccWork,
 }
 
 /// One solve's products.
@@ -573,7 +634,7 @@ fn solve_full(
                     members,
                     si,
                     &mut vals,
-                    &mut dirty,
+                    &mut dirty[..],
                     gov,
                     &mut scratch,
                 )
@@ -657,7 +718,7 @@ fn solve_full(
     }
     Solved {
         vals,
-        work,
+        work: work.into(),
         time: PhaseTime::sequential(Duration::ZERO, units),
         rerun: None,
     }
@@ -773,7 +834,7 @@ fn solve_reusing(
                     members,
                     si,
                     &mut vals,
-                    &mut dirty,
+                    &mut dirty[..],
                     gov,
                     &mut scratch,
                 )
@@ -799,10 +860,132 @@ fn solve_reusing(
     }
     flush(gov, &mut pending).then(|| Solved {
         vals,
-        work,
+        work: work.into(),
         time: PhaseTime::sequential(Duration::ZERO, units),
         rerun: Some(rerun_members),
     })
+}
+
+/// The reusing solve of a run that visits only its cone: like
+/// [`solve_reusing`], but instead of walking every level it starts at the
+/// SCCs of `callers` (whose forward jump functions moved from `live`'s)
+/// and visits only the SCCs the cutoff reaches, top-down (descending
+/// index: a caller's SCC is finished before its callees'), so it never
+/// visits an SCC whose inputs did not move. Every other SCC keeps its live
+/// rows and work, which the totals carry. A re-run unit charges `gov`;
+/// the charges of the units it did not visit are the live iterations less
+/// those of the visited SCCs, which it returns for the caller to replay
+/// in one batch. `None` on a contained panic, a trip or the deadline in a
+/// re-run unit, which only the per-unit path reproduces.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_cone(
+    mcfg: &ModuleCfg,
+    cg: &CallGraph,
+    jump_fns: &ForwardJumpFns,
+    entry_globals: Lattice,
+    config: &Config,
+    gov: &mut Governor,
+    live: LiveSolve<'_>,
+    callers: &[usize],
+) -> Option<(Solved, u64)> {
+    let t0 = Instant::now();
+    let entry = mcfg.module.entry;
+    let mut vals = live.vals.clone();
+    let mut work = live.work.clone();
+    let mut unvisited = vals.iterations as u64;
+    let mut todo: BinaryHeap<usize> = callers.iter().map(|&p| cg.scc_of[p]).collect();
+    let mut dirty: HashMap<usize, bool> = HashMap::new();
+    let mut scratch = Scratch::default();
+    let (mut last, mut units, mut rerun_members) = (None, 0, Vec::new());
+    while let Some(si) = todo.pop() {
+        let members: &[ProcId] = &cg.sccs[si];
+        if last.replace(si) == Some(si) || !members.first().is_some_and(|p| cg.reachable[p.index()])
+        {
+            continue;
+        }
+        // Re-seed, as the reusing schedule does: every external caller is
+        // at a higher index and has its final row.
+        let (meets, iterations) = live.work[si];
+        unvisited -= iterations as u64;
+        vals.meets -= meets;
+        vals.iterations -= iterations;
+        work.set(si, (0, 0));
+        rerun_members.extend(members.iter().map(|m| m.index()));
+        let mut any_dirty = false;
+        for &m in members {
+            let mut row = vec![Lattice::Top; vals.of(m).len()];
+            init_row(mcfg, m, entry_globals, &mut row);
+            vals.popped.set(m.index(), false);
+            let mut called = false;
+            for edge in cg.calls_to(m) {
+                let c = edge.caller;
+                if cg.scc_of[c.index()] == si || !vals.popped[c.index()] {
+                    continue;
+                }
+                let Some(fns) = jump_fns.reached(c, edge.site) else {
+                    continue;
+                };
+                called |= fns.is_empty();
+                let caller_row = vals.of(c);
+                for (slot, jf) in fns.iter().enumerate() {
+                    let incoming = jf.eval(|v| {
+                        caller_row
+                            .get(v as usize)
+                            .copied()
+                            .unwrap_or(Lattice::Bottom)
+                    });
+                    row[slot].meet_in(incoming);
+                }
+            }
+            let d = m == entry || called || row.iter().any(|&l| l != Lattice::Top);
+            any_dirty |= d;
+            dirty.insert(m.index(), d);
+            vals.row_mut(m.index()).copy_from_slice(&row);
+        }
+        if any_dirty {
+            units += 1;
+            let mut flags = DirtyFlags(&mut dirty);
+            let unit = guarded(config, si, || {
+                eval_unit(
+                    cg,
+                    jump_fns,
+                    config,
+                    members,
+                    si,
+                    &mut vals,
+                    &mut flags,
+                    gov,
+                    &mut scratch,
+                )
+            });
+            let u = unit.ok().filter(|u| !u.tripped && !u.deadline)?;
+            work.set(si, (u.meets, u.iterations));
+            vals.meets += u.meets;
+            vals.iterations += u.iterations;
+        }
+        for &m in members {
+            let p = m.index();
+            let moved = vals.of(m) != live.vals.of(m)
+                || vals.popped[p] != live.vals.popped[p]
+                || !same_fns(&jump_fns.sites[p], &live.jump_fns.sites[p]);
+            if moved {
+                todo.extend(
+                    cg.calls_from(m)
+                        .iter()
+                        .map(|e| cg.scc_of[e.callee.index()])
+                        .filter(|&cs| cs != si),
+                );
+            }
+        }
+    }
+    rerun_members.sort_unstable();
+    let solved = Solved {
+        vals,
+        work,
+        time: PhaseTime::sequential(t0.elapsed(), units),
+        rerun: Some(rerun_members),
+    };
+    Some((solved, unvisited))
 }
 
 /// The classic §4.1 FIFO worklist propagation, retained as a reference

@@ -20,6 +20,7 @@ use crate::pipeline::Analysis;
 use ipcp_ir::cfg::{BlockId, CStmt, Cfg, ModuleCfg, Terminator};
 use ipcp_ir::program::{Expr, Module, ProcId, VarKind};
 use ipcp_ir::span::Span;
+use ipcp_ir::Table;
 use ipcp_ssa::sccp::{self, CallDefLattice, OpaqueCallsLattice, SccpResult, Seeds};
 use ipcp_ssa::ssa::{build_ssa, ModKills, SsaProc, StmtInfo};
 use ipcp_ssa::{Lattice, ValueId};
@@ -47,13 +48,22 @@ pub struct Substitution {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SubstitutionCounts {
     /// Constants substituted per procedure.
-    pub counts: Vec<usize>,
+    pub counts: Table<usize>,
     /// Total across the program.
     pub total: usize,
 }
 
 impl From<Vec<usize>> for SubstitutionCounts {
     fn from(counts: Vec<usize>) -> SubstitutionCounts {
+        SubstitutionCounts {
+            total: counts.iter().sum(),
+            counts: counts.into(),
+        }
+    }
+}
+
+impl From<Table<usize>> for SubstitutionCounts {
+    fn from(counts: Table<usize>) -> SubstitutionCounts {
         SubstitutionCounts {
             total: counts.iter().sum(),
             counts,
@@ -128,10 +138,16 @@ pub(crate) fn recount(
     analysis: &Analysis,
 ) -> Option<SubstitutionCounts> {
     let n = mcfg.module.procs.len();
+    // Only the procedures of the table chunks the two modules do not
+    // share can differ in arity.
     let same_shape = prev.config == analysis.config
         && prev_mcfg.module.procs.len() == n
         && prev.layout.scalar_globals == analysis.layout.scalar_globals
-        && (0..n).all(|i| prev_mcfg.module.procs[i].arity() == mcfg.module.procs[i].arity());
+        && mcfg
+            .module
+            .procs
+            .unshared(&prev_mcfg.module.procs)
+            .all(|i| prev_mcfg.module.procs[i].arity() == mcfg.module.procs[i].arity());
     if !same_shape {
         return None;
     }
@@ -143,7 +159,11 @@ pub(crate) fn recount(
     let quarantine_moved = |i: usize| prev.quarantined[i] != analysis.quarantined[i];
     let candidates: Vec<usize> = match &analysis.touched {
         Some(touched) => {
-            let mut c: Vec<usize> = (0..n).filter(|&i| quarantine_moved(i)).collect();
+            let mut c: Vec<usize> = analysis
+                .quarantined
+                .unshared(&prev.quarantined)
+                .filter(|&i| quarantine_moved(i))
+                .collect();
             c.extend(touched);
             c.sort_unstable();
             c.dedup();
@@ -153,6 +173,7 @@ pub(crate) fn recount(
     };
     let oracle = analysis.sccp_oracle(mcfg);
     let mut counts = prev_counts.counts.clone();
+    let mut total = prev_counts.total;
     for pi in candidates {
         let p = ProcId::from(pi);
         let moved = prev.cg.reachable[pi] != analysis.cg.reachable[pi]
@@ -167,7 +188,7 @@ pub(crate) fn recount(
         if !moved {
             continue;
         }
-        counts[pi] = match analysis.symbolics[pi].as_ref() {
+        let count = match analysis.symbolics[pi].as_ref() {
             Some(ps) if analysis.cg.reachable[pi] => {
                 let res = sccp::run(
                     mcfg,
@@ -179,8 +200,10 @@ pub(crate) fn recount(
             }
             _ => 0,
         };
+        total = total - counts[pi] + count;
+        counts.set(pi, count);
     }
-    Some(SubstitutionCounts::from(counts))
+    Some(SubstitutionCounts { counts, total })
 }
 
 /// The purely intraprocedural baseline (Table 3, column 4): no seeds, no
@@ -250,7 +273,7 @@ fn run_substitution(
         rewrite_proc(&mut module, mcfg, p, ssa, &res, &mut replacements);
         sccps[p.index()] = Some(res);
     });
-    let SubstitutionCounts { counts, total } = SubstitutionCounts::from(counts);
+    let total = counts.iter().sum();
     Substitution {
         counts,
         total,
@@ -305,7 +328,7 @@ pub fn apply_replacements(module: &Module, replacements: &[(Span, i64)]) -> Modu
     use std::collections::HashMap;
     let map: HashMap<Span, i64> = replacements.iter().copied().collect();
     let mut out = module.clone();
-    for proc in &mut out.procs {
+    for proc in out.procs.iter_mut() {
         rewrite_ast_block(&mut Arc::make_mut(proc).body, &map);
     }
     out

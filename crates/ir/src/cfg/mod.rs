@@ -12,6 +12,7 @@ mod lower;
 pub use lower::{lower_module, lower_module_owned};
 
 use crate::program::{Arg, Expr, Module, Proc, ProcId, VarId};
+use crate::table::Table;
 use std::fmt;
 use std::sync::Arc;
 
@@ -444,8 +445,8 @@ pub struct ModuleCfg {
     /// mapping `VarId`s to names.
     pub module: Module,
     /// One CFG per procedure, indexed by [`ProcId`], each behind its own
-    /// [`Arc`] like [`Module::procs`].
-    pub cfgs: Vec<Arc<Cfg>>,
+    /// [`Arc`] in a [`Table`] like [`Module::procs`].
+    pub cfgs: Table<Arc<Cfg>>,
 }
 
 impl ModuleCfg {

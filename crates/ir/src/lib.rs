@@ -53,6 +53,7 @@ pub mod names;
 pub mod program;
 pub mod span;
 pub mod stream;
+pub mod table;
 
 pub use cfg::{lower_module, lower_module_owned, ModuleCfg};
 pub use error::{Diagnostic, Diagnostics};
@@ -61,6 +62,7 @@ pub use names::{NameId, Names};
 pub use program::{GlobalId, Module, Proc, ProcId, VarId};
 pub use span::Span;
 pub use stream::{resolve_streaming, ProgramSource, StreamedModule};
+pub use table::Table;
 
 /// Parse FT source text and resolve it into a checked [`Module`].
 ///

@@ -8,6 +8,7 @@
 use crate::error::{Diagnostic, Diagnostics};
 use crate::lang::{self, ast, Build, Item, Parser};
 use crate::span::Span;
+use crate::table::Table;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -313,10 +314,11 @@ impl Proc {
 pub struct Module {
     /// Module-level variables.
     pub globals: Vec<GlobalInfo>,
-    /// All procedures, each behind its own [`Arc`]: cloning a module
-    /// shares every procedure, and a pass that rewrites one procedure
-    /// copies only that one (`Arc::make_mut`).
-    pub procs: Vec<Arc<Proc>>,
+    /// All procedures, each behind its own [`Arc`] in a chunked
+    /// copy-on-write [`Table`]: cloning a module shares every procedure,
+    /// and a pass that rewrites one procedure copies only that one
+    /// (`Arc::make_mut`) and the table chunk holding it.
+    pub procs: Table<Arc<Proc>>,
     /// The entry procedure (`main`, which must take no parameters).
     pub entry: ProcId,
     /// The name and signature table the resolution built, shared by every
@@ -452,7 +454,7 @@ fn unresolve_expr(p: &Proc, e: &Expr) -> ast::Expr {
     }
 }
 
-fn unresolve_block(p: &Proc, procs: &[Arc<Proc>], b: &Block) -> ast::Block {
+fn unresolve_block(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block) -> ast::Block {
     let mut out = ast::Block::default();
     // Re-emit local array declarations first so the result re-resolves.
     // (Declarations are stripped during resolution.)
@@ -471,7 +473,7 @@ fn unresolve_block(p: &Proc, procs: &[Arc<Proc>], b: &Block) -> ast::Block {
     out
 }
 
-fn unresolve_stmts(p: &Proc, procs: &[Arc<Proc>], b: &Block, out: &mut Vec<ast::Stmt>) {
+fn unresolve_stmts(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block, out: &mut Vec<ast::Stmt>) {
     for s in &b.stmts {
         out.push(match s {
             Stmt::Assign(v, e, span) => ast::Stmt::Assign {
@@ -538,7 +540,7 @@ fn unresolve_stmts(p: &Proc, procs: &[Arc<Proc>], b: &Block, out: &mut Vec<ast::
     }
 }
 
-fn unresolve_inner(p: &Proc, procs: &[Arc<Proc>], b: &Block) -> ast::Block {
+fn unresolve_inner(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block) -> ast::Block {
     let mut stmts = Vec::new();
     unresolve_stmts(p, procs, b, &mut stmts);
     ast::Block { stmts }
@@ -737,7 +739,7 @@ impl Resolver {
 
         let module = Module {
             globals: self.globals,
-            procs,
+            procs: procs.into(),
             entry,
             sigs: SharedSigs(self.table),
         };

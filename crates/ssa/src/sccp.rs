@@ -13,7 +13,7 @@
 
 use crate::lattice::Lattice;
 use crate::ssa::{SsaProc, ValueId, ValueKind};
-use crate::symbolic::{ret_target, CallActuals, RetTarget};
+use crate::symbolic::{ret_target_in, CallActuals, RetTarget};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::cfg::{BlockId, Cfg, Terminator};
 use ipcp_ir::interp::eval_binop;
@@ -130,6 +130,7 @@ pub fn run(
     oracle: &dyn CallDefLattice,
 ) -> SccpResult {
     let cfg = mcfg.cfg(ssa.proc);
+    let proc = mcfg.module.proc(ssa.proc);
     let n = ssa.len();
     let mut values = vec![Lattice::Top; n];
     let mut block_exec = vec![false; cfg.len()];
@@ -176,7 +177,7 @@ pub fn run(
                     acc
                 }
                 ValueKind::CallDef { site, callee, var } => {
-                    let Some(target) = ret_target(mcfg, ssa.proc, *site, *var) else {
+                    let Some(target) = ret_target_in(proc, cfg, *site, *var) else {
                         return Lattice::Bottom;
                     };
                     match CallActuals::at(ssa, *site, values) {

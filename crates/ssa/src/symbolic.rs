@@ -16,10 +16,10 @@
 
 use crate::poly::Poly;
 use crate::ssa::{SsaProc, StmtInfo, ValueId, ValueKind};
-use ipcp_ir::cfg::ModuleCfg;
+use ipcp_ir::cfg::{Cfg, ModuleCfg};
 use ipcp_ir::interp::eval_binop;
 use ipcp_ir::lang::ast::{BinOp, UnOp};
-use ipcp_ir::program::{GlobalId, ProcId, SlotLayout, VarId, VarKind};
+use ipcp_ir::program::{GlobalId, Proc, ProcId, SlotLayout, VarId, VarKind};
 use std::fmt;
 
 /// A symbolic value: unreached, a polynomial over entry slots, or unknown.
@@ -102,10 +102,18 @@ pub fn ret_target(
     site: ipcp_ir::cfg::CallSiteId,
     var: VarId,
 ) -> Option<RetTarget> {
-    let p = mcfg.module.proc(caller);
-    let args = mcfg
-        .call_site(caller, site)
-        .map_or(&[][..], |(_, _, args)| args);
+    ret_target_in(mcfg.module.proc(caller), mcfg.cfg(caller), site, var)
+}
+
+/// [`ret_target`] with the caller's procedure and CFG in hand: the
+/// evaluators resolve them once per procedure, not once per call def.
+pub fn ret_target_in(
+    p: &Proc,
+    cfg: &Cfg,
+    site: ipcp_ir::cfg::CallSiteId,
+    var: VarId,
+) -> Option<RetTarget> {
+    let args = cfg.call_site(site).map_or(&[][..], |(_, _, args)| args);
     let mut positions = args
         .iter()
         .enumerate()
@@ -388,6 +396,7 @@ pub fn evaluate_under(
 ) -> (Symbolic, bool) {
     let max_steps = budget.max_steps;
     let slot_of_var = slot_map(mcfg, ssa.proc, layout);
+    let caller = (mcfg.module.proc(ssa.proc), mcfg.cfg(ssa.proc));
     let n = ssa.len();
     let mut values = vec![SymVal::Top; n];
     let users = ssa.users();
@@ -419,7 +428,7 @@ pub fn evaluate_under(
             iterations <= 8 * (n.max(1) * n.max(1) + 8) as u64,
             "symbolic evaluation failed to converge"
         );
-        let next = transfer(mcfg, ssa, &slot_of_var, &values, v, oracle, gate);
+        let next = transfer(caller, ssa, &slot_of_var, &values, v, oracle, gate);
         if next != values[v.index()] {
             debug_assert!(
                 rank(&next) >= rank(&values[v.index()]),
@@ -461,7 +470,7 @@ fn rank(v: &SymVal) -> u8 {
 }
 
 fn transfer(
-    mcfg: &ModuleCfg,
+    (p, cfg): (&Proc, &Cfg),
     ssa: &SsaProc,
     slot_of_var: &[Option<u32>],
     values: &[SymVal],
@@ -503,7 +512,7 @@ fn transfer(
             acc
         }
         ValueKind::CallDef { site, callee, var } => {
-            let Some(target) = ret_target(mcfg, ssa.proc, *site, *var) else {
+            let Some(target) = ret_target_in(p, cfg, *site, *var) else {
                 return SymVal::Bottom;
             };
             match CallActuals::at(ssa, *site, values) {

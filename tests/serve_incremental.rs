@@ -30,16 +30,18 @@
 
 use ipcp::serve::store::encode;
 use ipcp::serve::{
-    same_results, CacheTxn, Memo, ProgramModel, RequestOutcome, ServeEngine, ServeError,
+    same_results, CacheTxn, Memo, ProgramModel, RequestOutcome, RunPath, ServeEngine, ServeError,
     SummaryCache,
 };
 use ipcp::{Analysis, Config, Stage};
 use ipcp_analysis::{build_call_graph, summary_keys};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{GlobalId, ProcId};
+use ipcp_ir::table::CHUNK;
 use ipcp_ir::{lower_module_owned, parse_and_resolve};
 use ipcp_suite::mutate::swap_operator;
 use ipcp_suite::{generate_scale, Rng, ScaleSpec, PROGRAMS};
+use std::collections::HashSet;
 
 fn scale_1k() -> String {
     let spec = ScaleSpec::parse("procs=1k,shape=mixed,recursion=8,seed=101").unwrap();
@@ -71,7 +73,7 @@ fn memo_units(src: &str) -> Vec<(usize, usize, u128)> {
     let mcfg = full_path(src);
     let cg = build_call_graph(&mcfg);
     let model = ProgramModel::from_source(src).unwrap();
-    let keys = summary_keys(&cg, model.own_hashes());
+    let keys = summary_keys(&cg, &model.own_hashes().to_vec());
     let mut units = Vec::new();
     for p in 0..mcfg.module.procs.len() {
         units.push((0, p, keys.own[p]));
@@ -619,8 +621,10 @@ fn byref_local_call(engine: &ServeEngine) -> (ProcId, String, String, usize, Glo
         a.strip_prefix('v')
             .is_some_and(|n| n.parse::<u32>().is_ok())
     };
-    module.procs[1..]
+    module
+        .procs
         .iter()
+        .skip(1)
         .find_map(|caller| {
             let g = (0..module.globals.len()).map(GlobalId::from).find(|&g| {
                 module.globals[g.index()].array_len.is_none() && !modref.mod_of(caller.id).global(g)
@@ -752,6 +756,163 @@ fn live_reuse_rebuilds_the_form_of_an_earlier_scc_member() {
         let what = format!("jobs {jobs}: edit of `{later}`");
         let out = step_both(&mut engine, &mut plain, &later, &body, &what).unwrap();
         assert!(out.carried > 0, "{what}: the first member was reused");
+    }
+}
+
+/// A literal bump takes the live path and visits only its cone: every
+/// table of the new module, program model, analysis, memo log and keys
+/// shares every chunk with the live one except the chunks that hold a
+/// procedure the run visited (an edited, re-keyed or dirty one) — or,
+/// for a table indexed by SCC, such a procedure's SCC.
+#[test]
+fn a_literal_bump_shares_every_chunk_outside_its_cone() {
+    let src = scale_1k();
+    for jobs in [1, 2] {
+        let mut engine = ServeEngine::new(&src, &Config::default().with_jobs(jobs)).unwrap();
+        let n = engine.mcfg().module.procs.len();
+        for round in 1..=8 {
+            let name = format!("p{}", 1 + (round * 97) % (n - 1));
+            let what = format!("jobs {jobs}, round {round}: bump of `{name}`");
+            let body = bump(&engine, &name, round as i64);
+            let before = engine.chunk_probe();
+            let out = engine.update(&name, &body).unwrap();
+            let after = engine.chunk_probe();
+            assert_eq!(out.path, RunPath::Live, "{what}");
+            let visited = after
+                .visited
+                .clone()
+                .expect("the bump visited only its cone");
+            assert!(visited.len() < n / 4, "{what}: {} visited", visited.len());
+            let scc_of = &engine.analysis().cg.scc_of;
+            let chunks = |units: &mut dyn Iterator<Item = usize>| -> HashSet<usize> {
+                units.map(|u| u / CHUNK).collect()
+            };
+            let proc_chunks = chunks(&mut visited.iter().copied());
+            let scc_chunks = chunks(&mut visited.iter().map(|&p| scc_of[p]));
+            assert_eq!(before.tables.len(), after.tables.len(), "{what}");
+            let mut shared = 0;
+            for ((table, per_scc, was), (_, _, now)) in before.tables.iter().zip(&after.tables) {
+                assert_eq!(was.len(), now.len(), "{what}: {table}");
+                let allowed = if *per_scc { &scc_chunks } else { &proc_chunks };
+                for (c, (a, b)) in was.iter().zip(now).enumerate() {
+                    if a == b {
+                        shared += 1;
+                    } else {
+                        assert!(
+                            allowed.contains(&c),
+                            "{what}: {table} copied chunk {c}, which holds nothing visited"
+                        );
+                    }
+                }
+            }
+            assert!(shared > 0, "{what}: nothing shared");
+        }
+    }
+}
+
+/// Every analyzing outcome names its path, and lifetime stats count
+/// them: a literal bump runs live, an added call (and its removal) fails
+/// the call-edge precondition, an arity change the shape one, and an override
+/// configuration the configuration one. The boot run had no live log.
+#[test]
+fn outcomes_name_the_path_each_run_took() {
+    let src = "proc main() { call f(1); call g(2); } \
+               proc f(a) { v0 = 3; print a + v0; } \
+               proc g(b) { print b; } \
+               proc h(c) { print c; }";
+    let mut engine = ServeEngine::new(src, &Config::default()).unwrap();
+    assert_eq!(engine.last_outcome().path, RunPath::NoLog, "boot");
+    let f = text_of(&engine, "f");
+    let steps = [
+        ("f", f.replace("v0 = 3;", "v0 = 4;"), RunPath::Live),
+        (
+            "f",
+            f.replace("v0 = 3;", "v0 = 4; call g(a);"),
+            RunPath::CallEdges,
+        ),
+        ("f", f.clone(), RunPath::CallEdges),
+        (
+            "h",
+            "proc h(c, d) { print c + d; }".to_string(),
+            RunPath::Shape,
+        ),
+    ];
+    for (name, body, path) in steps {
+        let out = engine
+            .update(name, &body)
+            .unwrap_or_else(|e| panic!("{body}: {e}"));
+        assert_eq!(out.path, path, "{body}");
+        assert_eq!(out.path.label(), path.label());
+    }
+    let out = engine.analyze(Some(Config::polynomial())).unwrap();
+    assert_eq!(out.path, RunPath::Config, "override");
+    assert_eq!(
+        engine.analyze(None).unwrap().path,
+        RunPath::Live,
+        "re-analysis"
+    );
+    let stats = engine.stats();
+    let runs: Vec<u64> = RunPath::ALL.iter().map(|&p| stats.runs_on(p)).collect();
+    assert_eq!(
+        runs,
+        vec![2, 1, 1, 1, 2],
+        "live, config, no_log, shape, call_edges"
+    );
+    assert_eq!(runs.iter().sum::<u64>(), stats.requests);
+}
+
+/// A call after a `return` is dead code and makes no call edge, so adding
+/// one — in a reachable procedure, or in one nothing calls, which has no
+/// symbolic form to move — keeps the live path, which still answers what
+/// the plain path and a cold run answer.
+#[test]
+fn a_dead_call_keeps_the_live_path() {
+    let src = "proc main() { call f(1); } \
+               proc f(a) { print a; } \
+               proc g(b) { print b; }";
+    for jobs in [1, 2] {
+        let config = Config::default().with_jobs(jobs);
+        let mut engine = ServeEngine::new(src, &config).unwrap();
+        let mut plain = PlainSession::new(src, config);
+        let edits = [
+            ("f", "proc f(a) { print a; return; call g(a); }"),
+            ("g", "proc g(b) { print b; return; call f(b); }"),
+        ];
+        for (name, body) in edits {
+            let what = format!("jobs {jobs}: {body}");
+            let out = step_both(&mut engine, &mut plain, name, body, &what).unwrap();
+            assert_eq!(out.path, RunPath::Live, "{what}");
+        }
+    }
+}
+
+/// An edit inside a recursive SCC re-runs the SCC's unit from the live
+/// table, and its first member must see no entry of its siblings, as in
+/// the bottom-up walk: the live entry of a later member would carry that
+/// member's old return jump functions into the first member's.
+#[test]
+fn live_reuse_reruns_an_scc_without_its_members_live_entries() {
+    // Whichever member comes first reads the other's functions through
+    // its call, and each member's last write makes its own a constant.
+    let src = "global g; global h; \
+               proc main() { call a(1); print g + h; } \
+               proc a(x) { call b(x); h = 5; } \
+               proc b(y) { call a(y); g = 4; }";
+    for jobs in [1, 2] {
+        let config = Config::default().with_jobs(jobs);
+        let mut engine = ServeEngine::new(src, &config).unwrap();
+        let mut plain = PlainSession::new(src, config);
+        let edits = [
+            ("b", "= 4;", "= 6;"),
+            ("a", "= 5;", "= 7;"),
+            ("b", "= 6;", "= 8;"),
+        ];
+        for (name, from, to) in edits {
+            let body = text_of(&engine, name).replace(from, to);
+            let what = format!("jobs {jobs}: `{name}` {from} -> {to}");
+            let out = step_both(&mut engine, &mut plain, name, &body, &what).unwrap();
+            assert_eq!(out.path, RunPath::Live, "{what}");
+        }
     }
 }
 
@@ -890,7 +1051,7 @@ impl SolveScript {
     fn new(engine: &ServeEngine) -> SolveScript {
         let model = ProgramModel::from_source(&engine.source()).unwrap();
         let (module, live) = (&engine.mcfg().module, engine.analysis());
-        let edits = module.procs[1..].iter().filter_map(|p| {
+        let edits = module.procs.iter().skip(1).filter_map(|p| {
             let text = model.proc_text(&p.name)?;
             let line = text.lines().find(|l| {
                 l.trim().strip_prefix("call ").is_some_and(|c| {

@@ -136,7 +136,7 @@ fn check(mcfg: &ModuleCfg, label: &str) {
                 // Serve's miss path hands its live return-jump forms to
                 // the jump stage the same way: a cold cache reuses as
                 // many forms, and the results stay identical.
-                let own: Vec<u128> = (0..mcfg.module.procs.len() as u128).collect();
+                let own: ipcp_ir::Table<u128> = (0..mcfg.module.procs.len() as u128).collect();
                 let mut txn = CacheTxn::new();
                 let memo = Memo {
                     cache: &SummaryCache::new(),
