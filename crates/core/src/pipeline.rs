@@ -377,10 +377,11 @@ impl Analysis {
         let regular = live.health.events.is_empty()
             && config.panic_injection.is_none()
             && config.deadline.is_none();
+        if !regular {
+            return None;
+        }
         let cg = Arc::clone(&live.cg);
-        let work = reuse
-            .solve_work()
-            .filter(|w| regular && w.len() == cg.sccs.len())?;
+        let work = reuse.solve_work().filter(|w| w.len() == cg.sccs.len())?;
         let t_run = Instant::now();
         let (n_procs, layout) = (mcfg.module.procs.len(), Arc::clone(&reuse.layout));
         let prev_log = reuse.log();
@@ -516,11 +517,6 @@ impl Analysis {
             }
             symbolics.set(pi, Some(ps));
         }
-        // An edited caller runs even with no form (unreachable): its
-        // sites follow its new call statements.
-        let mut callers: Vec<usize> = moved_forms.iter().chain(reuse.edited()).copied().collect();
-        callers.sort_unstable();
-        callers.dedup();
         let jump_fns = build_forward_jump_fns_cone(
             mcfg,
             &cg,
@@ -530,7 +526,7 @@ impl Analysis {
             &mut gov,
             &live.jump_fns,
             &mut txn,
-            &callers,
+            &moved_forms,
         )?;
         timings.jump = PhaseTime::sequential(t2.elapsed(), visit.len());
         timings.jump.reused = reused;
@@ -554,7 +550,7 @@ impl Analysis {
             config,
             &mut gov,
             live_solve,
-            &callers,
+            &moved_forms,
         )?;
         timings.solve = solved.time;
         txn.log_solve(solved.work);

@@ -311,6 +311,7 @@ struct Scratch {
 trait Dirty {
     fn get(&self, p: usize) -> bool;
     fn mark(&mut self, p: usize);
+    fn clear(&mut self, p: usize);
 }
 
 impl Dirty for [bool] {
@@ -320,6 +321,10 @@ impl Dirty for [bool] {
 
     fn mark(&mut self, p: usize) {
         self[p] = true;
+    }
+
+    fn clear(&mut self, p: usize) {
+        self[p] = false;
     }
 }
 
@@ -334,6 +339,10 @@ impl Dirty for DirtyFlags<'_> {
 
     fn mark(&mut self, p: usize) {
         self.0.insert(p, true);
+    }
+
+    fn clear(&mut self, p: usize) {
+        self.0.insert(p, false);
     }
 }
 
@@ -730,6 +739,92 @@ fn same_fns(a: &CallerJumpFns, b: &CallerJumpFns) -> bool {
     a.ptr_eq(b) || a == b
 }
 
+/// What re-seeding an SCC reads: the module, the call graph, the forward
+/// jump functions and the entry procedure's global assumption.
+struct Seed<'a> {
+    mcfg: &'a ModuleCfg,
+    cg: &'a CallGraph,
+    jump_fns: &'a ForwardJumpFns,
+    entry_globals: Lattice,
+}
+
+impl Seed<'_> {
+    /// Re-seeds SCC `si` from its external callers' final rows: each
+    /// member's row is its initial value met with every in-edge from a
+    /// caller outside the SCC that was popped, evaluated at that caller's
+    /// row, and the member is dirty when it is the entry, a call runs it
+    /// (a callee without entry slots) or its row left ⊤. Returns whether
+    /// any member is dirty.
+    fn reseed(
+        &self,
+        si: usize,
+        vals: &mut ValSets,
+        dirty: &mut (impl Dirty + ?Sized),
+        buf: &mut Vec<Lattice>,
+    ) -> bool {
+        let (cg, entry) = (self.cg, self.mcfg.module.entry);
+        let mut any = false;
+        for &m in &cg.sccs[si] {
+            buf.clear();
+            buf.resize(vals.of(m).len(), Lattice::Top);
+            init_row(self.mcfg, m, self.entry_globals, buf);
+            vals.popped.set(m.index(), false);
+            let mut called = false;
+            for edge in cg.calls_to(m) {
+                let c = edge.caller;
+                if cg.scc_of[c.index()] == si || !vals.popped[c.index()] {
+                    continue;
+                }
+                let Some(fns) = self.jump_fns.reached(c, edge.site) else {
+                    continue;
+                };
+                called |= fns.is_empty();
+                let caller_row = vals.of(c);
+                for (slot, jf) in fns.iter().enumerate() {
+                    let incoming = jf.eval(|v| {
+                        caller_row
+                            .get(v as usize)
+                            .copied()
+                            .unwrap_or(Lattice::Bottom)
+                    });
+                    buf[slot].meet_in(incoming);
+                }
+            }
+            let d = m == entry || called || buf.iter().any(|&l| l != Lattice::Top);
+            if d {
+                dirty.mark(m.index());
+            } else {
+                dirty.clear(m.index());
+            }
+            any |= d;
+            vals.row_mut(m.index()).copy_from_slice(buf);
+        }
+        any
+    }
+}
+
+/// The SCCs below SCC `si` that a re-run of it may have moved: the callee
+/// SCCs of every member whose row, popped flag or forward jump functions
+/// differ from `live`'s (early cutoff).
+fn moved_callees<'a>(
+    cg: &'a CallGraph,
+    si: usize,
+    vals: &'a ValSets,
+    jump_fns: &'a ForwardJumpFns,
+    live: LiveSolve<'a>,
+) -> impl Iterator<Item = usize> + 'a {
+    cg.sccs[si]
+        .iter()
+        .filter(move |&&m| {
+            let p = m.index();
+            vals.of(m) != live.vals.of(m)
+                || vals.popped[p] != live.vals.popped[p]
+                || !same_fns(&jump_fns.sites[p], &live.jump_fns.sites[p])
+        })
+        .flat_map(move |&m| cg.calls_from(m).iter().map(|e| cg.scc_of[e.callee.index()]))
+        .filter(move |&cs| cs != si)
+}
+
 /// The reusing schedule (see the module docs): `None` when the run must
 /// fall back to the full solve (the caller restores the governor then).
 /// The caller stamps the wall time.
@@ -745,7 +840,6 @@ fn solve_reusing(
     live: LiveSolve<'_>,
 ) -> Option<Solved> {
     let n_procs = mcfg.module.procs.len();
-    let entry = mcfg.module.entry;
     let mut rerun = vec![false; cg.sccs.len()];
     for (p, (now, was)) in jump_fns.sites.iter().zip(&live.jump_fns.sites).enumerate() {
         if !now.ptr_eq(was) {
@@ -765,6 +859,12 @@ fn solve_reusing(
     let mut units = 0;
     let mut scratch = Scratch::default();
     let mut rerun_members = Vec::new();
+    let seed = Seed {
+        mcfg,
+        cg,
+        jump_fns,
+        entry_globals,
+    };
     // Reused units' charges replay in batches, each flushed before a
     // re-run unit charges and at the end: a trip condition is monotone in
     // the counter, so a batch that replays cleanly crosses no trip at any
@@ -789,39 +889,7 @@ fn solve_reusing(
         // Re-seed: every external caller at an earlier level has its
         // final row, and contributed iff it was popped.
         rerun_members.extend(members.iter().map(|m| m.index()));
-        for &m in members {
-            let init = &mut scratch.row;
-            init.clear();
-            init.resize(vals.of(m).len(), Lattice::Top);
-            init_row(mcfg, m, entry_globals, init);
-            let mut row = std::mem::take(init);
-            vals.popped[m.index()] = false;
-            let mut called = false;
-            for edge in cg.calls_to(m) {
-                let c = edge.caller;
-                if cg.scc_of[c.index()] == si || !vals.popped[c.index()] {
-                    continue;
-                }
-                let Some(fns) = jump_fns.reached(c, edge.site) else {
-                    continue;
-                };
-                called |= fns.is_empty();
-                let caller_row = vals.of(c);
-                for (slot, jf) in fns.iter().enumerate() {
-                    let incoming = jf.eval(|v| {
-                        caller_row
-                            .get(v as usize)
-                            .copied()
-                            .unwrap_or(Lattice::Bottom)
-                    });
-                    row[slot].meet_in(incoming);
-                }
-            }
-            dirty[m.index()] = m == entry || called || row.iter().any(|&l| l != Lattice::Top);
-            vals.row_mut(m.index()).copy_from_slice(&row);
-            scratch.row = row;
-        }
-        if members.iter().any(|&m| dirty[m.index()]) {
+        if seed.reseed(si, &mut vals, &mut dirty[..], &mut scratch.row) {
             if !flush(gov, &mut pending) {
                 return None;
             }
@@ -846,16 +914,8 @@ fn solve_reusing(
         }
         // Cutoff: only a member whose row or jump functions moved can
         // move its callees.
-        for &m in members {
-            let p = m.index();
-            let moved = vals.of(m) != live.vals.of(m)
-                || vals.popped[p] != live.vals.popped[p]
-                || !same_fns(&jump_fns.sites[p], &live.jump_fns.sites[p]);
-            if moved {
-                for edge in cg.calls_from(m) {
-                    rerun[cg.scc_of[edge.callee.index()]] = true;
-                }
-            }
+        for cs in moved_callees(cg, si, &vals, jump_fns, live) {
+            rerun[cs] = true;
         }
     }
     flush(gov, &mut pending).then(|| Solved {
@@ -889,7 +949,12 @@ pub(crate) fn solve_cone(
     callers: &[usize],
 ) -> Option<(Solved, u64)> {
     let t0 = Instant::now();
-    let entry = mcfg.module.entry;
+    let seed = Seed {
+        mcfg,
+        cg,
+        jump_fns,
+        entry_globals,
+    };
     let mut vals = live.vals.clone();
     let mut work = live.work.clone();
     let mut unvisited = vals.iterations as u64;
@@ -911,40 +976,9 @@ pub(crate) fn solve_cone(
         vals.iterations -= iterations;
         work.set(si, (0, 0));
         rerun_members.extend(members.iter().map(|m| m.index()));
-        let mut any_dirty = false;
-        for &m in members {
-            let mut row = vec![Lattice::Top; vals.of(m).len()];
-            init_row(mcfg, m, entry_globals, &mut row);
-            vals.popped.set(m.index(), false);
-            let mut called = false;
-            for edge in cg.calls_to(m) {
-                let c = edge.caller;
-                if cg.scc_of[c.index()] == si || !vals.popped[c.index()] {
-                    continue;
-                }
-                let Some(fns) = jump_fns.reached(c, edge.site) else {
-                    continue;
-                };
-                called |= fns.is_empty();
-                let caller_row = vals.of(c);
-                for (slot, jf) in fns.iter().enumerate() {
-                    let incoming = jf.eval(|v| {
-                        caller_row
-                            .get(v as usize)
-                            .copied()
-                            .unwrap_or(Lattice::Bottom)
-                    });
-                    row[slot].meet_in(incoming);
-                }
-            }
-            let d = m == entry || called || row.iter().any(|&l| l != Lattice::Top);
-            any_dirty |= d;
-            dirty.insert(m.index(), d);
-            vals.row_mut(m.index()).copy_from_slice(&row);
-        }
-        if any_dirty {
+        let mut flags = DirtyFlags(&mut dirty);
+        if seed.reseed(si, &mut vals, &mut flags, &mut scratch.row) {
             units += 1;
-            let mut flags = DirtyFlags(&mut dirty);
             let unit = guarded(config, si, || {
                 eval_unit(
                     cg,
@@ -963,20 +997,7 @@ pub(crate) fn solve_cone(
             vals.meets += u.meets;
             vals.iterations += u.iterations;
         }
-        for &m in members {
-            let p = m.index();
-            let moved = vals.of(m) != live.vals.of(m)
-                || vals.popped[p] != live.vals.popped[p]
-                || !same_fns(&jump_fns.sites[p], &live.jump_fns.sites[p]);
-            if moved {
-                todo.extend(
-                    cg.calls_from(m)
-                        .iter()
-                        .map(|e| cg.scc_of[e.callee.index()])
-                        .filter(|&cs| cs != si),
-                );
-            }
-        }
+        todo.extend(moved_callees(cg, si, &vals, jump_fns, live));
     }
     rerun_members.sort_unstable();
     let solved = Solved {

@@ -861,31 +861,6 @@ fn outcomes_name_the_path_each_run_took() {
     assert_eq!(runs.iter().sum::<u64>(), stats.requests);
 }
 
-/// A call after a `return` is dead code and makes no call edge, so adding
-/// one — in a reachable procedure, or in one nothing calls, which has no
-/// symbolic form to move — keeps the live path, which still answers what
-/// the plain path and a cold run answer.
-#[test]
-fn a_dead_call_keeps_the_live_path() {
-    let src = "proc main() { call f(1); } \
-               proc f(a) { print a; } \
-               proc g(b) { print b; }";
-    for jobs in [1, 2] {
-        let config = Config::default().with_jobs(jobs);
-        let mut engine = ServeEngine::new(src, &config).unwrap();
-        let mut plain = PlainSession::new(src, config);
-        let edits = [
-            ("f", "proc f(a) { print a; return; call g(a); }"),
-            ("g", "proc g(b) { print b; return; call f(b); }"),
-        ];
-        for (name, body) in edits {
-            let what = format!("jobs {jobs}: {body}");
-            let out = step_both(&mut engine, &mut plain, name, body, &what).unwrap();
-            assert_eq!(out.path, RunPath::Live, "{what}");
-        }
-    }
-}
-
 /// An edit inside a recursive SCC re-runs the SCC's unit from the live
 /// table, and its first member must see no entry of its siblings, as in
 /// the bottom-up walk: the live entry of a later member would carry that
