@@ -30,6 +30,7 @@ use std::any::Any;
 use std::panic;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Wall-clock and utilization accounting for one parallel (or sequential)
@@ -162,10 +163,9 @@ impl Timings {
     }
 }
 
-/// What one participant hands back from a round: its busy time, the
-/// payload of the panic that stopped it, if one did, and the results of
-/// the units it ran, with their indices.
-type Participation<T> = (Duration, Option<Box<dyn Any + Send>>, Vec<(usize, T)>);
+/// What one participant hands back from a round: its busy time, and the
+/// payload of the panic that stopped it, if one did.
+type Participation = (Duration, Option<Box<dyn Any + Send>>);
 
 /// A worker pool of `jobs` participants: the calling thread plus up to
 /// `jobs - 1` scoped workers, spawned for each [`Pool::run`] round and
@@ -206,7 +206,7 @@ impl Pool {
     /// contract is to propagate).
     pub fn run<T, F>(&self, n: usize, f: F) -> (Vec<T>, PhaseTime)
     where
-        T: Send,
+        T: Send + Sync,
         F: Fn(usize) -> T + Sync,
     {
         let start = Instant::now();
@@ -216,23 +216,23 @@ impl Pool {
             return (results, PhaseTime::sequential(start.elapsed(), n));
         }
 
-        // Each participant keeps the `(index, result)` pairs of the units
-        // it claimed from the atomic ticket; they are scattered into index
-        // order after the round joins.
+        // One write-once slot per unit: each index is claimed by exactly
+        // one participant (the atomic ticket), which fills it.
+        let slots: Vec<OnceLock<T>> = (0..n).map(|_| OnceLock::new()).collect();
         let next = AtomicUsize::new(0);
-        let participate = || -> Participation<T> {
+        let participate = || -> Participation {
             let t0 = Instant::now();
-            let mut done = Vec::new();
             let claimed = catch_unwind(AssertUnwindSafe(|| loop {
                 let i = next.fetch_add(1, Ordering::SeqCst);
                 if i >= n {
                     break;
                 }
-                done.push((i, f(i)));
+                // A claimed slot is empty, so the set cannot fail.
+                let _ = slots[i].set(f(i));
             }));
-            (t0.elapsed(), claimed.err(), done)
+            (t0.elapsed(), claimed.err())
         };
-        let outcomes: Vec<Participation<T>> = std::thread::scope(|scope| {
+        let outcomes: Vec<Participation> = std::thread::scope(|scope| {
             let workers: Vec<_> = (1..participants)
                 .map(|_| scope.spawn(participate))
                 .collect();
@@ -243,27 +243,19 @@ impl Pool {
             // all the same.
             outcomes.extend(workers.into_iter().map(|w| {
                 w.join()
-                    .unwrap_or_else(|payload| (Duration::ZERO, Some(payload), Vec::new()))
+                    .unwrap_or_else(|payload| (Duration::ZERO, Some(payload)))
             }));
             outcomes
         });
 
-        let busy = outcomes.iter().map(|(t, _, _)| *t).sum();
-        let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let mut payload = None;
-        for (_, p, done) in outcomes {
-            payload = payload.or(p);
-            for (i, v) in done {
-                slots[i] = Some(v);
-            }
-        }
-        if let Some(payload) = payload {
+        let busy = outcomes.iter().map(|(t, _)| *t).sum();
+        if let Some(payload) = outcomes.into_iter().find_map(|(_, p)| p) {
             panic::resume_unwind(payload);
         }
 
         let results: Vec<T> = slots
             .into_iter()
-            .map(|slot| match slot {
+            .map(|slot| match slot.into_inner() {
                 Some(v) => v,
                 // Unreachable: every index < n is claimed by exactly one
                 // participant, and a panicked claim re-raised above.
@@ -290,7 +282,11 @@ mod tests {
     use super::*;
 
     /// One round on a pool of `jobs`.
-    fn run<T: Send>(jobs: usize, n: usize, f: impl Fn(usize) -> T + Sync) -> (Vec<T>, PhaseTime) {
+    fn run<T: Send + Sync>(
+        jobs: usize,
+        n: usize,
+        f: impl Fn(usize) -> T + Sync,
+    ) -> (Vec<T>, PhaseTime) {
         Pool::new(jobs).run(n, f)
     }
 

@@ -188,7 +188,7 @@ impl PhaseFold {
 /// sequential loop's cost. Returns the phase accounting without the
 /// stage's sequential tail; callers stamp that with
 /// [`PhaseTime::with_tail`].
-pub(crate) fn fold_units<T: Send>(
+pub(crate) fn fold_units<T: Send + Sync>(
     pool: Pool,
     gov: &mut Governor,
     n: usize,
