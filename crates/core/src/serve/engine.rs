@@ -801,16 +801,16 @@ pub(crate) fn constants_report(
     proc: Option<&str>,
     substituted: usize,
 ) -> Result<ConstantsReport, ServeError> {
-    let mut procs = Vec::new();
-    for p in &mcfg.module.procs {
-        if let Some(want) = proc {
-            if p.name != want {
-                continue;
-            }
-        }
-        procs.push((p.name.clone(), analysis.constants_of(mcfg, p.id)));
-    }
-    if proc.is_some() && procs.is_empty() {
+    let selected: Vec<&ipcp_ir::Proc> = match proc {
+        // One procedure: a lookup in the module's name table.
+        Some(want) => mcfg.module.proc_named(want).into_iter().collect(),
+        None => mcfg.module.procs.iter().map(|p| &**p).collect(),
+    };
+    let procs = selected
+        .iter()
+        .map(|p| (p.name.clone(), analysis.constants_of(mcfg, p.id)))
+        .collect();
+    if proc.is_some() && selected.is_empty() {
         return Err(ServeError::BadRequest(format!(
             "no procedure named `{}`",
             proc.unwrap_or_default()

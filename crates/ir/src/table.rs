@@ -57,11 +57,16 @@ impl<T> Table<T> {
     }
 
     /// The entries in index order.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + '_ {
-        self.chunks().flat_map(|c| c.iter())
+    pub fn iter(&self) -> Iter<'_, T> {
+        Iter {
+            nodes: self.root.iter(),
+            chunks: [].iter(),
+            entries: [].iter(),
+            left: self.len,
+        }
     }
 
-    fn chunks(&self) -> impl DoubleEndedIterator<Item = &Arc<[T]>> + '_ {
+    fn chunks(&self) -> impl Iterator<Item = &Arc<[T]>> + '_ {
         self.root.iter().flat_map(|node| node.iter())
     }
 
@@ -246,12 +251,44 @@ impl<T: Clone> IndexMut<usize> for Table<T> {
     }
 }
 
+/// The entries of a [`Table`] in index order ([`Table::iter`]).
+#[derive(Debug)]
+pub struct Iter<'a, T> {
+    nodes: std::slice::Iter<'a, Node<T>>,
+    chunks: std::slice::Iter<'a, Arc<[T]>>,
+    entries: std::slice::Iter<'a, T>,
+    left: usize,
+}
+
+impl<'a, T> Iterator for Iter<'a, T> {
+    type Item = &'a T;
+
+    fn next(&mut self) -> Option<&'a T> {
+        loop {
+            if let Some(entry) = self.entries.next() {
+                self.left -= 1;
+                return Some(entry);
+            }
+            match self.chunks.next() {
+                Some(chunk) => self.entries = chunk.iter(),
+                None => self.chunks = self.nodes.next()?.iter(),
+            }
+        }
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T> ExactSizeIterator for Iter<'_, T> {}
+
 impl<'a, T> IntoIterator for &'a Table<T> {
     type Item = &'a T;
-    type IntoIter = Box<dyn DoubleEndedIterator<Item = &'a T> + 'a>;
+    type IntoIter = Iter<'a, T>;
 
-    fn into_iter(self) -> Self::IntoIter {
-        Box::new(self.iter())
+    fn into_iter(self) -> Iter<'a, T> {
+        self.iter()
     }
 }
 
@@ -310,7 +347,8 @@ mod tests {
         assert_eq!(a.len(), 10_000);
         assert_eq!(a.n_chunks(), 157);
         assert_eq!(a.to_vec(), (0..10_000).collect::<Vec<_>>());
-        assert_eq!(a.iter().next_back(), Some(&9_999));
+        assert_eq!(a.iter().len(), 10_000);
+        assert_eq!(a.iter().last(), Some(&9_999));
         assert_eq!(a.get(10_000), None);
         let mut b = a.clone();
         b.set(9_000, 0);
