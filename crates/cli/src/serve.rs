@@ -394,8 +394,9 @@ fn read_payload(
             o.set("loads", Json::from(stats.loads));
             o.set("solved_units", Json::from(stats.solved_units));
             o.set("live_runs", Json::from(stats.runs_on(RunPath::Live)));
+            o.set("per_unit_runs", Json::from(stats.runs_on(RunPath::PerUnit)));
             let mut plain = Object::new();
-            for path in RunPath::ALL.into_iter().skip(1) {
+            for path in RunPath::ALL.into_iter().filter(|p| !p.reused()) {
                 plain.set(path.label(), Json::from(stats.runs_on(path)));
             }
             o.set("plain_runs", Json::from(plain));

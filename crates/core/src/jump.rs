@@ -281,16 +281,12 @@ pub fn build_forward_jump_fns(
         quarantined,
         gov,
         pool,
-        None,
         &mut CacheTxn::new(),
     )
 }
 
 /// [`build_forward_jump_fns`], recording each caller unit's charges in
-/// `txn`'s memo log, and with `reuse`, sharing a caller's live functions
-/// when its form is the live one (the same `Arc`), no earlier stage
-/// quarantined it, its live unit ran clean, and replaying the live unit's
-/// charges passes [`Governor::can_absorb`]. Any other caller runs.
+/// `txn`'s memo log.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_forward_jump_fns_on(
     mcfg: &ModuleCfg,
@@ -301,7 +297,6 @@ pub(crate) fn build_forward_jump_fns_on(
     quarantined: &mut [bool],
     gov: &mut Governor,
     pool: Pool,
-    reuse: Option<&Reuse<'_>>,
     txn: &mut CacheTxn,
 ) -> (ForwardJumpFns, PhaseTime) {
     // A unit reads only its own caller's flag, which only its own commit
@@ -311,36 +306,12 @@ pub(crate) fn build_forward_jump_fns_on(
     // Every caller without call sites shares one empty entry.
     let none: Arc<[Option<SiteJumpFns>]> = Arc::from(Vec::new());
     let mut out = Vec::with_capacity(n_procs);
-    // A caller whose form is the live one, that no earlier stage
-    // quarantined and whose live unit ran clean may reuse its live
-    // functions: a pure check, made before the round too.
-    let live_charges = |caller: usize| {
-        let r = reuse.filter(|_| !before[caller])?;
-        let same_form = match (&symbolics[caller], &r.live.symbolics[caller]) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            (a, b) => a.is_none() && b.is_none(),
-        };
-        r.fwd_charges(caller)
-            .filter(|_| same_form)
-            .map(|charges| (r, charges))
-    };
-    let computes = reuse.map(|_| {
-        (0..n_procs)
-            .filter(|&caller| live_charges(caller).is_none())
-            .collect::<Vec<_>>()
-    });
     let time = fold_units(
         pool,
         gov,
         n_procs,
-        computes.as_deref(),
+        None,
         |caller, g| {
-            if let Some((r, charges)) = live_charges(caller) {
-                if g.replay(charges) {
-                    let sites = r.live.jump_fns.sites[caller].clone();
-                    return (sites, false, Some(*charges));
-                }
-            }
             caller_unit(
                 mcfg,
                 cg,
@@ -407,11 +378,15 @@ fn caller_unit(
     (CallerJumpFns(sites), quar, charges)
 }
 
-/// The forward-jump stage of a run that visits only its cone: starting
-/// from the live functions, only `callers` (ascending: the callers whose
-/// symbolic form is not the live one) run, against `gov`, and log their
-/// charges in `txn`. `None` when a unit did not run clean, which only the
-/// per-unit path reproduces.
+/// The forward-jump stage of a run that reuses the live analysis:
+/// starting from the live functions, only `callers` (ascending) are
+/// visited, charging `gov` and logging their charges in `txn`. A visited
+/// caller shares its live functions when its form is the live one (the
+/// same `Arc`), no earlier stage quarantined it, its live unit ran clean,
+/// and replaying that unit's charges passes [`Governor::can_absorb`];
+/// any other runs, under the quarantine flag `quarantined` holds for it,
+/// and takes the flag its unit leaves. Returns the functions and the
+/// visited callers whose functions moved from the live ones.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_forward_jump_fns_cone(
     mcfg: &ModuleCfg,
@@ -419,24 +394,42 @@ pub(crate) fn build_forward_jump_fns_cone(
     layout: &SlotLayout,
     config: &Config,
     symbolics: &Table<Option<Arc<ProcSymbolic>>>,
+    quarantined: &mut Table<bool>,
     gov: &mut Governor,
-    live: &ForwardJumpFns,
+    reuse: &Reuse<'_>,
     txn: &mut CacheTxn,
-    callers: &[usize],
-) -> Option<ForwardJumpFns> {
+    callers: impl IntoIterator<Item = usize>,
+) -> (ForwardJumpFns, Vec<usize>) {
     let none: Arc<[Option<SiteJumpFns>]> = Arc::from(Vec::new());
+    let live = &reuse.live.jump_fns;
     let mut out = live.clone();
-    for &caller in callers {
+    let mut moved = Vec::new();
+    for caller in callers {
+        let before = quarantined[caller];
+        let same_form = match (&symbolics[caller], &reuse.live.symbolics[caller]) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        let charges = reuse.fwd_charges(caller).filter(|_| same_form && !before);
+        if let Some(&charges) = charges {
+            if gov.replay(&charges) {
+                txn.log_fwd_charges(caller, Some(charges));
+                continue;
+            }
+        }
         let (sites, quar, charges) = caller_unit(
-            mcfg, cg, layout, config, symbolics, caller, false, &none, gov,
+            mcfg, cg, layout, config, symbolics, caller, before, &none, gov,
         );
-        if quar || charges.is_none() {
-            return None;
+        if quar != before {
+            quarantined.set(caller, quar);
+        }
+        if !(sites.ptr_eq(&live.sites[caller]) || sites == live.sites[caller]) {
+            moved.push(caller);
         }
         out.sites.set(caller, sites);
         txn.log_fwd_charges(caller, charges);
     }
-    Some(out)
+    (out, moved)
 }
 
 /// Builds the jump functions for every call site of one caller — the unit

@@ -27,18 +27,15 @@ use crate::jump::{
 use crate::par::{PhaseTime, Pool, Timings};
 use crate::quarantine::run_unit;
 use crate::retjump::{
-    build_return_jfs_cone, build_return_jfs_on, RetCone, RetMarks, RetOracle, RetView,
-    ReturnJumpFns,
+    build_return_jfs_cone, build_return_jfs_on, RetCone, RetOracle, RetView, ReturnJumpFns,
 };
 use crate::serve::cache::{
-    cacheable, CacheTxn, CachedSummary, Live, Lookup, Memo, MemoKeys, MemoLog, Reuse, RunPath,
-    Served, SummaryStage,
+    cacheable, CacheTxn, CachedSummary, Charges, Live, Lookup, Memo, MemoKeys, MemoLog, Reuse,
+    RunPath, Served, SummaryStage,
 };
-use crate::solver::{solve_cone, LiveSolve, ValSets};
+use crate::solver::{LiveSolve, ValSets};
 use crate::substitute::{self, Substitution, SubstitutionCounts};
-use ipcp_analysis::{
-    build_call_graph, direct_effects, propagate_modref, CallGraph, ModRef, ModSet,
-};
+use ipcp_analysis::{build_call_graph, direct_effects, propagate_modref, CallGraph, ModRef, ModSet};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
 use ipcp_ir::Table;
@@ -316,10 +313,10 @@ impl Analysis {
     }
 
     /// [`Analysis::run_memoized`] that may also reuse `live`, the analysis
-    /// serve holds for the previous program, stage by stage: see
-    /// [`crate::serve::cache`] for when a stage's product is shared and
-    /// when the run falls back to the plain memoized path. The result,
-    /// the notes and the staged entries are the plain path's.
+    /// serve holds for the previous program: see [`crate::serve::cache`]
+    /// for when the live analysis is reused and when the run falls back to
+    /// the plain memoized path. The result, the notes and the staged
+    /// entries are the plain path's.
     pub(crate) fn run_memoized_on(
         mcfg: &ModuleCfg,
         config: &Config,
@@ -334,84 +331,120 @@ impl Analysis {
         let reuse = live.map_or(Err(RunPath::NoLog), |live| {
             Reuse::check(mcfg, config, memo.own, live)
         });
-        memo.txn.path = reuse.as_ref().map_or_else(|&path| path, |_| RunPath::Live);
-        let reuse = reuse.ok();
-        if let Some((analysis, txn)) = reuse
-            .as_ref()
-            .and_then(|r| Self::run_cone(mcfg, config, &memo, r))
-        {
-            let mut txn = txn;
-            txn.path = memo.txn.path;
-            *memo.txn = txn;
-            return analysis;
+        let mut path = match &reuse {
+            Ok(_) => RunPath::ModRef,
+            Err(path) => *path,
+        };
+        if let Ok(reuse) = &reuse {
+            let keys = MemoKeys::new(&memo, mcfg, &reuse.live.cg, config, Some(reuse));
+            // The cone first, unless a deadline can cut a unit short: that
+            // depends on time, not on the unit's inputs.
+            let cone = config.deadline.is_none().then_some(false);
+            for all in cone.into_iter().chain([true]) {
+                match Self::run_live(mcfg, config, reuse, &keys, all) {
+                    Ok((analysis, mut txn)) => {
+                        txn.path = if all { RunPath::PerUnit } else { RunPath::Live };
+                        *memo.txn = txn;
+                        return analysis;
+                    }
+                    Err(RunPath::PerUnit) if !all => continue,
+                    Err(failed) => {
+                        path = failed;
+                        break;
+                    }
+                }
+            }
         }
-        Self::run_once(mcfg, config, None, Some((memo, reuse)))
+        memo.txn.path = path;
+        Self::run_once(mcfg, config, None, Some(memo))
     }
 
-    /// The live path's common case: a run that visits only its cone. It
-    /// applies when the live analysis is regular — no degradation event,
-    /// so every reachable unit ran clean — and no panic injection or
-    /// deadline can make a unit's outcome depend on more than its inputs.
-    /// Every product starts as the live analysis's table; the stages visit
-    /// only the edited procedures, the procedures whose keys moved, and
-    /// what early cutoff reaches from them, and `set` their entries. The
-    /// units it does not visit are the live run's clean units under
-    /// unchanged keys: the plain path notes each as a hit and replays its
-    /// recorded charges, so the run's counters come from the live log's
-    /// tallies ([`CacheTxn::finish_cone`]) and their charges replay in one
-    /// batch with the visited units', through one
+    /// A run that reuses the live analysis. Every product starts as the
+    /// live analysis's table, and each stage visits only the units it must
+    /// and `set`s their entries: with `all`, every unit, in sequential unit
+    /// order; otherwise the *cone* — the edited procedures, those whose
+    /// keys moved, the units a degraded live run did not serve cleanly,
+    /// and what early cutoff reaches from them. A visited unit reuses its
+    /// live result when its inputs are the live run's, and otherwise runs
+    /// as the plain path runs it, quarantine and taint included. A unit
+    /// the cone does not visit is the live run's clean unit under an
+    /// unchanged key: the plain path notes it as a hit and replays its
+    /// recorded charges, so the cone's counters come from the live log's
+    /// tallies ([`CacheTxn::finish_cone`]) and those charges replay in one
+    /// batch after the visited units', through one
     /// [`Governor::can_absorb`]. A trip condition is monotone in the
-    /// counter, so when the batch absorbs, no unit would have tripped in
-    /// sequential order either. `None` — the run then takes the per-unit
-    /// live path ([`Analysis::run_once`]), which reproduces the plain
-    /// path's trips — when a precondition fails, the propagated MOD/REF
-    /// moves, a visited unit does not come out clean, or the batch does
-    /// not absorb.
-    fn run_cone(
+    /// counter, so a batch that absorbs trips nowhere in sequential order
+    /// either; one that does not asks for the run with `all`
+    /// (`Err(RunPath::PerUnit)`), whose units charge in sequential order.
+    /// `Err(RunPath::ModRef)` when the MOD/REF stage's product moved: the
+    /// later stages read it everywhere.
+    fn run_live(
         mcfg: &ModuleCfg,
         config: &Config,
-        memo: &Memo<'_>,
         reuse: &Reuse<'_>,
-    ) -> Option<(Analysis, CacheTxn)> {
+        memo_keys: &MemoKeys<'_>,
+        all: bool,
+    ) -> Result<(Analysis, CacheTxn), RunPath> {
         let live = reuse.live;
-        let regular = live.health.events.is_empty()
-            && config.panic_injection.is_none()
-            && config.deadline.is_none();
-        if !regular {
-            return None;
-        }
-        let cg = Arc::clone(&live.cg);
-        let work = reuse.solve_work().filter(|w| w.len() == cg.sccs.len())?;
         let t_run = Instant::now();
+        let cg = Arc::clone(&live.cg);
         let (n_procs, layout) = (mcfg.module.procs.len(), Arc::clone(&reuse.layout));
         let prev_log = reuse.log();
         let mut txn = CacheTxn::new();
-        txn.start_cone(prev_log);
-        let memo_keys = MemoKeys::new(memo, mcfg, &cg, config, Some(reuse));
-        let keys = Some(&memo_keys);
-        // Every visited unit charges this governor; what the run did not
-        // visit is added before the one absorb check at the end.
+        match all {
+            true => txn.start_log(n_procs, true),
+            false => txn.start_cone(prev_log),
+        }
+        let every = || (0..n_procs).collect::<Vec<_>>();
+        let sorted = |mut v: Vec<usize>| {
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
         let mut gov = Governor::new(config);
         let mut timings = Timings {
             jobs: config.effective_jobs(),
             ..Timings::default()
         };
 
-        // Stage 0: the edited procedures' direct effects; the live
-        // propagation stands when each equals the live one and binds the
-        // same variables by reference.
-        for &pi in reuse.edited() {
+        // Stage 0: the visited procedures' direct effects; the live
+        // propagation stands when each equals the live one, the unit's
+        // quarantine is the live one, and the procedure binds the same
+        // variables by reference.
+        let stage0 = match all {
+            true => every(),
+            false => sorted([reuse.edited(), &reuse.unclean(SummaryStage::ModRef)].concat()),
+        };
+        let mut quarantined = match reuse.regular() {
+            true => live.quarantined.clone(),
+            false => Table::filled(n_procs, false),
+        };
+        for &pi in &stage0 {
             let (pair, quarantine, served) =
-                modref_unit(mcfg, config, keys, Some(reuse), pi, &mut gov);
+                modref_unit(mcfg, config, Some(memo_keys), Some(reuse), pi, &mut gov);
             let same = pair
                 .as_ref()
-                .is_none_or(|d| *d == reuse.live_direct_effects(pi));
-            if quarantine || !same || !reuse.same_bindings(mcfg, pi) {
-                return None;
+                .is_none_or(|d| *d == reuse.live_direct_effects(pi))
+                && quarantine == reuse.live_modref_quarantined(pi)
+                && reuse.same_bindings(mcfg, pi);
+            if !same {
+                // A MOD/REF charge that trips in sequential order lands
+                // where only the per-unit run puts it.
+                let mut charges = Charges::default();
+                let slot = Stage::ALL.iter().position(|&s| s == Stage::ModRef);
+                charges[slot.unwrap_or(0)] = n_procs as u64;
+                let trips = !Governor::new(config).replay(&charges);
+                return Err(match !all && trips {
+                    true => RunPath::PerUnit,
+                    false => RunPath::ModRef,
+                });
             }
-            txn.note_unit(pi, served);
+            if quarantine {
+                quarantined.set(pi, true);
+            }
+            txn.note_unit(SummaryStage::ModRef, pi, served);
         }
-        timings.modref = PhaseTime::sequential(t_run.elapsed(), reuse.edited().len());
+        timings.modref = PhaseTime::sequential(t_run.elapsed(), stage0.len());
         let modref = Arc::clone(&live.modref);
         let mod_kills = ModKills(&modref);
         let kills: &(dyn CallKills + Sync) = if config.use_mod {
@@ -419,77 +452,112 @@ impl Analysis {
         } else {
             &WorstCaseKills
         };
+        // Only a degraded live run has MOD/REF quarantines to taint with.
+        let mod_tainted = match config.use_mod && !reuse.regular() {
+            true => {
+                let flags = quarantined.to_vec();
+                match flags.contains(&true) {
+                    true => mod_taint(&cg, &flags),
+                    false => Vec::new(),
+                }
+            }
+            false => Vec::new(),
+        };
 
-        // Stage 1: return jump functions of the re-keyed procedures and of
-        // the callers of moved ones.
-        let quarantined = live.quarantined.clone();
+        // Stage 1: return jump functions, from the re-keyed procedures and
+        // the live run's unclean units up.
         let ret = match config.use_return_jfs {
-            true => build_return_jfs_cone(
-                mcfg,
-                &cg,
-                &layout,
-                kills,
-                config,
-                &quarantined,
-                &mut gov,
-                reuses_forms(config),
-                &memo_keys,
-                reuse,
-                &mut txn,
-                &memo_keys.moved,
-            )?,
+            true => {
+                let start = match all {
+                    true => every(),
+                    false => [&memo_keys.moved[..], &reuse.unclean(SummaryStage::RetJump)].concat(),
+                };
+                build_return_jfs_cone(
+                    mcfg,
+                    &cg,
+                    &layout,
+                    kills,
+                    config,
+                    &mut quarantined,
+                    &mut gov,
+                    reuses_forms(config),
+                    memo_keys,
+                    reuse,
+                    &mut txn,
+                    &mod_tainted,
+                    start,
+                )
+            }
             false => RetCone {
                 table: live.ret_jfs.clone(),
                 forms: Vec::new(),
                 visited: Vec::new(),
                 ran: Vec::new(),
                 moved: Vec::new(),
+                bad: Vec::new(),
                 time: PhaseTime::default(),
             },
         };
         timings.retjump = ret.time;
-        // A form is stale when its unit ran or a callee's functions moved.
+        // A form is stale when its unit ran or a callee's functions moved;
+        // it is tainted when it reads a degraded result.
         let mut stale = ret.ran.clone();
         for &q in &ret.moved {
             stale.extend(cg.calls_to(ProcId::from(q)).map(|e| e.caller.index()));
         }
-        stale.sort_unstable();
-        stale.dedup();
+        let stale = sorted(stale);
+        let form_tainted = |pi: usize| {
+            mod_tainted.get(pi).is_some_and(|&t| t)
+                || cg
+                    .calls_from(ProcId::from(pi))
+                    .iter()
+                    .any(|e| ret.bad.binary_search(&e.callee.index()).is_ok())
+        };
 
-        // Stage 2: the forms of stale and re-keyed procedures, then the
-        // forward jump functions of the callers whose form moved.
+        // Stage 2: the forms of stale, re-keyed and unclean procedures,
+        // then the forward jump functions of the callers whose form moved.
         let t2 = Instant::now();
         let latch = Arc::clone(gov.latch());
         let budget = EvalBudget {
             max_steps: gov.limits().max_symbolic_steps,
-            deadline: None,
+            deadline: config.deadline.map(|d| d.instant()),
             latch: Some(&latch),
         };
-        let mut visit: Vec<usize> = stale.iter().chain(&memo_keys.moved).copied().collect();
-        visit.sort_unstable();
-        visit.dedup();
+        let visit = match all {
+            true => every(),
+            false => sorted([&stale[..], &memo_keys.moved, &reuse.unclean(SummaryStage::Jump)].concat()),
+        };
         let mut kept: HashMap<usize, Box<KeptForm>> = ret.forms.into_iter().collect();
         let mut symbolics = live.symbolics.clone();
         let (mut reused, mut moved_forms) = (0, Vec::new());
         for &pi in visit.iter().filter(|&&pi| cg.reachable[pi]) {
+            let tainted = form_tainted(pi);
             let live_form = live.symbolics[pi].as_ref().filter(|_| {
-                stale.binary_search(&pi).is_err() && reuse.clean(&memo_keys, SummaryStage::Jump, pi)
+                !tainted
+                    && stale.binary_search(&pi).is_err()
+                    && reuse.clean(memo_keys, SummaryStage::Jump, pi)
             });
-            if let Some(ps) = live_form {
-                let served =
-                    reuse.served(&memo_keys, SummaryStage::Jump, pi, || CachedSummary::Jump {
+            let ps = if quarantined[pi] {
+                // An earlier stage quarantined it: no form, and its call
+                // sites get all-⊥ functions.
+                txn.note_unit(SummaryStage::Jump, pi, Served::Skipped);
+                None
+            } else if let Some(ps) = live_form {
+                let served = reuse.served(memo_keys, SummaryStage::Jump, pi, || {
+                    CachedSummary::Jump {
                         sym: Arc::clone(ps),
-                    });
-                txn.note_unit(pi, served);
-                continue;
-            }
-            let lookup = memo_keys.lookup(SummaryStage::Jump, pi);
-            let ps = match lookup.hit {
-                Some((CachedSummary::Jump { sym }, _)) => {
-                    txn.note_unit(pi, lookup.served_hit());
-                    Arc::clone(sym)
-                }
-                _ => {
+                    }
+                });
+                txn.note_unit(SummaryStage::Jump, pi, served);
+                Some(Arc::clone(ps))
+            } else {
+                let lookup = memo_keys
+                    .lookup(SummaryStage::Jump, pi)
+                    .forced_if(tainted);
+                if let Some((CachedSummary::Jump { sym }, _)) = lookup.hit {
+                    txn.note_unit(SummaryStage::Jump, pi, lookup.served_hit());
+                    Some(Arc::clone(sym))
+                } else {
                     let unit = match kept.remove(&pi) {
                         Some(form) => reuse_unit(config, pi, *form, &mut reused),
                         None => run_unit(config, Stage::Jump, pi, || {
@@ -498,78 +566,103 @@ impl Analysis {
                             )
                         }),
                     };
-                    let Ok((form, false)) = unit else {
-                        return None;
-                    };
-                    let ps = Arc::new(form);
-                    let entry = CachedSummary::Jump {
-                        sym: Arc::clone(&ps),
-                    };
-                    txn.note_unit(pi, lookup.served_miss(Some(entry)));
+                    let clean = matches!(unit, Ok((_, false)));
+                    let ps = commit_symbolic_unit(mcfg, pi, unit, &mut gov);
+                    if ps.is_none() {
+                        quarantined.set(pi, true);
+                    }
+                    let entry = ps.as_ref().filter(|_| clean).map(|sym| CachedSummary::Jump {
+                        sym: Arc::clone(sym),
+                    });
+                    txn.note_unit(SummaryStage::Jump, pi, lookup.served_miss(entry));
                     ps
                 }
             };
-            if live.symbolics[pi]
-                .as_ref()
-                .is_none_or(|l| !Arc::ptr_eq(l, &ps))
-            {
+            let same = match (&ps, &live.symbolics[pi]) {
+                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                (a, b) => a.is_none() && b.is_none(),
+            };
+            if !same {
                 moved_forms.push(pi);
+                symbolics.set(pi, ps);
             }
-            symbolics.set(pi, Some(ps));
         }
-        let jump_fns = build_forward_jump_fns_cone(
+        let callers = match all {
+            true => every(),
+            false => sorted([&moved_forms[..], &reuse.fwd_unclean()].concat()),
+        };
+        let (jump_fns, moved_fns) = build_forward_jump_fns_cone(
             mcfg,
             &cg,
             &layout,
             config,
             &symbolics,
+            &mut quarantined,
             &mut gov,
-            &live.jump_fns,
+            reuse,
             &mut txn,
-            &moved_forms,
-        )?;
+            callers.iter().copied(),
+        );
         timings.jump = PhaseTime::sequential(t2.elapsed(), visit.len());
         timings.jump.reused = reused;
 
-        // Stage 3: re-solve from the callers whose functions moved.
+        // Stage 3: re-solve from the callers whose functions moved, unless
+        // the live solve degraded.
         let entry_globals = if config.assume_zero_globals {
             Lattice::Const(0)
         } else {
             Lattice::Bottom
         };
-        let live_solve = LiveSolve {
-            vals: &live.vals,
-            jump_fns: &live.jump_fns,
-            work,
-        };
-        let (solved, solver_unvisited) = solve_cone(
+        let live_solve = reuse
+            .solve_work()
+            .filter(|w| w.len() == cg.sccs.len() && live.health.count(Stage::Solver) == 0)
+            .map(|work| LiveSolve {
+                vals: &live.vals,
+                jump_fns: &live.jump_fns,
+                work,
+                moved: &moved_fns,
+            });
+        let solved = crate::solver::solve_on(
             mcfg,
             &cg,
+            &layout,
             &jump_fns,
             entry_globals,
             config,
             &mut gov,
             live_solve,
-            &moved_forms,
-        )?;
+        );
+        for &p in &solved.quarantined {
+            quarantined.set(p, true);
+        }
         timings.solve = solved.time;
         txn.log_solve(solved.work);
-        let (memo_log, mut unvisited) = txn.finish_cone(memo_keys.keys, prev_log, n_procs)?;
-        let solver = Stage::ALL.iter().position(|&s| s == Stage::Solver)?;
-        unvisited[solver] += solver_unvisited;
-        gov.add_charges(&unvisited);
-        let mut master = Governor::new(config);
-        if gov.health.degraded() || !master.can_absorb(&gov) {
-            return None;
-        }
-        master.absorb_shard(gov);
-        // Every procedure the run visited, a superset of those whose row,
+        let keys = memo_keys.keys.clone();
+        let (memo_log, health) = match all {
+            true => {
+                let log = txn.finish_log(keys, Some(prev_log));
+                (log, gov.into_health())
+            }
+            false => {
+                let (log, unvisited) = txn
+                    .finish_cone(keys, prev_log, n_procs)
+                    .ok_or(RunPath::PerUnit)?;
+                gov.add_charges(&unvisited);
+                let mut master = Governor::new(config);
+                if !master.can_absorb(&gov) {
+                    return Err(RunPath::PerUnit);
+                }
+                master.absorb_shard(gov);
+                (Some(log), master.into_health())
+            }
+        };
+        // Every procedure the cone visited, a superset of those whose row,
         // form or callee functions moved: the tables differ from the live
         // ones only in the chunks that hold one.
-        let mut touched = solved.rerun.unwrap_or_default();
-        touched.extend(visit.iter().chain(&ret.visited));
-        touched.sort_unstable();
-        touched.dedup();
+        let touched = solved.rerun.filter(|_| !all).map(|mut touched| {
+            touched.extend(visit.iter().chain(&ret.visited).chain(&callers));
+            sorted(touched)
+        });
         timings.total = t_run.elapsed();
         let analysis = Analysis {
             config: *config,
@@ -580,46 +673,31 @@ impl Analysis {
             symbolics,
             jump_fns,
             vals: solved.vals,
-            health: master.into_health(),
+            health,
             quarantined,
             timings,
-            memo_log: Some(memo_log),
-            touched: Some(touched),
+            memo_log,
+            touched,
         };
-        Some((analysis, txn))
+        Ok((analysis, txn))
     }
 
     /// One pass of the four stages. Every per-procedure stage runs through
     /// the fold ([`fold_units`], and its SCC-levelled form for return jump
     /// functions), whatever the pool's size; `memo`, when given, is
-    /// consulted by every unit and takes the fold's notes, and its
-    /// [`Reuse`], when given, lets each stage share the live analysis's
-    /// product or its clean units' results.
+    /// consulted by every unit and takes the fold's notes.
     fn run_once(
         mcfg: &ModuleCfg,
         config: &Config,
         gate_seeds: Option<&ValSets>,
-        memo: Option<(Memo<'_>, Option<Reuse<'_>>)>,
+        memo: Option<Memo<'_>>,
     ) -> Analysis {
         let t_run = Instant::now();
         // Every round of every stage runs on this pool; a round spawns
         // and joins its own workers.
         let pool = Pool::new(config.effective_jobs());
-        let (memo, reuse) = match memo {
-            Some((m, reuse)) => (Some(m), reuse),
-            None => (None, None),
-        };
-        // A run that reuses the live analysis shares its call graph and
-        // (unless an edit renamed a formal) slot layout: the shape and every
-        // edited procedure's call edges are unchanged, so rebuilding them
-        // would give equal ones.
-        let (cg, layout) = match &reuse {
-            Some(r) => (Arc::clone(&r.live.cg), Arc::clone(&r.layout)),
-            None => (
-                Arc::new(build_call_graph(mcfg)),
-                Arc::new(SlotLayout::new(&mcfg.module)),
-            ),
-        };
+        let cg = Arc::new(build_call_graph(mcfg));
+        let layout = Arc::new(SlotLayout::new(&mcfg.module));
         let mut gov = Governor::new(config);
         let n_procs = mcfg.module.procs.len();
         let mut quarantined = vec![false; n_procs];
@@ -632,17 +710,13 @@ impl Analysis {
         let mut unmemoized = CacheTxn::new();
         let (memo_keys, txn) = match memo {
             Some(m) => {
-                let keys = MemoKeys::new(&m, mcfg, &cg, config, reuse.as_ref());
-                m.txn.start_log(n_procs, reuse.is_some());
+                let keys = MemoKeys::new(&m, mcfg, &cg, config, None);
+                m.txn.start_log(n_procs, false);
                 (Some(keys), m.txn)
             }
             None => (None, &mut unmemoized),
         };
         let memo = memo_keys.as_ref();
-        let prev_log = reuse.as_ref().map(Reuse::log);
-        // Each stage below keeps reusing only while its inputs equal the
-        // live run's; the first stage whose product moved ends reuse.
-        let mut reuse = reuse;
 
         // Stage 0: per-procedure MOD/REF direct effects (under
         // quarantine), then call-edge propagation. Its timer starts with
@@ -651,47 +725,24 @@ impl Analysis {
         // whole run. A contained failure widens only that procedure's
         // summary to "touches everything visible"; the fixpoint spreads
         // the widening to callers exactly as far as reference bindings
-        // demand. A reused unit's effects are the live ones (`None`).
-        let mut direct: Vec<Option<(ModSet, ModSet)>> = Vec::with_capacity(n_procs);
-        let computes = reuse.as_ref().zip(memo).map(|(r, memo)| {
-            (0..n_procs)
-                .filter(|&pi| !r.clean(memo, SummaryStage::ModRef, pi))
-                .collect::<Vec<_>>()
-        });
+        // demand.
+        let mut mods = Vec::with_capacity(n_procs);
+        let mut refs = Vec::with_capacity(n_procs);
         let pt = fold_units(
             pool,
             &mut gov,
             n_procs,
-            computes.as_deref(),
-            |pi, g| modref_unit(mcfg, config, memo, reuse.as_ref(), pi, g),
+            None,
+            |pi, g| modref_unit(mcfg, config, memo, None, pi, g),
             |pi, (pair, quarantine, served), _| {
-                direct.push(pair);
+                let (m, r) = pair.unwrap_or_else(|| direct_effects(mcfg, ProcId::from(pi)));
+                mods.push(m);
+                refs.push(r);
                 quarantined[pi] |= quarantine;
-                txn.note_unit(pi, served);
+                txn.note_unit(SummaryStage::ModRef, pi, served);
             },
         );
-        // The live propagation is shared when every unit that ran has the
-        // direct effects the live run used, and every procedure binds the
-        // same variables by reference at its call sites.
-        let shared = reuse.as_ref().filter(|r| {
-            direct.iter().enumerate().all(|(pi, d)| {
-                d.as_ref().is_none_or(|d| *d == r.live_direct_effects(pi))
-                    && r.same_bindings(mcfg, pi)
-            })
-        });
-        let modref = match shared {
-            Some(r) => Arc::clone(&r.live.modref),
-            None => {
-                reuse = None;
-                let (mods, refs) = direct
-                    .into_iter()
-                    .enumerate()
-                    .map(|(pi, d)| d.unwrap_or_else(|| direct_effects(mcfg, ProcId::from(pi))))
-                    .unzip();
-                Arc::new(propagate_modref(mcfg, &cg, mods, refs))
-            }
-        };
-        let reuse = reuse.as_ref();
+        let modref = Arc::new(propagate_modref(mcfg, &cg, mods, refs));
         // A unit whose call kills read a MOD set widened by a degraded
         // MOD/REF unit computes what no clean cone computes: the memo
         // neither serves nor keeps it.
@@ -717,8 +768,8 @@ impl Analysis {
         // and evaluates it symbolically; when Stage 2 would build the same
         // form, the unit keeps it.
         let t1 = Instant::now();
-        let (ret_jfs, mut forms, marks) = if config.use_return_jfs {
-            let (table, forms, pt, marks) = build_return_jfs_on(
+        let (ret_jfs, mut forms, bad) = if config.use_return_jfs {
+            let (table, forms, pt, bad) = build_return_jfs_on(
                 mcfg,
                 &cg,
                 &layout,
@@ -730,17 +781,16 @@ impl Analysis {
                 reuses_forms(config),
                 memo,
                 &mod_tainted,
-                reuse,
                 txn,
             );
             timings.retjump = pt.with_tail(t1.elapsed());
-            (table, forms, marks)
+            (table, forms, bad)
         } else {
             let table = ReturnJumpFns {
                 fns: Table::filled(n_procs, None),
                 compose: false,
             };
-            (table, vec![None; n_procs], RetMarks::default())
+            (table, vec![None; n_procs], Vec::new())
         };
         // A form reads its callees' return jump functions: one that reads
         // a degraded or tainted table entry is tainted too.
@@ -750,7 +800,7 @@ impl Analysis {
                 || cg
                     .calls_from(ProcId::from(pi))
                     .iter()
-                    .any(|e| flagged(&marks.bad, e.callee.index()))
+                    .any(|e| flagged(&bad, e.callee.index()))
         };
 
         // Stage 2: each reachable procedure's symbolic form, then forward
@@ -762,8 +812,7 @@ impl Analysis {
         // runs as a `Stage::Jump` quarantine unit, so panic injection and
         // containment behave the same. The symbolic units charge nothing —
         // step budgets are enforced inside the evaluator — so their fold
-        // only orders the *recording* of outcomes. A clean unit whose
-        // return-jump inputs did not move reuses its live form.
+        // only orders the *recording* of outcomes.
         let t2 = Instant::now();
         let latch = Arc::clone(gov.latch());
         let budget = EvalBudget {
@@ -775,30 +824,11 @@ impl Analysis {
         let has_form: Vec<bool> = forms.iter().map(Option::is_some).collect();
         let mut symbolics: Vec<Option<Arc<ProcSymbolic>>> = Vec::with_capacity(n_procs);
         let mut reused = 0;
-        // A clean unit whose return-jump inputs did not move takes its
-        // live form (a pure check, made before the round too).
-        let live_form = |pi: usize| {
-            let (r, memo) = reuse.zip(memo)?;
-            let clean = !form_tainted(pi)
-                && !flagged(&marks.stale, pi)
-                && r.clean(memo, SummaryStage::Jump, pi);
-            r.live.symbolics[pi]
-                .as_ref()
-                .filter(|_| clean)
-                .map(|ps| (r, memo, ps))
-        };
-        let computes = reuse.map(|_| {
-            (0..n_procs)
-                .filter(|&pi| {
-                    cg.reachable[pi] && !before[pi] && !has_form[pi] && live_form(pi).is_none()
-                })
-                .collect::<Vec<_>>()
-        });
         let mut pt = fold_units(
             pool,
             &mut gov,
             n_procs,
-            computes.as_deref(),
+            None,
             |pi, _| {
                 // A procedure quarantined by an earlier phase contributes
                 // no symbolic form: its call sites get explicit all-⊥ jump
@@ -808,12 +838,6 @@ impl Analysis {
                     return Symbolic::Live(None, None);
                 }
                 let tainted = memo.is_some() && form_tainted(pi);
-                if let Some((r, memo, ps)) = live_form(pi) {
-                    let served = r.served(memo, SummaryStage::Jump, pi, || CachedSummary::Jump {
-                        sym: Arc::clone(ps),
-                    });
-                    return Symbolic::Reused(Arc::clone(ps), served);
-                }
                 let lookup = memo.map(|m| m.lookup(SummaryStage::Jump, pi).forced_if(tainted));
                 if let Some(l) = lookup {
                     if let Some((CachedSummary::Jump { sym }, _)) = l.hit {
@@ -835,7 +859,7 @@ impl Analysis {
                     Symbolic::Reused(ps, served) => {
                         // The kept form is not needed: free it at once.
                         forms[pi] = None;
-                        txn.note_unit(pi, served);
+                        txn.note_unit(SummaryStage::Jump, pi, served);
                         symbolics.push(Some(ps));
                         return;
                     }
@@ -851,16 +875,19 @@ impl Analysis {
                     return;
                 };
                 let clean = matches!(unit, Ok((_, false)));
-                commit_symbolic_unit(mcfg, pi, unit, &mut symbolics, &mut quarantined, gov);
+                let ps = commit_symbolic_unit(mcfg, pi, unit, gov);
+                quarantined[pi] |= ps.is_none();
                 if let Some(lookup) = lookup {
                     // A clean form is cached as the very `Arc` just
                     // committed, so a later hit shares it.
-                    let sym = symbolics[pi].as_ref().filter(|_| clean).map(Arc::clone);
+                    let sym = ps.as_ref().filter(|_| clean).map(Arc::clone);
                     txn.note_unit(
+                        SummaryStage::Jump,
                         pi,
                         lookup.served_miss(sym.map(|sym| CachedSummary::Jump { sym })),
                     );
                 }
+                symbolics.push(ps);
             },
         );
         let symbolics: Table<_> = symbolics.into();
@@ -873,7 +900,6 @@ impl Analysis {
             &mut quarantined,
             &mut gov,
             pool,
-            reuse,
             txn,
         );
         pt.absorb(pt_fwd);
@@ -886,18 +912,6 @@ impl Analysis {
         } else {
             Lattice::Bottom
         };
-        // A run that reuses the live analysis re-solves only the SCCs
-        // whose inputs moved, unless the live solve degraded.
-        let live = reuse
-            .filter(|r| r.live.health.count(Stage::Solver) == 0)
-            .and_then(|r| {
-                let work = r.solve_work().filter(|w| w.len() == cg.sccs.len())?;
-                Some(LiveSolve {
-                    vals: &r.live.vals,
-                    jump_fns: &r.live.jump_fns,
-                    work,
-                })
-            });
         let solved = crate::solver::solve_on(
             mcfg,
             &cg,
@@ -906,29 +920,14 @@ impl Analysis {
             entry_globals,
             config,
             &mut gov,
-            &mut quarantined,
-            live,
+            None,
         );
+        for &p in &solved.quarantined {
+            quarantined[p] = true;
+        }
         timings.solve = solved.time;
-        let vals = solved.vals;
         txn.log_solve(solved.work);
-        // The reusing stages report what moved: re-solved rows, forms that
-        // are not the live ones, and callers of moved return jump
-        // functions.
-        let touched = reuse.zip(solved.rerun).map(|(r, mut touched)| {
-            let live = &r.live.symbolics;
-            touched.extend((0..n_procs).filter(|&p| match (&symbolics[p], &live[p]) {
-                (Some(a), Some(b)) => !Arc::ptr_eq(a, b),
-                (a, b) => a.is_some() || b.is_some(),
-            }));
-            for &q in &marks.moved {
-                touched.extend(cg.calls_to(ProcId::from(q)).map(|e| e.caller.index()));
-            }
-            touched.sort_unstable();
-            touched.dedup();
-            touched
-        });
-        let memo_log = memo_keys.and_then(|m| txn.finish_log(m.keys, prev_log));
+        let memo_log = memo_keys.and_then(|m| txn.finish_log(m.keys, None));
         timings.total = t_run.elapsed();
 
         Analysis {
@@ -939,12 +938,12 @@ impl Analysis {
             ret_jfs,
             symbolics,
             jump_fns,
-            vals,
+            vals: solved.vals,
             health: gov.into_health(),
             quarantined: quarantined.into(),
             timings,
             memo_log,
-            touched,
+            touched: None,
         }
     }
 
@@ -1085,8 +1084,7 @@ fn modref_unit(
 
 /// One symbolic unit's outcome, before the fold commits it.
 enum Symbolic<'c> {
-    /// A form served from the memo or reused from the live analysis, with
-    /// its note.
+    /// A form served from the memo, with its note.
     Reused(Arc<ProcSymbolic>, Served),
     /// Computed live — `None` to commit the form Stage 1 kept, if any —
     /// with the memo lookup that missed.
@@ -1191,16 +1189,15 @@ pub(crate) fn reuse_unit(
     unit
 }
 
-/// Commits one symbolic unit outcome into `symbolics`, recording its
-/// deadline/step-slice/panic events in procedure order.
+/// Commits one symbolic unit outcome, recording its deadline/step-slice/
+/// panic events in procedure order: the form, or `None` for a unit that
+/// panicked, which quarantines the procedure.
 pub(crate) fn commit_symbolic_unit(
     mcfg: &ModuleCfg,
     pi: usize,
     unit: Result<KeptForm, UnitError>,
-    symbolics: &mut Vec<Option<Arc<ProcSymbolic>>>,
-    quarantined: &mut [bool],
     gov: &mut Governor,
-) {
+) -> Option<Arc<ProcSymbolic>> {
     let name = &mcfg.module.procs[pi].name;
     match unit {
         Ok((ps, steps_exhausted)) => {
@@ -1223,10 +1220,9 @@ pub(crate) fn commit_symbolic_unit(
                     );
                 }
             }
-            symbolics.push(Some(Arc::new(ps)));
+            Some(Arc::new(ps))
         }
         Err(e) => {
-            quarantined[pi] = true;
             gov.record_quarantine(
                 Stage::Jump,
                 format!(
@@ -1235,7 +1231,7 @@ pub(crate) fn commit_symbolic_unit(
                     e.message
                 ),
             );
-            symbolics.push(None);
+            None
         }
     }
 }

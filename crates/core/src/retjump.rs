@@ -35,7 +35,7 @@ use ipcp_ssa::sccp::CallDefLattice;
 use ipcp_ssa::ssa::CallKills;
 use ipcp_ssa::symbolic::{CallActuals, CallDefEval, EvalBudget, RetTarget, SymVal};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -273,7 +273,6 @@ pub fn build_return_jfs(
         false,
         None,
         &[],
-        None,
         &mut CacheTxn::new(),
     );
     table
@@ -285,7 +284,9 @@ pub fn build_return_jfs(
 /// short by the deadline nor served from the memo, `forms[p]` is the
 /// `(ProcSymbolic, steps_exhausted)` pair its unit evaluated. Its callees'
 /// table entries were final when it ran, so the form is exactly what the
-/// forward-jump stage would rebuild against the finished table.
+/// forward-jump stage would rebuild against the finished table. Also
+/// returns `bad[p]`: `p`'s functions are degraded or read a degraded
+/// result, so no clean cone computes them (meaningful only with a memo).
 ///
 /// Return jump functions are the one per-procedure phase with *data*
 /// dependences: a procedure's construction reads the (already built)
@@ -310,12 +311,6 @@ pub fn build_return_jfs(
 /// degraded or tainted functions — is a forced miss: no clean cone
 /// computes what it computes, so the cache neither serves nor keeps it.
 /// The taint a unit ran ahead under is part of what the fold compares.
-///
-/// With `reuse`, a member whose inputs are the live run's takes its live
-/// functions instead of running (see [`RetStage::reused`]), in the
-/// optimistic phase and in the fold alike; the fold's comparison against
-/// the optimistic table then gives early cutoff for free: a caller runs
-/// again only when a callee's functions came out different.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_return_jfs_on(
     mcfg: &ModuleCfg,
@@ -329,13 +324,12 @@ pub(crate) fn build_return_jfs_on(
     keep: bool,
     memo: Option<&MemoKeys<'_>>,
     mod_tainted: &[bool],
-    reuse: Option<&Reuse<'_>>,
     txn: &mut CacheTxn,
 ) -> (
     ReturnJumpFns,
     Vec<Option<Box<KeptForm>>>,
     PhaseTime,
-    RetMarks,
+    Vec<bool>,
 ) {
     let n_procs = mcfg.module.procs.len();
     let n_sccs = cg.sccs.len();
@@ -349,7 +343,7 @@ pub(crate) fn build_return_jfs_on(
         keep,
         memo,
         mod_tainted,
-        reuse: reuse.filter(|_| memo.is_some()),
+        reuse: None,
     };
     let empty = || ReturnJumpFns {
         fns: Table::filled(n_procs, None),
@@ -360,30 +354,15 @@ pub(crate) fn build_return_jfs_on(
     // their tables before the next level starts.
     let master: &Governor = gov;
     let ahead = pool.ahead(|| {
-        // With a live analysis, only the cone above its unclean units can
-        // come out different, so only the cone runs ahead, levelled among
-        // itself; the rest is left to the fold, which reuses it, and reads
-        // as the live table meanwhile.
-        let cone = stage
-            .reuse
-            .zip(memo)
-            .map(|(r, memo)| stage.dirty_cone(r, memo));
-        let mut opt_table = match stage.reuse {
-            Some(r) => ReturnJumpFns {
-                fns: r.live.ret_jfs.fns.clone(),
-                compose: config.compose_return_jfs,
-            },
-            None => empty(),
-        };
+        let mut opt_table = empty();
         let mut opt_bad = vec![false; n_procs];
         let mut opt_taint = vec![false; n_sccs];
         let mut units: Vec<Option<PhaseUnit<Vec<MemberOut>>>> = (0..n_sccs).map(|_| None).collect();
         let mut time = PhaseTime::default();
-        let in_cone = |si: usize| cone.as_ref().is_none_or(|c| c[si]);
-        for level in scc_levels(cg, in_cone) {
+        for level in scc_levels(cg) {
             let taint: Vec<bool> = level
                 .iter()
-                .map(|&si| stage.taint_in(si, &opt_bad))
+                .map(|&si| stage.taint_in(si, |q| opt_bad[q]))
                 .collect();
             let (level_units, pt) = pool.run(level.len(), |k| {
                 let mut shard = master.shard();
@@ -395,7 +374,7 @@ pub(crate) fn build_return_jfs_on(
                 let si = unit.index;
                 opt_taint[si] = taint;
                 for (out, &p) in unit.outcome.iter().zip(&cg.sccs[si]) {
-                    opt_table.fns[p.index()] = Some(Arc::clone(&out.fns));
+                    opt_table.fns.set(p.index(), Some(Arc::clone(&out.fns)));
                     opt_bad[p.index()] = out.bad;
                 }
                 units[si] = Some(unit);
@@ -410,12 +389,10 @@ pub(crate) fn build_return_jfs_on(
     });
 
     // Deterministic fold, in bottom-up SCC order. `forms` holds only the
-    // forms of units that ran; `ran` lists the procedures whose unit did
-    // not reuse its live functions.
+    // forms of units that ran.
     let mut table = empty();
     let mut forms: Vec<Option<Box<KeptForm>>> = vec![None; n_procs];
     let mut bad = vec![false; n_procs];
-    let mut ran = Vec::new();
     let mut fold = PhaseFold::default();
     let mut changed = vec![false; n_sccs];
     for (si, members) in cg.sccs.iter().enumerate() {
@@ -424,17 +401,8 @@ pub(crate) fn build_return_jfs_on(
         if !members.first().is_some_and(|p| cg.reachable[p.index()]) {
             continue;
         }
-        let taint = stage.taint_in(si, &bad);
-        let ahead = units.get_mut(si).and_then(Option::take);
-        // A clean single-member SCC that did not run ahead takes its live
-        // functions straight into the table.
-        if let ([p], None) = (&members[..], &ahead) {
-            if let Some(reused) = stage.reused(RetView::of(&table), *p, taint, gov) {
-                stage.commit_reused(*p, reused, &mut table, txn);
-                continue;
-            }
-        }
-        let absorbed = ahead.and_then(|unit| {
+        let taint = stage.taint_in(si, |q| bad[q]);
+        let absorbed = units.get_mut(si).and_then(Option::take).and_then(|unit| {
             let dep_changed = members.iter().any(|&p| {
                 cg.calls_from(p).iter().any(|e| {
                     let cs = cg.scc_of[e.callee.index()];
@@ -454,41 +422,26 @@ pub(crate) fn build_return_jfs_on(
             }
         };
         for (out, &p) in outs.into_iter().zip(members) {
-            bad[p.index()] = out.bad;
-            if !out.reused {
-                ran.push(p.index());
-            }
-            stage.commit(p, out, &mut table, &mut forms, quarantined, txn);
+            let pi = p.index();
+            bad[pi] = out.bad;
+            quarantined[pi] = stage.before[pi] || out.newly_quarantined;
+            table.fns.set(pi, Some(out.fns));
+            // Only a unit that ran keeps a form, and `forms` starts empty.
+            forms[pi] = out.form;
+            txn.log_ret_charges(pi, out.charges);
+            txn.note_unit(SummaryStage::RetJump, pi, out.served);
         }
     }
     fold.stamp(&mut time);
-    // A form reads its callees' final functions, so it is stale when its
-    // unit ran or one of those moved from the live run's; only a unit that
-    // ran can have moved.
-    let mut marks = RetMarks {
-        bad,
-        ..RetMarks::default()
-    };
-    if let Some(r) = stage.reuse {
-        let live = &r.live.ret_jfs.fns;
-        marks.stale = vec![false; n_procs];
-        for p in ran {
-            marks.stale[p] = true;
-            if !same_fns(table.fns[p].as_ref(), live[p].as_ref()) {
-                marks.moved.push(p);
-                for e in cg.calls_to(ProcId::from(p)) {
-                    marks.stale[e.caller.index()] = true;
-                }
-            }
-        }
-    }
-    (table, forms, time, marks)
+    (table, forms, time, bad)
 }
 
-/// What the return-jump stage of a run that visits only its cone hands
-/// on: the table, the forms its units kept, the members of the SCCs it
-/// visited, those whose unit ran rather than reusing its live functions,
-/// and those whose functions moved from the live run's, each ascending.
+/// What the return-jump stage of a run that reuses the live analysis
+/// hands on: the table, the forms its units kept, the members of the
+/// SCCs it visited, those whose unit ran rather than reusing its live
+/// functions, those whose functions (or whether they are degraded) moved
+/// from the live run's, and those whose functions are degraded or read a
+/// degraded result, each ascending.
 #[derive(Debug)]
 pub(crate) struct RetCone {
     pub(crate) table: ReturnJumpFns,
@@ -496,17 +449,21 @@ pub(crate) struct RetCone {
     pub(crate) visited: Vec<usize>,
     pub(crate) ran: Vec<usize>,
     pub(crate) moved: Vec<usize>,
+    pub(crate) bad: Vec<usize>,
     pub(crate) time: PhaseTime,
 }
 
-/// The return-jump stage of a run that visits only its cone: starting
-/// from the live table, it runs the SCCs holding a procedure of `start`
-/// (the procedures whose keys moved) and, by early cutoff, every SCC that
-/// calls a procedure whose functions moved, bottom-up; every other
-/// procedure keeps its live functions and is not visited. Each visited
-/// SCC runs as [`build_return_jfs_on`] runs it, against `gov`, and notes
-/// its units in `txn` in SCC order. `None` when a unit came out degraded,
-/// which only the per-unit path reproduces.
+/// The return-jump stage of a run that reuses the live analysis: starting
+/// from the live table, it visits the SCCs holding a procedure of `start`
+/// and, by early cutoff, every SCC that calls a procedure whose functions
+/// moved or whose degradation changed, bottom-up (ascending SCC index,
+/// the order of the plain walk); every other procedure keeps its live
+/// functions. A visited SCC runs as [`build_return_jfs_on`] runs it —
+/// each member reusing its live functions when its inputs are the live
+/// run's, charging `gov`, and taking `mod_tainted` and its callees'
+/// degradation as taint — and notes its units in `txn` in SCC order.
+/// `quarantined` holds the flags of the stage before, and takes the
+/// members this stage quarantines.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_return_jfs_cone(
     mcfg: &ModuleCfg,
@@ -514,14 +471,15 @@ pub(crate) fn build_return_jfs_cone(
     layout: &SlotLayout,
     kills: &(dyn CallKills + Sync),
     config: &Config,
-    quarantined: &Table<bool>,
+    quarantined: &mut Table<bool>,
     gov: &mut Governor,
     keep: bool,
     memo: &MemoKeys<'_>,
     reuse: &Reuse<'_>,
     txn: &mut CacheTxn,
-    start: &[usize],
-) -> Option<RetCone> {
+    mod_tainted: &[bool],
+    start: impl IntoIterator<Item = usize>,
+) -> RetCone {
     let t0 = std::time::Instant::now();
     let stage = RetStage {
         mcfg,
@@ -532,7 +490,7 @@ pub(crate) fn build_return_jfs_cone(
         before: quarantined.clone(),
         keep,
         memo: Some(memo),
-        mod_tainted: &[],
+        mod_tainted,
         reuse: Some(reuse),
     };
     let live = &reuse.live.ret_jfs.fns;
@@ -542,8 +500,11 @@ pub(crate) fn build_return_jfs_cone(
     };
     let (mut forms, mut visited) = (Vec::new(), Vec::new());
     let (mut ran, mut moved) = (Vec::new(), Vec::new());
+    // Whether a visited procedure's functions are bad; an unvisited one is
+    // the live run's clean unit.
+    let mut bad: HashMap<usize, bool> = HashMap::new();
     let mut todo: BinaryHeap<Reverse<usize>> =
-        start.iter().map(|&p| Reverse(cg.scc_of[p])).collect();
+        start.into_iter().map(|p| Reverse(cg.scc_of[p])).collect();
     let (mut last, mut units) = (None, 0);
     while let Some(Reverse(si)) = todo.pop() {
         let members = &cg.sccs[si];
@@ -558,16 +519,18 @@ pub(crate) fn build_return_jfs_cone(
             table.fns.set(p.index(), None);
             visited.push(p.index());
         }
-        let outs = stage.scc_unit(si, &table, false, gov);
+        let taint = stage.taint_in(si, |q| bad.get(&q).copied().unwrap_or(false));
+        let outs = stage.scc_unit(si, &table, taint, gov);
         for (out, &p) in outs.into_iter().zip(members) {
             let pi = p.index();
-            if out.bad || out.newly_quarantined {
-                return None;
+            if out.newly_quarantined {
+                quarantined.set(pi, true);
             }
             if !out.reused {
                 ran.push(pi);
             }
-            if !same_fns(Some(&out.fns), live[pi].as_ref()) {
+            bad.insert(pi, out.bad);
+            if out.bad != reuse.live_bad(pi) || !same_fns(Some(&out.fns), live[pi].as_ref()) {
                 moved.push(pi);
                 todo.extend(
                     cg.calls_to(p)
@@ -581,57 +544,44 @@ pub(crate) fn build_return_jfs_cone(
                 forms.push((pi, form));
             }
             txn.log_ret_charges(pi, out.charges);
-            txn.note_unit(pi, out.served);
+            txn.note_unit(SummaryStage::RetJump, pi, out.served);
         }
     }
     visited.sort_unstable();
     ran.sort_unstable();
     moved.sort_unstable();
-    Some(RetCone {
+    let mut bad: Vec<usize> = bad.into_iter().filter_map(|(p, b)| b.then_some(p)).collect();
+    bad.sort_unstable();
+    RetCone {
         table,
         forms,
         visited,
         ran,
         moved,
+        bad,
         time: PhaseTime::sequential(t0.elapsed(), units),
-    })
+    }
 }
 
-/// What the return-jump stage tells the symbolic stage, per procedure.
-#[derive(Debug, Default)]
-pub(crate) struct RetMarks {
-    /// `stale[p]`: `p`'s unit ran rather than reusing its live result, or
-    /// a callee's functions moved (empty unless the run reuses the live
-    /// analysis).
-    pub(crate) stale: Vec<bool>,
-    /// `bad[p]`: `p`'s functions are degraded or read a degraded result,
-    /// so no clean cone computes them (meaningful only with a memo).
-    pub(crate) bad: Vec<bool>,
-    /// The procedures whose functions moved from the live run's, in
-    /// commit order (empty unless the run reuses the live analysis).
-    pub(crate) moved: Vec<usize>,
-}
-
-/// Groups the call graph's reachable SCCs that `run` selects into
-/// dependency levels: level 0 calls no selected SCC but itself, level `k`
-/// calls only into levels `< k` (an SCC not selected counts as built).
+/// Groups the call graph's reachable SCCs into dependency levels: level 0
+/// calls no SCC but itself, level `k` calls only into levels `< k`.
 /// Within a level, SCC indices ascend (their relative bottom-up order).
 /// All SCCs of one level can be built concurrently once the previous
 /// levels' tables are committed.
-fn scc_levels(cg: &CallGraph, run: impl Fn(usize) -> bool) -> Vec<Vec<usize>> {
+fn scc_levels(cg: &CallGraph) -> Vec<Vec<usize>> {
     let mut level = vec![0usize; cg.sccs.len()];
     let mut levels: Vec<Vec<usize>> = Vec::new();
     for (si, members) in cg.sccs.iter().enumerate() {
         // Reachability is uniform across an SCC (it is strongly
         // connected), so the first member decides.
-        if !run(si) || !members.first().is_some_and(|p| cg.reachable[p.index()]) {
+        if !members.first().is_some_and(|p| cg.reachable[p.index()]) {
             continue;
         }
         let mut lv = 0;
         for &p in members {
             for e in cg.calls_from(p) {
                 let cs = cg.scc_of[e.callee.index()];
-                if cs != si && run(cs) {
+                if cs != si {
                     // Tarjan emits callee SCCs first, so level[cs] is final.
                     lv = lv.max(level[cs] + 1);
                 }
@@ -700,9 +650,9 @@ struct RetStage<'a> {
 
 impl RetStage<'_> {
     /// Whether SCC `si`'s unit reads a degraded result, given `bad` for
-    /// the SCCs below it (see [`build_return_jfs_on`]). Always `false`
-    /// without a memo: only the cache cares.
-    fn taint_in(&self, si: usize, bad: &[bool]) -> bool {
+    /// the procedures below it (see [`build_return_jfs_on`]). Always
+    /// `false` without a memo: only the cache cares.
+    fn taint_in(&self, si: usize, bad: impl Fn(usize) -> bool) -> bool {
         let cg = self.cg;
         self.memo.is_some()
             && cg.sccs[si].iter().any(|&p| {
@@ -710,7 +660,7 @@ impl RetStage<'_> {
                     || cg
                         .calls_from(p)
                         .iter()
-                        .any(|e| cg.scc_of[e.callee.index()] != si && bad[e.callee.index()])
+                        .any(|e| cg.scc_of[e.callee.index()] != si && bad(e.callee.index()))
             })
     }
 
@@ -743,70 +693,9 @@ impl RetStage<'_> {
         outs
     }
 
-    /// Commits procedure `p`'s outcome into the table, the kept forms, the
-    /// quarantine flags and the memo notes.
-    fn commit(
-        &self,
-        p: ProcId,
-        out: MemberOut,
-        table: &mut ReturnJumpFns,
-        forms: &mut [Option<Box<KeptForm>>],
-        quarantined: &mut [bool],
-        txn: &mut CacheTxn,
-    ) {
-        let pi = p.index();
-        quarantined[pi] = self.before[pi] || out.newly_quarantined;
-        table.fns[pi] = Some(out.fns);
-        if out.form.is_some() {
-            // Only a unit that ran keeps a form, and `forms` starts empty.
-            forms[pi] = out.form;
-        }
-        txn.log_ret_charges(pi, out.charges);
-        txn.note_unit(pi, out.served);
-    }
-
-    /// Commits procedure `p`'s reused live functions: the table entry,
-    /// the charges and the memo note. Its quarantine flag stays as the
-    /// stage found it (clear: a reused unit was not quarantined before).
-    fn commit_reused(
-        &self,
-        p: ProcId,
-        reused: Reused,
-        table: &mut ReturnJumpFns,
-        txn: &mut CacheTxn,
-    ) {
-        let pi = p.index();
-        table.fns[pi] = Some(reused.fns);
-        txn.log_ret_charges(pi, reused.charges);
-        txn.note_unit(pi, reused.served);
-    }
-
     /// Procedure `p`'s functions in the live analysis (`None` without one).
     fn live_fns(&self, p: ProcId) -> Option<&Arc<[JumpFn]>> {
         self.reuse?.live.ret_jfs.fns[p.index()].as_ref()
-    }
-
-    /// The SCCs whose return jump functions may come out different from
-    /// the live run's: those with a member that is not clean
-    /// ([`Reuse::clean`]) or that an earlier stage quarantined, and every
-    /// SCC above them. Outside it, only a charge replay that trips can
-    /// make a unit run, and the fold catches that.
-    fn dirty_cone(&self, r: &Reuse<'_>, memo: &MemoKeys<'_>) -> Vec<bool> {
-        let cg = self.cg;
-        let mut cone = vec![false; cg.sccs.len()];
-        let mut todo: Vec<usize> = (0..self.before.len())
-            .filter(|&pi| self.before[pi] || !r.clean(memo, SummaryStage::RetJump, pi))
-            .map(|pi| cg.scc_of[pi])
-            .collect();
-        while let Some(si) = todo.pop() {
-            if std::mem::replace(&mut cone[si], true) {
-                continue;
-            }
-            for &p in &cg.sccs[si] {
-                todo.extend(cg.calls_to(p).map(|e| cg.scc_of[e.caller.index()]));
-            }
-        }
-        cone
     }
 
     /// Procedure `p`'s live functions, when its unit may reuse them: an

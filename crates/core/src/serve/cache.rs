@@ -597,13 +597,16 @@ impl CacheTxn {
         }
     }
 
-    /// [`CacheTxn::note`] for procedure `pi`'s unit, also recorded in the
-    /// run's memo log.
-    pub(crate) fn note_unit(&mut self, pi: usize, served: Served) {
-        if let (Some(log), Some((family, note))) = (self.log.as_mut(), Note::of(&served)) {
-            log.notes[family.index()].set(pi, note);
+    /// [`CacheTxn::note`] for procedure `pi`'s `family` unit, also
+    /// recorded in the run's memo log (a skipped unit as not looked up).
+    pub(crate) fn note_unit(&mut self, family: SummaryStage, pi: usize, served: Served) {
+        if let Some(log) = self.log.as_mut() {
+            let (f, note) = (family.index(), Note::of(&served));
+            if log.notes[f][pi] != note {
+                log.notes[f].set(pi, note);
+            }
             if let Some(cone) = self.cone.as_mut() {
-                cone.noted[family.index()].push(pi);
+                cone.noted[f].push(pi);
             }
         }
         self.note(served);
@@ -644,7 +647,8 @@ impl CacheTxn {
     /// units, and so do the pins. Returns the log and the charges the
     /// units it did not visit make, which the caller replays in one batch:
     /// one per MOD/REF unit of the `n_procs` it did not note, and the
-    /// recorded return-jump and forward-jump charges of the rest.
+    /// recorded return-jump and forward-jump charges of the rest (the
+    /// solve replays its own).
     pub(crate) fn finish_cone(
         &mut self,
         keys: KeySet,
@@ -790,24 +794,19 @@ enum Note {
 }
 
 impl Note {
-    fn of(served: &Served) -> Option<(SummaryStage, Note)> {
+    fn of(served: &Served) -> Note {
         match served {
-            Served::Skipped => None,
-            Served::Hit { key, recovered } => Some((
-                key.stage,
-                Note::Clean {
-                    recovered: *recovered,
-                },
-            )),
-            Served::Miss { key, entry } => Some((
-                key.stage,
-                match entry {
-                    Some(_) => Note::Clean { recovered: false },
-                    None => Note::Dirty,
-                },
-            )),
-            Served::Carried { key, .. } => Some((key.stage, Note::Clean { recovered: false })),
+            Served::Skipped => Note::Skipped,
+            Served::Hit { recovered, .. } => Note::Clean {
+                recovered: *recovered,
+            },
+            Served::Miss { entry: None, .. } => Note::Dirty,
+            Served::Miss { .. } | Served::Carried { .. } => Note::Clean { recovered: false },
         }
+    }
+
+    fn clean(self) -> bool {
+        matches!(self, Note::Clean { .. })
     }
 }
 
@@ -892,6 +891,7 @@ impl MemoLog {
 
     /// Every table of the log and its keys: name, whether it is indexed by
     /// SCC (rather than by procedure), and its chunk addresses.
+    #[cfg(test)]
     pub(crate) fn chunk_tables(&self) -> Vec<(&'static str, bool, Vec<usize>)> {
         let k = &self.keys;
         vec![
@@ -907,6 +907,13 @@ impl MemoLog {
             ("keys.own_digests", false, k.digests[0].chunk_addrs()),
             ("keys.cone_digests", false, k.digests[1].chunk_addrs()),
         ]
+    }
+
+    /// The procedures whose `family` unit the run did not serve cleanly,
+    /// ascending.
+    fn unclean(&self, family: SummaryStage) -> impl Iterator<Item = usize> + '_ {
+        let notes = &self.notes[family.index()];
+        (0..notes.len()).filter(move |&pi| !notes[pi].clean())
     }
 
     /// Unit `(family, pi)`'s cache key, if the run looked it up.
@@ -1117,13 +1124,17 @@ pub(crate) struct Live<'a> {
     pub(crate) own: &'a Table<u128>,
 }
 
-/// Which path a memoized run took: the live path, which reuses the live
-/// analysis, or the plain memoized path, named by the precondition of the
-/// reuse check that failed.
+/// Which path a memoized run took: one of the two live paths, which
+/// reuse the live analysis, or the plain memoized path, named by the
+/// precondition that failed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RunPath {
-    /// The run reused the live analysis.
+    /// The run reused the live analysis and visited only its cone.
     Live,
+    /// The run reused the live analysis unit by unit, in sequential unit
+    /// order: the cone's charges would trip a budget or an injected
+    /// fault, or a deadline is set.
+    PerUnit,
     /// The run's configuration is not the live analysis's (an override,
     /// or a configuration that bypasses the cache).
     Config,
@@ -1135,27 +1146,39 @@ pub enum RunPath {
     Shape,
     /// An edited procedure's call edges moved.
     CallEdges,
+    /// An edit moved the MOD/REF stage's product (the propagated sets or
+    /// a unit's quarantine), which every later stage reads.
+    ModRef,
 }
 
 impl RunPath {
     /// Every path, in declaration order.
-    pub const ALL: [RunPath; 5] = [
+    pub const ALL: [RunPath; 7] = [
         RunPath::Live,
+        RunPath::PerUnit,
         RunPath::Config,
         RunPath::NoLog,
         RunPath::Shape,
         RunPath::CallEdges,
+        RunPath::ModRef,
     ];
 
     /// Stable protocol label.
     pub fn label(self) -> &'static str {
         match self {
             RunPath::Live => "live",
+            RunPath::PerUnit => "per_unit",
             RunPath::Config => "config",
             RunPath::NoLog => "no_log",
             RunPath::Shape => "shape",
             RunPath::CallEdges => "call_edges",
+            RunPath::ModRef => "mod_ref",
         }
+    }
+
+    /// Whether the run reused the live analysis.
+    pub fn reused(self) -> bool {
+        matches!(self, RunPath::Live | RunPath::PerUnit)
     }
 }
 
@@ -1263,9 +1286,46 @@ impl<'a> Reuse<'a> {
 
     /// Whether procedure `pi`'s `family` unit is clean (see the type docs).
     pub(crate) fn clean(&self, memo: &MemoKeys<'_>, family: SummaryStage, pi: usize) -> bool {
-        !self.is_edited(pi)
-            && matches!(self.log.notes[family.index()][pi], Note::Clean { .. })
-            && !memo.forced(family, pi)
+        !self.is_edited(pi) && self.log.notes[family.index()][pi].clean() && !memo.forced(family, pi)
+    }
+
+    /// Whether the live run had no degradation event: every unit it
+    /// looked up then ran clean, and none was quarantined.
+    pub(crate) fn regular(&self) -> bool {
+        self.live.health.events.is_empty()
+    }
+
+    /// The procedures whose `family` unit the live run did not serve
+    /// cleanly, ascending — none for a regular live run.
+    pub(crate) fn unclean(&self, family: SummaryStage) -> Vec<usize> {
+        match self.regular() {
+            true => Vec::new(),
+            false => self.log.unclean(family).collect(),
+        }
+    }
+
+    /// The callers whose live forward-jump unit did not run clean,
+    /// ascending — none for a regular live run.
+    pub(crate) fn fwd_unclean(&self) -> Vec<usize> {
+        match self.regular() {
+            true => Vec::new(),
+            false => {
+                let charges = &self.log.fwd_charges;
+                (0..charges.len()).filter(|&p| charges[p].is_none()).collect()
+            }
+        }
+    }
+
+    /// Whether procedure `pi`'s live return jump functions are degraded or
+    /// read a degraded result: its unit was not served cleanly.
+    pub(crate) fn live_bad(&self, pi: usize) -> bool {
+        !self.log.notes[SummaryStage::RetJump.index()][pi].clean()
+    }
+
+    /// Whether the live run's MOD/REF stage quarantined procedure `pi`:
+    /// its unit was not served cleanly.
+    pub(crate) fn live_modref_quarantined(&self, pi: usize) -> bool {
+        !self.log.notes[SummaryStage::ModRef.index()][pi].clean()
     }
 
     /// The note for a clean unit whose live result is reused. An unchanged
@@ -1296,8 +1356,7 @@ impl<'a> Reuse<'a> {
     /// Procedure `pi`'s direct MOD/REF effects as the live run used them:
     /// widened to everything visible unless its unit ran clean.
     pub(crate) fn live_direct_effects(&self, pi: usize) -> (ModSet, ModSet) {
-        let f = SummaryStage::ModRef.index();
-        if matches!(self.log.notes[f][pi], Note::Clean { .. }) {
+        if !self.live_modref_quarantined(pi) {
             return ipcp_analysis::direct_effects(self.live_mcfg, ProcId::from(pi));
         }
         let arity = self.live_mcfg.module.procs[pi].arity();

@@ -719,8 +719,8 @@ impl ServeEngine {
     /// only its cone. A structural probe for tests of the copy-on-write
     /// sharing: a probe keeps the state it describes alive, so two probes
     /// held together share a chunk iff their addresses agree.
-    #[doc(hidden)]
-    pub fn chunk_probe(&self) -> ChunkProbe {
+    #[cfg(test)]
+    fn chunk_probe(&self) -> ChunkProbe {
         let (mcfg, analysis) = (&self.mcfg, &self.current);
         let mut tables = vec![
             ("module.procs", false, mcfg.module.procs.chunk_addrs()),
@@ -781,14 +781,13 @@ impl ServeEngine {
 }
 
 /// The chunk layout [`ServeEngine::chunk_probe`] reports.
-#[doc(hidden)]
-#[derive(Debug)]
-pub struct ChunkProbe {
+#[cfg(test)]
+struct ChunkProbe {
     /// Per table: its name, whether it is indexed by SCC rather than by
     /// procedure, and its chunk addresses.
-    pub tables: Vec<(&'static str, bool, Vec<usize>)>,
+    tables: Vec<(&'static str, bool, Vec<usize>)>,
     /// The procedures the last run visited, when it visited only its cone.
-    pub visited: Option<Vec<usize>>,
+    visited: Option<Vec<usize>>,
     _keep: (Arc<ModuleCfg>, Arc<Analysis>, ProgramModel),
 }
 
@@ -977,4 +976,75 @@ pub fn config_from_overrides(base: Config, overrides: &Object) -> Result<Config,
         };
     }
     Ok(b.build()?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ipcp_ir::table::CHUNK;
+    use ipcp_suite::{generate_scale, ScaleSpec};
+    use std::collections::HashSet;
+
+    /// `name`'s current text with the literal of its `v0 = <lit>;`
+    /// prologue set to `1000 + round`, a value no generated prologue and
+    /// no earlier round holds.
+    fn bump(engine: &ServeEngine, name: &str, round: usize) -> String {
+        let mut body = engine.model.proc_text(name).unwrap().to_string();
+        let at = body.find("v0 = ").expect("generated prologue") + "v0 = ".len();
+        let len = body[at..].find(';').unwrap();
+        body.replace_range(at..at + len, &(1000 + round).to_string());
+        body
+    }
+
+    /// A literal bump takes the live path and visits only its cone: every
+    /// table of the new module, program model, analysis, memo log and keys
+    /// shares every chunk with the live one except the chunks that hold a
+    /// procedure the run visited (an edited, re-keyed or dirty one) — or,
+    /// for a table indexed by SCC, such a procedure's SCC.
+    #[test]
+    fn a_literal_bump_shares_every_chunk_outside_its_cone() {
+        let spec = ScaleSpec::parse("procs=1k,shape=mixed,recursion=8,seed=101").unwrap();
+        let src = generate_scale(&spec);
+        for jobs in [1, 2] {
+            let mut engine = ServeEngine::new(&src, &Config::default().with_jobs(jobs)).unwrap();
+            let n = engine.mcfg().module.procs.len();
+            for round in 1..=8 {
+                let name = format!("p{}", 1 + (round * 97) % (n - 1));
+                let what = format!("jobs {jobs}, round {round}: bump of `{name}`");
+                let body = bump(&engine, &name, round);
+                let before = engine.chunk_probe();
+                let out = engine.update(&name, &body).unwrap();
+                let after = engine.chunk_probe();
+                assert_eq!(out.path, RunPath::Live, "{what}");
+                let visited = after
+                    .visited
+                    .clone()
+                    .expect("the bump visited only its cone");
+                assert!(visited.len() < n / 4, "{what}: {} visited", visited.len());
+                let scc_of = &engine.analysis().cg.scc_of;
+                let chunks = |units: &mut dyn Iterator<Item = usize>| -> HashSet<usize> {
+                    units.map(|u| u / CHUNK).collect()
+                };
+                let proc_chunks = chunks(&mut visited.iter().copied());
+                let scc_chunks = chunks(&mut visited.iter().map(|&p| scc_of[p]));
+                assert_eq!(before.tables.len(), after.tables.len(), "{what}");
+                let mut shared = 0;
+                for ((table, per_scc, was), (_, _, now)) in before.tables.iter().zip(&after.tables) {
+                    assert_eq!(was.len(), now.len(), "{what}: {table}");
+                    let allowed = if *per_scc { &scc_chunks } else { &proc_chunks };
+                    for (c, (a, b)) in was.iter().zip(now).enumerate() {
+                        if a == b {
+                            shared += 1;
+                        } else {
+                            assert!(
+                                allowed.contains(&c),
+                                "{what}: {table} copied chunk {c}, which holds nothing visited"
+                            );
+                        }
+                    }
+                }
+                assert!(shared > 0, "{what}: nothing shared");
+            }
+        }
+    }
 }

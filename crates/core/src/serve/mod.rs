@@ -43,7 +43,7 @@ pub use cache::{
     CachedSummary, Memo, RunPath, SummaryCache, SummaryStage,
 };
 pub use engine::{
-    config_from_overrides, ChunkProbe, ConstantsReport, EngineStats, ProgramModel, RequestOutcome,
+    config_from_overrides, ConstantsReport, EngineStats, ProgramModel, RequestOutcome,
     ServeEngine, ServeError,
 };
 pub use json::{Json, Object};

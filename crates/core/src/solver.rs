@@ -36,21 +36,20 @@
 //! # The reusing schedule
 //!
 //! A serve edit re-solves only its cone. A run that reuses the live
-//! analysis walks the same levels, and each SCC takes one of two paths:
+//! analysis starts from the live `VAL` sets and visits, top-down, only the
+//! SCCs whose inputs may have moved: those of the callers whose forward
+//! jump functions moved, and what the cutoff below reaches. Every other
+//! SCC keeps its live rows, activation and work — its inputs are the live
+//! run's — and its recorded [`Stage::Solver`] charges replay as one batch
+//! through [`Governor::replay`] (a trip condition is monotone in the
+//! counter, so a batch that replays cleanly crosses no trip anywhere).
 //!
-//! * **Reused.** Its members' forward jump functions are the live `Arc`s
-//!   and every external caller finished with its live row and live jump
-//!   functions. Its inputs are then the live run's, so its rows, its
-//!   activation and its work are too: it keeps its live rows, replays
-//!   its recorded [`Stage::Solver`] charges through
-//!   [`Governor::replay`], and adds the `meets` and `iterations` the live
-//!   run recorded for it.
-//! * **Re-run.** Its members are re-seeded — ⊤ (the entry procedure as
-//!   in a full solve), met with every external in-edge's jump functions
-//!   evaluated at the caller's final row — and marked dirty exactly when
-//!   the seeding lowered a row, for the entry, and for a member without
-//!   entry slots that an evaluated caller calls; then [`eval_unit`] runs
-//!   unchanged.
+//! A visited SCC is re-seeded — ⊤ (the entry procedure as in a full
+//! solve), met with every external in-edge's jump functions evaluated at
+//! the caller's final row — and its members are marked dirty exactly when
+//! the seeding lowered a row, for the entry, and for a member without
+//! entry slots that an evaluated caller calls; then [`eval_unit`] runs
+//! unchanged.
 //!
 //! The re-seeding is exact because jump functions are monotone. A caller
 //! SCC that ran evaluated each external call site at every row its
@@ -59,15 +58,14 @@
 //! therefore ≥ the one at the final row, so the meet of all of them is
 //! the evaluation at the final row. A caller contributes at all only if
 //! it was popped, which the `VAL` sets record per procedure. The unit
-//! then starts from
-//! the rows and dirty flags the full solve would give it, so its rows,
-//! `meets` and `iterations` are the full solve's. A re-run member whose
-//! row, jump functions or popped flag came out different from the live
-//! run's marks its callees' SCCs for re-running: the cutoff stops where nothing
-//! moved. The run falls back to the full solve when a replay fails, when
-//! a re-run unit panics, trips its budget or sees the deadline, and when
-//! the live solve degraded or quarantined anything; an SCC holding the
-//! procedure a solver panic injection names always re-runs.
+//! then starts from the rows and dirty flags the full solve would give
+//! it, so its rows, `meets` and `iterations` are the full solve's. A
+//! re-run member whose row, jump functions or popped flag came out
+//! different from the live run's marks its callees' SCCs for re-running:
+//! the cutoff stops where nothing moved. The run falls back to the full
+//! solve when the batch does not replay cleanly, when a re-run unit
+//! panics, trips its budget or sees the deadline, and (the caller's
+//! check) when the live solve degraded or quarantined anything.
 
 use crate::config::{Config, Stage};
 use crate::health::Governor;
@@ -79,7 +77,7 @@ use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
 use ipcp_ir::Table;
 use ipcp_ssa::Lattice;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -116,6 +114,7 @@ impl ValSets {
     }
 
     /// The chunk addresses of the rows and the popped flags.
+    #[cfg(test)]
     pub(crate) fn chunk_tables(&self) -> [(&'static str, Vec<usize>); 2] {
         [
             ("vals.rows", self.rows.chunk_addrs()),
@@ -379,46 +378,6 @@ struct Scratch {
     incoming: Vec<Lattice>,
 }
 
-/// The dirty flags a unit evaluation reads for its members and sets for
-/// the external callees whose rows it lowered.
-trait Dirty {
-    fn get(&self, p: usize) -> bool;
-    fn mark(&mut self, p: usize);
-    fn clear(&mut self, p: usize);
-}
-
-impl Dirty for [bool] {
-    fn get(&self, p: usize) -> bool {
-        self[p]
-    }
-
-    fn mark(&mut self, p: usize) {
-        self[p] = true;
-    }
-
-    fn clear(&mut self, p: usize) {
-        self[p] = false;
-    }
-}
-
-/// The dirty flags of a cone solve: only the visited procedures' (a
-/// re-seed sets every member's, so marks on external callees are moot).
-struct DirtyFlags<'a>(&'a mut HashMap<usize, bool>);
-
-impl Dirty for DirtyFlags<'_> {
-    fn get(&self, p: usize) -> bool {
-        self.0.get(&p).copied().unwrap_or(false)
-    }
-
-    fn mark(&mut self, p: usize) {
-        self.0.insert(p, true);
-    }
-
-    fn clear(&mut self, p: usize) {
-        self.0.insert(p, false);
-    }
-}
-
 /// Evaluates one SCC unit: a local FIFO fixpoint over the members, seeded
 /// by their dirty flags. Each pop checks the deadline, fires the panic
 /// injection hook, charges the governor, then evaluates the member's call
@@ -437,7 +396,7 @@ fn eval_unit(
     members: &[ProcId],
     scc: usize,
     vals: &mut impl Rows,
-    dirty: &mut (impl Dirty + ?Sized),
+    dirty: &mut [bool],
     gov: &mut Governor,
     scratch: &mut Scratch,
 ) -> UnitOutcome {
@@ -457,7 +416,7 @@ fn eval_unit(
     queued.resize(members.len(), false);
     work.clear();
     for (li, &p) in members.iter().enumerate() {
-        if dirty.get(p.index()) {
+        if dirty[p.index()] {
             queued[li] = true;
             work.push_back(li);
         }
@@ -543,7 +502,7 @@ fn eval_unit(
                     }
                 }
                 if lowers || first_call {
-                    dirty.mark(callee);
+                    dirty[callee] = true;
                 }
             }
         }
@@ -570,12 +529,14 @@ fn degrade_reachable(vals: &mut impl Rows, cg: &CallGraph) {
 pub(crate) type SccWork = Table<(usize, usize)>;
 
 /// The live solve a reusing run starts from: its `VAL` sets, the forward
-/// jump functions they were solved over, and its per-SCC work.
+/// jump functions they were solved over, its per-SCC work, and the
+/// callers whose forward jump functions moved from those, ascending.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LiveSolve<'a> {
     pub(crate) vals: &'a ValSets,
     pub(crate) jump_fns: &'a ForwardJumpFns,
     pub(crate) work: &'a SccWork,
+    pub(crate) moved: &'a [usize],
 }
 
 /// One solve's products.
@@ -589,6 +550,8 @@ pub(crate) struct Solved {
     /// For a reusing solve, the members of the SCCs it re-ran: every
     /// procedure whose row may differ from the live one.
     pub(crate) rerun: Option<Vec<usize>>,
+    /// The members of the SCCs whose unit panicked, now quarantined.
+    pub(crate) quarantined: Vec<usize>,
 }
 
 /// Runs the wavefront propagation (see the module docs for the schedule).
@@ -624,14 +587,17 @@ pub fn solve(
         entry_globals,
         config,
         gov,
-        quarantined,
         None,
     );
+    for &p in &solved.quarantined {
+        quarantined[p] = true;
+    }
     (solved.vals, solved.time)
 }
 
 /// [`solve`], reusing `live` where the reusing schedule allows (see the
-/// module docs), and reporting the per-SCC work.
+/// module docs), and reporting the per-SCC work and the procedures it
+/// quarantined instead of marking them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_on(
     mcfg: &ModuleCfg,
@@ -641,23 +607,12 @@ pub(crate) fn solve_on(
     entry_globals: Lattice,
     config: &Config,
     gov: &mut Governor,
-    quarantined: &mut [bool],
     live: Option<LiveSolve<'_>>,
 ) -> Solved {
     let t0 = Instant::now();
-    let levels = topdown_levels(cg);
     let reused = live.and_then(|live| {
         let saved = gov.clone();
-        let reused = solve_reusing(
-            mcfg,
-            cg,
-            &levels,
-            jump_fns,
-            entry_globals,
-            config,
-            gov,
-            live,
-        );
+        let reused = solve_cone(mcfg, cg, jump_fns, entry_globals, config, gov, live);
         if reused.is_none() {
             *gov = saved;
         }
@@ -668,12 +623,11 @@ pub(crate) fn solve_on(
             mcfg,
             cg,
             layout,
-            &levels,
+            &topdown_levels(cg),
             jump_fns,
             entry_globals,
             config,
             gov,
-            quarantined,
         )
     });
     solved.time = PhaseTime::sequential(t0.elapsed(), solved.time.units);
@@ -692,12 +646,12 @@ fn solve_full(
     entry_globals: Lattice,
     config: &Config,
     gov: &mut Governor,
-    quarantined: &mut [bool],
 ) -> Solved {
     let mut vals = FlatVals::initial(mcfg, layout, entry_globals);
     let mut dirty = vec![false; mcfg.module.procs.len()];
     dirty[mcfg.module.entry.index()] = true;
     let mut work = vec![(0, 0); cg.sccs.len()];
+    let mut quarantined = Vec::new();
     let mut units = 0;
     let mut scratch = Scratch::default();
 
@@ -716,7 +670,7 @@ fn solve_full(
                     members,
                     si,
                     &mut vals,
-                    &mut dirty[..],
+                    &mut dirty,
                     gov,
                     &mut scratch,
                 )
@@ -729,9 +683,7 @@ fn solve_full(
                     // everything the unit touches degrades to ⊥. Skipping
                     // a call site's contribution instead would leave its
                     // callee unsoundly optimistic.
-                    for &m in members {
-                        quarantined[m.index()] = true;
-                    }
+                    quarantined.extend(members.iter().map(|m| m.index()));
                     let names = members
                         .iter()
                         .map(|&m| mcfg.module.proc(m).name.as_str())
@@ -803,6 +755,7 @@ fn solve_full(
         work: work.into(),
         time: PhaseTime::sequential(Duration::ZERO, units),
         rerun: None,
+        quarantined,
     }
 }
 
@@ -832,7 +785,7 @@ impl Seed<'_> {
         &self,
         si: usize,
         vals: &mut ValSets,
-        dirty: &mut (impl Dirty + ?Sized),
+        dirty: &mut [bool],
         buf: &mut Vec<Lattice>,
     ) -> bool {
         let (cg, entry) = (self.cg, self.mcfg.module.entry);
@@ -864,11 +817,7 @@ impl Seed<'_> {
                 }
             }
             let d = m == entry || called || buf.iter().any(|&l| l != Lattice::Top);
-            if d {
-                dirty.mark(m.index());
-            } else {
-                dirty.clear(m.index());
-            }
+            dirty[m.index()] = d;
             any |= d;
             vals.row_mut(m.index()).copy_from_slice(buf);
         }
@@ -898,130 +847,25 @@ fn moved_callees<'a>(
         .filter(move |&cs| cs != si)
 }
 
-/// The reusing schedule (see the module docs): `None` when the run must
-/// fall back to the full solve (the caller restores the governor then).
-/// The caller stamps the wall time.
-#[allow(clippy::too_many_arguments)]
-fn solve_reusing(
+/// The reusing schedule (see the module docs): starting at the SCCs of
+/// `live.moved`, it visits only the SCCs the cutoff reaches, top-down
+/// (descending index: a caller's SCC is finished before its callees'),
+/// so it never visits an SCC whose inputs did not move. Every other SCC
+/// keeps its live rows and work. A re-run unit charges `gov`; the units
+/// it did not visit charge the live iterations less those of the visited
+/// SCCs, replayed as one batch at the end. `None` — the caller restores
+/// the governor and runs the full solve — when a re-run unit panics,
+/// trips or sees the deadline, or the batch does not replay cleanly. The
+/// caller stamps the wall time.
+fn solve_cone(
     mcfg: &ModuleCfg,
     cg: &CallGraph,
-    levels: &[Vec<usize>],
     jump_fns: &ForwardJumpFns,
     entry_globals: Lattice,
     config: &Config,
     gov: &mut Governor,
     live: LiveSolve<'_>,
 ) -> Option<Solved> {
-    let n_procs = mcfg.module.procs.len();
-    let mut rerun = vec![false; cg.sccs.len()];
-    for (p, (now, was)) in jump_fns.sites.iter().zip(&live.jump_fns.sites).enumerate() {
-        if !now.ptr_eq(was) {
-            rerun[cg.scc_of[p]] = true;
-        }
-    }
-    if let Some(inject) = config.panic_injection.filter(|i| i.stage == Stage::Solver) {
-        if let Some(&si) = cg.scc_of.get(inject.proc) {
-            rerun[si] = true;
-        }
-    }
-    let mut vals = live.vals.clone();
-    vals.meets = 0;
-    vals.iterations = 0;
-    let mut work = vec![(0, 0); cg.sccs.len()];
-    let mut dirty = vec![false; n_procs];
-    let mut units = 0;
-    let mut scratch = Scratch::default();
-    let mut rerun_members = Vec::new();
-    let seed = Seed {
-        mcfg,
-        cg,
-        jump_fns,
-        entry_globals,
-    };
-    // Reused units' charges replay in batches, each flushed before a
-    // re-run unit charges and at the end: a trip condition is monotone in
-    // the counter, so a batch that replays cleanly crosses no trip at any
-    // unit inside it.
-    let solver = Stage::ALL.iter().position(|&s| s == Stage::Solver)?;
-    let mut pending = [0; Stage::ALL.len()];
-    let flush = |gov: &mut Governor, pending: &mut [u64; Stage::ALL.len()]| {
-        let clean = pending[solver] == 0 || gov.replay(pending);
-        pending[solver] = 0;
-        clean
-    };
-    for &si in levels.iter().flatten() {
-        let members: &[ProcId] = &cg.sccs[si];
-        if !rerun[si] {
-            let (meets, iterations) = live.work[si];
-            pending[solver] += iterations as u64;
-            work[si] = (meets, iterations);
-            vals.meets += meets;
-            vals.iterations += iterations;
-            continue;
-        }
-        // Re-seed: every external caller at an earlier level has its
-        // final row, and contributed iff it was popped.
-        rerun_members.extend(members.iter().map(|m| m.index()));
-        if seed.reseed(si, &mut vals, &mut dirty[..], &mut scratch.row) {
-            if !flush(gov, &mut pending) {
-                return None;
-            }
-            units += 1;
-            let unit = guarded(config, si, || {
-                eval_unit(
-                    cg,
-                    jump_fns,
-                    config,
-                    members,
-                    si,
-                    &mut vals,
-                    &mut dirty[..],
-                    gov,
-                    &mut scratch,
-                )
-            });
-            let u = unit.ok().filter(|u| !u.tripped && !u.deadline)?;
-            work[si] = (u.meets, u.iterations);
-            vals.meets += u.meets;
-            vals.iterations += u.iterations;
-        }
-        // Cutoff: only a member whose row or jump functions moved can
-        // move its callees.
-        for cs in moved_callees(cg, si, &vals, jump_fns, live) {
-            rerun[cs] = true;
-        }
-    }
-    flush(gov, &mut pending).then(|| Solved {
-        vals,
-        work: work.into(),
-        time: PhaseTime::sequential(Duration::ZERO, units),
-        rerun: Some(rerun_members),
-    })
-}
-
-/// The reusing solve of a run that visits only its cone: like
-/// [`solve_reusing`], but instead of walking every level it starts at the
-/// SCCs of `callers` (whose forward jump functions moved from `live`'s)
-/// and visits only the SCCs the cutoff reaches, top-down (descending
-/// index: a caller's SCC is finished before its callees'), so it never
-/// visits an SCC whose inputs did not move. Every other SCC keeps its live
-/// rows and work, which the totals carry. A re-run unit charges `gov`;
-/// the charges of the units it did not visit are the live iterations less
-/// those of the visited SCCs, which it returns for the caller to replay
-/// in one batch. `None` on a contained panic, a trip or the deadline in a
-/// re-run unit, which only the per-unit path reproduces.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_cone(
-    mcfg: &ModuleCfg,
-    cg: &CallGraph,
-    jump_fns: &ForwardJumpFns,
-    entry_globals: Lattice,
-    config: &Config,
-    gov: &mut Governor,
-    live: LiveSolve<'_>,
-    callers: &[usize],
-) -> Option<(Solved, u64)> {
-    let t0 = Instant::now();
     let seed = Seed {
         mcfg,
         cg,
@@ -1031,8 +875,10 @@ pub(crate) fn solve_cone(
     let mut vals = live.vals.clone();
     let mut work = live.work.clone();
     let mut unvisited = vals.iterations as u64;
-    let mut todo: BinaryHeap<usize> = callers.iter().map(|&p| cg.scc_of[p]).collect();
-    let mut dirty: HashMap<usize, bool> = HashMap::new();
+    let mut todo: BinaryHeap<usize> = live.moved.iter().map(|&p| cg.scc_of[p]).collect();
+    // A re-seed sets every member's flag, so marks on callees that are not
+    // visited are moot.
+    let mut dirty = vec![false; mcfg.module.procs.len()];
     let mut scratch = Scratch::default();
     let (mut last, mut units, mut rerun_members) = (None, 0, Vec::new());
     while let Some(si) = todo.pop() {
@@ -1041,16 +887,15 @@ pub(crate) fn solve_cone(
         {
             continue;
         }
-        // Re-seed, as the reusing schedule does: every external caller is
-        // at a higher index and has its final row.
+        // Re-seed: every external caller is at a higher index and has its
+        // final row.
         let (meets, iterations) = live.work[si];
         unvisited -= iterations as u64;
         vals.meets -= meets;
         vals.iterations -= iterations;
         work.set(si, (0, 0));
         rerun_members.extend(members.iter().map(|m| m.index()));
-        let mut flags = DirtyFlags(&mut dirty);
-        if seed.reseed(si, &mut vals, &mut flags, &mut scratch.row) {
+        if seed.reseed(si, &mut vals, &mut dirty, &mut scratch.row) {
             units += 1;
             let unit = guarded(config, si, || {
                 eval_unit(
@@ -1060,7 +905,7 @@ pub(crate) fn solve_cone(
                     members,
                     si,
                     &mut vals,
-                    &mut flags,
+                    &mut dirty,
                     gov,
                     &mut scratch,
                 )
@@ -1072,14 +917,20 @@ pub(crate) fn solve_cone(
         }
         todo.extend(moved_callees(cg, si, &vals, jump_fns, live));
     }
+    let solver = Stage::ALL.iter().position(|&s| s == Stage::Solver)?;
+    let mut batch = [0; Stage::ALL.len()];
+    batch[solver] = unvisited;
+    if !gov.replay(&batch) {
+        return None;
+    }
     rerun_members.sort_unstable();
-    let solved = Solved {
+    Some(Solved {
         vals,
         work,
-        time: PhaseTime::sequential(t0.elapsed(), units),
+        time: PhaseTime::sequential(Duration::ZERO, units),
         rerun: Some(rerun_members),
-    };
-    Some((solved, unvisited))
+        quarantined: Vec::new(),
+    })
 }
 
 /// The classic §4.1 FIFO worklist propagation, retained as a reference
@@ -1391,7 +1242,6 @@ mod tests {
                 .build()
                 .unwrap();
             let mut gov = Governor::new(&config);
-            let mut quarantined = vec![false; mcfg.module.procs.len()];
             let solved = solve_on(
                 mcfg,
                 &aa.cg,
@@ -1400,16 +1250,19 @@ mod tests {
                 Lattice::Bottom,
                 &config,
                 &mut gov,
-                &mut quarantined,
                 live,
             );
             (solved, gov.into_health())
         };
         let (live, _) = run(&ma, &aa.jump_fns, u64::MAX, None);
+        let moved: Vec<usize> = (0..jump_fns.sites.len())
+            .filter(|&p| !jump_fns.sites[p].ptr_eq(&aa.jump_fns.sites[p]))
+            .collect();
         let live = LiveSolve {
             vals: &live.vals,
             jump_fns: &aa.jump_fns,
             work: &live.work,
+            moved: &moved,
         };
         let (full, _) = run(&mb, &jump_fns, u64::MAX, None);
         let most = full.vals.iterations as u64 + 1;

@@ -37,11 +37,9 @@ use ipcp::{Analysis, Config, Stage};
 use ipcp_analysis::{build_call_graph, summary_keys};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{GlobalId, ProcId};
-use ipcp_ir::table::CHUNK;
 use ipcp_ir::{lower_module_owned, parse_and_resolve};
 use ipcp_suite::mutate::swap_operator;
 use ipcp_suite::{generate_scale, Rng, ScaleSpec, PROGRAMS};
-use std::collections::HashSet;
 
 fn scale_1k() -> String {
     let spec = ScaleSpec::parse("procs=1k,shape=mixed,recursion=8,seed=101").unwrap();
@@ -759,61 +757,13 @@ fn live_reuse_rebuilds_the_form_of_an_earlier_scc_member() {
     }
 }
 
-/// A literal bump takes the live path and visits only its cone: every
-/// table of the new module, program model, analysis, memo log and keys
-/// shares every chunk with the live one except the chunks that hold a
-/// procedure the run visited (an edited, re-keyed or dirty one) — or,
-/// for a table indexed by SCC, such a procedure's SCC.
-#[test]
-fn a_literal_bump_shares_every_chunk_outside_its_cone() {
-    let src = scale_1k();
-    for jobs in [1, 2] {
-        let mut engine = ServeEngine::new(&src, &Config::default().with_jobs(jobs)).unwrap();
-        let n = engine.mcfg().module.procs.len();
-        for round in 1..=8 {
-            let name = format!("p{}", 1 + (round * 97) % (n - 1));
-            let what = format!("jobs {jobs}, round {round}: bump of `{name}`");
-            let body = bump(&engine, &name, round as i64);
-            let before = engine.chunk_probe();
-            let out = engine.update(&name, &body).unwrap();
-            let after = engine.chunk_probe();
-            assert_eq!(out.path, RunPath::Live, "{what}");
-            let visited = after
-                .visited
-                .clone()
-                .expect("the bump visited only its cone");
-            assert!(visited.len() < n / 4, "{what}: {} visited", visited.len());
-            let scc_of = &engine.analysis().cg.scc_of;
-            let chunks = |units: &mut dyn Iterator<Item = usize>| -> HashSet<usize> {
-                units.map(|u| u / CHUNK).collect()
-            };
-            let proc_chunks = chunks(&mut visited.iter().copied());
-            let scc_chunks = chunks(&mut visited.iter().map(|&p| scc_of[p]));
-            assert_eq!(before.tables.len(), after.tables.len(), "{what}");
-            let mut shared = 0;
-            for ((table, per_scc, was), (_, _, now)) in before.tables.iter().zip(&after.tables) {
-                assert_eq!(was.len(), now.len(), "{what}: {table}");
-                let allowed = if *per_scc { &scc_chunks } else { &proc_chunks };
-                for (c, (a, b)) in was.iter().zip(now).enumerate() {
-                    if a == b {
-                        shared += 1;
-                    } else {
-                        assert!(
-                            allowed.contains(&c),
-                            "{what}: {table} copied chunk {c}, which holds nothing visited"
-                        );
-                    }
-                }
-            }
-            assert!(shared > 0, "{what}: nothing shared");
-        }
-    }
-}
-
 /// Every analyzing outcome names its path, and lifetime stats count
 /// them: a literal bump runs live, an added call (and its removal) fails
-/// the call-edge precondition, an arity change the shape one, and an override
-/// configuration the configuration one. The boot run had no live log.
+/// the call-edge precondition, an arity change the shape one, a new
+/// formal write moves MOD/REF, and an override configuration fails the
+/// configuration one. The boot run had no live log. A degraded live run
+/// still takes the cone; a cone whose charges cross an injected fault
+/// runs unit by unit.
 #[test]
 fn outcomes_name_the_path_each_run_took() {
     let src = "proc main() { call f(1); call g(2); } \
@@ -836,6 +786,7 @@ fn outcomes_name_the_path_each_run_took() {
             "proc h(c, d) { print c + d; }".to_string(),
             RunPath::Shape,
         ),
+        ("f", f.replace("v0 = 3;", "v0 = 3; a = 5;"), RunPath::ModRef),
     ];
     for (name, body, path) in steps {
         let out = engine
@@ -855,10 +806,20 @@ fn outcomes_name_the_path_each_run_took() {
     let runs: Vec<u64> = RunPath::ALL.iter().map(|&p| stats.runs_on(p)).collect();
     assert_eq!(
         runs,
-        vec![2, 1, 1, 1, 2],
-        "live, config, no_log, shape, call_edges"
+        vec![2, 0, 1, 1, 1, 2, 1],
+        "live, per_unit, config, no_log, shape, call_edges, mod_ref"
     );
     assert_eq!(runs.iter().sum::<u64>(), stats.requests);
+    let bump = f.replace("v0 = 3;", "v0 = 6;");
+    for (config, path) in [
+        (Config::default().with_panic(Stage::RetJump, 2), RunPath::Live),
+        (Config::default().with_fault(Stage::RetJump, 1), RunPath::PerUnit),
+    ] {
+        let mut engine = ServeEngine::new(src, &config).unwrap();
+        assert!(engine.analysis().health.degraded(), "{config:?}");
+        let out = engine.update("f", &bump).unwrap();
+        assert_eq!(out.path, path, "{config:?}");
+    }
 }
 
 /// An edit inside a recursive SCC re-runs the SCC's unit from the live
