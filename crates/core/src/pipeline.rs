@@ -10,6 +10,10 @@
 //! absorbs or replays them; on a pool without, each unit runs on the
 //! master and is committed at once. Serve's summary cache is a memo hook
 //! inside the same path ([`Analysis::run_memoized`]), not a second driver.
+//! A serve run that reuses the live analysis walks only its cone instead
+//! (`Analysis::run_live`): it starts from the live tables and visits, in
+//! the same sequential unit order, only the units whose inputs may have
+//! moved, running each as the fold would.
 //!
 //! Both jump-function stages read the same per-procedure SSA form and
 //! symbolic evaluation, as the paper's implementation does: Stage 1
@@ -35,7 +39,9 @@ use crate::serve::cache::{
 };
 use crate::solver::{LiveSolve, ValSets};
 use crate::substitute::{self, Substitution, SubstitutionCounts};
-use ipcp_analysis::{build_call_graph, direct_effects, propagate_modref, CallGraph, ModRef, ModSet};
+use ipcp_analysis::{
+    build_call_graph, direct_effects, propagate_modref, CallGraph, ModRef, ModSet,
+};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{ProcId, SlotLayout};
 use ipcp_ir::Table;
@@ -525,7 +531,14 @@ impl Analysis {
         };
         let visit = match all {
             true => every(),
-            false => sorted([&stale[..], &memo_keys.moved, &reuse.unclean(SummaryStage::Jump)].concat()),
+            false => sorted(
+                [
+                    &stale[..],
+                    &memo_keys.moved,
+                    &reuse.unclean(SummaryStage::Jump),
+                ]
+                .concat(),
+            ),
         };
         let mut kept: HashMap<usize, Box<KeptForm>> = ret.forms.into_iter().collect();
         let mut symbolics = live.symbolics.clone();
@@ -543,17 +556,14 @@ impl Analysis {
                 txn.note_unit(SummaryStage::Jump, pi, Served::Skipped);
                 None
             } else if let Some(ps) = live_form {
-                let served = reuse.served(memo_keys, SummaryStage::Jump, pi, || {
-                    CachedSummary::Jump {
+                let served =
+                    reuse.served(memo_keys, SummaryStage::Jump, pi, || CachedSummary::Jump {
                         sym: Arc::clone(ps),
-                    }
-                });
+                    });
                 txn.note_unit(SummaryStage::Jump, pi, served);
                 Some(Arc::clone(ps))
             } else {
-                let lookup = memo_keys
-                    .lookup(SummaryStage::Jump, pi)
-                    .forced_if(tainted);
+                let lookup = memo_keys.lookup(SummaryStage::Jump, pi).forced_if(tainted);
                 if let Some((CachedSummary::Jump { sym }, _)) = lookup.hit {
                     txn.note_unit(SummaryStage::Jump, pi, lookup.served_hit());
                     Some(Arc::clone(sym))
@@ -571,9 +581,12 @@ impl Analysis {
                     if ps.is_none() {
                         quarantined.set(pi, true);
                     }
-                    let entry = ps.as_ref().filter(|_| clean).map(|sym| CachedSummary::Jump {
-                        sym: Arc::clone(sym),
-                    });
+                    let entry = ps
+                        .as_ref()
+                        .filter(|_| clean)
+                        .map(|sym| CachedSummary::Jump {
+                            sym: Arc::clone(sym),
+                        });
                     txn.note_unit(SummaryStage::Jump, pi, lookup.served_miss(entry));
                     ps
                 }

@@ -550,7 +550,10 @@ pub(crate) fn build_return_jfs_cone(
     visited.sort_unstable();
     ran.sort_unstable();
     moved.sort_unstable();
-    let mut bad: Vec<usize> = bad.into_iter().filter_map(|(p, b)| b.then_some(p)).collect();
+    let mut bad: Vec<usize> = bad
+        .into_iter()
+        .filter_map(|(p, b)| b.then_some(p))
+        .collect();
     bad.sort_unstable();
     RetCone {
         table,

@@ -74,54 +74,49 @@
 //! commit. A dropped transaction provably leaves the cache untouched.
 //!
 //! **Live-analysis reuse.** A base-configuration run also gets the live
-//! `(ModuleCfg, Analysis, own hashes)` (`Live`), and the pipeline
-//! shares each stage's product while that stage's inputs are unchanged
-//! (`Reuse`). The preconditions (`Reuse::check`, which names the one
-//! that fails as the run's [`RunPath`]): the live analysis was memoized
-//! under this configuration, the program shape is the same, and every
-//! edited procedure (own hash moved) has exactly its live call edges —
-//! checked over the table chunks the new module and hashes do not share
-//! with the live ones. Then the call graph is shared, and the slot layout
-//! unless an edit renamed a formal; keys are rehashed for the SCCs above
-//! the edits only ([`ipcp_analysis::rekey`]); the propagated MOD/REF is
-//! shared when every recomputed direct effect equals the live one and
-//! every edited procedure binds the same variables by reference at its
-//! call sites; return jump functions and kept forms are shared for every
-//! procedure outside the *dirty set*; and forward jump functions for
-//! every caller whose form `Arc` did not move. The dirty set starts at
-//! the edited procedures (and, on the per-unit path below, the units a
-//! panic injection forces, the units the live run degraded or
-//! quarantined, and tainted units); it climbs to a caller only while
-//! some callee's return jump functions actually changed (early cutoff).
-//! A reused unit is a memo hit to every contract: an unchanged key is
-//! noted as a hit on the entry the live run left; a moved key hits the
-//! cache or, when absent, stages the live result under the new key
-//! ([`CacheStats::carried`]).
+//! `(ModuleCfg, Analysis, own hashes)` (`Live`), and reuses it when
+//! `Reuse::check` passes — else the run is the plain memoized path, and
+//! its [`RunPath`] names the precondition that failed: the live analysis
+//! was memoized under this configuration, the program shape is the same,
+//! and every edited procedure (own hash moved) has exactly its live call
+//! edges — checked over the table chunks the new module and hashes do
+//! not share with the live ones. The call graph is then shared, and the
+//! slot layout unless an edit renamed a formal; keys are rehashed for the
+//! SCCs above the edits only ([`ipcp_analysis::rekey`]).
 //!
 //! Every table of the analysis and of its memo log is a chunked
-//! copy-on-write [`Table`], so a run that reuses the live analysis
-//! normally *visits only its cone*
-//! ([`Analysis::run_memoized_on`](crate::Analysis)'s cone path): it
+//! copy-on-write [`Table`], and a reusing run *visits only its cone*
+//! ([`Analysis::run_memoized_on`](crate::Analysis)'s live walk): it
 //! starts from the live tables, and each stage visits and `set`s only
-//! the edited procedures, those whose keys moved, and what early cutoff
-//! reaches. **The tally rule** accounts for the rest: a unit it does not
-//! visit is the live run's clean unit under an unchanged key, which the
-//! plain path notes as a hit and whose recorded charges it replays. So
-//! the counters are the live log's per-family `Tally` less the
-//! visited units' share plus what they noted
-//! (`CacheTxn::finish_cone`), the pins move for the visited units
-//! only, and every charge replays as one batch through one
-//! `can_absorb` — trip conditions are monotone in the counter, so a batch
-//! that absorbs trips nowhere in sequential order either. That needs a
-//! regular live run (no degradation event, so every reachable unit ran
-//! clean) and no panic injection or deadline. Otherwise — or when a
-//! visited unit does not come out clean or the batch does not absorb —
-//! the run takes the *per-unit path*: every stage walks every procedure,
-//! and a reused unit's recorded charges replay in sequential unit order
-//! through `can_absorb`, a trip running the unit live. If a precondition
-//! fails the run is the plain memoized path, and if the propagated
-//! MOD/REF moves, so are the stages after it: counters, cache contents
-//! and [`same_results`] are the plain path's either way.
+//! what it must. The cone starts at the edited procedures, the units
+//! whose keys moved and, when the live run degraded, the units it did not
+//! serve cleanly (forced, degraded, tainted or quarantined ones); it
+//! climbs to a caller only while some callee's return jump functions (or
+//! their degradation) actually changed, and to a callee only while a
+//! caller's form, forward jump functions or `VAL` row did (early cutoff).
+//! A visited unit reuses its live result when its inputs are the live
+//! run's, and otherwise runs as the plain path runs it — memo lookup,
+//! quarantine and taint included. A reused unit is a memo hit to every
+//! contract: an unchanged key is noted as a hit on the entry the live run
+//! left; a moved key hits the cache or, when absent, stages the live
+//! result under the new key ([`CacheStats::carried`]). If an edit moves
+//! the MOD/REF stage's product — the propagated sets, or a unit's
+//! quarantine — every later stage reads new inputs, and the run is the
+//! plain memoized path (`mod_ref`).
+//!
+//! **The tally rule** accounts for the units the cone does not visit:
+//! each is the live run's clean unit under an unchanged key, which the
+//! plain path notes as a hit and whose recorded charges it replays. So the
+//! counters are the live log's per-family `Tally` less the visited units'
+//! share plus what they noted (`CacheTxn::finish_cone`), the pins move
+//! for the visited units only, and every charge replays as one batch
+//! through one `can_absorb` — trip conditions are monotone in the
+//! counter, so a batch that absorbs trips nowhere in sequential order
+//! either. When it does not absorb, or a deadline makes a unit's outcome
+//! depend on time, the same walk visits every unit in sequential unit
+//! order (`per_unit`), each reused unit's recorded charges replaying
+//! through `can_absorb` and a trip running the unit live. Counters, cache
+//! contents and [`same_results`] are the plain path's on every path.
 //!
 //! **Pinning.** Every key a *live* request looked up — one whose analysis
 //! is, or equals, the engine's current one: boot, `update`, `load`, and
@@ -1286,7 +1281,9 @@ impl<'a> Reuse<'a> {
 
     /// Whether procedure `pi`'s `family` unit is clean (see the type docs).
     pub(crate) fn clean(&self, memo: &MemoKeys<'_>, family: SummaryStage, pi: usize) -> bool {
-        !self.is_edited(pi) && self.log.notes[family.index()][pi].clean() && !memo.forced(family, pi)
+        !self.is_edited(pi)
+            && self.log.notes[family.index()][pi].clean()
+            && !memo.forced(family, pi)
     }
 
     /// Whether the live run had no degradation event: every unit it
@@ -1311,7 +1308,9 @@ impl<'a> Reuse<'a> {
             true => Vec::new(),
             false => {
                 let charges = &self.log.fwd_charges;
-                (0..charges.len()).filter(|&p| charges[p].is_none()).collect()
+                (0..charges.len())
+                    .filter(|&p| charges[p].is_none())
+                    .collect()
             }
         }
     }

@@ -244,8 +244,9 @@ pub struct RequestOutcome {
     pub carried: u64,
     /// Whether the configuration bypassed the cache.
     pub bypassed: bool,
-    /// Which path the run took: the live path, or the plain memoized path
-    /// named by the precondition that failed.
+    /// Which path the run took: a live path (the cone walk, or the
+    /// per-unit walk), or the plain memoized path named by the
+    /// precondition that failed.
     pub path: RunPath,
     /// The SCC units the `VAL` solve ran — the edited cone's size, for a
     /// run that re-solved only the SCCs whose inputs moved.
@@ -312,7 +313,8 @@ pub struct EngineStats {
     /// SCC units the `VAL` solves of every analyzing request ran.
     pub solved_units: u64,
     /// Analyzing requests per path they took, in [`RunPath::ALL`] order:
-    /// the live path, then the plain path by the precondition that failed.
+    /// the two live paths, then the plain path by the precondition that
+    /// failed.
     pub runs: [u64; RunPath::ALL.len()],
 }
 
@@ -1029,7 +1031,8 @@ mod tests {
                 let scc_chunks = chunks(&mut visited.iter().map(|&p| scc_of[p]));
                 assert_eq!(before.tables.len(), after.tables.len(), "{what}");
                 let mut shared = 0;
-                for ((table, per_scc, was), (_, _, now)) in before.tables.iter().zip(&after.tables) {
+                for ((table, per_scc, was), (_, _, now)) in before.tables.iter().zip(&after.tables)
+                {
                     assert_eq!(was.len(), now.len(), "{what}: {table}");
                     let allowed = if *per_scc { &scc_chunks } else { &proc_chunks };
                     for (c, (a, b)) in was.iter().zip(now).enumerate() {

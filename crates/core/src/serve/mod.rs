@@ -43,8 +43,8 @@ pub use cache::{
     CachedSummary, Memo, RunPath, SummaryCache, SummaryStage,
 };
 pub use engine::{
-    config_from_overrides, ConstantsReport, EngineStats, ProgramModel, RequestOutcome,
-    ServeEngine, ServeError,
+    config_from_overrides, ConstantsReport, EngineStats, ProgramModel, RequestOutcome, ServeEngine,
+    ServeError,
 };
 pub use json::{Json, Object};
 pub use store::{DiscardReason, IoFault, IoInjector, LoadStatus, SummaryStore};

@@ -579,16 +579,7 @@ pub fn solve(
     gov: &mut Governor,
     quarantined: &mut [bool],
 ) -> (ValSets, PhaseTime) {
-    let solved = solve_on(
-        mcfg,
-        cg,
-        layout,
-        jump_fns,
-        entry_globals,
-        config,
-        gov,
-        None,
-    );
+    let solved = solve_on(mcfg, cg, layout, jump_fns, entry_globals, config, gov, None);
     for &p in &solved.quarantined {
         quarantined[p] = true;
     }

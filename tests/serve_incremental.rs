@@ -812,8 +812,14 @@ fn outcomes_name_the_path_each_run_took() {
     assert_eq!(runs.iter().sum::<u64>(), stats.requests);
     let bump = f.replace("v0 = 3;", "v0 = 6;");
     for (config, path) in [
-        (Config::default().with_panic(Stage::RetJump, 2), RunPath::Live),
-        (Config::default().with_fault(Stage::RetJump, 1), RunPath::PerUnit),
+        (
+            Config::default().with_panic(Stage::RetJump, 2),
+            RunPath::Live,
+        ),
+        (
+            Config::default().with_fault(Stage::RetJump, 1),
+            RunPath::PerUnit,
+        ),
     ] {
         let mut engine = ServeEngine::new(src, &config).unwrap();
         assert!(engine.analysis().health.degraded(), "{config:?}");
