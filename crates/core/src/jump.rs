@@ -310,7 +310,6 @@ pub(crate) fn build_forward_jump_fns_on(
         pool,
         gov,
         n_procs,
-        None,
         |caller, g| {
             caller_unit(
                 mcfg,

@@ -181,11 +181,7 @@ impl PhaseFold {
 /// On a pool with workers every unit first runs ahead against its own
 /// governor shard; the fold then walks the units in index order and keeps
 /// a unit's outcome when its shard absorbs, re-running the unit against
-/// the master otherwise ([`PhaseFold::try_absorb`]). `only`, when given,
-/// lists (ascending) the units that run ahead: a reusing run decides which
-/// units reuse the live analysis before the round, and those — cheap, and
-/// decided by pure checks — run on the master in the fold, so a round in
-/// which nothing computes opens no thread scope. On a pool without
+/// the master otherwise ([`PhaseFold::try_absorb`]). On a pool without
 /// workers nothing runs ahead ([`Pool::ahead`]): each unit runs on the
 /// master and is committed at once, which is the sequential loop at the
 /// sequential loop's cost. Returns the phase accounting without the
@@ -195,28 +191,23 @@ pub(crate) fn fold_units<T: Send + Sync>(
     pool: Pool,
     gov: &mut Governor,
     n: usize,
-    only: Option<&[usize]>,
     unit: impl Fn(usize, &mut Governor) -> T + Sync,
     mut commit: impl FnMut(usize, T, &mut Governor),
 ) -> PhaseTime {
     let master: &Governor = gov;
     let (ahead, mut time) = pool
         .ahead(|| {
-            let index = |j: usize| only.map_or(j, |o| o[j]);
-            pool.run(only.map_or(n, <[usize]>::len), |j| {
-                let i = index(j);
+            pool.run(n, |i| {
                 let mut shard = master.shard();
                 let outcome = unit(i, &mut shard);
                 PhaseUnit::new(i, outcome, shard)
             })
         })
         .unwrap_or_else(|| (Vec::new(), PhaseTime::sequential(Duration::ZERO, n)));
-    let mut ahead = ahead.into_iter().peekable();
+    let mut ahead = ahead.into_iter();
     let mut fold = PhaseFold::default();
     for i in 0..n {
-        let absorbed = ahead
-            .next_if(|u| u.index == i)
-            .and_then(|u| fold.try_absorb(gov, u, true));
+        let absorbed = ahead.next().and_then(|u| fold.try_absorb(gov, u, true));
         let outcome = match absorbed {
             Some(outcome) => outcome,
             None => unit(i, gov),
@@ -745,7 +736,6 @@ impl Analysis {
             pool,
             &mut gov,
             n_procs,
-            None,
             |pi, g| modref_unit(mcfg, config, memo, None, pi, g),
             |pi, (pair, quarantine, served), _| {
                 let (m, r) = pair.unwrap_or_else(|| direct_effects(mcfg, ProcId::from(pi)));
@@ -841,7 +831,6 @@ impl Analysis {
             pool,
             &mut gov,
             n_procs,
-            None,
             |pi, _| {
                 // A procedure quarantined by an earlier phase contributes
                 // no symbolic form: its call sites get explicit all-⊥ jump
