@@ -99,6 +99,23 @@ pub struct ValSets {
 }
 
 impl ValSets {
+    /// Every procedure's row at its initial value: ⊤ everywhere except the
+    /// entry procedure, whose formals are ⊥ and whose globals hold
+    /// `entry_globals`.
+    fn initial(mcfg: &ModuleCfg, layout: &SlotLayout, entry_globals: Lattice) -> ValSets {
+        let rows = mcfg.module.procs.iter().map(|p| {
+            let mut row = vec![Lattice::Top; layout.n_slots(p.arity())];
+            init_row(mcfg, p.id, entry_globals, &mut row);
+            Arc::from(row)
+        });
+        ValSets {
+            rows: rows.collect(),
+            popped: Table::filled(mcfg.module.procs.len(), false),
+            meets: 0,
+            iterations: 0,
+        }
+    }
+
     /// The `VAL` vector of `p`.
     pub fn of(&self, p: ProcId) -> &[Lattice] {
         &self.rows[p.index()]
@@ -150,101 +167,6 @@ impl ValSets {
             mcfg,
             layout,
         }
-    }
-}
-
-/// Where a unit evaluation reads and writes rows and popped flags: the
-/// [`ValSets`] tables a reusing solve starts from the live ones, or the
-/// flat buffer a full solve fills and converts once at the end, which
-/// writes rows without copy-on-write checks.
-trait Rows {
-    fn row(&self, p: usize) -> &[Lattice];
-    fn row_mut(&mut self, p: usize) -> &mut [Lattice];
-    fn popped(&self, p: usize) -> bool;
-    fn pop(&mut self, p: usize);
-}
-
-impl Rows for ValSets {
-    fn row(&self, p: usize) -> &[Lattice] {
-        &self.rows[p]
-    }
-
-    fn row_mut(&mut self, p: usize) -> &mut [Lattice] {
-        ValSets::row_mut(self, p)
-    }
-
-    fn popped(&self, p: usize) -> bool {
-        self.popped[p]
-    }
-
-    fn pop(&mut self, p: usize) {
-        self.popped.set(p, true);
-    }
-}
-
-/// A full solve's `VAL` sets while it runs: one flat buffer of lattice
-/// elements, procedure `p`'s row at `offsets[p]..offsets[p + 1]`.
-struct FlatVals {
-    rows: Vec<Lattice>,
-    offsets: Vec<usize>,
-    popped: Vec<bool>,
-    meets: usize,
-    iterations: usize,
-}
-
-impl FlatVals {
-    /// Every procedure's row at its initial value: ⊤ everywhere except the
-    /// entry procedure, whose formals are ⊥ and whose globals hold
-    /// `entry_globals`.
-    fn initial(mcfg: &ModuleCfg, layout: &SlotLayout, entry_globals: Lattice) -> FlatVals {
-        let mut offsets = Vec::with_capacity(mcfg.module.procs.len() + 1);
-        offsets.push(0);
-        for p in &mcfg.module.procs {
-            offsets.push(offsets[offsets.len() - 1] + layout.n_slots(p.arity()));
-        }
-        let mut vals = FlatVals {
-            rows: vec![Lattice::Top; offsets[offsets.len() - 1]],
-            offsets,
-            popped: vec![false; mcfg.module.procs.len()],
-            meets: 0,
-            iterations: 0,
-        };
-        let entry = mcfg.module.entry;
-        init_row(mcfg, entry, entry_globals, vals.row_mut(entry.index()));
-        vals
-    }
-
-    /// The finished sets, one table row per procedure.
-    fn into_vals(self) -> ValSets {
-        let rows = self
-            .offsets
-            .windows(2)
-            .map(|w| Arc::from(&self.rows[w[0]..w[1]]))
-            .collect();
-        ValSets {
-            rows,
-            popped: self.popped.into(),
-            meets: self.meets,
-            iterations: self.iterations,
-        }
-    }
-}
-
-impl Rows for FlatVals {
-    fn row(&self, p: usize) -> &[Lattice] {
-        &self.rows[self.offsets[p]..self.offsets[p + 1]]
-    }
-
-    fn row_mut(&mut self, p: usize) -> &mut [Lattice] {
-        &mut self.rows[self.offsets[p]..self.offsets[p + 1]]
-    }
-
-    fn popped(&self, p: usize) -> bool {
-        self.popped[p]
-    }
-
-    fn pop(&mut self, p: usize) {
-        self.popped[p] = true;
     }
 }
 
@@ -395,7 +317,7 @@ fn eval_unit(
     config: &Config,
     members: &[ProcId],
     scc: usize,
-    vals: &mut impl Rows,
+    vals: &mut ValSets,
     dirty: &mut [bool],
     gov: &mut Governor,
     scratch: &mut Scratch,
@@ -436,13 +358,13 @@ fn eval_unit(
             return out;
         }
         queued[li] = false;
-        vals.pop(p.index());
+        vals.popped.set(p.index(), true);
         out.iterations += 1;
         // Work on a copy of the caller's row, so callee rows can be met
         // into without aliasing it (external callees are always other
         // rows); it is written back after the last call site.
         row.clear();
-        row.extend_from_slice(vals.row(p.index()));
+        row.extend_from_slice(vals.of(p));
         let caller_row = &mut *row;
         for edge in cg.calls_from(p) {
             let Some(site_fns) = jump_fns.reached(p, edge.site) else {
@@ -450,7 +372,7 @@ fn eval_unit(
             };
             // A callee without entry slots meets nothing in, but the call
             // still runs it once.
-            let first_call = site_fns.is_empty() && !vals.popped(edge.callee.index());
+            let first_call = site_fns.is_empty() && !vals.popped[edge.callee.index()];
             if cg.scc_of[edge.callee.index()] == scc {
                 let Some(lj) = members.iter().position(|&m| m == edge.callee) else {
                     unreachable!("intra-SCC callee missing from member list");
@@ -490,8 +412,7 @@ fn eval_unit(
                 }));
                 out.meets += site_fns.len();
                 let callee = edge.callee.index();
-                let lowers = vals
-                    .row(callee)
+                let lowers = vals.rows[callee]
                     .iter()
                     .zip(incoming.iter())
                     .any(|(&was, &inc)| was.meet(inc) != was);
@@ -515,7 +436,7 @@ fn eval_unit(
 /// mid-solve budget trip or deadline expiry, when the partially descended
 /// `VAL` sets are still optimistic (too high to be trusted). Unreachable
 /// procedures keep ⊤, which is equally sound (they never execute).
-fn degrade_reachable(vals: &mut impl Rows, cg: &CallGraph) {
+fn degrade_reachable(vals: &mut ValSets, cg: &CallGraph) {
     for (pi, &reachable) in cg.reachable.iter().enumerate() {
         if reachable {
             vals.row_mut(pi).fill(Lattice::Bottom);
@@ -638,7 +559,7 @@ fn solve_full(
     config: &Config,
     gov: &mut Governor,
 ) -> Solved {
-    let mut vals = FlatVals::initial(mcfg, layout, entry_globals);
+    let mut vals = ValSets::initial(mcfg, layout, entry_globals);
     let mut dirty = vec![false; mcfg.module.procs.len()];
     dirty[mcfg.module.entry.index()] = true;
     let mut work = vec![(0, 0); cg.sccs.len()];
@@ -742,7 +663,7 @@ fn solve_full(
         }
     }
     Solved {
-        vals: vals.into_vals(),
+        vals,
         work: work.into(),
         time: PhaseTime::sequential(Duration::ZERO, units),
         rerun: None,
@@ -945,7 +866,7 @@ pub fn solve_worklist_reference(
     gov: &mut Governor,
 ) -> ValSets {
     let n_procs = mcfg.module.procs.len();
-    let mut vals = FlatVals::initial(mcfg, layout, entry_globals);
+    let mut vals = ValSets::initial(mcfg, layout, entry_globals);
     let entry = mcfg.module.entry;
     let mut queued = vec![false; n_procs];
     let mut work: VecDeque<ProcId> = VecDeque::new();
@@ -958,14 +879,14 @@ pub fn solve_worklist_reference(
             break;
         }
         queued[p.index()] = false;
-        vals.pop(p.index());
+        vals.popped.set(p.index(), true);
         vals.iterations += 1;
         for edge in cg.calls_from(p) {
             let Some(site_fns) = jump_fns.reached(p, edge.site) else {
                 continue;
             };
-            let first_call = site_fns.is_empty() && !vals.popped(edge.callee.index());
-            let caller_vals = vals.row(p.index()).to_vec();
+            let first_call = site_fns.is_empty() && !vals.popped[edge.callee.index()];
+            let caller_vals = vals.of(p).to_vec();
             vals.meets += site_fns.len();
             let callee_vals = vals.row_mut(edge.callee.index());
             let mut changed = false;
@@ -985,7 +906,7 @@ pub fn solve_worklist_reference(
         }
     }
 
-    vals.into_vals()
+    vals
 }
 
 #[cfg(test)]
