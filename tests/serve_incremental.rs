@@ -33,7 +33,7 @@ use ipcp::serve::{
     same_results, CacheTxn, Memo, ProgramModel, RequestOutcome, RunPath, ServeEngine, ServeError,
     SummaryCache,
 };
-use ipcp::{Analysis, Config, Stage};
+use ipcp::{Analysis, Config, Deadline, Stage};
 use ipcp_analysis::{build_call_graph, summary_keys};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{GlobalId, ProcId};
@@ -762,8 +762,8 @@ fn live_reuse_rebuilds_the_form_of_an_earlier_scc_member() {
 /// the call-edge precondition, an arity change the shape one, a new
 /// formal write moves MOD/REF, and an override configuration fails the
 /// configuration one. The boot run had no live log. A degraded live run
-/// still takes the cone; a cone whose charges cross an injected fault
-/// runs unit by unit.
+/// still takes the cone; a cone whose charges cross an injected fault,
+/// and a run under a deadline, run unit by unit.
 #[test]
 fn outcomes_name_the_path_each_run_took() {
     let src = "proc main() { call f(1); call g(2); } \
@@ -826,6 +826,12 @@ fn outcomes_name_the_path_each_run_took() {
         let out = engine.update("f", &bump).unwrap();
         assert_eq!(out.path, path, "{config:?}");
     }
+    // Under a deadline a unit's outcome depends on time, not only on its
+    // inputs: the run visits every unit in order.
+    let far = Config::default().with_deadline(Deadline::after_ms(600_000));
+    let mut engine = ServeEngine::new(src, &far).unwrap();
+    let out = engine.update("f", &bump).unwrap();
+    assert_eq!(out.path, RunPath::PerUnit, "deadline");
 }
 
 /// An edit inside a recursive SCC re-runs the SCC's unit from the live
