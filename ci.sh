@@ -114,6 +114,29 @@ EOF
         echo "serve smoke: stats do not record the contained panic" >&2
         return 1
     }
+    # Whole-program and rejected edits, in a session of their own (under
+    # the default admission bound): a `load`, an arity change of a
+    # procedure nobody calls (resolved in full, not spliced), a fragment
+    # that does not parse, and a rename — each answered by its outcome
+    # or error kind, the rejected ones leaving the loaded program serving.
+    timeout 60 ./target/release/ipcc serve "$prog" --drain-ms 30000 >"$out" <<'EOF'
+{"id":7,"op":"load","source":"proc main() { call f(1); } proc f(a) { print a; } proc dead(x) { print x; }"}
+{"id":8,"op":"update","proc":"dead","body":"proc dead(x, y) { print x + y; }"}
+{"id":9,"op":"update","proc":"f","body":"proc f(a) { print ; }"}
+{"id":10,"op":"update","proc":"f","body":"proc g(a) { print a; }"}
+{"id":11,"op":"constants","proc":"f"}
+EOF
+    local want
+    for want in '"id":7,"ok":true' '"id":8,"ok":true' \
+        '"id":9,"ok":false,"error":{"kind":"frontend"' \
+        '"id":10,"ok":false,"error":{"kind":"bad_request"' \
+        '"id":11,"ok":true'; do
+        grep -qF "$want" "$out" || {
+            echo "serve smoke: no reply matching $want" >&2
+            cat "$out" >&2
+            return 1
+        }
+    done
 
     local sock=target/serve-smoke.sock
     rm -f "$sock"

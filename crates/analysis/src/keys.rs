@@ -7,7 +7,8 @@
 //! content hashes and the call graph, a key per procedure that captures
 //! those inputs:
 //!
-//! * [`SummaryKeys::own`] — the procedure's own (normalized) text. The
+//! * [`SummaryKeys::own`] — the procedure's own text, as the resolved
+//!   module prints it (`ipcp_ir::program::Module::proc_hash`). The
 //!   MOD/REF *direct effects* of a procedure depend on nothing else.
 //! * [`SummaryKeys::cone`] — a Merkle hash over the procedure's whole
 //!   transitive callee cone, SCC-aware: every member of a strongly
@@ -37,7 +38,7 @@ use std::collections::BinaryHeap;
 /// Per-procedure cache-key material. Indexed by `ProcId` index.
 #[derive(Clone, Debug)]
 pub struct SummaryKeys {
-    /// Hash of the procedure's own normalized text.
+    /// Hash of the procedure's own printed text.
     pub own: Vec<u128>,
     /// SCC-aware Merkle hash of the procedure's transitive callee cone
     /// (including its own text).
@@ -51,7 +52,7 @@ pub struct SummaryKeys {
 /// Computes [`SummaryKeys`] from per-procedure content hashes and the
 /// call graph.
 ///
-/// `own[i]` must be the content hash of procedure `i`'s normalized text.
+/// `own[i]` must be the content hash of procedure `i`'s printed text.
 /// The walk follows [`CallGraph::sccs`] — Tarjan emission order, callee
 /// components first — so each component's Merkle hash can fold in the
 /// already-final hashes of the components it calls.

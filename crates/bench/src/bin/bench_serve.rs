@@ -4,7 +4,8 @@
 //!
 //! * **cold boot** — spawn → first `ok` health reply over the socket;
 //! * **warm edits** — an `update` + re-`constants` round trip per edit
-//!   (the incremental path, never a cold re-analysis), the summary
+//!   (the incremental path, never a cold re-analysis; an untimed read
+//!   before the first edit computes the boot substitution total), the summary
 //!   cache's misses per edit and the SCC units each edit's `VAL` solve
 //!   ran (`edit_solved`, the cone size), from `stats` before and after;
 //! * **read throughput** — N unbatched `constants` reads (one round
@@ -391,6 +392,26 @@ fn run_cell(
     let _ = std::fs::remove_file(&store);
     let (mut d, boot) = Daemon::boot(program, &sock, &store, workers)?;
 
+    // The read set: `constants` over a rotating window of procedures.
+    let read_reqs: Vec<(String, String)> = (0..reads)
+        .map(|i| {
+            let p = 1 + i % (procs - 1);
+            (
+                format!("r{i}"),
+                format!(r#"{{"id": "r{i}", "op": "constants", "proc": "p{p}"}}"#),
+            )
+        })
+        .collect();
+
+    // Warm-up, untimed: one read computes the boot analysis's
+    // substitution total, which every later snapshot carries forward
+    // (recounting only the procedures an edit moved), so neither the
+    // edit rounds nor the read passes pay the whole-program count.
+    let warm = d.request(&read_reqs[0].1)?;
+    if !warm.contains("\"ok\":true") {
+        return Err(format!("warm-up read failed: {warm}"));
+    }
+
     // Warm edits: update + re-read the edited procedure, per round.
     let (misses_before, solved_before) = misses_and_solved(&mut d)?;
     let mut edit_total = Duration::ZERO;
@@ -416,25 +437,6 @@ fn run_cell(
     let per_edit = |n: i64| n as f64 / edits.max(1) as f64;
     let edit_misses = per_edit(misses_after - misses_before);
     let edit_solved = per_edit(solved_after - solved_before);
-
-    // The read set: `constants` over a rotating window of procedures.
-    let read_reqs: Vec<(String, String)> = (0..reads)
-        .map(|i| {
-            let p = 1 + i % (procs - 1);
-            (
-                format!("r{i}"),
-                format!(r#"{{"id": "r{i}", "op": "constants", "proc": "p{p}"}}"#),
-            )
-        })
-        .collect();
-
-    // Warm-up, untimed: one read settles the snapshot's lazy
-    // per-publish state (the substitution total and the name index) so
-    // neither timed pass pays it.
-    let warm = d.request(&read_reqs[0].1)?;
-    if !warm.contains("\"ok\":true") {
-        return Err(format!("warm-up read failed: {warm}"));
-    }
 
     // Unbatched pass: one request per frame, reply awaited before the
     // next send — the way an unbatched client actually drives the

@@ -3,7 +3,7 @@
 //! arguments (jump-function shapes, support sizes, solver work).
 
 use ipcp::serve::store::{decode, encode};
-use ipcp::serve::{ProgramModel, ServeEngine, SummaryCache};
+use ipcp::serve::{ServeEngine, SummaryCache};
 use ipcp::{Analysis, Config, CostReport, PhaseReport};
 use ipcp_suite::PROGRAMS;
 
@@ -16,13 +16,12 @@ fn serve_cache_row(src: &str) -> Result<(u64, u64, u64, u64, u64, u64, u64, &'st
     let mut engine = ServeEngine::new(src, &Config::default()).map_err(|e| e.to_string())?;
     let cold = engine.last_outcome().misses;
     let warm = engine.analyze(None).map_err(|e| e.to_string())?.hits;
-    let model = ProgramModel::from_source(&engine.source()).map_err(|e| e.to_string())?;
-    let name = model
+    let name = engine
         .proc_names()
         .last()
         .ok_or_else(|| "program has no procedures".to_string())?
         .to_string();
-    let text = model
+    let text = engine
         .proc_text(&name)
         .ok_or_else(|| format!("no text for `{name}`"))?;
     let brace = text

@@ -476,18 +476,17 @@ struct ServeCacheRow {
 
 fn serve_cache_row(src: &str) -> Result<ServeCacheRow, String> {
     use ipcp::serve::store::{decode, encode};
-    use ipcp::serve::{ProgramModel, ServeEngine, SummaryCache};
+    use ipcp::serve::{ServeEngine, SummaryCache};
 
     let mut engine = ServeEngine::new(src, &Config::polynomial()).map_err(|e| e.to_string())?;
     let cold = engine.last_outcome().misses;
     let warm = engine.analyze(None).map_err(|e| e.to_string())?.hits;
-    let model = ProgramModel::from_source(&engine.source()).map_err(|e| e.to_string())?;
-    let name = model
+    let name = engine
         .proc_names()
         .last()
         .ok_or_else(|| "program has no procedures".to_string())?
         .to_string();
-    let text = model
+    let text = engine
         .proc_text(&name)
         .ok_or_else(|| format!("no text for `{name}`"))?;
     let brace = text

@@ -3,8 +3,9 @@
 //!
 //! The daemon caches three kinds of per-procedure summaries across
 //! requests, keyed by the [`summary keys`](ipcp_analysis::keys) derived
-//! from normalized procedure text, the program shape, and the analysis
-//! configuration:
+//! from each procedure's text as the resolved module prints it
+//! ([`ipcp_ir::program::Module::proc_hash`]), the program shape, and the
+//! analysis configuration:
 //!
 //! * MOD/REF direct effects (keyed by the procedure's *own* hash — the
 //!   unit reads nothing else);
@@ -729,7 +730,7 @@ impl CacheTxn {
 pub struct Memo<'a> {
     /// The cache units read.
     pub cache: &'a SummaryCache,
-    /// `own[i]`: content hash of procedure `i`'s normalized text.
+    /// `own[i]`: content hash of procedure `i`'s printed text.
     pub own: &'a Table<u128>,
     /// Where the request's outcome stages, for the engine to commit.
     pub txn: &'a mut CacheTxn,
@@ -1108,14 +1109,14 @@ impl<'a> MemoKeys<'a> {
 }
 
 /// The live analysis a base-configuration run may reuse: the module and
-/// analysis the engine serves and the own hashes of its program model.
+/// analysis the engine serves and the own hashes of its procedures.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Live<'a> {
     /// The live module.
     pub(crate) mcfg: &'a ModuleCfg,
     /// The live analysis of `mcfg`.
     pub(crate) analysis: &'a Analysis,
-    /// `own[i]`: content hash of live procedure `i`'s normalized text.
+    /// `own[i]`: content hash of live procedure `i`'s printed text.
     pub(crate) own: &'a Table<u128>,
 }
 

@@ -1,4 +1,4 @@
-//! The request engine behind `ipcc serve`: a warm program model, the
+//! The request engine behind `ipcc serve`: the warm resolved program, the
 //! summary cache, and the per-request robustness envelope.
 //!
 //! The engine is transport-agnostic — the CLI wraps it in a JSON-lines
@@ -6,13 +6,14 @@
 //! `serve-identity` fuzz oracle and the tier-1 tests drive it directly.
 //! Every mutating entry point follows *snapshot–validate–commit*:
 //!
-//! 1. build the candidate state (new program model, fresh [`CacheTxn`])
-//!    without touching the live state;
-//! 2. validate (parse + resolve the whole program; run the analysis
-//!    under [`quiet_catch`], so even a panicking request is a value);
-//! 3. commit model, analysis, and staged cache entries together — or,
+//! 1. build the candidate state (new module and own hashes, fresh
+//!    [`CacheTxn`]) without touching the live state;
+//! 2. validate (resolve the edited procedure against the live module, or
+//!    the whole program; run the analysis under [`quiet_catch`], so even
+//!    a panicking request is a value);
+//! 3. commit module, analysis, and staged cache entries together — or,
 //!    on any failure, drop the candidate whole. A failed or panicked
-//!    request provably leaves the model and cache exactly as they were.
+//!    request provably leaves the module and cache exactly as they were.
 //!
 //! Per-request configuration overrides are routed through
 //! [`Config::rebuild`]'s validating builder; an invalid combination
@@ -30,11 +31,9 @@ use crate::serve::json::{Json, Object};
 use crate::substitute::{self, SubstitutionCounts};
 use crate::{Analysis, IpcpError};
 use ipcp_ir::cfg::ModuleCfg;
-use ipcp_ir::hash::hash_str;
-use ipcp_ir::lang::{ast, parse_program, pretty};
-use ipcp_ir::program::{resolve_replacement, SlotLayout};
+use ipcp_ir::lang::{scan_items, Item};
+use ipcp_ir::program::{resolve_replacement, Module, Proc, ProcId, SlotLayout};
 use ipcp_ir::{lower_module_owned, parse_and_resolve, Table};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -50,7 +49,7 @@ pub enum ServeError {
     /// wrong replacement fragment shape, bad parameter types).
     BadRequest(String),
     /// The request's analysis panicked and was contained at the request
-    /// boundary; the model and cache were left untouched.
+    /// boundary; the program and cache were left untouched.
     Panic(String),
 }
 
@@ -83,148 +82,11 @@ impl From<IpcpError> for ServeError {
     }
 }
 
-/// The program as the daemon holds it: a normalized global header plus
-/// one normalized text per procedure, in declaration order, with each
-/// text's content hash. Normalized means parsed and re-rendered through
-/// the pretty-printer, so two textually different but structurally
-/// identical bodies hash alike and [`ProgramModel::source`] is
-/// byte-stable. Texts and hashes are chunked copy-on-write [`Table`]s
-/// shared between a model and the candidate an edit derives from it, and
-/// the name index is shared whole (an edit keeps every name), so an edit
-/// copies and hashes one text and copies one chunk of each table.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProgramModel {
-    header: String,
-    procs: Table<Arc<ModelProc>>,
-    own: Table<u128>,
-    index: Arc<HashMap<String, usize>>,
-}
-
-/// One procedure of a [`ProgramModel`]: its name and normalized text.
-#[derive(Debug, PartialEq, Eq)]
-struct ModelProc {
-    name: String,
-    text: String,
-}
-
-impl ProgramModel {
-    /// Parses and normalizes FT source into a model.
-    ///
-    /// # Errors
-    ///
-    /// [`IpcpError::Frontend`] on a parse error. Resolution (unknown
-    /// names, missing `main`, …) is validated by the engine against the
-    /// recombined source, so a model by itself may still be unresolvable.
-    pub fn from_source(src: &str) -> Result<ProgramModel, IpcpError> {
-        let prog = parse_program(src)?;
-        let header = pretty::program(&ast::Program {
-            globals: prog.globals.clone(),
-            procs: Vec::new(),
-        });
-        let procs: Table<Arc<ModelProc>> = prog
-            .procs
-            .iter()
-            .map(|p| {
-                Arc::new(ModelProc {
-                    name: p.name.clone(),
-                    text: pretty::proc_decl(p),
-                })
-            })
-            .collect();
-        let own = procs.iter().map(|p| hash_str(&p.text)).collect();
-        let mut index = HashMap::with_capacity(procs.len());
-        for (i, p) in procs.iter().enumerate() {
-            // The first definition wins, as the old linear scan found it.
-            index.entry(p.name.clone()).or_insert(i);
-        }
-        Ok(ProgramModel {
-            header,
-            procs,
-            own,
-            index: Arc::new(index),
-        })
-    }
-
-    /// The whole program, byte-identical to what [`pretty::program`]
-    /// renders for the parsed source.
-    pub fn source(&self) -> String {
-        let mut out = self.header.clone();
-        for (i, p) in self.procs.iter().enumerate() {
-            if i > 0 || !self.header.is_empty() {
-                out.push('\n');
-            }
-            out.push_str(&p.text);
-        }
-        out
-    }
-
-    /// Content hashes of each procedure's normalized text, in order —
-    /// the `own` input to [`ipcp_analysis::summary_keys`].
-    pub fn own_hashes(&self) -> &Table<u128> {
-        &self.own
-    }
-
-    /// Procedure names in declaration order.
-    pub fn proc_names(&self) -> impl Iterator<Item = &str> {
-        self.procs.iter().map(|p| p.name.as_str())
-    }
-
-    /// The normalized text of procedure `name`, if it exists. A
-    /// single-procedure text is itself a parseable FT program, so it can
-    /// be mutated and fed back through [`ServeEngine::update`] — the
-    /// serve-identity fuzz oracle is built on this.
-    pub fn proc_text(&self, name: &str) -> Option<&str> {
-        let &i = self.index.get(name)?;
-        Some(self.procs[i].text.as_str())
-    }
-
-    /// A candidate model with procedure `name`'s definition replaced by
-    /// `fragment` (a complete `proc name(...) { ... }` definition; the
-    /// name must match, the signature may change arity).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadRequest`] when `name` is unknown or the fragment
-    /// is not exactly one matching procedure definition;
-    /// [`ServeError::Invalid`] when the fragment fails to parse.
-    pub fn replace_proc(&self, name: &str, fragment: &str) -> Result<ProgramModel, ServeError> {
-        let &index = self
-            .index
-            .get(name)
-            .ok_or_else(|| ServeError::BadRequest(format!("no procedure named `{name}`")))?;
-        let prog = parse_program(fragment).map_err(|d| ServeError::Invalid(d.into()))?;
-        if !prog.globals.is_empty() {
-            return Err(ServeError::BadRequest(
-                "replacement fragment must not declare globals (use `load` \
-                 to replace the whole program)"
-                    .to_string(),
-            ));
-        }
-        let [decl] = prog.procs.as_slice() else {
-            return Err(ServeError::BadRequest(format!(
-                "replacement fragment must contain exactly one procedure, got {}",
-                prog.procs.len()
-            )));
-        };
-        if decl.name != name {
-            return Err(ServeError::BadRequest(format!(
-                "fragment defines `{}`, expected `{name}` (renames change the \
-                 program shape; use `load`)",
-                decl.name
-            )));
-        }
-        let text = pretty::proc_decl(decl);
-        let mut next = self.clone();
-        next.own.set(index, hash_str(&text));
-        next.procs.set(
-            index,
-            Arc::new(ModelProc {
-                name: decl.name.clone(),
-                text,
-            }),
-        );
-        Ok(next)
-    }
+/// The own hash of every procedure of `module`, in order: the digest of
+/// its printed text ([`Module::proc_hash`]), the `own` input to
+/// [`ipcp_analysis::summary_keys`].
+pub fn own_hashes(module: &Module) -> Table<u128> {
+    module.procs.iter().map(|p| module.proc_hash(p)).collect()
 }
 
 /// What one request did: cache traffic, degradation telemetry, and the
@@ -352,8 +214,9 @@ fn run_request(
 #[derive(Debug)]
 pub struct ServeEngine {
     base_config: Config,
-    model: ProgramModel,
     mcfg: Arc<ModuleCfg>,
+    /// [`own_hashes`] of `mcfg`'s module.
+    own: Table<u128>,
     current: Arc<Analysis>,
     /// The substitution counts of `current`, filled by the first read
     /// that needs them or carried over from the previous analysis.
@@ -390,8 +253,8 @@ impl ServeEngine {
         config: &Config,
         cache: SummaryCache,
     ) -> Result<ServeEngine, ServeError> {
-        let (config, model, mcfg) = ServeEngine::boot(src, config)?;
-        ServeEngine::finish(config, model, mcfg, cache)
+        let (config, mcfg, own) = ServeEngine::boot(src, config)?;
+        ServeEngine::finish(config, mcfg, own, cache)
     }
 
     /// Builds an engine whose cache is restored from a persisted
@@ -410,42 +273,41 @@ impl ServeEngine {
         config: &Config,
         store: &mut crate::serve::store::SummaryStore,
     ) -> Result<(ServeEngine, crate::serve::store::LoadStatus), ServeError> {
-        let (config, model, mcfg) = ServeEngine::boot(src, config)?;
+        let (config, mcfg, own) = ServeEngine::boot(src, config)?;
         let cfp = config_fingerprint(&config);
         let sfp = shape_fingerprint(&mcfg, &config);
         let (entries, status) = store.load(cfp, sfp);
         let cache = SummaryCache::restore(entries, SummaryCache::DEFAULT_CAPACITY);
-        let engine = ServeEngine::finish(config, model, mcfg, cache)?;
+        let engine = ServeEngine::finish(config, mcfg, own, cache)?;
         Ok((engine, status))
     }
 
-    /// Validates the configuration and lowers the program — everything
-    /// construction needs before a cache exists.
-    fn boot(src: &str, config: &Config) -> Result<(Config, ProgramModel, ModuleCfg), ServeError> {
+    /// Validates the configuration, then resolves, lowers and hashes the
+    /// program — everything construction needs before a cache exists.
+    fn boot(src: &str, config: &Config) -> Result<(Config, ModuleCfg, Table<u128>), ServeError> {
         let config = config.rebuild().build()?;
-        let model = ProgramModel::from_source(src)?;
-        let module = parse_and_resolve(&model.source()).map_err(IpcpError::from)?;
-        let mcfg = lower_module_owned(module);
-        Ok((config, model, mcfg))
+        let mcfg = lower_module_owned(parse_and_resolve(src).map_err(IpcpError::from)?);
+        let own = own_hashes(&mcfg.module);
+        Ok((config, mcfg, own))
     }
 
     /// Runs the initial analysis over a booted program with `cache`
     /// already seeded.
     fn finish(
         config: Config,
-        model: ProgramModel,
         mcfg: ModuleCfg,
+        own: Table<u128>,
         cache: SummaryCache,
     ) -> Result<ServeEngine, ServeError> {
         let mut cache = cache;
-        let (analysis, txn) = run_request(&cache, &config, &mcfg, model.own_hashes(), None)
-            .map_err(ServeError::Panic)?;
+        let (analysis, txn) =
+            run_request(&cache, &config, &mcfg, &own, None).map_err(ServeError::Panic)?;
         let outcome = RequestOutcome::from_run(&txn, &mcfg, &analysis);
         cache.commit_live(txn);
         Ok(ServeEngine {
             base_config: config,
-            model,
             mcfg: Arc::new(mcfg),
+            own,
             current: Arc::new(analysis),
             counts: Arc::default(),
             cache,
@@ -465,17 +327,38 @@ impl ServeEngine {
         &self.base_config
     }
 
-    /// The current normalized program source.
+    /// The current program as FT source: the live module printed
+    /// ([`Module::to_source`]).
     pub fn source(&self) -> String {
-        self.model.source()
+        self.mcfg.module.to_source()
+    }
+
+    /// Procedure names in declaration order.
+    pub fn proc_names(&self) -> impl Iterator<Item = &str> {
+        self.mcfg.module.procs.iter().map(|p| p.name.as_str())
+    }
+
+    /// The current text of procedure `name`, printed from the live module
+    /// ([`Module::proc_source`]). It parses on its own, so it can be
+    /// edited and fed back through [`ServeEngine::update`] — the
+    /// serve-identity fuzz oracle is built on this.
+    pub fn proc_text(&self, name: &str) -> Option<String> {
+        let module = &self.mcfg.module;
+        module.proc_named(name).map(|p| module.proc_source(p))
+    }
+
+    /// Each procedure's own hash, in order ([`own_hashes`] of the live
+    /// module).
+    pub fn own_hashes(&self) -> &Table<u128> {
+        &self.own
     }
 
     /// The current module (for callers that inspect results directly).
     ///
-    /// After an `update` that took the splice path, the edited
-    /// procedure's spans are relative to its own normalized text, as in a
-    /// streamed module; span-keyed output (`--emit substituted`) should
-    /// re-parse [`ServeEngine::source`] instead.
+    /// Spans are relative to the text each procedure was resolved from:
+    /// the source as booted or loaded, or the fragment of a spliced
+    /// `update`, as in a streamed module. Span-keyed output (`--emit
+    /// substituted`) should re-parse [`ServeEngine::source`] instead.
     pub fn mcfg(&self) -> &ModuleCfg {
         &self.mcfg
     }
@@ -532,7 +415,7 @@ impl ServeEngine {
         self.last_outcome = outcome.clone();
     }
 
-    /// Runs `mcfg` (the program `own` hashes; `None` for the live model's,
+    /// Runs `mcfg` (the program `own` hashes; `None` for the live one's,
     /// borrowed) under `config`, committing the cache transaction (and the
     /// request accounting) only on success. A base-configuration run may
     /// reuse the live analysis, and pins what it looked up.
@@ -542,13 +425,13 @@ impl ServeEngine {
         mcfg: &ModuleCfg,
         own: Option<&Table<u128>>,
     ) -> Result<(Analysis, RequestOutcome), ServeError> {
-        let own = own.unwrap_or(&self.model.own);
+        let own = own.unwrap_or(&self.own);
         // Any configuration but the live analysis's fails the reuse
         // check, which names it.
         let live = Some(Live {
             mcfg: &self.mcfg,
             analysis: &self.current,
-            own: &self.model.own,
+            own: &self.own,
         });
         match run_request(&self.cache, &config, mcfg, own, live) {
             Err(msg) => {
@@ -627,41 +510,89 @@ impl ServeEngine {
 
     /// Replaces one procedure's definition and incrementally re-analyzes
     /// under the base configuration. Snapshot–validate–commit: any
-    /// failure (parse, resolve, panic) leaves model, analysis, and cache
+    /// failure (parse, resolve, panic) leaves module, analysis, and cache
     /// exactly as they were.
     ///
     /// When the new definition provably leaves every other procedure's
-    /// resolution unchanged ([`resolve_replacement`]), only it is resolved
-    /// and lowered, and spliced into the live module; otherwise the
-    /// recombined program is parsed and resolved in full, exactly as
-    /// `load` would.
+    /// resolution unchanged ([`resolve_replacement`]), only it is resolved,
+    /// lowered and hashed, and spliced into the live module; otherwise the
+    /// live program is printed with `fragment` in its place and resolved
+    /// in full, as `load` would, and every other procedure keeps its own
+    /// hash (a procedure's printed text depends on its own body only).
     pub fn update(&mut self, name: &str, fragment: &str) -> Result<RequestOutcome, ServeError> {
-        let candidate = match self.model.replace_proc(name, fragment) {
-            Ok(c) => c,
+        let (id, spliced) = match self.replacement(name, fragment) {
+            Ok(found) => found,
             Err(e) => {
                 self.stats.errors += 1;
                 return Err(e);
             }
         };
-        let spliced = candidate.proc_text(name).and_then(|text| self.splice(text));
+        let mut own = self.own.clone();
         let outcome = match spliced {
-            Some(mcfg) => {
-                let outcome = self.commit(candidate, mcfg, true)?;
+            Some(proc) => {
+                own.set(id.index(), self.mcfg.module.proc_hash(&proc));
+                let outcome = self.commit(self.mcfg.with_proc(proc), own, true)?;
                 self.stats.spliced_updates += 1;
                 outcome
             }
-            None => self.commit_model(candidate, true)?,
+            None => {
+                let src = self.mcfg.module.to_source_replacing(id, fragment);
+                let module = match parse_and_resolve(&src) {
+                    Ok(m) => m,
+                    Err(d) => {
+                        self.stats.errors += 1;
+                        return Err(ServeError::Invalid(d.into()));
+                    }
+                };
+                own.set(id.index(), module.proc_hash(module.proc(id)));
+                self.commit(lower_module_owned(module), own, true)?
+            }
         };
         self.stats.updates += 1;
         Ok(outcome)
     }
 
-    /// The live module with the procedure `text` defines resolved against
-    /// its signature table, lowered and swapped in — or `None` when that
-    /// might differ from resolving the whole program.
-    fn splice(&self, text: &str) -> Option<ModuleCfg> {
-        let proc = resolve_replacement(&self.mcfg.module, text)?;
-        Some(self.mcfg.with_proc(proc))
+    /// Checks that `fragment` is one definition of procedure `name` and
+    /// resolves it against the live module: the procedure's id, and the
+    /// resolved procedure when it can be spliced in.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::BadRequest`] when `name` is unknown or the fragment
+    /// is not exactly one definition of it; [`ServeError::Invalid`] when
+    /// the fragment does not parse, which is checked first.
+    fn replacement(
+        &self,
+        name: &str,
+        fragment: &str,
+    ) -> Result<(ProcId, Option<Proc>), ServeError> {
+        let module = &self.mcfg.module;
+        let Some(old) = module.proc_named(name) else {
+            return Err(ServeError::BadRequest(format!(
+                "no procedure named `{name}`"
+            )));
+        };
+        let spliced =
+            resolve_replacement(module, fragment).map_err(|d| ServeError::Invalid(d.into()))?;
+        // A fragment that parses also scans.
+        let items = scan_items(fragment).unwrap_or_default();
+        let msg = match items[..] {
+            _ if items.iter().any(|item| matches!(item, Item::Global { .. })) => {
+                "replacement fragment must not declare globals (use `load` to replace the \
+                 whole program)"
+                    .to_string()
+            }
+            [Item::Proc { name: defined, .. }] if defined != name => format!(
+                "fragment defines `{defined}`, expected `{name}` (renames change the program \
+                 shape; use `load`)"
+            ),
+            [Item::Proc { .. }] => return Ok((old.id, spliced)),
+            _ => format!(
+                "replacement fragment must contain exactly one procedure, got {}",
+                items.len()
+            ),
+        };
+        Err(ServeError::BadRequest(msg))
     }
 
     /// Replaces the whole program (shape changes included) and
@@ -669,54 +600,37 @@ impl ServeEngine {
     /// itself persists, so a `load` back to a previously seen program is
     /// warm again.
     pub fn load(&mut self, src: &str) -> Result<RequestOutcome, ServeError> {
-        let candidate = match ProgramModel::from_source(src) {
-            Ok(c) => c,
-            Err(e) => {
-                self.stats.errors += 1;
-                return Err(ServeError::Invalid(e));
-            }
-        };
-        let outcome = self.commit_model(candidate, false)?;
-        self.stats.loads += 1;
-        Ok(outcome)
-    }
-
-    /// Parses, resolves and lowers the whole candidate program, then
-    /// commits it (`carry` as for [`ServeEngine::commit`]).
-    fn commit_model(
-        &mut self,
-        candidate: ProgramModel,
-        carry: bool,
-    ) -> Result<RequestOutcome, ServeError> {
-        let module = match parse_and_resolve(&candidate.source()) {
+        let module = match parse_and_resolve(src) {
             Ok(m) => m,
             Err(d) => {
                 self.stats.errors += 1;
                 return Err(ServeError::Invalid(d.into()));
             }
         };
-        self.commit(candidate, lower_module_owned(module), carry)
+        let own = own_hashes(&module);
+        let outcome = self.commit(lower_module_owned(module), own, false)?;
+        self.stats.loads += 1;
+        Ok(outcome)
     }
 
-    /// Analyzes `mcfg`, the lowered `candidate`, under the base
+    /// Analyzes `mcfg`, whose procedures `own` hashes, under the base
     /// configuration and makes both live — or, on a panic, leaves
     /// everything as it was. `carry` derives the new substitution counts
     /// from the previous ones (see [`ServeEngine::install`]).
     fn commit(
         &mut self,
-        candidate: ProgramModel,
         mcfg: ModuleCfg,
+        own: Table<u128>,
         carry: bool,
     ) -> Result<RequestOutcome, ServeError> {
-        let (analysis, outcome) =
-            self.run_guarded(self.base_config, &mcfg, Some(&candidate.own))?;
-        self.model = candidate;
+        let (analysis, outcome) = self.run_guarded(self.base_config, &mcfg, Some(&own))?;
+        self.own = own;
         self.install(Arc::new(mcfg), analysis, carry);
         Ok(outcome)
     }
 
     /// Where every per-procedure table of the live state keeps its chunks
-    /// — the module, the program model, the analysis, its memo log and its
+    /// — the module, the own hashes, the analysis, its memo log and its
     /// keys — and the procedures the last run visited, when it visited
     /// only its cone. A structural probe for tests of the copy-on-write
     /// sharing: a probe keeps the state it describes alive, so two probes
@@ -727,8 +641,7 @@ impl ServeEngine {
         let mut tables = vec![
             ("module.procs", false, mcfg.module.procs.chunk_addrs()),
             ("module.cfgs", false, mcfg.cfgs.chunk_addrs()),
-            ("model.procs", false, self.model.procs.chunk_addrs()),
-            ("model.own", false, self.model.own.chunk_addrs()),
+            ("own", false, self.own.chunk_addrs()),
             (
                 "analysis.symbolics",
                 false,
@@ -760,7 +673,7 @@ impl ServeEngine {
         ChunkProbe {
             tables,
             visited: analysis.touched.clone(),
-            _keep: (Arc::clone(mcfg), Arc::clone(analysis), self.model.clone()),
+            _keep: (Arc::clone(mcfg), Arc::clone(analysis), self.own.clone()),
         }
     }
 
@@ -790,7 +703,7 @@ struct ChunkProbe {
     tables: Vec<(&'static str, bool, Vec<usize>)>,
     /// The procedures the last run visited, when it visited only its cone.
     visited: Option<Vec<usize>>,
-    _keep: (Arc<ModuleCfg>, Arc<Analysis>, ProgramModel),
+    _keep: (Arc<ModuleCfg>, Arc<Analysis>, Table<u128>),
 }
 
 /// `CONSTANTS(p)` for one procedure (or all) of `mcfg` under `analysis`.
@@ -991,7 +904,7 @@ mod tests {
     /// prologue set to `1000 + round`, a value no generated prologue and
     /// no earlier round holds.
     fn bump(engine: &ServeEngine, name: &str, round: usize) -> String {
-        let mut body = engine.model.proc_text(name).unwrap().to_string();
+        let mut body = engine.proc_text(name).unwrap();
         let at = body.find("v0 = ").expect("generated prologue") + "v0 = ".len();
         let len = body[at..].find(';').unwrap();
         body.replace_range(at..at + len, &(1000 + round).to_string());
@@ -999,7 +912,7 @@ mod tests {
     }
 
     /// A literal bump takes the live path and visits only its cone: every
-    /// table of the new module, program model, analysis, memo log and keys
+    /// table of the new module, own hashes, analysis, memo log and keys
     /// shares every chunk with the live one except the chunks that hold a
     /// procedure the run visited (an edited, re-keyed or dirty one) — or,
     /// for a table indexed by SCC, such a procedure's SCC.

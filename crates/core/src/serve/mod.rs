@@ -43,7 +43,7 @@ pub use cache::{
     CachedSummary, Memo, RunPath, SummaryCache, SummaryStage,
 };
 pub use engine::{
-    config_from_overrides, ConstantsReport, EngineStats, ProgramModel, RequestOutcome, ServeEngine,
+    config_from_overrides, own_hashes, ConstantsReport, EngineStats, RequestOutcome, ServeEngine,
     ServeError,
 };
 pub use json::{Json, Object};

@@ -344,7 +344,7 @@ impl fmt::Display for CfgDisplay<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let p = self.module.proc(self.proc);
         let name = |v: VarId| p.var(v).name.clone();
-        let expr = |e: &Expr| display_expr(e, p);
+        let expr = |e: &Expr| p.display_expr(e).to_string();
         writeln!(f, "proc {} {{", p.name)?;
         for (i, blk) in self.cfg.blocks.iter().enumerate() {
             let tag = if BlockId::from(i) == self.cfg.entry {
@@ -395,43 +395,6 @@ impl fmt::Display for CfgDisplay<'_> {
         }
         writeln!(f, "}}")
     }
-}
-
-fn display_expr(e: &Expr, p: &crate::program::Proc) -> String {
-    let ast = {
-        // Reuse the surface pretty-printer via unresolution of just this expr.
-        use crate::lang::ast;
-        fn go(e: &Expr, p: &crate::program::Proc) -> ast::Expr {
-            match e {
-                Expr::Const(v, s) => ast::Expr::Const {
-                    value: *v,
-                    span: *s,
-                },
-                Expr::Var(v, s) => ast::Expr::Var {
-                    name: p.var(*v).name.clone(),
-                    span: *s,
-                },
-                Expr::Load(v, i, s) => ast::Expr::Load {
-                    name: p.var(*v).name.clone(),
-                    index: Box::new(go(i, p)),
-                    span: *s,
-                },
-                Expr::Unary(op, e, s) => ast::Expr::Unary {
-                    op: *op,
-                    operand: Box::new(go(e, p)),
-                    span: *s,
-                },
-                Expr::Binary(op, l, r, s) => ast::Expr::Binary {
-                    op: *op,
-                    lhs: Box::new(go(l, p)),
-                    rhs: Box::new(go(r, p)),
-                    span: *s,
-                },
-            }
-        }
-        go(e, p)
-    };
-    crate::lang::pretty::expr(&ast)
 }
 
 /// A lowered module: the resolved symbol information plus one [`Cfg`] per

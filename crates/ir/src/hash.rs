@@ -13,6 +13,8 @@
 //! program text anyway (they can ask for any analysis of it), so the
 //! cache key only needs to be an accident-proof fingerprint.
 
+use std::fmt;
+
 /// Incremental 128-bit FNV-1a hasher.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv128 {
@@ -76,6 +78,28 @@ pub fn hash_str(s: &str) -> u128 {
     let mut h = Fnv128::new();
     h.write_str(s);
     h.finish()
+}
+
+/// An [`fmt::Write`] sink that hashes the text written to it: its
+/// [`TextHash::finish`] is the [`hash_str`] of that text, so a printer
+/// can key what it prints without keeping it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct TextHash(Fnv128);
+
+impl TextHash {
+    /// The digest of the text written so far, terminated as
+    /// [`Fnv128::write_str`] terminates a string.
+    pub(crate) fn finish(mut self) -> u128 {
+        self.0.write_str("");
+        self.0.finish()
+    }
+}
+
+impl fmt::Write for TextHash {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// One-shot digest of a byte slice — the checksum primitive of the serve

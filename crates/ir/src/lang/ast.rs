@@ -1,11 +1,12 @@
 //! Parsed (unresolved) abstract syntax tree for FT.
 //!
 //! Names are plain strings here. Only the syntactic tools build this tree
-//! ([`super::parse_program`]: `ipcc fmt`, `program_stats`, serve's
-//! `ProgramModel`); resolution never does — the same grammar writes the
-//! checked, id-based [`crate::program::Module`] directly
-//! ([`crate::parse_and_resolve`]). [`BinOp`] and [`UnOp`] are shared by
-//! both forms.
+//! ([`super::parse_program`]: `ipcc fmt`, which must format programs that
+//! do not resolve, and `program_stats`); resolution never does — the same
+//! grammar writes the checked, id-based [`crate::program::Module`]
+//! directly ([`crate::parse_and_resolve`]), and the module prints itself
+//! ([`crate::program::Module::to_source`]). [`BinOp`] and [`UnOp`], with
+//! their spelling and precedence, are shared by both forms.
 
 use crate::span::Span;
 use std::fmt;
@@ -237,6 +238,10 @@ impl fmt::Display for BinOp {
         f.write_str(self.as_str())
     }
 }
+
+/// Binding strength of a unary operator: tighter than any [`BinOp`]
+/// tier, so the printers parenthesize a binary operand of one.
+pub const UNARY_PRECEDENCE: u8 = 7;
 
 /// Unary operators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -38,6 +38,6 @@ mod token;
 
 pub use ast::*;
 pub use lexer::Lexer;
-pub use parser::{parse_expr, parse_program};
-pub(crate) use parser::{scan_items, Build, Item, Parser};
+pub use parser::{parse_expr, parse_program, scan_items, Item};
+pub(crate) use parser::{Build, Parser};
 pub use token::{Keyword, Token, TokenKind};

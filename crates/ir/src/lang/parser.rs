@@ -3,7 +3,7 @@
 //! The grammar exists once, generic over a [`Build`] sink that decides
 //! what each parsed construct becomes: [`AstBuilder`] builds the
 //! unresolved [`Program`] that the syntactic tools read (`ipcc fmt`,
-//! `program_stats`, serve's `ProgramModel`), and the resolving builder in
+//! `program_stats`), and the resolving builder in
 //! [`crate::program`] writes checked procedure bodies straight into a
 //! `Module`. Tokens are lexed on demand, one token of lookahead.
 
@@ -56,7 +56,7 @@ pub fn parse_expr(src: &str) -> Result<Expr, Diagnostics> {
 /// lex or parse error outside the bodies, or a body whose braces do not
 /// balance; such a text never parses. A `Some` text may still hold an
 /// error inside a body, which only the full parse finds.
-pub(crate) fn scan_items(src: &str) -> Option<Vec<Item<'_>>> {
+pub fn scan_items(src: &str) -> Option<Vec<Item<'_>>> {
     let mut parser = Parser::new(src, AstBuilder::default());
     parser.skim = true;
     loop {
@@ -98,17 +98,23 @@ const MAX_DEPTH: usize = 256;
 
 /// A top-level declaration as the signature table needs it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Item<'s> {
+pub enum Item<'s> {
     /// `global name;` or `global name[len];`
     Global {
+        /// The declared name.
         name: &'s str,
+        /// `Some(len)` for an array.
         array_len: Option<i64>,
+        /// The declaration.
         span: Span,
     },
-    /// A procedure header: name, parameter count and header span.
+    /// A procedure header.
     Proc {
+        /// The procedure's name.
         name: &'s str,
+        /// Its parameter count.
         arity: usize,
+        /// The header, from `proc` to `)`.
         span: Span,
     },
 }

@@ -37,26 +37,11 @@ pub fn program(p: &Program) -> String {
     out
 }
 
-/// Renders one procedure definition exactly as [`program`] renders it
-/// inside a program.
-pub fn proc_decl(p: &ProcDecl) -> String {
-    let mut out = String::new();
-    proc_into(&mut out, p);
-    out
-}
-
 fn proc_into(out: &mut String, proc: &ProcDecl) {
     let params: Vec<&str> = proc.params.iter().map(|(n, _)| n.as_str()).collect();
     let _ = writeln!(out, "proc {}({}) {{", proc.name, params.join(", "));
     block_body(out, &proc.body, 1);
     out.push_str("}\n");
-}
-
-/// Renders a single statement at the given indent depth.
-pub fn stmt(s: &Stmt, indent: usize) -> String {
-    let mut out = String::new();
-    stmt_into(&mut out, s, indent);
-    out
 }
 
 /// Renders an expression with minimal parentheses.
@@ -176,10 +161,8 @@ fn expr_prec(out: &mut String, e: &Expr, min_prec: u8) {
             out.push(']');
         }
         Expr::Unary { op, operand, .. } => {
-            // Unary binds tighter than any binary tier, so a binary
-            // operand self-parenthesizes at min_prec 7.
             out.push_str(op.as_str());
-            expr_prec(out, operand, 7);
+            expr_prec(out, operand, UNARY_PRECEDENCE);
         }
         Expr::Binary { op, lhs, rhs, .. } => {
             let prec = op.precedence();

@@ -6,11 +6,12 @@
 //! constant propagation pipeline.
 
 use crate::error::{Diagnostic, Diagnostics};
-use crate::lang::{self, ast, Build, Item, Parser};
+use crate::hash::TextHash;
+use crate::lang::{ast, Build, Item, Parser};
 use crate::span::Span;
 use crate::table::Table;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 macro_rules! id_type {
@@ -300,6 +301,12 @@ impl Proc {
         self.formals.len()
     }
 
+    /// `e`, an expression of this procedure, as FT source with minimal
+    /// parentheses.
+    pub(crate) fn display_expr<'a>(&'a self, e: &'a Expr) -> impl fmt::Display + 'a {
+        ExprSource(self, e, 0)
+    }
+
     /// The `VarId` this procedure uses for global `g`, if it references it.
     pub fn var_for_global(&self, g: GlobalId) -> Option<VarId> {
         self.vars
@@ -393,157 +400,182 @@ impl Module {
             .collect()
     }
 
-    /// Renders the module back to FT source (see [`lang::pretty`]).
+    /// Renders the module as FT source: its globals, then each procedure
+    /// as [`Module::proc_source`] prints it, a blank line before each. For
+    /// a module resolved from `src`, this is what [`crate::lang::pretty::program`]
+    /// renders for the parsed `src` when every local `array` declaration
+    /// opens its procedure's body.
     pub fn to_source(&self) -> String {
-        lang::pretty::program(&self.to_ast())
+        self.source_with(None)
     }
 
-    /// Reconstructs an unresolved AST (used for pretty-printing and for
-    /// feeding transformed modules back through the front end in tests).
-    pub fn to_ast(&self) -> ast::Program {
-        let mut prog = ast::Program::default();
+    /// [`Module::to_source`] with the definition of procedure `id`
+    /// replaced by `text`, verbatim.
+    pub fn to_source_replacing(&self, id: ProcId, text: &str) -> String {
+        self.source_with(Some((id, text)))
+    }
+
+    fn source_with(&self, replace: Option<(ProcId, &str)>) -> String {
+        let mut out = String::new();
         for g in &self.globals {
-            prog.globals.push(ast::GlobalDecl {
-                name: g.name.clone(),
-                array_len: g.array_len,
-                span: Span::dummy(),
-            });
+            let _ = match g.array_len {
+                Some(len) => writeln!(out, "global {}[{len}];", g.name),
+                None => writeln!(out, "global {};", g.name),
+            };
         }
-        for p in &self.procs {
-            prog.procs.push(ast::ProcDecl {
-                name: p.name.clone(),
-                params: p
-                    .formals
-                    .iter()
-                    .map(|&f| (p.var(f).name.clone(), Span::dummy()))
-                    .collect(),
-                body: unresolve_block(p, &self.procs, &p.body),
-                span: p.span,
-            });
+        for (i, p) in self.procs.iter().enumerate() {
+            if i > 0 || !self.globals.is_empty() {
+                out.push('\n');
+            }
+            match replace {
+                Some((id, text)) if id.index() == i => {
+                    out.push_str(text);
+                    if !text.ends_with('\n') {
+                        out.push('\n');
+                    }
+                }
+                _ => {
+                    let _ = self.write_proc(&mut out, p);
+                }
+            }
         }
-        prog
+        out
+    }
+
+    /// Writes [`Module::proc_source`] to `out`.
+    fn write_proc(&self, out: &mut impl fmt::Write, p: &Proc) -> fmt::Result {
+        let formals: Vec<&str> = p.formals.iter().map(|&f| p.var(f).name.as_str()).collect();
+        writeln!(out, "proc {}({}) {{", p.name, formals.join(", "))?;
+        for vi in p
+            .vars
+            .iter()
+            .filter(|vi| vi.kind == VarKind::Local && vi.is_array)
+        {
+            writeln!(out, "    array {}[{}];", vi.name, vi.array_len.unwrap_or(1))?;
+        }
+        self.write_block(out, p, &p.body, 1)?;
+        writeln!(out, "}}")
+    }
+
+    /// The statements of `b` at `depth`, as [`crate::lang::pretty`] lays
+    /// them out.
+    fn write_block(
+        &self,
+        out: &mut impl fmt::Write,
+        p: &Proc,
+        b: &Block,
+        depth: usize,
+    ) -> fmt::Result {
+        let (w, name) = (4 * depth, |v: &VarId| p.var(*v).name.as_str());
+        for s in &b.stmts {
+            write!(out, "{:w$}", "")?;
+            match s {
+                Stmt::Assign(v, e, _) => writeln!(out, "{} = {};", name(v), p.display_expr(e)),
+                Stmt::Store(v, i, e, _) => {
+                    let (i, e) = (p.display_expr(i), p.display_expr(e));
+                    writeln!(out, "{}[{i}] = {e};", name(v))
+                }
+                Stmt::If(c, t, e, _) => {
+                    writeln!(out, "if ({}) {{", p.display_expr(c))?;
+                    self.write_block(out, p, t, depth + 1)?;
+                    if !e.stmts.is_empty() {
+                        writeln!(out, "{:w$}}} else {{", "")?;
+                        self.write_block(out, p, e, depth + 1)?;
+                    }
+                    writeln!(out, "{:w$}}}", "")
+                }
+                Stmt::While(c, body, _) => {
+                    writeln!(out, "while ({}) {{", p.display_expr(c))?;
+                    self.write_block(out, p, body, depth + 1)?;
+                    writeln!(out, "{:w$}}}", "")
+                }
+                Stmt::Do {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                    ..
+                } => {
+                    let (lo, hi) = (p.display_expr(lo), p.display_expr(hi));
+                    write!(out, "do {} = {lo}, {hi}", name(var))?;
+                    if let Some(step) = step {
+                        write!(out, ", {}", p.display_expr(step))?;
+                    }
+                    writeln!(out, " {{")?;
+                    self.write_block(out, p, body, depth + 1)?;
+                    writeln!(out, "{:w$}}}", "")
+                }
+                Stmt::Call(callee, args, _) => {
+                    write!(out, "call {}(", self.procs[callee.index()].name)?;
+                    for (i, a) in args.iter().enumerate() {
+                        let sep = if i == 0 { "" } else { ", " };
+                        match a {
+                            Arg::Scalar(v, _) | Arg::Array(v, _) => {
+                                write!(out, "{sep}{}", name(v))?
+                            }
+                            Arg::Value(e) => write!(out, "{sep}{}", p.display_expr(e))?,
+                        }
+                    }
+                    writeln!(out, ");")
+                }
+                Stmt::Return(_) => writeln!(out, "return;"),
+                Stmt::Read(v, _) => writeln!(out, "read {};", name(v)),
+                Stmt::Print(e, _) => writeln!(out, "print {};", p.display_expr(e)),
+            }?;
+        }
+        Ok(())
+    }
+
+    /// Procedure `p` as FT source — one of this module's, or a new
+    /// definition of one, naming its callees as this module does. The
+    /// local `array` declarations open the body, in declaration order,
+    /// wherever the source declared them: resolution keeps only the
+    /// variable they declare.
+    pub fn proc_source(&self, p: &Proc) -> String {
+        let mut out = String::new();
+        let _ = self.write_proc(&mut out, p);
+        out
+    }
+
+    /// The [`hash_str`](crate::hash::hash_str) digest of
+    /// [`Module::proc_source`], computed without keeping the text. A
+    /// procedure's printed text depends on its own body only, so neither
+    /// does this digest.
+    pub fn proc_hash(&self, p: &Proc) -> u128 {
+        let mut h = TextHash::default();
+        let _ = self.write_proc(&mut h, p);
+        h.finish()
     }
 }
 
-fn unresolve_expr(p: &Proc, e: &Expr) -> ast::Expr {
-    match e {
-        Expr::Const(v, span) => ast::Expr::Const {
-            value: *v,
-            span: *span,
-        },
-        Expr::Var(v, span) => ast::Expr::Var {
-            name: p.var(*v).name.clone(),
-            span: *span,
-        },
-        Expr::Load(v, idx, span) => ast::Expr::Load {
-            name: p.var(*v).name.clone(),
-            index: Box::new(unresolve_expr(p, idx)),
-            span: *span,
-        },
-        Expr::Unary(op, e, span) => ast::Expr::Unary {
-            op: *op,
-            operand: Box::new(unresolve_expr(p, e)),
-            span: *span,
-        },
-        Expr::Binary(op, l, r, span) => ast::Expr::Binary {
-            op: *op,
-            lhs: Box::new(unresolve_expr(p, l)),
-            rhs: Box::new(unresolve_expr(p, r)),
-            span: *span,
-        },
-    }
-}
+/// An expression of a procedure printed as FT source: the spelling and
+/// minimal parentheses of [`crate::lang::pretty::expr`]. `.2` is the
+/// binding strength the context requires.
+struct ExprSource<'a>(&'a Proc, &'a Expr, u8);
 
-fn unresolve_block(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block) -> ast::Block {
-    let mut out = ast::Block::default();
-    // Re-emit local array declarations first so the result re-resolves.
-    // (Declarations are stripped during resolution.)
-    out.stmts.extend(p.vars.iter().filter_map(|vi| {
-        if vi.kind == VarKind::Local && vi.is_array {
-            Some(ast::Stmt::ArrayDecl {
-                name: vi.name.clone(),
-                len: vi.array_len.unwrap_or(1),
-                span: Span::dummy(),
-            })
-        } else {
-            None
+impl fmt::Display for ExprSource<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ExprSource(p, e, min_prec) = *self;
+        let sub = |e, prec| ExprSource(p, e, prec);
+        match e {
+            Expr::Const(v, _) if *v < 0 => write!(f, "({v})"),
+            Expr::Const(v, _) => write!(f, "{v}"),
+            Expr::Var(v, _) => f.write_str(&p.var(*v).name),
+            Expr::Load(v, i, _) => write!(f, "{}[{}]", p.var(*v).name, sub(i, 0)),
+            Expr::Unary(op, e, _) => write!(f, "{}{}", op.as_str(), sub(e, ast::UNARY_PRECEDENCE)),
+            Expr::Binary(op, l, r, _) => {
+                let prec = op.precedence();
+                // Left-associative: the right operand must bind tighter.
+                let (l, r) = (sub(l, prec), sub(r, prec + 1));
+                if prec < min_prec {
+                    write!(f, "({l} {} {r})", op.as_str())
+                } else {
+                    write!(f, "{l} {} {r}", op.as_str())
+                }
+            }
         }
-    }));
-    unresolve_stmts(p, procs, b, &mut out.stmts);
-    out
-}
-
-fn unresolve_stmts(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block, out: &mut Vec<ast::Stmt>) {
-    for s in &b.stmts {
-        out.push(match s {
-            Stmt::Assign(v, e, span) => ast::Stmt::Assign {
-                name: p.var(*v).name.clone(),
-                value: unresolve_expr(p, e),
-                span: *span,
-            },
-            Stmt::Store(v, idx, val, span) => ast::Stmt::Store {
-                name: p.var(*v).name.clone(),
-                index: unresolve_expr(p, idx),
-                value: unresolve_expr(p, val),
-                span: *span,
-            },
-            Stmt::If(c, t, e, span) => ast::Stmt::If {
-                cond: unresolve_expr(p, c),
-                then_blk: unresolve_inner(p, procs, t),
-                else_blk: unresolve_inner(p, procs, e),
-                span: *span,
-            },
-            Stmt::While(c, body, span) => ast::Stmt::While {
-                cond: unresolve_expr(p, c),
-                body: unresolve_inner(p, procs, body),
-                span: *span,
-            },
-            Stmt::Do {
-                var,
-                lo,
-                hi,
-                step,
-                body,
-                span,
-            } => ast::Stmt::Do {
-                var: p.var(*var).name.clone(),
-                lo: unresolve_expr(p, lo),
-                hi: unresolve_expr(p, hi),
-                step: step.as_ref().map(|s| unresolve_expr(p, s)),
-                body: unresolve_inner(p, procs, body),
-                span: *span,
-            },
-            Stmt::Call(callee, args, span) => ast::Stmt::Call {
-                callee: procs[callee.index()].name.clone(),
-                args: args
-                    .iter()
-                    .map(|a| match a {
-                        Arg::Scalar(v, sp) | Arg::Array(v, sp) => ast::Expr::Var {
-                            name: p.var(*v).name.clone(),
-                            span: *sp,
-                        },
-                        Arg::Value(e) => unresolve_expr(p, e),
-                    })
-                    .collect(),
-                span: *span,
-            },
-            Stmt::Return(span) => ast::Stmt::Return { span: *span },
-            Stmt::Read(v, span) => ast::Stmt::Read {
-                name: p.var(*v).name.clone(),
-                span: *span,
-            },
-            Stmt::Print(e, span) => ast::Stmt::Print {
-                value: unresolve_expr(p, e),
-                span: *span,
-            },
-        });
     }
-}
-
-fn unresolve_inner(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block) -> ast::Block {
-    let mut stmts = Vec::new();
-    unresolve_stmts(p, procs, b, &mut stmts);
-    ast::Block { stmts }
 }
 
 // ---------------------------------------------------------------------------
@@ -555,15 +587,15 @@ fn unresolve_inner(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block) -> ast::Block 
 /// shared — the call builds no table), when that provably yields the
 /// procedure a whole-program resolution would produce with the new
 /// definition swapped in — spans aside, which stay relative to `text`.
-/// Returns `None` whenever it cannot prove that; the caller then resolves
-/// the recombined program in full.
+/// Returns `Ok(None)` whenever it cannot prove that; the caller then
+/// resolves the recombined program in full.
 ///
 /// The proof needs four things:
 ///
 /// * `text` is exactly one procedure definition, named like one of
 ///   `module`'s procedures and with its arity, so the signature table
 ///   (and every other body's resolution) is unchanged;
-/// * `text` parses and resolves without a diagnostic;
+/// * `text` resolves without a diagnostic;
 /// * each formal's array-ness from the new body's own indexing equals the
 ///   formal's array-ness in `module`. Every array formal is then indexed
 ///   in the new body itself, so the whole-module array-ness fixpoint,
@@ -572,15 +604,12 @@ fn unresolve_inner(p: &Proc, procs: &Table<Arc<Proc>>, b: &Block) -> ast::Block 
 /// * the new body's call sites pass the call-site checks against that
 ///   fixpoint. Other procedures' call sites into it see unchanged
 ///   formals, so they pass as they did.
-pub fn resolve_replacement(module: &Module, text: &str) -> Option<Proc> {
-    let items = lang::scan_items(text)?;
-    let [Item::Proc { name, arity, .. }] = items[..] else {
-        return None;
-    };
-    let old = module.proc_named(name)?;
-    if arity != old.arity() {
-        return None;
-    }
+///
+/// # Errors
+///
+/// The lex or parse errors of `text` when it does not parse, located in
+/// `text`.
+pub fn resolve_replacement(module: &Module, text: &str) -> Result<Option<Proc>, Diagnostics> {
     // The module's own table, shared: nothing is declared against it.
     let mut r = Resolver {
         diags: Diagnostics::new(),
@@ -588,15 +617,22 @@ pub fn resolve_replacement(module: &Module, text: &str) -> Option<Proc> {
         table: Arc::clone(&module.sigs.0),
     };
     let mut procs = Vec::with_capacity(1);
-    r.resolve_bodies(text, &mut procs, old.id.index()).ok()?;
-    let mut proc = procs.pop().map(Arc::try_unwrap)?.ok()?;
+    let items = r.resolve_bodies(text, &mut procs)?;
+    let old = match items[..] {
+        [Item::Proc { name, arity, .. }] => module.proc_named(name).filter(|p| p.arity() == arity),
+        _ => None,
+    };
+    let (Some(old), Some(Ok(mut proc))) = (old, procs.pop().map(Arc::try_unwrap)) else {
+        return Ok(None);
+    };
+    proc.id = old.id;
     let formals_match = proc
         .formals
         .iter()
         .zip(&old.formals)
         .all(|(&new, &was)| proc.var(new).is_array == old.var(was).is_array);
     if !r.diags.is_empty() || !formals_match {
-        return None;
+        return Ok(None);
     }
     retag_args(&mut proc.body, &proc.vars);
     let callee = |id: ProcId| {
@@ -610,14 +646,14 @@ pub fn resolve_replacement(module: &Module, text: &str) -> Option<Proc> {
     each_call(&proc.body, &mut |id, args, span| {
         ok &= call_site_errors(callee(id), args, span).is_empty();
     });
-    ok.then_some(proc)
+    Ok(ok.then_some(proc))
 }
 
 /// Incremental resolver: the signature table plus the module-level
 /// diagnostics. [`crate::stream`] drives it in three steps:
 ///
 /// 1. declare every global and every procedure signature
-///    ([`Resolver::declare`], fed by [`lang::scan_items`]);
+///    ([`Resolver::declare`], fed by [`crate::lang::scan_items`]);
 /// 2. parse each text's bodies straight into resolved [`Proc`]s against
 ///    the table ([`Resolver::resolve_bodies`]);
 /// 3. run the whole-module fixpoint and checks ([`Resolver::finish`]).
@@ -689,29 +725,28 @@ impl Resolver {
 
     /// Pass 1: parses `src` and resolves each procedure body against the
     /// signature table as it is parsed, appending the procedures to
-    /// `procs` with ids from `first_id + procs.len()` up. On a lex or
-    /// parse error returns those errors, and the resolve errors of `src`
-    /// are dropped.
-    pub(crate) fn resolve_bodies(
+    /// `procs` with ids from `procs.len()` up, and returns `src`'s items.
+    /// On a lex or parse error returns those errors, and the resolve
+    /// errors of `src` are dropped.
+    pub(crate) fn resolve_bodies<'s>(
         &mut self,
-        src: &str,
+        src: &'s str,
         procs: &mut Vec<Arc<Proc>>,
-        first_id: usize,
-    ) -> Result<(), Diagnostics> {
-        let mut parser = Parser::new(src, Resolving::new(self, procs, first_id));
+    ) -> Result<Vec<Item<'s>>, Diagnostics> {
+        let mut parser = Parser::new(src, Resolving::new(self, procs));
         parser.program();
-        let diags = parser.finish()?.0.diags;
-        for d in diags {
+        let (builder, items) = parser.finish()?;
+        for d in builder.diags {
             self.diags.push(d);
         }
-        Ok(())
+        Ok(items)
     }
 
     /// The declarations of `src`, or its lex or parse errors. The bodies
     /// are resolved against this resolver's table and dropped.
     pub(crate) fn parse_items<'s>(&self, src: &'s str) -> Result<Vec<Item<'s>>, Diagnostics> {
         let mut procs = Vec::new();
-        let mut parser = Parser::new(src, Resolving::new(self, &mut procs, 0));
+        let mut parser = Parser::new(src, Resolving::new(self, &mut procs));
         parser.program();
         Ok(parser.finish()?.1)
     }
@@ -832,7 +867,6 @@ struct Resolving<'r, 's> {
     /// This text's resolve diagnostics, in order.
     diags: Vec<Diagnostic>,
     procs: &'r mut Vec<Arc<Proc>>,
-    first_id: usize,
     ctx: ProcCtx<'s>,
     /// Open argument lists of calls to unknown procedures: nothing in
     /// them is resolved (no variable is created, nothing is reported).
@@ -860,12 +894,11 @@ struct ProcCtx<'s> {
 type Target = (VarId, Option<usize>);
 
 impl<'r, 's> Resolving<'r, 's> {
-    fn new(r: &'r Resolver, procs: &'r mut Vec<Arc<Proc>>, first_id: usize) -> Self {
+    fn new(r: &'r Resolver, procs: &'r mut Vec<Arc<Proc>>) -> Self {
         Resolving {
             r,
             diags: Vec::new(),
             procs,
-            first_id,
             ctx: ProcCtx::default(),
             skipping: 0,
             var_reported: false,
@@ -1010,7 +1043,7 @@ impl<'s> Build<'s> for Resolving<'_, 's> {
                 array_len: None,
             });
         }
-        let id = ProcId::from(self.first_id + self.procs.len());
+        let id = ProcId::from(self.procs.len());
         self.procs.push(Arc::new(Proc {
             name: self.ctx.name.to_owned(),
             id,
@@ -1471,18 +1504,27 @@ mod tests {
     #[test]
     fn replacement_text_must_be_one_known_procedure_that_resolves_cleanly() {
         let m = parse_and_resolve("proc main() { call f(1); } proc f(a) { print a; }").unwrap();
-        let f = resolve_replacement(&m, "# new body\nproc f(a) { print a + 1; }").unwrap();
+        let f = resolve_replacement(&m, "# new body\nproc f(a) { print a + 1; }")
+            .unwrap()
+            .unwrap();
         assert_eq!(f.id, m.proc_named("f").unwrap().id);
         for text in [
             "proc f(a) { print a; } proc main() { }", // two procedures
             "global g; proc f(a) { print a; }",       // a global
             "proc g(a) { print a; }",                 // unknown name
             "proc f(a, b) { print a; }",              // arity changed
-            "proc f(a) { print ; }",                  // parse error
             "proc f(a) { call nope(); }",             // resolve error
         ] {
-            assert!(resolve_replacement(&m, text).is_none(), "{text}");
+            assert_eq!(resolve_replacement(&m, text), Ok(None), "{text}");
         }
+        // A parse error is reported, located in the replacement text.
+        let err = resolve_replacement(&m, "proc f(a) { print ; }").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            parse_and_resolve("proc f(a) { print ; }")
+                .unwrap_err()
+                .to_string()
+        );
     }
 
     #[test]
@@ -1490,7 +1532,34 @@ mod tests {
         let src = "global g;\n\nproc main() {\n    array t[4];\n    g = 1;\n    t[0] = g;\n    call f(t, g);\n}\n\nproc f(b, n) {\n    b[n] = n;\n}\n";
         let m1 = parse_and_resolve(src).unwrap();
         let printed = m1.to_source();
+        assert_eq!(printed, src);
         let m2 = parse_and_resolve(&printed).unwrap();
         assert_eq!(printed, m2.to_source());
+    }
+
+    #[test]
+    fn printing_matches_the_ast_printer_and_hoists_local_arrays() {
+        let src = "global n; global t[3];\n\
+                   proc main() { n = -(1 + 2) * 3 - -4; call f(n, t, n + 1, (n)); x = !(n < 2) || n % 2 == 0 && 1; } \
+                   proc f(a, b, c, d) { if (a) { b[a - (0 - 1)] = 1; } else { if (c) { return; } } \
+                   while (a > 0) { a = a - 1; array u[2]; u[a] = b[0]; } do i = 1, c, 2 { read d; print i; } do j = c, 1 { } }";
+        let m = parse_and_resolve(src).unwrap();
+        let ast = crate::lang::pretty::program(&crate::lang::parse_program(src).unwrap());
+        let hoisted = ast.replace("        array u[2];\n", "").replace(
+            "proc f(a, b, c, d) {\n",
+            "proc f(a, b, c, d) {\n    array u[2];\n",
+        );
+        assert_eq!(m.to_source(), hoisted);
+        for p in &m.procs {
+            let text = m.proc_source(p);
+            assert!(hoisted.contains(&text), "{text}");
+            assert_eq!(m.proc_hash(p), crate::hash::hash_str(&text));
+        }
+        let replaced =
+            m.to_source_replacing(m.proc_named("f").unwrap().id, "proc f(a, b, c, d) { }");
+        assert!(
+            replaced.ends_with("}\n\nproc f(a, b, c, d) { }\n"),
+            "{replaced}"
+        );
     }
 }

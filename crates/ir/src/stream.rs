@@ -155,7 +155,7 @@ pub(crate) fn resolve_chunks<S: ProgramSource + ?Sized>(
     for i in 0..n {
         buf.clear();
         source.chunk(i, &mut buf);
-        if resolver.resolve_bodies(&buf, &mut procs, 0).is_err() {
+        if resolver.resolve_bodies(&buf, &mut procs).is_err() {
             return Err(chunk_errors(source, &mut buf));
         }
     }

@@ -7,7 +7,7 @@
 //! rejected.
 
 use ipcp::quarantine::quiet_catch;
-use ipcp::serve::{same_results, ProgramModel, ServeEngine};
+use ipcp::serve::{same_results, ServeEngine};
 use ipcp::{
     analyze, analyze_source, solve_worklist_reference, soundness_violation, Analysis, Governor,
     IpcpError, Lattice,
@@ -213,7 +213,7 @@ impl Property for ExitConsistency {
 pub struct ServeIdentity;
 
 impl ServeIdentity {
-    /// Derives one candidate replacement for `proc_src` (a normalized
+    /// Derives one candidate replacement for `proc_src` (a printed
     /// single-procedure program of the daemon's program `src`). The
     /// mutators keep the procedure name intact; arity perturbation is
     /// deliberately in the mix so rejected updates exercise rollback. A
@@ -276,18 +276,16 @@ impl Property for ServeIdentity {
         // The edit session is a pure function of the source text.
         let mut rng = Rng::new(hash_str(src) as u64 ^ 0x5EDE_1D17);
         for step in 0..4u32 {
-            let model = ProgramModel::from_source(&engine.source())
-                .map_err(|e| format!("daemon source stopped parsing: {e}"))?;
-            let names: Vec<String> = model.proc_names().map(String::from).collect();
+            let names: Vec<String> = engine.proc_names().map(String::from).collect();
             if names.is_empty() {
                 return Ok(());
             }
             let name = &names[rng.below(names.len() as u64) as usize];
-            let Some(proc_src) = model.proc_text(name) else {
-                return Err(format!("model lost procedure `{name}`"));
+            let Some(proc_src) = engine.proc_text(name) else {
+                return Err(format!("engine lost procedure `{name}`"));
             };
             let before = engine.source();
-            let fragment = Self::mutate_proc(&before, proc_src, &mut rng);
+            let fragment = Self::mutate_proc(&before, &proc_src, &mut rng);
             if engine.update(name, &fragment).is_err() && engine.source() != before {
                 return Err(format!(
                     "step {step}: rejected update to `{name}` mutated the daemon's source"
@@ -348,15 +346,13 @@ impl Property for ServePersist {
         for step in 0..3u32 {
             // One random edit; a rejected mutation is fine — the crash
             // below then replays the unedited session.
-            let model = ProgramModel::from_source(&engine.source())
-                .map_err(|e| format!("daemon source stopped parsing: {e}"))?;
-            let names: Vec<String> = model.proc_names().map(String::from).collect();
+            let names: Vec<String> = engine.proc_names().map(String::from).collect();
             if names.is_empty() {
                 return Ok(());
             }
             let name = &names[rng.below(names.len() as u64) as usize];
-            if let Some(proc_src) = model.proc_text(name) {
-                let fragment = ServeIdentity::mutate_proc(&engine.source(), proc_src, &mut rng);
+            if let Some(proc_src) = engine.proc_text(name) {
+                let fragment = ServeIdentity::mutate_proc(&engine.source(), &proc_src, &mut rng);
                 let _ = engine.update(name, &fragment);
             }
 

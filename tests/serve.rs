@@ -122,16 +122,21 @@ fn scc_members_share_invalidation_fate() {
     }
 }
 
-/// Reformatting without structural change is free: the model normalizes
-/// through the pretty-printer, so the hashes — and the cache — survive.
+/// Reformatting without structural change is free: own hashes are taken
+/// of the procedure as the resolved module prints it, so layout, comments
+/// and redundant parentheses leave the hashes — and the cache — intact.
 #[test]
 fn formatting_only_updates_are_all_hits() {
     for jobs in JOBS {
         let mut e = engine_at(CHAIN, jobs);
-        let out = e
-            .update("g", "proc g( b )   {\n\n      print b;   }")
-            .unwrap();
-        assert_eq!((out.misses, out.hits), (0, 9), "jobs={jobs}");
+        for (name, fragment) in [
+            ("g", "proc g( b )   {\n\n      print b;   }"),
+            ("f", "proc f(a) { call g(((a) + (1))); }"),
+            ("g", "# a comment\nproc g(b) { // and another\n print b; }"),
+        ] {
+            let out = e.update(name, fragment).unwrap();
+            assert_eq!((out.misses, out.hits), (0, 9), "jobs={jobs}: {fragment:?}");
+        }
     }
 }
 
@@ -405,7 +410,7 @@ fn edit_session_at(jobs: usize) {
         .collect();
     assert!(!names.is_empty());
 
-    // Reload the normalized source: byte-identical model, zero misses.
+    // Reload the printed source: the same hashes, zero misses.
     let src = e.source();
     let out = e.load(&src).unwrap();
     assert_eq!(out.misses, 0, "{}: reload of identical source", p.name);

@@ -30,13 +30,13 @@
 
 use ipcp::serve::store::encode;
 use ipcp::serve::{
-    same_results, CacheTxn, Memo, ProgramModel, RequestOutcome, RunPath, ServeEngine, ServeError,
+    own_hashes, same_results, CacheTxn, Memo, RequestOutcome, RunPath, ServeEngine, ServeError,
     SummaryCache,
 };
 use ipcp::{Analysis, Config, Deadline, Stage};
 use ipcp_analysis::{build_call_graph, summary_keys};
 use ipcp_ir::cfg::ModuleCfg;
-use ipcp_ir::program::{GlobalId, ProcId};
+use ipcp_ir::program::{GlobalId, Module, ProcId};
 use ipcp_ir::{lower_module_owned, parse_and_resolve};
 use ipcp_suite::mutate::swap_operator;
 use ipcp_suite::{generate_scale, Rng, ScaleSpec, PROGRAMS};
@@ -50,8 +50,7 @@ fn scale_1k() -> String {
 /// set to `1000 + round`, a value no generated prologue and no earlier
 /// round holds — the literal-bump edit `bench_serve` and perfbench time.
 fn bump(engine: &ServeEngine, name: &str, round: i64) -> String {
-    let model = ProgramModel::from_source(&engine.source()).unwrap();
-    let mut body = model.proc_text(name).unwrap().to_string();
+    let mut body = engine.proc_text(name).unwrap();
     let at = body.find("v0 = ").expect("generated prologue") + "v0 = ".len();
     let len = body[at..].find(';').unwrap();
     body.replace_range(at..at + len, &(1000 + round).to_string());
@@ -63,6 +62,13 @@ fn full_path(src: &str) -> ModuleCfg {
     lower_module_owned(parse_and_resolve(src).expect("accepted source resolves"))
 }
 
+/// `module`'s source with procedure `name`'s definition replaced by
+/// `text`.
+fn replaced(module: &Module, name: &str, text: &str) -> String {
+    let id = module.proc_named(name).expect("known procedure").id;
+    module.to_source_replacing(id, text)
+}
+
 /// Per memo unit that consults the cache under a fault-free
 /// configuration, its family and content digest: MOD/REF by own text
 /// for every procedure; return jump functions and symbolic forms by
@@ -70,8 +76,7 @@ fn full_path(src: &str) -> ModuleCfg {
 fn memo_units(src: &str) -> Vec<(usize, usize, u128)> {
     let mcfg = full_path(src);
     let cg = build_call_graph(&mcfg);
-    let model = ProgramModel::from_source(src).unwrap();
-    let keys = summary_keys(&cg, &model.own_hashes().to_vec());
+    let keys = summary_keys(&cg, &own_hashes(&mcfg.module).to_vec());
     let mut units = Vec::new();
     for p in 0..mcfg.module.procs.len() {
         units.push((0, p, keys.own[p]));
@@ -173,8 +178,10 @@ fn assert_matches_full_path(engine: &ServeEngine, what: &str) {
 
 /// Applies one `update` to `engine` and the same edit as a `load` of the
 /// recombined text to `twin` — the full path every update took before
-/// the splice. The replies must agree exactly; on success both modules
-/// must match a fresh lowering.
+/// the splice. The replies must agree exactly (a fragment that does not
+/// parse is reported in its own text); on success both modules must
+/// match a fresh lowering. Either way the engine's own hashes must be
+/// those of its printed program, resolved afresh.
 fn update_against_load_twin(
     engine: &mut ServeEngine,
     twin: &mut ServeEngine,
@@ -182,16 +189,19 @@ fn update_against_load_twin(
     fragment: &str,
     what: &str,
 ) -> Result<RequestOutcome, ServeError> {
-    let recombined = ProgramModel::from_source(&engine.source())
-        .unwrap()
-        .replace_proc(name, fragment)
-        .map(|m| m.source());
+    let recombined = replaced(&engine.mcfg().module, name, fragment);
     let before = engine.source();
     let got = engine.update(name, fragment);
-    let want = match &recombined {
-        Ok(src) => twin.load(src),
-        Err(e) => Err(e.clone()),
+    let want = match ipcp_ir::lang::parse_program(fragment) {
+        Ok(_) => twin.load(&recombined),
+        Err(d) => Err(ServeError::Invalid(d.into())),
     };
+    let fresh = parse_and_resolve(&engine.source()).expect("the live program resolves");
+    assert_eq!(
+        engine.own_hashes(),
+        &own_hashes(&fresh),
+        "{what}: own hashes"
+    );
     match (&got, &want) {
         (Ok(a), Ok(b)) => assert_eq!(a, b, "{what}: outcome"),
         (Err(a), Err(b)) => {
@@ -231,17 +241,9 @@ fn spliced_updates_match_a_full_reparse() {
         }
         let mut engine = ServeEngine::new(src, &config).unwrap();
         let mut twin = ServeEngine::new(src, &config).unwrap();
-        let names: Vec<String> = ProgramModel::from_source(src)
-            .unwrap()
-            .proc_names()
-            .map(String::from)
-            .collect();
+        let names: Vec<String> = engine.proc_names().map(String::from).collect();
         for name in &names {
-            let text = ProgramModel::from_source(&engine.source())
-                .unwrap()
-                .proc_text(name)
-                .unwrap()
-                .to_string();
+            let text = engine.proc_text(name).unwrap();
             let fragment = swap_operator(&text, &mut rng);
             let what = format!("{label}: edit of `{name}`");
             let _ = update_against_load_twin(&mut engine, &mut twin, name, &fragment, &what);
@@ -325,13 +327,14 @@ fn edits_the_splice_cannot_prove_take_the_full_path() {
         let what = format!("case {i}: `{fragment}`");
         let mut engine = ServeEngine::new(src, &config).unwrap();
         let mut twin = ServeEngine::new(src, &config).unwrap();
+        let recombined = replaced(&engine.mcfg().module, name, fragment);
         let got = update_against_load_twin(&mut engine, &mut twin, name, fragment, &what);
         assert_eq!(got.is_ok(), accepted, "{what}: {got:?}");
         assert_eq!(engine.stats().spliced_updates, 0, "{what}: took the splice");
         if accepted {
-            // The full path ran: the module equals a fresh lowering, spans
-            // included.
-            assert!(*engine.mcfg() == full_path(&engine.source()), "{what}");
+            // The full path ran: the module equals a fresh lowering of the
+            // printed program with the fragment in place, spans included.
+            assert!(*engine.mcfg() == full_path(&recombined), "{what}");
         }
     }
 
@@ -388,19 +391,11 @@ fn carried_counts_equal_a_full_recount_on_the_suite() {
         // Seeded operator swaps, 20 per program.
         for p in PROGRAMS {
             let mut engine = ServeEngine::new(p.source, &config).unwrap();
-            let names: Vec<String> = ProgramModel::from_source(p.source)
-                .unwrap()
-                .proc_names()
-                .map(String::from)
-                .collect();
+            let names: Vec<String> = engine.proc_names().map(String::from).collect();
             let mut rng = Rng::new(0x00C0_0075);
             for step in 0..20 {
                 let name = &names[rng.below(names.len() as u64) as usize];
-                let text = ProgramModel::from_source(&engine.source())
-                    .unwrap()
-                    .proc_text(name)
-                    .unwrap()
-                    .to_string();
+                let text = engine.proc_text(name).unwrap();
                 let fragment = swap_operator(&text, &mut rng);
                 let what = format!("{label}/{}: step {step}, `{name}`", p.name);
                 check_carried_counts(&mut engine, name, &fragment, &what);
@@ -454,38 +449,38 @@ fn carried_counts_follow_reachability_changes() {
 /// cache must equal.
 struct PlainSession {
     config: Config,
-    model: ProgramModel,
+    module: Module,
     cache: SummaryCache,
 }
 
 impl PlainSession {
     fn new(src: &str, config: Config) -> PlainSession {
-        let model = ProgramModel::from_source(src).unwrap();
         let mut session = PlainSession {
             config,
-            model: model.clone(),
+            module: full_path(src).module,
             cache: SummaryCache::new(),
         };
-        session.run(model);
+        session.run(src);
         session
     }
 
-    /// Runs `model` the plain way and commits it as the live program.
+    /// Runs `src` the plain way and commits it as the live program.
     /// Returns the module, the analysis, and the request's hits, misses,
     /// persisted hits and bypass flag.
-    fn run(&mut self, model: ProgramModel) -> (ModuleCfg, Analysis, (u64, u64, u64, bool)) {
-        let mcfg = full_path(&model.source());
+    fn run(&mut self, src: &str) -> (ModuleCfg, Analysis, (u64, u64, u64, bool)) {
+        let mcfg = full_path(src);
+        let own = own_hashes(&mcfg.module);
         let mut txn = CacheTxn::new();
         let memo = Memo {
             cache: &self.cache,
-            own: model.own_hashes(),
+            own: &own,
             txn: &mut txn,
         };
         let analysis = Analysis::run_memoized(&mcfg, &self.config, memo);
         assert_eq!(txn.carried, 0, "the plain path carries nothing");
         let counters = (txn.hits, txn.misses, txn.persisted_hits, txn.bypassed);
         self.cache.commit_live(txn);
-        self.model = model;
+        self.module = mcfg.module.clone();
         (mcfg, analysis, counters)
     }
 }
@@ -505,11 +500,8 @@ fn step_both(
     // Read the counts first, so the update carries them.
     let _ = engine.snapshot().counts();
     let got = engine.update(name, body);
-    let candidate = plain
-        .model
-        .replace_proc(name, body)
-        .ok()
-        .filter(|c| parse_and_resolve(&c.source()).is_ok());
+    let candidate =
+        Some(replaced(&plain.module, name, body)).filter(|src| parse_and_resolve(src).is_ok());
     let (Ok(out), Some(candidate)) = (got.as_ref(), candidate) else {
         assert!(
             got.is_err(),
@@ -518,7 +510,7 @@ fn step_both(
         return None;
     };
     let out = out.clone();
-    let (mcfg, warm, txn) = plain.run(candidate);
+    let (mcfg, warm, txn) = plain.run(&candidate);
     assert_eq!(
         (out.hits, out.misses, out.persisted_hits, out.bypassed),
         txn,
@@ -550,8 +542,7 @@ fn step_both(
 
 /// `name`'s current text in `engine`.
 fn text_of(engine: &ServeEngine, name: &str) -> String {
-    let model = ProgramModel::from_source(&engine.source()).unwrap();
-    model.proc_text(name).unwrap().to_string()
+    engine.proc_text(name).unwrap()
 }
 
 /// A procedure from `from` on that assigns a global at the top level of
@@ -562,22 +553,21 @@ fn text_of(engine: &ServeEngine, name: &str) -> String {
 /// run, so that the dirty set has to climb; the first one when none does
 /// (as without return jump functions).
 fn return_jump_change(engine: &ServeEngine, from: u64) -> (String, String) {
-    let model = ProgramModel::from_source(&engine.source()).unwrap();
     let (live, module) = (engine.analysis(), &engine.mcfg().module);
     let edits = (from..1000).filter_map(|i| {
         let proc = module.procs.get(i as usize)?;
-        let text = model.proc_text(&proc.name)?;
+        let text = engine.proc_text(&proc.name)?;
         let g = text.lines().find_map(|l| {
             let (g, _) = l.strip_prefix("    g")?.split_once(" = ")?;
             g.parse::<u32>().ok()
         })?;
-        let body = before_last_print(text, &format!("g{g} = 2023;"));
+        let body = before_last_print(&text, &format!("g{g} = 2023;"));
         Some((proc.id, body))
     });
     let mut first = None;
     for (p, body) in edits.take(8) {
         let name = module.proc(p).name.clone();
-        let src = model.replace_proc(&name, &body).unwrap().source();
+        let src = replaced(module, &name, &body);
         let cold = Analysis::run(&full_path(&src), engine.config());
         let moved = |q: usize| cold.ret_jfs.fns[q] != live.ret_jfs.fns[q];
         if live.cg.calls_to(p).any(|e| moved(e.caller.index())) {
@@ -614,7 +604,6 @@ fn sole_call(engine: &ServeEngine) -> (String, String) {
 /// written, the callee, the actual's position, and the global.
 fn byref_local_call(engine: &ServeEngine) -> (ProcId, String, String, usize, GlobalId) {
     let (module, modref) = (&engine.mcfg().module, &engine.analysis().modref);
-    let model = ProgramModel::from_source(&engine.source()).unwrap();
     let is_local = |a: &str| {
         a.strip_prefix('v')
             .is_some_and(|n| n.parse::<u32>().is_ok())
@@ -627,7 +616,7 @@ fn byref_local_call(engine: &ServeEngine) -> (ProcId, String, String, usize, Glo
             let g = (0..module.globals.len()).map(GlobalId::from).find(|&g| {
                 module.globals[g.index()].array_len.is_none() && !modref.mod_of(caller.id).global(g)
             })?;
-            let text = model.proc_text(&caller.name)?;
+            let text = engine.proc_text(&caller.name)?;
             let (args, callee, k) = text.lines().find_map(|l| {
                 let call = l.trim().strip_prefix("call ")?.strip_suffix(");")?;
                 let (callee, args) = call.split_once('(')?;
@@ -997,10 +986,9 @@ impl SolveScript {
     /// calls with a literal actual, the actual change takes the first
     /// whose cold `VAL` moves in at least three procedures.
     fn new(engine: &ServeEngine) -> SolveScript {
-        let model = ProgramModel::from_source(&engine.source()).unwrap();
         let (module, live) = (&engine.mcfg().module, engine.analysis());
         let edits = module.procs.iter().skip(1).filter_map(|p| {
-            let text = model.proc_text(&p.name)?;
+            let text = engine.proc_text(&p.name)?;
             let line = text.lines().find(|l| {
                 l.trim().strip_prefix("call ").is_some_and(|c| {
                     let args = c.split_once('(').map_or("", |(_, a)| a);
@@ -1017,7 +1005,7 @@ impl SolveScript {
         });
         let mut actual = None;
         for (name, body) in edits.take(12) {
-            let src = model.replace_proc(&name, &body).unwrap().source();
+            let src = replaced(module, &name, &body);
             let cold = Analysis::run(&full_path(&src), engine.config());
             let moved = (0..module.procs.len())
                 .filter(|&p| cold.vals.of(ProcId::from(p)) != live.vals.of(ProcId::from(p)))
@@ -1046,9 +1034,8 @@ impl SolveScript {
 
     /// The program with the sole call dropped.
     fn dropped_source(&self, src: &str) -> String {
-        let model = ProgramModel::from_source(src).unwrap();
         let (caller, dropped, _) = &self.drop;
-        model.replace_proc(caller, dropped).unwrap().source()
+        replaced(&full_path(src).module, caller, dropped)
     }
 
     /// Runs the script on an engine booted on the dropped program: the
