@@ -137,6 +137,34 @@ EOF
             return 1
         }
     done
+    # A request deadline bounds each analysis but never picks its path: a
+    # literal bump and a re-analysis under a far deadline walk their cone,
+    # and an update under an expired one answers degraded.
+    local bump='{"id":12,"op":"update","proc":"init","body":"proc init() { nx = 128; ny = 64; dt = 90; visc = 8; idebug = 0; }"}'
+    printf '%s\n{"id":13,"op":"analyze"}\n' "$bump" \
+        | timeout 60 ./target/release/ipcc serve "$prog" --request-deadline-ms 60000 \
+            --drain-ms 30000 >"$out"
+    for want in 12 13; do
+        grep -F "\"id\":$want,\"ok\":true" "$out" | grep -qF '"path":"live"' || {
+            echo "serve smoke: request $want under a far deadline did not run live" >&2
+            cat "$out" >&2
+            return 1
+        }
+    done
+    printf '%s\n' "$bump" \
+        | timeout 60 ./target/release/ipcc serve "$prog" --request-deadline-ms 0 \
+            --drain-ms 30000 >"$out"
+    grep -F '"id":12,"ok":true' "$out" | grep -qF '"degraded":true' || {
+        echo "serve smoke: an update under an expired deadline was not degraded" >&2
+        cat "$out" >&2
+        return 1
+    }
+    local code=0
+    ./target/release/ipcc serve --deadline-ms 5 "$prog" </dev/null >/dev/null 2>&1 || code=$?
+    if [ "$code" != 2 ]; then
+        echo "serve smoke: serve --deadline-ms exited $code, not 2" >&2
+        return 1
+    fi
 
     local sock=target/serve-smoke.sock
     rm -f "$sock"

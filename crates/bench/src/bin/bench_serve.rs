@@ -149,8 +149,10 @@ impl Daemon {
         let stream = loop {
             match UnixStream::connect(sock) {
                 Ok(s) => break s,
+                // A 1 ms poll keeps `cold_boot_ms` and `restart_ms` within
+                // a millisecond of the bind.
                 Err(_) if t0.elapsed() < timeout => {
-                    std::thread::sleep(Duration::from_millis(50));
+                    std::thread::sleep(Duration::from_millis(1));
                 }
                 Err(e) => return Err(format!("daemon never bound {}: {e}", sock.display())),
             }

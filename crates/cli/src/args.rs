@@ -809,7 +809,12 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, UsageError> {
             }
             // Serve-specific flags come out before parse_config so the
             // daemon owns --request-deadline-ms (a per-request relative
-            // deadline) instead of the absolute --deadline-ms.
+            // deadline) instead of the absolute --deadline-ms, whose one
+            // instant would expire for every request after it.
+            if args.iter().any(|a| a == "--deadline-ms") {
+                let msg = "serve takes no --deadline-ms; use --request-deadline-ms <N>";
+                return Err(UsageError(msg.into()));
+            }
             let mut opts = ServeOpts {
                 socket: take_flag_value(&mut args, "--socket")?,
                 ..ServeOpts::default()
@@ -938,7 +943,9 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // The daemon's --request-deadline-ms must not reach parse_config:
-        // a relative per-request deadline is not an absolute analysis one.
+        // a relative per-request deadline is not an absolute analysis one,
+        // and the absolute one is refused.
+        assert!(p(&["serve", "--deadline-ms", "5", "x.ft"]).is_err());
         match p(&["serve", "x.ft"]).unwrap() {
             Command::Serve { config, opts, .. } => {
                 assert!(config.deadline.is_none());

@@ -29,8 +29,9 @@
 //!   a request older than `--queue-ms` when dequeued is shed rather than
 //!   served stale.
 //! * **Deadlines.** `--request-deadline-ms` (or a per-request
-//!   `config.deadline_ms` override) bounds each analysis; stages that
-//!   time out answer ⊥ and the response carries `degraded: true` —
+//!   `config.deadline_ms` override) bounds each analyzing request from its
+//!   start, `update` and `load` included, and never picks its path; stages
+//!   that time out answer ⊥ and the response carries `degraded: true` —
 //!   constants are never invented under pressure.
 //! * **Quarantine.** Panics inside analysis units degrade per-procedure;
 //!   a request-level panic (quarantine disabled by override) is caught at
@@ -394,9 +395,8 @@ fn read_payload(
             o.set("loads", Json::from(stats.loads));
             o.set("solved_units", Json::from(stats.solved_units));
             o.set("live_runs", Json::from(stats.runs_on(RunPath::Live)));
-            o.set("per_unit_runs", Json::from(stats.runs_on(RunPath::PerUnit)));
             let mut plain = Object::new();
-            for path in RunPath::ALL.into_iter().filter(|p| !p.reused()) {
+            for path in RunPath::ALL.into_iter().filter(|&p| p != RunPath::Live) {
                 plain.set(path.label(), Json::from(stats.runs_on(path)));
             }
             o.set("plain_runs", Json::from(plain));
@@ -550,6 +550,7 @@ pub fn serve(src: &str, config: &Config, opts: &ServeOpts) -> Result<(), String>
         ..
     } = opts.clone();
     let (mut engine, mut store) = boot_engine(src, config, opts)?;
+    engine.set_request_deadline(request_deadline_ms.map(Duration::from_millis));
     install_signal_handlers();
 
     let shared = Arc::new(Shared::default());
@@ -676,7 +677,6 @@ pub fn serve(src: &str, config: &Config, opts: &ServeOpts) -> Result<(), String>
                                 &ctx,
                                 &inc.sink,
                                 &req,
-                                request_deadline_ms,
                                 &mut shutdown,
                                 false,
                                 &mut store,
@@ -732,15 +732,7 @@ pub fn serve(src: &str, config: &Config, opts: &ServeOpts) -> Result<(), String>
         match rx.recv_timeout(drain_until - now) {
             Ok(inc) => {
                 let mut ignored = false;
-                handle(
-                    &mut engine,
-                    &ctx,
-                    inc,
-                    request_deadline_ms,
-                    &mut ignored,
-                    true,
-                    &mut store,
-                );
+                handle(&mut engine, &ctx, inc, &mut ignored, true, &mut store);
                 inline_served += 1;
                 if let Some(st) = store.as_mut() {
                     let total = inline_served + ctx.counters.completed.load(Ordering::SeqCst);
@@ -895,7 +887,6 @@ fn handle(
     engine: &mut ServeEngine,
     ctx: &ReadCtx,
     inc: Incoming,
-    request_deadline_ms: Option<u64>,
     shutdown: &mut bool,
     draining: bool,
     store: &mut Option<StoreState>,
@@ -922,16 +913,9 @@ fn handle(
             ctx.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
             inc.sink.send_line(&response);
         }
-        Route::Writer(req) => handle_writer(
-            engine,
-            ctx,
-            &inc.sink,
-            &req,
-            request_deadline_ms,
-            shutdown,
-            draining,
-            store,
-        ),
+        Route::Writer(req) => {
+            handle_writer(engine, ctx, &inc.sink, &req, shutdown, draining, store)
+        }
     }
 }
 
@@ -939,13 +923,11 @@ fn handle(
 /// quiesced the pool (live path) or retired it (drain path), so the
 /// engine mutates under an exclusive epoch; the caller republishes the
 /// snapshot afterwards.
-#[allow(clippy::too_many_arguments)]
 fn handle_writer(
     engine: &mut ServeEngine,
     ctx: &ReadCtx,
     sink: &Sink,
     req: &Json,
-    request_deadline_ms: Option<u64>,
     shutdown: &mut bool,
     draining: bool,
     store: &mut Option<StoreState>,
@@ -961,18 +943,10 @@ fn handle_writer(
             None => Err(ServeError::BadRequest(
                 "request must be a JSON object".into(),
             )),
-            Some(o) => batch_writer(
-                engine,
-                ctx,
-                o,
-                request_deadline_ms,
-                shutdown,
-                draining,
-                store,
-            ),
+            Some(o) => batch_writer(engine, ctx, o, shutdown, draining, store),
         }
     } else {
-        dispatch(engine, req, request_deadline_ms, shutdown, store)
+        dispatch(engine, req, shutdown, store)
     };
     let response = match result {
         Ok(payload) => ok_response(&id, payload),
@@ -989,12 +963,10 @@ fn handle_writer(
 /// writer item may have mutated the engine). An in-batch `shutdown`
 /// sheds every later item explicitly — the protocol's partial-shed
 /// outcome.
-#[allow(clippy::too_many_arguments)]
 fn batch_writer(
     engine: &mut ServeEngine,
     ctx: &ReadCtx,
     req: &Object,
-    request_deadline_ms: Option<u64>,
     shutdown: &mut bool,
     draining: bool,
     store: &mut Option<StoreState>,
@@ -1025,12 +997,10 @@ fn batch_writer(
             let snap = engine.snapshot();
             results.push(read_item(&snap, ctx, draining, item));
         } else {
-            results.push(
-                match dispatch(engine, item, request_deadline_ms, shutdown, store) {
-                    Ok(payload) => ok_json(&id, payload),
-                    Err(e) => err_json(&id, e.kind(), &e.to_string()),
-                },
-            );
+            results.push(match dispatch(engine, item, shutdown, store) {
+                Ok(payload) => ok_json(&id, payload),
+                Err(e) => err_json(&id, e.kind(), &e.to_string()),
+            });
         }
     }
     let mut payload = Object::new();
@@ -1038,31 +1008,17 @@ fn batch_writer(
     Ok(payload)
 }
 
-/// Builds the effective per-request configuration: explicit `config`
-/// overrides win; otherwise the daemon's default request deadline (if
-/// any) is stamped fresh so the countdown starts now, not at boot.
-fn request_config(
-    engine: &ServeEngine,
-    req: &Object,
-    request_deadline_ms: Option<u64>,
-) -> Result<Option<Config>, ServeError> {
-    if let Some(value) = req.get("config") {
-        let overrides = value.as_object().ok_or_else(|| {
-            ServeError::BadRequest("`config` must be an object of overrides".into())
-        })?;
-        return config_from_overrides(*engine.config(), overrides).map(Some);
-    }
-    match request_deadline_ms {
-        None => Ok(None),
-        Some(ms) => Ok(Some(
-            engine
-                .config()
-                .rebuild()
-                .deadline_ms(ms)
-                .build()
-                .map_err(ServeError::Invalid)?,
-        )),
-    }
+/// The request's `config` overrides applied to the daemon's base
+/// configuration; `None` without overrides. The engine stamps the
+/// daemon's request deadline on a configuration that sets none.
+fn request_config(engine: &ServeEngine, req: &Object) -> Result<Option<Config>, ServeError> {
+    let Some(value) = req.get("config") else {
+        return Ok(None);
+    };
+    let overrides = value
+        .as_object()
+        .ok_or_else(|| ServeError::BadRequest("`config` must be an object of overrides".into()))?;
+    config_from_overrides(*engine.config(), overrides).map(Some)
 }
 
 fn str_field<'a>(req: &'a Object, key: &str) -> Result<&'a str, ServeError> {
@@ -1079,7 +1035,6 @@ fn str_field<'a>(req: &'a Object, key: &str) -> Result<&'a str, ServeError> {
 fn dispatch(
     engine: &mut ServeEngine,
     req: &Json,
-    request_deadline_ms: Option<u64>,
     shutdown: &mut bool,
     store: &mut Option<StoreState>,
 ) -> Result<Object, ServeError> {
@@ -1089,7 +1044,7 @@ fn dispatch(
     let op = str_field(req, "op")?;
     match op {
         "analyze" => {
-            let config = request_config(engine, req, request_deadline_ms)?;
+            let config = request_config(engine, req)?;
             let outcome = engine.analyze(config)?;
             Ok(run_payload(&outcome))
         }
@@ -1097,8 +1052,7 @@ fn dispatch(
             // Only a `constants` with `config` overrides reaches the
             // writer path (`is_read_op` sends the others to the snapshot),
             // so this is always a one-off analysis.
-            let config =
-                request_config(engine, req, request_deadline_ms)?.unwrap_or(*engine.config());
+            let config = request_config(engine, req)?.unwrap_or(*engine.config());
             let proc = match req.get("proc") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(

@@ -552,6 +552,19 @@ fn fuzz_unknown_property_is_a_usage_error() {
 }
 
 #[test]
+fn serve_rejects_deadline_ms_and_names_the_request_deadline() {
+    // Rejected before the daemon reads the program or stdin.
+    let out = ipcc()
+        .args(["serve", "--deadline-ms", "5", "missing.ft"])
+        .stdin(Stdio::null())
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("--request-deadline-ms"), "{err}");
+}
+
+#[test]
 fn fuzz_finds_minimizes_and_persists_an_injected_fault() {
     let corpus = std::env::temp_dir()
         .join("ipcc-tests")

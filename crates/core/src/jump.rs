@@ -384,8 +384,11 @@ fn caller_unit(
 /// same `Arc`), no earlier stage quarantined it, its live unit ran clean,
 /// and replaying that unit's charges passes [`Governor::can_absorb`];
 /// any other runs, under the quarantine flag `quarantined` holds for it,
-/// and takes the flag its unit leaves. Returns the functions and the
-/// visited callers whose functions moved from the live ones.
+/// and takes the flag its unit leaves. The callers it does not visit
+/// charge their recorded charges as one batch
+/// ([`Unvisited`](crate::serve::cache::Unvisited)). Returns
+/// the functions and the visited callers whose functions moved from the
+/// live ones; `None` when that batch does not replay.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_forward_jump_fns_cone(
     mcfg: &ModuleCfg,
@@ -398,12 +401,16 @@ pub(crate) fn build_forward_jump_fns_cone(
     reuse: &Reuse<'_>,
     txn: &mut CacheTxn,
     callers: impl IntoIterator<Item = usize>,
-) -> (ForwardJumpFns, Vec<usize>) {
+) -> Option<(ForwardJumpFns, Vec<usize>)> {
     let none: Arc<[Option<SiteJumpFns>]> = Arc::from(Vec::new());
     let live = &reuse.live.jump_fns;
     let mut out = live.clone();
     let mut moved = Vec::new();
+    let [_, mut unvisited] = reuse.unvisited();
     for caller in callers {
+        if !unvisited.visit(gov, caller, reuse.fwd_charges(caller)) {
+            return None;
+        }
         let before = quarantined[caller];
         let same_form = match (&symbolics[caller], &reuse.live.symbolics[caller]) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
@@ -428,7 +435,7 @@ pub(crate) fn build_forward_jump_fns_cone(
         out.sites.set(caller, sites);
         txn.log_fwd_charges(caller, charges);
     }
-    (out, moved)
+    unvisited.finish(gov).then_some((out, moved))
 }
 
 /// Builds the jump functions for every call site of one caller — the unit

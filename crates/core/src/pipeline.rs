@@ -13,7 +13,7 @@
 //! A serve run that reuses the live analysis walks only its cone instead
 //! (`Analysis::run_live`): it starts from the live tables and visits, in
 //! the same sequential unit order, only the units whose inputs may have
-//! moved, running each as the fold would.
+//! moved, running each as the fold would; a deadline does not change that.
 //!
 //! Both jump-function stages read the same per-procedure SSA form and
 //! symbolic evaluation, as the paper's implementation does: Stage 1
@@ -328,59 +328,45 @@ impl Analysis {
         let reuse = live.map_or(Err(RunPath::NoLog), |live| {
             Reuse::check(mcfg, config, memo.own, live)
         });
-        let mut path = match &reuse {
-            Ok(_) => RunPath::ModRef,
-            Err(path) => *path,
-        };
-        if let Ok(reuse) = &reuse {
-            let keys = MemoKeys::new(&memo, mcfg, &reuse.live.cg, config, Some(reuse));
-            // The cone first, unless a deadline can cut a unit short: that
-            // depends on time, not on the unit's inputs.
-            let cone = config.deadline.is_none().then_some(false);
-            for all in cone.into_iter().chain([true]) {
-                match Self::run_live(mcfg, config, reuse, &keys, all) {
+        let path = match &reuse {
+            Ok(reuse) => {
+                let keys = MemoKeys::new(&memo, mcfg, &reuse.live.cg, config, Some(reuse));
+                match Self::run_live(mcfg, config, reuse, &keys) {
                     Ok((analysis, mut txn)) => {
-                        txn.path = if all { RunPath::PerUnit } else { RunPath::Live };
+                        txn.path = RunPath::Live;
                         *memo.txn = txn;
                         return analysis;
                     }
-                    Err(RunPath::PerUnit) if !all => continue,
-                    Err(failed) => {
-                        path = failed;
-                        break;
-                    }
+                    Err(failed) => failed,
                 }
             }
-        }
+            Err(path) => *path,
+        };
         memo.txn.path = path;
         Self::run_once(mcfg, config, None, Some(memo))
     }
 
     /// A run that reuses the live analysis. Every product starts as the
     /// live analysis's table, and each stage visits only the units it must
-    /// and `set`s their entries: with `all`, every unit, in sequential unit
-    /// order; otherwise the *cone* — the edited procedures, those whose
-    /// keys moved, the units a degraded live run did not serve cleanly,
+    /// and `set`s their entries: the *cone* — the edited procedures, those
+    /// whose keys moved, the units a degraded live run did not serve cleanly,
     /// and what early cutoff reaches from them. A visited unit reuses its
     /// live result when its inputs are the live run's, and otherwise runs
     /// as the plain path runs it, quarantine and taint included. A unit
     /// the cone does not visit is the live run's clean unit under an
     /// unchanged key: the plain path notes it as a hit and replays its
     /// recorded charges, so the cone's counters come from the live log's
-    /// tallies ([`CacheTxn::finish_cone`]) and those charges replay in one
-    /// batch after the visited units', through one
-    /// [`Governor::can_absorb`]. A trip condition is monotone in the
-    /// counter, so a batch that absorbs trips nowhere in sequential order
-    /// either; one that does not asks for the run with `all`
-    /// (`Err(RunPath::PerUnit)`), whose units charge in sequential order.
-    /// `Err(RunPath::ModRef)` when the MOD/REF stage's product moved: the
-    /// later stages read it everywhere.
+    /// tallies ([`CacheTxn::finish_cone`]) and each stage charges those
+    /// charges in one batch, placed so that a trip lands where it lands in
+    /// sequential order ([`Unvisited`](crate::serve::cache::Unvisited)).
+    /// `Err(RunPath::Trip)` when a batch does not replay: the plain
+    /// memoized path charges unit by unit. `Err(RunPath::ModRef)` when the
+    /// MOD/REF stage's product moved: the later stages read it everywhere.
     fn run_live(
         mcfg: &ModuleCfg,
         config: &Config,
         reuse: &Reuse<'_>,
         memo_keys: &MemoKeys<'_>,
-        all: bool,
     ) -> Result<(Analysis, CacheTxn), RunPath> {
         let live = reuse.live;
         let t_run = Instant::now();
@@ -388,11 +374,7 @@ impl Analysis {
         let (n_procs, layout) = (mcfg.module.procs.len(), Arc::clone(&reuse.layout));
         let prev_log = reuse.log();
         let mut txn = CacheTxn::new();
-        match all {
-            true => txn.start_log(n_procs, true),
-            false => txn.start_cone(prev_log),
-        }
-        let every = || (0..n_procs).collect::<Vec<_>>();
+        txn.start_cone(prev_log);
         let sorted = |mut v: Vec<usize>| {
             v.sort_unstable();
             v.dedup();
@@ -408,10 +390,7 @@ impl Analysis {
         // propagation stands when each equals the live one, the unit's
         // quarantine is the live one, and the procedure binds the same
         // variables by reference.
-        let stage0 = match all {
-            true => every(),
-            false => sorted([reuse.edited(), &reuse.unclean(SummaryStage::ModRef)].concat()),
-        };
+        let stage0 = sorted([reuse.edited(), &reuse.unclean(SummaryStage::ModRef)].concat());
         let mut quarantined = match reuse.regular() {
             true => live.quarantined.clone(),
             false => Table::filled(n_procs, false),
@@ -425,21 +404,21 @@ impl Analysis {
                 && quarantine == reuse.live_modref_quarantined(pi)
                 && reuse.same_bindings(mcfg, pi);
             if !same {
-                // A MOD/REF charge that trips in sequential order lands
-                // where only the per-unit run puts it.
-                let mut charges = Charges::default();
-                let slot = Stage::ALL.iter().position(|&s| s == Stage::ModRef);
-                charges[slot.unwrap_or(0)] = n_procs as u64;
-                let trips = !Governor::new(config).replay(&charges);
-                return Err(match !all && trips {
-                    true => RunPath::PerUnit,
-                    false => RunPath::ModRef,
-                });
+                return Err(RunPath::ModRef);
             }
             if quarantine {
                 quarantined.set(pi, true);
             }
             txn.note_unit(SummaryStage::ModRef, pi, served);
+        }
+        // Every MOD/REF unit charges once; the unvisited ones after these.
+        let mut unvisited = Charges::default();
+        unvisited[Stage::ALL
+            .iter()
+            .position(|&s| s == Stage::ModRef)
+            .unwrap_or(0)] = (n_procs - stage0.len()) as u64;
+        if !gov.replay(&unvisited) {
+            return Err(RunPath::Trip);
         }
         timings.modref = PhaseTime::sequential(t_run.elapsed(), stage0.len());
         let modref = Arc::clone(&live.modref);
@@ -465,10 +444,7 @@ impl Analysis {
         // the live run's unclean units up.
         let ret = match config.use_return_jfs {
             true => {
-                let start = match all {
-                    true => every(),
-                    false => [&memo_keys.moved[..], &reuse.unclean(SummaryStage::RetJump)].concat(),
-                };
+                let start = [&memo_keys.moved[..], &reuse.unclean(SummaryStage::RetJump)].concat();
                 build_return_jfs_cone(
                     mcfg,
                     &cg,
@@ -484,6 +460,7 @@ impl Analysis {
                     &mod_tainted,
                     start,
                 )
+                .ok_or(RunPath::Trip)?
             }
             false => RetCone {
                 table: live.ret_jfs.clone(),
@@ -520,17 +497,14 @@ impl Analysis {
             deadline: config.deadline.map(|d| d.instant()),
             latch: Some(&latch),
         };
-        let visit = match all {
-            true => every(),
-            false => sorted(
-                [
-                    &stale[..],
-                    &memo_keys.moved,
-                    &reuse.unclean(SummaryStage::Jump),
-                ]
-                .concat(),
-            ),
-        };
+        let visit = sorted(
+            [
+                &stale[..],
+                &memo_keys.moved,
+                &reuse.unclean(SummaryStage::Jump),
+            ]
+            .concat(),
+        );
         let mut kept: HashMap<usize, Box<KeptForm>> = ret.forms.into_iter().collect();
         let mut symbolics = live.symbolics.clone();
         let (mut reused, mut moved_forms) = (0, Vec::new());
@@ -591,10 +565,7 @@ impl Analysis {
                 symbolics.set(pi, ps);
             }
         }
-        let callers = match all {
-            true => every(),
-            false => sorted([&moved_forms[..], &reuse.fwd_unclean()].concat()),
-        };
+        let callers = sorted([&moved_forms[..], &reuse.fwd_unclean()].concat());
         let (jump_fns, moved_fns) = build_forward_jump_fns_cone(
             mcfg,
             &cg,
@@ -606,7 +577,8 @@ impl Analysis {
             reuse,
             &mut txn,
             callers.iter().copied(),
-        );
+        )
+        .ok_or(RunPath::Trip)?;
         timings.jump = PhaseTime::sequential(t2.elapsed(), visit.len());
         timings.jump.reused = reused;
 
@@ -641,29 +613,13 @@ impl Analysis {
         }
         timings.solve = solved.time;
         txn.log_solve(solved.work);
-        let keys = memo_keys.keys.clone();
-        let (memo_log, health) = match all {
-            true => {
-                let log = txn.finish_log(keys, Some(prev_log));
-                (log, gov.into_health())
-            }
-            false => {
-                let (log, unvisited) = txn
-                    .finish_cone(keys, prev_log, n_procs)
-                    .ok_or(RunPath::PerUnit)?;
-                gov.add_charges(&unvisited);
-                let mut master = Governor::new(config);
-                if !master.can_absorb(&gov) {
-                    return Err(RunPath::PerUnit);
-                }
-                master.absorb_shard(gov);
-                (Some(log), master.into_health())
-            }
-        };
+        let memo_log = txn
+            .finish_cone(memo_keys.keys.clone(), prev_log, &cg)
+            .ok_or(RunPath::NoLog)?;
         // Every procedure the cone visited, a superset of those whose row,
         // form or callee functions moved: the tables differ from the live
         // ones only in the chunks that hold one.
-        let touched = solved.rerun.filter(|_| !all).map(|mut touched| {
+        let touched = solved.rerun.map(|mut touched| {
             touched.extend(visit.iter().chain(&ret.visited).chain(&callers));
             sorted(touched)
         });
@@ -677,10 +633,10 @@ impl Analysis {
             symbolics,
             jump_fns,
             vals: solved.vals,
-            health,
+            health: gov.into_health(),
             quarantined,
             timings,
-            memo_log,
+            memo_log: Some(memo_log),
             touched,
         };
         Ok((analysis, txn))
@@ -715,7 +671,7 @@ impl Analysis {
         let (memo_keys, txn) = match memo {
             Some(m) => {
                 let keys = MemoKeys::new(&m, mcfg, &cg, config, None);
-                m.txn.start_log(n_procs, false);
+                m.txn.start_log(n_procs);
                 (Some(keys), m.txn)
             }
             None => (None, &mut unmemoized),
@@ -929,7 +885,7 @@ impl Analysis {
         }
         timings.solve = solved.time;
         txn.log_solve(solved.work);
-        let memo_log = memo_keys.and_then(|m| txn.finish_log(m.keys, None));
+        let memo_log = memo_keys.and_then(|m| txn.finish_log(m.keys, &cg));
         timings.total = t_run.elapsed();
 
         Analysis {

@@ -463,7 +463,10 @@ pub(crate) struct RetCone {
 /// run's, charging `gov`, and taking `mod_tainted` and its callees'
 /// degradation as taint — and notes its units in `txn` in SCC order.
 /// `quarantined` holds the flags of the stage before, and takes the
-/// members this stage quarantines.
+/// members this stage quarantines. The SCCs it does not visit charge
+/// their recorded charges as one batch
+/// ([`Unvisited`](crate::serve::cache::Unvisited)); `None` when that
+/// batch does not replay.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_return_jfs_cone(
     mcfg: &ModuleCfg,
@@ -479,7 +482,7 @@ pub(crate) fn build_return_jfs_cone(
     txn: &mut CacheTxn,
     mod_tainted: &[bool],
     start: impl IntoIterator<Item = usize>,
-) -> RetCone {
+) -> Option<RetCone> {
     let t0 = std::time::Instant::now();
     let stage = RetStage {
         mcfg,
@@ -506,11 +509,16 @@ pub(crate) fn build_return_jfs_cone(
     let mut todo: BinaryHeap<Reverse<usize>> =
         start.into_iter().map(|p| Reverse(cg.scc_of[p])).collect();
     let (mut last, mut units) = (None, 0);
+    let [mut unvisited, _] = reuse.unvisited();
     while let Some(Reverse(si)) = todo.pop() {
         let members = &cg.sccs[si];
         if last.replace(si) == Some(si) || !members.first().is_some_and(|p| cg.reachable[p.index()])
         {
             continue;
+        }
+        let live_charges = members.iter().map(|p| reuse.ret_charges(p.index()));
+        if !unvisited.visit(gov, si, live_charges) {
+            return None;
         }
         units += 1;
         // As in the bottom-up walk, a unit sees no entry of its own SCC
@@ -547,6 +555,9 @@ pub(crate) fn build_return_jfs_cone(
             txn.note_unit(SummaryStage::RetJump, pi, out.served);
         }
     }
+    if !unvisited.finish(gov) {
+        return None;
+    }
     visited.sort_unstable();
     ran.sort_unstable();
     moved.sort_unstable();
@@ -555,7 +566,7 @@ pub(crate) fn build_return_jfs_cone(
         .filter_map(|(p, b)| b.then_some(p))
         .collect();
     bad.sort_unstable();
-    RetCone {
+    Some(RetCone {
         table,
         forms,
         visited,
@@ -563,7 +574,7 @@ pub(crate) fn build_return_jfs_cone(
         moved,
         bad,
         time: PhaseTime::sequential(t0.elapsed(), units),
-    }
+    })
 }
 
 /// Groups the call graph's reachable SCCs into dependency levels: level 0

@@ -78,7 +78,8 @@
 //! `(ModuleCfg, Analysis, own hashes)` (`Live`), and reuses it when
 //! `Reuse::check` passes — else the run is the plain memoized path, and
 //! its [`RunPath`] names the precondition that failed: the live analysis
-//! was memoized under this configuration, the program shape is the same,
+//! was memoized under this configuration (deadlines aside: no unit reads
+//! one), the program shape is the same,
 //! and every edited procedure (own hash moved) has exactly its live call
 //! edges — checked over the table chunks the new module and hashes do
 //! not share with the live ones. The call graph is then shared, and the
@@ -110,19 +111,19 @@
 //! plain path notes as a hit and whose recorded charges it replays. So the
 //! counters are the live log's per-family `Tally` less the visited units'
 //! share plus what they noted (`CacheTxn::finish_cone`), the pins move
-//! for the visited units only, and every charge replays as one batch
-//! through one `can_absorb` — trip conditions are monotone in the
-//! counter, so a batch that absorbs trips nowhere in sequential order
-//! either. When it does not absorb, or a deadline makes a unit's outcome
-//! depend on time, the same walk visits every unit in sequential unit
-//! order (`per_unit`), each reused unit's recorded charges replaying
-//! through `can_absorb` and a trip running the unit live. Counters, cache
-//! contents and [`same_results`] are the plain path's on every path.
+//! for the visited units only, and each stage charges what its unvisited
+//! units charge as one batch, placed so that a fault or a budget trips in
+//! the cone where it trips in sequential order ([`Unvisited`]); a batch
+//! that does not replay sends the run to the plain path (`trip`). A
+//! deadline does not change the walk: a unit it cuts short degrades, is
+//! never cached, and starts the next run's cone. Counters, cache contents
+//! and [`same_results`] are the plain path's on every path, deadline
+//! degradations aside.
 //!
 //! **Pinning.** Every key a *live* request looked up — one whose analysis
 //! is, or equals, the engine's current one: boot, `update`, `load`, and
-//! any run under the base configuration — is pinned
-//! ([`SummaryCache::commit_live`]). The pinned set is replaced by each
+//! any run under the base configuration, whatever its deadline — is
+//! pinned ([`SummaryCache::commit_live`]). The pinned set is replaced by each
 //! live commit, so it is exactly the live program's entries, and
 //! eviction never touches it: an edit misses only the units whose keys
 //! it changed, however large the program. A run that reused the live
@@ -137,6 +138,7 @@
 //! top of the live program.
 
 use crate::config::{Config, PanicInjection, Stage};
+use crate::health::Governor;
 use crate::jump::ProcSymbolic;
 use crate::solver::SccWork;
 use crate::{Analysis, JumpFn};
@@ -608,23 +610,16 @@ impl CacheTxn {
         self.note(served);
     }
 
-    /// Starts the memo log of a run over `n_procs` procedures. With
-    /// `reusing`, the run reuses the live analysis, and its commit moves
-    /// only the pins of units whose keys changed.
-    pub(crate) fn start_log(&mut self, n_procs: usize, reusing: bool) {
+    /// Starts the memo log of a run over `n_procs` procedures.
+    pub(crate) fn start_log(&mut self, n_procs: usize) {
         self.log = Some(MemoLog::new(n_procs));
-        self.repin = reusing.then(Repin::default);
     }
 
-    /// Ends the run's memo log with the run's `keys`, deriving the pin
-    /// moves from `prev`, the live analysis's log, when the run reused it.
-    pub(crate) fn finish_log(&mut self, keys: KeySet, prev: Option<&MemoLog>) -> Option<MemoLog> {
+    /// Ends the run's memo log with the run's `keys` over call graph `cg`.
+    pub(crate) fn finish_log(&mut self, keys: KeySet, cg: &CallGraph) -> Option<MemoLog> {
         let mut log = self.log.take()?;
         log.keys = keys;
-        log.tally = Tally::of(&log);
-        if let (Some(repin), Some(prev)) = (self.repin.as_mut(), prev) {
-            *repin = log.repin(prev, 0..log.notes[0].len());
-        }
+        log.tally = Tally::of(&log, cg);
         Some(log)
     }
 
@@ -640,20 +635,16 @@ impl CacheTxn {
     /// the live run's clean unit with an unchanged key, which the plain
     /// path notes as a hit: the counters add those from `prev`'s tally,
     /// less the units the run noted. The log's tally moves by the noted
-    /// units, and so do the pins. Returns the log and the charges the
-    /// units it did not visit make, which the caller replays in one batch:
-    /// one per MOD/REF unit of the `n_procs` it did not note, and the
-    /// recorded return-jump and forward-jump charges of the rest (the
-    /// solve replays its own).
+    /// units, and so do the pins. The walks charged what the units they
+    /// did not visit charge ([`Unvisited`]).
     pub(crate) fn finish_cone(
         &mut self,
         keys: KeySet,
         prev: &MemoLog,
-        n_procs: usize,
-    ) -> Option<(MemoLog, Charges)> {
+        cg: &CallGraph,
+    ) -> Option<MemoLog> {
         let (mut log, cone) = (self.log.take()?, self.cone.take()?);
         log.keys = keys;
-        let mut unvisited = Charges::default();
         for family in SummaryStage::ALL {
             let f = family.index();
             let (mut clean, mut recovered) = (prev.tally.clean[f], prev.tally.recovered[f]);
@@ -669,29 +660,21 @@ impl CacheTxn {
             self.hits += clean;
             self.persisted_hits += recovered;
         }
-        let stage = |s: Stage| Stage::ALL.iter().position(|&t| t == s).unwrap_or(0);
-        unvisited[stage(Stage::ModRef)] =
-            (n_procs - cone.noted[SummaryStage::ModRef.index()].len()) as u64;
-        let mut ret = prev.tally.ret;
+        let tally = &mut log.tally;
         for &pi in &cone.noted[SummaryStage::RetJump.index()] {
-            add(&mut ret, &prev.ret_charges[pi], -1);
-            add(&mut log.tally.ret, &prev.ret_charges[pi], -1);
-            add(&mut log.tally.ret, &log.ret_charges[pi], 1);
+            tally.ret.add(cg.scc_of[pi], &prev.ret_charges[pi], -1);
+            tally.ret.add(cg.scc_of[pi], &log.ret_charges[pi], 1);
         }
-        let mut fwd = prev.tally.fwd;
         for &pi in &cone.fwd {
             let (was, now) = (&prev.fwd_charges[pi], &log.fwd_charges[pi]);
-            was.iter().for_each(|c| add(&mut fwd, c, -1));
-            was.iter().for_each(|c| add(&mut log.tally.fwd, c, -1));
-            now.iter().for_each(|c| add(&mut log.tally.fwd, c, 1));
+            was.iter().for_each(|c| tally.fwd.add(pi, c, -1));
+            now.iter().for_each(|c| tally.fwd.add(pi, c, 1));
         }
-        add(&mut unvisited, &ret, 1);
-        add(&mut unvisited, &fwd, 1);
         let mut units: Vec<usize> = cone.noted.concat();
         units.sort_unstable();
         units.dedup();
-        self.repin = Some(log.repin(prev, units.into_iter()));
-        Some((log, unvisited))
+        self.repin = Some(log.repin(prev, &units));
+        Some(log)
     }
 
     /// Records the governor charges of procedure `pi`'s clean
@@ -835,24 +818,26 @@ pub(crate) struct Tally {
     /// Per family: units noted `Clean`, and of those, restored ones.
     clean: [u64; 3],
     recovered: [u64; 3],
-    /// Summed recorded return-jump and forward-jump charges.
-    ret: Charges,
-    fwd: Charges,
+    /// Recorded return-jump charges, by SCC, and forward-jump charges, by
+    /// caller.
+    ret: Charged,
+    fwd: Charged,
 }
 
 impl Tally {
-    fn of(log: &MemoLog) -> Tally {
+    fn of(log: &MemoLog, cg: &CallGraph) -> Tally {
         let mut t = Tally::default();
         for family in SummaryStage::ALL {
             for note in &log.notes[family.index()] {
                 t.note(family, *note, 1);
             }
         }
-        log.ret_charges.iter().for_each(|c| add(&mut t.ret, c, 1));
-        log.fwd_charges
-            .iter()
-            .flatten()
-            .for_each(|c| add(&mut t.fwd, c, 1));
+        for (pi, c) in log.ret_charges.iter().enumerate() {
+            t.ret.add(cg.scc_of[pi], c, 1);
+        }
+        for (pi, c) in log.fwd_charges.iter().enumerate() {
+            c.iter().for_each(|c| t.fwd.add(pi, c, 1));
+        }
         t
     }
 
@@ -863,6 +848,60 @@ impl Tally {
             self.clean[f] = self.clean[f].wrapping_add_signed(sign);
             self.recovered[f] = self.recovered[f].wrapping_add_signed(sign * i64::from(recovered));
         }
+    }
+}
+
+/// One stage's summed recorded charges, and a position, in sequential
+/// unit order, at or past the last one that recorded any.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Charged {
+    sum: Charges,
+    last: Option<usize>,
+}
+
+impl Charged {
+    /// Adds (`sign` 1) or takes out (`-1`) charges `c` recorded at `pos`.
+    fn add(&mut self, pos: usize, c: &Charges, sign: i64) {
+        add(&mut self.sum, c, sign);
+        if sign > 0 && c.iter().any(|&n| n > 0) {
+            self.last = self.last.max(Some(pos));
+        }
+    }
+}
+
+/// What the units one stage's cone walk skips charge, as one batch. Each
+/// is the live run's clean unit, whose recorded charges the plain path
+/// replays, and none lies past the last charged position. So the batch
+/// goes in before the first visited unit at or past it, and every visited
+/// unit from there on charges at its sequential offset: a trip lands where
+/// a cold run puts it. A unit visited earlier charges below its offset,
+/// which is the same run when the batch replays: no charge before it
+/// trips. A batch that does not replay sends the run to the plain path.
+#[derive(Debug)]
+pub(crate) struct Unvisited(Charged, bool);
+
+impl Unvisited {
+    /// Takes the live charges of the units at `pos`, which the walk visits
+    /// next, out of the batch, and charges the batch at the last charged
+    /// position. `false` when it does not replay.
+    pub(crate) fn visit<'c>(
+        &mut self,
+        gov: &mut Governor,
+        pos: usize,
+        live: impl IntoIterator<Item = &'c Charges>,
+    ) -> bool {
+        live.into_iter().for_each(|c| add(&mut self.0.sum, c, -1));
+        if self.1 || self.0.last.is_some_and(|last| pos < last) {
+            return true;
+        }
+        self.1 = true;
+        gov.replay(&self.0.sum)
+    }
+
+    /// Charges the batch at the end of a walk that did not reach the last
+    /// charged position. `false` when it does not replay.
+    pub(crate) fn finish(self, gov: &mut Governor) -> bool {
+        self.1 || gov.replay(&self.0.sum)
     }
 }
 
@@ -919,11 +958,11 @@ impl MemoLog {
 
     /// The pins that move from `prev`'s run to this one: the looked-up
     /// keys of every unit among `units` whose key or lookup changed.
-    fn repin(&self, prev: &MemoLog, units: impl Iterator<Item = usize> + Clone) -> Repin {
+    fn repin(&self, prev: &MemoLog, units: &[usize]) -> Repin {
         let mut repin = Repin::default();
         for family in SummaryStage::ALL {
             let f = family.index();
-            for pi in units.clone() {
+            for &pi in units {
                 let looked = |log: &MemoLog| log.notes[f][pi] != Note::Skipped;
                 if looked(self) == looked(prev)
                     && self.keys.digest(family, pi) == prev.keys.digest(family, pi)
@@ -1120,17 +1159,13 @@ pub(crate) struct Live<'a> {
     pub(crate) own: &'a Table<u128>,
 }
 
-/// Which path a memoized run took: one of the two live paths, which
-/// reuse the live analysis, or the plain memoized path, named by the
-/// precondition that failed.
+/// Which path a memoized run took: the live path, which reuses the live
+/// analysis, or the plain memoized path, named by the precondition that
+/// failed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum RunPath {
     /// The run reused the live analysis and visited only its cone.
     Live,
-    /// The run reused the live analysis unit by unit, in sequential unit
-    /// order: the cone's charges would trip a budget or an injected
-    /// fault, or a deadline is set.
-    PerUnit,
     /// The run's configuration is not the live analysis's (an override,
     /// or a configuration that bypasses the cache).
     Config,
@@ -1145,43 +1180,43 @@ pub enum RunPath {
     /// An edit moved the MOD/REF stage's product (the propagated sets or
     /// a unit's quarantine), which every later stage reads.
     ModRef,
+    /// A stage's batch of the charges its unvisited units make would cross
+    /// a budget or an injected fault before the cone's first unit at its
+    /// sequential offset: the plain path charges unit by unit and trips
+    /// where a cold run trips.
+    Trip,
 }
 
 impl RunPath {
     /// Every path, in declaration order.
     pub const ALL: [RunPath; 7] = [
         RunPath::Live,
-        RunPath::PerUnit,
         RunPath::Config,
         RunPath::NoLog,
         RunPath::Shape,
         RunPath::CallEdges,
         RunPath::ModRef,
+        RunPath::Trip,
     ];
 
     /// Stable protocol label.
     pub fn label(self) -> &'static str {
         match self {
             RunPath::Live => "live",
-            RunPath::PerUnit => "per_unit",
             RunPath::Config => "config",
             RunPath::NoLog => "no_log",
             RunPath::Shape => "shape",
             RunPath::CallEdges => "call_edges",
             RunPath::ModRef => "mod_ref",
+            RunPath::Trip => "trip",
         }
-    }
-
-    /// Whether the run reused the live analysis.
-    pub fn reused(self) -> bool {
-        matches!(self, RunPath::Live | RunPath::PerUnit)
     }
 }
 
 /// A run's license to reuse the live analysis stage by stage.
 ///
 /// It exists only when the live analysis was memoized under this very
-/// configuration, the program shape is unchanged, and every edited
+/// configuration (its deadline aside), the program shape is unchanged, and every edited
 /// procedure (one whose own hash moved) has exactly its live call edges;
 /// the call graph is then the live one, and so is the slot layout unless
 /// an edit renamed a formal (slot names are part of the layout). A unit is
@@ -1211,7 +1246,7 @@ impl<'a> Reuse<'a> {
         own: &Table<u128>,
         live: Live<'a>,
     ) -> Result<Reuse<'a>, RunPath> {
-        if live.analysis.config != *config {
+        if !same_config(&live.analysis.config, config) {
             return Err(RunPath::Config);
         }
         let log = live.analysis.memo_log.as_ref().ok_or(RunPath::NoLog)?;
@@ -1383,6 +1418,12 @@ impl<'a> Reuse<'a> {
         &self.log.ret_charges[pi]
     }
 
+    /// The return-jump and forward-jump charges of the units the cone
+    /// walks skip.
+    pub(crate) fn unvisited(&self) -> [Unvisited; 2] {
+        [self.log.tally.ret, self.log.tally.fwd].map(|c| Unvisited(c, false))
+    }
+
     /// The live run's per-SCC solver work, when it recorded one.
     pub(crate) fn solve_work(&self) -> Option<&'a SccWork> {
         Some(&self.log.solve).filter(|w| !w.is_empty())
@@ -1426,6 +1467,19 @@ impl Lookup<'_> {
             key: self.key,
             entry: entry.filter(|_| !self.forced),
         }
+    }
+}
+
+/// Whether two configurations ask for the same analysis: equal but for
+/// their wall-clock deadlines. A deadline bounds a run, and no unit's
+/// result reads it, so it decides neither reuse nor pinning.
+pub(crate) fn same_config(a: &Config, b: &Config) -> bool {
+    Config {
+        deadline: None,
+        ..*a
+    } == Config {
+        deadline: None,
+        ..*b
     }
 }
 
@@ -1534,6 +1588,55 @@ mod tests {
             mods: ModSet::default(),
             refs: ModSet::default(),
         }
+    }
+
+    /// `n` charges on the return-jump stage.
+    fn ret(n: u64) -> Charges {
+        let mut c = Charges::default();
+        c[Stage::ALL
+            .iter()
+            .position(|&s| s == Stage::RetJump)
+            .unwrap()] = n;
+        c
+    }
+
+    #[test]
+    fn unvisited_charges_go_in_at_the_last_charged_position() {
+        // Four units of two charges each, in sequential order; the fault
+        // trips the sixth charge, in unit 2, and every later one. The live
+        // run recorded the charges of the units before it.
+        let mut gov = Governor::new(&Config::default().with_fault(Stage::RetJump, 6));
+        let mut batch = Unvisited(
+            Charged {
+                sum: ret(4),
+                last: Some(1),
+            },
+            false,
+        );
+        // The cone visits units 1, 2 and 3: unit 0's charges go in first,
+        // so unit 1 charges at its offset, and unit 2 trips at its sixth.
+        assert!(batch.visit(&mut gov, 1, [&ret(2)]));
+        assert_eq!(gov.counters(), ret(2));
+        gov.add_charges(&ret(2));
+        assert!(batch.visit(&mut gov, 2, [&ret(0)]));
+        assert!(gov.charge(Stage::RetJump));
+        assert!(!gov.charge(Stage::RetJump), "the sixth charge trips");
+        assert!(batch.finish(&mut gov), "charged once");
+
+        // A visited unit that now charges more moves the trip before the
+        // units it skips, which the batch cannot place.
+        let mut gov = Governor::new(&Config::default().with_fault(Stage::RetJump, 10));
+        let mut batch = Unvisited(
+            Charged {
+                sum: ret(8),
+                last: Some(3),
+            },
+            false,
+        );
+        assert!(batch.visit(&mut gov, 0, [&ret(2)]));
+        assert_eq!(gov.counters(), ret(0), "below the last charged position");
+        gov.add_charges(&ret(5));
+        assert!(!batch.finish(&mut gov), "5 + 6 charges reach the fault");
     }
 
     #[test]

@@ -21,11 +21,12 @@
 //! [`IpcpError::InvalidConfig`]) — a structured error response, never a
 //! process exit.
 
-use crate::config::{Config, Stage};
+use crate::config::{Config, Deadline, Stage};
 use crate::health::{DegradationEvent, DegradationKind};
 use crate::quarantine::quiet_catch;
 use crate::serve::cache::{
-    config_fingerprint, shape_fingerprint, CacheStats, CacheTxn, Live, Memo, RunPath, SummaryCache,
+    config_fingerprint, same_config, shape_fingerprint, CacheStats, CacheTxn, Live, Memo, RunPath,
+    SummaryCache,
 };
 use crate::serve::json::{Json, Object};
 use crate::substitute::{self, SubstitutionCounts};
@@ -36,6 +37,7 @@ use ipcp_ir::program::{resolve_replacement, Module, Proc, ProcId, SlotLayout};
 use ipcp_ir::{lower_module_owned, parse_and_resolve, Table};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// A structured request failure. Everything a hostile or unlucky request
 /// can provoke is one of these — the daemon never exits on a request.
@@ -106,9 +108,8 @@ pub struct RequestOutcome {
     pub carried: u64,
     /// Whether the configuration bypassed the cache.
     pub bypassed: bool,
-    /// Which path the run took: a live path (the cone walk, or the
-    /// per-unit walk), or the plain memoized path named by the
-    /// precondition that failed.
+    /// Which path the run took: the live path (the cone walk), or the
+    /// plain memoized path named by the precondition that failed.
     pub path: RunPath,
     /// The SCC units the `VAL` solve ran — the edited cone's size, for a
     /// run that re-solved only the SCCs whose inputs moved.
@@ -175,7 +176,7 @@ pub struct EngineStats {
     /// SCC units the `VAL` solves of every analyzing request ran.
     pub solved_units: u64,
     /// Analyzing requests per path they took, in [`RunPath::ALL`] order:
-    /// the two live paths, then the plain path by the precondition that
+    /// the live path, then the plain path by the precondition that
     /// failed.
     pub runs: [u64; RunPath::ALL.len()],
 }
@@ -224,6 +225,8 @@ pub struct ServeEngine {
     cache: SummaryCache,
     stats: EngineStats,
     last_outcome: RequestOutcome,
+    /// The deadline of each analyzing request that sets none.
+    request_deadline: Option<Duration>,
 }
 
 impl ServeEngine {
@@ -319,7 +322,14 @@ impl ServeEngine {
                 ..EngineStats::default()
             },
             last_outcome: outcome,
+            request_deadline: None,
         })
+    }
+
+    /// Bounds each later analyzing request whose configuration sets no
+    /// deadline by `bound`, counted from its start (`None`: no bound).
+    pub fn set_request_deadline(&mut self, bound: Option<Duration>) {
+        self.request_deadline = bound;
     }
 
     /// The engine's base configuration.
@@ -417,14 +427,18 @@ impl ServeEngine {
 
     /// Runs `mcfg` (the program `own` hashes; `None` for the live one's,
     /// borrowed) under `config`, committing the cache transaction (and the
-    /// request accounting) only on success. A base-configuration run may
-    /// reuse the live analysis, and pins what it looked up.
+    /// request accounting) only on success, under the request deadline
+    /// unless `config` sets one. A base-configuration run, whatever its
+    /// deadline, may reuse the live analysis, and pins what it looked up.
     fn run_guarded(
         &mut self,
-        config: Config,
+        mut config: Config,
         mcfg: &ModuleCfg,
         own: Option<&Table<u128>>,
     ) -> Result<(Analysis, RequestOutcome), ServeError> {
+        if config.deadline.is_none() {
+            config.deadline = self.request_deadline.map(Deadline::after);
+        }
         let own = own.unwrap_or(&self.own);
         // Any configuration but the live analysis's fails the reuse
         // check, which names it.
@@ -441,7 +455,7 @@ impl ServeEngine {
             }
             Ok((analysis, txn)) => {
                 let outcome = RequestOutcome::from_run(&txn, mcfg, &analysis);
-                if config == self.base_config {
+                if same_config(&config, &self.base_config) {
                     self.cache.commit_live(txn);
                 } else {
                     self.cache.commit(txn);

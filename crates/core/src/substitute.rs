@@ -127,9 +127,9 @@ pub fn substitution_counts(mcfg: &ModuleCfg, analysis: &Analysis) -> Substitutio
 /// `analysis` reused `prev` stage by stage, only the procedures it reports
 /// as touched, and those whose quarantine flag moved, are examined.
 ///
-/// Returns `None` when the two analyses do not share a configuration and
-/// a program shape — procedure count, arities and scalar globals — since
-/// the inputs then index different slots.
+/// Returns `None` when the two analyses do not share a configuration (a
+/// deadline aside) and a program shape — procedure count, arities and
+/// scalar globals — since the inputs then index different slots.
 pub(crate) fn recount(
     prev_mcfg: &ModuleCfg,
     prev: &Analysis,
@@ -140,7 +140,7 @@ pub(crate) fn recount(
     let n = mcfg.module.procs.len();
     // Only the procedures of the table chunks the two modules do not
     // share can differ in arity.
-    let same_shape = prev.config == analysis.config
+    let same_shape = crate::serve::cache::same_config(&prev.config, &analysis.config)
         && prev_mcfg.module.procs.len() == n
         && prev.layout.scalar_globals == analysis.layout.scalar_globals
         && mcfg

@@ -33,13 +33,14 @@ use ipcp::serve::{
     own_hashes, same_results, CacheTxn, Memo, RequestOutcome, RunPath, ServeEngine, ServeError,
     SummaryCache,
 };
-use ipcp::{Analysis, Config, Deadline, Stage};
+use ipcp::{Analysis, Config, Deadline, DegradationKind, Stage};
 use ipcp_analysis::{build_call_graph, summary_keys};
 use ipcp_ir::cfg::ModuleCfg;
 use ipcp_ir::program::{GlobalId, Module, ProcId};
 use ipcp_ir::{lower_module_owned, parse_and_resolve};
 use ipcp_suite::mutate::swap_operator;
 use ipcp_suite::{generate_scale, Rng, ScaleSpec, PROGRAMS};
+use std::time::Duration;
 
 fn scale_1k() -> String {
     let spec = ScaleSpec::parse("procs=1k,shape=mixed,recursion=8,seed=101").unwrap();
@@ -751,8 +752,9 @@ fn live_reuse_rebuilds_the_form_of_an_earlier_scc_member() {
 /// the call-edge precondition, an arity change the shape one, a new
 /// formal write moves MOD/REF, and an override configuration fails the
 /// configuration one. The boot run had no live log. A degraded live run
-/// still takes the cone; a cone whose charges cross an injected fault,
-/// and a run under a deadline, run unit by unit.
+/// still takes the cone — an injected fault trips inside it at its
+/// sequential offset — and so does a run under a deadline; a cone that
+/// cannot replay the charges of the units it skips takes the plain path.
 #[test]
 fn outcomes_name_the_path_each_run_took() {
     let src = "proc main() { call f(1); call g(2); } \
@@ -795,32 +797,85 @@ fn outcomes_name_the_path_each_run_took() {
     let runs: Vec<u64> = RunPath::ALL.iter().map(|&p| stats.runs_on(p)).collect();
     assert_eq!(
         runs,
-        vec![2, 0, 1, 1, 1, 2, 1],
-        "live, per_unit, config, no_log, shape, call_edges, mod_ref"
+        vec![2, 1, 1, 1, 2, 1, 0],
+        "live, config, no_log, shape, call_edges, mod_ref, trip"
     );
     assert_eq!(runs.iter().sum::<u64>(), stats.requests);
-    let bump = f.replace("v0 = 3;", "v0 = 6;");
-    for (config, path) in [
+    // A fault in forward jump functions that `g`'s unit, all ⊥ anyway,
+    // charges past cleanly: the cone visits only callers before it, so it
+    // cannot replay `g`'s recorded charges at their offset.
+    let past = "proc main() { call f(1); call g(); } \
+                proc f(a) { v0 = 3; call h(a); } \
+                proc g() { read y; call h(y); } \
+                proc h(c) { print c; }";
+    for (src, config, path) in [
         (
+            src,
             Config::default().with_panic(Stage::RetJump, 2),
             RunPath::Live,
         ),
         (
+            src,
             Config::default().with_fault(Stage::RetJump, 1),
-            RunPath::PerUnit,
+            RunPath::Live,
+        ),
+        (
+            past,
+            Config::default().with_fault(Stage::Jump, 1),
+            RunPath::Trip,
         ),
     ] {
         let mut engine = ServeEngine::new(src, &config).unwrap();
         assert!(engine.analysis().health.degraded(), "{config:?}");
+        let bump = text_of(&engine, "f").replace("v0 = 3;", "v0 = 6;");
         let out = engine.update("f", &bump).unwrap();
         assert_eq!(out.path, path, "{config:?}");
+        let cold = Analysis::run(engine.mcfg(), &config);
+        assert!(same_results(engine.analysis(), &cold), "{config:?}");
     }
-    // Under a deadline a unit's outcome depends on time, not only on its
-    // inputs: the run visits every unit in order.
+    let bump = f.replace("v0 = 3;", "v0 = 6;");
+    // A deadline bounds the run but does not pick its path.
     let far = Config::default().with_deadline(Deadline::after_ms(600_000));
     let mut engine = ServeEngine::new(src, &far).unwrap();
     let out = engine.update("f", &bump).unwrap();
-    assert_eq!(out.path, RunPath::PerUnit, "deadline");
+    assert_eq!(out.path, RunPath::Live, "deadline");
+}
+
+/// A request deadline bounds each `update` but does not pick its path: a
+/// bounded literal bump walks its cone, an expired deadline degrades the
+/// update honestly, and the next unbounded bump heals the degraded live
+/// analysis through the cone — each answer what a cold run answers.
+#[test]
+fn a_deadline_degraded_live_analysis_heals_through_the_cone() {
+    let src = scale_1k();
+    for jobs in [1, 2] {
+        let config = Config::default().with_jobs(jobs);
+        let mut engine = ServeEngine::new(&src, &config).unwrap();
+        let cold = |engine: &ServeEngine| Analysis::run(engine.mcfg(), &config);
+
+        engine.set_request_deadline(Some(Duration::from_secs(600)));
+        let out = engine.update("p500", &bump(&engine, "p500", 1)).unwrap();
+        assert_eq!(out.path, RunPath::Live, "jobs {jobs}: far deadline");
+        assert!(!out.degraded, "jobs {jobs}: far deadline");
+        assert!(same_results(engine.analysis(), &cold(&engine)));
+
+        engine.set_request_deadline(Some(Duration::ZERO));
+        let out = engine.update("p500", &bump(&engine, "p500", 2)).unwrap();
+        assert!(out.degraded, "jobs {jobs}: expired deadline");
+        assert!(
+            out.events
+                .iter()
+                .any(|e| e.kind == DegradationKind::Deadline),
+            "jobs {jobs}: {:?}",
+            out.events
+        );
+
+        engine.set_request_deadline(None);
+        let out = engine.update("p500", &bump(&engine, "p500", 3)).unwrap();
+        assert_eq!(out.path, RunPath::Live, "jobs {jobs}: healing bump");
+        assert!(!out.degraded, "jobs {jobs}: healing bump");
+        assert!(same_results(engine.analysis(), &cold(&engine)));
+    }
 }
 
 /// An edit inside a recursive SCC re-runs the SCC's unit from the live
